@@ -51,16 +51,16 @@ export CHAOS_SEEDS="${CHAOS_SEEDS:-25}"
 echo "==> cargo test --offline (CHAOS_SEEDS=${CHAOS_SEEDS})"
 cargo test -q --offline
 
-# Concurrency-correctness pass: the chaos + serving + lockdep suites rerun
-# with the lock-order/race detector armed; any WS110/WS111 finding fails a
-# test. 200 seeds is the regression oracle for future lock-free refactors
+# Concurrency-correctness pass: the chaos + serving + lockdep suites and
+# the Deny gate's oracle walk rerun with the lock-order/race detector
+# armed; any WS110/WS111 finding fails a test. 200 seeds is the regression oracle for future lock-free refactors
 # (LOCKDEP_CHAOS_SEEDS overrides).
 export LOCKDEP_CHAOS_SEEDS="${LOCKDEP_CHAOS_SEEDS:-200}"
 echo "==> cargo test with WEBSEC_LOCKDEP=1 (CHAOS_SEEDS=${LOCKDEP_CHAOS_SEEDS})"
 WEBSEC_LOCKDEP=1 CHAOS_SEEDS="${LOCKDEP_CHAOS_SEEDS}" \
     cargo test -q --offline -p websec-integration-tests \
     --test chaos --test serving --test lockdep --test scheduler \
-    --test compiled_decisions --test scenarios
+    --test compiled_decisions --test scenarios --test gate_oracle
 
 echo "==> lock-order graph baseline (LOCKORDER.json)"
 cargo run --release --offline -p websec-examples --bin lockorder_dump LOCKORDER_run1.json

@@ -241,14 +241,13 @@ const LOCK_ORDER_SPECS: &[LockOrderSpec] = &[
             "snapshot",
             "faults",
             "analysis",
-            "policy_analysis",
             "map",
             "session",
         ],
     },
     LockOrderSpec {
         path: "server/analysis.rs",
-        order: &["update_lock", "snapshot", "analysis", "last_passes_run", "policy_analysis"],
+        order: &["update_lock", "snapshot", "analysis"],
     },
     LockOrderSpec {
         path: "server/cache.rs",
@@ -866,32 +865,32 @@ mod tests {
     }
 
     #[test]
-    fn policy_analysis_mutex_ranks_last_in_the_analysis_order() {
-        // Canonical: the policy-verifier cache is the innermost lock,
-        // taken after the analysis mutex...
+    fn analysis_memo_mutex_ranks_inside_the_update_lock() {
+        // Canonical: the Deny gate reads and commits the analysis memo
+        // while holding the update lock...
         let src = "fn good(&self) {\n\
-                   let a = self.analysis.lock();\n\
-                   let p = self.policy_analysis.lock();\n\
+                   let w = self.update_lock.lock();\n\
+                   let m = self.analysis.lock();\n\
                    }\n";
         let mut findings = Vec::new();
         lint_file(Path::new("crates/core/src/server/analysis.rs"), src, false, &mut findings);
         assert!(findings.is_empty(), "{}", render(&findings));
 
-        // ...and the reverse inverts. Whole-token matching keeps
-        // 'policy_analysis' distinct from 'analysis'.
+        // ...and taking the update lock under the memo mutex inverts.
         let src = "fn bad(&self) {\n\
-                   let p = self.policy_analysis.lock();\n\
-                   let a = self.analysis.lock();\n\
+                   let m = self.analysis.lock();\n\
+                   let w = self.update_lock.lock();\n\
                    }\n";
         let mut findings = Vec::new();
         lint_file(Path::new("crates/core/src/server/analysis.rs"), src, false, &mut findings);
         assert_eq!(findings.len(), 1, "{}", render(&findings));
-        assert!(findings[0].message.contains("'analysis' acquired after 'policy_analysis'"));
+        assert!(findings[0].message.contains("'update_lock' acquired after 'analysis'"));
 
-        // mod.rs ranks it between the analysis mutex and the shard locks.
+        // mod.rs ranks the memo between the faults mutex and the shard
+        // locks.
         let src = "fn bad(&self) {\n\
                    let g = lock_counting(&shard.map, &waits);\n\
-                   let p = self.policy_analysis.lock();\n\
+                   let m = self.analysis.lock();\n\
                    }\n";
         let mut findings = Vec::new();
         lint_file(Path::new("crates/core/src/server/mod.rs"), src, false, &mut findings);

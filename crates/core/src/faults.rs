@@ -37,20 +37,10 @@ use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::PoisonError;
 
+use crate::hash::{fnv1a, FNV1A_START};
 use crate::sync::{TrackedAtomicU64, TrackedMutex};
 
 use websec_crypto::SecureRng;
-
-/// FNV-1a over a byte string (mirrors the serving layer's shard hash; kept
-/// local so the fault seam has no dependency on server internals).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// The serving layer a fault hook lives at. Each [`FaultKind`] maps to
 /// exactly one layer; a rule only ever fires at its kind's layer.
@@ -315,7 +305,7 @@ impl FaultSite<'_> {
         bytes.extend_from_slice(self.subject.as_bytes());
         bytes.push(0x1f);
         bytes.extend_from_slice(self.doc.as_bytes());
-        fnv1a(&bytes)
+        fnv1a(&bytes, FNV1A_START)
     }
 }
 

@@ -39,6 +39,9 @@
 //! * [`blobs`] — §2.1 multimedia/mass-storage integration: a
 //!   content-addressed, sealed-at-rest blob store whose retrieval is gated
 //!   by the XML-level access decision of the referencing element;
+//! * [`hash`] — FNV-1a, the one non-cryptographic hash behind shard
+//!   placement, fault schedules, analysis fingerprints and scenario
+//!   digests;
 //! * [`sync`] — the **concurrency-correctness layer**: instrumented
 //!   [`sync::TrackedMutex`]/[`sync::TrackedRwLock`]/`TrackedAtomic*`
 //!   wrappers feeding a lockdep-style lock-order graph (`WS110`) and a
@@ -77,6 +80,7 @@ pub mod blobs;
 pub mod error;
 pub mod faults;
 pub mod federation;
+pub mod hash;
 pub mod metadata;
 pub mod query;
 pub mod request;
@@ -103,6 +107,7 @@ pub use faults::{
     FaultInjector, FaultKind, FaultLayer, FaultPlan, FaultRule, FaultSchedule, RetryPolicy,
 };
 pub use federation::{FederatedHit, Federation, Site};
+pub use hash::{fnv1a, FNV1A_START};
 pub use metadata::{DocumentMeta, MetadataRepository, Placement};
 pub use query::{QueryStrategy, SecureHit, SecureQueryProcessor};
 pub use request::{BatchRequest, CacheStatus, Decision, QueryRequest, QueryResponse};

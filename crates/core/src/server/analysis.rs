@@ -1,29 +1,41 @@
-//! Incremental, token-keyed re-analysis and the update gate.
+//! Incremental analysis over one memo, and the update gate.
 //!
-//! The serving layer caches the most recent analyzer run keyed by the same
-//! `{generation, epoch}` [`Token`] that guards the policy-view caches. On
-//! [`StackServer::analyze`]:
+//! The serving layer keeps one [`AnalysisMemo`] behind one mutex. It
+//! describes the most recently analysed snapshot: its `{generation, epoch}`
+//! [`Token`], the fingerprints of its nine input [`Section`]s (FNV-1a over
+//! each section's deterministic rendering), and whatever is known of its
+//! analysis — the per-pass WS001–WS012 diagnostics with their assembled
+//! [`Report`], and the WS013–WS018 policy-verifier report.
+//! [`StackServer::analyze`], [`StackServer::verify_policies`] and the
+//! `Deny` gate all read and extend it:
 //!
-//! * an unchanged token returns the cached [`Report`] wholesale (zero
+//! * at the memo's own token the cached reports answer wholesale (zero
 //!   passes executed);
-//! * a changed token fingerprints every input [`Section`] (FNV-1a over the
-//!   section's deterministic rendering) and re-runs only the passes whose
-//!   declared sections ([`websec_analyzer::PassId::sections`]) actually
-//!   changed, splicing cached diagnostics in for the rest.
+//! * at another token the snapshot is fingerprinted once, and only the
+//!   passes whose declared sections ([`websec_analyzer::PassId::sections`])
+//!   moved re-run, with the memo's diagnostics spliced in for the rest; the
+//!   verifier, whose passes all read Policy and Documents, re-runs only when
+//!   one of those two moved.
 //!
 //! The [`AnalysisGate`] decides what updates do with findings:
 //! [`AnalysisGate::Off`] skips analysis entirely, [`AnalysisGate::Warn`]
 //! analyzes after committing (findings surface through
-//! [`super::MetricsSnapshot`]), and [`AnalysisGate::Deny`] pre-validates the
-//! mutation on a copy of the stack and refuses to commit — with a stable
-//! `WS109` error — when it would introduce *new* error-severity findings.
+//! [`super::MetricsSnapshot`]), and [`AnalysisGate::Deny`] analyzes the
+//! mutated copy of the stack against the memo's analysis of the current
+//! snapshot and refuses to commit — with a stable `WS109` error — when the
+//! copy carries *new* error-severity findings. A policy change costs six
+//! analyzer and six verifier passes per gated update (DESIGN.md §8 counts
+//! them per kind of change). An accepted copy's analysis enters the memo
+//! under the token its publication creates, so the next `analyze` and
+//! `verify_policies` are wholesale reuses; a rejected copy leaves the memo
+//! untouched.
 //!
 //! Lock order: the update mutex is the server's outermost lock, taken
-//! before any snapshot slot; the snapshot locks are in turn always taken
-//! before the analysis mutex, never the reverse
-//! ([`StackServer::try_update`] holds the update lock across validation —
-//! so no concurrent writer can interleave between validation and commit —
-//! but only touches the analysis cache after publishing and releasing).
+//! before any snapshot slot and before the memo mutex; no snapshot slot
+//! lock is taken while the memo mutex is held. No pass runs under the memo
+//! mutex either: callers copy the memo's entry out, run passes unlocked,
+//! and commit the result in a second short critical section, where an
+//! entry for an older snapshot never replaces one for a newer snapshot.
 
 use std::collections::BTreeSet;
 use std::sync::atomic::Ordering;
@@ -33,6 +45,7 @@ use std::time::Instant;
 use super::cache::Token;
 use super::StackServer;
 use crate::error::Error;
+use crate::hash::{fnv1a, FNV1A_START};
 use crate::stack::SecureWebStack;
 use websec_analyzer::policy_verify::{self, PolicyPassId, PolicyVerifyInput};
 use websec_analyzer::{run_pass, AnalyzerInput, Diagnostic, PassId, Report, Section, Severity};
@@ -54,24 +67,11 @@ pub enum AnalysisGate {
 }
 
 /// Number of fingerprinted input sections.
-pub(super) const SECTION_COUNT: usize = Section::ALL.len();
+const SECTION_COUNT: usize = Section::ALL.len();
 /// Number of analyzer passes.
-pub(super) const PASS_COUNT: usize = PassId::ALL.len();
-
-/// The cached result of one analyzer run, keyed by its validity token.
-pub(super) struct AnalysisState {
-    /// The `{generation, epoch}` token the run was computed at.
-    token: Token,
-    /// Per-[`Section`] fingerprints (indexed like [`Section::ALL`]).
-    fingerprints: [u64; SECTION_COUNT],
-    /// Per-pass diagnostics (indexed like [`PassId::ALL`]).
-    results: Vec<Vec<Diagnostic>>,
-    /// The assembled, normalized report.
-    report: Report,
-}
-
+const PASS_COUNT: usize = PassId::ALL.len();
 /// Number of policy-verifier passes (WS013–WS018).
-pub(super) const POLICY_PASS_COUNT: usize = PolicyPassId::ALL.len();
+const POLICY_PASS_COUNT: usize = PolicyPassId::ALL.len();
 
 /// The input sections the policy verifier reads. Every WS013–WS018 pass
 /// declares exactly these two ([`PolicyPassId::sections`]), so the suite
@@ -80,31 +80,40 @@ pub(super) const POLICY_PASS_COUNT: usize = PolicyPassId::ALL.len();
 /// artifact, which any policy or document change invalidates wholesale).
 const POLICY_SECTIONS: [Section; 2] = [Section::Policy, Section::Documents];
 
-/// The cached result of one policy-verifier run.
-pub(super) struct PolicyAnalysisState {
-    /// The `{generation, epoch}` token the run was computed at.
+/// What is known of one snapshot's analysis.
+#[derive(Clone)]
+struct SnapshotAnalysis {
+    /// The snapshot's `{generation, epoch}` token.
     token: Token,
-    /// Fingerprints of [`POLICY_SECTIONS`], in that order.
-    fingerprints: [u64; POLICY_SECTIONS.len()],
-    /// The normalized WS013–WS018 report.
-    report: Report,
+    /// Per-[`Section`] fingerprints (indexed like [`Section::ALL`]).
+    fingerprints: [u64; SECTION_COUNT],
+    /// Per-pass diagnostics (indexed like [`PassId::ALL`]); `None` for a
+    /// pass not yet run on this snapshot.
+    passes: Vec<Option<Vec<Diagnostic>>>,
+    /// The assembled, normalized WS001–WS012 report, present exactly when
+    /// every pass is.
+    report: Option<Report>,
+    /// The normalized WS013–WS018 report, once the verifier ran.
+    policy: Option<Report>,
 }
 
-/// FNV-1a over a section's deterministic rendering: cheap, dependency-free,
-/// and stable within a process — exactly what a change detector needs.
-fn fnv1a(data: &str) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in data.as_bytes() {
-        hash ^= u64::from(*byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
+/// The serving layer's analysis memo, behind the server's one analysis
+/// mutex (see the module docs).
+#[derive(Default)]
+pub(super) struct AnalysisMemo {
+    /// The most recently analysed snapshot; `None` before any analysis.
+    latest: Option<SnapshotAnalysis>,
+    /// Codes of the passes the most recent [`StackServer::analyze`] call or
+    /// accepted gated update executed.
+    last_passes_run: Vec<&'static str>,
 }
 
 /// The deterministic rendering of one analyzer input section of `stack`.
 /// Renderings use `Debug` over BTree-backed (deterministically ordered)
 /// structures; the one `HashMap` (document labels) is sorted by name
-/// first.
+/// first. The policy section includes the engine's conflict strategy,
+/// which WS001/WS002 and the compiled plane the verifier reads (WS014)
+/// depend on.
 fn render_section(stack: &SecureWebStack, section: Section) -> String {
     use std::fmt::Write as _;
     let mut s = String::new();
@@ -112,8 +121,9 @@ fn render_section(stack: &SecureWebStack, section: Section) -> String {
         Section::Policy => {
             let _ = write!(
                 s,
-                "{};{:?};{:?}",
+                "{};{:?};{:?};{:?}",
                 stack.policies.epoch(),
+                stack.engine.strategy,
                 stack.policies.authorizations(),
                 stack.policies.hierarchy.seniority_pairs()
             );
@@ -166,43 +176,118 @@ fn render_section(stack: &SecureWebStack, section: Section) -> String {
 }
 
 /// Fingerprints every analyzer input section of `stack`.
-pub(super) fn section_fingerprints(stack: &SecureWebStack) -> [u64; SECTION_COUNT] {
-    let mut out = [0u64; SECTION_COUNT];
-    for (i, section) in Section::ALL.iter().enumerate() {
-        out[i] = fnv1a(&render_section(stack, *section));
-    }
-    out
+fn section_fingerprints(stack: &SecureWebStack) -> [u64; SECTION_COUNT] {
+    Section::ALL.map(|section| fnv1a(render_section(stack, section).as_bytes(), FNV1A_START))
 }
 
-/// Fingerprints only the sections the policy verifier reads.
-fn policy_fingerprints(stack: &SecureWebStack) -> [u64; POLICY_SECTIONS.len()] {
-    let mut out = [0u64; POLICY_SECTIONS.len()];
-    for (i, section) in POLICY_SECTIONS.iter().enumerate() {
-        out[i] = fnv1a(&render_section(stack, *section));
-    }
-    out
-}
-
-/// Runs the full WS013–WS018 suite over `stack`'s documents and the
-/// decision plane compiled from it.
-pub(super) fn run_policy_verifier(stack: &SecureWebStack, compiled: &CompiledPolicies) -> Report {
-    let mut input = PolicyVerifyInput::new(compiled);
-    for name in stack.documents.names() {
-        if let Some(doc) = stack.documents.get(name) {
-            input.documents.push((name, doc));
-        }
-    }
-    policy_verify::verify_policies(&input)
-}
-
-/// Machine lines of the error-severity findings in `report`.
-fn error_lines(report: &Report) -> BTreeSet<String> {
+/// Machine lines of the error-severity findings in `report`, in report
+/// order.
+fn error_lines(report: &Report) -> impl Iterator<Item = String> + '_ {
     report
         .diagnostics
         .iter()
         .filter(|d| d.severity == Severity::Error)
         .map(Diagnostic::machine_line)
-        .collect()
+}
+
+/// Error and warning counts of `report` (zeros when it is not known).
+fn severity_counts(report: Option<&Report>) -> (u64, u64) {
+    report.map_or((0, 0), |report| {
+        let errors = report.count_at_least(Severity::Error) as u64;
+        let at_least_warning = report.count_at_least(Severity::Warning) as u64;
+        (errors, at_least_warning - errors)
+    })
+}
+
+impl SnapshotAnalysis {
+    /// The analysis of `stack` at `token`, derived from `prev`, another
+    /// snapshot's analysis: `stack` is fingerprinted once, and every result
+    /// whose declared sections kept their fingerprints carries over.
+    fn rebase(prev: Option<&SnapshotAnalysis>, stack: &SecureWebStack, token: Token) -> Self {
+        let fingerprints = section_fingerprints(stack);
+        let moved: Vec<Section> = match prev {
+            Some(p) => Section::ALL
+                .iter()
+                .zip(p.fingerprints.iter().zip(&fingerprints))
+                .filter(|(_, (before, after))| before != after)
+                .map(|(section, _)| *section)
+                .collect(),
+            None => Section::ALL.to_vec(),
+        };
+        let unchanged = |sections: &[Section]| !sections.iter().any(|s| moved.contains(s));
+        let passes: Vec<Option<Vec<Diagnostic>>> = PassId::ALL
+            .iter()
+            .enumerate()
+            .map(|(i, pass)| {
+                prev.filter(|_| unchanged(pass.sections()))
+                    .and_then(|p| p.passes[i].clone())
+            })
+            .collect();
+        let report = prev
+            .filter(|_| passes.iter().all(Option::is_some))
+            .and_then(|p| p.report.clone());
+        let policy = prev
+            .filter(|_| unchanged(&POLICY_SECTIONS))
+            .and_then(|p| p.policy.clone());
+        SnapshotAnalysis {
+            token,
+            fingerprints,
+            passes,
+            report,
+            policy,
+        }
+    }
+
+    /// The WS001–WS012 report of `stack` (the snapshot this analysis
+    /// describes), running only the passes with no result yet; also
+    /// returns the codes of the passes run.
+    fn complete_report(&mut self, stack: &SecureWebStack) -> (&Report, Vec<&'static str>) {
+        let mut ran = Vec::new();
+        let report = match self.report.take() {
+            Some(report) => report,
+            None => {
+                let passes = &mut self.passes;
+                stack.with_analyzer_input(|input| {
+                    for (pass, slot) in PassId::ALL.iter().zip(passes.iter_mut()) {
+                        if slot.is_none() {
+                            ran.push(pass.code());
+                            *slot = Some(run_pass(input, *pass));
+                        }
+                    }
+                });
+                let mut report = Report::default();
+                for diagnostics in self.passes.iter().flatten() {
+                    report.diagnostics.extend(diagnostics.iter().cloned());
+                }
+                report.normalize();
+                report
+            }
+        };
+        (&*self.report.insert(report), ran)
+    }
+
+    /// The WS013–WS018 report of `stack` over `compiled`, its decision
+    /// plane, running the full suite unless the report is known; also
+    /// returns whether it ran.
+    fn complete_policy(
+        &mut self,
+        stack: &SecureWebStack,
+        compiled: &CompiledPolicies,
+    ) -> (&Report, bool) {
+        let (report, ran) = match self.policy.take() {
+            Some(report) => (report, false),
+            None => {
+                let mut input = PolicyVerifyInput::new(compiled);
+                for name in stack.documents.names() {
+                    if let Some(doc) = stack.documents.get(name) {
+                        input.documents.push((name, doc));
+                    }
+                }
+                (policy_verify::verify_policies(&input), true)
+            }
+        };
+        (&*self.policy.insert(report), ran)
+    }
 }
 
 impl StackServer {
@@ -233,96 +318,112 @@ impl StackServer {
         let Ok((stack, _, token)) = self.snapshot_with_token() else {
             return Report::default();
         };
-        self.analyze_snapshot(&stack, token)
-    }
-
-    /// Diagnostic codes of the passes the most recent
-    /// [`StackServer::analyze`] call actually executed, in pass order
-    /// (empty when the cached report was reused wholesale).
-    #[must_use]
-    pub fn last_passes_run(&self) -> Vec<&'static str> {
-        self.last_passes_run.lock().unwrap_or_else(PoisonError::into_inner).clone()
-    }
-
-    fn analyze_snapshot(&self, stack: &SecureWebStack, token: Token) -> Report {
-        let mut slot = self.analysis.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some(state) = slot.as_ref() {
-            if state.token == token {
-                self.analysis_passes_reused
-                    .fetch_add(PASS_COUNT as u64, Ordering::Relaxed);
-                *self.last_passes_run.lock().unwrap_or_else(PoisonError::into_inner) = Vec::new();
-                return state.report.clone();
+        {
+            let mut memo = self.analysis.lock().unwrap_or_else(PoisonError::into_inner);
+            let cached = memo
+                .latest
+                .as_ref()
+                .filter(|latest| latest.token == token)
+                .and_then(|latest| latest.report.clone());
+            if let Some(report) = cached {
+                memo.last_passes_run.clear();
+                drop(memo);
+                self.count_passes(0);
+                return report;
             }
         }
-        let fingerprints = section_fingerprints(stack);
-        let prev = slot.take();
-        let mut results: Vec<Vec<Diagnostic>> = Vec::with_capacity(PASS_COUNT);
-        let mut ran: Vec<&'static str> = Vec::new();
-        stack.with_analyzer_input(|input| {
-            for (i, pass) in PassId::ALL.iter().enumerate() {
-                let unchanged = prev.as_ref().is_some_and(|p| {
-                    pass.sections().iter().all(|section| {
-                        Section::ALL
-                            .iter()
-                            .position(|s| s == section)
-                            .is_some_and(|idx| p.fingerprints[idx] == fingerprints[idx])
-                    })
-                });
-                if unchanged {
-                    // `unchanged` implies `prev` is Some; the fallback arm
-                    // is unreachable but keeps the path panic-free.
-                    results.push(
-                        prev.as_ref()
-                            .map(|p| p.results[i].clone())
-                            .unwrap_or_default(),
-                    );
-                } else {
-                    ran.push(pass.code());
-                    results.push(run_pass(input, *pass));
-                }
-            }
-        });
-        let mut report = Report::default();
-        for r in &results {
-            report.diagnostics.extend(r.iter().cloned());
-        }
-        report.normalize();
-        self.analysis_passes_run
-            .fetch_add(ran.len() as u64, Ordering::Relaxed);
-        self.analysis_passes_reused
-            .fetch_add((PASS_COUNT - ran.len()) as u64, Ordering::Relaxed);
-        *self.last_passes_run.lock().unwrap_or_else(PoisonError::into_inner) = ran;
-        *slot = Some(AnalysisState {
-            token,
-            fingerprints,
-            results,
-            report: report.clone(),
-        });
+        let mut analysis = self.memo_for(&stack, token);
+        let (report, ran) = analysis.complete_report(&stack);
+        let report = report.clone();
+        self.count_passes(ran.len());
+        self.commit(analysis, Some(ran));
         report
     }
 
-    /// The cached report's error/warning counts, for the metrics snapshot
-    /// (zeros until the first analyze).
-    pub(super) fn analysis_gauges(&self) -> (u64, u64) {
-        let slot = self.analysis.lock().unwrap_or_else(PoisonError::into_inner);
-        match slot.as_ref() {
-            Some(state) => {
-                let errors = state.report.count_at_least(Severity::Error) as u64;
-                let at_least_warning = state.report.count_at_least(Severity::Warning) as u64;
-                (errors, at_least_warning - errors)
-            }
-            None => (0, 0),
+    /// Diagnostic codes of the passes the most recent
+    /// [`StackServer::analyze`] call or accepted
+    /// [`AnalysisGate::Deny`]-gated update actually executed, in pass order
+    /// (empty when `analyze` reused the cached report wholesale).
+    #[must_use]
+    pub fn last_passes_run(&self) -> Vec<&'static str> {
+        self.analysis
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .last_passes_run
+            .clone()
+    }
+
+    /// The memo's analysis of the snapshot `stack` at `token`: the memo's
+    /// own entry when it describes that snapshot, else one rebased onto it
+    /// from the memo's entry. A copy, so no pass runs under the mutex.
+    fn memo_for(&self, stack: &SecureWebStack, token: Token) -> SnapshotAnalysis {
+        let latest = self
+            .analysis
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .latest
+            .clone();
+        match latest {
+            Some(latest) if latest.token == token => latest,
+            latest => SnapshotAnalysis::rebase(latest.as_ref(), stack, token),
         }
+    }
+
+    /// Stores `analysis` as the memo's entry unless the memo already
+    /// describes a newer snapshot (a reader that analysed an older one
+    /// finishing after a publication); `ran`, when given, becomes
+    /// [`StackServer::last_passes_run`].
+    fn commit(&self, analysis: SnapshotAnalysis, ran: Option<Vec<&'static str>>) {
+        let mut memo = self.analysis.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(ran) = ran {
+            memo.last_passes_run = ran;
+        }
+        if memo
+            .latest
+            .as_ref()
+            .is_none_or(|latest| latest.token.generation <= analysis.token.generation)
+        {
+            memo.latest = Some(analysis);
+        }
+    }
+
+    /// Accounts one analyzer run that executed `ran` passes and reused the
+    /// rest.
+    fn count_passes(&self, ran: usize) {
+        self.analysis_passes_run.fetch_add(ran as u64, Ordering::Relaxed);
+        self.analysis_passes_reused
+            .fetch_add((PASS_COUNT - ran) as u64, Ordering::Relaxed);
+    }
+
+    /// Accounts one policy-verifier run, executed (`ran`) or reused.
+    fn count_policy_passes(&self, ran: bool) {
+        let counter = if ran {
+            &self.policy_passes_run
+        } else {
+            &self.policy_passes_reused
+        };
+        counter.fetch_add(POLICY_PASS_COUNT as u64, Ordering::Relaxed);
+    }
+
+    /// Error and warning counts of the memo's analyzer report and of its
+    /// policy-verifier report, for the metrics snapshot (zeros for a
+    /// report not computed for the memo's snapshot).
+    pub(super) fn analysis_gauges(&self) -> [(u64, u64); 2] {
+        let memo = self.analysis.lock().unwrap_or_else(PoisonError::into_inner);
+        let latest = memo.latest.as_ref();
+        [
+            severity_counts(latest.and_then(|l| l.report.as_ref())),
+            severity_counts(latest.and_then(|l| l.policy.as_ref())),
+        ]
     }
 
     /// Runs the static policy verifier (WS013–WS018,
     /// [`websec_analyzer::policy_verify`]) over the current snapshot's
-    /// compiled decision plane, **incrementally**: the run is cached
-    /// keyed by the snapshot's `{generation, epoch}` token, and when the
-    /// token moved without the policy base or the documents changing
-    /// (fingerprint-checked — e.g. after
-    /// [`StackServer::invalidate_views`]), the cached report is reused
-    /// wholesale. The run/reuse split is observable through
+    /// compiled decision plane, **incrementally**: the report is memoized
+    /// with the snapshot's analysis, and when the token moved without the
+    /// policy base or the documents changing (fingerprint-checked — e.g.
+    /// after [`StackServer::invalidate_views`]), the memoized report is
+    /// reused wholesale. The run/reuse split is observable through
     /// [`super::MetricsSnapshot::policy_passes_run`] and
     /// [`super::MetricsSnapshot::policy_passes_reused`].
     #[must_use]
@@ -330,64 +431,24 @@ impl StackServer {
         let Ok((stack, compiled, token)) = self.snapshot_with_token() else {
             return Report::default();
         };
-        self.verify_policies_snapshot(&stack, &compiled, token)
-    }
-
-    fn verify_policies_snapshot(
-        &self,
-        stack: &SecureWebStack,
-        compiled: &CompiledPolicies,
-        token: Token,
-    ) -> Report {
-        let mut slot = self
-            .policy_analysis
+        let cached = self
+            .analysis
             .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        if let Some(state) = slot.as_ref() {
-            if state.token == token {
-                self.policy_passes_reused
-                    .fetch_add(POLICY_PASS_COUNT as u64, Ordering::Relaxed);
-                return state.report.clone();
-            }
+            .unwrap_or_else(PoisonError::into_inner)
+            .latest
+            .as_ref()
+            .filter(|latest| latest.token == token)
+            .and_then(|latest| latest.policy.clone());
+        if let Some(report) = cached {
+            self.count_policy_passes(false);
+            return report;
         }
-        let fingerprints = policy_fingerprints(stack);
-        if let Some(state) = slot.as_mut() {
-            if state.fingerprints == fingerprints {
-                // The token moved (generation bump, unrelated epoch churn)
-                // but neither input section did: refresh the key, reuse
-                // the whole run.
-                state.token = token;
-                self.policy_passes_reused
-                    .fetch_add(POLICY_PASS_COUNT as u64, Ordering::Relaxed);
-                return state.report.clone();
-            }
-        }
-        let report = run_policy_verifier(stack, compiled);
-        self.policy_passes_run
-            .fetch_add(POLICY_PASS_COUNT as u64, Ordering::Relaxed);
-        *slot = Some(PolicyAnalysisState {
-            token,
-            fingerprints,
-            report: report.clone(),
-        });
+        let mut analysis = self.memo_for(&stack, token);
+        let (report, ran) = analysis.complete_policy(&stack, &compiled);
+        let report = report.clone();
+        self.count_policy_passes(ran);
+        self.commit(analysis, None);
         report
-    }
-
-    /// The cached policy-verifier report's error/warning counts, for the
-    /// metrics snapshot (zeros until the first verify).
-    pub(super) fn policy_gauges(&self) -> (u64, u64) {
-        let slot = self
-            .policy_analysis
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        match slot.as_ref() {
-            Some(state) => {
-                let errors = state.report.count_at_least(Severity::Error) as u64;
-                let at_least_warning = state.report.count_at_least(Severity::Warning) as u64;
-                (errors, at_least_warning - errors)
-            }
-            None => (0, 0),
-        }
     }
 
     /// Proves the current snapshot's compiled decision tables equivalent
@@ -478,11 +539,15 @@ impl StackServer {
     ///   **both** the AST analyzer and the policy verifier (WS013–WS018
     ///   over the decision plane compiled from the candidate), and
     ///   commits only when no **new** error-severity finding (relative to
-    ///   the pre-update configuration) appears on either side. A rejected
-    ///   update leaves the snapshot, generation, and caches untouched and
-    ///   returns `WS109` ([`Error::AnalysisRejected`]) carrying the
+    ///   the pre-update configuration) appears on either side. The
+    ///   analysis is incremental against the memo: the pre-update
+    ///   configuration's reports come from it, and the copy re-runs only
+    ///   the passes whose input sections the mutation moved. A rejected
+    ///   update leaves the snapshot, generation, caches and memo untouched
+    ///   and returns `WS109` ([`Error::AnalysisRejected`]) carrying the
     ///   machine lines of every introduced finding — an update that trips
-    ///   both an AST error and a WS014 tie reports both.
+    ///   both an AST error and a WS014 tie reports both. An accepted one
+    ///   enters the memo under its new token.
     pub fn try_update<R>(
         &self,
         mutate: impl FnOnce(&mut SecureWebStack) -> R,
@@ -500,21 +565,31 @@ impl StackServer {
                     .update_lock
                     .lock()
                     .unwrap_or_else(PoisonError::into_inner);
-                let current = self.current_snapshot();
+                let (current, current_compiled, token) = self.snapshot_with_token()?;
                 // Pre-existing errors are grandfathered: the gate blocks
                 // *regressions*, not stacks that already carried findings
-                // when the gate was enabled.
-                let baseline = error_lines(&current.analyze());
-                let baseline_policy = error_lines(&self.verify_policies());
+                // when the gate was enabled. The baseline is the memo's
+                // analysis of the current snapshot; passes run here only
+                // when the memo fell behind it (the first gated update, or
+                // an ungated update or republication since the last
+                // analysis).
+                let mut baseline = self.memo_for(&current, token);
+                let (report, baseline_ran) = baseline.complete_report(&current);
+                let baseline_errors: BTreeSet<String> = error_lines(report).collect();
+                let (report, baseline_policy_ran) =
+                    baseline.complete_policy(&current, &current_compiled);
+                let baseline_policy_errors: BTreeSet<String> = error_lines(report).collect();
+                self.count_passes(baseline_ran.len());
+                self.count_policy_passes(baseline_policy_ran);
+
                 let mut candidate = (*current).clone();
                 let result = mutate(&mut candidate);
-                let report = candidate.analyze();
-                let mut introduced: Vec<String> = report
-                    .diagnostics
-                    .iter()
-                    .filter(|d| d.severity == Severity::Error)
-                    .map(Diagnostic::machine_line)
-                    .filter(|line| !baseline.contains(line))
+                // Keyed by the current token until publication creates
+                // the candidate's own.
+                let mut analysis = SnapshotAnalysis::rebase(Some(&baseline), &candidate, token);
+                let (report, ran) = analysis.complete_report(&candidate);
+                let mut introduced: Vec<String> = error_lines(report)
+                    .filter(|line| !baseline_errors.contains(line))
                     .collect();
                 // The candidate's decision plane is compiled once, here:
                 // validation and (on success) publication share the same
@@ -525,15 +600,14 @@ impl StackServer {
                 let compiled = super::compile_stack(&candidate);
                 let compile_ns =
                     u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                let policy_report = run_policy_verifier(&candidate, &compiled);
+                let (policy_report, policy_ran) =
+                    analysis.complete_policy(&candidate, &compiled);
                 introduced.extend(
-                    policy_report
-                        .diagnostics
-                        .iter()
-                        .filter(|d| d.severity == Severity::Error)
-                        .map(Diagnostic::machine_line)
-                        .filter(|line| !baseline_policy.contains(line)),
+                    error_lines(policy_report)
+                        .filter(|line| !baseline_policy_errors.contains(line)),
                 );
+                self.count_passes(ran.len());
+                self.count_policy_passes(policy_ran);
                 if !introduced.is_empty() {
                     drop(writer);
                     self.gate_denials.fetch_add(1, Ordering::Relaxed);
@@ -541,10 +615,9 @@ impl StackServer {
                 }
                 self.snapshot_compile_ns.fetch_add(compile_ns, Ordering::Relaxed);
                 self.snapshot_compiles.fetch_add(1, Ordering::Relaxed);
-                self.publish(Arc::new(candidate), compiled);
+                analysis.token = self.publish(Arc::new(candidate), compiled);
+                self.commit(analysis, Some(ran));
                 drop(writer);
-                let _ = self.analyze();
-                let _ = self.verify_policies();
                 Ok(result)
             }
         }

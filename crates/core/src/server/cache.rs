@@ -21,7 +21,7 @@ use std::sync::{Arc, PoisonError};
 
 use super::metrics::ShardStats;
 use crate::sync::{TrackedAtomicU64, TrackedReadGuard, TrackedRwLock, TrackedWriteGuard};
-use super::shard::identity_hash;
+use crate::hash::{fnv1a, FNV1A_START};
 use websec_xml::Document;
 
 /// Validity token for cached views: the server's snapshot generation
@@ -119,7 +119,7 @@ impl L2ViewCache {
     /// hit/miss tallies that
     /// [`crate::server::StackServer`]'s `absorb_local` flushes back here).
     pub fn shard_index(&self, identity: &str) -> usize {
-        (identity_hash(identity) & self.mask) as usize
+        (fnv1a(identity.as_bytes(), FNV1A_START) & self.mask) as usize
     }
 
     /// A valid cached view, or `None`. Deliberately does **not** touch the

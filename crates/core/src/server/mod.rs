@@ -78,6 +78,7 @@ use std::time::Instant;
 
 use crate::error::Error;
 use crate::faults::{FaultContext, FaultInjector, FaultKind, FaultLayer, FaultPlan, RetryPolicy};
+use crate::hash::{fnv1a, FNV1A_START};
 use crate::request::{BatchRequest, CacheStatus, QueryRequest, QueryResponse};
 use crate::stack::{ResolvedView, SecureWebStack, ViewResolver};
 use crate::sync::{
@@ -157,26 +158,24 @@ pub struct StackServer {
     /// Admission-control capacity per batch worker (0 = unlimited): a
     /// batch larger than `limit × workers` has its tail shed with `WS108`.
     queue_limit: TrackedAtomicUsize,
-    /// The cached incremental analysis, keyed by the token it ran at.
-    /// Lock order: the snapshot lock is always taken before this mutex.
-    analysis: TrackedMutex<Option<analysis::AnalysisState>>,
+    /// The analysis memo: the most recently analysed snapshot's token,
+    /// section fingerprints, per-pass analyzer results and both reports,
+    /// plus the codes of the last analyzer run. Lock order: taken after
+    /// the update mutex, never while a snapshot slot lock is held.
+    analysis: TrackedMutex<analysis::AnalysisMemo>,
     /// The configured [`AnalysisGate`] (stored as its discriminant).
     analysis_gate: TrackedAtomicU8,
     /// Analyzer passes actually executed across all [`StackServer::analyze`]
-    /// calls (the incremental machinery's "work done" counter).
+    /// calls and [`AnalysisGate::Deny`]-gated updates (the incremental
+    /// machinery's "work done" counter).
     analysis_passes_run: TrackedAtomicU64,
     /// Analyzer passes answered from the cache (unchanged token or
     /// unchanged input sections).
     analysis_passes_reused: TrackedAtomicU64,
     /// Updates rejected by [`AnalysisGate::Deny`] with `WS109`.
     gate_denials: TrackedAtomicU64,
-    /// Codes of the passes the most recent analyze executed.
-    last_passes_run: TrackedMutex<Vec<&'static str>>,
-    /// The cached policy-verifier run (WS013–WS018), keyed by the token it
-    /// ran at. Lock order: taken after the analysis mutex, never before.
-    policy_analysis: TrackedMutex<Option<analysis::PolicyAnalysisState>>,
     /// Policy-verifier passes actually executed across all
-    /// [`StackServer::verify_policies`] calls.
+    /// [`StackServer::verify_policies`] calls and gated updates.
     policy_passes_run: TrackedAtomicU64,
     /// Policy-verifier passes answered from the incremental cache.
     policy_passes_reused: TrackedAtomicU64,
@@ -403,13 +402,11 @@ impl StackServer {
             faults_enabled: TrackedAtomicBool::synchronizing("server.faults_enabled", false),
             clock: TrackedAtomicU64::counter("server.clock", 0),
             queue_limit: TrackedAtomicUsize::counter("server.queue_limit", 0),
-            analysis: TrackedMutex::new("server.analysis", None),
+            analysis: TrackedMutex::new("server.analysis", analysis::AnalysisMemo::default()),
             analysis_gate: TrackedAtomicU8::counter("server.analysis_gate", 0),
             analysis_passes_run: TrackedAtomicU64::counter("server.analysis_passes_run", 0),
             analysis_passes_reused: TrackedAtomicU64::counter("server.analysis_passes_reused", 0),
             gate_denials: TrackedAtomicU64::counter("server.gate_denials", 0),
-            last_passes_run: TrackedMutex::new("server.analysis_trace", Vec::new()),
-            policy_analysis: TrackedMutex::new("server.policy_analysis", None),
             policy_passes_run: TrackedAtomicU64::counter("server.policy_passes_run", 0),
             policy_passes_reused: TrackedAtomicU64::counter("server.policy_passes_reused", 0),
             decision_mode: TrackedAtomicU8::counter(
@@ -599,11 +596,12 @@ impl StackServer {
     /// Installs `stack` (with the decision tables compiled from it) as the
     /// new current snapshot: writes the pair into the spare slot, flips
     /// the generation (Release — the publication edge readers acquire),
-    /// and drops every cached view.
+    /// and drops every cached view. Returns the new snapshot's token.
     ///
     /// Must be called with `update_lock` held — the spare slot is only
     /// "spare" while no other writer can flip the generation underneath.
-    fn publish(&self, stack: Arc<SecureWebStack>, compiled: Arc<CompiledPolicies>) {
+    fn publish(&self, stack: Arc<SecureWebStack>, compiled: Arc<CompiledPolicies>) -> Token {
+        let epoch = stack.policies.epoch();
         let generation = self.generation.load(Ordering::Acquire);
         let spare = ((generation + 1) & 1) as usize;
         {
@@ -612,8 +610,9 @@ impl StackServer {
                 .unwrap_or_else(PoisonError::into_inner);
             *guard = (stack, compiled);
         }
-        self.generation.fetch_add(1, Ordering::Release);
+        let generation = self.generation.fetch_add(1, Ordering::Release) + 1;
         self.cache.clear();
+        Token { generation, epoch }
     }
 
     /// Compiles `stack` under the update lock, attributing the elapsed
@@ -885,11 +884,15 @@ impl StackServer {
         let overall = request
             .deadline_budget()
             .map(|budget| self.clock.load(Ordering::Relaxed).saturating_add(budget));
-        let salt = shard::identity_hash(&format!(
-            "{}\u{1f}{}",
-            request.subject_profile().identity,
-            request.doc_name()
-        ));
+        let salt = fnv1a(
+            format!(
+                "{}\u{1f}{}",
+                request.subject_profile().identity,
+                request.doc_name()
+            )
+            .as_bytes(),
+            FNV1A_START,
+        );
         let attempts = policy.max_attempts.max(1);
         let mut prev = policy.base_ticks.max(1);
         let mut last_transient = None;
@@ -1136,14 +1139,13 @@ impl StackServer {
         snap.gate_denials = self.gate_denials.load(Ordering::Relaxed);
         snap.snapshot_compiles = self.snapshot_compiles.load(Ordering::Relaxed);
         snap.snapshot_compile_ns = self.snapshot_compile_ns.load(Ordering::Relaxed);
-        let (errors, warnings) = self.analysis_gauges();
-        snap.analysis_errors = errors;
-        snap.analysis_warnings = warnings;
         snap.policy_passes_run = self.policy_passes_run.load(Ordering::Relaxed);
         snap.policy_passes_reused = self.policy_passes_reused.load(Ordering::Relaxed);
-        let (errors, warnings) = self.policy_gauges();
-        snap.policy_errors = errors;
-        snap.policy_warnings = warnings;
+        let [(errors, warnings), (policy_errors, policy_warnings)] = self.analysis_gauges();
+        snap.analysis_errors = errors;
+        snap.analysis_warnings = warnings;
+        snap.policy_errors = policy_errors;
+        snap.policy_warnings = policy_warnings;
         snap
     }
 }

@@ -20,18 +20,8 @@ use super::metrics::{LocalMetrics, ShardStats};
 use crate::sync::{TrackedAtomicU64, TrackedMutex, TrackedMutexGuard};
 use crate::error::Error;
 use crate::faults::{FaultContext, FaultKind, FaultLayer};
+use crate::hash::{fnv1a, FNV1A_START};
 use websec_services::ChannelSession;
-
-/// FNV-1a over the identity bytes: stable, dependency-free, and good
-/// enough to spread identities across a power-of-two shard count.
-pub(crate) fn identity_hash(identity: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in identity.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// Acquires `mutex`, counting a contention event into `waits` when the
 /// uncontended `try_lock` fast path fails. Returns `None` when the lock is
@@ -78,9 +68,10 @@ impl SessionShards {
         }
     }
 
-    /// Shard index for an identity.
+    /// Shard index for an identity: FNV-1a spreads identities evenly
+    /// enough across a power-of-two shard count.
     pub fn shard_index(&self, identity: &str) -> usize {
-        (identity_hash(identity) & self.mask) as usize
+        (fnv1a(identity.as_bytes(), FNV1A_START) & self.mask) as usize
     }
 
     /// The session for `identity`, establishing it (one handshake) on first

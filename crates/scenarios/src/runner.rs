@@ -30,10 +30,11 @@ use std::time::Instant;
 
 use crate::corpus::hospital_stack;
 use crate::scenario::{
-    fnv1a, fnv1a_start, AdversarialSpec, Invariant, MiningSpec, RevocationStorm, Scenario,
-    ScenarioResult, UddiChurn, Warmup,
+    AdversarialSpec, Invariant, MiningSpec, RevocationStorm, Scenario, ScenarioResult,
+    UddiChurn, Warmup,
 };
 use websec_core::prelude::*;
+use websec_core::{fnv1a, FNV1A_START};
 
 /// Threads used to verify a batch response against the oracle.
 const VERIFY_THREADS: usize = 4;
@@ -116,7 +117,7 @@ fn is_ws1xx(code: &str) -> bool {
 }
 
 fn digest_outcomes(outcomes: &[Outcome]) -> String {
-    let mut hash = fnv1a_start();
+    let mut hash = FNV1A_START;
     for outcome in outcomes {
         match outcome {
             Ok(xml) => {
@@ -642,7 +643,7 @@ fn run_gate_probe(
 fn uddi_churn_pass(seed: u64, churn: &UddiChurn) -> String {
     let mut rng = SecureRng::seeded(seed);
     let mut registry = UddiRegistry::new();
-    let mut hash = fnv1a_start();
+    let mut hash = FNV1A_START;
     for i in 0..churn.businesses {
         registry.save_business(BusinessEntity::new(
             &format!("biz-{i}"),
@@ -716,7 +717,7 @@ fn mining_pass(seed: u64, spec: &MiningSpec) -> (u64, String) {
     rules.sort_by(|a, b| {
         (&a.antecedent, &a.consequent).cmp(&(&b.antecedent, &b.consequent))
     });
-    let mut hash = fnv1a_start();
+    let mut hash = FNV1A_START;
     for rule in &rules {
         hash = fnv1a(
             format!(

@@ -10,6 +10,7 @@
 use crate::corpus::HospitalSpec;
 use crate::recipe::Recipe;
 use websec_core::prelude::*;
+use websec_core::{fnv1a, FNV1A_START};
 
 /// How batch measurement rounds treat server state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -295,29 +296,10 @@ impl Scenario {
     /// the cache, while re-running an unchanged suite hits it.
     #[must_use]
     pub fn fingerprint(&self, workspace_rev: &str) -> String {
-        let mut hash = fnv1a(format!("{self:?}").as_bytes(), FNV_OFFSET);
+        let mut hash = fnv1a(format!("{self:?}").as_bytes(), FNV1A_START);
         hash = fnv1a(workspace_rev.as_bytes(), hash);
         format!("{hash:016x}")
     }
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// Incremental FNV-1a (also used by the runner's view digests).
-#[must_use]
-pub(crate) fn fnv1a(data: &[u8], mut hash: u64) -> u64 {
-    for byte in data {
-        hash ^= u64::from(*byte);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
-
-/// Starts an FNV-1a digest at the standard offset basis.
-#[must_use]
-pub(crate) fn fnv1a_start() -> u64 {
-    FNV_OFFSET
 }
 
 /// The deterministic outcome of one scenario run: only counters and

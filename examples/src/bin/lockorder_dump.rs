@@ -3,7 +3,8 @@
 //! Enables the `websec_core::sync` detector, drives a **fixed, serial**
 //! workload through every synchronized subsystem of the serving engine
 //! (sessions, both cache levels, the snapshot seqlock, the fault
-//! injector, coalescing queues, and the incremental analyzer), and prints
+//! injector, coalescing queues, the analysis memo and the `Deny` update
+//! gate), and prints
 //! the resulting lock-order graph as deterministic JSON.
 //!
 //! The workload is deliberately single-threaded with a fixed shard count
@@ -78,16 +79,33 @@ fn main() {
         stack.policies.add(Authorization::for_subject(SubjectSpec::Identity("doctor".into())).on(ObjectSpec::Document("ward.xml".into())).privilege(Privilege::Write).grant());
     });
 
-    // Phase 4 — incremental analysis: the analysis and trace mutexes
-    // nested under the snapshot read path, then the policy verifier's
-    // own cache mutex (cold run, cached reuse).
+    // Phase 4 — incremental analysis: the analysis memo after the
+    // snapshot read path, for both analyses (cold run, cached reuse).
     server.set_analysis_gate(AnalysisGate::Warn);
     let _ = server.analyze();
     let _ = server.analyze();
     let _ = server.verify_policies();
     let _ = server.verify_policies();
 
-    // Phase 5 — a one-worker batch: the scheduler's deque/injector cursors
+    // Phase 5 — gated updates: under the update lock the Deny gate reads
+    // the current snapshot and the memo, then publishes an accepted
+    // candidate and commits its analysis; a planted grant/deny tie is
+    // refused without publishing.
+    server.set_analysis_gate(AnalysisGate::Deny);
+    server
+        .try_update(|stack| {
+            stack.policies.add(Authorization::for_subject(SubjectSpec::Identity("nurse".into())).on(ObjectSpec::Document("ward.xml".into())).privilege(Privilege::Read).grant());
+        })
+        .expect("benign gated update admitted");
+    let tie = server.try_update(|stack| {
+        stack.engine.strategy = ConflictStrategy::ExplicitPriority;
+        for sign in [Sign::Plus, Sign::Minus] {
+            stack.policies.add(Authorization::for_subject(SubjectSpec::Anyone).on(ObjectSpec::Document("ward.xml".into())).privilege(Privilege::Read).priority(3).sign(sign));
+        }
+    });
+    assert!(tie.is_err(), "planted tie must be rejected");
+
+    // Phase 6 — a one-worker batch: the scheduler's deque/injector cursors
     // and the coalescing plan, serially so pop/steal counts cannot vary.
     let batch =
         BatchRequest::new((0..6).map(|i| request("doctor", i % 3)).collect()).workers(1);

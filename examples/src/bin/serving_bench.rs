@@ -71,6 +71,7 @@
 
 use std::time::Instant;
 use websec_core::prelude::*;
+use websec_core::{fnv1a, FNV1A_START};
 use websec_scenarios::{
     hospital_stack, large_store, large_store_profiles, suite, HospitalSpec, LargeStoreSpec, Recipe,
 };
@@ -195,16 +196,6 @@ const PROBE_PAYLOAD: usize = 4096;
 /// Measured untracked/tracked round pairs (the best pair is reported).
 const PROBE_ROUNDS: usize = 7;
 
-/// FNV-1a over `data`, the probe's stand-in for per-request evaluation.
-fn fnv1a(data: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in data {
-        hash ^= u64::from(*byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
 /// One probe round against raw `std::sync` primitives: the untracked
 /// baseline the ≤ 2% overhead bar is measured from.
 fn probe_untracked(workers: usize) -> f64 {
@@ -227,7 +218,7 @@ fn probe_untracked(workers: usize) -> f64 {
                     if !faults_enabled.load(Ordering::Acquire) {
                         let gen = generation.load(Ordering::Acquire);
                         let base = *snapshot.read().expect("probe lock");
-                        let digest = fnv1a(&payload) ^ gen ^ base;
+                        let digest = fnv1a(&payload, FNV1A_START) ^ gen ^ base;
                         *session.lock().expect("probe lock") ^= digest;
                         hits.fetch_add(1, Ordering::Relaxed);
                     }
@@ -262,7 +253,7 @@ fn probe_tracked_off(workers: usize) -> f64 {
                     if !faults_enabled.load(Ordering::Acquire) {
                         let gen = generation.load(Ordering::Acquire);
                         let base = *snapshot.read().expect("probe lock");
-                        let digest = fnv1a(&payload) ^ gen ^ base;
+                        let digest = fnv1a(&payload, FNV1A_START) ^ gen ^ base;
                         *session.lock().expect("probe lock") ^= digest;
                         hits.fetch_add(1, Ordering::Relaxed);
                     }

@@ -493,6 +493,56 @@ fn incremental_reanalysis_runs_only_affected_passes() {
     let m = server.metrics();
     assert_eq!(m.analysis_passes_run, 17);
     assert_eq!(m.analysis_passes_reused, 31);
+
+    // Under the Deny gate the gate's analysis of the candidate is the
+    // update's only analysis: an accepted policy-only update runs exactly
+    // the six passes that read the policy section, and publishes their
+    // report, so the analyze() right after it is a wholesale reuse.
+    server.set_analysis_gate(AnalysisGate::Deny);
+    let _ = server.verify_policies();
+    let before = server.metrics();
+    server
+        .try_update(|s| {
+            s.policies.add(
+                Authorization::for_subject(SubjectSpec::Identity("nurse".into()))
+                    .on(portion("//patient"))
+                    .privilege(Privilege::Read)
+                    .grant(),
+            );
+        })
+        .expect("policy update admitted");
+    let d = server.metrics().delta(&before);
+    assert_eq!(d.analysis_passes_run, 6);
+    assert_eq!(
+        server.last_passes_run(),
+        vec!["WS001", "WS002", "WS005", "WS008", "WS009", "WS012"]
+    );
+    let before = server.metrics();
+    let report = server.analyze();
+    let d = server.metrics().delta(&before);
+    assert!(server.last_passes_run().is_empty());
+    assert_eq!((d.analysis_passes_run, d.analysis_passes_reused), (0, 12));
+    assert_eq!(report.to_json(), server.snapshot().analyze().to_json());
+
+    // A privacy-only gated update runs exactly the privacy passes.
+    let before = server.metrics();
+    server
+        .try_update(|s| {
+            s.privacy_constraints
+                .push(PrivacyConstraint::new(&["ssn", "diagnosis"], PrivacyLevel::Private));
+        })
+        .expect("privacy update admitted");
+    assert_eq!(server.last_passes_run(), vec!["WS004", "WS007", "WS010"]);
+    assert_eq!(server.metrics().delta(&before).analysis_passes_run, 3);
+
+    // A rejected update leaves the memo at the old token: the next
+    // analyze() is a wholesale reuse.
+    let rejected = server.try_update(|s| s.semantic_stores.push(("planted".into(), leaky_store())));
+    assert_eq!(rejected.expect_err("leak must be rejected").code(), "WS109");
+    let before = server.metrics();
+    let _ = server.analyze();
+    let d = server.metrics().delta(&before);
+    assert_eq!((d.analysis_passes_run, d.analysis_passes_reused), (0, 12));
 }
 
 #[test]

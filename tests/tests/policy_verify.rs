@@ -154,6 +154,95 @@ fn policy_verifier_reuses_across_republication_and_reruns_on_policy_change() {
         "{}",
         report.human()
     );
+
+    // Under the Deny gate the verifier runs inside the gate, once, over
+    // the candidate's freshly compiled plane: an accepted policy update
+    // costs exactly six passes, and the verify right after it is a
+    // wholesale reuse of the report the gate published.
+    server.set_analysis_gate(AnalysisGate::Deny);
+    let before = server.metrics();
+    server
+        .try_update(|s| {
+            s.policies.add(
+                Authorization::for_subject(SubjectSpec::Identity("auditor".into()))
+                    .on(ObjectSpec::Document("records.xml".into()))
+                    .privilege(Privilege::Read)
+                    .grant(),
+            );
+        })
+        .expect("benign policy update admitted");
+    assert_eq!(server.metrics().delta(&before).policy_passes_run, 6);
+    let before = server.metrics();
+    let report = server.verify_policies();
+    let d = server.metrics().delta(&before);
+    assert_eq!((d.policy_passes_run, d.policy_passes_reused), (0, 6));
+    assert_eq!(report.to_json(), cold_verify(&server).to_json());
+
+    // A privacy-only update moves neither the policy base nor the
+    // documents: the gate runs no verifier pass.
+    let before = server.metrics();
+    server
+        .try_update(|s| {
+            s.privacy_constraints
+                .push(PrivacyConstraint::new(&["name", "record"], PrivacyLevel::Private));
+        })
+        .expect("privacy update admitted");
+    assert_eq!(server.metrics().delta(&before).policy_passes_run, 0);
+
+    // A rejected update publishes nothing: the next verify is a reuse at
+    // the old token.
+    let rejected = server.try_update(plant_ws014_conflict);
+    assert_eq!(rejected.expect_err("tie must be rejected").code(), "WS109");
+    let before = server.metrics();
+    let _ = server.verify_policies();
+    let d = server.metrics().delta(&before);
+    assert_eq!((d.policy_passes_run, d.policy_passes_reused), (0, 6));
+}
+
+/// The verifier's report over `server`'s current snapshot, computed cold:
+/// a fresh server compiles the snapshot and verifies it.
+fn cold_verify(server: &StackServer) -> Report {
+    StackServer::new((*server.snapshot()).clone()).verify_policies()
+}
+
+#[test]
+fn strategy_switch_reaches_both_analyses() {
+    // An equal-priority grant/deny pair is a warning under the default
+    // strategy and an error tie under ExplicitPriority. The conflict
+    // strategy is part of the policy section's fingerprint, so switching
+    // it re-runs the passes that read it (WS001, WS014) instead of
+    // reusing their default-strategy findings.
+    let mut stack = hospital_stack(&spec());
+    for sign in [Sign::Plus, Sign::Minus] {
+        stack.policies.add(
+            Authorization::for_subject(SubjectSpec::Anyone)
+                .on(ObjectSpec::Portion {
+                    document: "records.xml".into(),
+                    path: Path::parse("//patient").expect("valid path"),
+                })
+                .privilege(Privilege::Read)
+                .priority(3)
+                .sign(sign),
+        );
+    }
+    let server = StackServer::new(stack);
+    let is_error = |report: &Report, code: &str| {
+        report
+            .diagnostics
+            .iter()
+            .any(|d| d.code == code && d.severity == Severity::Error)
+    };
+    assert!(!is_error(&server.analyze(), "WS001"));
+    assert!(!is_error(&server.verify_policies(), "WS014"));
+
+    server.update(|s| s.engine.strategy = ConflictStrategy::ExplicitPriority);
+    server.invalidate_views();
+    let report = server.analyze();
+    assert!(is_error(&report, "WS001"), "{}", report.human());
+    assert_eq!(report.to_json(), server.snapshot().analyze().to_json());
+    let report = server.verify_policies();
+    assert!(is_error(&report, "WS014"), "{}", report.human());
+    assert_eq!(report.to_json(), cold_verify(&server).to_json());
 }
 
 #[test]
