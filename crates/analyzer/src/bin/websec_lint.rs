@@ -273,13 +273,12 @@ fn lock_order_for(file: &Path) -> Option<&'static LockOrderSpec> {
     LOCK_ORDER_SPECS.iter().find(|spec| path.ends_with(spec.path))
 }
 
-/// Atomics whose Release/Acquire (or SeqCst) pairs publish shared state:
-/// the snapshot generation, the armed-fault-plan flag, and the batch
-/// scheduler's deque/injector cursors (`top`/`bottom`/`cursor`), whose
-/// Chase-Lev claim protocol depends on a single total order.
+/// Atomics whose Release/Acquire pairs order shared state: the snapshot
+/// generation, the armed-fault-plan flag, and the batch claim `cursor`
+/// that workers share over a batch's schedule.
 /// `Ordering::Relaxed` on these is a publication race, not a performance
 /// tweak; the runtime detector reports the same mistake as `WS111`.
-const SYNC_ATOMICS: [&str; 5] = ["generation", "faults_enabled", "top", "bottom", "cursor"];
+const SYNC_ATOMICS: [&str; 3] = ["generation", "faults_enabled", "cursor"];
 
 /// Counters that feed `check.sh`'s benchmark/awk gates. Accumulating them
 /// with `Ordering::Relaxed` is fine; *reading* them that way where the

@@ -149,9 +149,9 @@ impl From<ChannelError> for Error {
     }
 }
 
-/// Lossy back-conversion for the deprecated [`crate::stack::SecureWebStack::query`]
-/// shim ([`Error::InvalidRequest`] has no legacy counterpart and maps to
-/// [`StackError::Channel`]).
+/// Lossy back-conversion to the stack-level error: the request and
+/// serving-layer variants ([`Error::InvalidRequest`], `WS106`–`WS108`)
+/// have no stack counterpart and map to [`StackError::Channel`].
 impl From<Error> for StackError {
     fn from(e: Error) -> Self {
         match e {

@@ -15,7 +15,7 @@
 //! * Installing a plan on a [`crate::server::StackServer`]
 //!   ([`crate::server::StackServer::install_faults`]) arms injection hooks
 //!   at the four layers that can fail: channel transit, session-shard lock
-//!   acquisition, L1/L2 view-cache lookups, and worker evaluation. With no
+//!   acquisition, view-cache lookups, and worker evaluation. With no
 //!   plan installed the hooks are a single relaxed atomic-bool load — the
 //!   zero-cost no-op default.
 //! * [`RetryPolicy`] is the client-side half: bounded attempts with
@@ -50,7 +50,7 @@ pub enum FaultLayer {
     Channel,
     /// Session-shard lock acquisition in the sharded session table.
     Shard,
-    /// L1/L2 policy-view cache lookups.
+    /// Policy-view cache lookups.
     Cache,
     /// Worker request evaluation.
     Eval,
@@ -73,7 +73,7 @@ pub enum FaultKind {
     /// request degrades to `WS106`, the panicking worker's session mutex
     /// is poisoned, and the eviction/self-heal path runs for real.
     WorkerPanic,
-    /// The request's cached view (L1 and L2) is evicted immediately before
+    /// The request's cached view is evicted from the L2 immediately before
     /// lookup, forcing a recomputation. Never changes an answer — only
     /// cache-status and hit counters.
     CacheEvict,

@@ -11,11 +11,11 @@
 //!   the next step is securing RDF"), with per-layer instrumentation (E12),
 //!   split into mutable configuration and read-only evaluation;
 //! * [`server`] — the **sharded concurrent serving layer**: per-subject
-//!   channel sessions and a two-level token-checked policy-view cache,
-//!   both sharded by identity hash; lock-free batch execution
+//!   channel sessions and a token-checked policy-view cache, both sharded
+//!   by identity hash; lock-free batch execution
 //!   ([`server::StackServer::serve_batch`] over a [`BatchRequest`]) with
-//!   per-worker work-stealing deques, a shared overflow injector, and
-//!   precomputed request coalescing; observable through
+//!   one shared claim cursor and precomputed request coalescing;
+//!   observable through
 //!   [`server::MetricsSnapshot`] and per-batch [`server::BatchStats`];
 //! * [`request`] — the [`QueryRequest`]/[`QueryResponse`] API every query
 //!   flows through;
@@ -115,8 +115,6 @@ pub use server::{
     AnalysisGate, BatchResponse, BatchStats, DecisionMode, LatencyHistogram, MetricsSnapshot,
     ServerConfig, ShardStats, StackServer,
 };
-#[allow(deprecated)]
-pub use server::ServerMetrics;
 pub use stack::{LayerTimings, SecureWebStack, StackError};
 pub use sync::{
     lockdep_enabled, lockdep_findings, set_lockdep_enabled, SyncFinding, TrackedAtomicBool,
@@ -133,8 +131,6 @@ pub mod prelude {
     pub use crate::federation::{FederatedHit, Federation, Site};
     pub use crate::query::{QueryStrategy, SecureQueryProcessor};
     pub use crate::request::{BatchRequest, CacheStatus, Decision, QueryRequest, QueryResponse};
-    #[allow(deprecated)]
-    pub use crate::server::ServerMetrics;
     pub use crate::server::{
         AnalysisGate, BatchResponse, BatchStats, DecisionMode, LatencyHistogram,
         MetricsSnapshot, ServerConfig, ShardStats, StackServer,
@@ -175,8 +171,6 @@ pub mod prelude {
     };
     pub use websec_services::{ChannelSession, Envelope, SecureChannel, ServiceDescription,
         ServiceHost, ServiceRequestor};
-    #[allow(deprecated)]
-    pub use websec_uddi::Registry;
     pub use websec_uddi::{
         BusinessEntity, BusinessService, FindQualifier, InquiryRequest, InquiryResponse,
         ServiceProvider, TModelOverview, UddiRegistry, UntrustedAgency,

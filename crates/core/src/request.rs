@@ -14,9 +14,7 @@
 //! ```
 //!
 //! and answered by a [`QueryResponse`] bundling the view XML, the
-//! enforcement [`Decision`], the cache outcome, and per-layer timings —
-//! replacing the positional `query(&mut self, profile, clearance, doc,
-//! path)` signature (kept as a deprecated shim for one release).
+//! enforcement [`Decision`], the cache outcome, and per-layer timings.
 
 use crate::stack::LayerTimings;
 use websec_policy::mls::{Clearance, Level};
@@ -148,8 +146,6 @@ impl QueryRequest {
 /// assert_eq!(batch.worker_count(), 4);
 /// ```
 ///
-/// Replaces the positional `serve_batch(&[QueryRequest], usize)` signature
-/// (kept as the deprecated `serve_batch_positional` shim for one release).
 /// The batch-level deadline, when set, caps every member request's budget:
 /// a request's effective deadline is the tighter of its own
 /// [`QueryRequest::deadline_ticks`] budget and the batch's.

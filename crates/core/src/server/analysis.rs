@@ -315,9 +315,7 @@ impl StackServer {
     /// [`super::MetricsSnapshot`] and [`StackServer::last_passes_run`].
     #[must_use]
     pub fn analyze(&self) -> Report {
-        let Ok((stack, _, token)) = self.snapshot_with_token() else {
-            return Report::default();
-        };
+        let (stack, _, token) = self.snapshot_with_token();
         {
             let mut memo = self.analysis.lock().unwrap_or_else(PoisonError::into_inner);
             let cached = memo
@@ -428,9 +426,7 @@ impl StackServer {
     /// [`super::MetricsSnapshot::policy_passes_reused`].
     #[must_use]
     pub fn verify_policies(&self) -> Report {
-        let Ok((stack, compiled, token)) = self.snapshot_with_token() else {
-            return Report::default();
-        };
+        let (stack, compiled, token) = self.snapshot_with_token();
         let cached = self
             .analysis
             .lock()
@@ -472,7 +468,7 @@ impl StackServer {
     /// `WS109` ([`Error::AnalysisRejected`]) describing the first
     /// divergence found.
     pub fn verify_compiled(&self) -> Result<Vec<String>, Error> {
-        let (stack, compiled, _) = self.snapshot_with_token()?;
+        let (stack, compiled, _) = self.snapshot_with_token();
         if compiled.epoch() != stack.policies.epoch() {
             return Err(Error::AnalysisRejected(format!(
                 "compiled artifact baked at policy epoch {} but the snapshot is at epoch {}",
@@ -565,7 +561,7 @@ impl StackServer {
                     .update_lock
                     .lock()
                     .unwrap_or_else(PoisonError::into_inner);
-                let (current, current_compiled, token) = self.snapshot_with_token()?;
+                let (current, current_compiled, token) = self.snapshot_with_token();
                 // Pre-existing errors are grandfathered: the gate blocks
                 // *regressions*, not stacks that already carried findings
                 // when the gate was enabled. The baseline is the memo's

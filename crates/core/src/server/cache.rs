@@ -1,19 +1,15 @@
-//! The two-level policy-view cache.
+//! The shared policy-view cache (L2), sharded by subject-identity hash
+//! (same shard count and hash as the session table). Each shard is an
+//! epoch-keyed map behind its own `RwLock`; two requests contend only when
+//! their identities collide on a shard. It is the only view cache: every
+//! request, single or batched, reads and fills it, so a view computed by
+//! one worker is a hit for every other.
 //!
-//! * **L2** — shared, sharded by subject-identity hash (same shard count
-//!   and hash as the session table). Each shard is an epoch-keyed map
-//!   behind its own `RwLock`; two requests contend only when their
-//!   identities collide on a shard.
-//! * **L1** — a plain `HashMap` owned by one batch worker: hits touch no
-//!   lock and no shared cache line at all. Every L1 entry carries the
-//!   [`Token`] it was cached under and is revalidated on read, so a
-//!   [`websec_policy::PolicyStore`] mutation (epoch bump) or a snapshot
-//!   swap (generation bump) invalidates worker-local entries globally
-//!   without any cross-thread signalling.
-//!
-//! A cache entry can never outlive its token: stale entries are simply
-//! unreachable (token mismatch) and evicted wholesale on the next write to
-//! their shard.
+//! Every entry is valid only under the [`Token`] its shard was filled at,
+//! so a [`websec_policy::PolicyStore`] mutation (epoch bump) or a snapshot
+//! swap (generation bump) invalidates views without any cross-thread
+//! signalling: stale entries are simply unreachable (token mismatch) and
+//! evicted wholesale on the next write to their shard.
 
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
@@ -188,6 +184,7 @@ impl L2ViewCache {
     }
 
     /// Views currently resident across all shards.
+    #[cfg(test)]
     pub fn len(&self) -> usize {
         self.shards.iter().map(|s| s.read().views.len()).sum()
     }
@@ -201,33 +198,6 @@ impl L2ViewCache {
             stats[i].l2_misses = shard.misses.load(Ordering::Relaxed);
             stats[i].cached_views = shard.read().views.len() as u64;
         }
-    }
-}
-
-/// A worker-owned L1 view cache: lock-free reads, token-checked entries.
-#[derive(Default)]
-pub(crate) struct L1ViewCache {
-    views: HashMap<ViewKey, (Token, Arc<Document>)>,
-}
-
-impl L1ViewCache {
-    /// A valid local entry (the token check makes global invalidation —
-    /// epoch or generation bump — visible without cross-thread traffic).
-    pub fn lookup(&self, key: &ViewKey, token: Token) -> Option<Arc<Document>> {
-        match self.views.get(key) {
-            Some((t, view)) if *t == token => Some(Arc::clone(view)),
-            _ => None,
-        }
-    }
-
-    /// Caches a view locally under `token`.
-    pub fn insert(&mut self, key: ViewKey, token: Token, view: Arc<Document>) {
-        self.views.insert(key, (token, view));
-    }
-
-    /// Drops one local entry (fault-injection `CacheEvict` hook).
-    pub fn remove(&mut self, key: &ViewKey) {
-        self.views.remove(key);
     }
 }
 
@@ -276,16 +246,7 @@ mod tests {
     }
 
     #[test]
-    fn l1_is_token_checked() {
-        let mut l1 = L1ViewCache::default();
-        let key = ("alice".to_string(), "d.xml".to_string());
-        l1.insert(key.clone(), T0, doc());
-        assert!(l1.lookup(&key, T0).is_some());
-        assert!(l1.lookup(&key, T1).is_none(), "stale L1 entry served");
-    }
-
-    #[test]
-    fn remove_evicts_one_entry_from_both_levels() {
+    fn remove_evicts_one_entry() {
         let l2 = L2ViewCache::new(4);
         let key = ("alice".to_string(), "d.xml".to_string());
         let other = ("alice".to_string(), "e.xml".to_string());
@@ -294,11 +255,6 @@ mod tests {
         l2.remove(&key);
         assert!(l2.lookup(&key, T0).is_none(), "removed L2 entry served");
         assert!(l2.lookup(&other, T0).is_some(), "remove() evicted a neighbor");
-
-        let mut l1 = L1ViewCache::default();
-        l1.insert(key.clone(), T0, doc());
-        l1.remove(&key);
-        assert!(l1.lookup(&key, T0).is_none(), "removed L1 entry served");
     }
 
     #[test]

@@ -8,9 +8,8 @@
 //! * workers flush once into the atomic [`MetricsInner`] when their queue
 //!   drains ([`MetricsInner::absorb`]),
 //! * callers read a [`MetricsSnapshot`] — a `#[non_exhaustive]` value
-//!   struct, so later PRs can add counters (as this one adds the per-shard
-//!   [`ShardStats`], the L1/L2 hit split, and steal counters) without a
-//!   breaking change.
+//!   struct, so counters (such as the per-shard [`ShardStats`]) can be
+//!   added without a breaking change.
 
 use std::sync::atomic::Ordering;
 
@@ -106,14 +105,13 @@ pub struct BatchStats {
     /// Requests answered by coalescing onto an identical in-batch leader's
     /// evaluation.
     pub coalesced: u64,
-    /// Successful steal operations against other workers' deques.
+    /// Always 0: batch workers claim from one shared cursor and never
+    /// steal. Kept only because the `wsbench` harness still reads it;
+    /// removed with the next benchmark change.
     pub steals: u64,
-    /// Requests migrated between workers by stealing (one per steal under
-    /// the deque scheduler; kept separate for continuity with the old
-    /// steal-half counters).
-    pub stolen_requests: u64,
-    /// Requests claimed from the shared overflow injector rather than a
-    /// per-worker deque.
+    /// Always 0: there is no overflow injector behind the claim cursor.
+    /// Kept only because the `wsbench` harness still reads it; removed
+    /// with the next benchmark change.
     pub injector_pops: u64,
 }
 
@@ -156,26 +154,19 @@ pub struct MetricsSnapshot {
     /// Requests admitted unchecked by the flexible gate (the measured
     /// exposure at reduced enforcement levels).
     pub admitted_unchecked: u64,
-    /// Policy-view cache hits (L1 + L2).
+    /// Policy-view cache hits (every one served by the L2 cache).
     pub cache_hits: u64,
     /// Policy-view cache misses (view computed and inserted).
     pub cache_misses: u64,
-    /// Hits served by a worker's thread-local L1 view cache (no lock).
+    /// Always 0: there is no worker-local view cache, so every hit is an
+    /// L2 hit. Kept only because the `wsbench` harness still reads it;
+    /// removed with the next benchmark change.
     pub l1_hits: u64,
     /// Hits served by the sharded L2 view cache (one shard lock).
     pub l2_hits: u64,
     /// Batch requests answered by coalescing onto an identical in-batch
     /// request's evaluation (singleflight).
     pub coalesced: u64,
-    /// Successful steals from other workers' deques (one request each
-    /// under the lock-free scheduler; historically one steal-half moved
-    /// several requests, hence the separate `stolen_requests` total).
-    pub steals: u64,
-    /// Requests migrated between workers by stealing.
-    pub stolen_requests: u64,
-    /// Requests claimed from the shared overflow injector rather than a
-    /// per-worker deque.
-    pub injector_pops: u64,
     /// Requests whose evaluation panicked (each answered with `WS106`
     /// instead of propagating the panic).
     pub worker_panics: u64,
@@ -254,8 +245,7 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    /// Cache hits over cache-eligible (enforced) view lookups, counting
-    /// both L1 and L2 hits.
+    /// Cache hits over cache-eligible (enforced) view lookups.
     #[must_use]
     pub fn cache_hit_rate(&self) -> f64 {
         let total = self.cache_hits + self.cache_misses;
@@ -266,19 +256,9 @@ impl MetricsSnapshot {
         }
     }
 
-    /// Fraction of cache hits served lock-free from a worker-local L1.
-    #[must_use]
-    pub fn l1_hit_share(&self) -> f64 {
-        if self.cache_hits == 0 {
-            0.0
-        } else {
-            self.l1_hits as f64 / self.cache_hits as f64
-        }
-    }
-
     /// The counter movement between an `earlier` snapshot of the same
     /// server and this one: every monotonic counter (requests, cache
-    /// tallies, scheduler traffic, fault/shed/retry counts, per-layer and
+    /// tallies, coalescing, fault/shed/retry counts, per-layer and
     /// latency time) is subtracted pairwise, so callers measuring one
     /// batch no longer hand-subtract individual fields. Saturating — a
     /// snapshot from a *different* server yields zeros, not wrap-around
@@ -296,12 +276,8 @@ impl MetricsSnapshot {
         d.admitted_unchecked = self.admitted_unchecked.saturating_sub(earlier.admitted_unchecked);
         d.cache_hits = self.cache_hits.saturating_sub(earlier.cache_hits);
         d.cache_misses = self.cache_misses.saturating_sub(earlier.cache_misses);
-        d.l1_hits = self.l1_hits.saturating_sub(earlier.l1_hits);
         d.l2_hits = self.l2_hits.saturating_sub(earlier.l2_hits);
         d.coalesced = self.coalesced.saturating_sub(earlier.coalesced);
-        d.steals = self.steals.saturating_sub(earlier.steals);
-        d.stolen_requests = self.stolen_requests.saturating_sub(earlier.stolen_requests);
-        d.injector_pops = self.injector_pops.saturating_sub(earlier.injector_pops);
         d.worker_panics = self.worker_panics.saturating_sub(earlier.worker_panics);
         d.deadline_exceeded = self.deadline_exceeded.saturating_sub(earlier.deadline_exceeded);
         d.shed = self.shed.saturating_sub(earlier.shed);
@@ -362,14 +338,6 @@ impl MetricsSnapshot {
     }
 }
 
-/// Legacy name of [`MetricsSnapshot`].
-#[deprecated(
-    since = "0.2.0",
-    note = "renamed to MetricsSnapshot; the snapshot is #[non_exhaustive] so \
-            new counters (per-shard contention, L1/L2 split) are non-breaking"
-)]
-pub type ServerMetrics = MetricsSnapshot;
-
 /// Per-worker metric accumulator: plain integers, owned by one thread, so
 /// recording a request outcome touches no shared cache line. Flushed into
 /// [`MetricsInner`] once per batch (or per request on the single-request
@@ -384,11 +352,7 @@ pub(crate) struct LocalMetrics {
     pub admitted_unchecked: u64,
     pub cache_hits: u64,
     pub cache_misses: u64,
-    pub l1_hits: u64,
     pub coalesced: u64,
-    pub steals: u64,
-    pub stolen_requests: u64,
-    pub injector_pops: u64,
     pub worker_panics: u64,
     pub deadline_exceeded: u64,
     pub shed: u64,
@@ -425,11 +389,7 @@ impl Default for LocalMetrics {
             admitted_unchecked: 0,
             cache_hits: 0,
             cache_misses: 0,
-            l1_hits: 0,
             coalesced: 0,
-            steals: 0,
-            stolen_requests: 0,
-            injector_pops: 0,
             worker_panics: 0,
             deadline_exceeded: 0,
             shed: 0,
@@ -539,11 +499,7 @@ pub(crate) struct MetricsInner {
     admitted_unchecked: TrackedAtomicU64,
     cache_hits: TrackedAtomicU64,
     cache_misses: TrackedAtomicU64,
-    l1_hits: TrackedAtomicU64,
     coalesced: TrackedAtomicU64,
-    steals: TrackedAtomicU64,
-    stolen_requests: TrackedAtomicU64,
-    injector_pops: TrackedAtomicU64,
     worker_panics: TrackedAtomicU64,
     deadline_exceeded: TrackedAtomicU64,
     shed: TrackedAtomicU64,
@@ -573,11 +529,7 @@ impl Default for MetricsInner {
             admitted_unchecked: TrackedAtomicU64::counter("server.metrics.admitted_unchecked", 0),
             cache_hits: TrackedAtomicU64::counter("server.metrics.cache_hits", 0),
             cache_misses: TrackedAtomicU64::counter("server.metrics.cache_misses", 0),
-            l1_hits: TrackedAtomicU64::counter("server.metrics.l1_hits", 0),
             coalesced: TrackedAtomicU64::counter("server.metrics.coalesced", 0),
-            steals: TrackedAtomicU64::counter("server.metrics.steals", 0),
-            stolen_requests: TrackedAtomicU64::counter("server.metrics.stolen_requests", 0),
-            injector_pops: TrackedAtomicU64::counter("server.metrics.injector_pops", 0),
             worker_panics: TrackedAtomicU64::counter("server.metrics.worker_panics", 0),
             deadline_exceeded: TrackedAtomicU64::counter("server.metrics.deadline_exceeded", 0),
             shed: TrackedAtomicU64::counter("server.metrics.shed", 0),
@@ -616,11 +568,7 @@ impl MetricsInner {
         add(&self.admitted_unchecked, local.admitted_unchecked);
         add(&self.cache_hits, local.cache_hits);
         add(&self.cache_misses, local.cache_misses);
-        add(&self.l1_hits, local.l1_hits);
         add(&self.coalesced, local.coalesced);
-        add(&self.steals, local.steals);
-        add(&self.stolen_requests, local.stolen_requests);
-        add(&self.injector_pops, local.injector_pops);
         add(&self.worker_panics, local.worker_panics);
         add(&self.deadline_exceeded, local.deadline_exceeded);
         add(&self.shed, local.shed);
@@ -658,12 +606,9 @@ impl MetricsInner {
             admitted_unchecked: self.admitted_unchecked.load(Ordering::Relaxed),
             cache_hits: self.cache_hits.load(Ordering::Relaxed),
             cache_misses: self.cache_misses.load(Ordering::Relaxed),
-            l1_hits: self.l1_hits.load(Ordering::Relaxed),
+            l1_hits: 0,
             l2_hits: sum(|s| s.l2_hits),
             coalesced: self.coalesced.load(Ordering::Relaxed),
-            steals: self.steals.load(Ordering::Relaxed),
-            stolen_requests: self.stolen_requests.load(Ordering::Relaxed),
-            injector_pops: self.injector_pops.load(Ordering::Relaxed),
             worker_panics: self.worker_panics.load(Ordering::Relaxed),
             deadline_exceeded: self.deadline_exceeded.load(Ordering::Relaxed),
             // Monotonic totals; a snapshot read needs no stronger order.
@@ -740,10 +685,6 @@ mod tests {
         local.record_outcome(&Err(Error::UnknownDocument("d".into())));
         local.record_outcome(&Err(Error::DeadlineExceeded("budget".into())));
         local.record_outcome(&Err(Error::Overloaded("queue full".into())));
-        local.l1_hits = 1;
-        local.steals = 2;
-        local.stolen_requests = 5;
-        local.injector_pops = 4;
         local.bump_l2_shard_hit(2);
         local.bump_l2_shard_miss(0);
         assert_eq!(local.l2_shard_hits, vec![0, 0, 1], "lazy shard sizing");
@@ -769,11 +710,8 @@ mod tests {
         assert_eq!(snap.cache_hits, 1);
         assert_eq!(snap.cache_misses, 1);
         assert_eq!(snap.coalesced, 1);
-        assert_eq!(snap.l1_hits, 1);
+        assert_eq!(snap.l1_hits, 0);
         assert_eq!(snap.l2_hits, 7);
-        assert_eq!(snap.steals, 2);
-        assert_eq!(snap.stolen_requests, 5);
-        assert_eq!(snap.injector_pops, 4);
         assert_eq!(snap.sessions_open, 3);
         assert_eq!(snap.cached_views, 4);
         assert_eq!(snap.session_lock_waits, 1);
@@ -784,7 +722,6 @@ mod tests {
         assert_eq!(snap.compile_ns, 21);
         assert_eq!(snap.layer_totals.compile_ns, 21);
         assert!(snap.cache_hit_rate() > 0.0);
-        assert!(snap.l1_hit_share() > 0.0);
     }
 
     #[test]
@@ -808,7 +745,6 @@ mod tests {
         let mut warm = LocalMetrics::default();
         warm.record_outcome(&ok_response(CacheStatus::Hit));
         warm.record_outcome(&ok_response(CacheStatus::Coalesced));
-        warm.steals = 3;
         inner.absorb(&warm);
         let earlier = inner.snapshot(vec![ShardStats {
             shard: 0,
@@ -824,7 +760,6 @@ mod tests {
         batch.record_outcome(&ok_response(CacheStatus::Miss));
         batch.record_outcome(&ok_response(CacheStatus::Coalesced));
         batch.record_outcome(&Err(Error::ClearanceViolation));
-        batch.steals = 2;
         inner.absorb(&batch);
         let later = inner.snapshot(vec![ShardStats {
             shard: 0,
@@ -842,7 +777,6 @@ mod tests {
         assert_eq!(d.cache_misses, 1);
         assert_eq!(d.coalesced, 1);
         assert_eq!(d.denied, 1);
-        assert_eq!(d.steals, 2);
         assert_eq!(d.latency.count, 2, "errors don't reach the histogram");
         assert_eq!(d.layer_totals.total_ns(), 200);
         // Gauges reflect the later snapshot, not a nonsensical difference.
@@ -863,7 +797,6 @@ mod tests {
             for _ in 0..10 {
                 local.record_outcome(&ok_response(CacheStatus::Hit));
             }
-            local.steals = 9;
             inner.absorb(&local);
             inner.snapshot(Vec::new())
         };
@@ -879,7 +812,6 @@ mod tests {
         assert_eq!(d.requests, 0);
         assert_eq!(d.allowed, 0);
         assert_eq!(d.cache_hits, 0);
-        assert_eq!(d.steals, 0);
         assert_eq!(d.latency.count, 0);
         assert_eq!(d.latency.sum_ns, 0);
         assert!(d.latency.buckets.iter().all(|&b| b == 0));

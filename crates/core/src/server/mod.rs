@@ -10,19 +10,18 @@
 //! * **Identity sharding** — the session table and the shared (L2) view
 //!   cache are split into a power-of-two number of shards by
 //!   subject-identity hash. Two requests contend only when their subjects
-//!   collide on a shard ([`shard`], [`cache`]).
-//! * **Worker-local L1** — each batch worker carries a thread-local view
-//!   cache and session-handle table; steady-state requests touch no shared
-//!   lock at all. Every L1 entry is revalidated against a [`cache::Token`]
-//!   (snapshot generation + policy epoch) on read, so a
-//!   [`StackServer::update`] or [`websec_policy::PolicyStore`] mutation
-//!   invalidates worker-local state globally and immediately.
-//! * **Lock-free batch scheduler** — a batch is placed round-robin across
-//!   one Chase-Lev-style deque per worker (owner pops LIFO, thieves steal
-//!   FIFO) with a global MPMC injector absorbing the overflow; claiming
-//!   work is a handful of `SeqCst` cursor operations, never a mutex
-//!   ([`scheduler`]). Placement is uniform by construction, so a tiny
-//!   batch never strands all its work on worker 0.
+//!   collide on a shard ([`shard`], [`cache`]). This per-subject state is
+//!   kept once: every request, single or batched, takes its session from
+//!   the table and its cached view from the L2, whose entries are checked
+//!   against a [`cache::Token`] (snapshot generation + policy epoch), so
+//!   a [`StackServer::update`] or [`websec_policy::PolicyStore`] mutation
+//!   invalidates them immediately. A batch worker keeps only its snapshot
+//!   handle and its index.
+//! * **One claim cursor** — a batch's scheduled request indices are an
+//!   immutable list, and workers claim from it with one shared
+//!   `fetch_add` cursor: each index is claimed exactly once, with no
+//!   mutex, no per-worker queue and no stealing. A one-worker batch
+//!   claims in submission order, and a faster worker simply claims more.
 //! * **Request coalescing (singleflight), off the hot path** — identical
 //!   requests inside one batch (same identity, document, path, clearance)
 //!   are grouped *once, serially, at batch entry*: the first occurrence
@@ -54,8 +53,8 @@
 //!   ([`RetryPolicy`]). See [`crate::faults`].
 //!
 //! Everything is observable through [`MetricsSnapshot`]: per-layer timing
-//! totals, the L1/L2 cache-hit split, steal and coalescing counters, and
-//! per-shard contention statistics ([`ShardStats`]).
+//! totals, cache and coalescing counters, and per-shard contention
+//! statistics ([`ShardStats`]).
 //!
 //! The cache and coalescing keys deliberately use the subject *identity*
 //! (not the full profile): a server maps each authenticated identity to
@@ -67,7 +66,6 @@ mod analysis;
 mod cache;
 mod config;
 mod metrics;
-mod scheduler;
 mod shard;
 
 use std::collections::hash_map::Entry;
@@ -85,19 +83,15 @@ use crate::sync::{
     TrackedAtomicBool, TrackedAtomicU8, TrackedAtomicU64, TrackedAtomicUsize, TrackedMutex,
     TrackedRwLock,
 };
-use cache::{L1ViewCache, L2ViewCache, Token, ViewKey};
+use cache::{L2ViewCache, Token, ViewKey};
 use metrics::{LocalMetrics, MetricsInner};
-use scheduler::Scheduler;
 use shard::SessionShards;
 use websec_policy::{CompiledPolicies, PolicySnapshot, SubjectProfile};
-use websec_services::ChannelSession;
 use websec_xml::Document;
 
 pub use analysis::AnalysisGate;
 pub use config::{DecisionMode, ServerConfig};
 pub use metrics::{BatchResponse, BatchStats, LatencyHistogram, MetricsSnapshot, ShardStats};
-#[allow(deprecated)]
-pub use metrics::ServerMetrics;
 
 /// Default shard count for the session table and L2 view cache. Sixteen
 /// shards keep the expected collision rate low for up to ~8 workers while
@@ -189,12 +183,11 @@ pub struct StackServer {
     snapshot_compile_ns: TrackedAtomicU64,
 }
 
-/// Worker-local serving state: the L1 view cache, a session-handle table,
-/// and the last snapshot resolved (revalidated by generation on reuse).
+/// Worker-local serving state: the last snapshot resolved (revalidated by
+/// generation on reuse) and the batch worker's index. Sessions and views
+/// live in the server's shared tables, never here.
 #[derive(Default)]
 struct WorkerState {
-    l1: L1ViewCache,
-    sessions: HashMap<String, Arc<TrackedMutex<ChannelSession>>>,
     snapshot: Option<(u64, Arc<SecureWebStack>, Arc<CompiledPolicies>, Token)>,
     /// Batch worker index (`None` on the single-request serve path);
     /// worker-scoped fault rules match against it.
@@ -208,28 +201,27 @@ impl WorkerState {
     fn snapshot(
         &mut self,
         server: &StackServer,
-    ) -> Result<(Arc<SecureWebStack>, Arc<CompiledPolicies>, Token), Error> {
+    ) -> (Arc<SecureWebStack>, Arc<CompiledPolicies>, Token) {
         if let Some((generation, stack, compiled, token)) = &self.snapshot {
             if *generation == server.generation.load(Ordering::Acquire) {
-                return Ok((Arc::clone(stack), Arc::clone(compiled), *token));
+                return (Arc::clone(stack), Arc::clone(compiled), *token);
             }
         }
-        let (stack, compiled, token) = server.snapshot_with_token()?;
+        let (stack, compiled, token) = server.snapshot_with_token();
         self.snapshot = Some((
             token.generation,
             Arc::clone(&stack),
             Arc::clone(&compiled),
             token,
         ));
-        Ok((stack, compiled, token))
+        (stack, compiled, token)
     }
 }
 
-/// The server's view resolver: L1 (lock-free) over L2 (one shard lock)
-/// over a fresh computation, all token-checked.
+/// The server's view resolver: the sharded L2 (one shard lock) over a
+/// fresh computation, token-checked.
 struct CachedViews<'a> {
     l2: &'a L2ViewCache,
-    l1: &'a mut L1ViewCache,
     token: Token,
     local: &'a mut LocalMetrics,
     /// Cache-layer injection hook (`None` on every non-chaos path).
@@ -254,19 +246,9 @@ impl ViewResolver for CachedViews<'_> {
                     // Evict before lookup: the request recomputes its view
                     // (correctness is unaffected — only hit counters move).
                     self.local.faults_injected += 1;
-                    self.l1.remove(&key);
                     self.l2.remove(&key);
                 }
             }
-        }
-        if let Some(view) = self.l1.lookup(&key, self.token) {
-            self.local.l1_hits += 1;
-            return ResolvedView {
-                view,
-                cache: CacheStatus::Hit,
-                compiled: false,
-                compile_ns: 0,
-            };
         }
         // L2 hit/miss attribution is tallied locally per shard and flushed
         // once per worker (`StackServer::absorb_local`) — the lookup path
@@ -274,7 +256,6 @@ impl ViewResolver for CachedViews<'_> {
         let shard = self.l2.shard_index(&key.0);
         if let Some(view) = self.l2.lookup(&key, self.token) {
             self.local.bump_l2_shard_hit(shard);
-            self.l1.insert(key, self.token, Arc::clone(&view));
             return ResolvedView {
                 view,
                 cache: CacheStatus::Hit,
@@ -304,8 +285,7 @@ impl ViewResolver for CachedViews<'_> {
                 0,
             ),
         };
-        self.l2.insert(key.clone(), self.token, Arc::clone(&view));
-        self.l1.insert(key, self.token, Arc::clone(&view));
+        self.l2.insert(key, self.token, Arc::clone(&view));
         ResolvedView {
             view,
             cache: CacheStatus::Miss,
@@ -318,11 +298,14 @@ impl ViewResolver for CachedViews<'_> {
 /// The batch's singleflight plan, computed serially at batch entry so no
 /// worker ever takes a coalescing lock: `schedule` lists the request
 /// indices that actually run (coalesce-group leaders plus every
-/// non-coalescable request, in submission order), and `followers[i]` lists
-/// the duplicate positions answered by cloning leader `i`'s evaluation.
+/// non-coalescable request, in submission order), `followers[i]` lists
+/// the duplicate positions answered by cloning leader `i`'s evaluation,
+/// and `cursor` is the one claim cursor every worker shares over
+/// `schedule`.
 struct CoalescePlan {
     schedule: Vec<usize>,
     followers: Vec<Vec<usize>>,
+    cursor: TrackedAtomicUsize,
 }
 
 impl CoalescePlan {
@@ -351,7 +334,20 @@ impl CoalescePlan {
         CoalescePlan {
             schedule,
             followers,
+            cursor: TrackedAtomicUsize::synchronizing("server.claim_cursor", 0),
         }
+    }
+
+    /// Claims the next scheduled request index, or `None` once the
+    /// schedule is drained. The `fetch_add` hands every position to
+    /// exactly one caller, and a lone caller claims in submission order.
+    /// Each worker stops at its first `None`, so the cursor overshoots the
+    /// schedule by at most the worker count. `schedule` is published to
+    /// the workers by their spawn; the `AcqRel` pair only orders
+    /// consecutive claims for the WS111 detector.
+    fn claim(&self) -> Option<usize> {
+        let at = self.cursor.fetch_add(1, Ordering::AcqRel);
+        self.schedule.get(at).copied()
     }
 }
 
@@ -459,10 +455,9 @@ impl StackServer {
     /// Arms a deterministic [`FaultPlan`] on this server and returns the
     /// live [`FaultInjector`] so callers can assert the injected schedule
     /// (per-rule fired counts) exactly. Replaces any previously installed
-    /// plan. While a plan is armed, the worker-local session-handle cache
-    /// is bypassed so every request deterministically traverses the
-    /// shard-layer hook; with no plan the serving path pays exactly one
-    /// atomic load.
+    /// plan. Every request takes its session from the sharded table, so
+    /// each one traverses the shard-layer hook; with no plan the serving
+    /// path pays exactly one atomic load.
     pub fn install_faults(&self, plan: FaultPlan) -> Arc<FaultInjector> {
         let injector = Arc::new(FaultInjector::new(plan));
         *self.faults.lock().unwrap_or_else(PoisonError::into_inner) = Some(Arc::clone(&injector));
@@ -554,12 +549,7 @@ impl StackServer {
     /// retry happens when a writer flips the generation concurrently — the
     /// re-check guarantees the token can never pair with the wrong
     /// snapshot.
-    ///
-    /// Infallible in practice; the `Result` is kept so serving paths stay
-    /// future-proof against read-side failure modes.
-    fn snapshot_with_token(
-        &self,
-    ) -> Result<(Arc<SecureWebStack>, Arc<CompiledPolicies>, Token), Error> {
+    fn snapshot_with_token(&self) -> (Arc<SecureWebStack>, Arc<CompiledPolicies>, Token) {
         loop {
             let generation = self.generation.load(Ordering::Acquire);
             let slot = &self.snapshot[(generation & 1) as usize];
@@ -579,14 +569,7 @@ impl StackServer {
             };
             if self.generation.load(Ordering::Acquire) == generation {
                 let epoch = stack.policies.epoch();
-                return Ok((
-                    stack,
-                    compiled,
-                    Token {
-                        generation,
-                        epoch,
-                    },
-                ));
+                return (stack, compiled, Token { generation, epoch });
             }
             // An update flipped the slot between the generation read and
             // the slot read; retry so the token matches the snapshot.
@@ -635,7 +618,7 @@ impl StackServer {
     /// Takes `&self`: mutation is safe *during* concurrent serving.
     /// In-flight requests complete against the snapshot they started with;
     /// any request that starts after `update` returns observes the new
-    /// configuration (L1/L2 entries and coalesced results are
+    /// configuration (cached views and coalesced results are
     /// token-checked, so none can survive the bump). Readers never wait on
     /// the mutation: `mutate` runs on the private clone, outside every
     /// slot lock — and if it panics, the current snapshot is untouched and
@@ -667,22 +650,9 @@ impl StackServer {
         self.publish(stack, compiled);
     }
 
-    /// Number of views currently cached in the shared L2 cache.
-    #[deprecated(since = "0.2.0", note = "read metrics().cached_views instead")]
-    #[must_use]
-    pub fn cached_views(&self) -> usize {
-        self.cache.len()
-    }
-
-    /// Number of established subject sessions.
-    #[deprecated(since = "0.2.0", note = "read metrics().sessions_open instead")]
-    #[must_use]
-    pub fn session_count(&self) -> usize {
-        self.sessions.total_sessions() as usize
-    }
-
     /// The full evaluation of one request against the current snapshot,
-    /// using (and populating) the worker's local caches.
+    /// taking its session from the sharded table and using (and
+    /// populating) the L2 view cache.
     ///
     /// `deadline` is an absolute logical-clock tick (computed from the
     /// request's budget when the server admitted it); the budget is
@@ -695,7 +665,7 @@ impl StackServer {
         local: &mut LocalMetrics,
         deadline: Option<u64>,
     ) -> Result<QueryResponse, Error> {
-        let (stack, compiled, token) = worker.snapshot(self)?;
+        let (stack, compiled, token) = worker.snapshot(self);
         let identity = &request.subject_profile().identity;
         let injector = self.injector();
         let ctx = injector.as_ref().map(|inj| FaultContext {
@@ -704,43 +674,19 @@ impl StackServer {
             doc: request.doc_name(),
             worker: worker.index,
         });
-        let session = if let Some(ctx) = &ctx {
-            // Chaos mode: bypass the worker-local session-handle cache so
-            // every request deterministically traverses the shard-layer
-            // hook (the L0 handle cache would otherwise hide the shard
-            // from all but the first request per worker).
-            self.sessions.get_or_establish(
-                identity,
-                &stack.session_key,
-                stack.channel_protected,
-                local,
-                Some(ctx),
-            )?
-        } else {
-            match worker.sessions.get(identity) {
-                Some(session) => Arc::clone(session),
-                None => {
-                    let session = self.sessions.get_or_establish(
-                        identity,
-                        &stack.session_key,
-                        stack.channel_protected,
-                        local,
-                        None,
-                    )?;
-                    worker
-                        .sessions
-                        .insert(identity.clone(), Arc::clone(&session));
-                    session
-                }
-            }
-        };
+        let session = self.sessions.get_or_establish(
+            identity,
+            &stack.session_key,
+            stack.channel_protected,
+            local,
+            ctx.as_ref(),
+        )?;
         let mut guard = match self.sessions.lock_session(identity, &session) {
             Some(guard) => guard,
             None => {
                 // The session's holder panicked mid-transit: its sequence
                 // state is suspect. Evict so the next request performs a
                 // clean handshake; this request degrades to WS106.
-                worker.sessions.remove(identity);
                 self.sessions.evict(identity);
                 return Err(Error::ShardPoisoned(format!(
                     "session '{identity}' poisoned mid-request; evicted for re-establishment"
@@ -807,7 +753,6 @@ impl StackServer {
         }
         let mut resolver = CachedViews {
             l2: &self.cache,
-            l1: &mut worker.l1,
             token,
             local,
             faults: ctx.as_ref(),
@@ -929,8 +874,8 @@ impl StackServer {
         }))
     }
 
-    /// Serves a [`BatchRequest`] across its configured workers on the
-    /// lock-free deque/injector scheduler ([`scheduler`]).
+    /// Serves a [`BatchRequest`] across its configured workers, which claim
+    /// the scheduled requests from one shared cursor.
     ///
     /// Results are positional: `results[i]` answers `requests()[i]`, and
     /// every response payload is byte-identical to what a serial
@@ -994,7 +939,6 @@ impl StackServer {
         // workers never touch a coalescing lock while requests are in
         // flight — followers are answered by cloning their leader.
         let plan = CoalescePlan::new(requests, admitted);
-        let sched = Scheduler::new(&plan.schedule, workers);
 
         let mut out: Vec<Option<Result<QueryResponse, Error>>> = Vec::new();
         out.resize_with(requests.len(), || None);
@@ -1014,19 +958,15 @@ impl StackServer {
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
                 .map(|w| {
-                    let sched = &sched;
                     let plan = &plan;
                     let deadlines = &deadlines;
-                    scope.spawn(move || self.worker_loop(w, requests, deadlines, sched, plan))
+                    scope.spawn(move || self.worker_loop(w, requests, deadlines, plan))
                 })
                 .collect();
             for handle in handles {
                 match handle.join() {
                     Ok((done, local)) => {
                         stats.coalesced += local.coalesced;
-                        stats.steals += local.steals;
-                        stats.stolen_requests += local.stolen_requests;
-                        stats.injector_pops += local.injector_pops;
                         self.absorb_local(&local);
                         for (i, result) in done {
                             out[i] = Some(result);
@@ -1035,8 +975,8 @@ impl StackServer {
                     Err(_) => {
                         // The worker died outside the per-request panic
                         // boundary. Its unfinished slots fall through to
-                        // WS106 below; its claimed-but-unanswered deque
-                        // items are already past the cursors, so no other
+                        // WS106 below; its claimed-but-unanswered indices
+                        // are already behind the cursor, so no other
                         // worker double-answers them.
                         let mut local = LocalMetrics::default();
                         local.worker_panics += 1;
@@ -1062,33 +1002,14 @@ impl StackServer {
         BatchResponse { results, stats }
     }
 
-    /// Positional predecessor of [`StackServer::serve_batch`], answering
-    /// with the bare result vector.
-    #[deprecated(
-        since = "0.2.0",
-        note = "build a BatchRequest (BatchRequest::new(requests).workers(n)) and call \
-                serve_batch(&batch); the BatchResponse carries the same positional results \
-                plus per-batch scheduler stats"
-    )]
-    pub fn serve_batch_positional(
-        &self,
-        requests: &[QueryRequest],
-        workers: usize,
-    ) -> Vec<Result<QueryResponse, Error>> {
-        self.serve_batch(&BatchRequest::new(requests.to_vec()).workers(workers))
-            .results
-    }
-
-    /// One batch worker: claim indices from the scheduler (own deque, then
-    /// the injector, then stealing), answer each leader and clone its
-    /// result to any coalesced followers, and return the local metrics for
-    /// a single flush at scope exit.
+    /// One batch worker: claim indices from the plan's cursor, answer each
+    /// leader and clone its result to any coalesced followers, and return
+    /// the local metrics for a single flush at scope exit.
     fn worker_loop(
         &self,
         worker_index: usize,
         requests: &[QueryRequest],
         deadlines: &[Option<u64>],
-        sched: &Scheduler,
         plan: &CoalescePlan,
     ) -> (
         Vec<(usize, Result<QueryResponse, Error>)>,
@@ -1100,7 +1021,7 @@ impl StackServer {
         };
         let mut local = Box::new(LocalMetrics::default());
         let mut done = Vec::new();
-        while let Some(i) = sched.next(worker_index, &mut local) {
+        while let Some(i) = plan.claim() {
             let request = &requests[i];
             // Claim-time deadline check: work that waited past its budget
             // is answered WS107 without paying for an evaluation.
@@ -1200,7 +1121,7 @@ mod tests {
         assert!(m.cache_hit_rate() > 0.89);
         assert_eq!(m.sessions_open, 1);
         assert_eq!(m.cached_views, 1);
-        // Single-request serves use a fresh worker state: all hits are L2.
+        // Every hit is an L2 hit; the L1 counter stays at zero.
         assert_eq!(m.l1_hits, 0);
         assert_eq!(m.l2_hits, 9);
         assert_eq!(m.latency.count, 10);
@@ -1278,8 +1199,8 @@ mod tests {
     #[test]
     fn scheduler_completes_skewed_batches_and_counts_consistently() {
         let server = StackServer::new(stack());
-        // Many distinct paths so little coalescing is possible, forcing
-        // real per-request work onto the deques.
+        // 64 distinct paths, each requested twice: 64 leaders are claimed
+        // and evaluated, 64 duplicates coalesce onto them.
         let requests: Vec<QueryRequest> = (0..128)
             .map(|i| {
                 QueryRequest::for_doc("h.xml")
@@ -1291,12 +1212,12 @@ mod tests {
         let response = server.serve_batch(&BatchRequest::new(requests).workers(4));
         assert_eq!(response.results.len(), 128);
         assert!(response.results.iter().all(Result::is_ok));
-        // On a single-core box workers may drain their own deques without
-        // ever idling, so steals are opportunistic — the counters merely
-        // must be consistent (each deque steal moves exactly one request).
+        assert_eq!(response.stats.coalesced, 64);
+        // Every evaluation took its session from the shared table: one
+        // handshake, then reuses, whichever worker claimed the request.
         let m = server.metrics();
-        assert!(m.stolen_requests >= m.steals);
-        assert_eq!(response.stats.steals, response.stats.stolen_requests);
+        assert_eq!(m.sessions_established, 1);
+        assert_eq!(m.sessions_established + m.session_reuses, 64);
     }
 
     #[test]
@@ -1343,7 +1264,7 @@ mod tests {
         // Poison the doctor's session mutex by panicking while holding it.
         let session = {
             let mut local = LocalMetrics::default();
-            let (stack, _, _) = server.snapshot_with_token().unwrap();
+            let (stack, _, _) = server.snapshot_with_token();
             server
                 .sessions
                 .get_or_establish(
@@ -1398,5 +1319,46 @@ mod tests {
         assert_eq!(StackServer::with_shards(stack(), 3).shard_count(), 4);
         assert_eq!(StackServer::with_shards(stack(), 0).shard_count(), 1);
         assert_eq!(StackServer::with_shards(stack(), 16).shard_count(), 16);
+    }
+
+    /// A plan over `n` distinct requests: every position is scheduled.
+    fn distinct_plan(n: usize) -> CoalescePlan {
+        let requests: Vec<QueryRequest> = (0..n)
+            .map(|i| {
+                QueryRequest::for_doc("h.xml")
+                    .path(Path::parse(&format!("//patient[@id='p{i}']")).unwrap())
+                    .subject(&SubjectProfile::new("doctor"))
+            })
+            .collect();
+        CoalescePlan::new(&requests, n)
+    }
+
+    #[test]
+    fn single_worker_drains_in_submission_order() {
+        let plan = distinct_plan(500);
+        let claimed: Vec<usize> = std::iter::from_fn(|| plan.claim()).collect();
+        assert_eq!(claimed, (0..500).collect::<Vec<_>>());
+        assert_eq!(plan.claim(), None, "a drained cursor stays drained");
+    }
+
+    #[test]
+    fn claim_storm_takes_every_index_exactly_once() {
+        for _ in 0..50 {
+            let plan = distinct_plan(64);
+            let mut claimed: Vec<usize> = std::thread::scope(|scope| {
+                let claimers: Vec<_> = (0..8)
+                    .map(|_| {
+                        scope.spawn(|| std::iter::from_fn(|| plan.claim()).collect::<Vec<_>>())
+                    })
+                    .collect();
+                claimers
+                    .into_iter()
+                    .flat_map(|claimer| claimer.join().unwrap())
+                    .collect()
+            });
+            claimed.sort_unstable();
+            let expected: Vec<usize> = (0..64).collect();
+            assert_eq!(claimed, expected, "an index was lost or double-claimed");
+        }
     }
 }

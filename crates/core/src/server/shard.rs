@@ -151,6 +151,7 @@ impl SessionShards {
     }
 
     /// Sessions resident across all shards.
+    #[cfg(test)]
     pub fn total_sessions(&self) -> u64 {
         self.shards
             .iter()

@@ -5,15 +5,14 @@
 //! snapshot. The flexible gate is consulted through its pure
 //! [`websec_policy::flexible::FlexibleEnforcer::decide`] path; gate
 //! *statistics* are aggregated by the serving layer
-//! ([`crate::server::ServerMetrics`]) instead of mutating the stack.
+//! ([`crate::server::MetricsSnapshot`]) instead of mutating the stack.
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use crate::error::Error;
 use crate::request::{CacheStatus, Decision, QueryRequest, QueryResponse};
-use crate::stack::{SecureWebStack, StackError};
-use websec_policy::mls::Clearance;
+use crate::stack::SecureWebStack;
 use websec_policy::SubjectProfile;
 use websec_services::ChannelSession;
 use websec_xml::{Document, Path};
@@ -62,7 +61,7 @@ pub(crate) struct ResolvedView {
 }
 
 /// Resolves the subject's view of a document, reporting whether a cache
-/// served it. The serving layer plugs its token-checked L1/L2 caches in
+/// served it. The serving layer plugs its token-checked L2 cache in
 /// here; the direct [`SecureWebStack::execute`] path uses [`FreshViews`],
 /// which always computes.
 pub(crate) trait ViewResolver {
@@ -208,42 +207,12 @@ impl SecureWebStack {
             timings,
         })
     }
-
-    /// Processes one query through all four layers, returning the view's
-    /// XML plus the per-layer timings.
-    #[deprecated(
-        since = "0.1.0",
-        note = "build a QueryRequest and call SecureWebStack::execute (or serve \
-                through server::StackServer); this positional shim will be \
-                removed next release"
-    )]
-    pub fn query(
-        &mut self,
-        profile: &SubjectProfile,
-        clearance: Clearance,
-        doc_name: &str,
-        path: &Path,
-    ) -> Result<(String, LayerTimings), StackError> {
-        // Preserve the legacy gate statistics (`gate.exposure()`): the
-        // stateful gate() records the same outcome decide() returns inside
-        // execute().
-        let key = gate_key(&profile.identity, doc_name, path);
-        let _ = self.gate.gate(key.as_bytes());
-        let request = QueryRequest::for_doc(doc_name)
-            .path(path.clone())
-            .subject(profile)
-            .clearance(clearance);
-        match self.execute(&request) {
-            Ok(response) => Ok((response.xml, response.timings)),
-            Err(e) => Err(e.into()),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use websec_policy::mls::{ContextLabel, Level, SecurityContext};
+    use websec_policy::mls::{Clearance, ContextLabel, Level, SecurityContext};
     use websec_policy::{
         Authorization, FlexibleEnforcer, ObjectSpec, Privilege, SubjectSpec,
     };
@@ -390,29 +359,5 @@ mod tests {
         assert!(response.xml.contains("Alice"), "{}", response.xml);
         assert_eq!(response.decision, Decision::AdmittedUnchecked);
         assert_eq!(response.cache, CacheStatus::Bypass);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shim_matches_new_api() {
-        let mut s = stack();
-        let path = Path::parse("//patient").unwrap();
-        let profile = SubjectProfile::new("doctor");
-        let (legacy_xml, legacy_timings) = s
-            .query(&profile, Clearance(Level::Unclassified), "h.xml", &path)
-            .unwrap();
-        let response = s
-            .execute(
-                &QueryRequest::for_doc("h.xml")
-                    .path(path)
-                    .subject(&profile)
-                    .clearance(Clearance(Level::Unclassified)),
-            )
-            .unwrap();
-        assert_eq!(legacy_xml, response.xml);
-        assert!(legacy_timings.total_ns() > 0);
-        // The shim still feeds the legacy gate statistics.
-        let (enforced, _) = s.gate.stats();
-        assert_eq!(enforced, 1);
     }
 }

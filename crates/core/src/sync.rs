@@ -954,28 +954,6 @@ impl TrackedAtomicUsize {
         }
         previous
     }
-
-    /// Same contract as
-    /// [`std::sync::atomic::AtomicUsize::compare_exchange`]. In the
-    /// happens-before model a successful exchange is an RMW store
-    /// (`success` ordering); a failed one is a plain load (`failure`
-    /// ordering).
-    pub fn compare_exchange(
-        &self,
-        current: usize,
-        new: usize,
-        success: Ordering,
-        failure: Ordering,
-    ) -> Result<usize, usize> {
-        let result = self.inner.compare_exchange(current, new, success, failure);
-        if self.role == AtomicRole::Synchronizing {
-            match result {
-                Ok(_) => on_sync_store(self.id, self.class, success, true),
-                Err(_) => on_sync_load(self.id, self.class, failure),
-            }
-        }
-        result
-    }
 }
 
 #[cfg(test)]

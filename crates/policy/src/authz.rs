@@ -165,42 +165,6 @@ impl Authorization {
         }
     }
 
-    /// Creates a grant with cascade propagation and priority 0.
-    #[deprecated(
-        since = "0.9.0",
-        note = "use `Authorization::for_subject(subject).on(object).privilege(privilege).grant()`"
-    )]
-    #[must_use]
-    pub fn grant(id: u32, subject: SubjectSpec, object: ObjectSpec, privilege: Privilege) -> Self {
-        Authorization {
-            id: AuthzId(id),
-            subject,
-            object,
-            privilege,
-            sign: Sign::Plus,
-            propagation: Propagation::Cascade,
-            priority: 0,
-        }
-    }
-
-    /// Creates a denial with cascade propagation and priority 0.
-    #[deprecated(
-        since = "0.9.0",
-        note = "use `Authorization::for_subject(subject).on(object).privilege(privilege).deny()`"
-    )]
-    #[must_use]
-    pub fn deny(id: u32, subject: SubjectSpec, object: ObjectSpec, privilege: Privilege) -> Self {
-        Authorization {
-            id: AuthzId(id),
-            subject,
-            object,
-            privilege,
-            sign: Sign::Minus,
-            propagation: Propagation::Cascade,
-            priority: 0,
-        }
-    }
-
     /// Overrides the propagation mode (builder style).
     #[must_use]
     pub fn with_propagation(mut self, propagation: Propagation) -> Self {

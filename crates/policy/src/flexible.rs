@@ -93,21 +93,6 @@ impl FlexibleEnforcer {
         Ok(())
     }
 
-    /// Changes the enforcement level at runtime.
-    ///
-    /// # Panics
-    /// Panics if `level > 100`.
-    #[deprecated(
-        since = "0.9.0",
-        note = "use `try_set_level`, which rejects invalid levels instead of panicking"
-    )]
-    pub fn set_level(&mut self, level: u8) {
-        assert!(
-            self.try_set_level(level).is_ok(),
-            "enforcement level is a percentage"
-        );
-    }
-
     /// Gates a request identified by `request_key` (e.g. subject ‖ object ‖
     /// privilege bytes).
     pub fn gate(&mut self, request_key: &[u8]) -> GateOutcome {

@@ -137,9 +137,6 @@ pub fn result_row(run: &ScenarioRun, rev: &str) -> Json {
                     ("workers", Json::int(p.workers as u64)),
                     ("qps", Json::Num(round1(p.qps))),
                     ("coalesced", Json::int(p.coalesced)),
-                    ("steals", Json::int(p.steals)),
-                    ("stolen_requests", Json::int(p.stolen_requests)),
-                    ("injector_pops", Json::int(p.injector_pops)),
                     ("shed", Json::int(p.shed)),
                     ("errors", Json::int(p.errors)),
                 ])

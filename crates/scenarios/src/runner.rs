@@ -54,12 +54,6 @@ pub struct PerfPoint {
     pub qps: f64,
     /// Coalesced evaluations in the best round.
     pub coalesced: u64,
-    /// Deque steals in the best round.
-    pub steals: u64,
-    /// Requests moved by steals in the best round.
-    pub stolen_requests: u64,
-    /// Injector pops in the best round.
-    pub injector_pops: u64,
     /// Requests shed by admission control in the best round.
     pub shed: u64,
     /// Error positions in the best round.
@@ -256,9 +250,6 @@ pub fn run_scenario(scenario: &Scenario, workspace_rev: &str) -> ScenarioRun {
                 workers,
                 qps: point_qps,
                 coalesced: stats.coalesced,
-                steals: stats.steals,
-                stolen_requests: stats.stolen_requests,
-                injector_pops: stats.injector_pops,
                 shed: stats.shed as u64,
                 errors,
             });

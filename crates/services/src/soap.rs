@@ -136,6 +136,17 @@ mod tests {
     }
 
     #[test]
+    fn hostile_nesting_fails_closed() {
+        let depth = 100_000;
+        let xml = format!(
+            "<Envelope><Body>{}{}</Body></Envelope>",
+            "<n>".repeat(depth),
+            "</n>".repeat(depth)
+        );
+        assert!(Envelope::parse(&xml).is_err());
+    }
+
+    #[test]
     fn render_structure() {
         let env = Envelope::new(body()).with_header("MessageId", "m-1");
         let xml = env.to_xml();

@@ -34,8 +34,6 @@ pub use model::{
     BindingTemplate, BusinessEntity, BusinessService, CategoryBag, KeyedReference,
     PublisherAssertion, TModel,
 };
-#[allow(deprecated)]
-pub use registry::Registry;
 pub use registry::{
     BusinessOverview, FindQualifier, InquiryRequest, InquiryResponse, RegistryError,
     ServiceOverview, TModelOverview, UddiRegistry,

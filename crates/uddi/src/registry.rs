@@ -35,10 +35,6 @@
 //! inquiry under two-party access control: finds hide entries whose name
 //! the subject may not read, and drill-downs answer with the subject's
 //! authorized **view** of the entry document.
-//!
-//! The older positional methods (`find_business(&q)`,
-//! `get_business_detail(key)`, …) survive as `#[deprecated]` shims over
-//! the same implementations and will be removed next release.
 
 use crate::model::{
     BindingTemplate, BusinessEntity, BusinessService, PublisherAssertion, TModel,
@@ -313,10 +309,6 @@ pub struct UddiRegistry {
     /// Evaluation engine for `policies`.
     pub engine: PolicyEngine,
 }
-
-/// Pre-redesign name of [`UddiRegistry`].
-#[deprecated(since = "0.2.0", note = "renamed to UddiRegistry")]
-pub type Registry = UddiRegistry;
 
 impl UddiRegistry {
     /// Creates an empty registry with an empty (deny-nothing-to-internal,
@@ -612,123 +604,6 @@ impl UddiRegistry {
             })
             .collect()
     }
-
-    // --- deprecated positional inquiry methods -------------------------------
-
-    /// `find_business`: overview rows for entries matching the qualifier.
-    #[deprecated(
-        since = "0.2.0",
-        note = "build InquiryRequest::find_business() and call inquire()"
-    )]
-    #[must_use]
-    pub fn find_business(&self, q: &FindQualifier) -> Vec<BusinessOverview> {
-        self.find_business_impl(q)
-    }
-
-    /// `find_service`: overview rows for services matching the qualifier.
-    #[deprecated(
-        since = "0.2.0",
-        note = "build InquiryRequest::find_service() and call inquire()"
-    )]
-    #[must_use]
-    pub fn find_service(&self, q: &FindQualifier) -> Vec<ServiceOverview> {
-        self.find_service_impl(q)
-    }
-
-    /// `find_tModel`: keys and names of matching tModels.
-    #[deprecated(
-        since = "0.2.0",
-        note = "build InquiryRequest::find_tmodel() and call inquire()"
-    )]
-    #[must_use]
-    pub fn find_tmodel(&self, q: &FindQualifier) -> Vec<(String, String)> {
-        self.find_tmodel_impl(q)
-            .into_iter()
-            .map(|tm| (tm.tmodel_key, tm.name))
-            .collect()
-    }
-
-    /// Businesses related to `key` by **completed** publisher assertions
-    /// (asserted in both directions).
-    #[deprecated(
-        since = "0.2.0",
-        note = "build InquiryRequest::find_related(key) and call inquire()"
-    )]
-    #[must_use]
-    pub fn find_related_businesses(&self, key: &str) -> Vec<String> {
-        self.find_related_impl(key)
-    }
-
-    /// `get_businessDetail`: the full entry (trusted/internal access).
-    #[deprecated(
-        since = "0.2.0",
-        note = "build InquiryRequest::get_business(key) and call inquire()"
-    )]
-    pub fn get_business_detail(&self, key: &str) -> Result<&BusinessEntity, RegistryError> {
-        self.business_detail_impl(key)
-    }
-
-    /// `get_serviceDetail`: a service (and its owning business key) by
-    /// service key.
-    #[deprecated(
-        since = "0.2.0",
-        note = "build InquiryRequest::get_service(key) and call inquire()"
-    )]
-    pub fn get_service_detail(
-        &self,
-        key: &str,
-    ) -> Result<(&str, &BusinessService), RegistryError> {
-        self.service_detail_impl(key)
-    }
-
-    /// `get_bindingDetail`: a binding template by binding key.
-    #[deprecated(
-        since = "0.2.0",
-        note = "build InquiryRequest::get_binding(key) and call inquire()"
-    )]
-    pub fn get_binding_detail(&self, key: &str) -> Result<&BindingTemplate, RegistryError> {
-        self.binding_detail_impl(key)
-    }
-
-    /// `get_tModelDetail`.
-    #[deprecated(
-        since = "0.2.0",
-        note = "build InquiryRequest::get_tmodel(key) and call inquire()"
-    )]
-    pub fn get_tmodel_detail(&self, key: &str) -> Result<&TModel, RegistryError> {
-        self.tmodel_detail_impl(key)
-    }
-
-    /// `get_businessDetail` under access control: the subject receives the
-    /// **authorized view** of the entry document (possibly with portions
-    /// pruned), or `AccessDenied` when nothing is visible.
-    #[deprecated(
-        since = "0.2.0",
-        note = "build InquiryRequest::get_business(key).on_behalf_of(profile) and call inquire()"
-    )]
-    pub fn get_business_detail_for(
-        &self,
-        key: &str,
-        profile: &SubjectProfile,
-    ) -> Result<Document, RegistryError> {
-        self.business_view_for_impl(key, profile)
-    }
-
-    /// `find_business` under access control: only entries whose *name* the
-    /// subject may read appear in the overview (confidential listings stay
-    /// hidden).
-    #[deprecated(
-        since = "0.2.0",
-        note = "build InquiryRequest::find_business().on_behalf_of(profile) and call inquire()"
-    )]
-    #[must_use]
-    pub fn find_business_for(
-        &self,
-        q: &FindQualifier,
-        profile: &SubjectProfile,
-    ) -> Vec<BusinessOverview> {
-        self.find_business_for_impl(q, profile)
-    }
 }
 
 #[cfg(test)]
@@ -846,9 +721,12 @@ mod tests {
     fn drill_down_and_delete() {
         let mut r = registry();
         assert!(r.inquire(&InquiryRequest::get_business("biz-acme")).is_ok());
-        assert!(r
-            .inquire(&InquiryRequest::get_tmodel("uddi:tm-sched"))
-            .is_ok());
+        let InquiryResponse::TModelDetail(tm) =
+            r.inquire(&InquiryRequest::get_tmodel("uddi:tm-sched")).unwrap()
+        else {
+            panic!("expected TModelDetail");
+        };
+        assert_eq!(tm.name, "Scheduling Interface");
         assert_eq!(
             r.inquire(&InquiryRequest::get_business("nope")).unwrap_err(),
             RegistryError::UnknownKey("nope".into())
@@ -984,32 +862,6 @@ mod tests {
             panic!("expected RelatedBusinesses");
         };
         assert!(keys.is_empty());
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_positional_shims_agree_with_inquire() {
-        let r = registry();
-        let q = FindQualifier::NameApprox("acme".into());
-        assert_eq!(
-            r.find_business(&q),
-            businesses(
-                r.inquire(&InquiryRequest::find_business().name_approx("acme"))
-                    .unwrap()
-            )
-        );
-        assert_eq!(
-            r.get_business_detail("biz-acme").unwrap().name,
-            match r.inquire(&InquiryRequest::get_business("biz-acme")).unwrap() {
-                InquiryResponse::BusinessDetail(be) => be.name,
-                other => panic!("expected BusinessDetail, got {other:?}"),
-            }
-        );
-        let legacy_tmodels = r.find_tmodel(&FindQualifier::NameApprox("sched".into()));
-        assert_eq!(legacy_tmodels, vec![(
-            "uddi:tm-sched".to_string(),
-            "Scheduling Interface".to_string()
-        )]);
     }
 
     #[test]

@@ -6,8 +6,16 @@
 //! `<!DOCTYPE ...>` prolog (skipped). Not supported: namespaces-as-semantics
 //! (prefixes are kept verbatim in names), CDATA sections, DTD internal
 //! subsets.
+//!
+//! The parser recurses once per element nesting level, so nesting is
+//! bounded: a document nested deeper than `MAX_DEPTH` levels is refused
+//! with a [`ParseError`] instead of overflowing the stack.
 
 use crate::node::{Document, NodeId};
+
+/// Deepest element nesting [`Document::parse`] accepts (the root is level
+/// 1). Deeper input fails closed with a [`ParseError`].
+const MAX_DEPTH: usize = 256;
 
 /// A parse failure with byte offset context.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -214,8 +222,17 @@ impl<'a> Parser<'a> {
         Ok(ch)
     }
 
-    /// Parses one element (cursor at `<`); adds it under `parent`.
-    fn parse_element(&mut self, doc: &mut Document, parent: Option<NodeId>) -> Result<NodeId, ParseError> {
+    /// Parses one element (cursor at `<`) at nesting level `depth`; adds
+    /// it under `parent`.
+    fn parse_element(
+        &mut self,
+        doc: &mut Document,
+        parent: Option<NodeId>,
+        depth: usize,
+    ) -> Result<NodeId, ParseError> {
+        if depth > MAX_DEPTH {
+            return self.err(format!("element nesting deeper than {MAX_DEPTH} levels"));
+        }
         self.expect(b'<')?;
         let name = self.parse_name()?;
         let id = match parent {
@@ -278,7 +295,7 @@ impl<'a> Parser<'a> {
                     } else if self.starts_with("<?") {
                         self.skip_until("?>")?;
                     } else {
-                        self.parse_element(doc, Some(id))?;
+                        self.parse_element(doc, Some(id), depth + 1)?;
                     }
                 }
                 Some(b'&') => text.push(self.parse_reference()?),
@@ -289,7 +306,8 @@ impl<'a> Parser<'a> {
 }
 
 impl Document {
-    /// Parses an XML string into a document.
+    /// Parses an XML string into a document. Nesting deeper than 256
+    /// levels is refused with a [`ParseError`].
     pub fn parse(input: &str) -> Result<Document, ParseError> {
         let mut p = Parser {
             input: input.as_bytes(),
@@ -305,7 +323,7 @@ impl Document {
         let root_name = p.parse_name()?;
         p.pos = save;
         let mut doc = Document::new(&root_name);
-        p.parse_element(&mut doc, None)?;
+        p.parse_element(&mut doc, None, 1)?;
         p.skip_misc()?;
         if p.pos != p.input.len() {
             return p.err("trailing content after root element");
@@ -411,6 +429,30 @@ mod tests {
         }
         let d = Document::parse(&src).unwrap();
         assert_eq!(d.node_count(), 100);
+    }
+
+    fn nested(depth: usize) -> String {
+        "<n>".repeat(depth) + &"</n>".repeat(depth)
+    }
+
+    #[test]
+    fn nesting_at_the_limit_round_trips() {
+        let d = Document::parse(&nested(MAX_DEPTH)).unwrap();
+        assert_eq!(d.node_count(), MAX_DEPTH);
+        let xml = d.to_xml_string();
+        assert_eq!(Document::parse(&xml).unwrap().to_xml_string(), xml);
+    }
+
+    #[test]
+    fn nesting_past_the_limit_is_refused() {
+        let err = Document::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.message.contains("nesting"), "{err}");
+        assert_eq!(err.offset, 3 * MAX_DEPTH, "refused at the first level too deep");
+    }
+
+    #[test]
+    fn hostile_nesting_fails_closed() {
+        assert!(Document::parse(&nested(100_000)).is_err());
     }
 
     #[test]

@@ -105,8 +105,9 @@ fn main() {
     });
     assert!(tie.is_err(), "planted tie must be rejected");
 
-    // Phase 6 — a one-worker batch: the scheduler's deque/injector cursors
-    // and the coalescing plan, serially so pop/steal counts cannot vary.
+    // Phase 6 — a one-worker batch: the coalescing plan and its claim
+    // cursor, with sessions and views from the shared tables, serially so
+    // the acquisition counts cannot vary.
     let batch =
         BatchRequest::new((0..6).map(|i| request("doctor", i % 3)).collect()).workers(1);
     let results = server.serve_batch(&batch).results;

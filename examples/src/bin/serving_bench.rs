@@ -9,9 +9,9 @@
 //! * **serial** — one `StackServer` driven request-at-a-time from a single
 //!   thread (session reuse + token-checked view cache, but no batch
 //!   semantics: each request is answered in isolation);
-//! * **sweep** — `serve_batch` (a [`BatchRequest`] through the lock-free
-//!   deque/injector scheduler) over the sharded engine at 1/2/4/8 workers,
-//!   emitting a scaling curve with the per-run coalescing / steal /
+//! * **sweep** — `serve_batch` (a [`BatchRequest`] whose workers claim
+//!   from one shared cursor) over the sharded engine at 1/2/4/8 workers,
+//!   emitting a scaling curve with the per-run coalescing / cache /
 //!   lock-wait counters;
 //! * **sweep_nodup** — the same sweep over a worst-case **no-duplicate**
 //!   workload (every request a unique subject and portion, so nothing
@@ -58,10 +58,10 @@
 //!
 //! The batch engine's edge is architectural, not just core-count: a batch
 //! declares its requests up front, so identical requests coalesce onto one
-//! evaluation (singleflight) and per-worker L1 caches serve repeats
-//! lock-free — wins a serve()-per-request loop cannot express even on one
-//! core. Per-shard contention counters in the JSON keep the "contention-
-//! free" claim honest: lock waits stay near zero as workers scale.
+//! evaluation (singleflight) before any worker starts — a win a
+//! serve()-per-request loop cannot express even on one core. Per-shard
+//! contention counters in the JSON keep the "contention-free" claim
+//! honest: lock waits stay near zero as workers scale.
 //!
 //! Emits `BENCH_serving.json` in the working directory so the bench
 //! trajectory can be tracked across PRs, and asserts nothing — check.sh
@@ -120,7 +120,7 @@ fn build_requests() -> Vec<QueryRequest> {
 /// the coalescing key, the session key, and both view-cache keys — so no
 /// two requests share an evaluation, a session, or a cache entry. What is
 /// left is pure scheduler + evaluation throughput — the honest measure of
-/// the deque/injector scheduler's scaling.
+/// the batch engine's scaling.
 fn build_nodup_requests() -> Vec<QueryRequest> {
     Recipe::nodup_worstcase().generate(&corpus(), NODUP_REQUESTS, &mut SecureRng::seeded(FAULT_SEED))
 }
@@ -270,9 +270,7 @@ struct SweepPoint {
     workers: usize,
     qps: f64,
     coalesced: u64,
-    l1_hits: u64,
     l2_hits: u64,
-    steals: u64,
     session_lock_waits: u64,
     cache_lock_waits: u64,
 }
@@ -320,9 +318,7 @@ fn main() {
             workers,
             qps: qps(REQUESTS, secs),
             coalesced: d.coalesced,
-            l1_hits: d.l1_hits,
             l2_hits: d.l2_hits,
-            steals: d.steals,
             session_lock_waits: m.session_lock_waits,
             cache_lock_waits: m.cache_lock_waits,
         };
@@ -335,8 +331,8 @@ fn main() {
     // No-duplicate sweep: fresh server per round (the workload must stay
     // cold — nothing may coalesce and no cache level may answer twice), so
     // the curve is the scheduler's own; the per-batch BatchStats (rather
-    // than the cross-batch metrics ledger) report the steal/injector
-    // traffic. Each point reports its best of three rounds: a scheduler or
+    // than the cross-batch metrics ledger) report the coalescing count.
+    // Each point reports its best of three rounds: a scheduler or
     // frequency spike poisons at most the round it overlaps, and the gate
     // below compares two best-case numbers, not two noise samples. The
     // sweep pins DecisionMode::Interpreted: its gate measures scheduler
@@ -569,17 +565,9 @@ fn main() {
         .iter()
         .map(|p| {
             format!(
-                "    {{\"workers\": {}, \"qps\": {:.1}, \"coalesced\": {}, \"l1_hits\": {}, \
-                 \"l2_hits\": {}, \"steals\": {}, \"session_lock_waits\": {}, \
-                 \"cache_lock_waits\": {}}}",
-                p.workers,
-                p.qps,
-                p.coalesced,
-                p.l1_hits,
-                p.l2_hits,
-                p.steals,
-                p.session_lock_waits,
-                p.cache_lock_waits
+                "    {{\"workers\": {}, \"qps\": {:.1}, \"coalesced\": {}, \
+                 \"l2_hits\": {}, \"session_lock_waits\": {}, \"cache_lock_waits\": {}}}",
+                p.workers, p.qps, p.coalesced, p.l2_hits, p.session_lock_waits, p.cache_lock_waits
             )
         })
         .collect();
@@ -587,9 +575,8 @@ fn main() {
         .iter()
         .map(|(workers, point_qps, stats)| {
             format!(
-                "    {{\"workers\": {workers}, \"qps\": {point_qps:.1}, \"coalesced\": {}, \
-                 \"steals\": {}, \"stolen_requests\": {}, \"injector_pops\": {}}}",
-                stats.coalesced, stats.steals, stats.stolen_requests, stats.injector_pops
+                "    {{\"workers\": {workers}, \"qps\": {point_qps:.1}, \"coalesced\": {}}}",
+                stats.coalesced
             )
         })
         .collect();
@@ -599,7 +586,7 @@ fn main() {
          \"legacy_qps\": {legacy_qps:.1},\n  \"serial_qps\": {serial_qps:.1},\n  \
          \"parallel_qps\": {parallel_qps:.1},\n  \"speedup_parallel_over_serial\": {speedup:.2},\n  \
          \"speedup_serial_over_legacy\": {:.2},\n  \"cache_hit_rate\": {:.4},\n  \
-         \"coalesced\": {},\n  \"l1_hits\": {},\n  \"l2_hits\": {},\n  \"steals\": {},\n  \
+         \"coalesced\": {},\n  \"l2_hits\": {},\n  \
          \"session_lock_waits\": {},\n  \"cache_lock_waits\": {},\n  \"worker_panics\": {},\n  \
          \"sessions_established\": {},\n  \"session_reuses\": {},\n  \"denied\": {},\n  \
          \"p50_upper_ns\": {},\n  \"p99_upper_ns\": {},\n  \"mean_latency_ns\": {:.0},\n  \
@@ -641,9 +628,7 @@ fn main() {
         if legacy_qps > 0.0 { serial_qps / legacy_qps } else { 0.0 },
         metrics.cache_hit_rate(),
         metrics.coalesced,
-        metrics.l1_hits,
         metrics.l2_hits,
-        metrics.steals,
         metrics.session_lock_waits,
         metrics.cache_lock_waits,
         metrics.worker_panics,
@@ -670,12 +655,11 @@ fn main() {
     );
     for p in &sweep {
         println!(
-            "  batch x{} worker(s):        {:>10.0} q/s  (coalesced {}, L1 {}, steals {}, lock waits {})",
+            "  batch x{} worker(s):        {:>10.0} q/s  (coalesced {}, L2 hits {}, lock waits {})",
             p.workers,
             p.qps,
             p.coalesced,
-            p.l1_hits,
-            p.steals,
+            p.l2_hits,
             p.session_lock_waits + p.cache_lock_waits
         );
     }

@@ -217,7 +217,8 @@ fn seeded_fault_sweep_yields_only_ws1xx_or_correct_answers() {
         // the same workload inject the same fault multiset AND produce the
         // same outcome vector, request for request. (Serial, because under
         // a multi-worker batch the *number* of cache/eval events depends on
-        // coalescing and L1 placement — only the fate per event is fixed.)
+        // which worker claims which request — only the fate per event is
+        // fixed.)
         if seed % 4 == 0 {
             let serial = || {
                 let replay_server = StackServer::new(build_stack());

@@ -1,7 +1,8 @@
 //! Accounting invariants of [`MetricsSnapshot`]: the cache counters
-//! partition the allowed requests exactly, the L1/L2 split sums to the
-//! hit total, and the per-shard [`ShardStats`] breakdown reconciles with
-//! the global counters — all under a real 8-worker batch run.
+//! partition the allowed requests exactly, every hit is an L2 hit, every
+//! evaluation takes one session from the shared table, and the per-shard
+//! [`ShardStats`] breakdown reconciles with the global counters — all
+//! under a real 8-worker batch run.
 
 use websec_core::policy::mls::ContextLabel;
 use websec_core::prelude::*;
@@ -38,8 +39,8 @@ fn build_stack() -> SecureWebStack {
     stack
 }
 
-/// Mixed workload: authorized queries (many per subject, so L1 and L2 both
-/// see traffic), duplicates (coalescing), denials, and unknown documents.
+/// Mixed workload: authorized queries (many per subject, so the L2 sees
+/// hits), duplicates (coalescing), denials, and unknown documents.
 fn build_requests(n: usize) -> Vec<QueryRequest> {
     (0..n)
         .map(|i| {
@@ -64,10 +65,10 @@ fn build_requests(n: usize) -> Vec<QueryRequest> {
         .collect()
 }
 
-/// Every allowed response is served exactly one way — worker-local L1 hit,
-/// shared L2 hit, coalesced onto another evaluation, or a fresh
-/// computation — so the four counters must partition `allowed` with no
-/// request lost or double-counted, across two 8-worker batches.
+/// Every allowed response is served exactly one way — L2 hit, coalesced
+/// onto another evaluation, or a fresh computation — so the three
+/// counters must partition `allowed` with no request lost or
+/// double-counted, across two 8-worker batches.
 #[test]
 fn cache_counters_partition_allowed_requests_exactly() {
     let server = StackServer::with_shards(build_stack(), 16);
@@ -93,25 +94,18 @@ fn cache_counters_partition_allowed_requests_exactly() {
         m.requests
     );
     assert_eq!(
-        m.l1_hits + m.l2_hits + m.coalesced + m.cache_misses,
+        m.l2_hits + m.coalesced + m.cache_misses,
         m.allowed,
         "view lookups must partition the allowed requests \
-         (l1={}, l2={}, coalesced={}, misses={}, allowed={})",
-        m.l1_hits,
+         (l2={}, coalesced={}, misses={}, allowed={})",
         m.l2_hits,
         m.coalesced,
         m.cache_misses,
         m.allowed
     );
-    assert_eq!(
-        m.cache_hits,
-        m.l1_hits + m.l2_hits,
-        "the hit total must be exactly the L1/L2 split"
-    );
-    // The workload exercises every path: the second batch hits L2 (fresh
-    // worker states), repeated subject/doc pairs hit L1 within a batch,
-    // and exact duplicates coalesce.
-    assert!(m.l1_hits > 0, "no L1 traffic in a {BATCH}-request batch");
+    assert_eq!(m.cache_hits, m.l2_hits, "every cache hit is an L2 hit");
+    // The workload exercises every path: repeated subject/doc pairs hit
+    // the L2, and exact duplicates coalesce.
     assert!(m.l2_hits > 0, "no L2 traffic across two batches");
     assert!(m.coalesced > 0, "duplicate requests never coalesced");
     assert_eq!(m.coalesced, batch_coalesced, "BatchStats disagrees with the ledger");
@@ -122,8 +116,7 @@ fn cache_counters_partition_allowed_requests_exactly() {
 
 /// The per-shard breakdown reconciles with the globals: shard sums equal
 /// the aggregate counters, and the L2 shard hit/miss tallies explain every
-/// L2 lookup (an L2 lookup happens exactly when L1 misses and no coalesced
-/// answer was shared).
+/// L2 lookup (one per allowed request that was not coalesced).
 #[test]
 fn per_shard_stats_sum_to_the_global_counters() {
     let server = StackServer::with_shards(build_stack(), 8);
@@ -170,7 +163,33 @@ fn serial_and_batch_paths_share_one_ledger() {
     let m = server.metrics();
     assert_eq!(m.requests, 160);
     assert_eq!(m.allowed + m.denied + m.errors, m.requests);
-    assert_eq!(m.l1_hits + m.l2_hits + m.coalesced + m.cache_misses, m.allowed);
-    assert_eq!(m.cache_hits, m.l1_hits + m.l2_hits);
+    assert_eq!(m.l2_hits + m.coalesced + m.cache_misses, m.allowed);
+    assert_eq!(m.cache_hits, m.l2_hits);
     assert_eq!(m.latency.count, m.allowed);
+}
+
+/// Batch and single-request serves take their sessions from the same
+/// sharded table, so in a fault-free, deadline-free run every evaluation
+/// is one handshake or one counted reuse: only coalesced followers and
+/// shed requests skip the session.
+#[test]
+fn every_evaluation_establishes_or_reuses_one_session() {
+    let server = StackServer::new(build_stack());
+    let requests = build_requests(128);
+    let _ = server.serve_batch(&BatchRequest::new(requests.clone()).workers(WORKERS));
+    for request in requests.iter().take(32) {
+        let _ = server.serve(request);
+    }
+    let m = server.metrics();
+    assert_eq!(m.sessions_established, SUBJECTS as u64);
+    assert_eq!(
+        m.sessions_established + m.session_reuses,
+        m.requests - m.coalesced - m.shed,
+        "established={}, reused={}, requests={}, coalesced={}, shed={}",
+        m.sessions_established,
+        m.session_reuses,
+        m.requests,
+        m.coalesced,
+        m.shed
+    );
 }

@@ -223,12 +223,12 @@ fn revoke_doctors(server: &StackServer) -> usize {
     })
 }
 
-/// The revocation race the token-checked caches exist for: policy views
-/// are cached per worker (L1) and per shard (L2), a revocation lands
-/// mid-traffic via `update(&self)`, and **no request that starts after
-/// `update` returns may be served a stale view** — on any shard, from
-/// either cache level. Readers observe a flag the writer sets only after
-/// `update` returns, so "started after the bump" is well-defined.
+/// The revocation race the token-checked cache exists for: policy views
+/// are cached per shard (L2), a revocation lands mid-traffic via
+/// `update(&self)`, and **no request that starts after `update` returns
+/// may be served a stale view** — on any shard. Readers observe a flag
+/// the writer sets only after `update` returns, so "started after the
+/// bump" is well-defined.
 #[test]
 fn concurrent_revocation_never_serves_stale_views_past_the_epoch_bump() {
     use std::sync::atomic::{AtomicBool, Ordering};
