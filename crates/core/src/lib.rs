@@ -112,8 +112,8 @@ pub use metadata::{DocumentMeta, MetadataRepository, Placement};
 pub use query::{QueryStrategy, SecureHit, SecureQueryProcessor};
 pub use request::{BatchRequest, CacheStatus, Decision, QueryRequest, QueryResponse};
 pub use server::{
-    AnalysisGate, BatchResponse, BatchStats, DecisionMode, LatencyHistogram, MetricsSnapshot,
-    ServerConfig, ShardStats, StackServer,
+    AnalysisGate, BatchResponse, BatchStats, LatencyHistogram, MetricsSnapshot, ServerConfig,
+    ShardStats, StackServer,
 };
 pub use stack::{LayerTimings, SecureWebStack, StackError};
 pub use sync::{
@@ -132,8 +132,8 @@ pub mod prelude {
     pub use crate::query::{QueryStrategy, SecureQueryProcessor};
     pub use crate::request::{BatchRequest, CacheStatus, Decision, QueryRequest, QueryResponse};
     pub use crate::server::{
-        AnalysisGate, BatchResponse, BatchStats, DecisionMode, LatencyHistogram,
-        MetricsSnapshot, ServerConfig, ShardStats, StackServer,
+        AnalysisGate, BatchResponse, BatchStats, LatencyHistogram, MetricsSnapshot,
+        ServerConfig, ShardStats, StackServer,
     };
     pub use crate::stack::{LayerTimings, SecureWebStack, StackError};
     pub use crate::sync::{

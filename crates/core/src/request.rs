@@ -244,13 +244,6 @@ pub struct QueryResponse {
     pub decision: Decision,
     /// Whether the policy-view cache served the request.
     pub cache: CacheStatus,
-    /// Whether the view was produced by the snapshot-compiled decision
-    /// tables ([`websec_policy::CompiledPolicies`]) rather than the
-    /// interpreting [`websec_policy::PolicyEngine`]. Always `false` on
-    /// cache hits (the cached view's original provenance is not
-    /// re-reported) and under
-    /// [`crate::server::DecisionMode::Interpreted`].
-    pub compiled: bool,
     /// Per-layer elapsed time.
     pub timings: LayerTimings,
 }

@@ -31,8 +31,8 @@
 //! untouched.
 //!
 //! Lock order: the update mutex is the server's outermost lock, taken
-//! before any snapshot slot and before the memo mutex; no snapshot slot
-//! lock is taken while the memo mutex is held. No pass runs under the memo
+//! before the snapshot lock and before the memo mutex; the snapshot lock
+//! is never taken while the memo mutex is held. No pass runs under the memo
 //! mutex either: callers copy the memo's entry out, run passes unlocked,
 //! and commit the result in a second short critical section, where an
 //! entry for an older snapshot never replaces one for a newer snapshot.
@@ -315,7 +315,8 @@ impl StackServer {
     /// [`super::MetricsSnapshot`] and [`StackServer::last_passes_run`].
     #[must_use]
     pub fn analyze(&self) -> Report {
-        let (stack, _, token) = self.snapshot_with_token();
+        let published = self.snapshot_with_token();
+        let (stack, token) = (&published.stack, published.token);
         {
             let mut memo = self.analysis.lock().unwrap_or_else(PoisonError::into_inner);
             let cached = memo
@@ -330,8 +331,8 @@ impl StackServer {
                 return report;
             }
         }
-        let mut analysis = self.memo_for(&stack, token);
-        let (report, ran) = analysis.complete_report(&stack);
+        let mut analysis = self.memo_for(stack, token);
+        let (report, ran) = analysis.complete_report(stack);
         let report = report.clone();
         self.count_passes(ran.len());
         self.commit(analysis, Some(ran));
@@ -426,7 +427,8 @@ impl StackServer {
     /// [`super::MetricsSnapshot::policy_passes_reused`].
     #[must_use]
     pub fn verify_policies(&self) -> Report {
-        let (stack, compiled, token) = self.snapshot_with_token();
+        let published = self.snapshot_with_token();
+        let (stack, token) = (&published.stack, published.token);
         let cached = self
             .analysis
             .lock()
@@ -439,8 +441,8 @@ impl StackServer {
             self.count_policy_passes(false);
             return report;
         }
-        let mut analysis = self.memo_for(&stack, token);
-        let (report, ran) = analysis.complete_policy(&stack, &compiled);
+        let mut analysis = self.memo_for(stack, token);
+        let (report, ran) = analysis.complete_policy(stack, &published.compiled);
         let report = report.clone();
         self.count_policy_passes(ran);
         self.commit(analysis, None);
@@ -468,7 +470,8 @@ impl StackServer {
     /// `WS109` ([`Error::AnalysisRejected`]) describing the first
     /// divergence found.
     pub fn verify_compiled(&self) -> Result<Vec<String>, Error> {
-        let (stack, compiled, _) = self.snapshot_with_token();
+        let published = self.snapshot_with_token();
+        let (stack, compiled) = (&published.stack, &published.compiled);
         if compiled.epoch() != stack.policies.epoch() {
             return Err(Error::AnalysisRejected(format!(
                 "compiled artifact baked at policy epoch {} but the snapshot is at epoch {}",
@@ -561,7 +564,8 @@ impl StackServer {
                     .update_lock
                     .lock()
                     .unwrap_or_else(PoisonError::into_inner);
-                let (current, current_compiled, token) = self.snapshot_with_token();
+                let published = self.snapshot_with_token();
+                let (current, token) = (&published.stack, published.token);
                 // Pre-existing errors are grandfathered: the gate blocks
                 // *regressions*, not stacks that already carried findings
                 // when the gate was enabled. The baseline is the memo's
@@ -569,16 +573,16 @@ impl StackServer {
                 // when the memo fell behind it (the first gated update, or
                 // an ungated update or republication since the last
                 // analysis).
-                let mut baseline = self.memo_for(&current, token);
-                let (report, baseline_ran) = baseline.complete_report(&current);
+                let mut baseline = self.memo_for(current, token);
+                let (report, baseline_ran) = baseline.complete_report(current);
                 let baseline_errors: BTreeSet<String> = error_lines(report).collect();
                 let (report, baseline_policy_ran) =
-                    baseline.complete_policy(&current, &current_compiled);
+                    baseline.complete_policy(current, &published.compiled);
                 let baseline_policy_errors: BTreeSet<String> = error_lines(report).collect();
                 self.count_passes(baseline_ran.len());
                 self.count_policy_passes(baseline_policy_ran);
 
-                let mut candidate = (*current).clone();
+                let mut candidate = (**current).clone();
                 let result = mutate(&mut candidate);
                 // Keyed by the current token until publication creates
                 // the candidate's own.

@@ -4,34 +4,15 @@
 //! [`StackServer::set_queue_limit`], [`StackServer::install_faults`],
 //! [`StackServer::set_analysis_gate`], the global lockdep toggle — which
 //! works for tweaking a live server but makes constructing a fully
-//! configured one noisy. [`ServerConfig`] gathers them into one fluent
-//! value consumed by [`StackServer::with_config`]; every individual setter
-//! remains as a thin delegate, so existing callers compile unchanged.
+//! configured one noisy. [`ServerConfig`] gathers those five into one
+//! fluent value consumed by [`StackServer::with_config`]; every individual
+//! setter remains as a thin delegate, so existing callers compile
+//! unchanged. How a cache miss is decided is not a knob: it is always
+//! answered from the published snapshot's compiled decision tables.
 
 use super::{AnalysisGate, StackServer, DEFAULT_SHARDS};
 use crate::faults::FaultPlan;
 use crate::stack::SecureWebStack;
-
-/// Which decision machinery resolves a policy view on a cache miss.
-///
-/// The server compiles every published snapshot's policy base into
-/// [`websec_policy::CompiledPolicies`] decision tables (interned subjects,
-/// per-equivalence-class node bitsets, path automata). This knob selects
-/// whether the request path consults those tables or the interpreting
-/// [`websec_policy::PolicyEngine`]; the two are equivalence-checked by the
-/// analyzer and the `compiled_decisions` property suite, so the
-/// interpreted mode survives as a cross-checking oracle and an escape
-/// hatch, not as a differently-behaving mode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DecisionMode {
-    /// Walk the authorization list per request with the interpreting
-    /// engine (the pre-compilation behavior).
-    Interpreted = 0,
-    /// Answer from the snapshot-compiled decision tables; documents
-    /// unknown to the compiled snapshot fall back to the interpreter.
-    #[default]
-    Compiled = 1,
-}
 
 /// Declarative construction-time configuration for a [`StackServer`],
 /// consumed by [`StackServer::with_config`]:
@@ -57,7 +38,6 @@ pub struct ServerConfig {
     analysis_gate: Option<AnalysisGate>,
     fault_plan: Option<FaultPlan>,
     lockdep: Option<bool>,
-    decision_mode: Option<DecisionMode>,
 }
 
 impl ServerConfig {
@@ -112,15 +92,6 @@ impl ServerConfig {
         self.lockdep = Some(enabled);
         self
     }
-
-    /// Selects the [`DecisionMode`] for view resolution (default
-    /// [`DecisionMode::Compiled`]; equivalent to
-    /// [`StackServer::set_decision_mode`] after construction).
-    #[must_use]
-    pub fn decision_mode(mut self, mode: DecisionMode) -> Self {
-        self.decision_mode = Some(mode);
-        self
-    }
 }
 
 impl StackServer {
@@ -142,9 +113,6 @@ impl StackServer {
         if let Some(plan) = config.fault_plan {
             let _ = server.install_faults(plan);
         }
-        if let Some(mode) = config.decision_mode {
-            server.set_decision_mode(mode);
-        }
         server
     }
 }
@@ -160,14 +128,12 @@ mod tests {
             .shards(5)
             .queue_limit(3)
             .analysis_gate(AnalysisGate::Deny)
-            .fault_plan(FaultPlan::seeded(9).rule(FaultRule::new(FaultKind::CacheEvict)))
-            .decision_mode(DecisionMode::Interpreted);
+            .fault_plan(FaultPlan::seeded(9).rule(FaultRule::new(FaultKind::CacheEvict)));
         let server = StackServer::with_config(SecureWebStack::new([1u8; 32]), config);
         assert_eq!(server.shard_count(), 8, "5 rounds up to a power of two");
         assert_eq!(server.queue_limit(), 3);
         assert_eq!(server.analysis_gate(), AnalysisGate::Deny);
         assert!(server.injector().is_some(), "fault plan armed");
-        assert_eq!(server.decision_mode(), DecisionMode::Interpreted);
     }
 
     #[test]
@@ -179,7 +145,5 @@ mod tests {
         assert_eq!(server.queue_limit(), plain.queue_limit());
         assert_eq!(server.analysis_gate(), plain.analysis_gate());
         assert!(server.injector().is_none());
-        assert_eq!(server.decision_mode(), DecisionMode::Compiled);
-        assert_eq!(plain.decision_mode(), DecisionMode::Compiled);
     }
 }

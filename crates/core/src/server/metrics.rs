@@ -221,9 +221,9 @@ pub struct MetricsSnapshot {
     /// Warning-severity findings in the most recent cached policy-verifier
     /// report.
     pub policy_warnings: u64,
-    /// Cache-miss views answered by the snapshot-compiled decision tables
-    /// ([`websec_policy::CompiledPolicies`]) rather than the interpreting
-    /// engine (0 under [`crate::server::DecisionMode::Interpreted`]).
+    /// Views built by the snapshot-compiled decision tables
+    /// ([`websec_policy::CompiledPolicies`]): every L2 miss is answered
+    /// from them, so this always equals `cache_misses`.
     pub compiled_hits: u64,
     /// Total nanoseconds spent inside the compiled decision tables across
     /// all requests (an attribution within `layer_totals.xml_ns`).
@@ -360,7 +360,6 @@ pub(crate) struct LocalMetrics {
     pub faults_injected: u64,
     pub sessions_established: u64,
     pub session_reuses: u64,
-    pub compiled_hits: u64,
     pub channel_ns: u64,
     pub rdf_ns: u64,
     pub xml_ns: u64,
@@ -397,7 +396,6 @@ impl Default for LocalMetrics {
             faults_injected: 0,
             sessions_established: 0,
             session_reuses: 0,
-            compiled_hits: 0,
             channel_ns: 0,
             rdf_ns: 0,
             xml_ns: 0,
@@ -455,9 +453,6 @@ impl LocalMetrics {
                     CacheStatus::Coalesced => self.coalesced += 1,
                     _ => {}
                 }
-                if response.compiled {
-                    self.compiled_hits += 1;
-                }
                 let t = &response.timings;
                 let add = |a: &mut u64, v: u128| {
                     *a = a.saturating_add(u64::try_from(v).unwrap_or(u64::MAX));
@@ -507,7 +502,6 @@ pub(crate) struct MetricsInner {
     faults_injected: TrackedAtomicU64,
     sessions_established: TrackedAtomicU64,
     session_reuses: TrackedAtomicU64,
-    compiled_hits: TrackedAtomicU64,
     channel_ns: TrackedAtomicU64,
     rdf_ns: TrackedAtomicU64,
     xml_ns: TrackedAtomicU64,
@@ -537,7 +531,6 @@ impl Default for MetricsInner {
             faults_injected: TrackedAtomicU64::counter("server.metrics.faults_injected", 0),
             sessions_established: TrackedAtomicU64::counter("server.metrics.sessions_established", 0),
             session_reuses: TrackedAtomicU64::counter("server.metrics.session_reuses", 0),
-            compiled_hits: TrackedAtomicU64::counter("server.metrics.compiled_hits", 0),
             channel_ns: TrackedAtomicU64::counter("server.metrics.channel_ns", 0),
             rdf_ns: TrackedAtomicU64::counter("server.metrics.rdf_ns", 0),
             xml_ns: TrackedAtomicU64::counter("server.metrics.xml_ns", 0),
@@ -576,7 +569,6 @@ impl MetricsInner {
         add(&self.faults_injected, local.faults_injected);
         add(&self.sessions_established, local.sessions_established);
         add(&self.session_reuses, local.session_reuses);
-        add(&self.compiled_hits, local.compiled_hits);
         add(&self.channel_ns, local.channel_ns);
         add(&self.rdf_ns, local.rdf_ns);
         add(&self.xml_ns, local.xml_ns);
@@ -597,6 +589,7 @@ impl MetricsInner {
             *slot = counter.load(Ordering::Relaxed);
         }
         let sum = |f: fn(&ShardStats) -> u64| per_shard.iter().map(f).sum::<u64>();
+        let cache_misses = self.cache_misses.load(Ordering::Relaxed);
         MetricsSnapshot {
             requests: self.requests.load(Ordering::Relaxed),
             allowed: self.allowed.load(Ordering::Relaxed),
@@ -605,7 +598,7 @@ impl MetricsInner {
             enforced: self.enforced.load(Ordering::Relaxed),
             admitted_unchecked: self.admitted_unchecked.load(Ordering::Relaxed),
             cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            cache_misses: self.cache_misses.load(Ordering::Relaxed),
+            cache_misses,
             l1_hits: 0,
             l2_hits: sum(|s| s.l2_hits),
             coalesced: self.coalesced.load(Ordering::Relaxed),
@@ -634,7 +627,7 @@ impl MetricsInner {
             policy_warnings: 0,
             snapshot_compiles: 0,
             snapshot_compile_ns: 0,
-            compiled_hits: self.compiled_hits.load(Ordering::Relaxed),
+            compiled_hits: cache_misses,
             compile_ns: self.compile_ns.load(Ordering::Relaxed),
             layer_totals: LayerTimings {
                 channel_ns: u128::from(self.channel_ns.load(Ordering::Relaxed)),
@@ -663,8 +656,6 @@ mod tests {
             xml: String::new(),
             decision: Decision::Enforced,
             cache,
-            // Compiled tables only ever answer on a miss.
-            compiled: matches!(cache, CacheStatus::Miss),
             timings: LayerTimings {
                 channel_ns: 10,
                 rdf_ns: 20,
@@ -718,7 +709,7 @@ mod tests {
         assert_eq!(snap.cache_lock_waits, 2);
         assert_eq!(snap.latency.count, 3);
         assert_eq!(snap.layer_totals.total_ns(), 300, "compile_ns attributes, not adds");
-        assert_eq!(snap.compiled_hits, 1, "only the Miss was compiled");
+        assert_eq!(snap.compiled_hits, 1, "only the Miss built a view");
         assert_eq!(snap.compile_ns, 21);
         assert_eq!(snap.layer_totals.compile_ns, 21);
         assert!(snap.cache_hit_rate() > 0.0);

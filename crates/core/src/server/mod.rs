@@ -31,13 +31,16 @@
 //!   coalescing lock while requests are in flight. Deadline-carrying
 //!   requests never coalesce (a follower must not inherit a leader's
 //!   timing).
-//! * **Wait-free snapshot reads** — the immutable stack snapshot is
-//!   published through two generation-selected slots: readers take the
-//!   current slot (revalidating the generation), writers clone, mutate,
-//!   and publish into the *spare* slot under a dedicated update mutex
-//!   before flipping the generation. Readers never contend with a
-//!   writer's mutation work, and a panicked update closure can no longer
-//!   poison the read path.
+//! * **One published snapshot** — the immutable stack, the decision
+//!   tables compiled from it and its validity token are published as one
+//!   `Arc` behind one `RwLock`. Writers clone, mutate and compile under a
+//!   dedicated update mutex, then swap the `Arc` in under the write lock
+//!   and bump the generation. A reader takes the read lock once per
+//!   generation and keeps the `Arc` until the generation moves, so it
+//!   never waits on a writer's mutation work, and a panicked update
+//!   closure cannot poison the read path. Every L2 miss is answered from
+//!   the snapshot's compiled tables; the interpreting engine stays the
+//!   oracle of [`SecureWebStack::execute`] and the tests.
 //! * **Graceful degradation** — a panicking request evaluation, a poisoned
 //!   shard, or a dead worker degrades to `WS106`
 //!   ([`Error::ShardPoisoned`]) answers for the affected requests; every
@@ -71,7 +74,7 @@ mod shard;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, PoisonError, TryLockError};
+use std::sync::{Arc, PoisonError};
 use std::time::Instant;
 
 use crate::error::Error;
@@ -90,7 +93,7 @@ use websec_policy::{CompiledPolicies, PolicySnapshot, SubjectProfile};
 use websec_xml::Document;
 
 pub use analysis::AnalysisGate;
-pub use config::{DecisionMode, ServerConfig};
+pub use config::ServerConfig;
 pub use metrics::{BatchResponse, BatchStats, LatencyHistogram, MetricsSnapshot, ShardStats};
 
 /// Default shard count for the session table and L2 view cache. Sixteen
@@ -98,11 +101,15 @@ pub use metrics::{BatchResponse, BatchStats, LatencyHistogram, MetricsSnapshot, 
 /// staying cheap to snapshot; tune with [`StackServer::with_shards`].
 const DEFAULT_SHARDS: usize = 16;
 
-/// What a snapshot slot holds: the immutable stack plus the decision
-/// tables compiled from it at publication time. The pair is published and
-/// invalidated atomically — a reader can never observe a stack with
-/// another snapshot's compiled artifact.
-type SnapshotPair = (Arc<SecureWebStack>, Arc<CompiledPolicies>);
+/// One published snapshot: the immutable stack, the decision tables
+/// compiled from it at publication time, and the validity token both
+/// carry. Published and replaced as one `Arc`, so a reader can never pair
+/// a stack with another snapshot's tables or token.
+struct Published {
+    stack: Arc<SecureWebStack>,
+    compiled: Arc<CompiledPolicies>,
+    token: Token,
+}
 
 /// Compiles a stack's policy base into decision tables. Runs once per
 /// snapshot publication (under the update lock), never on a request path.
@@ -120,22 +127,19 @@ fn compile_stack(stack: &SecureWebStack) -> Arc<CompiledPolicies> {
 /// new configuration (cached views are token-checked, so no worker can
 /// serve a stale view past the epoch bump).
 pub struct StackServer {
-    /// Two generation-selected snapshot slots (`generation & 1` indexes
-    /// the current one). Readers take only the current slot; writers
-    /// prepare the new stack *outside* any slot lock, install it into the
-    /// spare slot, then flip the generation — so a reader never waits on
-    /// a writer's clone/mutate/analyze work, only (rarely) on the final
-    /// pointer swap.
-    snapshot: [TrackedRwLock<SnapshotPair>; 2],
+    /// The published snapshot. Writers prepare the new stack and tables
+    /// *outside* this lock and hold the write lock only to swap the `Arc`,
+    /// so a reader never waits on a writer's clone/mutate/analyze work.
+    snapshot: TrackedRwLock<Arc<Published>>,
     /// Serializes snapshot writers ([`StackServer::update`],
     /// [`StackServer::try_update`], [`StackServer::invalidate_views`]).
-    /// Outermost lock of the server: taken before any snapshot slot,
+    /// Outermost lock of the server: taken before the snapshot lock,
     /// never the reverse. Readers never touch it.
     update_lock: TrackedMutex<()>,
-    /// Bumped after every snapshot publication; selects the current slot
-    /// and pairs with the policy epoch to form the validity [`Token`] of
-    /// cached views. A synchronizing atomic: its Release/Acquire pairs
-    /// publish the slot flip.
+    /// The published snapshot's generation, stored after every swap.
+    /// Workers revalidate their cached snapshot against it with one load
+    /// instead of taking the lock. A synchronizing atomic: its
+    /// Release/Acquire pairs publish the swap.
     generation: TrackedAtomicU64,
     sessions: SessionShards,
     cache: L2ViewCache,
@@ -155,7 +159,7 @@ pub struct StackServer {
     /// The analysis memo: the most recently analysed snapshot's token,
     /// section fingerprints, per-pass analyzer results and both reports,
     /// plus the codes of the last analyzer run. Lock order: taken after
-    /// the update mutex, never while a snapshot slot lock is held.
+    /// the update mutex, never while the snapshot lock is held.
     analysis: TrackedMutex<analysis::AnalysisMemo>,
     /// The configured [`AnalysisGate`] (stored as its discriminant).
     analysis_gate: TrackedAtomicU8,
@@ -173,8 +177,6 @@ pub struct StackServer {
     policy_passes_run: TrackedAtomicU64,
     /// Policy-verifier passes answered from the incremental cache.
     policy_passes_reused: TrackedAtomicU64,
-    /// The configured [`DecisionMode`] (stored as its discriminant).
-    decision_mode: TrackedAtomicU8,
     /// Policy compilations performed (construction plus one per
     /// [`StackServer::update`]; [`StackServer::invalidate_views`] reuses
     /// the current artifact and does *not* recompile).
@@ -188,33 +190,25 @@ pub struct StackServer {
 /// live in the server's shared tables, never here.
 #[derive(Default)]
 struct WorkerState {
-    snapshot: Option<(u64, Arc<SecureWebStack>, Arc<CompiledPolicies>, Token)>,
+    snapshot: Option<Arc<Published>>,
     /// Batch worker index (`None` on the single-request serve path);
     /// worker-scoped fault rules match against it.
     index: Option<usize>,
 }
 
 impl WorkerState {
-    /// The current `(stack, compiled, token)` triple, reusing the cached
-    /// `Arc`s while the server's generation is unchanged (one relaxed-ish
-    /// atomic load on the hot path instead of a lock).
-    fn snapshot(
-        &mut self,
-        server: &StackServer,
-    ) -> (Arc<SecureWebStack>, Arc<CompiledPolicies>, Token) {
-        if let Some((generation, stack, compiled, token)) = &self.snapshot {
-            if *generation == server.generation.load(Ordering::Acquire) {
-                return (Arc::clone(stack), Arc::clone(compiled), *token);
+    /// The current snapshot, reusing the cached `Arc` while the server's
+    /// generation is unchanged (one atomic load on the hot path instead of
+    /// a lock).
+    fn snapshot(&mut self, server: &StackServer) -> Arc<Published> {
+        if let Some(published) = &self.snapshot {
+            if published.token.generation == server.generation.load(Ordering::Acquire) {
+                return Arc::clone(published);
             }
         }
-        let (stack, compiled, token) = server.snapshot_with_token();
-        self.snapshot = Some((
-            token.generation,
-            Arc::clone(&stack),
-            Arc::clone(&compiled),
-            token,
-        ));
-        (stack, compiled, token)
+        let published = server.snapshot_with_token();
+        self.snapshot = Some(Arc::clone(&published));
+        published
     }
 }
 
@@ -226,9 +220,9 @@ struct CachedViews<'a> {
     local: &'a mut LocalMetrics,
     /// Cache-layer injection hook (`None` on every non-chaos path).
     faults: Option<&'a FaultContext<'a>>,
-    /// The snapshot's compiled decision tables, consulted on an L2 miss;
-    /// `None` under [`DecisionMode::Interpreted`].
-    compiled: Option<&'a CompiledPolicies>,
+    /// The snapshot's compiled decision tables, which answer every L2
+    /// miss.
+    compiled: &'a CompiledPolicies,
 }
 
 impl ViewResolver for CachedViews<'_> {
@@ -259,37 +253,27 @@ impl ViewResolver for CachedViews<'_> {
             return ResolvedView {
                 view,
                 cache: CacheStatus::Hit,
-                compiled: false,
                 compile_ns: 0,
             };
         }
         self.local.bump_l2_shard_miss(shard);
         // Compute outside any lock; a racing worker may duplicate the work
-        // but both produce the same view. The compiled tables answer when
-        // armed and the document was part of the compiled snapshot; the
-        // interpreter covers the rest (and the Interpreted mode).
-        let (view, compiled, compile_ns) = match self
-            .compiled
-            .map(|tables| {
-                let t = Instant::now();
-                (tables.compute_view(profile, doc_name, doc), t.elapsed().as_nanos())
-            }) {
-            Some((Some(view), elapsed)) => (Arc::new(view), true, elapsed),
-            _ => (
-                Arc::new(
-                    stack
-                        .engine
-                        .compute_view(&stack.policies, profile, doc_name, doc),
-                ),
-                false,
-                0,
-            ),
-        };
+        // but both produce the same view. `compile()` compiles every
+        // document of the stack it is given, so a published snapshot's
+        // tables know each of its documents; the interpreter arm is only
+        // the answer for a document they were not compiled with.
+        let t = Instant::now();
+        let compiled = self.compiled.compute_view(profile, doc_name, doc);
+        let compile_ns = t.elapsed().as_nanos();
+        let view = Arc::new(compiled.unwrap_or_else(|| {
+            stack
+                .engine
+                .compute_view(&stack.policies, profile, doc_name, doc)
+        }));
         self.l2.insert(key, self.token, Arc::clone(&view));
         ResolvedView {
             view,
             cache: CacheStatus::Miss,
-            compiled,
             compile_ns,
         }
     }
@@ -373,22 +357,20 @@ impl StackServer {
     #[must_use]
     pub fn with_shards(stack: SecureWebStack, shards: usize) -> Self {
         let shards = shards.clamp(1, 4096).next_power_of_two();
-        let stack = Arc::new(stack);
-        // One compilation serves both slots: the artifact is immutable
-        // and slot contents are whole-pair swaps.
         let t = Instant::now();
         let compiled = compile_stack(&stack);
         let initial_compile_ns = u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        let token = Token {
+            generation: 0,
+            epoch: stack.policies.epoch(),
+        };
+        let published = Published {
+            stack: Arc::new(stack),
+            compiled,
+            token,
+        };
         StackServer {
-            // Both slots start at the initial snapshot so a reader racing
-            // the very first update can never observe an empty slot.
-            snapshot: [
-                TrackedRwLock::new(
-                    "server.snapshot",
-                    (Arc::clone(&stack), Arc::clone(&compiled)),
-                ),
-                TrackedRwLock::new("server.snapshot", (stack, compiled)),
-            ],
+            snapshot: TrackedRwLock::new("server.snapshot", Arc::new(published)),
             update_lock: TrackedMutex::new("server.update", ()),
             generation: TrackedAtomicU64::synchronizing("server.generation", 0),
             sessions: SessionShards::new(shards),
@@ -405,10 +387,6 @@ impl StackServer {
             gate_denials: TrackedAtomicU64::counter("server.gate_denials", 0),
             policy_passes_run: TrackedAtomicU64::counter("server.policy_passes_run", 0),
             policy_passes_reused: TrackedAtomicU64::counter("server.policy_passes_reused", 0),
-            decision_mode: TrackedAtomicU8::counter(
-                "server.decision_mode",
-                DecisionMode::Compiled as u8,
-            ),
             snapshot_compiles: TrackedAtomicU64::counter("server.snapshot_compiles", 1),
             snapshot_compile_ns: TrackedAtomicU64::counter(
                 "server.snapshot_compile_ns",
@@ -417,29 +395,11 @@ impl StackServer {
         }
     }
 
-    /// Selects which decision machinery resolves views on a cache miss.
-    /// Takes effect for every request that starts after the store; cached
-    /// views computed under the previous mode stay valid (the two modes
-    /// are equivalence-checked, so the bytes are the same).
-    pub fn set_decision_mode(&self, mode: DecisionMode) {
-        self.decision_mode.store(mode as u8, Ordering::Relaxed);
-    }
-
-    /// The configured [`DecisionMode`].
-    #[must_use]
-    pub fn decision_mode(&self) -> DecisionMode {
-        if self.decision_mode.load(Ordering::Relaxed) == DecisionMode::Interpreted as u8 {
-            DecisionMode::Interpreted
-        } else {
-            DecisionMode::Compiled
-        }
-    }
-
     /// The decision tables compiled from the current snapshot (published
     /// atomically with it; see [`websec_policy::CompiledPolicies`]).
     #[must_use]
     pub fn compiled_policies(&self) -> Arc<CompiledPolicies> {
-        self.current_pair().1
+        Arc::clone(&self.snapshot_with_token().compiled)
     }
 
     /// Policy compilations performed so far: one at construction plus one
@@ -520,82 +480,48 @@ impl StackServer {
     ///
     /// Never blocks on an in-progress [`StackServer::update`]'s mutation
     /// work and never panics: writers prepare the new stack privately and
-    /// only swap an `Arc` into the spare slot, so the read path survives
-    /// a panicked update closure untouched.
+    /// hold the snapshot lock only to swap an `Arc`, so the read path
+    /// survives a panicked update closure untouched.
     #[must_use]
     pub fn snapshot(&self) -> Arc<SecureWebStack> {
-        self.current_snapshot()
+        Arc::clone(&self.snapshot_with_token().stack)
     }
 
-    /// The current slot's snapshot. A poisoned slot heals itself: slot
-    /// contents are whole-pair swaps, so the value under a poisoned lock
-    /// is always a complete, valid snapshot.
-    fn current_snapshot(&self) -> Arc<SecureWebStack> {
-        self.current_pair().0
-    }
-
-    /// The current slot's `(stack, compiled)` pair.
-    fn current_pair(&self) -> SnapshotPair {
-        let generation = self.generation.load(Ordering::Acquire);
-        let guard = self.snapshot[(generation & 1) as usize]
-            .read()
-            .unwrap_or_else(PoisonError::into_inner);
-        (Arc::clone(&guard.0), Arc::clone(&guard.1))
-    }
-
-    /// The snapshot plus its validity token. Readers are wait-free in the
-    /// uncontended (and every read-read) case: one generation load, one
-    /// uncontended `try_read` of the current slot, one re-check. The only
-    /// retry happens when a writer flips the generation concurrently — the
-    /// re-check guarantees the token can never pair with the wrong
-    /// snapshot.
-    fn snapshot_with_token(&self) -> (Arc<SecureWebStack>, Arc<CompiledPolicies>, Token) {
-        loop {
-            let generation = self.generation.load(Ordering::Acquire);
-            let slot = &self.snapshot[(generation & 1) as usize];
-            let (stack, compiled) = match slot.try_read() {
-                Ok(guard) => (Arc::clone(&guard.0), Arc::clone(&guard.1)),
-                Err(TryLockError::Poisoned(poisoned)) => {
-                    let guard = poisoned.into_inner();
-                    (Arc::clone(&guard.0), Arc::clone(&guard.1))
-                }
-                Err(TryLockError::WouldBlock) => {
-                    // A writer is republishing this slot, which means the
-                    // generation just moved (or is about to): reload it and
-                    // take the new current slot.
-                    std::hint::spin_loop();
-                    continue;
-                }
-            };
-            if self.generation.load(Ordering::Acquire) == generation {
-                let epoch = stack.policies.epoch();
-                return (stack, compiled, Token { generation, epoch });
-            }
-            // An update flipped the slot between the generation read and
-            // the slot read; retry so the token matches the snapshot.
-        }
+    /// The published snapshot: stack, tables and token from one read of
+    /// the one lock, so the three always belong together. A poisoned lock
+    /// heals itself: its value is only ever replaced whole, so it is
+    /// always a complete snapshot.
+    fn snapshot_with_token(&self) -> Arc<Published> {
+        Arc::clone(&self.snapshot.read().unwrap_or_else(PoisonError::into_inner))
     }
 
     /// Installs `stack` (with the decision tables compiled from it) as the
-    /// new current snapshot: writes the pair into the spare slot, flips
-    /// the generation (Release — the publication edge readers acquire),
-    /// and drops every cached view. Returns the new snapshot's token.
+    /// new current snapshot: swaps the `Arc` under the write lock, stores
+    /// the new generation (Release — the publication edge workers
+    /// acquire), and drops every cached view. The replaced snapshot is
+    /// dropped after the lock is released. Returns the new snapshot's
+    /// token.
     ///
-    /// Must be called with `update_lock` held — the spare slot is only
-    /// "spare" while no other writer can flip the generation underneath.
+    /// Must be called with `update_lock` held, so the generation read here
+    /// is still the latest when it is stored back.
     fn publish(&self, stack: Arc<SecureWebStack>, compiled: Arc<CompiledPolicies>) -> Token {
-        let epoch = stack.policies.epoch();
-        let generation = self.generation.load(Ordering::Acquire);
-        let spare = ((generation + 1) & 1) as usize;
-        {
-            let mut guard = self.snapshot[spare]
-                .write()
-                .unwrap_or_else(PoisonError::into_inner);
-            *guard = (stack, compiled);
-        }
-        let generation = self.generation.fetch_add(1, Ordering::Release) + 1;
+        let token = Token {
+            generation: self.generation.load(Ordering::Acquire) + 1,
+            epoch: stack.policies.epoch(),
+        };
+        let published = Arc::new(Published {
+            stack,
+            compiled,
+            token,
+        });
+        let replaced = {
+            let mut current = self.snapshot.write().unwrap_or_else(PoisonError::into_inner);
+            std::mem::replace(&mut *current, published)
+        };
+        self.generation.store(token.generation, Ordering::Release);
         self.cache.clear();
-        Token { generation, epoch }
+        drop(replaced);
+        token
     }
 
     /// Compiles `stack` under the update lock, attributing the elapsed
@@ -613,22 +539,22 @@ impl StackServer {
 
     /// Mutates the stack configuration (documents, policies, labels,
     /// context, gate) on a private clone of the snapshot, then publishes
-    /// the clone into the spare slot and drops every cached view.
+    /// the clone and drops every cached view.
     ///
     /// Takes `&self`: mutation is safe *during* concurrent serving.
     /// In-flight requests complete against the snapshot they started with;
     /// any request that starts after `update` returns observes the new
     /// configuration (cached views and coalesced results are
     /// token-checked, so none can survive the bump). Readers never wait on
-    /// the mutation: `mutate` runs on the private clone, outside every
-    /// slot lock — and if it panics, the current snapshot is untouched and
-    /// serving continues unaffected.
+    /// the mutation: `mutate` runs on the private clone, outside the
+    /// snapshot lock — and if it panics, the current snapshot is untouched
+    /// and serving continues unaffected.
     pub fn update<R>(&self, mutate: impl FnOnce(&mut SecureWebStack) -> R) -> R {
         let _writer = self
             .update_lock
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
-        let mut candidate = (*self.current_snapshot()).clone();
+        let mut candidate = (*self.snapshot()).clone();
         let result = mutate(&mut candidate);
         let compiled = self.compile_for_publication(&candidate);
         self.publish(Arc::new(candidate), compiled);
@@ -637,17 +563,17 @@ impl StackServer {
 
     /// Explicitly invalidates every cached view (e.g. after out-of-band
     /// mutation of state neither the policy epoch nor the snapshot
-    /// generation can observe). Republishes the *current* snapshot `Arc`
+    /// generation can observe). Republishes the current stack and tables
     /// (no deep clone, and no recompilation — the stack is unchanged, so
-    /// the existing compiled artifact stays exact) so the generation bump
-    /// moves readers to the other slot without changing what they see.
+    /// the existing compiled artifact stays exact) under a new token,
+    /// without changing what readers see.
     pub fn invalidate_views(&self) {
         let _writer = self
             .update_lock
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
-        let (stack, compiled) = self.current_pair();
-        self.publish(stack, compiled);
+        let current = self.snapshot_with_token();
+        self.publish(Arc::clone(&current.stack), Arc::clone(&current.compiled));
     }
 
     /// The full evaluation of one request against the current snapshot,
@@ -665,7 +591,8 @@ impl StackServer {
         local: &mut LocalMetrics,
         deadline: Option<u64>,
     ) -> Result<QueryResponse, Error> {
-        let (stack, compiled, token) = worker.snapshot(self);
+        let published = worker.snapshot(self);
+        let stack = &published.stack;
         let identity = &request.subject_profile().identity;
         let injector = self.injector();
         let ctx = injector.as_ref().map(|inj| FaultContext {
@@ -753,13 +680,10 @@ impl StackServer {
         }
         let mut resolver = CachedViews {
             l2: &self.cache,
-            token,
+            token: published.token,
             local,
             faults: ctx.as_ref(),
-            compiled: match self.decision_mode() {
-                DecisionMode::Compiled => Some(&*compiled),
-                DecisionMode::Interpreted => None,
-            },
+            compiled: &published.compiled,
         };
         stack.execute_in_session(request, &mut guard, &mut resolver)
     }
@@ -1147,6 +1071,54 @@ mod tests {
     }
 
     #[test]
+    fn every_read_pairs_stack_tables_and_token_while_updates_publish() {
+        const UPDATES: u64 = 50;
+        let server = StackServer::new(stack());
+        let done = TrackedAtomicBool::synchronizing("test.updates_done", false);
+        std::thread::scope(|scope| {
+            let readers: Vec<_> = (0..3)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut last_generation = 0;
+                        loop {
+                            let finished = done.load(Ordering::Acquire);
+                            let published = server.snapshot_with_token();
+                            let token = published.token;
+                            assert_eq!(token.epoch, published.stack.policies.epoch());
+                            assert_eq!(token.epoch, published.compiled.epoch());
+                            assert!(
+                                token.generation >= last_generation,
+                                "generation went back from {last_generation} to {}",
+                                token.generation
+                            );
+                            last_generation = token.generation;
+                            if finished {
+                                return last_generation;
+                            }
+                        }
+                    })
+                })
+                .collect();
+            let first_epoch = server.snapshot().policies.epoch();
+            for i in 0..UPDATES {
+                server.update(|s| {
+                    s.policies.add(
+                        Authorization::for_subject(SubjectSpec::Identity(format!("s{i}")))
+                            .on(ObjectSpec::Document("h.xml".into()))
+                            .privilege(Privilege::Read)
+                            .deny(),
+                    );
+                });
+            }
+            assert!(server.snapshot().policies.epoch() >= first_epoch + UPDATES);
+            done.store(true, Ordering::Release);
+            for reader in readers {
+                assert_eq!(reader.join().unwrap(), UPDATES, "missed the last update");
+            }
+        });
+    }
+
+    #[test]
     fn batch_results_are_positional() {
         let server = StackServer::new(stack());
         let requests: Vec<QueryRequest> = (0..64)
@@ -1264,7 +1236,7 @@ mod tests {
         // Poison the doctor's session mutex by panicking while holding it.
         let session = {
             let mut local = LocalMetrics::default();
-            let (stack, _, _) = server.snapshot_with_token();
+            let stack = server.snapshot();
             server
                 .sessions
                 .get_or_establish(

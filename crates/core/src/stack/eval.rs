@@ -45,18 +45,13 @@ impl LayerTimings {
 }
 
 /// The outcome of view resolution: the authorized view plus how it was
-/// produced — which cache level served it, whether the compiled decision
-/// tables (rather than the interpreting engine) computed it, and how long
-/// the compiled tables took.
+/// produced — which cache level served it, and how long the compiled
+/// decision tables took to build it.
 pub(crate) struct ResolvedView {
     pub(crate) view: Arc<Document>,
     pub(crate) cache: CacheStatus,
-    /// True when the view came out of [`websec_policy::CompiledPolicies`]
-    /// decision tables on this request (always false on cache hits — the
-    /// stored view's provenance is not re-reported).
-    pub(crate) compiled: bool,
-    /// Nanoseconds spent inside the compiled tables (0 on the interpreted
-    /// path).
+    /// Nanoseconds spent inside the compiled tables (0 on a cache hit and
+    /// on the interpreting [`FreshViews`] path).
     pub(crate) compile_ns: u128,
 }
 
@@ -90,7 +85,6 @@ impl ViewResolver for FreshViews {
                 stack.engine.compute_view(&stack.policies, profile, doc_name, doc),
             ),
             cache: CacheStatus::Bypass,
-            compiled: false,
             compile_ns: 0,
         }
     }
@@ -165,7 +159,7 @@ impl SecureWebStack {
             .documents
             .get(doc_name)
             .ok_or_else(|| Error::UnknownDocument(doc_name.to_string()))?;
-        let (result_xml, cache, compiled) = if enforce {
+        let (result_xml, cache) = if enforce {
             let resolved = resolver.resolve(self, profile, doc_name, doc);
             timings.compile_ns += resolved.compile_ns;
             let view = resolved.view;
@@ -175,7 +169,7 @@ impl SecureWebStack {
                 .map(|&n| view.subtree_xml(n))
                 .collect::<Vec<_>>()
                 .join("");
-            (xml, resolved.cache, resolved.compiled)
+            (xml, resolved.cache)
         } else {
             // Unchecked fast path: raw query on the stored document.
             let xml = path
@@ -184,7 +178,7 @@ impl SecureWebStack {
                 .map(|&n| String::from_utf8_lossy(&doc.canonical_bytes(n)).to_string())
                 .collect::<Vec<_>>()
                 .join("");
-            (xml, CacheStatus::Bypass, false)
+            (xml, CacheStatus::Bypass)
         };
         timings.xml_ns += t.elapsed().as_nanos();
 
@@ -203,7 +197,6 @@ impl SecureWebStack {
                 Decision::AdmittedUnchecked
             },
             cache,
-            compiled,
             timings,
         })
     }

@@ -129,7 +129,7 @@ pub(crate) struct CompiledDoc {
 }
 
 /// The compiled artifact: immutable, shared behind an `Arc` inside the
-/// server's two-slot snapshot, invalidated exactly like every other
+/// server's one published snapshot, invalidated exactly like every other
 /// snapshot derivative by the `{generation, epoch}` token.
 #[derive(Debug)]
 pub struct CompiledPolicies {

@@ -10,6 +10,12 @@
 
 use std::fmt::Write as _;
 
+/// Deepest array/object nesting [`Json::parse`] accepts (the XML parser's
+/// limit; a top-level container is level 1). The parser recurses once per
+/// level, so deeper input is refused with an `Err` instead of overflowing
+/// the stack.
+const MAX_DEPTH: usize = 256;
+
 /// A JSON value. Objects are ordered key/value vectors (insertion order is
 /// preserved and rendered verbatim — the report's byte-stability depends
 /// on it).
@@ -189,11 +195,11 @@ impl Json {
     }
 
     /// Parses a JSON document. Errors carry a byte offset and a short
-    /// description.
+    /// description. Nesting deeper than 256 levels is an error.
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 1)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing data at byte {pos}"));
@@ -252,10 +258,16 @@ fn expect(bytes: &[u8], pos: &mut usize, token: &str) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parses the value at `pos`; a container opened here sits at nesting
+/// level `depth`.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err("unexpected end of input".to_string()),
+        Some(b'[' | b'{') if depth > MAX_DEPTH => Err(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {pos}",
+            pos = *pos
+        )),
         Some(b'n') => expect(bytes, pos, "null").map(|()| Json::Null),
         Some(b't') => expect(bytes, pos, "true").map(|()| Json::Bool(true)),
         Some(b'f') => expect(bytes, pos, "false").map(|()| Json::Bool(false)),
@@ -269,7 +281,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -297,7 +309,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                     return Err(format!("expected ':' at byte {pos}", pos = *pos));
                 }
                 *pos += 1;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(bytes, pos, depth + 1)?;
                 pairs.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -432,6 +444,31 @@ mod tests {
         let v = Json::Str("héllo\tworld\u{1}".to_string());
         let rendered = v.render();
         assert_eq!(Json::parse(&rendered).unwrap(), v);
+    }
+
+    fn nested(levels: usize) -> String {
+        "[".repeat(levels) + &"]".repeat(levels)
+    }
+
+    #[test]
+    fn nesting_at_the_limit_parses() {
+        let v = Json::parse(&nested(MAX_DEPTH)).unwrap();
+        assert_eq!(v.render(), nested(MAX_DEPTH));
+        let objects = r#"{"a":"#.repeat(MAX_DEPTH - 1) + "[]" + &"}".repeat(MAX_DEPTH - 1);
+        assert!(Json::parse(&objects).is_ok());
+    }
+
+    #[test]
+    fn nesting_past_the_limit_is_refused() {
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting"), "{err}");
+        let objects = r#"{"a":"#.repeat(MAX_DEPTH) + "{}" + &"}".repeat(MAX_DEPTH);
+        assert!(Json::parse(&objects).is_err());
+    }
+
+    #[test]
+    fn hostile_nesting_fails_closed() {
+        assert!(Json::parse(&nested(100_000)).is_err());
     }
 
     #[test]

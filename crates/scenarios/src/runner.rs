@@ -137,12 +137,9 @@ pub fn run_scenario(scenario: &Scenario, workspace_rev: &str) -> ScenarioRun {
         .traffic
         .generate(&scenario.corpus, scenario.requests, &mut rng);
 
-    let make_config = || {
-        let mut config = ServerConfig::new().decision_mode(scenario.decision_mode);
-        if let Some(depth) = scenario.queue_limit {
-            config = config.queue_limit(depth);
-        }
-        config
+    let make_config = || match scenario.queue_limit {
+        Some(depth) => ServerConfig::new().queue_limit(depth),
+        None => ServerConfig::new(),
     };
     let build_server = |faulted: bool| {
         let server = StackServer::with_config(hospital_stack(&scenario.corpus), make_config());

@@ -2,9 +2,9 @@
 //!
 //! A scenario is everything one run needs, declared as a plain value:
 //! corpus shape, traffic recipe, fault plan, revocation storm, UDDI churn,
-//! mining pipeline, adversarial channel attacks, decision mode, worker
-//! sweep, and the invariants the run must uphold. Because the whole
-//! configuration is data, it is diffable, `Debug`-fingerprintable (see
+//! mining pipeline, adversarial channel attacks, worker sweep, and the
+//! invariants the run must uphold. Because the whole configuration is
+//! data, it is diffable, `Debug`-fingerprintable (see
 //! [`Scenario::fingerprint`]), and replayable from its seed alone.
 
 use crate::corpus::HospitalSpec;
@@ -131,8 +131,6 @@ pub struct Scenario {
     pub rounds: usize,
     /// Admission-control queue depth, if bounded.
     pub queue_limit: Option<usize>,
-    /// Decision path the servers under test run.
-    pub decision_mode: DecisionMode,
     /// Seeded fault plan installed on the configured servers (the oracle
     /// server always runs fault-free).
     pub fault_plan: Option<FaultPlan>,
@@ -169,7 +167,6 @@ impl Scenario {
             warmup: Warmup::Warm,
             rounds: 1,
             queue_limit: None,
-            decision_mode: DecisionMode::Compiled,
             fault_plan: None,
             revocation: None,
             uddi: None,
@@ -226,13 +223,6 @@ impl Scenario {
     #[must_use]
     pub fn queue_limit(mut self, depth: usize) -> Self {
         self.queue_limit = Some(depth);
-        self
-    }
-
-    /// Pins the scenario to the interpreting decision path.
-    #[must_use]
-    pub fn interpreted(mut self) -> Self {
-        self.decision_mode = DecisionMode::Interpreted;
         self
     }
 
@@ -366,7 +356,6 @@ mod tests {
         let fp = base.clone().fingerprint(rev);
         assert_eq!(fp, base.clone().fingerprint(rev), "fingerprint is stable");
         assert_ne!(fp, base.clone().requests(512).fingerprint(rev));
-        assert_ne!(fp, base.clone().interpreted().fingerprint(rev));
         assert_ne!(fp, base.clone().gate_probe().fingerprint(rev));
         assert_ne!(
             fp,

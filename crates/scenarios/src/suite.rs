@@ -46,8 +46,7 @@ pub fn smoke() -> Vec<Scenario> {
             .invariant(Invariant::SerialEquivalence)
             .invariant(Invariant::ErrorsAreWs1xx),
         // Every request a unique subject: nothing coalesces, no cache
-        // level answers twice — pure scheduler + evaluation scaling,
-        // pinned to the interpreted path like the bench's no-dup sweep.
+        // level answers twice — pure scheduler + evaluation scaling.
         Scenario::named("nodup_worstcase", 0x5EED_0002)
             .corpus(HospitalSpec::bench())
             .traffic(Recipe::nodup_worstcase())
@@ -55,7 +54,6 @@ pub fn smoke() -> Vec<Scenario> {
             .workers(vec![1, 4])
             .warmup(Warmup::Cold)
             .rounds(2)
-            .interpreted()
             .invariant(Invariant::SerialEquivalence)
             .invariant(Invariant::ErrorsAreWs1xx),
         // The chaos contract under the seeded ~10% plan: every faulted

@@ -39,11 +39,18 @@ impl std::fmt::Display for ParseError {
 impl std::error::Error for ParseError {}
 
 struct Parser<'a> {
-    input: &'a [u8],
+    /// The whole input. Scanning is bytewise; text and attribute
+    /// characters are decoded one at a time from this already-valid
+    /// `&str`.
+    input: &'a str,
     pos: usize,
 }
 
 impl<'a> Parser<'a> {
+    fn bytes(&self) -> &'a [u8] {
+        self.input.as_bytes()
+    }
+
     fn err<T>(&self, message: impl Into<String>) -> Result<T, ParseError> {
         Err(ParseError {
             offset: self.pos,
@@ -52,11 +59,11 @@ impl<'a> Parser<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.input.get(self.pos).copied()
+        self.bytes().get(self.pos).copied()
     }
 
     fn starts_with(&self, s: &str) -> bool {
-        self.input[self.pos..].starts_with(s.as_bytes())
+        self.bytes()[self.pos..].starts_with(s.as_bytes())
     }
 
     fn bump(&mut self, n: usize) {
@@ -122,7 +129,7 @@ impl<'a> Parser<'a> {
         if self.pos == start {
             return self.err("expected a name");
         }
-        let name = std::str::from_utf8(&self.input[start..self.pos])
+        let name = std::str::from_utf8(&self.bytes()[start..self.pos])
             .map_err(|_| ParseError {
                 offset: start,
                 message: "name is not valid UTF-8".into(),
@@ -147,7 +154,7 @@ impl<'a> Parser<'a> {
         if self.peek() != Some(b';') {
             return self.err("unterminated entity reference");
         }
-        let body = std::str::from_utf8(&self.input[start..self.pos]).map_err(|_| ParseError {
+        let body = std::str::from_utf8(&self.bytes()[start..self.pos]).map_err(|_| ParseError {
             offset: start,
             message: "entity is not valid UTF-8".into(),
         })?;
@@ -209,10 +216,12 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Decodes the one character at `pos` in constant time. A `pos`
+    /// inside a multi-byte character is a [`ParseError`], not a panic.
     fn next_char(&mut self) -> Result<char, ParseError> {
-        let rest = std::str::from_utf8(&self.input[self.pos..]).map_err(|_| ParseError {
+        let rest = self.input.get(self.pos..).ok_or(ParseError {
             offset: self.pos,
-            message: "input is not valid UTF-8".into(),
+            message: "position is inside a UTF-8 character".into(),
         })?;
         let ch = rest.chars().next().ok_or(ParseError {
             offset: self.pos,
@@ -309,10 +318,7 @@ impl Document {
     /// Parses an XML string into a document. Nesting deeper than 256
     /// levels is refused with a [`ParseError`].
     pub fn parse(input: &str) -> Result<Document, ParseError> {
-        let mut p = Parser {
-            input: input.as_bytes(),
-            pos: 0,
-        };
+        let mut p = Parser { input, pos: 0 };
         p.skip_misc()?;
         if p.peek() != Some(b'<') {
             return p.err("expected root element");
@@ -459,6 +465,32 @@ mod tests {
     fn unicode_content() {
         let d = Document::parse("<r>héllo wörld — ✓</r>").unwrap();
         assert_eq!(d.text_content(d.root()), "héllo wörld — ✓");
+    }
+
+    #[test]
+    fn megabyte_text_and_attribute_round_trip() {
+        const MIB: usize = 1 << 20;
+        // Multi-byte characters and escapes, so every decoding branch runs
+        // a million times.
+        let text: String = "ab<é&✓>".chars().cycle().take(MIB).collect();
+        let mut d = Document::new("r");
+        d.add_text(d.root(), &text);
+        d.set_attribute(d.root(), "v", &text);
+        let xml = d.to_xml_string();
+        let parsed = Document::parse(&xml).unwrap();
+        assert_eq!(parsed.text_content(parsed.root()), text);
+        assert_eq!(parsed.attribute(parsed.root(), "v"), Some(text.as_str()));
+        let reparsed = Document::parse(&parsed.to_xml_string()).unwrap();
+        assert_eq!(reparsed.to_xml_string(), xml);
+    }
+
+    #[test]
+    fn position_inside_a_character_is_an_error() {
+        let input = "é";
+        let mut p = Parser { input, pos: 1 };
+        let err = p.next_char().unwrap_err();
+        assert_eq!(err.offset, 1);
+        assert!(err.message.contains("inside"), "{err}");
     }
 
     #[test]

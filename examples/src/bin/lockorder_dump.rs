@@ -2,10 +2,9 @@
 //!
 //! Enables the `websec_core::sync` detector, drives a **fixed, serial**
 //! workload through every synchronized subsystem of the serving engine
-//! (sessions, both cache levels, the snapshot seqlock, the fault
-//! injector, coalescing queues, the analysis memo and the `Deny` update
-//! gate), and prints
-//! the resulting lock-order graph as deterministic JSON.
+//! (sessions, the view cache, the snapshot lock, the fault injector, the
+//! batch claim cursor, the analysis memo and the `Deny` update gate), and
+//! prints the resulting lock-order graph as deterministic JSON.
 //!
 //! The workload is deliberately single-threaded with a fixed shard count
 //! and a one-worker batch: acquisition counts then depend only on the

@@ -16,25 +16,22 @@
 //! * **sweep_nodup** — the same sweep over a worst-case **no-duplicate**
 //!   workload (every request a unique subject and portion, so nothing
 //!   coalesces and no cache level can answer twice): pure scheduler +
-//!   evaluation scaling, pinned to `DecisionMode::Interpreted` so each
-//!   miss keeps the per-request cost the scaling bar was calibrated
-//!   against (compiled-path speed is gated separately below). check.sh
-//!   gates `nodup_speedup_8w_over_1w >= nodup_expected_speedup`, where
-//!   the expected value is derived from the core count (3x on >= 8
-//!   cores, a no-regression floor on 1);
+//!   evaluation scaling on the default server. Gated:
+//!   `nodup_speedup_8w_over_1w >= nodup_expected_speedup`, where the
+//!   expected value is derived from the core count (3x on >= 8 cores, a
+//!   no-regression floor on 1);
 //! * **faulted** — serial vs headline-width batch under a seeded ~10%
 //!   fault-injection plan (channel drops, cache evictions, slow
 //!   evaluations) with admission control engaged: the batch engine must
-//!   keep its edge while faults are landing (`faulted_parallel_qps >=
-//!   faulted_serial_qps` is gated by check.sh);
+//!   keep its edge while faults are landing (gated:
+//!   `faulted_parallel_qps >= faulted_serial_qps`);
 //! * **analysis** — cold full analyzer run (all twelve passes) vs the
 //!   epoch-keyed incremental re-analysis after a single privacy-section
-//!   mutation (`analysis_incremental_us <= analysis_full_us` is gated by
-//!   check.sh), plus the static policy verifier (WS013–WS018): a cold
-//!   full run over the compiled decision plane vs the token-keyed
-//!   incremental re-check after a snapshot republication
-//!   (`policy_verify_incremental_us <= policy_verify_full_us` is gated
-//!   by check.sh);
+//!   mutation (gated: `analysis_incremental_us <= analysis_full_us`),
+//!   plus the static policy verifier (WS013–WS018): a cold full run over
+//!   the compiled decision plane vs the token-keyed incremental re-check
+//!   after a snapshot republication (gated:
+//!   `policy_verify_incremental_us <= policy_verify_full_us`);
 //! * **compiled** — the snapshot-compiled decision path over a generated
 //!   large store (100k documents, 10k subjects, every request a unique
 //!   subject so no cache level can answer): `CompiledPolicies::compute_view`
@@ -42,8 +39,8 @@
 //!   cache-miss traffic, plus the one-time compile cost, a sampled
 //!   byte-equality sweep between the two paths, and the analyzer
 //!   cross-check (`StackServer::verify_compiled`, WS001/WS002 over the
-//!   compiled form). check.sh gates `compiled_speedup >= 5` and both
-//!   equivalence booleans;
+//!   compiled form). Gated: `compiled_speedup >= 5` and both equivalence
+//!   booleans;
 //! * **lockdep** — an in-process A/B probe of the `websec_core::sync`
 //!   wrappers: the per-request synchronization pattern (two Acquire
 //!   loads, one RwLock read, one Mutex lock, two relaxed counter bumps,
@@ -51,8 +48,8 @@
 //!   against the tracked wrappers with detection compiled in but
 //!   **disabled**. Rounds run in back-to-back pairs and the reported
 //!   ratio is the best pair (one quiet scheduler window suffices for a
-//!   fair comparison on a noisy box); check.sh gates
-//!   `lockdep_off_ratio >= 0.98` — the ≤ 2% detector-off overhead bar.
+//!   fair comparison on a noisy box). Gated: `lockdep_off_ratio >= 0.98`
+//!   — the ≤ 2% detector-off overhead bar.
 //!   An informational detector-**on** batch run over the real engine
 //!   rounds out the section.
 //!
@@ -63,17 +60,20 @@
 //! contention counters in the JSON keep the "contention-free" claim
 //! honest: lock waits stay near zero as workers scale.
 //!
-//! Emits `BENCH_serving.json` in the working directory so the bench
-//! trajectory can be tracked across PRs, and asserts nothing — check.sh
-//! runs it and gates on `parallel_qps >= serial_qps`.
+//! Writes `BENCH_serving.json` in the working directory, then evaluates
+//! the [`GATES`] table (among them `parallel_qps >= serial_qps`) against
+//! the values exactly as written there, prints one line per gate, and
+//! exits non-zero when any gate fails. `check.sh` runs it as one step.
 //!
 //! Run with: `cargo run --release -p websec-examples --bin serving_bench`
 
+use std::process::ExitCode;
 use std::time::Instant;
 use websec_core::prelude::*;
 use websec_core::{fnv1a, FNV1A_START};
 use websec_scenarios::{
-    hospital_stack, large_store, large_store_profiles, suite, HospitalSpec, LargeStoreSpec, Recipe,
+    hospital_stack, large_store, large_store_profiles, suite, HospitalSpec, Json, LargeStoreSpec,
+    Recipe,
 };
 
 const REQUESTS: usize = 4096;
@@ -266,6 +266,86 @@ fn probe_tracked_off(workers: usize) -> f64 {
     qps(PROBE_OPS, secs)
 }
 
+/// How a gated key must compare with its bound.
+#[derive(Clone, Copy, Debug)]
+enum Cmp {
+    AtLeast,
+    AtMost,
+}
+
+/// What a gated key is compared with: a constant, or another key of the
+/// same JSON.
+#[derive(Clone, Copy, Debug)]
+enum Bound {
+    Value(f64),
+    Key(&'static str),
+}
+
+/// One gate row: a key of `BENCH_serving.json`, its comparison, and its
+/// bound.
+type Gate = (&'static str, Cmp, Bound);
+
+/// The bench's gates, evaluated by [`check_gates`] against
+/// `BENCH_serving.json` exactly as written.
+#[rustfmt::skip]
+const GATES: [Gate; 9] = [
+    // The 4-worker batch engine must not lose to the serial serve() loop,
+    ("parallel_qps", Cmp::AtLeast, Bound::Key("serial_qps")),
+    // and must keep its edge under the seeded ~10% fault plan.
+    ("faulted_parallel_qps", Cmp::AtLeast, Bound::Key("faulted_serial_qps")),
+    // No-dup traffic: 8 workers beat 1 by the core-aware factor.
+    ("nodup_speedup_8w_over_1w", Cmp::AtLeast, Bound::Key("nodup_expected_speedup")),
+    // Incremental re-analysis after one mutation costs no more than a
+    // cold full run, and neither does the policy verifier's re-check
+    // after a republication.
+    ("analysis_incremental_us", Cmp::AtMost, Bound::Key("analysis_full_us")),
+    ("policy_verify_incremental_us", Cmp::AtMost, Bound::Key("policy_verify_full_us")),
+    // The compiled tables beat the interpreter >= 5x on unique-subject
+    // misses over the large store, agree with it byte for byte on the
+    // sampled traffic, and pass the analyzer cross-check.
+    ("compiled_speedup", Cmp::AtLeast, Bound::Value(5.0)),
+    ("compiled_equivalent", Cmp::AtLeast, Bound::Value(1.0)),
+    ("compiled_verify_ok", Cmp::AtLeast, Bound::Value(1.0)),
+    // The tracked sync wrappers, detector off, stay within 2% of raw
+    // std::sync.
+    ("lockdep_off_ratio", Cmp::AtLeast, Bound::Value(0.98)),
+];
+
+/// Evaluates `gates` against `json`, the text written to
+/// `BENCH_serving.json`, and prints one line per gate. A key the JSON
+/// lacks (or JSON that does not parse) fails its gate. Returns whether
+/// every gate passed.
+fn check_gates(json: &str, gates: &[Gate]) -> bool {
+    let parsed = Json::parse(json).unwrap_or(Json::Null);
+    let value = |key: &str| parsed.get(key).and_then(Json::as_f64);
+    let mut all_passed = true;
+    for &(key, cmp, bound) in gates {
+        let (limit, limit_name) = match bound {
+            Bound::Value(v) => (Some(v), format!("{v}")),
+            Bound::Key(other) => (value(other), other.to_string()),
+        };
+        let measured = value(key);
+        let passed = match (measured, limit, cmp) {
+            (Some(v), Some(l), Cmp::AtLeast) => v >= l,
+            (Some(v), Some(l), Cmp::AtMost) => v <= l,
+            _ => false,
+        };
+        let op = match cmp {
+            Cmp::AtLeast => ">=",
+            Cmp::AtMost => "<=",
+        };
+        let shown = |v: Option<f64>| v.map_or("missing".to_string(), |v| v.to_string());
+        println!(
+            "  gate {key} {op} {limit_name}: {} vs {} {}",
+            shown(measured),
+            shown(limit),
+            if passed { "ok" } else { "FAIL" }
+        );
+        all_passed &= passed;
+    }
+    all_passed
+}
+
 struct SweepPoint {
     workers: usize,
     qps: f64,
@@ -275,7 +355,7 @@ struct SweepPoint {
     cache_lock_waits: u64,
 }
 
-fn main() {
+fn main() -> ExitCode {
     let requests = build_requests();
     let cores = std::thread::available_parallelism().map_or(1, usize::from);
 
@@ -334,13 +414,7 @@ fn main() {
     // than the cross-batch metrics ledger) report the coalescing count.
     // Each point reports its best of three rounds: a scheduler or
     // frequency spike poisons at most the round it overlaps, and the gate
-    // below compares two best-case numbers, not two noise samples. The
-    // sweep pins DecisionMode::Interpreted: its gate measures scheduler
-    // scaling at the per-miss cost the bar was calibrated against, and the
-    // compiled path would shrink each request ~10x so fixed scheduling
-    // overhead dominates the ratio on narrow boxes (the compiled path has
-    // its own speedup/equivalence gates in the **compiled** section).
-    let nodup_config = || ServerConfig::new().decision_mode(DecisionMode::Interpreted);
+    // compares two best-case numbers, not two noise samples.
     let nodup_requests = build_nodup_requests();
     let mut sweep_nodup = Vec::new();
     let mut nodup_qps_1w: f64 = 0.0;
@@ -349,11 +423,11 @@ fn main() {
         let batch = BatchRequest::new(nodup_requests.clone()).workers(workers);
         // Unmeasured warmup round: first-touch allocation and ramp-up land
         // outside the scored rounds.
-        let _ = StackServer::with_config(build_stack(), nodup_config()).serve_batch(&batch);
+        let _ = StackServer::new(build_stack()).serve_batch(&batch);
         let mut point_qps: f64 = 0.0;
         let mut point_stats = None;
         for _ in 0..3 {
-            let server = StackServer::with_config(build_stack(), nodup_config());
+            let server = StackServer::new(build_stack());
             let t = Instant::now();
             let response = server.serve_batch(&batch);
             let secs = t.elapsed().as_secs_f64();
@@ -391,7 +465,7 @@ fn main() {
 
     // Faulted section: the same workload under the seeded ~10% chaos plan,
     // serial vs headline-width batch. The batch engine must keep its edge
-    // when faults are landing — check.sh gates on it.
+    // when faults are landing — a gate checks it.
     let faulted_serial = StackServer::new(build_stack());
     faulted_serial.install_faults(suite::smoke_fault_plan());
     for request in &requests {
@@ -416,8 +490,8 @@ fn main() {
 
     // Analysis section: cold full fixpoint (all twelve passes) vs the
     // epoch-keyed incremental re-analysis after a single-section mutation
-    // (only the passes reading the Privacy section re-run). check.sh gates
-    // on `analysis_incremental_us <= analysis_full_us`.
+    // (only the passes reading the Privacy section re-run). Gated:
+    // `analysis_incremental_us <= analysis_full_us`.
     let analysis = StackServer::new(build_analysis_stack());
     let t = Instant::now();
     let _ = analysis.analyze();
@@ -437,7 +511,7 @@ fn main() {
     // Policy-verifier timings on the same stack: the cold run executes
     // all six WS013–WS018 passes; `invalidate_views` then republishes the
     // snapshot (the token moves, the policy base does not), so the second
-    // call must land on the fingerprint-reuse path. check.sh gates
+    // call must land on the fingerprint-reuse path. Gated:
     // `policy_verify_incremental_us <= policy_verify_full_us`.
     let t = Instant::now();
     let policy_report = analysis.verify_policies();
@@ -529,7 +603,7 @@ fn main() {
 
     // Untimed correctness sweep: byte equality on a sample of the traffic,
     // and the analyzer cross-check (WS001/WS002 + equivalence classes over
-    // the compiled form) on the serving stack. check.sh gates both.
+    // the compiled form) on the serving stack. Both are gated.
     let mut compiled_equivalent = true;
     let equiv_stride = (COMPILED_SUBJECTS / COMPILED_EQUIV_SAMPLE).max(1);
     let mut compiled_equiv_checked = 0usize;
@@ -704,4 +778,37 @@ fn main() {
          analyzer cross-check ok: {compiled_verify_ok})"
     );
     println!("  wrote BENCH_serving.json");
+    if check_gates(&json, &GATES) {
+        ExitCode::SUCCESS
+    } else {
+        eprintln!("serving_bench: a gate failed (see the FAIL lines above)");
+        ExitCode::FAILURE
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const JSON: &str = r#"{"parallel_qps": 90.5, "serial_qps": 100.0, "ratio": 0.99}"#;
+    const PASSING: Gate = ("ratio", Cmp::AtLeast, Bound::Value(0.98));
+    const FAILING: Gate = ("parallel_qps", Cmp::AtLeast, Bound::Key("serial_qps"));
+
+    #[test]
+    fn a_failing_row_fails_the_run() {
+        assert!(check_gates(JSON, &[PASSING]));
+        assert!(!check_gates(JSON, &[FAILING]));
+        assert!(!check_gates(JSON, &[PASSING, FAILING]), "one fails all");
+        let flipped = ("parallel_qps", Cmp::AtMost, Bound::Key("serial_qps"));
+        assert!(check_gates(JSON, &[flipped]));
+    }
+
+    #[test]
+    fn a_missing_key_fails_closed() {
+        let missing_key = ("compiled_speedup", Cmp::AtLeast, Bound::Value(5.0));
+        let missing_bound = ("parallel_qps", Cmp::AtLeast, Bound::Key("nope"));
+        assert!(!check_gates(JSON, &[missing_key]));
+        assert!(!check_gates(JSON, &[missing_bound]));
+        assert!(!check_gates("not json", &[PASSING]));
+    }
 }
