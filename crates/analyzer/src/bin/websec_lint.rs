@@ -18,9 +18,10 @@
 //!   the `websec_core::sync` wrappers so the `WEBSEC_LOCKDEP=1` detector
 //!   sees every acquisition (`// lint:allow(raw-sync)` opts a line out);
 //! * `Ordering::Relaxed` on synchronizing atomics (`generation`,
-//!   `faults_enabled`) — their Release/Acquire pairs publish the snapshot
-//!   seqlock and the armed fault plan, so a relaxed access is a real
-//!   publication race, not a style tweak (`// lint:allow(relaxed-sync)`);
+//!   `faults_enabled`, `cursor`) — their Release/Acquire pairs publish the
+//!   snapshot swap and the armed fault plan and order batch claims, so a
+//!   relaxed access is a real publication race, not a style tweak
+//!   (`// lint:allow(relaxed-sync)`);
 //! * `Ordering::Relaxed` on counters that feed `check.sh`'s benchmark
 //!   gates (`shed`, `faults_injected`, `fired`): each site must be an
 //!   explicit, annotated decision (`// lint:allow(relaxed-counter)`);

@@ -507,19 +507,26 @@ fn e11_flexible() {
         stack.gate = FlexibleEnforcer::new(level, [5u8; 32]);
         let path = Path::parse("//patient[@id='p7']").unwrap();
         let n = 60usize;
+        // `execute` gates with the pure `decide()`, so the exposure is
+        // counted from the decisions rather than read off the gate.
+        let mut unchecked = 0usize;
         let t = Instant::now();
         for i in 0..n {
-            let profile = SubjectProfile::new(&format!("u{i}"));
-            let _ = stack
-                .query(&profile, Clearance(Level::TopSecret), "h.xml", &path)
-                .unwrap();
+            let request = QueryRequest::for_doc("h.xml")
+                .path(path.clone())
+                .subject(&SubjectProfile::new(&format!("u{i}")))
+                .clearance(Clearance(Level::TopSecret));
+            let response = stack.execute(&request).unwrap();
+            if response.decision == Decision::AdmittedUnchecked {
+                unchecked += 1;
+            }
         }
         let qps = n as f64 / t.elapsed().as_secs_f64();
         println!(
             "{:<10} {:>16.0} {:>14.0}",
             level,
             qps,
-            stack.gate.exposure() * 100.0
+            unchecked as f64 / n as f64 * 100.0
         );
     }
     println!();
@@ -697,15 +704,15 @@ fn e12_stack() {
         stack.channel_protected = protected;
         stack.add_document("h.xml", doc.clone(), ContextLabel::fixed(Level::Unclassified));
         stack.policies.add(Authorization::for_subject(SubjectSpec::Anyone).on(ObjectSpec::Document("h.xml".into())).privilege(Privilege::Read).grant());
-        let path = Path::parse("//patient[@id='p7']").unwrap();
-        let profile = SubjectProfile::new("u");
+        let request = QueryRequest::for_doc("h.xml")
+            .path(Path::parse("//patient[@id='p7']").unwrap())
+            .subject(&SubjectProfile::new("u"))
+            .clearance(Clearance(Level::TopSecret));
         // Average over repetitions.
         let mut sums = (0f64, 0f64, 0f64, 0f64);
         let n = 30;
         for _ in 0..n {
-            let (_, t) = stack
-                .query(&profile, Clearance(Level::TopSecret), "h.xml", &path)
-                .unwrap();
+            let t = stack.execute(&request).unwrap().timings;
             sums.0 += t.channel_ns as f64;
             sums.1 += t.rdf_ns as f64;
             sums.2 += t.xml_ns as f64;

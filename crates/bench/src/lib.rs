@@ -1,8 +1,8 @@
 //! Shared workload generators for the experiment suite (E1–E12).
 //!
-//! Every experiment in EXPERIMENTS.md draws its workload from here so the
-//! Criterion benches and the `run_experiments` report binary measure the
-//! same thing. All generators are deterministic under fixed seeds.
+//! Every experiment in EXPERIMENTS.md draws its workload from here, and
+//! the `run_experiments` report binary measures it. All generators are
+//! deterministic under fixed seeds.
 
 #![forbid(unsafe_code)]
 

@@ -43,6 +43,7 @@ use std::sync::{Arc, PoisonError};
 use std::time::Instant;
 
 use super::cache::Token;
+use super::metrics::Counter;
 use super::StackServer;
 use crate::error::Error;
 use crate::hash::{fnv1a, FNV1A_START};
@@ -389,19 +390,19 @@ impl StackServer {
     /// Accounts one analyzer run that executed `ran` passes and reused the
     /// rest.
     fn count_passes(&self, ran: usize) {
-        self.analysis_passes_run.fetch_add(ran as u64, Ordering::Relaxed);
-        self.analysis_passes_reused
-            .fetch_add((PASS_COUNT - ran) as u64, Ordering::Relaxed);
+        self.metrics.add(Counter::AnalysisPassesRun, ran as u64);
+        self.metrics
+            .add(Counter::AnalysisPassesReused, (PASS_COUNT - ran) as u64);
     }
 
     /// Accounts one policy-verifier run, executed (`ran`) or reused.
     fn count_policy_passes(&self, ran: bool) {
         let counter = if ran {
-            &self.policy_passes_run
+            Counter::PolicyPassesRun
         } else {
-            &self.policy_passes_reused
+            Counter::PolicyPassesReused
         };
-        counter.fetch_add(POLICY_PASS_COUNT as u64, Ordering::Relaxed);
+        self.metrics.add(counter, POLICY_PASS_COUNT as u64);
     }
 
     /// Error and warning counts of the memo's analyzer report and of its
@@ -610,11 +611,10 @@ impl StackServer {
                 self.count_policy_passes(policy_ran);
                 if !introduced.is_empty() {
                     drop(writer);
-                    self.gate_denials.fetch_add(1, Ordering::Relaxed);
+                    self.metrics.add(Counter::GateDenials, 1);
                     return Err(Error::AnalysisRejected(introduced.join("\n")));
                 }
-                self.snapshot_compile_ns.fetch_add(compile_ns, Ordering::Relaxed);
-                self.snapshot_compiles.fetch_add(1, Ordering::Relaxed);
+                self.count_compile(compile_ns);
                 analysis.token = self.publish(Arc::new(candidate), compiled);
                 self.commit(analysis, Some(ran));
                 drop(writer);

@@ -47,8 +47,6 @@ struct CacheShardInner {
 struct CacheShard {
     inner: TrackedRwLock<CacheShardInner>,
     lock_waits: TrackedAtomicU64,
-    hits: TrackedAtomicU64,
-    misses: TrackedAtomicU64,
 }
 
 impl CacheShard {
@@ -99,8 +97,6 @@ impl L2ViewCache {
                         },
                     ),
                     lock_waits: TrackedAtomicU64::counter("server.cache_lock_waits", 0),
-                    hits: TrackedAtomicU64::counter("server.cache_hits", 0),
-                    misses: TrackedAtomicU64::counter("server.cache_misses", 0),
                 })
                 .collect(),
             mask: shards as u64 - 1,
@@ -108,21 +104,13 @@ impl L2ViewCache {
     }
 
     fn shard_for(&self, identity: &str) -> &CacheShard {
-        &self.shards[self.shard_index(identity)]
+        &self.shards[(fnv1a(identity.as_bytes(), FNV1A_START) & self.mask) as usize]
     }
 
-    /// The shard index `identity` hashes to (the key for the per-worker
-    /// hit/miss tallies that
-    /// [`crate::server::StackServer`]'s `absorb_local` flushes back here).
-    pub fn shard_index(&self, identity: &str) -> usize {
-        (fnv1a(identity.as_bytes(), FNV1A_START) & self.mask) as usize
-    }
-
-    /// A valid cached view, or `None`. Deliberately does **not** touch the
-    /// shard's hit/miss counters: the caller tallies the outcome into its
-    /// [`super::metrics::LocalMetrics`] and flushes once per worker via
-    /// [`L2ViewCache::absorb_shard_tallies`], so the hot lookup path
-    /// performs zero shared-cacheline RMWs.
+    /// A valid cached view, or `None`. Counts nothing: the hit or miss is
+    /// counted once, from the request's `CacheStatus`, in the caller's
+    /// [`super::metrics::LocalMetrics`], so the lookup path performs no
+    /// shared-counter write.
     pub fn lookup(&self, key: &ViewKey, token: Token) -> Option<Arc<Document>> {
         let guard = self.shard_for(&key.0).read();
         if guard.token == token {
@@ -131,23 +119,6 @@ impl L2ViewCache {
             }
         }
         None
-    }
-
-    /// Folds a worker's per-shard hit/miss tallies into the shard counters:
-    /// at most one `fetch_add` per *touched shard* per worker, replacing
-    /// the old one-per-request scheme. Tally vectors are lazily sized, so
-    /// they may be shorter than the shard count.
-    pub fn absorb_shard_tallies(&self, hits: &[u64], misses: &[u64]) {
-        for (shard, &n) in self.shards.iter().zip(hits.iter()) {
-            if n != 0 {
-                shard.hits.fetch_add(n, Ordering::Relaxed);
-            }
-        }
-        for (shard, &n) in self.shards.iter().zip(misses.iter()) {
-            if n != 0 {
-                shard.misses.fetch_add(n, Ordering::Relaxed);
-            }
-        }
     }
 
     /// Inserts a computed view under `token`, evicting the shard wholesale
@@ -194,8 +165,6 @@ impl L2ViewCache {
     pub fn fill_stats(&self, stats: &mut [ShardStats]) {
         for (i, shard) in self.shards.iter().enumerate() {
             stats[i].cache_lock_waits = shard.lock_waits.load(Ordering::Relaxed);
-            stats[i].l2_hits = shard.hits.load(Ordering::Relaxed);
-            stats[i].l2_misses = shard.misses.load(Ordering::Relaxed);
             stats[i].cached_views = shard.read().views.len() as u64;
         }
     }
@@ -255,22 +224,6 @@ mod tests {
         l2.remove(&key);
         assert!(l2.lookup(&key, T0).is_none(), "removed L2 entry served");
         assert!(l2.lookup(&other, T0).is_some(), "remove() evicted a neighbor");
-    }
-
-    #[test]
-    fn shard_tallies_absorb_into_the_shard_counters() {
-        let l2 = L2ViewCache::new(4);
-        let idx = l2.shard_index("alice");
-        let mut hits = vec![0u64; idx + 1];
-        hits[idx] = 3;
-        // Miss tally shorter than the shard count: lazy sizing is legal.
-        l2.absorb_shard_tallies(&hits, &[2]);
-        let mut stats = vec![ShardStats::default(); 4];
-        l2.fill_stats(&mut stats);
-        assert_eq!(stats[idx].l2_hits, 3);
-        assert_eq!(stats[0].l2_misses, 2);
-        assert_eq!(stats.iter().map(|s| s.l2_hits).sum::<u64>(), 3);
-        assert_eq!(stats.iter().map(|s| s.l2_misses).sum::<u64>(), 2);
     }
 
     #[test]

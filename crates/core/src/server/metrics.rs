@@ -1,12 +1,21 @@
 //! Serving metrics: per-worker local accounting, the lock-free cumulative
 //! store, and the `#[non_exhaustive]` snapshot returned to callers.
 //!
+//! Every cumulative counter is declared once, as a [`Counter`]. A counter
+//! indexes the plain array of a [`LocalMetrics`] and the atomic array of
+//! [`MetricsInner`], and one mapping ([`MetricsSnapshot::cumulative`])
+//! names the public field it fills, for [`MetricsInner::snapshot`] and
+//! [`MetricsSnapshot::delta`] alike.
+//!
 //! The metrics pipeline is deliberately contention-free:
 //!
-//! * every batch worker accumulates into a plain-`u64` [`LocalMetrics`]
+//! * every request path accumulates into a plain-`u64` [`LocalMetrics`]
 //!   (no shared cache lines while requests are in flight),
-//! * workers flush once into the atomic [`MetricsInner`] when their queue
-//!   drains ([`MetricsInner::absorb`]),
+//! * a batch worker flushes once into the atomic [`MetricsInner`] when it
+//!   runs out of requests to claim, and a single request once when it is
+//!   answered ([`MetricsInner::absorb`]); statistics kept off the request
+//!   path (analysis passes, gate denials, snapshot compiles) are added to
+//!   [`MetricsInner`] directly,
 //! * callers read a [`MetricsSnapshot`] — a `#[non_exhaustive]` value
 //!   struct, so counters (such as the per-shard [`ShardStats`]) can be
 //!   added without a breaking change.
@@ -79,10 +88,6 @@ pub struct ShardStats {
     pub session_lock_waits: u64,
     /// Contended acquisitions of this shard's L2 view-cache lock.
     pub cache_lock_waits: u64,
-    /// L2 view-cache hits served from this shard.
-    pub l2_hits: u64,
-    /// L2 view-cache misses (view computed and inserted) in this shard.
-    pub l2_misses: u64,
     /// Views currently cached in this shard (current token only).
     pub cached_views: u64,
 }
@@ -268,59 +273,13 @@ impl MetricsSnapshot {
     #[must_use]
     pub fn delta(&self, earlier: &MetricsSnapshot) -> MetricsSnapshot {
         let mut d = self.clone();
-        d.requests = self.requests.saturating_sub(earlier.requests);
-        d.allowed = self.allowed.saturating_sub(earlier.allowed);
-        d.denied = self.denied.saturating_sub(earlier.denied);
-        d.errors = self.errors.saturating_sub(earlier.errors);
-        d.enforced = self.enforced.saturating_sub(earlier.enforced);
-        d.admitted_unchecked = self.admitted_unchecked.saturating_sub(earlier.admitted_unchecked);
-        d.cache_hits = self.cache_hits.saturating_sub(earlier.cache_hits);
-        d.cache_misses = self.cache_misses.saturating_sub(earlier.cache_misses);
-        d.l2_hits = self.l2_hits.saturating_sub(earlier.l2_hits);
-        d.coalesced = self.coalesced.saturating_sub(earlier.coalesced);
-        d.worker_panics = self.worker_panics.saturating_sub(earlier.worker_panics);
-        d.deadline_exceeded = self.deadline_exceeded.saturating_sub(earlier.deadline_exceeded);
-        d.shed = self.shed.saturating_sub(earlier.shed);
-        d.retries = self.retries.saturating_sub(earlier.retries);
-        d.faults_injected = self.faults_injected.saturating_sub(earlier.faults_injected);
-        d.sessions_established =
-            self.sessions_established.saturating_sub(earlier.sessions_established);
-        d.session_reuses = self.session_reuses.saturating_sub(earlier.session_reuses);
-        d.session_lock_waits = self.session_lock_waits.saturating_sub(earlier.session_lock_waits);
-        d.cache_lock_waits = self.cache_lock_waits.saturating_sub(earlier.cache_lock_waits);
-        d.analysis_passes_run =
-            self.analysis_passes_run.saturating_sub(earlier.analysis_passes_run);
-        d.analysis_passes_reused =
-            self.analysis_passes_reused.saturating_sub(earlier.analysis_passes_reused);
-        d.analysis_errors = self.analysis_errors.saturating_sub(earlier.analysis_errors);
-        d.analysis_warnings = self.analysis_warnings.saturating_sub(earlier.analysis_warnings);
-        d.gate_denials = self.gate_denials.saturating_sub(earlier.gate_denials);
-        d.policy_passes_run = self.policy_passes_run.saturating_sub(earlier.policy_passes_run);
-        d.policy_passes_reused =
-            self.policy_passes_reused.saturating_sub(earlier.policy_passes_reused);
-        d.policy_errors = self.policy_errors.saturating_sub(earlier.policy_errors);
-        d.policy_warnings = self.policy_warnings.saturating_sub(earlier.policy_warnings);
-        d.compiled_hits = self.compiled_hits.saturating_sub(earlier.compiled_hits);
-        d.compile_ns = self.compile_ns.saturating_sub(earlier.compile_ns);
-        d.snapshot_compiles = self.snapshot_compiles.saturating_sub(earlier.snapshot_compiles);
-        d.snapshot_compile_ns =
-            self.snapshot_compile_ns.saturating_sub(earlier.snapshot_compile_ns);
-        d.layer_totals = LayerTimings {
-            channel_ns: self.layer_totals.channel_ns.saturating_sub(earlier.layer_totals.channel_ns),
-            rdf_ns: self.layer_totals.rdf_ns.saturating_sub(earlier.layer_totals.rdf_ns),
-            xml_ns: self.layer_totals.xml_ns.saturating_sub(earlier.layer_totals.xml_ns),
-            gate_ns: self.layer_totals.gate_ns.saturating_sub(earlier.layer_totals.gate_ns),
-            compile_ns: self.layer_totals.compile_ns.saturating_sub(earlier.layer_totals.compile_ns),
-        };
-        let mut buckets = self.latency.buckets;
-        for (slot, prior) in buckets.iter_mut().zip(earlier.latency.buckets.iter()) {
-            *slot = slot.saturating_sub(*prior);
+        let mut earlier = earlier.clone();
+        for ((_, now), (_, then)) in d.cumulative().into_iter().zip(earlier.cumulative()) {
+            now.set(now.get().saturating_sub(then.get()));
         }
-        d.latency = LatencyHistogram {
-            buckets,
-            count: self.latency.count.saturating_sub(earlier.latency.count),
-            sum_ns: self.latency.sum_ns.saturating_sub(earlier.latency.sum_ns),
-        };
+        for (slot, prior) in d.latency.buckets.iter_mut().zip(earlier.latency.buckets) {
+            *slot = slot.saturating_sub(prior);
+        }
         d
     }
 
@@ -336,50 +295,12 @@ impl MetricsSnapshot {
             self.admitted_unchecked as f64 / total as f64
         }
     }
-}
 
-/// Per-worker metric accumulator: plain integers, owned by one thread, so
-/// recording a request outcome touches no shared cache line. Flushed into
-/// [`MetricsInner`] once per batch (or per request on the single-request
-/// [`crate::server::StackServer::serve`] path).
-#[derive(Debug)]
-pub(crate) struct LocalMetrics {
-    pub requests: u64,
-    pub allowed: u64,
-    pub denied: u64,
-    pub errors: u64,
-    pub enforced: u64,
-    pub admitted_unchecked: u64,
-    pub cache_hits: u64,
-    pub cache_misses: u64,
-    pub coalesced: u64,
-    pub worker_panics: u64,
-    pub deadline_exceeded: u64,
-    pub shed: u64,
-    pub retries: u64,
-    pub faults_injected: u64,
-    pub sessions_established: u64,
-    pub session_reuses: u64,
-    pub channel_ns: u64,
-    pub rdf_ns: u64,
-    pub xml_ns: u64,
-    pub gate_ns: u64,
-    pub compile_ns: u64,
-    pub latency_sum_ns: u64,
-    pub latency_count: u64,
-    pub latency: [u64; LATENCY_BUCKETS],
-    /// Per-L2-shard hit tallies, indexed by shard, lazily sized. Folded
-    /// into the shard counters once per worker by
-    /// [`crate::server::StackServer`]'s `absorb_local` instead of one
-    /// shared-cacheline RMW per request on the lookup path.
-    pub l2_shard_hits: Vec<u64>,
-    /// Per-L2-shard miss tallies (same flush discipline as the hits).
-    pub l2_shard_misses: Vec<u64>,
-}
-
-impl Default for LocalMetrics {
-    fn default() -> Self {
-        LocalMetrics {
+    /// A snapshot of `per_shard` whose counters are all zero; the
+    /// aggregate gauges and lock waits are the shard sums.
+    fn zeroed(per_shard: Vec<ShardStats>) -> MetricsSnapshot {
+        let sum = |f: fn(&ShardStats) -> u64| per_shard.iter().map(f).sum::<u64>();
+        MetricsSnapshot {
             requests: 0,
             allowed: 0,
             denied: 0,
@@ -388,6 +309,8 @@ impl Default for LocalMetrics {
             admitted_unchecked: 0,
             cache_hits: 0,
             cache_misses: 0,
+            l1_hits: 0,
+            l2_hits: 0,
             coalesced: 0,
             worker_panics: 0,
             deadline_exceeded: 0,
@@ -396,226 +319,10 @@ impl Default for LocalMetrics {
             faults_injected: 0,
             sessions_established: 0,
             session_reuses: 0,
-            channel_ns: 0,
-            rdf_ns: 0,
-            xml_ns: 0,
-            gate_ns: 0,
-            compile_ns: 0,
-            latency_sum_ns: 0,
-            latency_count: 0,
-            latency: [0; LATENCY_BUCKETS],
-            l2_shard_hits: Vec::new(),
-            l2_shard_misses: Vec::new(),
-        }
-    }
-}
-
-impl LocalMetrics {
-    /// Tallies one L2 hit against `shard` locally (flushed to the shard's
-    /// atomic counter once per worker, not once per request).
-    pub fn bump_l2_shard_hit(&mut self, shard: usize) {
-        if self.l2_shard_hits.len() <= shard {
-            self.l2_shard_hits.resize(shard + 1, 0);
-        }
-        self.l2_shard_hits[shard] += 1;
-    }
-
-    /// Tallies one L2 miss against `shard` locally.
-    pub fn bump_l2_shard_miss(&mut self, shard: usize) {
-        if self.l2_shard_misses.len() <= shard {
-            self.l2_shard_misses.resize(shard + 1, 0);
-        }
-        self.l2_shard_misses[shard] += 1;
-    }
-
-    fn record_latency(&mut self, total_ns: u128) {
-        let ns = u64::try_from(total_ns).unwrap_or(u64::MAX);
-        let bucket = (63 - ns.max(1).leading_zeros() as usize).min(LATENCY_BUCKETS - 1);
-        self.latency[bucket] += 1;
-        self.latency_sum_ns = self.latency_sum_ns.saturating_add(ns);
-        self.latency_count += 1;
-    }
-
-    /// Accounts one request outcome (coalesced responses count as requests
-    /// too: every position in a batch is a served request).
-    pub fn record_outcome(&mut self, result: &Result<QueryResponse, Error>) {
-        self.requests += 1;
-        match result {
-            Ok(response) => {
-                self.allowed += 1;
-                match response.decision {
-                    Decision::Enforced => self.enforced += 1,
-                    Decision::AdmittedUnchecked => self.admitted_unchecked += 1,
-                }
-                match response.cache {
-                    CacheStatus::Hit => self.cache_hits += 1,
-                    CacheStatus::Miss => self.cache_misses += 1,
-                    CacheStatus::Coalesced => self.coalesced += 1,
-                    _ => {}
-                }
-                let t = &response.timings;
-                let add = |a: &mut u64, v: u128| {
-                    *a = a.saturating_add(u64::try_from(v).unwrap_or(u64::MAX));
-                };
-                add(&mut self.channel_ns, t.channel_ns);
-                add(&mut self.rdf_ns, t.rdf_ns);
-                add(&mut self.xml_ns, t.xml_ns);
-                add(&mut self.gate_ns, t.gate_ns);
-                add(&mut self.compile_ns, t.compile_ns);
-                self.record_latency(t.total_ns());
-            }
-            Err(Error::ClearanceViolation) => {
-                self.denied += 1;
-                // A denial is the *result* of full enforcement.
-                self.enforced += 1;
-            }
-            Err(Error::DeadlineExceeded(_)) => {
-                self.errors += 1;
-                self.deadline_exceeded += 1;
-            }
-            Err(Error::Overloaded(_)) => {
-                self.errors += 1;
-                self.shed += 1;
-            }
-            Err(_) => {
-                self.errors += 1;
-            }
-        }
-    }
-}
-
-/// Lock-free cumulative counters (the mutable twin of [`MetricsSnapshot`]).
-pub(crate) struct MetricsInner {
-    requests: TrackedAtomicU64,
-    allowed: TrackedAtomicU64,
-    denied: TrackedAtomicU64,
-    errors: TrackedAtomicU64,
-    enforced: TrackedAtomicU64,
-    admitted_unchecked: TrackedAtomicU64,
-    cache_hits: TrackedAtomicU64,
-    cache_misses: TrackedAtomicU64,
-    coalesced: TrackedAtomicU64,
-    worker_panics: TrackedAtomicU64,
-    deadline_exceeded: TrackedAtomicU64,
-    shed: TrackedAtomicU64,
-    retries: TrackedAtomicU64,
-    faults_injected: TrackedAtomicU64,
-    sessions_established: TrackedAtomicU64,
-    session_reuses: TrackedAtomicU64,
-    channel_ns: TrackedAtomicU64,
-    rdf_ns: TrackedAtomicU64,
-    xml_ns: TrackedAtomicU64,
-    gate_ns: TrackedAtomicU64,
-    compile_ns: TrackedAtomicU64,
-    latency_sum_ns: TrackedAtomicU64,
-    latency_count: TrackedAtomicU64,
-    latency: [TrackedAtomicU64; LATENCY_BUCKETS],
-}
-
-impl Default for MetricsInner {
-    fn default() -> Self {
-        MetricsInner {
-            requests: TrackedAtomicU64::counter("server.metrics.requests", 0),
-            allowed: TrackedAtomicU64::counter("server.metrics.allowed", 0),
-            denied: TrackedAtomicU64::counter("server.metrics.denied", 0),
-            errors: TrackedAtomicU64::counter("server.metrics.errors", 0),
-            enforced: TrackedAtomicU64::counter("server.metrics.enforced", 0),
-            admitted_unchecked: TrackedAtomicU64::counter("server.metrics.admitted_unchecked", 0),
-            cache_hits: TrackedAtomicU64::counter("server.metrics.cache_hits", 0),
-            cache_misses: TrackedAtomicU64::counter("server.metrics.cache_misses", 0),
-            coalesced: TrackedAtomicU64::counter("server.metrics.coalesced", 0),
-            worker_panics: TrackedAtomicU64::counter("server.metrics.worker_panics", 0),
-            deadline_exceeded: TrackedAtomicU64::counter("server.metrics.deadline_exceeded", 0),
-            shed: TrackedAtomicU64::counter("server.metrics.shed", 0),
-            retries: TrackedAtomicU64::counter("server.metrics.retries", 0),
-            faults_injected: TrackedAtomicU64::counter("server.metrics.faults_injected", 0),
-            sessions_established: TrackedAtomicU64::counter("server.metrics.sessions_established", 0),
-            session_reuses: TrackedAtomicU64::counter("server.metrics.session_reuses", 0),
-            channel_ns: TrackedAtomicU64::counter("server.metrics.channel_ns", 0),
-            rdf_ns: TrackedAtomicU64::counter("server.metrics.rdf_ns", 0),
-            xml_ns: TrackedAtomicU64::counter("server.metrics.xml_ns", 0),
-            gate_ns: TrackedAtomicU64::counter("server.metrics.gate_ns", 0),
-            compile_ns: TrackedAtomicU64::counter("server.metrics.compile_ns", 0),
-            latency_sum_ns: TrackedAtomicU64::counter("server.metrics.latency_sum_ns", 0),
-            latency_count: TrackedAtomicU64::counter("server.metrics.latency_count", 0),
-            latency: std::array::from_fn(|_| {
-                TrackedAtomicU64::counter("server.metrics.latency", 0)
-            }),
-        }
-    }
-}
-
-impl MetricsInner {
-    /// Folds a worker's local accumulator into the cumulative store.
-    pub fn absorb(&self, local: &LocalMetrics) {
-        let add = |a: &TrackedAtomicU64, v: u64| {
-            if v != 0 {
-                a.fetch_add(v, Ordering::Relaxed);
-            }
-        };
-        add(&self.requests, local.requests);
-        add(&self.allowed, local.allowed);
-        add(&self.denied, local.denied);
-        add(&self.errors, local.errors);
-        add(&self.enforced, local.enforced);
-        add(&self.admitted_unchecked, local.admitted_unchecked);
-        add(&self.cache_hits, local.cache_hits);
-        add(&self.cache_misses, local.cache_misses);
-        add(&self.coalesced, local.coalesced);
-        add(&self.worker_panics, local.worker_panics);
-        add(&self.deadline_exceeded, local.deadline_exceeded);
-        add(&self.shed, local.shed);
-        add(&self.retries, local.retries);
-        add(&self.faults_injected, local.faults_injected);
-        add(&self.sessions_established, local.sessions_established);
-        add(&self.session_reuses, local.session_reuses);
-        add(&self.channel_ns, local.channel_ns);
-        add(&self.rdf_ns, local.rdf_ns);
-        add(&self.xml_ns, local.xml_ns);
-        add(&self.gate_ns, local.gate_ns);
-        add(&self.compile_ns, local.compile_ns);
-        add(&self.latency_sum_ns, local.latency_sum_ns);
-        add(&self.latency_count, local.latency_count);
-        for (slot, &v) in self.latency.iter().zip(local.latency.iter()) {
-            add(slot, v);
-        }
-    }
-
-    /// Materializes the snapshot; shard-level counters (and the L2 hit
-    /// total, which lives in the cache shards) are supplied by the caller.
-    pub fn snapshot(&self, per_shard: Vec<ShardStats>) -> MetricsSnapshot {
-        let mut buckets = [0u64; LATENCY_BUCKETS];
-        for (slot, counter) in buckets.iter_mut().zip(self.latency.iter()) {
-            *slot = counter.load(Ordering::Relaxed);
-        }
-        let sum = |f: fn(&ShardStats) -> u64| per_shard.iter().map(f).sum::<u64>();
-        let cache_misses = self.cache_misses.load(Ordering::Relaxed);
-        MetricsSnapshot {
-            requests: self.requests.load(Ordering::Relaxed),
-            allowed: self.allowed.load(Ordering::Relaxed),
-            denied: self.denied.load(Ordering::Relaxed),
-            errors: self.errors.load(Ordering::Relaxed),
-            enforced: self.enforced.load(Ordering::Relaxed),
-            admitted_unchecked: self.admitted_unchecked.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            cache_misses,
-            l1_hits: 0,
-            l2_hits: sum(|s| s.l2_hits),
-            coalesced: self.coalesced.load(Ordering::Relaxed),
-            worker_panics: self.worker_panics.load(Ordering::Relaxed),
-            deadline_exceeded: self.deadline_exceeded.load(Ordering::Relaxed),
-            // Monotonic totals; a snapshot read needs no stronger order.
-            shed: self.shed.load(Ordering::Relaxed), // lint:allow(relaxed-counter)
-            retries: self.retries.load(Ordering::Relaxed),
-            faults_injected: self.faults_injected.load(Ordering::Relaxed), // lint:allow(relaxed-counter)
-            sessions_established: self.sessions_established.load(Ordering::Relaxed),
-            session_reuses: self.session_reuses.load(Ordering::Relaxed),
             sessions_open: sum(|s| s.sessions_open),
             cached_views: sum(|s| s.cached_views),
             session_lock_waits: sum(|s| s.session_lock_waits),
             cache_lock_waits: sum(|s| s.cache_lock_waits),
-            // Overwritten by `StackServer::metrics`, which owns the
-            // analysis cache, gate, and snapshot-compile counters.
             analysis_passes_run: 0,
             analysis_passes_reused: 0,
             analysis_errors: 0,
@@ -625,24 +332,289 @@ impl MetricsInner {
             policy_passes_reused: 0,
             policy_errors: 0,
             policy_warnings: 0,
+            compiled_hits: 0,
+            compile_ns: 0,
             snapshot_compiles: 0,
             snapshot_compile_ns: 0,
-            compiled_hits: cache_misses,
-            compile_ns: self.compile_ns.load(Ordering::Relaxed),
-            layer_totals: LayerTimings {
-                channel_ns: u128::from(self.channel_ns.load(Ordering::Relaxed)),
-                rdf_ns: u128::from(self.rdf_ns.load(Ordering::Relaxed)),
-                xml_ns: u128::from(self.xml_ns.load(Ordering::Relaxed)),
-                gate_ns: u128::from(self.gate_ns.load(Ordering::Relaxed)),
-                compile_ns: u128::from(self.compile_ns.load(Ordering::Relaxed)),
-            },
+            layer_totals: LayerTimings::default(),
             latency: LatencyHistogram {
-                buckets,
-                count: self.latency_count.load(Ordering::Relaxed),
-                sum_ns: self.latency_sum_ns.load(Ordering::Relaxed),
+                buckets: [0; LATENCY_BUCKETS],
+                count: 0,
+                sum_ns: 0,
             },
             per_shard,
         }
+    }
+
+    /// The one mapping from counters to fields: every cumulative field,
+    /// paired with the [`Counter`] that fills it. Every L2 hit is a cache
+    /// hit and every miss builds one view from the compiled tables, so
+    /// `l2_hits` reads `CacheHits` and `compiled_hits` reads
+    /// `CacheMisses`. `None` marks a field filled from elsewhere (the
+    /// per-shard lock-wait sums, the analysis memo's finding tallies) that
+    /// [`MetricsSnapshot::delta`] still subtracts.
+    fn cumulative(&mut self) -> [(Option<Counter>, &mut dyn Tally); 39] {
+        use Counter as C;
+        [
+            (Some(C::Requests), &mut self.requests),
+            (Some(C::Allowed), &mut self.allowed),
+            (Some(C::Denied), &mut self.denied),
+            (Some(C::Errors), &mut self.errors),
+            (Some(C::Enforced), &mut self.enforced),
+            (Some(C::AdmittedUnchecked), &mut self.admitted_unchecked),
+            (Some(C::CacheHits), &mut self.cache_hits),
+            (Some(C::CacheHits), &mut self.l2_hits),
+            (Some(C::CacheMisses), &mut self.cache_misses),
+            (Some(C::CacheMisses), &mut self.compiled_hits),
+            (Some(C::Coalesced), &mut self.coalesced),
+            (Some(C::WorkerPanics), &mut self.worker_panics),
+            (Some(C::DeadlineExceeded), &mut self.deadline_exceeded),
+            (Some(C::Shed), &mut self.shed),
+            (Some(C::Retries), &mut self.retries),
+            (Some(C::FaultsInjected), &mut self.faults_injected),
+            (Some(C::SessionsEstablished), &mut self.sessions_established),
+            (Some(C::SessionReuses), &mut self.session_reuses),
+            (Some(C::AnalysisPassesRun), &mut self.analysis_passes_run),
+            (
+                Some(C::AnalysisPassesReused),
+                &mut self.analysis_passes_reused,
+            ),
+            (Some(C::GateDenials), &mut self.gate_denials),
+            (Some(C::PolicyPassesRun), &mut self.policy_passes_run),
+            (Some(C::PolicyPassesReused), &mut self.policy_passes_reused),
+            (Some(C::CompileNs), &mut self.compile_ns),
+            (Some(C::SnapshotCompiles), &mut self.snapshot_compiles),
+            (Some(C::SnapshotCompileNs), &mut self.snapshot_compile_ns),
+            (Some(C::ChannelNs), &mut self.layer_totals.channel_ns),
+            (Some(C::RdfNs), &mut self.layer_totals.rdf_ns),
+            (Some(C::XmlNs), &mut self.layer_totals.xml_ns),
+            (Some(C::GateNs), &mut self.layer_totals.gate_ns),
+            (Some(C::CompileNs), &mut self.layer_totals.compile_ns),
+            (Some(C::LatencyCount), &mut self.latency.count),
+            (Some(C::LatencySumNs), &mut self.latency.sum_ns),
+            (None, &mut self.session_lock_waits),
+            (None, &mut self.cache_lock_waits),
+            (None, &mut self.analysis_errors),
+            (None, &mut self.analysis_warnings),
+            (None, &mut self.policy_errors),
+            (None, &mut self.policy_warnings),
+        ]
+    }
+}
+
+/// A cumulative snapshot field: a `u64` tally or a `u128` layer total.
+trait Tally {
+    fn get(&self) -> u128;
+    fn set(&mut self, value: u128);
+}
+
+impl Tally for u64 {
+    fn get(&self) -> u128 {
+        u128::from(*self)
+    }
+
+    fn set(&mut self, value: u128) {
+        *self = u64::try_from(value).unwrap_or(u64::MAX);
+    }
+}
+
+impl Tally for u128 {
+    fn get(&self) -> u128 {
+        *self
+    }
+
+    fn set(&mut self, value: u128) {
+        *self = value;
+    }
+}
+
+/// Every cumulative serving counter. Each indexes the counter arrays of
+/// [`LocalMetrics`] and [`MetricsInner`]; [`MetricsSnapshot::cumulative`]
+/// names the field it fills, which documents it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Counter {
+    Requests,
+    Allowed,
+    Denied,
+    Errors,
+    Enforced,
+    AdmittedUnchecked,
+    CacheHits,
+    CacheMisses,
+    Coalesced,
+    WorkerPanics,
+    DeadlineExceeded,
+    Shed,
+    Retries,
+    FaultsInjected,
+    SessionsEstablished,
+    SessionReuses,
+    ChannelNs,
+    RdfNs,
+    XmlNs,
+    GateNs,
+    CompileNs,
+    LatencySumNs,
+    LatencyCount,
+    AnalysisPassesRun,
+    AnalysisPassesReused,
+    GateDenials,
+    PolicyPassesRun,
+    PolicyPassesReused,
+    SnapshotCompiles,
+    SnapshotCompileNs,
+}
+
+/// Number of [`Counter`]s (the last variant's index plus one).
+const COUNTERS: usize = Counter::SnapshotCompileNs as usize + 1;
+
+/// Per-worker metric accumulator: plain integers, owned by one thread, so
+/// recording a request outcome touches no shared cache line. Flushed into
+/// [`MetricsInner`] once per batch worker (or per request on the
+/// single-request [`crate::server::StackServer::serve`] path).
+#[derive(Debug)]
+pub(crate) struct LocalMetrics {
+    counts: [u64; COUNTERS],
+    latency: [u64; LATENCY_BUCKETS],
+}
+
+impl Default for LocalMetrics {
+    fn default() -> Self {
+        LocalMetrics {
+            counts: [0; COUNTERS],
+            latency: [0; LATENCY_BUCKETS],
+        }
+    }
+}
+
+impl LocalMetrics {
+    /// Adds `n` to `counter` (saturating).
+    pub fn add(&mut self, counter: Counter, n: u64) {
+        let count = &mut self.counts[counter as usize];
+        *count = count.saturating_add(n);
+    }
+
+    /// Counts one occurrence of `counter`.
+    pub fn bump(&mut self, counter: Counter) {
+        self.add(counter, 1);
+    }
+
+    /// The local value of `counter`.
+    pub fn get(&self, counter: Counter) -> u64 {
+        self.counts[counter as usize]
+    }
+
+    fn record_latency(&mut self, total_ns: u128) {
+        let ns = u64::try_from(total_ns).unwrap_or(u64::MAX);
+        let bucket = (63 - ns.max(1).leading_zeros() as usize).min(LATENCY_BUCKETS - 1);
+        self.latency[bucket] += 1;
+        self.add(Counter::LatencySumNs, ns);
+        self.bump(Counter::LatencyCount);
+    }
+
+    /// Accounts one request outcome (coalesced responses count as requests
+    /// too: every position in a batch is a served request).
+    pub fn record_outcome(&mut self, result: &Result<QueryResponse, Error>) {
+        use Counter as C;
+        self.bump(C::Requests);
+        match result {
+            Ok(response) => {
+                self.bump(C::Allowed);
+                self.bump(match response.decision {
+                    Decision::Enforced => C::Enforced,
+                    Decision::AdmittedUnchecked => C::AdmittedUnchecked,
+                });
+                match response.cache {
+                    CacheStatus::Hit => self.bump(C::CacheHits),
+                    CacheStatus::Miss => self.bump(C::CacheMisses),
+                    CacheStatus::Coalesced => self.bump(C::Coalesced),
+                    CacheStatus::Bypass => {}
+                }
+                let t = &response.timings;
+                for (counter, ns) in [
+                    (C::ChannelNs, t.channel_ns),
+                    (C::RdfNs, t.rdf_ns),
+                    (C::XmlNs, t.xml_ns),
+                    (C::GateNs, t.gate_ns),
+                    (C::CompileNs, t.compile_ns),
+                ] {
+                    self.add(counter, u64::try_from(ns).unwrap_or(u64::MAX));
+                }
+                self.record_latency(t.total_ns());
+            }
+            Err(Error::ClearanceViolation) => {
+                self.bump(C::Denied);
+                // A denial is the *result* of full enforcement.
+                self.bump(C::Enforced);
+            }
+            Err(Error::DeadlineExceeded(_)) => {
+                self.bump(C::Errors);
+                self.bump(C::DeadlineExceeded);
+            }
+            Err(Error::Overloaded(_)) => {
+                self.bump(C::Errors);
+                self.bump(C::Shed);
+            }
+            Err(_) => self.bump(C::Errors),
+        }
+    }
+}
+
+/// Lock-free cumulative counters (the mutable twin of [`MetricsSnapshot`]).
+/// Every counter shares one counter-role class: the detector never models
+/// counter atomics.
+pub(crate) struct MetricsInner {
+    counts: [TrackedAtomicU64; COUNTERS],
+    latency: [TrackedAtomicU64; LATENCY_BUCKETS],
+}
+
+impl Default for MetricsInner {
+    fn default() -> Self {
+        MetricsInner {
+            counts: std::array::from_fn(|_| TrackedAtomicU64::counter("server.metrics.counter", 0)),
+            latency: std::array::from_fn(|_| {
+                TrackedAtomicU64::counter("server.metrics.latency", 0)
+            }),
+        }
+    }
+}
+
+impl MetricsInner {
+    /// Adds `n` to `counter`.
+    pub fn add(&self, counter: Counter, n: u64) {
+        self.counts[counter as usize].fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// The cumulative value of `counter`. Monotonic totals: a read needs
+    /// no stronger order.
+    pub fn get(&self, counter: Counter) -> u64 {
+        self.counts[counter as usize].load(Ordering::Relaxed)
+    }
+
+    /// Folds a worker's local accumulator into the cumulative store.
+    pub fn absorb(&self, local: &LocalMetrics) {
+        let atomics = self.counts.iter().chain(&self.latency);
+        for (atomic, &n) in atomics.zip(local.counts.iter().chain(&local.latency)) {
+            if n != 0 {
+                atomic.fetch_add(n, Ordering::Relaxed);
+            }
+        }
+    }
+
+    /// Materializes the snapshot over the caller's per-shard statistics.
+    /// The analysis memo's finding tallies stay zero here; the server
+    /// fills them in.
+    pub fn snapshot(&self, per_shard: Vec<ShardStats>) -> MetricsSnapshot {
+        let mut snap = MetricsSnapshot::zeroed(per_shard);
+        for (counter, field) in snap.cumulative() {
+            if let Some(counter) = counter {
+                field.set(u128::from(self.get(counter)));
+            }
+        }
+        for (slot, bucket) in snap.latency.buckets.iter_mut().zip(&self.latency) {
+            *slot = bucket.load(Ordering::Relaxed);
+        }
+        snap
     }
 }
 
@@ -676,10 +648,6 @@ mod tests {
         local.record_outcome(&Err(Error::UnknownDocument("d".into())));
         local.record_outcome(&Err(Error::DeadlineExceeded("budget".into())));
         local.record_outcome(&Err(Error::Overloaded("queue full".into())));
-        local.bump_l2_shard_hit(2);
-        local.bump_l2_shard_miss(0);
-        assert_eq!(local.l2_shard_hits, vec![0, 0, 1], "lazy shard sizing");
-        assert_eq!(local.l2_shard_misses, vec![1]);
 
         let inner = MetricsInner::default();
         inner.absorb(&local);
@@ -688,8 +656,6 @@ mod tests {
             sessions_open: 3,
             session_lock_waits: 1,
             cache_lock_waits: 2,
-            l2_hits: 7,
-            l2_misses: 1,
             cached_views: 4,
         }]);
         assert_eq!(snap.requests, 7);
@@ -702,7 +668,7 @@ mod tests {
         assert_eq!(snap.cache_misses, 1);
         assert_eq!(snap.coalesced, 1);
         assert_eq!(snap.l1_hits, 0);
-        assert_eq!(snap.l2_hits, 7);
+        assert_eq!(snap.l2_hits, 1, "every cache hit is an L2 hit");
         assert_eq!(snap.sessions_open, 3);
         assert_eq!(snap.cached_views, 4);
         assert_eq!(snap.session_lock_waits, 1);
@@ -742,8 +708,6 @@ mod tests {
             sessions_open: 1,
             session_lock_waits: 0,
             cache_lock_waits: 0,
-            l2_hits: 0,
-            l2_misses: 0,
             cached_views: 2,
         }]);
 
@@ -757,8 +721,6 @@ mod tests {
             sessions_open: 4,
             session_lock_waits: 0,
             cache_lock_waits: 0,
-            l2_hits: 0,
-            l2_misses: 0,
             cached_views: 5,
         }]);
 
@@ -850,8 +812,6 @@ mod tests {
             sessions_open: 9,
             session_lock_waits: 0,
             cache_lock_waits: 0,
-            l2_hits: 0,
-            l2_misses: 0,
             cached_views: 12,
         }]);
         let later = inner.snapshot(vec![ShardStats {
@@ -859,8 +819,6 @@ mod tests {
             sessions_open: 2,
             session_lock_waits: 0,
             cache_lock_waits: 0,
-            l2_hits: 0,
-            l2_misses: 0,
             cached_views: 3,
         }]);
         let d = later.delta(&earlier);
@@ -894,5 +852,88 @@ mod tests {
         let d = later.delta(&earlier);
         assert_eq!(d.policy_passes_run, 0, "no fresh pass executions");
         assert_eq!(d.policy_passes_reused, 12);
+    }
+
+    /// The test's own copy of the counter-to-field mapping: every
+    /// counter-backed public field, in declaration order, with the
+    /// counter it must hold.
+    fn counter_fields(s: &MetricsSnapshot) -> [(u128, Counter); 33] {
+        use Counter as C;
+        let n = u128::from;
+        [
+            (n(s.requests), C::Requests),
+            (n(s.allowed), C::Allowed),
+            (n(s.denied), C::Denied),
+            (n(s.errors), C::Errors),
+            (n(s.enforced), C::Enforced),
+            (n(s.admitted_unchecked), C::AdmittedUnchecked),
+            (n(s.cache_hits), C::CacheHits),
+            (n(s.cache_misses), C::CacheMisses),
+            (n(s.l2_hits), C::CacheHits),
+            (n(s.coalesced), C::Coalesced),
+            (n(s.worker_panics), C::WorkerPanics),
+            (n(s.deadline_exceeded), C::DeadlineExceeded),
+            (n(s.shed), C::Shed),
+            (n(s.retries), C::Retries),
+            (n(s.faults_injected), C::FaultsInjected),
+            (n(s.sessions_established), C::SessionsEstablished),
+            (n(s.session_reuses), C::SessionReuses),
+            (n(s.analysis_passes_run), C::AnalysisPassesRun),
+            (n(s.analysis_passes_reused), C::AnalysisPassesReused),
+            (n(s.gate_denials), C::GateDenials),
+            (n(s.policy_passes_run), C::PolicyPassesRun),
+            (n(s.policy_passes_reused), C::PolicyPassesReused),
+            (n(s.compiled_hits), C::CacheMisses),
+            (n(s.compile_ns), C::CompileNs),
+            (n(s.snapshot_compiles), C::SnapshotCompiles),
+            (n(s.snapshot_compile_ns), C::SnapshotCompileNs),
+            (s.layer_totals.channel_ns, C::ChannelNs),
+            (s.layer_totals.rdf_ns, C::RdfNs),
+            (s.layer_totals.xml_ns, C::XmlNs),
+            (s.layer_totals.gate_ns, C::GateNs),
+            (s.layer_totals.compile_ns, C::CompileNs),
+            (n(s.latency.count), C::LatencyCount),
+            (n(s.latency.sum_ns), C::LatencySumNs),
+        ]
+    }
+
+    /// Counter `i` holds `100 * (i + 1) - below` and latency bucket `i`
+    /// holds `7 * (i + 1) - below`, so no two counters share a value.
+    fn distinct_counts(below: u64) -> MetricsSnapshot {
+        let mut local = LocalMetrics::default();
+        for (i, count) in local.counts.iter_mut().enumerate() {
+            *count = 100 * (i as u64 + 1) - below;
+        }
+        for (i, count) in local.latency.iter_mut().enumerate() {
+            *count = 7 * (i as u64 + 1) - below;
+        }
+        let inner = MetricsInner::default();
+        inner.absorb(&local);
+        inner.snapshot(Vec::new())
+    }
+
+    #[test]
+    fn every_counter_reaches_its_field() {
+        let snap = distinct_counts(0);
+        for (i, (value, counter)) in counter_fields(&snap).into_iter().enumerate() {
+            let expected = 100 * (counter as u128 + 1);
+            assert_eq!(value, expected, "field {i} does not hold {counter:?}");
+        }
+        assert_eq!(snap.l2_hits, snap.cache_hits);
+        assert_eq!(snap.compiled_hits, snap.cache_misses);
+        assert_eq!(snap.l1_hits, 0);
+        for (i, &bucket) in snap.latency.buckets.iter().enumerate() {
+            assert_eq!(bucket, 7 * (i as u64 + 1), "latency bucket {i}");
+        }
+
+        let d = snap.delta(&distinct_counts(1));
+        for (i, (value, counter)) in counter_fields(&d).into_iter().enumerate() {
+            assert_eq!(value, 1, "delta of field {i} ({counter:?})");
+        }
+        assert!(
+            d.latency.buckets.iter().all(|&b| b == 1),
+            "{:?}",
+            d.latency.buckets
+        );
     }
 }

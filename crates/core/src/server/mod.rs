@@ -87,7 +87,7 @@ use crate::sync::{
     TrackedRwLock,
 };
 use cache::{L2ViewCache, Token, ViewKey};
-use metrics::{LocalMetrics, MetricsInner};
+use metrics::{Counter, LocalMetrics, MetricsInner};
 use shard::SessionShards;
 use websec_policy::{CompiledPolicies, PolicySnapshot, SubjectProfile};
 use websec_xml::Document;
@@ -163,26 +163,6 @@ pub struct StackServer {
     analysis: TrackedMutex<analysis::AnalysisMemo>,
     /// The configured [`AnalysisGate`] (stored as its discriminant).
     analysis_gate: TrackedAtomicU8,
-    /// Analyzer passes actually executed across all [`StackServer::analyze`]
-    /// calls and [`AnalysisGate::Deny`]-gated updates (the incremental
-    /// machinery's "work done" counter).
-    analysis_passes_run: TrackedAtomicU64,
-    /// Analyzer passes answered from the cache (unchanged token or
-    /// unchanged input sections).
-    analysis_passes_reused: TrackedAtomicU64,
-    /// Updates rejected by [`AnalysisGate::Deny`] with `WS109`.
-    gate_denials: TrackedAtomicU64,
-    /// Policy-verifier passes actually executed across all
-    /// [`StackServer::verify_policies`] calls and gated updates.
-    policy_passes_run: TrackedAtomicU64,
-    /// Policy-verifier passes answered from the incremental cache.
-    policy_passes_reused: TrackedAtomicU64,
-    /// Policy compilations performed (construction plus one per
-    /// [`StackServer::update`]; [`StackServer::invalidate_views`] reuses
-    /// the current artifact and does *not* recompile).
-    snapshot_compiles: TrackedAtomicU64,
-    /// Total nanoseconds spent compiling snapshots (saturated to u64).
-    snapshot_compile_ns: TrackedAtomicU64,
 }
 
 /// Worker-local serving state: the last snapshot resolved (revalidated by
@@ -239,24 +219,18 @@ impl ViewResolver for CachedViews<'_> {
                 if kind == FaultKind::CacheEvict {
                     // Evict before lookup: the request recomputes its view
                     // (correctness is unaffected — only hit counters move).
-                    self.local.faults_injected += 1;
+                    self.local.bump(Counter::FaultsInjected);
                     self.l2.remove(&key);
                 }
             }
         }
-        // L2 hit/miss attribution is tallied locally per shard and flushed
-        // once per worker (`StackServer::absorb_local`) — the lookup path
-        // itself performs no shared-counter RMW.
-        let shard = self.l2.shard_index(&key.0);
         if let Some(view) = self.l2.lookup(&key, self.token) {
-            self.local.bump_l2_shard_hit(shard);
             return ResolvedView {
                 view,
                 cache: CacheStatus::Hit,
                 compile_ns: 0,
             };
         }
-        self.local.bump_l2_shard_miss(shard);
         // Compute outside any lock; a racing worker may duplicate the work
         // but both produce the same view. `compile()` compiles every
         // document of the stack it is given, so a published snapshot's
@@ -369,7 +343,7 @@ impl StackServer {
             compiled,
             token,
         };
-        StackServer {
+        let server = StackServer {
             snapshot: TrackedRwLock::new("server.snapshot", Arc::new(published)),
             update_lock: TrackedMutex::new("server.update", ()),
             generation: TrackedAtomicU64::synchronizing("server.generation", 0),
@@ -382,17 +356,9 @@ impl StackServer {
             queue_limit: TrackedAtomicUsize::counter("server.queue_limit", 0),
             analysis: TrackedMutex::new("server.analysis", analysis::AnalysisMemo::default()),
             analysis_gate: TrackedAtomicU8::counter("server.analysis_gate", 0),
-            analysis_passes_run: TrackedAtomicU64::counter("server.analysis_passes_run", 0),
-            analysis_passes_reused: TrackedAtomicU64::counter("server.analysis_passes_reused", 0),
-            gate_denials: TrackedAtomicU64::counter("server.gate_denials", 0),
-            policy_passes_run: TrackedAtomicU64::counter("server.policy_passes_run", 0),
-            policy_passes_reused: TrackedAtomicU64::counter("server.policy_passes_reused", 0),
-            snapshot_compiles: TrackedAtomicU64::counter("server.snapshot_compiles", 1),
-            snapshot_compile_ns: TrackedAtomicU64::counter(
-                "server.snapshot_compile_ns",
-                initial_compile_ns,
-            ),
-        }
+        };
+        server.count_compile(initial_compile_ns);
+        server
     }
 
     /// The decision tables compiled from the current snapshot (published
@@ -409,7 +375,7 @@ impl StackServer {
     /// pin the compile-exactly-once-per-mutation invariant.
     #[must_use]
     pub fn snapshot_compiles(&self) -> u64 {
-        self.snapshot_compiles.load(Ordering::Relaxed)
+        self.metrics.get(Counter::SnapshotCompiles)
     }
 
     /// Arms a deterministic [`FaultPlan`] on this server and returns the
@@ -529,12 +495,14 @@ impl StackServer {
     fn compile_for_publication(&self, stack: &SecureWebStack) -> Arc<CompiledPolicies> {
         let t = Instant::now();
         let compiled = compile_stack(stack);
-        self.snapshot_compile_ns.fetch_add(
-            u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX),
-            Ordering::Relaxed,
-        );
-        self.snapshot_compiles.fetch_add(1, Ordering::Relaxed);
+        self.count_compile(u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX));
         compiled
+    }
+
+    /// Accounts one published compilation that took `ns` nanoseconds.
+    fn count_compile(&self, ns: u64) {
+        self.metrics.add(Counter::SnapshotCompiles, 1);
+        self.metrics.add(Counter::SnapshotCompileNs, ns);
     }
 
     /// Mutates the stack configuration (documents, policies, labels,
@@ -624,7 +592,7 @@ impl StackServer {
             for kind in ctx.check(FaultLayer::Channel) {
                 match kind {
                     FaultKind::ChannelDrop => {
-                        local.faults_injected += 1;
+                        local.bump(Counter::FaultsInjected);
                         return Err(Error::Channel(
                             "injected fault: request record dropped in transit".into(),
                         ));
@@ -632,7 +600,7 @@ impl StackServer {
                     FaultKind::ChannelTamper => {
                         // Run the channel's *real* MAC rejection: seal the
                         // query, flip a wire byte, open at the server end.
-                        local.faults_injected += 1;
+                        local.bump(Counter::FaultsInjected);
                         let payload = request
                             .query_path()
                             .map_or(String::new(), |p| p.source().to_string());
@@ -654,11 +622,11 @@ impl StackServer {
             for kind in ctx.check(FaultLayer::Eval) {
                 match kind {
                     FaultKind::SlowEval { ticks } => {
-                        local.faults_injected += 1;
+                        local.bump(Counter::FaultsInjected);
                         self.clock.fetch_add(ticks, Ordering::Relaxed);
                     }
                     FaultKind::WorkerPanic => {
-                        local.faults_injected += 1;
+                        local.bump(Counter::FaultsInjected);
                         // Unwinds through serve_caught's boundary into a
                         // WS106 answer; the held session guard poisons its
                         // mutex, exercising the eviction/self-heal path —
@@ -701,7 +669,7 @@ impl StackServer {
             self.serve_one(request, worker, local, deadline)
         }));
         caught.unwrap_or_else(|_| {
-            local.worker_panics += 1;
+            local.bump(Counter::WorkerPanics);
             Err(Error::ShardPoisoned(
                 "request evaluation panicked; the batch degraded this request and continued"
                     .into(),
@@ -722,18 +690,8 @@ impl StackServer {
             .map(|budget| self.clock.load(Ordering::Relaxed).saturating_add(budget));
         let result = self.serve_caught(request, &mut worker, &mut local, deadline);
         local.record_outcome(&result);
-        self.absorb_local(&local);
+        self.metrics.absorb(&local);
         result
-    }
-
-    /// Flushes a worker's local accumulator: the cumulative counters in
-    /// one pass, then the per-shard L2 hit/miss tallies (at most one RMW
-    /// per touched shard). The single flush point that replaces the old
-    /// per-request counter traffic.
-    fn absorb_local(&self, local: &LocalMetrics) {
-        self.metrics.absorb(local);
-        self.cache
-            .absorb_shard_tallies(&local.l2_shard_hits, &local.l2_shard_misses);
     }
 
     /// [`StackServer::serve`] wrapped in the bounded-retry loop of a
@@ -770,9 +728,7 @@ impl StackServer {
                 let backoff = policy.backoff_ticks(attempt, prev, salt);
                 prev = backoff;
                 self.clock.fetch_add(backoff, Ordering::Relaxed);
-                let mut local = LocalMetrics::default();
-                local.retries = 1;
-                self.absorb_local(&local);
+                self.metrics.add(Counter::Retries, 1);
             }
             if let Some(deadline) = overall {
                 let now = self.clock.load(Ordering::Relaxed);
@@ -783,7 +739,7 @@ impl StackServer {
                     )));
                     let mut local = LocalMetrics::default();
                     local.record_outcome(&result);
-                    self.absorb_local(&local);
+                    self.metrics.absorb(&local);
                     return result;
                 }
             }
@@ -877,7 +833,7 @@ impl StackServer {
                 local.record_outcome(&result);
                 *slot = Some(result);
             }
-            self.absorb_local(&local);
+            self.metrics.absorb(&local);
         }
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
@@ -890,8 +846,8 @@ impl StackServer {
             for handle in handles {
                 match handle.join() {
                     Ok((done, local)) => {
-                        stats.coalesced += local.coalesced;
-                        self.absorb_local(&local);
+                        stats.coalesced += local.get(Counter::Coalesced);
+                        self.metrics.absorb(&local);
                         for (i, result) in done {
                             out[i] = Some(result);
                         }
@@ -902,9 +858,7 @@ impl StackServer {
                         // WS106 below; its claimed-but-unanswered indices
                         // are already behind the cursor, so no other
                         // worker double-answers them.
-                        let mut local = LocalMetrics::default();
-                        local.worker_panics += 1;
-                        self.absorb_local(&local);
+                        self.metrics.add(Counter::WorkerPanics, 1);
                     }
                 }
             }
@@ -918,7 +872,7 @@ impl StackServer {
                     ));
                     let mut local = LocalMetrics::default();
                     local.record_outcome(&result);
-                    self.absorb_local(&local);
+                    self.metrics.absorb(&local);
                     result
                 })
             })
@@ -979,13 +933,6 @@ impl StackServer {
         self.sessions.fill_stats(&mut stats);
         self.cache.fill_stats(&mut stats);
         let mut snap = self.metrics.snapshot(stats);
-        snap.analysis_passes_run = self.analysis_passes_run.load(Ordering::Relaxed);
-        snap.analysis_passes_reused = self.analysis_passes_reused.load(Ordering::Relaxed);
-        snap.gate_denials = self.gate_denials.load(Ordering::Relaxed);
-        snap.snapshot_compiles = self.snapshot_compiles.load(Ordering::Relaxed);
-        snap.snapshot_compile_ns = self.snapshot_compile_ns.load(Ordering::Relaxed);
-        snap.policy_passes_run = self.policy_passes_run.load(Ordering::Relaxed);
-        snap.policy_passes_reused = self.policy_passes_reused.load(Ordering::Relaxed);
         let [(errors, warnings), (policy_errors, policy_warnings)] = self.analysis_gauges();
         snap.analysis_errors = errors;
         snap.analysis_warnings = warnings;

@@ -16,7 +16,7 @@ use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, TryLockError};
 
-use super::metrics::{LocalMetrics, ShardStats};
+use super::metrics::{Counter, LocalMetrics, ShardStats};
 use crate::sync::{TrackedAtomicU64, TrackedMutex, TrackedMutexGuard};
 use crate::error::Error;
 use crate::faults::{FaultContext, FaultKind, FaultLayer};
@@ -96,7 +96,7 @@ impl SessionShards {
         if let Some(ctx) = faults {
             for kind in ctx.check(FaultLayer::Shard) {
                 if kind == FaultKind::LockPoison {
-                    local.faults_injected += 1;
+                    local.bump(Counter::FaultsInjected);
                     if let Some(mut map) = lock_counting(&shard.map, &shard.lock_waits) {
                         map.remove(identity);
                     }
@@ -112,14 +112,14 @@ impl SessionShards {
             ))
         })?;
         if let Some(session) = map.get(identity) {
-            local.session_reuses += 1;
+            local.bump(Counter::SessionReuses);
             return Ok(Arc::clone(session));
         }
         let session = Arc::new(TrackedMutex::new(
             "server.session",
             ChannelSession::establish(master_key, identity, protected),
         ));
-        local.sessions_established += 1;
+        local.bump(Counter::SessionsEstablished);
         map.insert(identity.to_string(), Arc::clone(&session));
         Ok(session)
     }
@@ -192,8 +192,8 @@ mod tests {
         let first = shards.get_or_establish("alice", &key, true, &mut local, None).unwrap();
         let again = shards.get_or_establish("alice", &key, true, &mut local, None).unwrap();
         assert!(Arc::ptr_eq(&first, &again));
-        assert_eq!(local.sessions_established, 1);
-        assert_eq!(local.session_reuses, 1);
+        assert_eq!(local.get(Counter::SessionsEstablished), 1);
+        assert_eq!(local.get(Counter::SessionReuses), 1);
         assert_eq!(shards.total_sessions(), 1);
     }
 
@@ -206,7 +206,7 @@ mod tests {
         shards.evict("bob");
         let second = shards.get_or_establish("bob", &key, true, &mut local, None).unwrap();
         assert!(!Arc::ptr_eq(&first, &second));
-        assert_eq!(local.sessions_established, 2);
+        assert_eq!(local.get(Counter::SessionsEstablished), 2);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //!
 //! The serving engine's guarantees (no disclosure past a revocation, MLS
 //! label monotonicity) assume a linearizable store; a lock-order inversion
-//! or a relaxed-atomic race in the seqlock/shard/cache plumbing silently
+//! or a relaxed-atomic race in the snapshot/shard/cache plumbing silently
 //! voids them. This module provides drop-in wrappers — [`TrackedMutex`],
 //! [`TrackedRwLock`], [`TrackedAtomicU64`] and friends — that behave
 //! exactly like their `std::sync` counterparts but, when detection is
@@ -20,8 +20,8 @@
 //!   every instance of a shard or session lock.
 //! * **Happens-before checker (WS111)** — per-thread vector clocks,
 //!   advanced by lock release/acquire pairs and by `Release`-store /
-//!   `Acquire`-load pairs on *synchronizing* atomics (the seqlock
-//!   `generation`, the `faults_enabled` flag). A `Relaxed` store to a
+//!   `Acquire`-load pairs on *synchronizing* atomics (the snapshot
+//!   `generation`, the `faults_enabled` flag, the batch claim cursor). A `Relaxed` store to a
 //!   synchronizing atomic, or a `Relaxed` load that is not
 //!   happens-before-ordered with the atomic's latest store, is reported
 //!   as `WS111 DataRace`.
@@ -97,8 +97,8 @@ pub enum AtomicRole {
     /// them would serialize every hot counter through the global
     /// registry and drown real findings in noise.
     Counter,
-    /// An atomic whose ordering other memory depends on (seqlock
-    /// generations, enable flags). Always modeled when detection is on:
+    /// An atomic whose ordering other memory depends on (the snapshot
+    /// generation, enable flags, the batch claim cursor). Always modeled when detection is on:
     /// stores must use `Release` (or stronger), cross-thread loads must
     /// use `Acquire` (or stronger) unless already ordered.
     Synchronizing,

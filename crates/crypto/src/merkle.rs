@@ -187,14 +187,23 @@ pub fn verify(root: &Digest, leaf_data: &[u8], proof: &MerkleProof) -> bool {
     verify_hash(root, &leaf_hash(leaf_data), proof)
 }
 
+/// Tree height for `n_leaves` real leaves (the padded width's log₂), or
+/// `None` when the padded width does not fit a `usize`: no such tree
+/// exists, so no proof for one verifies.
+fn height(n_leaves: usize) -> Option<usize> {
+    let width = n_leaves.max(1).checked_next_power_of_two()?;
+    Some(width.trailing_zeros() as usize)
+}
+
 /// Verifies a single-leaf proof against `root` using a pre-hashed leaf.
+/// A proof of any shape — any sibling count, any `n_leaves` — is answered
+/// `false` or `true`, never a panic.
 #[must_use]
 pub fn verify_hash(root: &Digest, leaf: &Digest, proof: &MerkleProof) -> bool {
-    let width = proof.n_leaves.max(1).next_power_of_two();
     if proof.leaf_index >= proof.n_leaves {
         return false;
     }
-    if (1usize << proof.siblings.len()) != width {
+    if height(proof.n_leaves) != Some(proof.siblings.len()) {
         return false;
     }
     let mut acc = *leaf;
@@ -224,8 +233,9 @@ impl MultiProof {
         if self.indices.iter().any(|&i| i >= self.n_leaves) {
             return false;
         }
-        let width = self.n_leaves.max(1).next_power_of_two();
-        let height = width.trailing_zeros() as usize;
+        let Some(height) = height(self.n_leaves) else {
+            return false;
+        };
         let mut hash_pos = 0usize;
         let mut leaf_pos = 0usize;
         let computed = self.recompute(height, 0, leaves, &mut hash_pos, &mut leaf_pos);
@@ -424,5 +434,33 @@ mod tests {
             d2[i] = b"mutated".to_vec();
             assert_ne!(MerkleTree::from_data(&d2).root(), base, "leaf {i}");
         }
+    }
+
+    #[test]
+    fn sixty_four_siblings_are_refused() {
+        let t = MerkleTree::from_data(&items(2));
+        let mut p = t.prove(0);
+        p.siblings = vec![[7u8; 32]; 64];
+        assert!(!verify(&t.root(), b"item-0", &p));
+    }
+
+    #[test]
+    fn a_leaf_count_past_the_widest_tree_is_refused() {
+        let p = MerkleProof {
+            leaf_index: 0,
+            n_leaves: usize::MAX,
+            siblings: vec![[7u8; 32]; 64],
+        };
+        assert!(!verify(&[0u8; 32], b"item-0", &p));
+    }
+
+    #[test]
+    fn a_multiproof_past_the_widest_tree_is_refused() {
+        let p = MultiProof {
+            n_leaves: usize::MAX,
+            indices: vec![0],
+            hashes: vec![[7u8; 32]; 64],
+        };
+        assert!(!p.verify(&[0u8; 32], &[leaf_hash(b"item-0")]));
     }
 }

@@ -11,11 +11,18 @@
 //! bounded: a document nested deeper than `MAX_DEPTH` levels is refused
 //! with a [`ParseError`] instead of overflowing the stack.
 
-use crate::node::{Document, NodeId};
+use std::collections::HashSet;
+
+use crate::node::{Document, NodeId, NodeKind};
 
 /// Deepest element nesting [`Document::parse`] accepts (the root is level
 /// 1). Deeper input fails closed with a [`ParseError`].
 const MAX_DEPTH: usize = 256;
+
+/// Attributes of a start tag that the duplicate check compares by a scan;
+/// each later name goes into a hash set, so a start tag with n attributes
+/// parses in O(n) expected time.
+const ATTRIBUTE_SCAN_LIMIT: usize = 8;
 
 /// A parse failure with byte offset context.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -251,32 +258,48 @@ impl<'a> Parser<'a> {
                 doc.root()
             }
         };
-        // Attributes.
-        loop {
+        // Attributes, collected in order and stored on the element at once.
+        let input = self.input;
+        let mut collected: Vec<(String, String)> = Vec::new();
+        let mut later_names: HashSet<&'a str> = HashSet::new();
+        let self_closing = loop {
             self.skip_ws();
             match self.peek() {
                 Some(b'/') => {
                     self.pos += 1;
                     self.expect(b'>')?;
-                    return Ok(id);
+                    break true;
                 }
                 Some(b'>') => {
                     self.pos += 1;
-                    break;
+                    break false;
                 }
                 Some(_) => {
+                    let name_at = self.pos;
                     let attr_name = self.parse_name()?;
+                    let name = &input[name_at..self.pos];
                     self.skip_ws();
                     self.expect(b'=')?;
                     self.skip_ws();
                     let value = self.parse_attr_value()?;
-                    if doc.attribute(id, &attr_name).is_some() {
+                    let duplicate = collected
+                        .iter()
+                        .take(ATTRIBUTE_SCAN_LIMIT)
+                        .any(|(seen, _)| *seen == attr_name)
+                        || (collected.len() >= ATTRIBUTE_SCAN_LIMIT && !later_names.insert(name));
+                    if duplicate {
                         return self.err(format!("duplicate attribute '{attr_name}'"));
                     }
-                    doc.set_attribute(id, &attr_name, &value);
+                    collected.push((attr_name, value));
                 }
                 None => return self.err("unterminated start tag"),
             }
+        };
+        if let NodeKind::Element { attributes, .. } = &mut doc.nodes[id.index()].kind {
+            *attributes = collected;
+        }
+        if self_closing {
+            return Ok(id);
         }
         // Content.
         let mut text = String::new();
@@ -341,7 +364,6 @@ impl Document {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::node::NodeKind;
 
     #[test]
     fn parse_simple() {
@@ -482,6 +504,46 @@ mod tests {
         assert_eq!(parsed.attribute(parsed.root(), "v"), Some(text.as_str()));
         let reparsed = Document::parse(&parsed.to_xml_string()).unwrap();
         assert_eq!(reparsed.to_xml_string(), xml);
+    }
+
+    /// One start tag carrying `count` distinct attributes (1.48 MB for
+    /// 100,000).
+    fn wide_start_tag(count: usize) -> String {
+        let mut xml = String::from("<r");
+        for i in 0..count {
+            xml.push_str(&format!(" a{i}=\"{i}\""));
+        }
+        xml.push_str("/>");
+        xml
+    }
+
+    #[test]
+    fn megabyte_start_tag_with_distinct_attributes_round_trips() {
+        const COUNT: usize = 100_000;
+        let xml = wide_start_tag(COUNT);
+        assert!(xml.len() > 1_000_000, "{} bytes", xml.len());
+        let parsed = Document::parse(&xml).unwrap();
+        let attributes = parsed.attributes(parsed.root());
+        assert_eq!(attributes.len(), COUNT);
+        assert_eq!(attributes[0], ("a0".to_string(), "0".to_string()));
+        assert_eq!(attributes[COUNT - 1].1, (COUNT - 1).to_string());
+        assert_eq!(parsed.to_xml_string(), xml);
+        let reparsed = Document::parse(&parsed.to_xml_string()).unwrap();
+        assert_eq!(reparsed.to_xml_string(), xml);
+    }
+
+    #[test]
+    fn megabyte_start_tag_with_one_duplicate_is_refused() {
+        let xml = wide_start_tag(100_000).replace(" a99999=", " a50000=");
+        let err = Document::parse(&xml).unwrap_err();
+        assert!(
+            err.message.contains("duplicate attribute 'a50000'"),
+            "{err}"
+        );
+        // A duplicate among the first, scanned names is refused too.
+        let xml = wide_start_tag(100_000).replace(" a7=", " a3=");
+        let err = Document::parse(&xml).unwrap_err();
+        assert!(err.message.contains("duplicate attribute 'a3'"), "{err}");
     }
 
     #[test]

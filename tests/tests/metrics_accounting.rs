@@ -115,8 +115,7 @@ fn cache_counters_partition_allowed_requests_exactly() {
 }
 
 /// The per-shard breakdown reconciles with the globals: shard sums equal
-/// the aggregate counters, and the L2 shard hit/miss tallies explain every
-/// L2 lookup (one per allowed request that was not coalesced).
+/// the aggregate counters.
 #[test]
 fn per_shard_stats_sum_to_the_global_counters() {
     let server = StackServer::with_shards(build_stack(), 8);
@@ -131,14 +130,6 @@ fn per_shard_stats_sum_to_the_global_counters() {
     assert_eq!(sum(|s| s.cached_views), m.cached_views);
     assert_eq!(sum(|s| s.session_lock_waits), m.session_lock_waits);
     assert_eq!(sum(|s| s.cache_lock_waits), m.cache_lock_waits);
-    assert_eq!(sum(|s| s.l2_hits), m.l2_hits);
-    // Each global cache miss performed exactly one (missing) L2 lookup, so
-    // the shard-level lookup tallies reconcile with the global split.
-    assert_eq!(
-        sum(|s| s.l2_hits) + sum(|s| s.l2_misses),
-        m.l2_hits + m.cache_misses,
-        "L2 shard lookups must equal L2 hits plus computed views"
-    );
     // One session per subject, hashed across shards.
     assert_eq!(m.sessions_open, SUBJECTS as u64);
     assert_eq!(m.sessions_established, SUBJECTS as u64);
