@@ -11,11 +11,11 @@
 //!
 //! * every request path accumulates into a plain-`u64` [`LocalMetrics`]
 //!   (no shared cache lines while requests are in flight),
-//! * a batch worker flushes once into the atomic [`MetricsInner`] when it
-//!   runs out of requests to claim, and a single request once when it is
-//!   answered ([`MetricsInner::absorb`]); statistics kept off the request
-//!   path (analysis passes, gate denials, snapshot compiles) are added to
-//!   [`MetricsInner`] directly,
+//! * a batch worker's accumulator is flushed once into the atomic
+//!   [`MetricsInner`] when the batch joins the worker, and a single
+//!   request's once when it is answered ([`MetricsInner::absorb`]);
+//!   statistics kept off the request path (analysis passes, gate denials,
+//!   snapshot compiles) are added to [`MetricsInner`] directly,
 //! * callers read a [`MetricsSnapshot`] — a `#[non_exhaustive]` value
 //!   struct, so counters (such as the per-shard [`ShardStats`]) can be
 //!   added without a breaking change.
@@ -587,6 +587,12 @@ impl MetricsInner {
 
     /// The cumulative value of `counter`. Monotonic totals: a read needs
     /// no stronger order.
+    ///
+    /// This is the one read of every counter, the gate-fed `shed` and
+    /// `faults_injected` included. Relaxed is enough for those too: the
+    /// caller of `serve_batch` absorbs each worker's tallies itself, after
+    /// joining that worker and before returning, so a benchmark gate that
+    /// reads after a batch sees the batch's whole total.
     pub fn get(&self, counter: Counter) -> u64 {
         self.counts[counter as usize].load(Ordering::Relaxed)
     }
