@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Repository gate: offline build, full test suite, the websec-lint static
-# checks, the WS001-WS012 analyzer over every example stack (byte-diffed
-# for determinism, failing on error findings), the WS013-WS018 static
+# Repository gate: offline build, full test suite, the wsbench build,
+# tests and short runs, the websec-lint static checks, the WS001-WS012
+# analyzer over every example stack (byte-diffed for determinism,
+# failing on error findings), the WS013-WS018 static
 # policy verifier over the seed fixtures (byte-diffed against the
 # committed ANALYSIS_policy.json baseline), and the serving benchmark,
 # which evaluates its own speedup, equivalence and incremental-analysis
@@ -51,6 +52,20 @@ export CHAOS_SEEDS="${CHAOS_SEEDS:-25}"
 echo "==> cargo test --offline (CHAOS_SEEDS=${CHAOS_SEEDS})"
 cargo test -q --offline
 
+# The benchmark harness is a workspace of its own (path dependencies on
+# websec-core and websec-scenarios), so the build above never compiles
+# it: build and test it here, then run its two gated workloads briefly.
+# A run exits non-zero on any outcome that differs from its oracle,
+# including a planted WS014 tie the Deny gate fails to reject with WS109.
+# Untraced runs write no files.
+echo "==> wsbench build, tests and 3 s runs (gated_updates, hot_reads)"
+cargo build --release --offline --manifest-path wsbench/Cargo.toml
+cargo test -q --release --offline --manifest-path wsbench/Cargo.toml
+for workload in gated_updates hot_reads; do
+    cargo run -q --release --offline --manifest-path wsbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 3 --trace 0
+done
+
 # Concurrency-correctness pass: the chaos + serving + lockdep suites and
 # the Deny gate's oracle walk rerun with the lock-order/race detector
 # armed; any WS110/WS111 finding fails a test. 200 seeds is the regression oracle for future lock-free refactors
@@ -98,8 +113,9 @@ verify_policies_step
 # gate table (parallel >= serial, faulted parallel >= faulted serial, the
 # core-aware no-dup scaling bar, incremental <= full analysis and policy
 # verification, compiled >= 5x interpreted with byte equivalence and the
-# analyzer cross-check, detector-off overhead <= 2%) against the values as
-# written, printing one line per gate; any failed gate exits non-zero.
+# epoch and class-partition cross-check, detector-off overhead <= 2%)
+# against the values as written, printing one line per gate; any failed
+# gate exits non-zero.
 echo "==> serving-layer benchmark and gates (BENCH_serving.json)"
 cargo run --release --offline -p websec-examples --bin serving_bench
 

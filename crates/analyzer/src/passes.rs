@@ -14,19 +14,20 @@
 
 use crate::diagnostics::{Diagnostic, Report, Severity};
 use crate::flow::{EdgeKind, FlowGraph, FlowNode};
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
+use std::sync::{Arc, OnceLock};
 use websec_dissem::{RegionMap, SubjectKeyring};
 use websec_policy::mls::{ContextLabel, Level};
 use websec_policy::{
-    Authorization, AuthzId, ConflictStrategy, CredentialExpr, ObjectSpec, PolicyEngine,
-    PolicyStore, Privilege, Role, RoleHierarchy, SecurityContext, Sign, SubjectProfile,
-    SubjectSpec,
+    Authorization, AuthzId, CompiledPolicies, ConflictStrategy, CredentialExpr, ObjectSpec,
+    PolicyEngine, PolicySnapshot, PolicyStore, Privilege, Role, RoleHierarchy, SecurityContext,
+    Sign, SubjectProfile, SubjectSpec,
 };
 use websec_privacy::constraints::classify;
 use websec_privacy::{PrivacyConstraint, PrivacyLevel};
 use websec_rdf::{Schema, SecureStore, TripleStore};
 use websec_uddi::UddiRegistry;
-use websec_xml::{Document, NodeId};
+use websec_xml::{Document, DocumentStore};
 
 /// All privileges, ascending.
 const PRIVILEGES: [Privilege; 4] = [
@@ -64,8 +65,12 @@ pub struct AnalyzerInput<'a> {
     pub store: &'a PolicyStore,
     /// The conflict strategy the stack's engine is configured with.
     pub strategy: ConflictStrategy,
-    /// Named documents the policies govern.
+    /// Named documents the policies govern, under distinct names.
     pub documents: Vec<(&'a str, &'a Document)>,
+    /// The decision tables compiled from `store` over `documents`, the
+    /// one source WS001/WS002 read coverage from: supplied through
+    /// [`AnalyzerInput::with_compiled`], or compiled on first use.
+    compiled: OnceLock<Arc<CompiledPolicies>>,
     /// Per-document MLS labels (WS003, WS010).
     pub labels: Vec<(&'a str, &'a ContextLabel)>,
     /// Object names registered in RDF/UDDI catalogs (WS005 cross-check).
@@ -107,6 +112,7 @@ impl<'a> AnalyzerInput<'a> {
             store,
             strategy,
             documents: Vec::new(),
+            compiled: OnceLock::new(),
             labels: Vec::new(),
             catalog_names: Vec::new(),
             constraints: &[],
@@ -127,6 +133,30 @@ impl<'a> AnalyzerInput<'a> {
     pub fn with_document(mut self, name: &'a str, doc: &'a Document) -> Self {
         self.documents.push((name, doc));
         self
+    }
+
+    /// Supplies the decision tables compiled from this input's store over
+    /// its documents (builder style), so WS001/WS002 read coverage from
+    /// them instead of compiling their own. Tables compiled from anything
+    /// else yield meaningless findings.
+    #[must_use]
+    pub fn with_compiled(self, compiled: Arc<CompiledPolicies>) -> Self {
+        let _ = self.compiled.set(compiled);
+        self
+    }
+
+    /// The decision tables WS001/WS002 read coverage from: the supplied
+    /// ones, or tables compiled on first use from the store and a copy of
+    /// the documents registered by then. Every later call returns the
+    /// same tables.
+    pub(crate) fn compiled(&self) -> &CompiledPolicies {
+        self.compiled.get_or_init(|| {
+            let mut documents = DocumentStore::new();
+            for (name, doc) in &self.documents {
+                documents.insert(name, (*doc).clone());
+            }
+            PolicySnapshot::new(self.store, self.strategy, &documents).compile()
+        })
     }
 
     /// Registers a label (builder style).
@@ -367,24 +397,77 @@ pub(crate) fn subject_covers(
     }
 }
 
-/// Per-authorization coverage over one document.
-type Coverage = (Vec<NodeId>, Vec<(NodeId, String)>);
+/// Where rules apply, read from the compiled tables. Rules are indexed
+/// like `input.store.authorizations()`, documents like `input.documents`.
+struct Coverage {
+    /// Per document: the rule sets the engine decides over, each
+    /// ascending — one per equivalence class (the rules covering its
+    /// nodes), then one per selected `(node, attribute)` pair (the rules
+    /// selecting it merged with those covering the owning element, as the
+    /// engine merges them).
+    sets: Vec<Vec<Vec<usize>>>,
+    /// Per rule: `(document, set)` for the classes it covers and the
+    /// attributes it selects, in document order.
+    of_rule: Vec<Vec<(usize, usize)>>,
+}
 
-/// Coverage of every authorization over every document:
-/// `coverage[auth_index][doc_index]`.
-fn coverage_matrix(input: &AnalyzerInput<'_>) -> Vec<Vec<Option<Coverage>>> {
-    input
-        .store
-        .authorizations()
-        .iter()
-        .map(|auth| {
-            input
-                .documents
+impl Coverage {
+    /// Reads every configured document's coverage from the input's tables
+    /// (a document the tables do not hold covers nothing).
+    fn of(input: &AnalyzerInput<'_>) -> Self {
+        let auths = input.store.authorizations();
+        let index: HashMap<AuthzId, usize> =
+            auths.iter().enumerate().map(|(i, a)| (a.id, i)).collect();
+        let indices = |rules: Vec<&Authorization>| -> Vec<usize> {
+            rules
                 .iter()
-                .map(|(name, doc)| PolicyEngine::covered_nodes(input.store, auth, name, doc))
+                .filter_map(|a| index.get(&a.id).copied())
                 .collect()
-        })
-        .collect()
+        };
+        let compiled = input.compiled();
+        let mut coverage = Coverage {
+            sets: Vec::with_capacity(input.documents.len()),
+            of_rule: vec![Vec::new(); auths.len()],
+        };
+        for (doc, (name, _)) in input.documents.iter().enumerate() {
+            let mut sets: Vec<Vec<usize>> = compiled
+                .classes_of(name)
+                .unwrap_or_default()
+                .into_iter()
+                .map(|c| indices(c.auths))
+                .collect();
+            for (set, rules) in sets.iter().enumerate() {
+                for &r in rules {
+                    coverage.of_rule[r].push((doc, set));
+                }
+            }
+            for entry in compiled.attrs_of(name).unwrap_or_default() {
+                let selecting = indices(entry.auths);
+                for &r in &selecting {
+                    coverage.of_rule[r].push((doc, sets.len()));
+                }
+                let mut merged = [selecting, sets[entry.class as usize].clone()].concat();
+                merged.sort_unstable();
+                merged.dedup();
+                sets.push(merged);
+            }
+            coverage.sets.push(sets);
+        }
+        coverage
+    }
+
+    /// The first document on which rules `a` and `b` share a node or an
+    /// attribute decision. An attribute-selecting rule also collides with
+    /// an element-level rule covering the owning element.
+    fn first_overlap(&self, a: usize, b: usize) -> Option<usize> {
+        let first = |r: usize, other: usize| {
+            self.of_rule[r]
+                .iter()
+                .find(|&&(doc, set)| self.sets[doc][set].binary_search(&other).is_ok())
+                .map(|&(doc, _)| doc)
+        };
+        [first(a, b), first(b, a)].into_iter().flatten().min()
+    }
 }
 
 /// WS001: opposite-sign pairs that can collide on the same subject, object
@@ -393,7 +476,7 @@ fn coverage_matrix(input: &AnalyzerInput<'_>) -> Vec<Vec<Option<Coverage>>> {
 /// resolve differently is a warning.
 pub fn ws001_conflicts(input: &AnalyzerInput<'_>) -> Vec<Diagnostic> {
     let auths = input.store.authorizations();
-    let coverage = coverage_matrix(input);
+    let coverage = Coverage::of(input);
     let mut out = Vec::new();
 
     for (gi, g) in auths.iter().enumerate() {
@@ -412,9 +495,10 @@ pub fn ws001_conflicts(input: &AnalyzerInput<'_>) -> Vec<Diagnostic> {
             if !subjects_may_overlap(&g.subject, &d.subject, &input.store.hierarchy) {
                 continue;
             }
-            let Some(doc_name) = object_overlap_witness(input, &coverage, gi, di) else {
+            let Some(doc) = coverage.first_overlap(gi, di) else {
                 continue;
             };
+            let doc_name = input.documents[doc].0;
 
             let pair: [&Authorization; 2] = [g, d];
             let tie = match input.strategy {
@@ -475,64 +559,17 @@ pub fn ws001_conflicts(input: &AnalyzerInput<'_>) -> Vec<Diagnostic> {
     out
 }
 
-/// First document on which both authorizations cover a common node or
-/// attribute, if any.
-fn object_overlap_witness(
-    input: &AnalyzerInput<'_>,
-    coverage: &[Vec<Option<Coverage>>],
-    ai: usize,
-    bi: usize,
-) -> Option<String> {
-    for (doc_idx, (name, _)) in input.documents.iter().enumerate() {
-        let (Some((na, aa)), Some((nb, ab))) = (&coverage[ai][doc_idx], &coverage[bi][doc_idx])
-        else {
-            continue;
-        };
-        let node_hit = na.iter().any(|n| nb.binary_search(n).is_ok());
-        // An attribute-targeting rule also collides with an element-level
-        // rule covering the owning element (the engine merges both sets).
-        let attr_hit = aa.iter().any(|p| ab.contains(p))
-            || aa.iter().any(|(n, _)| nb.binary_search(n).is_ok())
-            || ab.iter().any(|(n, _)| na.binary_search(n).is_ok());
-        if node_hit || attr_hit {
-            return Some((*name).to_string());
-        }
-    }
-    None
-}
-
 /// WS002: rules that can never matter — either they match no object in any
 /// configured document (unreachable), or removing them changes no decision
-/// for any statically comparable subject (shadowed). Grant reachability is
-/// checked against [`PolicyEngine::policy_equivalence_classes`], the same
-/// oracle secure dissemination keys off.
+/// for any statically comparable subject (shadowed). Coverage comes from
+/// the compiled tables the input carries.
 pub fn ws002_shadowed_rules(input: &AnalyzerInput<'_>) -> Vec<Diagnostic> {
     let auths = input.store.authorizations();
-    let coverage = coverage_matrix(input);
+    let coverage = Coverage::of(input);
     let mut out = Vec::new();
 
-    // Grants reachable per the equivalence-class oracle. Browse is the
-    // weakest privilege, so every grant is eligible for inclusion.
-    let mut oracle_reachable: BTreeSet<AuthzId> = BTreeSet::new();
-    for (name, doc) in &input.documents {
-        let classes =
-            PolicyEngine::policy_equivalence_classes(input.store, name, doc, Privilege::Browse);
-        for key in classes.keys() {
-            oracle_reachable.extend(key.iter().copied());
-        }
-    }
-
     for (ai, a) in auths.iter().enumerate() {
-        let covers_something = coverage[ai]
-            .iter()
-            .any(|c| c.as_ref().is_some_and(|(n, at)| !n.is_empty() || !at.is_empty()));
-        let reachable = match a.sign {
-            // Attribute-only grants never enter the node-level classes, so
-            // fall back to raw coverage for them.
-            Sign::Plus => oracle_reachable.contains(&a.id) || covers_something,
-            Sign::Minus => covers_something,
-        };
-        if !reachable {
+        if coverage.of_rule[ai].is_empty() {
             if input.documents.is_empty() {
                 continue; // nothing configured: reachability is undecidable
             }
@@ -565,15 +602,18 @@ pub fn ws002_shadowed_rules(input: &AnalyzerInput<'_>) -> Vec<Diagnostic> {
     out
 }
 
-/// Replays the engine's per-node resolution with and without rule `a` for
-/// every *witness subject class* — each subject spec in the store that is
-/// fully inside `a`'s subject set. For each witness class, exactly the rules
-/// whose specs cover the class are guaranteed applicable, so the with/without
-/// comparison is exact at that granularity. True when no decision ever
-/// changes for any witness.
+/// Replays the engine's resolution with and without rule `a` for every
+/// *witness subject class* — each subject spec in the store that is fully
+/// inside `a`'s subject set. For each witness class, exactly the rules
+/// whose specs cover the class are guaranteed applicable, so the
+/// with/without comparison is exact at that granularity. The replay runs
+/// once per equivalence class `a` covers (its nodes share one covering
+/// rule set, so they share every decision) and once per attribute `a`
+/// selects (merged with the owning element's rules, as the engine does).
+/// True when no decision ever changes for any witness.
 fn is_shadowed(
     input: &AnalyzerInput<'_>,
-    coverage: &[Vec<Option<Coverage>>],
+    coverage: &Coverage,
     ai: usize,
     a: &Authorization,
 ) -> bool {
@@ -590,65 +630,32 @@ fn is_shadowed(
         .collect();
 
     for witness in witnesses {
-        for (doc_idx, _) in input.documents.iter().enumerate() {
-            let Some((nodes, attrs)) = &coverage[ai][doc_idx] else {
+        for &p in &PRIVILEGES {
+            if !PolicyEngine::relevant(a, p) {
                 continue;
+            }
+            // Rules other than `a` guaranteed to apply to every subject in
+            // the witness class, for privilege `p`.
+            let applies: Vec<bool> = auths
+                .iter()
+                .enumerate()
+                .map(|(bi, b)| {
+                    bi != ai
+                        && PolicyEngine::relevant(b, p)
+                        && subject_covers(&b.subject, witness, hierarchy)
+                })
+                .collect();
+            // Does adding `a` to the applicable rules among `covering`
+            // change the decision?
+            let decides = |covering: &[usize]| {
+                let mut with_a: Vec<&Authorization> = vec![a];
+                with_a.extend(covering.iter().filter(|&&b| applies[b]).map(|&b| &auths[b]));
+                closed(input.strategy.resolve(&with_a))
+                    != closed(input.strategy.resolve(&with_a[1..]))
             };
-            for &p in &PRIVILEGES {
-                if !PolicyEngine::relevant(a, p) {
-                    continue;
-                }
-                // Rules guaranteed to apply to every subject in the witness
-                // class, for privilege `p`.
-                let others: Vec<(usize, &Authorization)> = auths
-                    .iter()
-                    .enumerate()
-                    .filter(|(bi, b)| {
-                        *bi != ai
-                            && PolicyEngine::relevant(b, p)
-                            && subject_covers(&b.subject, witness, hierarchy)
-                    })
-                    .collect();
-
-                for &n in nodes {
-                    let mut with_a: Vec<&Authorization> = vec![a];
-                    let mut without_a: Vec<&Authorization> = Vec::new();
-                    for (bi, b) in &others {
-                        if coverage[*bi][doc_idx]
-                            .as_ref()
-                            .is_some_and(|(ns, _)| ns.binary_search(&n).is_ok())
-                        {
-                            with_a.push(b);
-                            without_a.push(b);
-                        }
-                    }
-                    if closed(input.strategy.resolve(&with_a))
-                        != closed(input.strategy.resolve(&without_a))
-                    {
-                        return false;
-                    }
-                }
-                for (n, attr) in attrs {
-                    // Mirror the engine: attribute decisions merge the
-                    // attribute-specific rules with element-level rules on
-                    // the owning element.
-                    let mut with_a: Vec<&Authorization> = vec![a];
-                    let mut without_a: Vec<&Authorization> = Vec::new();
-                    for (bi, b) in &others {
-                        let hits = coverage[*bi][doc_idx].as_ref().is_some_and(|(ns, ats)| {
-                            ns.binary_search(n).is_ok()
-                                || ats.iter().any(|(m, at)| m == n && at == attr)
-                        });
-                        if hits {
-                            with_a.push(b);
-                            without_a.push(b);
-                        }
-                    }
-                    if closed(input.strategy.resolve(&with_a))
-                        != closed(input.strategy.resolve(&without_a))
-                    {
-                        return false;
-                    }
+            for &(doc, set) in &coverage.of_rule[ai] {
+                if decides(&coverage.sets[doc][set]) {
+                    return false;
                 }
             }
         }

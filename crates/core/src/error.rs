@@ -20,7 +20,6 @@
 //! | WS108 | [`Error::Overloaded`]        | admission control shed the request   |
 //! | WS109 | [`Error::AnalysisRejected`]  | gated update introduced critical findings |
 
-use crate::stack::StackError;
 use websec_services::channel::ChannelError;
 
 /// Unified serving-layer error with stable `WS1xx` codes.
@@ -132,43 +131,9 @@ impl std::fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
-impl From<StackError> for Error {
-    fn from(e: StackError) -> Self {
-        match e {
-            StackError::UnknownDocument(d) => Error::UnknownDocument(d),
-            StackError::ClearanceViolation => Error::ClearanceViolation,
-            StackError::Channel(m) => Error::Channel(m),
-            StackError::Misconfigured(m) => Error::Misconfigured(m),
-        }
-    }
-}
-
 impl From<ChannelError> for Error {
     fn from(e: ChannelError) -> Self {
         Error::Channel(e.to_string())
-    }
-}
-
-/// Lossy back-conversion to the stack-level error: the request and
-/// serving-layer variants ([`Error::InvalidRequest`], `WS106`–`WS108`)
-/// have no stack counterpart and map to [`StackError::Channel`].
-impl From<Error> for StackError {
-    fn from(e: Error) -> Self {
-        match e {
-            Error::UnknownDocument(d) => StackError::UnknownDocument(d),
-            Error::ClearanceViolation => StackError::ClearanceViolation,
-            Error::Channel(m) => StackError::Channel(m),
-            Error::Misconfigured(m) => StackError::Misconfigured(m),
-            Error::InvalidRequest(m) => StackError::Channel(m),
-            Error::ShardPoisoned(m) => StackError::Channel(m),
-            Error::DeadlineExceeded(m) => StackError::Channel(m),
-            Error::Overloaded(m) => StackError::Channel(m),
-            Error::AnalysisRejected(m) => StackError::Misconfigured(m),
-            // `Error` is non_exhaustive within the crate too: route any
-            // future variant through the transport bucket.
-            #[allow(unreachable_patterns)]
-            other => StackError::Channel(other.to_string()),
-        }
     }
 }
 
@@ -217,14 +182,6 @@ mod tests {
         assert!(Error::UnknownDocument("a".into())
             .to_string()
             .contains("unknown document 'a'"));
-    }
-
-    #[test]
-    fn stack_error_roundtrip() {
-        let e: Error = StackError::UnknownDocument("d".into()).into();
-        assert_eq!(e.code(), "WS101");
-        let back: StackError = e.into();
-        assert_eq!(back, StackError::UnknownDocument("d".into()));
     }
 
     #[test]

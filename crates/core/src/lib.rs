@@ -115,7 +115,7 @@ pub use server::{
     AnalysisGate, BatchResponse, BatchStats, LatencyHistogram, MetricsSnapshot, ServerConfig,
     ShardStats, StackServer,
 };
-pub use stack::{LayerTimings, SecureWebStack, StackError};
+pub use stack::{LayerTimings, SecureWebStack};
 pub use sync::{
     lockdep_enabled, lockdep_findings, set_lockdep_enabled, SyncFinding, TrackedAtomicBool,
     TrackedAtomicU64, TrackedMutex, TrackedRwLock,
@@ -135,7 +135,7 @@ pub mod prelude {
         AnalysisGate, BatchResponse, BatchStats, LatencyHistogram, MetricsSnapshot,
         ServerConfig, ShardStats, StackServer,
     };
-    pub use crate::stack::{LayerTimings, SecureWebStack, StackError};
+    pub use crate::stack::{LayerTimings, SecureWebStack};
     pub use crate::sync::{
         lockdep_enabled, lockdep_findings, set_lockdep_enabled, SyncFinding, TrackedAtomicBool,
         TrackedAtomicU64, TrackedMutex, TrackedRwLock,

@@ -49,8 +49,8 @@ use crate::error::Error;
 use crate::hash::{fnv1a, FNV1A_START};
 use crate::stack::SecureWebStack;
 use websec_analyzer::policy_verify::{self, PolicyPassId, PolicyVerifyInput};
-use websec_analyzer::{run_pass, AnalyzerInput, Diagnostic, PassId, Report, Section, Severity};
-use websec_policy::{CompiledPolicies, PolicyEngine, PolicyStore, Privilege};
+use websec_analyzer::{run_pass, Diagnostic, PassId, Report, Section, Severity};
+use websec_policy::{CompiledPolicies, PolicyEngine, Privilege};
 
 /// What [`StackServer::try_update`] does with analyzer findings.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -240,15 +240,20 @@ impl SnapshotAnalysis {
     }
 
     /// The WS001–WS012 report of `stack` (the snapshot this analysis
-    /// describes), running only the passes with no result yet; also
-    /// returns the codes of the passes run.
-    fn complete_report(&mut self, stack: &SecureWebStack) -> (&Report, Vec<&'static str>) {
+    /// describes) over `compiled`, its decision plane, running only the
+    /// passes with no result yet; also returns the codes of the passes
+    /// run.
+    fn complete_report(
+        &mut self,
+        stack: &SecureWebStack,
+        compiled: &Arc<CompiledPolicies>,
+    ) -> (&Report, Vec<&'static str>) {
         let mut ran = Vec::new();
         let report = match self.report.take() {
             Some(report) => report,
             None => {
                 let passes = &mut self.passes;
-                stack.with_analyzer_input(|input| {
+                stack.with_analyzer_input(compiled, |input| {
                     for (pass, slot) in PassId::ALL.iter().zip(passes.iter_mut()) {
                         if slot.is_none() {
                             ran.push(pass.code());
@@ -333,7 +338,7 @@ impl StackServer {
             }
         }
         let mut analysis = self.memo_for(stack, token);
-        let (report, ran) = analysis.complete_report(stack);
+        let (report, ran) = analysis.complete_report(stack, &published.compiled);
         let report = report.clone();
         self.count_passes(ran.len());
         self.commit(analysis, Some(ran));
@@ -450,27 +455,24 @@ impl StackServer {
         report
     }
 
-    /// Proves the current snapshot's compiled decision tables equivalent
-    /// to the live policy base, at the level static analysis can see:
+    /// Cross-checks the current snapshot's compiled decision tables
+    /// against the live policy base and the interpreter:
     ///
-    /// 1. the policy passes — WS001 (conflict detection) and WS002
-    ///    (shadowed/unreachable rules) — are re-run over a
-    ///    [`websec_policy::CompiledPolicies::reconstruct_store`]
-    ///    reconstruction and must produce **byte-identical** machine
-    ///    lines (diagnostics name authorization ids, so identity — not
-    ///    just cardinality — is checked);
+    /// 1. the artifact's baked epoch must match the snapshot's policy
+    ///    epoch (a stale artifact can never pass as current);
     /// 2. the per-document Browse/Read equivalence classes projected from
     ///    the compiled tables must match the interpreter's
-    ///    [`PolicyEngine::policy_equivalence_classes`] partition exactly;
-    /// 3. the artifact's baked epoch must match the snapshot's policy
-    ///    epoch (a stale artifact can never pass as current).
+    ///    [`PolicyEngine::policy_equivalence_classes`] partition exactly.
     ///
-    /// Returns the shared machine lines on success.
+    /// WS001/WS002 are not re-run here: they read their coverage from
+    /// these very tables, so a comparison through them could not fail.
+    /// Per-rule coverage is pinned to the interpreter by the
+    /// `compiled_decisions` suite instead.
     ///
     /// # Errors
     /// `WS109` ([`Error::AnalysisRejected`]) describing the first
     /// divergence found.
-    pub fn verify_compiled(&self) -> Result<Vec<String>, Error> {
+    pub fn verify_compiled(&self) -> Result<(), Error> {
         let published = self.snapshot_with_token();
         let (stack, compiled) = (&published.stack, &published.compiled);
         if compiled.epoch() != stack.policies.epoch() {
@@ -478,29 +480,6 @@ impl StackServer {
                 "compiled artifact baked at policy epoch {} but the snapshot is at epoch {}",
                 compiled.epoch(),
                 stack.policies.epoch()
-            )));
-        }
-        let reconstructed = compiled.reconstruct_store();
-        let policy_passes = [PassId::Ws001, PassId::Ws002];
-        let machine_lines = |store: &PolicyStore| -> Vec<String> {
-            let mut input = AnalyzerInput::new(store, stack.engine.strategy);
-            for name in stack.documents.names() {
-                if let Some(doc) = stack.documents.get(name) {
-                    input.documents.push((name, doc));
-                }
-            }
-            policy_passes
-                .iter()
-                .flat_map(|pass| run_pass(&input, *pass))
-                .map(|d| d.machine_line())
-                .collect()
-        };
-        let live = machine_lines(&stack.policies);
-        let rebuilt = machine_lines(&reconstructed);
-        if live != rebuilt {
-            return Err(Error::AnalysisRejected(format!(
-                "WS001/WS002 findings diverge between the live policy base and the compiled \
-                 reconstruction:\nlive: {live:?}\ncompiled: {rebuilt:?}"
             )));
         }
         for name in stack.documents.names() {
@@ -522,7 +501,7 @@ impl StackServer {
                 }
             }
         }
-        Ok(live)
+        Ok(())
     }
 
     /// Gated counterpart of [`StackServer::update`]:
@@ -575,7 +554,7 @@ impl StackServer {
                 // an ungated update or republication since the last
                 // analysis).
                 let mut baseline = self.memo_for(current, token);
-                let (report, baseline_ran) = baseline.complete_report(current);
+                let (report, baseline_ran) = baseline.complete_report(current, &published.compiled);
                 let baseline_errors: BTreeSet<String> = error_lines(report).collect();
                 let (report, baseline_policy_ran) =
                     baseline.complete_policy(current, &published.compiled);
@@ -585,22 +564,23 @@ impl StackServer {
 
                 let mut candidate = (**current).clone();
                 let result = mutate(&mut candidate);
+                // The candidate's decision plane is compiled once, before
+                // any analysis: WS001/WS002, the verifier and (on success)
+                // publication share the same artifact, preserving the
+                // compile-once-per-publication contract. Rejected updates
+                // bump no compile counter — the work happened but nothing
+                // was published.
+                let t = Instant::now();
+                let compiled = candidate.compile();
+                let compile_ns =
+                    u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX);
                 // Keyed by the current token until publication creates
                 // the candidate's own.
                 let mut analysis = SnapshotAnalysis::rebase(Some(&baseline), &candidate, token);
-                let (report, ran) = analysis.complete_report(&candidate);
+                let (report, ran) = analysis.complete_report(&candidate, &compiled);
                 let mut introduced: Vec<String> = error_lines(report)
                     .filter(|line| !baseline_errors.contains(line))
                     .collect();
-                // The candidate's decision plane is compiled once, here:
-                // validation and (on success) publication share the same
-                // artifact, preserving the compile-once-per-publication
-                // contract. Rejected updates bump no compile counter —
-                // the work happened but nothing was published.
-                let t = Instant::now();
-                let compiled = super::compile_stack(&candidate);
-                let compile_ns =
-                    u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX);
                 let (policy_report, policy_ran) =
                     analysis.complete_policy(&candidate, &compiled);
                 introduced.extend(

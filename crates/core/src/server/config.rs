@@ -1,17 +1,19 @@
 //! Consolidated server construction: the [`ServerConfig`] builder.
 //!
-//! The server's knobs accreted one setter at a time — `with_shards`,
-//! [`StackServer::set_queue_limit`], [`StackServer::install_faults`],
-//! [`StackServer::set_analysis_gate`], the global lockdep toggle — which
-//! works for tweaking a live server but makes constructing a fully
-//! configured one noisy. [`ServerConfig`] gathers those five into one
+//! The server's construction knobs — `with_shards`,
+//! [`StackServer::set_queue_limit`], [`StackServer::set_analysis_gate`] —
+//! work for tweaking a live server but make constructing a fully
+//! configured one noisy. [`ServerConfig`] gathers those three into one
 //! fluent value consumed by [`StackServer::with_config`]; every individual
-//! setter remains as a thin delegate, so existing callers compile
-//! unchanged. How a cache miss is decided is not a knob: it is always
-//! answered from the published snapshot's compiled decision tables.
+//! setter remains, so existing callers compile unchanged. Fault plans
+//! ([`StackServer::install_faults`], which returns the live injector) and
+//! the process-global lock-order detector
+//! ([`crate::sync::set_lockdep_enabled`]) are not per-server settings and
+//! keep their own calls. How a cache miss is decided is not a knob: it is
+//! always answered from the published snapshot's compiled decision
+//! tables.
 
 use super::{AnalysisGate, StackServer, DEFAULT_SHARDS};
-use crate::faults::FaultPlan;
 use crate::stack::SecureWebStack;
 
 /// Declarative construction-time configuration for a [`StackServer`],
@@ -36,14 +38,11 @@ pub struct ServerConfig {
     shards: Option<usize>,
     queue_limit: Option<usize>,
     analysis_gate: Option<AnalysisGate>,
-    fault_plan: Option<FaultPlan>,
-    lockdep: Option<bool>,
 }
 
 impl ServerConfig {
     /// An empty configuration: every unset knob keeps the server default
-    /// (16 shards, unlimited queue, [`AnalysisGate::Off`], no fault plan,
-    /// lockdep untouched).
+    /// (16 shards, unlimited queue, [`AnalysisGate::Off`]).
     #[must_use]
     pub fn new() -> Self {
         ServerConfig::default()
@@ -72,26 +71,6 @@ impl ServerConfig {
         self.analysis_gate = Some(gate);
         self
     }
-
-    /// Arms a deterministic [`FaultPlan`] at construction (equivalent to
-    /// calling [`StackServer::install_faults`] immediately after `new`;
-    /// retrieve the live injector via a later `install_faults` call if the
-    /// test needs to assert fired counts).
-    #[must_use]
-    pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.fault_plan = Some(plan);
-        self
-    }
-
-    /// Forces the lock-order/race detector on or off for the process
-    /// (equivalent to [`crate::sync::set_lockdep_enabled`]; unset leaves
-    /// the `WEBSEC_LOCKDEP` environment default in place). Process-global,
-    /// like the detector itself.
-    #[must_use]
-    pub fn lockdep(mut self, enabled: bool) -> Self {
-        self.lockdep = Some(enabled);
-        self
-    }
 }
 
 impl StackServer {
@@ -100,18 +79,12 @@ impl StackServer {
     /// [`StackServer::new`]. Unset knobs keep their defaults.
     #[must_use]
     pub fn with_config(stack: SecureWebStack, config: ServerConfig) -> Self {
-        if let Some(enabled) = config.lockdep {
-            crate::sync::set_lockdep_enabled(enabled);
-        }
         let server = Self::with_shards(stack, config.shards.unwrap_or(DEFAULT_SHARDS));
         if let Some(depth) = config.queue_limit {
             server.set_queue_limit(depth);
         }
         if let Some(gate) = config.analysis_gate {
             server.set_analysis_gate(gate);
-        }
-        if let Some(plan) = config.fault_plan {
-            let _ = server.install_faults(plan);
         }
         server
     }
@@ -120,20 +93,17 @@ impl StackServer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::faults::{FaultKind, FaultRule};
 
     #[test]
     fn with_config_applies_every_knob() {
         let config = ServerConfig::new()
             .shards(5)
             .queue_limit(3)
-            .analysis_gate(AnalysisGate::Deny)
-            .fault_plan(FaultPlan::seeded(9).rule(FaultRule::new(FaultKind::CacheEvict)));
+            .analysis_gate(AnalysisGate::Deny);
         let server = StackServer::with_config(SecureWebStack::new([1u8; 32]), config);
         assert_eq!(server.shard_count(), 8, "5 rounds up to a power of two");
         assert_eq!(server.queue_limit(), 3);
         assert_eq!(server.analysis_gate(), AnalysisGate::Deny);
-        assert!(server.injector().is_some(), "fault plan armed");
     }
 
     #[test]

@@ -89,7 +89,7 @@ use crate::sync::{
 use cache::{L2ViewCache, Token, ViewKey};
 use metrics::{Counter, LocalMetrics, MetricsInner};
 use shard::SessionShards;
-use websec_policy::{CompiledPolicies, PolicySnapshot, SubjectProfile};
+use websec_policy::{CompiledPolicies, SubjectProfile};
 use websec_xml::Document;
 
 pub use analysis::AnalysisGate;
@@ -109,12 +109,6 @@ struct Published {
     stack: Arc<SecureWebStack>,
     compiled: Arc<CompiledPolicies>,
     token: Token,
-}
-
-/// Compiles a stack's policy base into decision tables. Runs once per
-/// snapshot publication (under the update lock), never on a request path.
-fn compile_stack(stack: &SecureWebStack) -> Arc<CompiledPolicies> {
-    PolicySnapshot::new(&stack.policies, stack.engine.strategy, &stack.documents).compile()
 }
 
 /// A concurrent server over an immutable [`SecureWebStack`] snapshot.
@@ -332,7 +326,7 @@ impl StackServer {
     pub fn with_shards(stack: SecureWebStack, shards: usize) -> Self {
         let shards = shards.clamp(1, 4096).next_power_of_two();
         let t = Instant::now();
-        let compiled = compile_stack(&stack);
+        let compiled = stack.compile();
         let initial_compile_ns = u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX);
         let token = Token {
             generation: 0,
@@ -494,7 +488,7 @@ impl StackServer {
     /// time and bumping the compile counter.
     fn compile_for_publication(&self, stack: &SecureWebStack) -> Arc<CompiledPolicies> {
         let t = Instant::now();
-        let compiled = compile_stack(stack);
+        let compiled = stack.compile();
         self.count_compile(u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX));
         compiled
     }

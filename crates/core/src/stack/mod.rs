@@ -35,4 +35,4 @@ mod state;
 
 pub use eval::LayerTimings;
 pub(crate) use eval::{ResolvedView, ViewResolver};
-pub use state::{vocab, SecureWebStack, StackError};
+pub use state::{vocab, SecureWebStack};

@@ -9,42 +9,19 @@
 //! policy-view cache.
 
 use std::collections::{BTreeSet, HashMap};
+use std::sync::Arc;
+
+use crate::error::Error;
 use websec_analyzer::{AnalyzerInput, DissemInput, UddiInput};
 use websec_dissem::{RegionMap, SubjectKeyring};
 use websec_policy::mls::{ContextLabel, SecurityContext};
-use websec_policy::{FlexibleEnforcer, PolicyEngine, PolicyStore, SubjectProfile};
+use websec_policy::{
+    CompiledPolicies, FlexibleEnforcer, PolicyEngine, PolicySnapshot, PolicyStore, SubjectProfile,
+};
 use websec_privacy::PrivacyConstraint;
 use websec_rdf::{PatternTerm, SecureStore, Term, Triple, TriplePattern, TripleStore};
 use websec_uddi::UddiRegistry;
 use websec_xml::{Document, DocumentStore};
-
-/// Stack processing errors (legacy enum, superseded by [`crate::Error`]
-/// which wraps it with stable `WS1xx` codes).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum StackError {
-    /// Unknown document.
-    UnknownDocument(String),
-    /// The document's effective label dominates the subject's clearance.
-    ClearanceViolation,
-    /// Transport failure.
-    Channel(String),
-    /// Static analysis found error-severity misconfigurations (strict mode);
-    /// carries the machine rendering of the findings.
-    Misconfigured(String),
-}
-
-impl std::fmt::Display for StackError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            StackError::UnknownDocument(d) => write!(f, "unknown document '{d}'"),
-            StackError::ClearanceViolation => write!(f, "document label exceeds clearance"),
-            StackError::Channel(m) => write!(f, "channel failure: {m}"),
-            StackError::Misconfigured(m) => write!(f, "stack misconfigured:\n{m}"),
-        }
-    }
-}
-
-impl std::error::Error for StackError {}
 
 /// Metadata vocabulary for the catalog graph.
 pub mod vocab {
@@ -165,15 +142,28 @@ impl SecureWebStack {
             .collect()
     }
 
-    /// Builds the full [`AnalyzerInput`] over every configured layer and
-    /// hands it to `f`. Closure-shaped because the input borrows from
-    /// temporaries (the sorted label list, the catalog names) that must
-    /// outlive the borrow; both [`SecureWebStack::analyze`] and the serving
-    /// layer's incremental re-analysis funnel through here so every caller
-    /// sees the same input.
-    pub(crate) fn with_analyzer_input<R>(&self, f: impl FnOnce(&AnalyzerInput<'_>) -> R) -> R {
+    /// Compiles the policy base over the documents into decision tables.
+    /// The serving layer runs it once per snapshot publication (under the
+    /// update lock), never on a request path.
+    pub(crate) fn compile(&self) -> Arc<CompiledPolicies> {
+        PolicySnapshot::new(&self.policies, self.engine.strategy, &self.documents).compile()
+    }
+
+    /// Builds the full [`AnalyzerInput`] over every configured layer, with
+    /// `compiled` (the tables [`Self::compile`] builds from this stack) as
+    /// its coverage source, and hands it to `f`. Closure-shaped because the
+    /// input borrows from temporaries (the sorted label list, the catalog
+    /// names) that must outlive the borrow; both [`SecureWebStack::analyze`]
+    /// and the serving layer's incremental re-analysis funnel through here
+    /// so every caller sees the same input.
+    pub(crate) fn with_analyzer_input<R>(
+        &self,
+        compiled: &Arc<CompiledPolicies>,
+        f: impl FnOnce(&AnalyzerInput<'_>) -> R,
+    ) -> R {
         let catalog: Vec<String> = self.catalog_names();
-        let mut input = AnalyzerInput::new(&self.policies, self.engine.strategy);
+        let mut input = AnalyzerInput::new(&self.policies, self.engine.strategy)
+            .with_compiled(Arc::clone(compiled));
         for name in self.documents.names() {
             if let Some(doc) = self.documents.get(name) {
                 input.documents.push((name, doc));
@@ -223,17 +213,23 @@ impl SecureWebStack {
     /// stack's current configuration — policy base, documents, labels,
     /// catalog, privacy constraints, semantic stores, dissemination audits,
     /// UDDI registry and subject registry — without executing any query.
+    /// The stack is compiled once for the run: WS001/WS002 read coverage
+    /// from its decision tables.
     #[must_use]
     pub fn analyze(&self) -> websec_analyzer::Report {
-        self.with_analyzer_input(websec_analyzer::Analyzer::analyze)
+        self.with_analyzer_input(&self.compile(), websec_analyzer::Analyzer::analyze)
     }
 
     /// Strict boot gate: refuses service when [`Self::analyze`] reports any
     /// error-severity finding, returning the report otherwise.
-    pub fn analyze_strict(&self) -> Result<websec_analyzer::Report, StackError> {
+    ///
+    /// # Errors
+    /// `WS104` ([`Error::Misconfigured`]) carrying the machine rendering of
+    /// the findings.
+    pub fn analyze_strict(&self) -> Result<websec_analyzer::Report, Error> {
         let report = self.analyze();
         if report.has_errors() {
-            return Err(StackError::Misconfigured(report.machine()));
+            return Err(Error::Misconfigured(report.machine()));
         }
         Ok(report)
     }

@@ -23,12 +23,14 @@
 //!
 //! The interpreted engine ([`crate::engine::PolicyEngine`]) remains the
 //! semantic oracle: `CompiledPolicies::compute_view` must be
-//! byte-for-byte equal to `PolicyEngine::compute_view`, which the
-//! 100-seed `compiled_decisions` integration suite and the unit tests
-//! below pin. [`CompiledPolicies::reconstruct_store`] rebuilds an
-//! equivalent [`PolicyStore`] (original authorization ids preserved) so
-//! the WS001/WS002 analyzer passes can be re-run against the compiled
-//! form to prove policy-set equivalence.
+//! byte-for-byte equal to `PolicyEngine::compute_view`, and each
+//! authorization's coverage read from the tables (classes plus
+//! attribute entries, [`crate::compiled_view`]) must equal
+//! [`PolicyEngine::covered_nodes`], which the seeded
+//! `compiled_decisions` integration suite and the unit tests below pin.
+//! The tables are the one coverage source of static analysis: the
+//! analyzer's WS001/WS002 and the WS013–WS018 verifier read them, not
+//! the interpreter.
 
 use crate::authz::{Authorization, AuthzId, ObjectSpec, Privilege, Propagation, Sign};
 use crate::conflict::ConflictStrategy;
@@ -141,11 +143,10 @@ pub struct CompiledPolicies {
     pub(crate) attrs: NameInterner,
     pub(crate) auths: Vec<CompiledAuth>,
     pub(crate) docs: HashMap<String, CompiledDoc>,
-    // Source material for `reconstruct_store`, kept so the analyzer can
-    // prove the compiled form equivalent to the live policy base.
+    /// The source authorizations, parallel to `auths`, so static analysis
+    /// can name the rules it reads coverage for.
     pub(crate) source: Vec<Authorization>,
     pub(crate) hierarchy: crate::subject::RoleHierarchy,
-    pub(crate) collections: BTreeMap<String, BTreeSet<String>>,
 }
 
 impl<'a> PolicySnapshot<'a> {
@@ -257,13 +258,6 @@ impl<'a> PolicySnapshot<'a> {
             );
         }
 
-        let mut collections = BTreeMap::new();
-        for c in self.store.collection_names() {
-            if let Some(members) = self.store.collection_members(c) {
-                collections.insert(String::from(c), members.clone());
-            }
-        }
-
         Arc::new(CompiledPolicies {
             strategy: self.strategy,
             epoch: self.store.epoch(),
@@ -273,7 +267,6 @@ impl<'a> PolicySnapshot<'a> {
             docs,
             source,
             hierarchy: self.store.hierarchy.clone(),
-            collections,
         })
     }
 }
@@ -694,21 +687,6 @@ impl CompiledPolicies {
         }
         Some(classes)
     }
-
-    /// Rebuilds a [`PolicyStore`] equivalent to the one this artifact
-    /// was compiled from — same authorizations with their **original
-    /// ids**, hierarchy, collections and epoch — so static analysis
-    /// (WS001/WS002) can run against the compiled form and be
-    /// byte-compared with the live store's findings.
-    #[must_use]
-    pub fn reconstruct_store(&self) -> PolicyStore {
-        PolicyStore::from_raw_parts(
-            self.source.clone(),
-            self.hierarchy.clone(),
-            self.collections.clone(),
-            self.epoch,
-        )
-    }
 }
 
 #[cfg(test)]
@@ -896,42 +874,6 @@ mod tests {
                 "{privilege:?}"
             );
         }
-    }
-
-    #[test]
-    fn reconstruct_store_preserves_ids_and_epoch() {
-        let mut store = PolicyStore::new();
-        store.add_collection_member("wards", "h.xml");
-        store
-            .hierarchy
-            .add_seniority(Role::new("chief"), Role::new("doctor"));
-        store.bump_epoch();
-        let a = store.add(Authorization::for_subject(SubjectSpec::Anyone).on(ObjectSpec::Document("h.xml".into())).privilege(Privilege::Read).grant());
-        let b = store.add(Authorization::for_subject(SubjectSpec::Identity("eve".into())).on(portion("//record")).privilege(Privilege::Read).deny());
-        let d = doc();
-        let documents = docs_with(&d);
-        let compiled =
-            PolicySnapshot::new(&store, ConflictStrategy::default(), &documents).compile();
-        let rebuilt = compiled.reconstruct_store();
-        assert_eq!(rebuilt.epoch(), store.epoch());
-        assert_eq!(rebuilt.len(), store.len());
-        assert_eq!(
-            rebuilt.authorizations().iter().map(|x| x.id).collect::<Vec<_>>(),
-            vec![a, b],
-            "original ids preserved"
-        );
-        assert!(rebuilt.collection_contains("wards", "h.xml"));
-        assert!(rebuilt
-            .hierarchy
-            .dominates(&Role::new("chief"), &Role::new("doctor")));
-        assert_eq!(
-            format!("{:?}", rebuilt.authorizations()),
-            format!("{:?}", store.authorizations()),
-        );
-        // A fresh add on the rebuilt store must not collide with ids.
-        let mut rebuilt = rebuilt;
-        let c = rebuilt.add(Authorization::for_subject(SubjectSpec::Anyone).on(ObjectSpec::AllDocuments).privilege(Privilege::Browse).grant());
-        assert!(c > b);
     }
 
     #[test]

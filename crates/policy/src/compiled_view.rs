@@ -4,12 +4,14 @@
 //! equivalence classes, see [`crate::compiled`]) is deliberately opaque
 //! at runtime: the serving layer only asks it questions
 //! ([`CompiledPolicies::check`], [`CompiledPolicies::compute_view`]).
-//! The static policy verifier (`websec_analyzer::policy_verify`,
-//! WS013–WS018) instead needs to *enumerate* the plane — which source
-//! authorizations cover which equivalence classes, which are dead,
-//! which pairs collide inside a class. This module exposes exactly
-//! that enumeration surface, keyed back to source [`Authorization`]s
-//! so diagnostics can speak in terms the policy author wrote, without
+//! Static analysis instead needs to *enumerate* the plane — which
+//! source authorizations cover which equivalence classes and which
+//! attributes, which are dead, which pairs collide inside a class. The
+//! policy verifier (`websec_analyzer::policy_verify`, WS013–WS018) and
+//! the analyzer's conflict and shadowing passes (WS001/WS002) read
+//! coverage only through this module, which exposes exactly that
+//! enumeration surface, keyed back to source [`Authorization`]s so
+//! diagnostics can speak in terms the policy author wrote, without
 //! widening the mutable surface of the compiled artifact itself.
 //!
 //! Everything here is deterministic: documents are visited in sorted
@@ -40,6 +42,24 @@ pub struct ClassView<'a> {
     pub nodes: Vec<NodeId>,
 }
 
+/// One attribute of a compiled document that some authorization's path
+/// selects: the `(node, attribute)` pair, the equivalence class of the
+/// owning element, and the source authorizations that address the
+/// attribute itself (in policy-base order). An attribute decision merges
+/// these with the owning element's class.
+#[derive(Debug, Clone)]
+pub struct AttrView<'a> {
+    /// The element carrying the attribute.
+    pub node: NodeId,
+    /// The attribute name.
+    pub attribute: &'a str,
+    /// Class index of `node` within the document.
+    pub class: u32,
+    /// Source authorizations selecting this attribute, in policy-base
+    /// order. Non-empty by construction.
+    pub auths: Vec<&'a Authorization>,
+}
+
 impl CompiledPolicies {
     /// Names of every compiled document, sorted, so analyzer passes
     /// iterate the plane in a deterministic order.
@@ -61,7 +81,7 @@ impl CompiledPolicies {
                 class: class as u32,
                 auths: locals
                     .iter()
-                    .filter_map(|&l| self.source_by_id(self.auths[cd.local_auths[l as usize] as usize].id))
+                    .map(|&l| &self.source[cd.local_auths[l as usize] as usize])
                     .collect(),
                 nodes: Vec::new(),
             })
@@ -70,6 +90,29 @@ impl CompiledPolicies {
             views[cd.node_class[pos] as usize].nodes.push(node);
         }
         Some(views)
+    }
+
+    /// Attribute-specific coverage of `doc`, one entry per selected
+    /// `(node, attribute)` pair in the tables' order (owning node's
+    /// document position, then attribute), or `None` when the document
+    /// is not compiled.
+    pub fn attrs_of(&self, doc: &str) -> Option<Vec<AttrView<'_>>> {
+        let cd = self.docs.get(doc)?;
+        Some(
+            cd.attr_entries
+                .iter()
+                .map(|entry| AttrView {
+                    node: cd.node_ids[entry.node_pos as usize],
+                    attribute: self.attrs.resolve(entry.attr_sym),
+                    class: cd.node_class[entry.node_pos as usize],
+                    auths: entry
+                        .auths
+                        .iter()
+                        .map(|&l| &self.source[cd.local_auths[l as usize] as usize])
+                        .collect(),
+                })
+                .collect(),
+        )
     }
 
     /// Ids of every authorization that covers at least one node *or*
@@ -141,9 +184,5 @@ impl CompiledPolicies {
                 | ConflictStrategy::MostSpecificObject
                 | ConflictStrategy::ExplicitPriority
         )
-    }
-
-    fn source_by_id(&self, id: AuthzId) -> Option<&Authorization> {
-        self.source.iter().find(|a| a.id == id)
     }
 }

@@ -28,31 +28,6 @@ impl PolicyStore {
         Self::default()
     }
 
-    /// Rebuilds a store from compiled-artifact source material
-    /// ([`crate::compiled::CompiledPolicies::reconstruct_store`]),
-    /// preserving the original authorization ids and epoch so analyzer
-    /// findings over the reconstruction are comparable with the live
-    /// store's.
-    pub(crate) fn from_raw_parts(
-        authorizations: Vec<Authorization>,
-        hierarchy: RoleHierarchy,
-        collections: BTreeMap<String, BTreeSet<String>>,
-        epoch: u64,
-    ) -> Self {
-        let next_id = authorizations
-            .iter()
-            .map(|a| a.id.0 + 1)
-            .max()
-            .unwrap_or(0);
-        PolicyStore {
-            authorizations,
-            hierarchy,
-            collections,
-            next_id,
-            epoch,
-        }
-    }
-
     /// Monotonic mutation counter: bumped by every change to the policy base
     /// ([`Self::add`], [`Self::revoke`], [`Self::add_collection_member`]).
     /// Serving-layer caches key derived artifacts (per-subject views) on this
@@ -225,8 +200,11 @@ impl PolicyEngine {
     /// to this document at all. Attribute-targeting portions return the
     /// element set separately from the `(node, attr)` pairs.
     ///
-    /// Public so that static analysis (`websec-analyzer`) can reuse the
-    /// exact coverage semantics the engine applies at evaluation time.
+    /// The interpreter's coverage semantics, and the oracle for the
+    /// compiled tables' coverage: public so that tests can pin each
+    /// authorization's coverage read from
+    /// [`crate::compiled::CompiledPolicies`] to it. Static analysis reads
+    /// coverage from the tables, not from here.
     pub fn covered_nodes(
         store: &PolicyStore,
         auth: &Authorization,

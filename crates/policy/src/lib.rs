@@ -46,7 +46,7 @@ pub use authz::{
     SubjectSpec,
 };
 pub use compiled::{CompiledPolicies, PolicySnapshot};
-pub use compiled_view::ClassView;
+pub use compiled_view::{AttrView, ClassView};
 pub use conflict::ConflictStrategy;
 pub use engine::{AccessDecision, DocumentDecision, PolicyEngine, PolicyStore};
 pub use flexible::{FlexibleEnforcer, InvalidLevel};

@@ -37,9 +37,10 @@
 //!   subject so no cache level can answer): `CompiledPolicies::compute_view`
 //!   vs the interpreting `PolicyEngine::compute_view` on identical
 //!   cache-miss traffic, plus the one-time compile cost, a sampled
-//!   byte-equality sweep between the two paths, and the analyzer
-//!   cross-check (`StackServer::verify_compiled`, WS001/WS002 over the
-//!   compiled form). Gated: `compiled_speedup >= 5` and both equivalence
+//!   byte-equality sweep between the two paths, and the epoch and
+//!   class-partition cross-check (`StackServer::verify_compiled`: the
+//!   artifact's epoch and its Browse/Read equivalence classes against the
+//!   interpreter's). Gated: `compiled_speedup >= 5` and both equivalence
 //!   booleans;
 //! * **lockdep** — an in-process A/B probe of the `websec_core::sync`
 //!   wrappers: the per-request synchronization pattern (two Acquire
@@ -302,7 +303,7 @@ const GATES: [Gate; 9] = [
     ("policy_verify_incremental_us", Cmp::AtMost, Bound::Key("policy_verify_full_us")),
     // The compiled tables beat the interpreter >= 5x on unique-subject
     // misses over the large store, agree with it byte for byte on the
-    // sampled traffic, and pass the analyzer cross-check.
+    // sampled traffic, and pass the epoch and class-partition cross-check.
     ("compiled_speedup", Cmp::AtLeast, Bound::Value(5.0)),
     ("compiled_equivalent", Cmp::AtLeast, Bound::Value(1.0)),
     ("compiled_verify_ok", Cmp::AtLeast, Bound::Value(1.0)),
@@ -602,8 +603,8 @@ fn main() -> ExitCode {
     };
 
     // Untimed correctness sweep: byte equality on a sample of the traffic,
-    // and the analyzer cross-check (WS001/WS002 + equivalence classes over
-    // the compiled form) on the serving stack. Both are gated.
+    // and the epoch and class-partition cross-check of the compiled form
+    // on the serving stack. Both are gated.
     let mut compiled_equivalent = true;
     let equiv_stride = (COMPILED_SUBJECTS / COMPILED_EQUIV_SAMPLE).max(1);
     let mut compiled_equiv_checked = 0usize;
@@ -775,7 +776,7 @@ fn main() -> ExitCode {
          interpreted {interpreted_qps:>8.0} v/s, compiled {compiled_qps:>8.0} v/s = \
          {compiled_speedup:.2}x  (compile {compiled_compile_us} us, \
          {compiled_equiv_checked} sampled equal: {compiled_equivalent}, \
-         analyzer cross-check ok: {compiled_verify_ok})"
+         epoch and class cross-check ok: {compiled_verify_ok})"
     );
     println!("  wrote BENCH_serving.json");
     if check_gates(&json, &GATES) {

@@ -64,7 +64,7 @@ fn ws001_priority_tie_refuses_strict_boot() {
         report.human()
     );
     match s.analyze_strict() {
-        Err(StackError::Misconfigured(m)) => assert!(m.contains("WS001"), "{m}"),
+        Err(Error::Misconfigured(m)) => assert!(m.contains("WS001"), "{m}"),
         other => panic!("expected Misconfigured, got {other:?}"),
     }
 }
@@ -133,7 +133,7 @@ fn ws005_dangling_reference_refuses_strict_boot() {
     );
     assert!(matches!(
         s.analyze_strict(),
-        Err(StackError::Misconfigured(_))
+        Err(Error::Misconfigured(_))
     ));
 }
 

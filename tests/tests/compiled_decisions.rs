@@ -4,15 +4,18 @@
 //! per-equivalence-class decision tables, path automata) must be an exact
 //! drop-in for [`PolicyEngine`]: same views byte-for-byte, same per-node
 //! decisions, same equivalence-class partition, under every conflict
-//! strategy. This suite drives that claim with 100 seeded random policy
-//! bases, then checks the server-level wiring: the server, which answers
-//! every cache miss from the compiled tables, serves the interpreter's
-//! bytes, revocation storms recompile exactly once per published
-//! mutation, and the analyzer cross-check ([`StackServer::verify_compiled`])
-//! accepts the live artifact.
+//! strategy, and the same coverage for every rule — the fact the
+//! analyzer's WS001/WS002 read from the tables instead of the interpreter.
+//! This suite drives that claim with seeded random policy bases, then
+//! checks the server-level wiring: the server, which answers every cache
+//! miss from the compiled tables, serves the interpreter's bytes,
+//! revocation storms recompile exactly once per published mutation, and
+//! the epoch and class-partition cross-check
+//! ([`StackServer::verify_compiled`]) accepts the live artifact.
 
 use std::collections::HashSet;
 use websec_core::prelude::*;
+use websec_core::xml::NodeId;
 use websec_scenarios::{hospital_stack, HospitalSpec};
 
 const SUBJECTS: usize = 16;
@@ -21,6 +24,8 @@ const MASTER_KEY_SEED: u8 = 5;
 /// Updates in the revocation-storm test, named so a failure log states the
 /// exact configuration.
 const STORM_UPDATES: u64 = 12;
+/// Seeded stores in the rule-by-rule coverage comparison.
+const COVERAGE_SEEDS: u64 = 400;
 
 const STRATEGIES: [ConflictStrategy; 5] = [
     ConflictStrategy::DenialsTakePrecedence,
@@ -190,6 +195,162 @@ fn compiled_matches_interpreter_across_100_seeds() {
             }
         }
     }
+    assert_no_sync_findings();
+}
+
+/// The two documents of [`rich_stack`], so document-scoped rules and the
+/// one-member collection each meet a document they do not cover.
+const RICH_DOCS: [&str; 2] = ["d.xml", "e.xml"];
+
+/// Paths of [`rich_stack`]: element and attribute targets, attribute and
+/// positional predicates (positional ones fall back to the interpreter's
+/// selection inside the compiler).
+const RICH_PATHS: [&str; 9] = [
+    "//n0",
+    "/root/n1",
+    "//n1/@id",
+    "//@ssn",
+    "//n2[@id='k3']",
+    "/root/n0[1]",
+    "//n3[2]",
+    "/root/*/@ssn",
+    "//n1[@ssn='s1']/@id",
+];
+
+/// A [`random_document`] with an `ssn` attribute on some elements, so
+/// `//@ssn` has something to select.
+fn rich_document(rng: &mut SecureRng) -> Document {
+    let mut doc = random_document(rng);
+    for node in doc.all_nodes() {
+        if doc.name(node).is_some() && rng.gen_range(4) == 0 {
+            doc.set_attribute(node, "ssn", &format!("s{}", rng.gen_range(3)));
+        }
+    }
+    doc
+}
+
+/// A seeded policy base over [`RICH_DOCS`] with every coverage shape the
+/// analyzer reads from the tables: attribute-targeting paths, attribute
+/// and positional predicates, `PortionAll`, `Collection` and
+/// `AllDocuments` objects, rules on an unregistered document, revoked
+/// rules, a seniority edge and all four privileges.
+fn rich_stack(rng: &mut SecureRng) -> (PolicyStore, DocumentStore) {
+    let mut docs = DocumentStore::new();
+    for name in RICH_DOCS {
+        docs.insert(name, rich_document(rng));
+    }
+    let mut store = PolicyStore::new();
+    store
+        .hierarchy
+        .add_seniority(Role::new("chief"), Role::new("staff"));
+    store.add_collection_member("ward", RICH_DOCS[rng.gen_range(2) as usize]);
+    for _ in 0..1 + rng.gen_range(8) {
+        let document = match rng.gen_range(5) {
+            0 => "ghost.xml",
+            1 | 2 => RICH_DOCS[0],
+            _ => RICH_DOCS[1],
+        };
+        let path =
+            Path::parse(RICH_PATHS[rng.gen_range(RICH_PATHS.len() as u64) as usize]).unwrap();
+        let object = match rng.gen_range(6) {
+            0 => ObjectSpec::AllDocuments,
+            1 => ObjectSpec::Collection("ward".into()),
+            2 => ObjectSpec::Document(document.into()),
+            3 => ObjectSpec::PortionAll(path),
+            _ => ObjectSpec::Portion {
+                document: document.into(),
+                path,
+            },
+        };
+        let subject = match rng.gen_range(6) {
+            0 => SubjectSpec::Anyone,
+            1 => SubjectSpec::Identity("alice".into()),
+            2 => SubjectSpec::InRole(Role::new("staff")),
+            3 => SubjectSpec::InRole(Role::new("chief")),
+            4 => SubjectSpec::WithCredentials(CredentialExpr::OfType("physician".into())),
+            _ => SubjectSpec::Identity("bob".into()),
+        };
+        let privilege = [
+            Privilege::Browse,
+            Privilege::Read,
+            Privilege::Write,
+            Privilege::Admin,
+        ][rng.gen_range(4) as usize];
+        let propagation = match rng.gen_range(3) {
+            0 => Propagation::None,
+            1 => Propagation::FirstLevel,
+            _ => Propagation::Cascade,
+        };
+        let builder = Authorization::for_subject(subject)
+            .on(object)
+            .privilege(privilege)
+            .propagation(propagation)
+            .priority(rng.gen_range(5) as i32 - 2);
+        let rule = if rng.gen_range(2) == 0 {
+            builder.grant()
+        } else {
+            builder.deny()
+        };
+        let id = store.add(rule);
+        if rng.gen_range(6) == 0 {
+            store.revoke(id);
+        }
+    }
+    (store, docs)
+}
+
+/// Each rule's coverage read from the compiled tables — the nodes of the
+/// classes it covers plus the `(node, attribute)` pairs it selects — is
+/// exactly [`PolicyEngine::covered_nodes`], for every rule and document of
+/// seeded [`rich_stack`] stores, denials and attribute rules included.
+/// WS001/WS002 read coverage only from the tables, so this is the fact
+/// their findings rest on.
+#[test]
+fn compiled_coverage_matches_interpreter_rule_by_rule() {
+    let mut compared = 0usize;
+    let mut attribute_rules = 0usize;
+    for seed in 0..COVERAGE_SEEDS {
+        let mut rng = SecureRng::seeded(0xc07e_0000 + seed);
+        let (store, docs) = rich_stack(&mut rng);
+        let strategy = STRATEGIES[(seed % 5) as usize];
+        let compiled = PolicySnapshot::new(&store, strategy, &docs).compile();
+        for name in docs.names() {
+            let doc = docs.get(name).unwrap();
+            let classes = compiled.classes_of(name).expect("document was compiled");
+            let attrs = compiled.attrs_of(name).expect("document was compiled");
+            for auth in store.authorizations() {
+                let mut nodes: Vec<NodeId> = classes
+                    .iter()
+                    .filter(|class| class.auths.iter().any(|a| a.id == auth.id))
+                    .flat_map(|class| class.nodes.iter().copied())
+                    .collect();
+                nodes.sort_unstable();
+                let mut pairs: Vec<(NodeId, String)> = attrs
+                    .iter()
+                    .filter(|entry| entry.auths.iter().any(|a| a.id == auth.id))
+                    .map(|entry| (entry.node, entry.attribute.to_string()))
+                    .collect();
+                pairs.sort();
+                let (mut want_nodes, mut want_pairs) =
+                    PolicyEngine::covered_nodes(&store, auth, name, doc).unwrap_or_default();
+                want_nodes.sort_unstable();
+                want_pairs.sort();
+                assert_eq!(
+                    (nodes, &pairs),
+                    (want_nodes, &want_pairs),
+                    "seed {seed} ({strategy:?}): coverage of rule #{} diverged on '{name}'",
+                    auth.id.0
+                );
+                compared += 1;
+                attribute_rules += usize::from(!pairs.is_empty());
+            }
+        }
+    }
+    assert!(compared > 1_000, "only {compared} coverages compared");
+    assert!(
+        attribute_rules > 100,
+        "only {attribute_rules} coverages selected attributes"
+    );
     assert_no_sync_findings();
 }
 
@@ -437,8 +598,8 @@ fn revocation_storm_recompiles_exactly_once_per_update() {
     assert_no_sync_findings();
 }
 
-/// The analyzer-level cross-check accepts the live artifact, before and
-/// after a republication.
+/// The epoch and Browse/Read class-partition cross-check accepts the live
+/// artifact, before and after a republication.
 #[test]
 fn analyzer_verifies_compiled_artifact() {
     let server = StackServer::new(build_stack());

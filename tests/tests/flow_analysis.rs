@@ -158,7 +158,7 @@ fn ws006_entailment_leak_fires_and_labeled_entailment_silences() {
     assert!(hits[0].span.contains("rdf store 'agents'"), "{}", hits[0].span);
     // The leak is error severity: strict boot refuses.
     match s.analyze_strict() {
-        Err(StackError::Misconfigured(m)) => assert!(m.contains("WS006"), "{m}"),
+        Err(Error::Misconfigured(m)) => assert!(m.contains("WS006"), "{m}"),
         other => panic!("expected Misconfigured, got {other:?}"),
     }
 
