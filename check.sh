@@ -1,13 +1,13 @@
 #!/usr/bin/env bash
-# Repository gate: offline build, full test suite, the wsbench build,
-# tests and short runs, the websec-lint static checks, the WS001-WS012
-# analyzer over every example stack (byte-diffed for determinism,
-# failing on error findings), the WS013-WS018 static
+# Repository gate: offline build, clippy with warnings denied, full test
+# suite, the wsbench build, tests and short runs, the websec-lint static
+# checks, the WS001-WS012 analyzer over every example stack (byte-diffed
+# for determinism, failing on error findings), the WS013-WS018 static
 # policy verifier over the seed fixtures (byte-diffed against the
 # committed ANALYSIS_policy.json baseline), and the serving benchmark,
-# which evaluates its own speedup, equivalence and incremental-analysis
-# gates. Fails on the first broken step. `./check.sh --verify-policies` runs just the policy
-# verifier step.
+# which evaluates its own speedup, equivalence, incremental-analysis and
+# compile-cost gates. Fails on the first broken step.
+# `./check.sh --verify-policies` runs just the policy verifier step.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -43,6 +43,10 @@ fi
 
 echo "==> cargo build --release --offline"
 cargo build --release --offline
+
+# Every workspace target is clippy-clean; a new lint finding fails the gate.
+echo "==> cargo clippy --offline --all-targets -- -D warnings"
+cargo clippy --offline --all-targets -- -D warnings
 
 # Chaos sweep width for tests/tests/chaos.rs: 25 seeds keeps tier-1 fast;
 # raise it (e.g. CHAOS_SEEDS=200 ./check.sh) for a deep soak, or pin a
@@ -113,7 +117,8 @@ verify_policies_step
 # gate table (parallel >= serial, faulted parallel >= faulted serial, the
 # core-aware no-dup scaling bar, incremental <= full analysis and policy
 # verification, compiled >= 5x interpreted with byte equivalence and the
-# epoch and class-partition cross-check, detector-off overhead <= 2%)
+# epoch and class-partition cross-check, sixteen duplicate grants
+# compiling in <= 2x the time of one, detector-off overhead <= 2%)
 # against the values as written, printing one line per gate; any failed
 # gate exits non-zero.
 echo "==> serving-layer benchmark and gates (BENCH_serving.json)"

@@ -10,8 +10,10 @@
 //!   same-signed one everywhere it applies, at a resolution key at
 //!   least as strong, making the later rule unreachable.
 //! * **WS014 conflict** — a grant and a denial for overlapping subjects
-//!   land in the same equivalence class for a shared privilege; an
-//!   exact resolution-key tie under a keyed strategy is an error.
+//!   land in the same equivalence class, or bear on the same selected
+//!   attribute (its attribute entry plus its element's class), for a
+//!   shared privilege; an exact resolution-key tie under a keyed
+//!   strategy is an error.
 //! * **WS015 dead policy** — an authorization covers no element and no
 //!   attribute of any compiled document.
 //! * **WS016 privilege-escalation chain** — the role-dominator closure
@@ -21,7 +23,8 @@
 //!   is still reachable through a role the identity can activate.
 //! * **WS018 inference channel** — a subject is denied an element but
 //!   granted every element child, so the permitted views compose to
-//!   the denied element's full content.
+//!   the denied element's full content. Decided once per (witness,
+//!   equivalence class), then read per element and child.
 //!
 //! All passes read only the [`Section::Policy`] and
 //! [`Section::Documents`] sections, so the server's epoch-keyed
@@ -125,7 +128,7 @@ impl PolicyPassId {
         match self {
             PolicyPassId::Ws013 => "rule shadowing: an earlier rule makes a later one unreachable",
             PolicyPassId::Ws014 => {
-                "conflict: overlapping subjects both granted and denied in one equivalence class"
+                "conflict: overlapping subjects both granted and denied in one class or attribute"
             }
             PolicyPassId::Ws015 => "dead policy: authorization matches no element in any document",
             PolicyPassId::Ws016 => {
@@ -289,62 +292,120 @@ fn ws013_shadowing(input: &PolicyVerifyInput<'_>) -> Vec<Diagnostic> {
     out
 }
 
-/// WS014: a grant and a denial for possibly-overlapping subjects cover
-/// the same equivalence class for a shared privilege. Under a keyed
-/// strategy an exact key tie is an error (the outcome rests on the
-/// deny-wins tiebreak, not on anything the author expressed); otherwise
-/// the overlap is reported as a warning.
+/// WS014: a grant and a denial for possibly-overlapping subjects share a
+/// decision for a shared privilege: both cover one equivalence class, or
+/// both bear on one selected attribute (among the rules selecting it and
+/// those covering its element, at least one of the two selecting it).
+/// Under a keyed strategy an exact key tie is an error (the outcome rests
+/// on the deny-wins tiebreak, not on anything the author expressed);
+/// otherwise the overlap is reported as a warning. Each pair is reported
+/// once, at its first class in document-name order, else at its first
+/// attribute.
 fn ws014_class_conflicts(input: &PolicyVerifyInput<'_>) -> Vec<Diagnostic> {
     let compiled = input.compiled;
     let hierarchy = compiled.hierarchy();
+    let collision = |grant: &Authorization, denial: &Authorization| {
+        first_shared_privilege(relevance_mask(grant), relevance_mask(denial))
+            .filter(|_| subjects_may_overlap(&grant.subject, &denial.subject, hierarchy))
+    };
     let mut seen: BTreeSet<(u32, u32)> = BTreeSet::new();
     let mut out = Vec::new();
-    for name in compiled.document_names() {
+    let names = compiled.document_names();
+    for &name in &names {
         let Some(classes) = compiled.classes_of(name) else {
             continue;
         };
         for cv in classes {
             for grant in cv.auths.iter().filter(|a| a.sign == Sign::Plus) {
                 for denial in cv.auths.iter().filter(|a| a.sign == Sign::Minus) {
-                    let shared = first_shared_privilege(
-                        relevance_mask(grant),
-                        relevance_mask(denial),
-                    );
-                    let Some(privilege) = shared else { continue };
-                    if !subjects_may_overlap(&grant.subject, &denial.subject, hierarchy)
-                        || !seen.insert((grant.id.0, denial.id.0))
+                    let Some(privilege) = collision(grant, denial) else {
+                        continue;
+                    };
+                    if seen.insert((grant.id.0, denial.id.0)) {
+                        let place = format!("equivalence class {} of '{name}'", cv.class);
+                        out.push(ws014_conflict(compiled, grant, denial, privilege, &place));
+                    }
+                }
+            }
+        }
+    }
+    for &name in &names {
+        let Some(attrs) = compiled.attrs_of(name).filter(|attrs| !attrs.is_empty()) else {
+            continue;
+        };
+        let Some(classes) = compiled.classes_of(name) else {
+            continue;
+        };
+        for entry in attrs {
+            // The rules selecting the attribute come first, then those
+            // covering its element; a pair of two element rules is the
+            // class walk's.
+            let selecting = entry.auths.len();
+            let rules: Vec<&Authorization> = entry
+                .auths
+                .iter()
+                .chain(&classes[entry.class as usize].auths)
+                .copied()
+                .collect();
+            for (gi, grant) in rules.iter().enumerate() {
+                for (di, denial) in rules.iter().enumerate() {
+                    if grant.sign != Sign::Plus
+                        || denial.sign != Sign::Minus
+                        || (gi >= selecting && di >= selecting)
                     {
                         continue;
                     }
-                    let tied = compiled.strategy_is_keyed()
-                        && compiled.resolution_key(grant) == compiled.resolution_key(denial);
-                    let severity = if tied { Severity::Error } else { Severity::Warning };
-                    let tie_note = if tied {
-                        " at an exact resolution-key tie"
-                    } else {
-                        ""
+                    let Some(privilege) = collision(grant, denial) else {
+                        continue;
                     };
-                    out.push(
-                        Diagnostic::new(
-                            "WS014",
-                            severity,
-                            pair_span(grant, denial),
-                            format!(
-                                "grant #{} and denial #{} both cover equivalence class {} of \
-                                 '{}' for privilege {:?} with overlapping subjects{}",
-                                grant.id.0, denial.id.0, cv.class, name, privilege, tie_note
-                            ),
-                        )
-                        .with_suggestion(
-                            "separate the subjects or set distinct resolution keys so the \
-                             intended rule wins",
-                        ),
-                    );
+                    if seen.insert((grant.id.0, denial.id.0)) {
+                        let place = format!(
+                            "attribute '{}' in equivalence class {} of '{name}'",
+                            entry.attribute, entry.class
+                        );
+                        out.push(ws014_conflict(compiled, grant, denial, privilege, &place));
+                    }
                 }
             }
         }
     }
     out
+}
+
+/// The WS014 finding for `grant` and `denial` colliding on `place` for
+/// `privilege`.
+fn ws014_conflict(
+    compiled: &CompiledPolicies,
+    grant: &Authorization,
+    denial: &Authorization,
+    privilege: Privilege,
+    place: &str,
+) -> Diagnostic {
+    let tied = compiled.strategy_is_keyed()
+        && compiled.resolution_key(grant) == compiled.resolution_key(denial);
+    let severity = if tied {
+        Severity::Error
+    } else {
+        Severity::Warning
+    };
+    let tie_note = if tied {
+        " at an exact resolution-key tie"
+    } else {
+        ""
+    };
+    Diagnostic::new(
+        "WS014",
+        severity,
+        pair_span(grant, denial),
+        format!(
+            "grant #{} and denial #{} both cover {place} for privilege {privilege:?} with \
+             overlapping subjects{tie_note}",
+            grant.id.0, denial.id.0
+        ),
+    )
+    .with_suggestion(
+        "separate the subjects or set distinct resolution keys so the intended rule wins",
+    )
 }
 
 /// WS015: an authorization whose object spec matches no element and no
@@ -568,32 +629,59 @@ fn witness_profiles(compiled: &CompiledPolicies) -> Vec<SubjectProfile> {
 /// views reconstructs the denied element's full content. This is a
 /// decision-plane property: per-portion queries answer for each child
 /// regardless of how a single pruned view would be rendered.
+///
+/// A node's decision depends only on its equivalence class, so each
+/// witness is matched against a document's rules once and each class is
+/// resolved once ([`CompiledPolicies::class_decisions`]); every node and
+/// child is then answered from its class, exactly as
+/// [`CompiledPolicies::check`] answers it (a node the tables do not hold
+/// is denied).
 fn ws018_inference_channels(input: &PolicyVerifyInput<'_>) -> Vec<Diagnostic> {
     let compiled = input.compiled;
     let witnesses = witness_profiles(compiled);
     let mut seen: BTreeSet<(String, usize)> = BTreeSet::new();
     let mut out = Vec::new();
     for &(name, doc) in &input.documents {
+        let Some(classes) = compiled.classes_of(name) else {
+            continue;
+        };
+        let mut class_of: Vec<Option<u32>> = vec![None; doc.arena_len()];
+        for cv in &classes {
+            for node in &cv.nodes {
+                if let Some(slot) = class_of.get_mut(node.index()) {
+                    *slot = Some(cv.class);
+                }
+            }
+        }
+        // Per witness, whether each class is granted Read.
+        let granted: Vec<Vec<bool>> = witnesses
+            .iter()
+            .map(|witness| {
+                compiled
+                    .class_decisions(witness, name, Privilege::Read)
+                    .unwrap_or_default()
+                    .into_iter()
+                    .map(|decision| decision == AccessDecision::Granted)
+                    .collect()
+            })
+            .collect();
         for (pos, node) in doc.all_nodes().into_iter().enumerate() {
             let Some(elem) = doc.name(node) else { continue };
-            let children: Vec<_> = doc
+            let children: Vec<Option<u32>> = doc
                 .children(node)
                 .filter(|&c| doc.name(c).is_some())
+                .map(|c| class_of[c.index()])
                 .collect();
             if children.is_empty() {
                 continue;
             }
-            for witness in &witnesses {
-                if compiled.check(witness, name, node, Privilege::Read)
-                    != Some(AccessDecision::Denied)
+            let class = class_of[node.index()];
+            for (witness, granted) in witnesses.iter().zip(&granted) {
+                let allows = |class: Option<u32>| class.is_some_and(|c| granted[c as usize]);
+                if allows(class)
+                    || !children.iter().all(|&c| allows(c))
+                    || !seen.insert((name.to_string(), pos))
                 {
-                    continue;
-                }
-                let all_children_granted = children.iter().all(|&c| {
-                    compiled.check(witness, name, c, Privilege::Read)
-                        == Some(AccessDecision::Granted)
-                });
-                if !all_children_granted || !seen.insert((name.to_string(), pos)) {
                     continue;
                 }
                 out.push(

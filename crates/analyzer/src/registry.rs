@@ -123,7 +123,7 @@ pub const REGISTRY: &[CodeInfo] = &[
         code: "WS014",
         severity: Severity::Error,
         phase: Phase::Static,
-        description: "compiled-plane grant/deny conflict in one equivalence class",
+        description: "compiled-plane grant/deny conflict in one equivalence class or attribute",
     },
     CodeInfo {
         code: "WS015",

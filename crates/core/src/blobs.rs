@@ -38,8 +38,8 @@ impl BlobRef {
             return None;
         }
         let mut out = [0u8; 32];
-        for i in 0..32 {
-            out[i] = u8::from_str_radix(&self.0[2 * i..2 * i + 2], 16).ok()?;
+        for (i, byte) in out.iter_mut().enumerate() {
+            *byte = u8::from_str_radix(&self.0[2 * i..2 * i + 2], 16).ok()?;
         }
         Some(out)
     }

@@ -10,7 +10,9 @@
 //! `Deny` gate all read and extend it:
 //!
 //! * at the memo's own token the cached reports answer wholesale (zero
-//!   passes executed);
+//!   passes executed), and so they do for the memo's own stack
+//!   republished under a new token (nothing to fingerprint: a published
+//!   stack never changes);
 //! * at another token the snapshot is fingerprinted once, and only the
 //!   passes whose declared sections ([`websec_analyzer::PassId::sections`])
 //!   moved re-run, with the memo's diagnostics spliced in for the rest; the
@@ -39,7 +41,7 @@
 
 use std::collections::BTreeSet;
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, PoisonError};
+use std::sync::{Arc, PoisonError, Weak};
 use std::time::Instant;
 
 use super::cache::Token;
@@ -86,6 +88,10 @@ const POLICY_SECTIONS: [Section; 2] = [Section::Policy, Section::Documents];
 struct SnapshotAnalysis {
     /// The snapshot's `{generation, epoch}` token.
     token: Token,
+    /// The published stack this analysis describes, by identity (empty
+    /// until the stack is published). A published stack never changes,
+    /// so a republication of the same stack moves no section.
+    stack: Weak<SecureWebStack>,
     /// Per-[`Section`] fingerprints (indexed like [`Section::ALL`]).
     fingerprints: [u64; SECTION_COUNT],
     /// Per-pass diagnostics (indexed like [`PassId::ALL`]); `None` for a
@@ -232,6 +238,7 @@ impl SnapshotAnalysis {
             .and_then(|p| p.policy.clone());
         SnapshotAnalysis {
             token,
+            stack: Weak::new(),
             fingerprints,
             passes,
             report,
@@ -358,10 +365,12 @@ impl StackServer {
             .clone()
     }
 
-    /// The memo's analysis of the snapshot `stack` at `token`: the memo's
-    /// own entry when it describes that snapshot, else one rebased onto it
+    /// The memo's analysis of the published snapshot `stack` at `token`:
+    /// the memo's own entry when it describes that snapshot, the entry
+    /// under `token` when it describes the same stack republished (as
+    /// [`StackServer::invalidate_views`] does), else one rebased onto it
     /// from the memo's entry. A copy, so no pass runs under the mutex.
-    fn memo_for(&self, stack: &SecureWebStack, token: Token) -> SnapshotAnalysis {
+    fn memo_for(&self, stack: &Arc<SecureWebStack>, token: Token) -> SnapshotAnalysis {
         let latest = self
             .analysis
             .lock()
@@ -370,7 +379,13 @@ impl StackServer {
             .clone();
         match latest {
             Some(latest) if latest.token == token => latest,
-            latest => SnapshotAnalysis::rebase(latest.as_ref(), stack, token),
+            Some(latest) if std::ptr::eq(latest.stack.as_ptr(), Arc::as_ptr(stack)) => {
+                SnapshotAnalysis { token, ..latest }
+            }
+            latest => SnapshotAnalysis {
+                stack: Arc::downgrade(stack),
+                ..SnapshotAnalysis::rebase(latest.as_ref(), stack, token)
+            },
         }
     }
 
@@ -426,10 +441,10 @@ impl StackServer {
     /// [`websec_analyzer::policy_verify`]) over the current snapshot's
     /// compiled decision plane, **incrementally**: the report is memoized
     /// with the snapshot's analysis, and when the token moved without the
-    /// policy base or the documents changing (fingerprint-checked — e.g.
-    /// after [`StackServer::invalidate_views`]), the memoized report is
-    /// reused wholesale. The run/reuse split is observable through
-    /// [`super::MetricsSnapshot::policy_passes_run`] and
+    /// policy base or the documents changing (the same stack republished
+    /// by [`StackServer::invalidate_views`], or fingerprint-checked), the
+    /// memoized report is reused wholesale. The run/reuse split is
+    /// observable through [`super::MetricsSnapshot::policy_passes_run`] and
     /// [`super::MetricsSnapshot::policy_passes_reused`].
     #[must_use]
     pub fn verify_policies(&self) -> Report {
@@ -595,7 +610,9 @@ impl StackServer {
                     return Err(Error::AnalysisRejected(introduced.join("\n")));
                 }
                 self.count_compile(compile_ns);
-                analysis.token = self.publish(Arc::new(candidate), compiled);
+                let candidate = Arc::new(candidate);
+                analysis.stack = Arc::downgrade(&candidate);
+                analysis.token = self.publish(candidate, compiled);
                 self.commit(analysis, Some(ran));
                 drop(writer);
                 Ok(result)

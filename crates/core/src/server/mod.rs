@@ -159,6 +159,13 @@ pub struct StackServer {
     analysis_gate: TrackedAtomicU8,
 }
 
+/// What one batch worker hands back: its `(request index, result)` pairs
+/// and its local metrics.
+type WorkerOutput = (
+    Vec<(usize, Result<QueryResponse, Error>)>,
+    Box<LocalMetrics>,
+);
+
 /// Worker-local serving state: the last snapshot resolved (revalidated by
 /// generation on reuse) and the batch worker's index. Sessions and views
 /// live in the server's shared tables, never here.
@@ -883,10 +890,7 @@ impl StackServer {
         requests: &[QueryRequest],
         deadlines: &[Option<u64>],
         plan: &CoalescePlan,
-    ) -> (
-        Vec<(usize, Result<QueryResponse, Error>)>,
-        Box<LocalMetrics>,
-    ) {
+    ) -> WorkerOutput {
         let mut worker = WorkerState {
             index: Some(worker_index),
             ..WorkerState::default()
@@ -899,7 +903,7 @@ impl StackServer {
             // is answered WS107 without paying for an evaluation.
             let expired = deadlines[i].and_then(|deadline| {
                 let now = self.clock.load(Ordering::Relaxed);
-                (now > deadline).then(|| (now, deadline))
+                (now > deadline).then_some((now, deadline))
             });
             let result = match expired {
                 Some((now, deadline)) => Err(Error::DeadlineExceeded(format!(

@@ -967,8 +967,7 @@ mod tests {
         static GUARD: Mutex<()> = Mutex::new(());
         let _guard = GUARD.lock().unwrap_or_else(PoisonError::into_inner);
         set_lockdep_enabled(true);
-        let result = f();
-        result
+        f()
     }
 
     fn findings_for(classes: &[&str]) -> Vec<SyncFinding> {

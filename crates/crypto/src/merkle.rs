@@ -309,9 +309,9 @@ mod tests {
         for n in [1usize, 2, 3, 4, 5, 7, 8, 9, 15, 16, 33] {
             let data = items(n);
             let t = MerkleTree::from_data(&data);
-            for i in 0..n {
+            for (i, item) in data.iter().enumerate() {
                 let p = t.prove(i);
-                assert!(verify(&t.root(), &data[i], &p), "n={n} i={i}");
+                assert!(verify(&t.root(), item, &p), "n={n} i={i}");
             }
         }
     }

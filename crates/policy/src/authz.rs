@@ -117,7 +117,7 @@ pub enum Sign {
 }
 
 /// How far an authorization on an element extends into its subtree.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Propagation {
     /// Only the selected nodes.
     None,

@@ -21,6 +21,22 @@
 //!   per node), and emit the kept nodes as a
 //!   [`websec_xml::NodeBitset`].
 //!
+//! Compilation pays once per distinct selection, not once per rule. Every
+//! rule has a *cover key*: its path (or the whole document) plus its
+//! propagation. Rules sharing a key cover the same nodes and attributes,
+//! so each document selects and propagates once per key among its
+//! candidate rules. A node's class is keyed by the list of groups
+//! covering it, and each class's rule list is expanded once. Node
+//! positions are indexed by arena slot ([`NodeId::index`]), so `check`
+//! and `attr_allowed` find a node's class with two array reads.
+//!
+//! The tables keep one class-numbering contract, which analyzer output
+//! depends on: class ids follow the document order in which each class
+//! first appears; every class rule list and attribute-entry rule list
+//! is ascending (policy-base order); every live node has a class;
+//! attribute entries are sorted by (node position, attribute symbol),
+//! with attribute names interned in policy-base order.
+//!
 //! The interpreted engine ([`crate::engine::PolicyEngine`]) remains the
 //! semantic oracle: `CompiledPolicies::compute_view` must be
 //! byte-for-byte equal to `PolicyEngine::compute_view`, and each
@@ -39,7 +55,7 @@ use crate::subject::{CredentialExpr, SubjectProfile};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 use websec_xml::{
-    Document, DocumentStore, NameInterner, NodeBitset, NodeId, PathAutomaton, Selection,
+    Document, DocumentStore, NameInterner, NodeBitset, NodeId, Path, PathAutomaton, Selection,
 };
 
 /// Privileges in relevance-bit order.
@@ -121,13 +137,29 @@ pub(crate) struct CompiledDoc {
     /// Live nodes in document order (the interpreter's `all_nodes`
     /// order, which equivalence-class reconstruction must preserve).
     pub(crate) node_ids: Vec<NodeId>,
-    pub(crate) node_pos: HashMap<NodeId, u32>,
+    /// Position in `node_ids` per arena slot ([`NodeId::index`]);
+    /// [`NO_POS`] for slots that hold no live node.
+    pub(crate) node_pos: Vec<u32>,
     /// Equivalence-class id per node, parallel to `node_ids`.
     pub(crate) node_class: Vec<u32>,
     /// Class → covering local authorization indices (sorted).
     pub(crate) classes: Vec<Vec<u32>>,
     /// Attribute-specific coverage, sorted by `(node_pos, attr_sym)`.
     pub(crate) attr_entries: Vec<AttrEntry>,
+}
+
+/// [`CompiledDoc::node_pos`] of an arena slot that holds no live node.
+const NO_POS: u32 = u32::MAX;
+
+impl CompiledDoc {
+    /// Position of `node` in `node_ids`, or `None` when it is not a live
+    /// node of the compiled document.
+    fn pos(&self, node: NodeId) -> Option<u32> {
+        self.node_pos
+            .get(node.index())
+            .copied()
+            .filter(|&pos| pos != NO_POS)
+    }
 }
 
 /// The compiled artifact: immutable, shared behind an `Arc` inside the
@@ -172,7 +204,6 @@ impl<'a> PolicySnapshot<'a> {
         let source: Vec<Authorization> = self.store.authorizations().to_vec();
         let mut subjects = NameInterner::new();
         let mut attrs = NameInterner::new();
-        let mut names = NameInterner::new();
 
         // Compile subjects and scalar resolution data.
         let mut auths = Vec::with_capacity(source.len());
@@ -214,14 +245,34 @@ impl<'a> PolicySnapshot<'a> {
             });
         }
 
-        // Compile each unique path once (shared across documents).
-        let mut automata: HashMap<&str, Option<PathAutomaton>> = HashMap::with_capacity(8);
+        // Give every authorization its cover key, compiling each distinct
+        // path to an automaton once.
+        let mut covers = Covers {
+            paths: Vec::with_capacity(8),
+            keys: Vec::with_capacity(8),
+            key_of: Vec::with_capacity(source.len()),
+            names: NameInterner::new(),
+        };
+        let mut path_ids: HashMap<&str, u32> = HashMap::with_capacity(8);
+        let mut key_ids: HashMap<(Option<u32>, Propagation), u32> = HashMap::with_capacity(8);
         for auth in &source {
-            if let ObjectSpec::Portion { path, .. } | ObjectSpec::PortionAll(path) = &auth.object {
-                automata
-                    .entry(path.source())
-                    .or_insert_with(|| PathAutomaton::compile(path, &mut names));
-            }
+            let path = match &auth.object {
+                ObjectSpec::Portion { path, .. } | ObjectSpec::PortionAll(path) => {
+                    Some(*path_ids.entry(path.source()).or_insert_with(|| {
+                        let automaton = PathAutomaton::compile(path, &mut covers.names);
+                        covers.paths.push((path, automaton));
+                        u32::try_from(covers.paths.len() - 1).expect("too many paths")
+                    }))
+                }
+                ObjectSpec::AllDocuments | ObjectSpec::Document(_) | ObjectSpec::Collection(_) => {
+                    None
+                }
+            };
+            let key = *key_ids.entry((path, auth.propagation)).or_insert_with(|| {
+                covers.keys.push((path, auth.propagation));
+                u32::try_from(covers.keys.len() - 1).expect("too many cover keys")
+            });
+            covers.key_of.push(key);
         }
 
         // Bucket authorizations by target document so compilation stays
@@ -246,6 +297,7 @@ impl<'a> PolicySnapshot<'a> {
         }
 
         let mut docs = HashMap::with_capacity(self.documents.len());
+        let mut slots = vec![UNSET; covers.keys.len()];
         for name in self.documents.names() {
             let doc = self.documents.get(name).expect("listed document");
             let mut cands: Vec<u32> = by_doc.get(name).cloned().unwrap_or_default();
@@ -254,7 +306,7 @@ impl<'a> PolicySnapshot<'a> {
             cands.dedup();
             docs.insert(
                 String::from(name),
-                compile_doc(doc, &cands, &source, &names, &mut attrs, &automata),
+                compile_doc(doc, &cands, &covers, &mut attrs, &mut slots),
             );
         }
 
@@ -294,94 +346,180 @@ fn propagate(doc: &Document, propagation: Propagation, selected: &[NodeId]) -> V
     expanded
 }
 
+/// How the policy base selects and propagates, shared by every document
+/// of one compilation. A cover key is a distinct (path, or the whole
+/// document; propagation): rules with one key cover exactly the same
+/// nodes and attributes of any document.
+struct Covers<'s> {
+    /// Each distinct path with its automaton (`None` when the automaton
+    /// refuses the path and [`websec_xml::Path::select`] runs instead).
+    paths: Vec<(&'s Path, Option<PathAutomaton>)>,
+    /// Each cover key: an index into `paths` (`None` for the whole
+    /// document) and a propagation.
+    keys: Vec<(Option<u32>, Propagation)>,
+    /// Cover key per authorization.
+    key_of: Vec<u32>,
+    /// Element names the automata match.
+    names: NameInterner,
+}
+
+/// The candidate rules of one document that share a cover key.
+struct Group {
+    /// Positions of the covered nodes, each once.
+    nodes: Vec<u32>,
+    /// Whether the group selects any attribute.
+    selects_attrs: bool,
+    /// Local indices of the members, ascending; empty while the group
+    /// covers nothing.
+    locals: Vec<u32>,
+}
+
+/// Marks an unset slot in the group and class tables of [`compile_doc`].
+const UNSET: u32 = u32::MAX;
+
+/// Compiles one document's tables from its candidate rules (ascending
+/// indices into the policy base). `slots` maps cover keys to this
+/// document's groups; it is all [`UNSET`] on entry and on return.
 fn compile_doc(
     doc: &Document,
     cands: &[u32],
-    source: &[Authorization],
-    names: &NameInterner,
+    covers: &Covers<'_>,
     attrs: &mut NameInterner,
-    automata: &HashMap<&str, Option<PathAutomaton>>,
+    slots: &mut [u32],
 ) -> CompiledDoc {
     let node_ids = doc.all_nodes();
-    let mut node_pos = HashMap::with_capacity(node_ids.len());
+    let mut node_pos = vec![NO_POS; doc.arena_len()];
     for (pos, &n) in node_ids.iter().enumerate() {
-        node_pos.insert(n, u32::try_from(pos).expect("document too large"));
+        node_pos[n.index()] = u32::try_from(pos).expect("document too large");
     }
 
     // Per-document symbol table, computed lazily: only documents
     // actually touched by an automaton pay for it.
     let mut syms: Option<Vec<Option<u32>>> = None;
 
-    let mut local_auths: Vec<u32> = Vec::with_capacity(cands.len());
-    let mut node_cover: Vec<Vec<u32>> = vec![Vec::with_capacity(0); node_ids.len()];
-    let mut attr_cover: HashMap<(u32, u32), Vec<u32>> = HashMap::with_capacity(0);
-
+    // Select and propagate once per group, in the order of each group's
+    // first member, so attribute names are interned in policy-base order.
+    // Name/collection gating already happened in the bucketing pass, so
+    // every candidate's base selection starts here.
+    let mut groups: Vec<Group> = Vec::with_capacity(8);
+    let mut group_of: Vec<u32> = Vec::with_capacity(cands.len());
+    // `(position, attribute symbol, group)` per selected attribute.
+    let mut selections: Vec<(u32, u32, u32)> = Vec::with_capacity(0);
     for &g in cands {
-        let auth = &source[g as usize];
-        // Name/collection gating already happened in the bucketing
-        // pass, so every candidate's base selection starts here.
-        let (selected, attr_pairs): (Vec<NodeId>, Vec<(NodeId, String)>) = match &auth.object {
-            ObjectSpec::AllDocuments | ObjectSpec::Document(_) | ObjectSpec::Collection(_) => {
-                (vec![doc.root()], vec![])
-            }
-            ObjectSpec::Portion { path, .. } | ObjectSpec::PortionAll(path) => {
-                let compiled = automata.get(path.source()).and_then(Option::as_ref);
-                match compiled {
-                    Some(auto) => {
-                        let table =
-                            syms.get_or_insert_with(|| names.document_symbols(doc));
-                        (auto.select_nodes(doc, table), vec![])
-                    }
-                    None => match path.select(doc) {
-                        Selection::Nodes(nodes) => (nodes, vec![]),
-                        Selection::Attributes(pairs) => (vec![], pairs),
-                    },
+        let key = covers.key_of[g as usize] as usize;
+        if slots[key] == UNSET {
+            let (path, propagation) = covers.keys[key];
+            let (selected, attr_pairs) = match path.map(|p| &covers.paths[p as usize]) {
+                None => (vec![doc.root()], Vec::with_capacity(0)),
+                Some((_, Some(auto))) => {
+                    let table = syms.get_or_insert_with(|| covers.names.document_symbols(doc));
+                    (auto.select_nodes(doc, table), Vec::with_capacity(0))
                 }
-            }
-        };
-        let covered = propagate(doc, auth.propagation, &selected);
-        if covered.is_empty() && attr_pairs.is_empty() {
+                Some((path, None)) => match path.select(doc) {
+                    Selection::Nodes(nodes) => (nodes, Vec::with_capacity(0)),
+                    Selection::Attributes(pairs) => (Vec::with_capacity(0), pairs),
+                },
+            };
+            let id = u32::try_from(groups.len()).expect("too many groups");
+            selections.extend(
+                attr_pairs
+                    .iter()
+                    .map(|(n, attr)| (node_pos[n.index()], attrs.intern(attr), id)),
+            );
+            groups.push(Group {
+                nodes: propagate(doc, propagation, &selected)
+                    .iter()
+                    .map(|n| node_pos[n.index()])
+                    .collect(),
+                selects_attrs: !attr_pairs.is_empty(),
+                locals: Vec::with_capacity(0),
+            });
+            slots[key] = id;
+        }
+        group_of.push(slots[key]);
+    }
+    for &g in cands {
+        slots[covers.key_of[g as usize] as usize] = UNSET;
+    }
+
+    // Local indices, in policy-base order, for the rules that cover
+    // something.
+    let mut local_auths: Vec<u32> = Vec::with_capacity(cands.len());
+    for (&g, &id) in cands.iter().zip(&group_of) {
+        let group = &mut groups[id as usize];
+        if group.nodes.is_empty() && !group.selects_attrs {
             continue;
         }
-        let local = u32::try_from(local_auths.len()).expect("too many authorizations");
+        group
+            .locals
+            .push(u32::try_from(local_auths.len()).expect("too many authorizations"));
         local_auths.push(g);
-        for n in covered {
-            node_cover[node_pos[&n] as usize].push(local);
+    }
+
+    // Key each node by the list of groups covering it. List 0 is empty;
+    // list l ≠ 0 is `lists[l] = (parent list, group)`: the parent
+    // extended by one later group. A group moves each of its nodes from
+    // its list to that list's child, found through `child` and reset
+    // after each group.
+    let mut node_list = vec![0u32; node_ids.len()];
+    let mut lists: Vec<(u32, u32)> = Vec::with_capacity(8);
+    lists.push((0, UNSET));
+    let mut child: Vec<u32> = vec![UNSET];
+    let mut touched: Vec<u32> = Vec::with_capacity(8);
+    for (id, group) in groups.iter().enumerate() {
+        let id = u32::try_from(id).expect("too many groups");
+        for &pos in &group.nodes {
+            let parent = node_list[pos as usize];
+            if child[parent as usize] == UNSET {
+                child[parent as usize] = u32::try_from(lists.len()).expect("too many classes");
+                lists.push((parent, id));
+                child.push(UNSET);
+                touched.push(parent);
+            }
+            node_list[pos as usize] = child[parent as usize];
         }
-        for (n, attr) in attr_pairs {
-            attr_cover
-                .entry((node_pos[&n], attrs.intern(&attr)))
-                .or_insert_with(|| Vec::with_capacity(1))
-                .push(local);
+        for parent in touched.drain(..) {
+            child[parent as usize] = UNSET;
         }
     }
 
-    // Partition nodes into equivalence classes by covering set.
-    let mut class_ids: HashMap<Vec<u32>, u32> = HashMap::with_capacity(8);
+    // One class per distinct list, numbered in the document order of its
+    // first node, its rule list expanded once.
+    let mut class_of_list = vec![UNSET; lists.len()];
     let mut classes: Vec<Vec<u32>> = Vec::with_capacity(8);
     let mut node_class = Vec::with_capacity(node_ids.len());
-    for cover in node_cover {
-        let id = match class_ids.get(&cover) {
-            Some(&id) => id,
-            None => {
-                let id = u32::try_from(classes.len()).expect("too many classes");
-                classes.push(cover.clone());
-                class_ids.insert(cover, id);
-                id
+    for &list in &node_list {
+        if class_of_list[list as usize] == UNSET {
+            class_of_list[list as usize] = u32::try_from(classes.len()).expect("too many classes");
+            let mut rules: Vec<u32> = Vec::with_capacity(4);
+            let mut l = list;
+            while l != 0 {
+                let (parent, id) = lists[l as usize];
+                rules.extend(&groups[id as usize].locals);
+                l = parent;
             }
-        };
-        node_class.push(id);
+            rules.sort_unstable();
+            classes.push(rules);
+        }
+        node_class.push(class_of_list[list as usize]);
     }
 
-    let mut attr_entries: Vec<AttrEntry> = attr_cover
-        .into_iter()
-        .map(|((node_pos, attr_sym), auths)| AttrEntry {
-            node_pos,
-            attr_sym,
+    // One entry per selected `(node, attribute)` pair, its rules merged
+    // from every group selecting it.
+    selections.sort_unstable();
+    let mut attr_entries: Vec<AttrEntry> = Vec::with_capacity(selections.len());
+    for run in selections.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
+        let mut auths: Vec<u32> = Vec::with_capacity(run.len());
+        for &(_, _, id) in run {
+            auths.extend(&groups[id as usize].locals);
+        }
+        auths.sort_unstable();
+        attr_entries.push(AttrEntry {
+            node_pos: run[0].0,
+            attr_sym: run[0].1,
             auths,
-        })
-        .collect();
-    attr_entries.sort_unstable_by_key(|e| (e.node_pos, e.attr_sym));
+        });
+    }
 
     CompiledDoc {
         local_auths,
@@ -457,10 +595,7 @@ impl CompiledPolicies {
         self.resolve_iter(&mut it)
     }
 
-    fn resolve_iter<'b>(
-        &self,
-        applicable: &mut dyn Iterator<Item = &'b CompiledAuth>,
-    ) -> Option<Sign> {
+    fn resolve_iter(&self, applicable: &mut dyn Iterator<Item = &CompiledAuth>) -> Option<Sign> {
         // Single pass: track the best key seen and whether any denial /
         // any grant carries it.
         let mut seen = false;
@@ -530,7 +665,7 @@ impl CompiledPolicies {
     ) -> Option<AccessDecision> {
         let cd = self.docs.get(doc_name)?;
         let matched = self.match_auths(cd, profile, privilege);
-        let allowed = cd.node_pos.get(&node).is_some_and(|&pos| {
+        let allowed = cd.pos(node).is_some_and(|pos| {
             let class = &cd.classes[cd.node_class[pos as usize] as usize];
             self.resolve(cd, class, &matched) == Some(Sign::Plus)
         });
@@ -539,6 +674,43 @@ impl CompiledPolicies {
         } else {
             AccessDecision::Denied
         })
+    }
+
+    /// One decision per equivalence class of `doc_name`, indexed by class
+    /// id: what [`Self::check`] answers for every node of that class.
+    /// The subject is matched against the document's rules once and each
+    /// class is resolved once. `None` when the document was not part of
+    /// the compiled snapshot.
+    #[must_use]
+    pub fn class_decisions(
+        &self,
+        profile: &SubjectProfile,
+        doc_name: &str,
+        privilege: Privilege,
+    ) -> Option<Vec<AccessDecision>> {
+        let cd = self.docs.get(doc_name)?;
+        let matched = self.match_auths(cd, profile, privilege);
+        Some(
+            self.classes_allowed(cd, &matched)
+                .into_iter()
+                .map(|allowed| {
+                    if allowed {
+                        AccessDecision::Granted
+                    } else {
+                        AccessDecision::Denied
+                    }
+                })
+                .collect(),
+        )
+    }
+
+    /// Whether each class of `cd` resolves to a grant for the matched
+    /// rules, indexed by class id.
+    fn classes_allowed(&self, cd: &CompiledDoc, matched: &[bool]) -> Vec<bool> {
+        cd.classes
+            .iter()
+            .map(|class| self.resolve(cd, class, matched) == Some(Sign::Plus))
+            .collect()
     }
 
     /// Whether `attribute` of `node` is visible to the subject —
@@ -555,7 +727,7 @@ impl CompiledPolicies {
     ) -> Option<bool> {
         let cd = self.docs.get(doc_name)?;
         let matched = self.match_auths(cd, profile, privilege);
-        let Some(&pos) = cd.node_pos.get(&node) else {
+        let Some(pos) = cd.pos(node) else {
             return Some(false);
         };
         let class = &cd.classes[cd.node_class[pos as usize] as usize];
@@ -604,10 +776,7 @@ impl CompiledPolicies {
         let matched = self.match_auths(cd, profile, Privilege::Read);
 
         // One decision per equivalence class, then fan out to nodes.
-        let mut class_allow = Vec::with_capacity(cd.classes.len());
-        for class in &cd.classes {
-            class_allow.push(self.resolve(cd, class, &matched) == Some(Sign::Plus));
-        }
+        let class_allow = self.classes_allowed(cd, &matched);
         let mut keep = NodeBitset::with_capacity(doc.arena_len());
         for (pos, &class) in cd.node_class.iter().enumerate() {
             if class_allow[class as usize] {
@@ -832,6 +1001,42 @@ mod tests {
             .with_priority(7),
         );
         assert_equivalent(&store, &[SubjectProfile::new("x")]);
+    }
+
+    #[test]
+    fn duplicate_selections_cover_like_single_rules() {
+        let mut store = PolicyStore::new();
+        for who in ["ann", "bob", "cy"] {
+            store.add(Authorization::for_subject(SubjectSpec::Identity(who.into())).on(portion("//patient")).privilege(Privilege::Read).grant());
+            store.add(Authorization::for_subject(SubjectSpec::Identity(who.into())).on(portion("//patient/@ssn")).privilege(Privilege::Read).deny());
+            if who == "ann" {
+                store.add(Authorization::for_subject(SubjectSpec::Identity(who.into())).on(portion("/hospital/patient/@ssn")).privilege(Privilege::Read).grant());
+            }
+        }
+        store.add(Authorization::for_subject(SubjectSpec::Identity("bob".into())).on(portion("//patient")).privilege(Privilege::Read).deny().with_propagation(Propagation::FirstLevel));
+        store.add(Authorization::for_subject(SubjectSpec::Identity("cy".into())).on(ObjectSpec::Document("h.xml".into())).privilege(Privilege::Read).grant());
+        store.add(Authorization::for_subject(SubjectSpec::Anyone).on(ObjectSpec::AllDocuments).privilege(Privilege::Read).deny().with_propagation(Propagation::None));
+        let profiles: Vec<SubjectProfile> =
+            ["ann", "bob", "cy", "dee"].map(SubjectProfile::new).into();
+        assert_equivalent(&store, &profiles);
+
+        let d = doc();
+        let documents = docs_with(&d);
+        let compiled =
+            PolicySnapshot::new(&store, ConflictStrategy::default(), &documents).compile();
+        let cd = &compiled.docs["h.xml"];
+        // Root (the two whole-document rules); each patient and its
+        // element children (both //patient groups and the document
+        // grant); the text below them (no first-level denial); the rest.
+        assert_eq!(
+            cd.classes,
+            vec![vec![8, 9], vec![0, 3, 5, 7, 8], vec![0, 3, 5, 8], vec![8]]
+        );
+        // Both ssn paths select each patient's ssn; the merged rule list
+        // is ascending although the second path's rule sits between the
+        // first path's rules.
+        let ssn: Vec<&Vec<u32>> = cd.attr_entries.iter().map(|e| &e.auths).collect();
+        assert_eq!(ssn, [&vec![1, 2, 4, 6], &vec![1, 2, 4, 6]]);
     }
 
     #[test]

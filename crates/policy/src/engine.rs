@@ -180,6 +180,10 @@ impl DocumentDecision {
     }
 }
 
+/// What one authorization covers in one document: the element and text
+/// nodes, and the `(element, attribute)` pairs its path selects.
+pub type CoveredNodes = (Vec<NodeId>, Vec<(NodeId, String)>);
+
 /// The evaluation engine: a conflict-resolution strategy applied to a policy
 /// base.
 #[derive(Debug, Clone, Copy, Default)]
@@ -210,9 +214,9 @@ impl PolicyEngine {
         auth: &Authorization,
         doc_name: &str,
         doc: &Document,
-    ) -> Option<(Vec<NodeId>, Vec<(NodeId, String)>)> {
+    ) -> Option<CoveredNodes> {
         let whole_doc = || (vec![doc.root()], Vec::new());
-        let base: (Vec<NodeId>, Vec<(NodeId, String)>) = match &auth.object {
+        let base: CoveredNodes = match &auth.object {
             ObjectSpec::AllDocuments => whole_doc(),
             ObjectSpec::Document(name) => {
                 if name != doc_name {

@@ -48,7 +48,7 @@ pub use authz::{
 pub use compiled::{CompiledPolicies, PolicySnapshot};
 pub use compiled_view::{AttrView, ClassView};
 pub use conflict::ConflictStrategy;
-pub use engine::{AccessDecision, DocumentDecision, PolicyEngine, PolicyStore};
+pub use engine::{AccessDecision, CoveredNodes, DocumentDecision, PolicyEngine, PolicyStore};
 pub use flexible::{FlexibleEnforcer, InvalidLevel};
 pub use mls::{Clearance, Level, SecurityContext};
 pub use subject::{

@@ -20,6 +20,9 @@ use websec_crypto::sha256::sha256;
 use websec_crypto::sig::{self, PublicKey};
 use websec_xml::{Document, NodeId, Path};
 
+/// A disclosed node summary and its revealed content, if any.
+type Disclosed<'a> = (&'a NodeSummary, Option<&'a [u8]>);
+
 /// Why verification failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum VerifyError {
@@ -103,7 +106,7 @@ pub fn verify_answer(
     }
 
     // 2. Merkle proof + owner signature.
-    let mut by_index: BTreeMap<u32, (&NodeSummary, Option<&[u8]>)> = BTreeMap::new();
+    let mut by_index: BTreeMap<u32, Disclosed<'_>> = BTreeMap::new();
     for (s, c) in &answer.revealed {
         by_index.insert(s.index, (s, Some(c.as_slice())));
     }
@@ -173,7 +176,7 @@ pub fn verify_answer(
 /// disclosed content become empty text (they can only be structural filler;
 /// any content a predicate needs is revealed).
 fn rebuild(
-    by_index: &BTreeMap<u32, (&NodeSummary, Option<&[u8]>)>,
+    by_index: &BTreeMap<u32, Disclosed<'_>>,
 ) -> Result<(Document, HashMap<NodeId, u32>), VerifyError> {
     let root_entry = by_index
         .values()
@@ -197,7 +200,7 @@ fn rebuild(
     }
 
     // children sorted by recorded position.
-    let mut children: BTreeMap<u32, Vec<&(&NodeSummary, Option<&[u8]>)>> = BTreeMap::new();
+    let mut children: BTreeMap<u32, Vec<&Disclosed<'_>>> = BTreeMap::new();
     for entry in by_index.values() {
         if let Some(p) = entry.0.parent {
             children.entry(p).or_default().push(entry);
@@ -244,11 +247,11 @@ fn rebuild(
 /// Builds the user-facing view: matched subtrees (revealed content) plus the
 /// path from the root.
 fn build_view(
-    by_index: &BTreeMap<u32, (&NodeSummary, Option<&[u8]>)>,
+    by_index: &BTreeMap<u32, Disclosed<'_>>,
     matched: &[u32],
 ) -> Result<Document, VerifyError> {
     // Keep: matched nodes, their descendants (revealed), and ancestors.
-    let mut keep: BTreeMap<u32, (&NodeSummary, Option<&[u8]>)> = BTreeMap::new();
+    let mut keep: BTreeMap<u32, Disclosed<'_>> = BTreeMap::new();
     // descendant closure over disclosed entries
     let children_of = |idx: u32| {
         by_index

@@ -226,10 +226,8 @@ impl TripleStore {
     pub fn query(&self, pattern: &TriplePattern) -> Vec<Triple> {
         let lookup = |pt: &PatternTerm| -> Option<Option<TermId>> {
             match pt {
-                PatternTerm::Const(t) => match self.dict.lookup(t) {
-                    Some(id) => Some(Some(id)),
-                    None => None, // constant not in dictionary: no results
-                },
+                // A constant not in the dictionary matches nothing.
+                PatternTerm::Const(t) => self.dict.lookup(t).map(Some),
                 _ => Some(None),
             }
         };

@@ -183,11 +183,15 @@ enum AutoTest {
     Wildcard,
 }
 
+/// An equality predicate a step checks on the node it matches.
 #[derive(Debug, Clone)]
 enum AutoPred {
-    AttrEq(String, String),
-    ChildTextEq(String, String),
-    OwnTextEq(String),
+    /// `[@attr='value']`.
+    Attr(String, String),
+    /// `[child='value']`.
+    ChildText(String, String),
+    /// `[text()='value']`.
+    OwnText(String),
 }
 
 /// A path expression compiled to an NFA over interned element names.
@@ -224,9 +228,9 @@ impl PathAutomaton {
             let mut preds = Vec::with_capacity(step.predicates.len());
             for pred in &step.predicates {
                 preds.push(match pred {
-                    Pred::AttrEq(a, v) => AutoPred::AttrEq(a.clone(), v.clone()),
-                    Pred::ChildTextEq(c, v) => AutoPred::ChildTextEq(c.clone(), v.clone()),
-                    Pred::OwnTextEq(v) => AutoPred::OwnTextEq(v.clone()),
+                    Pred::AttrEq(a, v) => AutoPred::Attr(a.clone(), v.clone()),
+                    Pred::ChildTextEq(c, v) => AutoPred::ChildText(c.clone(), v.clone()),
+                    Pred::OwnTextEq(v) => AutoPred::OwnText(v.clone()),
                     Pred::Position(_) => return None,
                 });
             }
@@ -254,9 +258,9 @@ impl PathAutomaton {
             return false;
         }
         step.preds.iter().all(|p| match p {
-            AutoPred::AttrEq(a, want) => doc.attribute(node, a) == Some(want.as_str()),
-            AutoPred::OwnTextEq(want) => &doc.text_content(node) == want,
-            AutoPred::ChildTextEq(child, want) => doc
+            AutoPred::Attr(a, want) => doc.attribute(node, a) == Some(want.as_str()),
+            AutoPred::OwnText(want) => &doc.text_content(node) == want,
+            AutoPred::ChildText(child, want) => doc
                 .children(node)
                 .any(|c| doc.name(c) == Some(child.as_str()) && &doc.text_content(c) == want),
         })

@@ -42,6 +42,12 @@
 //!   artifact's epoch and its Browse/Read equivalence classes against the
 //!   interpreter's). Gated: `compiled_speedup >= 5` and both equivalence
 //!   booleans;
+//! * **compile** — the snapshot compile of the bench hospital, whose 16
+//!   grants all select `//patient`, against the same stack with one grant
+//!   (the medians of interleaved runs). Compilation selects and
+//!   propagates once per distinct selection, so duplicate grants cost
+//!   little more than their subjects. Gated:
+//!   `compile_duplicate_ratio <= 2`;
 //! * **lockdep** — an in-process A/B probe of the `websec_core::sync`
 //!   wrappers: the per-request synchronization pattern (two Acquire
 //!   loads, one RwLock read, one Mutex lock, two relaxed counter bumps,
@@ -188,6 +194,38 @@ fn compiled_spec() -> LargeStoreSpec {
     spec
 }
 
+/// Interleaved compile runs per hospital shape in the compile section.
+const COMPILE_RUNS: usize = 101;
+
+/// Median compile times, in microseconds, of the bench hospital and of
+/// the same stack with a single grant, over [`COMPILE_RUNS`] interleaved
+/// runs each, so host drift lands on both sides.
+fn compile_medians_us() -> (f64, f64) {
+    let bench = hospital_stack(&corpus());
+    let one_grant = hospital_stack(&HospitalSpec {
+        granted: 1,
+        ..corpus()
+    });
+    let time = |stack: &SecureWebStack| {
+        let snapshot =
+            PolicySnapshot::new(&stack.policies, stack.engine.strategy, &stack.documents);
+        let t = Instant::now();
+        std::hint::black_box(snapshot.compile());
+        t.elapsed().as_secs_f64() * 1e6
+    };
+    let mut bench_us = Vec::with_capacity(COMPILE_RUNS);
+    let mut one_grant_us = Vec::with_capacity(COMPILE_RUNS);
+    for _ in 0..COMPILE_RUNS {
+        bench_us.push(time(&bench));
+        one_grant_us.push(time(&one_grant));
+    }
+    let median = |mut runs: Vec<f64>| {
+        runs.sort_by(f64::total_cmp);
+        runs[runs.len() / 2]
+    };
+    (median(bench_us), median(one_grant_us))
+}
+
 /// Total operations per lockdep-probe round (split across the workers).
 const PROBE_OPS: usize = 48_000;
 /// Per-op FNV payload: roughly the hashing a small cached view costs, so
@@ -289,7 +327,7 @@ type Gate = (&'static str, Cmp, Bound);
 /// The bench's gates, evaluated by [`check_gates`] against
 /// `BENCH_serving.json` exactly as written.
 #[rustfmt::skip]
-const GATES: [Gate; 9] = [
+const GATES: [Gate; 10] = [
     // The 4-worker batch engine must not lose to the serial serve() loop,
     ("parallel_qps", Cmp::AtLeast, Bound::Key("serial_qps")),
     // and must keep its edge under the seeded ~10% fault plan.
@@ -307,6 +345,9 @@ const GATES: [Gate; 9] = [
     ("compiled_speedup", Cmp::AtLeast, Bound::Value(5.0)),
     ("compiled_equivalent", Cmp::AtLeast, Bound::Value(1.0)),
     ("compiled_verify_ok", Cmp::AtLeast, Bound::Value(1.0)),
+    // Sixteen grants selecting one path compile in at most twice the time
+    // of one: selection and propagation run once per distinct selection.
+    ("compile_duplicate_ratio", Cmp::AtMost, Bound::Value(2.0)),
     // The tracked sync wrappers, detector off, stay within 2% of raw
     // std::sync.
     ("lockdep_off_ratio", Cmp::AtLeast, Bound::Value(0.98)),
@@ -511,8 +552,8 @@ fn main() -> ExitCode {
 
     // Policy-verifier timings on the same stack: the cold run executes
     // all six WS013–WS018 passes; `invalidate_views` then republishes the
-    // snapshot (the token moves, the policy base does not), so the second
-    // call must land on the fingerprint-reuse path. Gated:
+    // same stack under a new token, so the second call must reuse the
+    // memo's report without running a pass. Gated:
     // `policy_verify_incremental_us <= policy_verify_full_us`.
     let t = Instant::now();
     let policy_report = analysis.verify_policies();
@@ -619,6 +660,14 @@ fn main() -> ExitCode {
     }
     let compiled_verify_ok = serial.verify_compiled().is_ok();
 
+    // Compile section: duplicate selections must not multiply the cost.
+    let (compile_hospital_us, compile_one_grant_us) = compile_medians_us();
+    let compile_duplicate_ratio = if compile_one_grant_us > 0.0 {
+        compile_hospital_us / compile_one_grant_us
+    } else {
+        0.0
+    };
+
     let legacy_qps = qps(REQUESTS, legacy_secs);
     let serial_qps = qps(REQUESTS, serial_secs);
     let faulted_serial_qps = qps(REQUESTS, faulted_serial_secs);
@@ -693,6 +742,9 @@ fn main() -> ExitCode {
          \"compiled_equiv_checked\": {compiled_equiv_checked},\n  \
          \"compiled_equivalent\": {},\n  \
          \"compiled_verify_ok\": {},\n  \
+         \"compile_hospital_us\": {compile_hospital_us:.1},\n  \
+         \"compile_one_grant_us\": {compile_one_grant_us:.1},\n  \
+         \"compile_duplicate_ratio\": {compile_duplicate_ratio:.3},\n  \
          \"nodup_requests\": {NODUP_REQUESTS},\n  \
          \"nodup_qps_1w\": {nodup_qps_1w:.1},\n  \
          \"nodup_qps_8w\": {nodup_qps_8w:.1},\n  \
@@ -777,6 +829,10 @@ fn main() -> ExitCode {
          {compiled_speedup:.2}x  (compile {compiled_compile_us} us, \
          {compiled_equiv_checked} sampled equal: {compiled_equivalent}, \
          epoch and class cross-check ok: {compiled_verify_ok})"
+    );
+    println!(
+        "  compile (median of {COMPILE_RUNS}): hospital {compile_hospital_us:.1} us, \
+         one grant {compile_one_grant_us:.1} us = {compile_duplicate_ratio:.3}x"
     );
     println!("  wrote BENCH_serving.json");
     if check_gates(&json, &GATES) {

@@ -14,9 +14,12 @@
 //! ([`StackServer::verify_compiled`]) accepts the live artifact.
 
 use std::collections::HashSet;
+use websec_core::analyzer::policy_verify::{run_policy_pass, PolicyPassId, PolicyVerifyInput};
+use websec_core::analyzer::run_pass;
+use websec_core::policy::AuthzId;
 use websec_core::prelude::*;
 use websec_core::xml::NodeId;
-use websec_scenarios::{hospital_stack, HospitalSpec};
+use websec_scenarios::{hospital_stack, large_store, HospitalSpec, LargeStoreSpec};
 
 const SUBJECTS: usize = 16;
 /// Master-key seed byte for the server stacks under test.
@@ -351,6 +354,239 @@ fn compiled_coverage_matches_interpreter_rule_by_rule() {
         attribute_rules > 100,
         "only {attribute_rules} coverages selected attributes"
     );
+    assert_no_sync_findings();
+}
+
+/// The class-numbering contract of the compiled tables: class ids follow
+/// the document order in which each class first appears, every live node
+/// of a compiled document has exactly one class, and every class and
+/// attribute entry lists its rules in ascending policy-base order.
+#[test]
+fn class_numbering_follows_document_order() {
+    let mut classes_seen = 0usize;
+    for seed in 0..COVERAGE_SEEDS {
+        let mut rng = SecureRng::seeded(0xc1a5_0000 + seed);
+        let (store, docs) = rich_stack(&mut rng);
+        let strategy = STRATEGIES[(seed % 5) as usize];
+        let compiled = PolicySnapshot::new(&store, strategy, &docs).compile();
+        let order = |id: AuthzId| {
+            store
+                .authorizations()
+                .iter()
+                .position(|a| a.id == id)
+                .expect("compiled rule comes from the store")
+        };
+        let ascending =
+            |rules: &[&Authorization]| rules.windows(2).all(|w| order(w[0].id) < order(w[1].id));
+        for name in docs.names() {
+            let live = docs.get(name).unwrap().all_nodes();
+            let at = |node: NodeId| live.iter().position(|&n| n == node).unwrap();
+            let classes = compiled.classes_of(name).expect("document was compiled");
+            let mut covered: Vec<NodeId> = Vec::new();
+            for (i, class) in classes.iter().enumerate() {
+                assert_eq!(class.class as usize, i, "seed {seed}: class ids are dense");
+                assert!(
+                    ascending(&class.auths),
+                    "seed {seed}: class {i} rules unsorted"
+                );
+                let positions: Vec<usize> = class.nodes.iter().map(|&n| at(n)).collect();
+                assert!(
+                    positions.windows(2).all(|w| w[0] < w[1]),
+                    "seed {seed}: class {i} nodes out of document order"
+                );
+                covered.extend(&class.nodes);
+            }
+            let firsts: Vec<usize> = classes.iter().map(|c| at(c.nodes[0])).collect();
+            assert!(
+                firsts.windows(2).all(|w| w[0] < w[1]),
+                "seed {seed}: '{name}' classes not numbered in first-appearance order"
+            );
+            covered.sort_unstable();
+            let mut want = live.clone();
+            want.sort_unstable();
+            assert_eq!(
+                covered, want,
+                "seed {seed}: '{name}' live nodes and classes differ"
+            );
+            let entries = compiled.attrs_of(name).expect("document was compiled");
+            for entry in &entries {
+                assert!(
+                    ascending(&entry.auths),
+                    "seed {seed}: attribute rules unsorted"
+                );
+            }
+            assert!(
+                entries.windows(2).all(|w| at(w[0].node) <= at(w[1].node)),
+                "seed {seed}: attribute entries out of document order"
+            );
+            classes_seen += classes.len();
+        }
+    }
+    assert!(classes_seen > 1_000, "only {classes_seen} classes checked");
+    assert_no_sync_findings();
+}
+
+/// Every WS001 finding has a WS014 finding for the same (grant, denial)
+/// pair at the same severity, over seeded [`rich_stack`] stores: the
+/// compiled verifier sees every collision the coverage-based conflict
+/// pass sees, attribute-only collisions included.
+#[test]
+fn every_ws001_conflict_has_a_ws014_pair() {
+    let mut conflicts = 0usize;
+    let mut on_attributes = 0usize;
+    for seed in 0..COVERAGE_SEEDS {
+        let mut rng = SecureRng::seeded(0xc07e_0000 + seed);
+        let (store, docs) = rich_stack(&mut rng);
+        let strategy = STRATEGIES[(seed % 5) as usize];
+        let compiled = PolicySnapshot::new(&store, strategy, &docs).compile();
+        let mut analyzer_input = AnalyzerInput::new(&store, strategy);
+        let mut verify_input = PolicyVerifyInput::new(&compiled);
+        for name in docs.names() {
+            let doc = docs.get(name).unwrap();
+            analyzer_input = analyzer_input.with_document(name, doc);
+            verify_input = verify_input.with_document(name, doc);
+        }
+        let analyzer_input = analyzer_input.with_compiled(compiled.clone());
+        let ws014 = run_policy_pass(&verify_input, PolicyPassId::Ws014);
+        for finding in run_pass(&analyzer_input, PassId::Ws001) {
+            let pair = ws014
+                .iter()
+                .find(|d| d.span == finding.span && d.severity == finding.severity);
+            let Some(pair) = pair else {
+                panic!(
+                    "seed {seed} ({strategy:?}): WS001 without a WS014 pair: {}",
+                    finding.machine_line()
+                );
+            };
+            conflicts += 1;
+            on_attributes += usize::from(pair.message.contains("attribute '"));
+        }
+    }
+    assert!(conflicts > 200, "only {conflicts} WS001 findings checked");
+    assert!(
+        on_attributes > 20,
+        "only {on_attributes} pairs collide on attributes alone"
+    );
+    assert_no_sync_findings();
+}
+
+/// A deliberately per-node WS018: for each element with element
+/// children, in document order, the first witness that
+/// [`CompiledPolicies::check`] denies `Read` on the element and grants on
+/// every element child. The witnesses are derived from the policy base
+/// like the verifier's (the anonymous subject, then one per distinct
+/// subject spec); only the `OfType` credential shape the generators use
+/// is supported.
+fn ws018_reference(compiled: &CompiledPolicies, docs: &DocumentStore) -> Vec<String> {
+    let mut witnesses: Vec<SubjectProfile> = vec![SubjectProfile::new("ws018:anonymous")];
+    for auth in compiled.source_authorizations() {
+        let witness = match &auth.subject {
+            SubjectSpec::Anyone => continue,
+            SubjectSpec::Identity(who) => SubjectProfile::new(who),
+            SubjectSpec::InRole(role) => {
+                SubjectProfile::new(&format!("ws018:role:{}", role.0)).with_role(role.clone())
+            }
+            SubjectSpec::WithCredentials(CredentialExpr::OfType(kind)) => {
+                SubjectProfile::new("ws018:credentialed")
+                    .with_credential(Credential::new(kind, "ws018:witness"))
+            }
+            SubjectSpec::WithCredentials(other) => panic!("unsupported witness shape {other:?}"),
+        };
+        if !witnesses
+            .iter()
+            .any(|w| format!("{w:?}") == format!("{witness:?}"))
+        {
+            witnesses.push(witness);
+        }
+    }
+    let mut lines = Vec::new();
+    for name in docs.names() {
+        let doc = docs.get(name).unwrap();
+        let read =
+            |who: &SubjectProfile, node: NodeId| compiled.check(who, name, node, Privilege::Read);
+        for node in doc.all_nodes() {
+            let Some(elem) = doc.name(node) else { continue };
+            let children: Vec<NodeId> = doc
+                .children(node)
+                .filter(|&c| doc.name(c).is_some())
+                .collect();
+            if children.is_empty() {
+                continue;
+            }
+            let witness = witnesses.iter().find(|w| {
+                read(w, node) == Some(AccessDecision::Denied)
+                    && children
+                        .iter()
+                        .all(|&c| read(w, c) == Some(AccessDecision::Granted))
+            });
+            if let Some(witness) = witness {
+                lines.push(format!(
+                    "WS018|warning|document '{name}' element '{elem}'|inference channel: \
+                     subject '{}' is denied Read on <{elem}> but granted all {} element \
+                     children — the permitted views compose to the denied element's content",
+                    witness.identity,
+                    children.len()
+                ));
+            }
+        }
+    }
+    lines.sort();
+    lines
+}
+
+/// WS018's machine lines over `docs` equal [`ws018_reference`]'s.
+fn assert_ws018_matches_reference(
+    compiled: &CompiledPolicies,
+    docs: &DocumentStore,
+    what: &str,
+) -> usize {
+    let mut input = PolicyVerifyInput::new(compiled);
+    for name in docs.names() {
+        input = input.with_document(name, docs.get(name).unwrap());
+    }
+    let mut found: Vec<String> = run_policy_pass(&input, PolicyPassId::Ws018)
+        .iter()
+        .map(Diagnostic::machine_line)
+        .collect();
+    found.sort();
+    assert_eq!(
+        found,
+        ws018_reference(compiled, docs),
+        "{what}: WS018 diverged"
+    );
+    found.len()
+}
+
+/// WS018 decides each element and child from its equivalence class; its
+/// findings equal the per-(witness, node) reference on seeded
+/// [`rich_stack`] stores, the bench hospital and a 64-document large
+/// store, under every strategy.
+#[test]
+fn ws018_matches_a_per_node_reference() {
+    let mut findings = 0usize;
+    for seed in 0..COVERAGE_SEEDS {
+        let mut rng = SecureRng::seeded(0x1f18_0000 + seed);
+        let (store, docs) = rich_stack(&mut rng);
+        let strategy = STRATEGIES[(seed % 5) as usize];
+        let compiled = PolicySnapshot::new(&store, strategy, &docs).compile();
+        findings += assert_ws018_matches_reference(&compiled, &docs, &format!("seed {seed}"));
+    }
+    assert!(findings > 20, "only {findings} rich-store findings");
+
+    let hospital = hospital_stack(&HospitalSpec::bench());
+    let large = LargeStoreSpec {
+        docs: 64,
+        subjects: 32,
+        specific_auths: 16,
+    };
+    let (large_policies, large_docs, _) = large_store(&large);
+    for strategy in STRATEGIES {
+        let compiled =
+            PolicySnapshot::new(&hospital.policies, strategy, &hospital.documents).compile();
+        assert_ws018_matches_reference(&compiled, &hospital.documents, "hospital");
+        let compiled = PolicySnapshot::new(&large_policies, strategy, &large_docs).compile();
+        assert_ws018_matches_reference(&compiled, &large_docs, "large store");
+    }
     assert_no_sync_findings();
 }
 

@@ -162,7 +162,7 @@ fn adversarial_scenario_rejects_attacks_ws1xx_only() {
         .into_iter()
         .find(|s| s.name == "adversarial_replay_tamper")
         .expect("the smoke suite declares the adversarial scenario");
-    let spec = scenario.adversarial.clone().expect("adversarial spec");
+    let spec = scenario.adversarial.expect("adversarial spec");
     let run = run_scenario(&scenario, "adv-rev");
     assert!(
         run.result.violations.is_empty(),
