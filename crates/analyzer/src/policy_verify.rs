@@ -310,12 +310,14 @@ fn ws014_class_conflicts(input: &PolicyVerifyInput<'_>) -> Vec<Diagnostic> {
     };
     let mut seen: BTreeSet<(u32, u32)> = BTreeSet::new();
     let mut out = Vec::new();
-    let names = compiled.document_names();
-    for &name in &names {
+    // Documents with selected attributes, each with its classes' rules,
+    // walked once every class has been.
+    let mut attr_docs = Vec::new();
+    for name in compiled.document_names() {
         let Some(classes) = compiled.classes_of(name) else {
             continue;
         };
-        for cv in classes {
+        for cv in &classes {
             for grant in cv.auths.iter().filter(|a| a.sign == Sign::Plus) {
                 for denial in cv.auths.iter().filter(|a| a.sign == Sign::Minus) {
                     let Some(privilege) = collision(grant, denial) else {
@@ -328,15 +330,22 @@ fn ws014_class_conflicts(input: &PolicyVerifyInput<'_>) -> Vec<Diagnostic> {
                 }
             }
         }
+        if let Some(attrs) = compiled.attrs_of(name).filter(|attrs| !attrs.is_empty()) {
+            let class_rules: Vec<Vec<&Authorization>> =
+                classes.into_iter().map(|cv| cv.auths).collect();
+            attr_docs.push((name, attrs, class_rules));
+        }
     }
-    for &name in &names {
-        let Some(attrs) = compiled.attrs_of(name).filter(|attrs| !attrs.is_empty()) else {
-            continue;
-        };
-        let Some(classes) = compiled.classes_of(name) else {
-            continue;
-        };
+    for (name, attrs, class_rules) in attr_docs {
+        // An entry's pairs depend only on its class and the rules
+        // selecting it, so each distinct (class, selecting rules) is
+        // scanned once: a later entry with the same key could only
+        // repeat pairs already reported.
+        let mut scanned: BTreeSet<(u32, Vec<u32>)> = BTreeSet::new();
         for entry in attrs {
+            if !scanned.insert((entry.class, entry.auths.iter().map(|a| a.id.0).collect())) {
+                continue;
+            }
             // The rules selecting the attribute come first, then those
             // covering its element; a pair of two element rules is the
             // class walk's.
@@ -344,27 +353,32 @@ fn ws014_class_conflicts(input: &PolicyVerifyInput<'_>) -> Vec<Diagnostic> {
             let rules: Vec<&Authorization> = entry
                 .auths
                 .iter()
-                .chain(&classes[entry.class as usize].auths)
+                .chain(&class_rules[entry.class as usize])
                 .copied()
                 .collect();
             for (gi, grant) in rules.iter().enumerate() {
-                for (di, denial) in rules.iter().enumerate() {
-                    if grant.sign != Sign::Plus
-                        || denial.sign != Sign::Minus
-                        || (gi >= selecting && di >= selecting)
-                    {
+                if grant.sign != Sign::Plus {
+                    continue;
+                }
+                let denials = if gi < selecting {
+                    &rules[..]
+                } else {
+                    &rules[..selecting]
+                };
+                for denial in denials.iter().filter(|d| d.sign == Sign::Minus) {
+                    let pair = (grant.id.0, denial.id.0);
+                    if seen.contains(&pair) {
                         continue;
                     }
                     let Some(privilege) = collision(grant, denial) else {
                         continue;
                     };
-                    if seen.insert((grant.id.0, denial.id.0)) {
-                        let place = format!(
-                            "attribute '{}' in equivalence class {} of '{name}'",
-                            entry.attribute, entry.class
-                        );
-                        out.push(ws014_conflict(compiled, grant, denial, privilege, &place));
-                    }
+                    seen.insert(pair);
+                    let place = format!(
+                        "attribute '{}' in equivalence class {} of '{name}'",
+                        entry.attribute, entry.class
+                    );
+                    out.push(ws014_conflict(compiled, grant, denial, privilege, &place));
                 }
             }
         }
@@ -660,9 +674,6 @@ fn ws018_inference_channels(input: &PolicyVerifyInput<'_>) -> Vec<Diagnostic> {
                 compiled
                     .class_decisions(witness, name, Privilege::Read)
                     .unwrap_or_default()
-                    .into_iter()
-                    .map(|decision| decision == AccessDecision::Granted)
-                    .collect()
             })
             .collect();
         for (pos, node) in doc.all_nodes().into_iter().enumerate() {

@@ -25,6 +25,25 @@ pub fn fnv1a(data: &[u8], hash: u64) -> u64 {
     })
 }
 
+/// A running [`fnv1a`] digest that renderings are written to: writing a
+/// string extends the digest with its bytes, so formatting into an
+/// `Fnv1a` digests the rendering without building it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Fnv1a(pub u64);
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Fnv1a(FNV1A_START)
+    }
+}
+
+impl std::fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.0 = fnv1a(s.as_bytes(), self.0);
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -34,6 +53,15 @@ mod tests {
         assert_eq!(fnv1a(b"", FNV1A_START), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a(b"a", FNV1A_START), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a(b"foobar", FNV1A_START), 0x8594_4171_f739_67e8);
+    }
+
+    #[test]
+    fn a_written_rendering_digests_like_the_string() {
+        use std::fmt::Write as _;
+        let (name, value) = ("foo", Some(7));
+        let mut digest = Fnv1a::default();
+        let _ = write!(digest, "{name}-{value:?}");
+        assert_eq!(digest.0, fnv1a(b"foo-Some(7)", FNV1A_START));
     }
 
     #[test]

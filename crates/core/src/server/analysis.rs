@@ -10,9 +10,7 @@
 //! `Deny` gate all read and extend it:
 //!
 //! * at the memo's own token the cached reports answer wholesale (zero
-//!   passes executed), and so they do for the memo's own stack
-//!   republished under a new token (nothing to fingerprint: a published
-//!   stack never changes);
+//!   passes executed);
 //! * at another token the snapshot is fingerprinted once, and only the
 //!   passes whose declared sections ([`websec_analyzer::PassId::sections`])
 //!   moved re-run, with the memo's diagnostics spliced in for the rest; the
@@ -40,15 +38,16 @@
 //! entry for an older snapshot never replaces one for a newer snapshot.
 
 use std::collections::BTreeSet;
+use std::fmt::Write;
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, PoisonError, Weak};
+use std::sync::{Arc, PoisonError};
 use std::time::Instant;
 
 use super::cache::Token;
 use super::metrics::Counter;
 use super::StackServer;
 use crate::error::Error;
-use crate::hash::{fnv1a, FNV1A_START};
+use crate::hash::Fnv1a;
 use crate::stack::SecureWebStack;
 use websec_analyzer::policy_verify::{self, PolicyPassId, PolicyVerifyInput};
 use websec_analyzer::{run_pass, Diagnostic, PassId, Report, Section, Severity};
@@ -88,10 +87,6 @@ const POLICY_SECTIONS: [Section; 2] = [Section::Policy, Section::Documents];
 struct SnapshotAnalysis {
     /// The snapshot's `{generation, epoch}` token.
     token: Token,
-    /// The published stack this analysis describes, by identity (empty
-    /// until the stack is published). A published stack never changes,
-    /// so a republication of the same stack moves no section.
-    stack: Weak<SecureWebStack>,
     /// Per-[`Section`] fingerprints (indexed like [`Section::ALL`]).
     fingerprints: [u64; SECTION_COUNT],
     /// Per-pass diagnostics (indexed like [`PassId::ALL`]); `None` for a
@@ -115,15 +110,13 @@ pub(super) struct AnalysisMemo {
     last_passes_run: Vec<&'static str>,
 }
 
-/// The deterministic rendering of one analyzer input section of `stack`.
-/// Renderings use `Debug` over BTree-backed (deterministically ordered)
-/// structures; the one `HashMap` (document labels) is sorted by name
-/// first. The policy section includes the engine's conflict strategy,
-/// which WS001/WS002 and the compiled plane the verifier reads (WS014)
-/// depend on.
-fn render_section(stack: &SecureWebStack, section: Section) -> String {
-    use std::fmt::Write as _;
-    let mut s = String::new();
+/// Writes the deterministic rendering of one analyzer input section of
+/// `stack` to `s`. Renderings use `Debug` over BTree-backed
+/// (deterministically ordered) structures; the one `HashMap` (document
+/// labels) is sorted by name first. The policy section includes the
+/// engine's conflict strategy, which WS001/WS002 and the compiled plane the
+/// verifier reads (WS014) depend on.
+fn render_section(stack: &SecureWebStack, section: Section, s: &mut impl Write) {
     match section {
         Section::Policy => {
             let _ = write!(
@@ -138,7 +131,9 @@ fn render_section(stack: &SecureWebStack, section: Section) -> String {
         Section::Documents => {
             for name in stack.documents.names() {
                 if let Some(doc) = stack.documents.get(name) {
-                    let _ = write!(s, "{name}\u{1f}{}\u{1e}", doc.to_xml_string());
+                    let _ = write!(s, "{name}\u{1f}");
+                    let _ = doc.write_xml(s);
+                    let _ = s.write_char('\u{1e}');
                 }
             }
         }
@@ -179,12 +174,16 @@ fn render_section(stack: &SecureWebStack, section: Section) -> String {
             let _ = write!(s, "{:?}", stack.registered_profiles);
         }
     }
-    s
 }
 
-/// Fingerprints every analyzer input section of `stack`.
+/// Fingerprints every analyzer input section of `stack`: the FNV-1a
+/// digest of its rendering, written straight into the digest.
 fn section_fingerprints(stack: &SecureWebStack) -> [u64; SECTION_COUNT] {
-    Section::ALL.map(|section| fnv1a(render_section(stack, section).as_bytes(), FNV1A_START))
+    Section::ALL.map(|section| {
+        let mut digest = Fnv1a::default();
+        render_section(stack, section, &mut digest);
+        digest.0
+    })
 }
 
 /// Machine lines of the error-severity findings in `report`, in report
@@ -238,7 +237,6 @@ impl SnapshotAnalysis {
             .and_then(|p| p.policy.clone());
         SnapshotAnalysis {
             token,
-            stack: Weak::new(),
             fingerprints,
             passes,
             report,
@@ -365,12 +363,10 @@ impl StackServer {
             .clone()
     }
 
-    /// The memo's analysis of the published snapshot `stack` at `token`:
-    /// the memo's own entry when it describes that snapshot, the entry
-    /// under `token` when it describes the same stack republished (as
-    /// [`StackServer::invalidate_views`] does), else one rebased onto it
+    /// The memo's analysis of the snapshot `stack` at `token`: the memo's
+    /// own entry when it describes that snapshot, else one rebased onto it
     /// from the memo's entry. A copy, so no pass runs under the mutex.
-    fn memo_for(&self, stack: &Arc<SecureWebStack>, token: Token) -> SnapshotAnalysis {
+    fn memo_for(&self, stack: &SecureWebStack, token: Token) -> SnapshotAnalysis {
         let latest = self
             .analysis
             .lock()
@@ -379,13 +375,7 @@ impl StackServer {
             .clone();
         match latest {
             Some(latest) if latest.token == token => latest,
-            Some(latest) if std::ptr::eq(latest.stack.as_ptr(), Arc::as_ptr(stack)) => {
-                SnapshotAnalysis { token, ..latest }
-            }
-            latest => SnapshotAnalysis {
-                stack: Arc::downgrade(stack),
-                ..SnapshotAnalysis::rebase(latest.as_ref(), stack, token)
-            },
+            latest => SnapshotAnalysis::rebase(latest.as_ref(), stack, token),
         }
     }
 
@@ -441,10 +431,10 @@ impl StackServer {
     /// [`websec_analyzer::policy_verify`]) over the current snapshot's
     /// compiled decision plane, **incrementally**: the report is memoized
     /// with the snapshot's analysis, and when the token moved without the
-    /// policy base or the documents changing (the same stack republished
-    /// by [`StackServer::invalidate_views`], or fingerprint-checked), the
-    /// memoized report is reused wholesale. The run/reuse split is
-    /// observable through [`super::MetricsSnapshot::policy_passes_run`] and
+    /// policy base or the documents changing (fingerprint-checked — e.g.
+    /// after [`StackServer::invalidate_views`]), the memoized report is
+    /// reused wholesale. The run/reuse split is observable through
+    /// [`super::MetricsSnapshot::policy_passes_run`] and
     /// [`super::MetricsSnapshot::policy_passes_reused`].
     #[must_use]
     pub fn verify_policies(&self) -> Report {
@@ -610,9 +600,7 @@ impl StackServer {
                     return Err(Error::AnalysisRejected(introduced.join("\n")));
                 }
                 self.count_compile(compile_ns);
-                let candidate = Arc::new(candidate);
-                analysis.stack = Arc::downgrade(&candidate);
-                analysis.token = self.publish(candidate, compiled);
+                analysis.token = self.publish(Arc::new(candidate), compiled);
                 self.commit(analysis, Some(ran));
                 drop(writer);
                 Ok(result)

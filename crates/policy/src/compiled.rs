@@ -677,8 +677,8 @@ impl CompiledPolicies {
     }
 
     /// One decision per equivalence class of `doc_name`, indexed by class
-    /// id: what [`Self::check`] answers for every node of that class.
-    /// The subject is matched against the document's rules once and each
+    /// id: whether [`Self::check`] grants every node of that class. The
+    /// subject is matched against the document's rules once and each
     /// class is resolved once. `None` when the document was not part of
     /// the compiled snapshot.
     #[must_use]
@@ -687,30 +687,15 @@ impl CompiledPolicies {
         profile: &SubjectProfile,
         doc_name: &str,
         privilege: Privilege,
-    ) -> Option<Vec<AccessDecision>> {
+    ) -> Option<Vec<bool>> {
         let cd = self.docs.get(doc_name)?;
         let matched = self.match_auths(cd, profile, privilege);
         Some(
-            self.classes_allowed(cd, &matched)
-                .into_iter()
-                .map(|allowed| {
-                    if allowed {
-                        AccessDecision::Granted
-                    } else {
-                        AccessDecision::Denied
-                    }
-                })
+            cd.classes
+                .iter()
+                .map(|class| self.resolve(cd, class, &matched) == Some(Sign::Plus))
                 .collect(),
         )
-    }
-
-    /// Whether each class of `cd` resolves to a grant for the matched
-    /// rules, indexed by class id.
-    fn classes_allowed(&self, cd: &CompiledDoc, matched: &[bool]) -> Vec<bool> {
-        cd.classes
-            .iter()
-            .map(|class| self.resolve(cd, class, matched) == Some(Sign::Plus))
-            .collect()
     }
 
     /// Whether `attribute` of `node` is visible to the subject —
@@ -776,7 +761,10 @@ impl CompiledPolicies {
         let matched = self.match_auths(cd, profile, Privilege::Read);
 
         // One decision per equivalence class, then fan out to nodes.
-        let class_allow = self.classes_allowed(cd, &matched);
+        let mut class_allow = Vec::with_capacity(cd.classes.len());
+        for class in &cd.classes {
+            class_allow.push(self.resolve(cd, class, &matched) == Some(Sign::Plus));
+        }
         let mut keep = NodeBitset::with_capacity(doc.arena_len());
         for (pos, &class) in cd.node_class.iter().enumerate() {
             if class_allow[class as usize] {

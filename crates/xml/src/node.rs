@@ -6,7 +6,7 @@
 //! lifetime of the document, which the policy engine relies on when it maps
 //! authorizations to document portions.
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write};
 
 /// Stable identifier of a node within one [`Document`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -387,7 +387,7 @@ impl Document {
                 out.push('>');
             }
         }
-        self.write_node(node, &mut out);
+        let _ = self.write_node(node, &mut out);
         for &anc in chain.iter().rev() {
             if let NodeKind::Element { name, .. } = &self.nodes[anc.index()].kind {
                 let _ = write!(out, "</{name}>");
@@ -400,8 +400,18 @@ impl Document {
     #[must_use]
     pub fn to_xml_string(&self) -> String {
         let mut out = String::new();
-        self.write_node(self.root, &mut out);
+        let _ = self.write_xml(&mut out);
         out
+    }
+
+    /// Writes the live tree's XML, exactly [`Document::to_xml_string`], to
+    /// `out` without building the string: a digest written to needs no
+    /// copy of the document.
+    ///
+    /// # Errors
+    /// Whatever `out` returns.
+    pub fn write_xml(&self, out: &mut impl Write) -> fmt::Result {
+        self.write_node(self.root, out)
     }
 
     /// Canonical byte serialization of the subtree under `node`, used as
@@ -414,28 +424,34 @@ impl Document {
         out.into_bytes()
     }
 
-    fn write_node(&self, id: NodeId, out: &mut String) {
+    fn write_node(&self, id: NodeId, out: &mut impl Write) -> fmt::Result {
         let n = &self.nodes[id.index()];
         if n.removed {
-            return;
+            return Ok(());
         }
         match &n.kind {
-            NodeKind::Text(t) => out.push_str(&escape_text(t)),
+            NodeKind::Text(t) => write_escaped(out, t, false),
             NodeKind::Element { name, attributes } => {
-                let _ = write!(out, "<{name}");
+                out.write_char('<')?;
+                out.write_str(name)?;
                 for (k, v) in attributes {
-                    let _ = write!(out, " {k}=\"{}\"", escape_attr(v));
+                    out.write_char(' ')?;
+                    out.write_str(k)?;
+                    out.write_str("=\"")?;
+                    write_escaped(out, v, true)?;
+                    out.write_char('"')?;
                 }
-                let children: Vec<NodeId> = self.children(id).collect();
-                if children.is_empty() {
-                    out.push_str("/>");
-                } else {
-                    out.push('>');
-                    for c in children {
-                        self.write_node(c, out);
-                    }
-                    let _ = write!(out, "</{name}>");
+                let mut children = self.children(id).peekable();
+                if children.peek().is_none() {
+                    return out.write_str("/>");
                 }
+                out.write_char('>')?;
+                for c in children {
+                    self.write_node(c, out)?;
+                }
+                out.write_str("</")?;
+                out.write_str(name)?;
+                out.write_char('>')
             }
         }
     }
@@ -464,18 +480,39 @@ impl Document {
     }
 }
 
+/// Writes `s` to `out` with `&`, `<` and `>` escaped, and `"` too when
+/// `attr` is set, one unescaped run at a time.
+fn write_escaped(out: &mut impl Write, s: &str, attr: bool) -> fmt::Result {
+    let mut run = 0;
+    for (i, byte) in s.bytes().enumerate() {
+        let entity = match byte {
+            b'&' => "&amp;",
+            b'<' => "&lt;",
+            b'>' => "&gt;",
+            b'"' if attr => "&quot;",
+            _ => continue,
+        };
+        out.write_str(&s[run..i])?;
+        out.write_str(entity)?;
+        run = i + 1;
+    }
+    out.write_str(&s[run..])
+}
+
 /// Escapes text content (`&`, `<`, `>`).
 #[must_use]
 pub fn escape_text(s: &str) -> String {
-    s.replace('&', "&amp;")
-        .replace('<', "&lt;")
-        .replace('>', "&gt;")
+    let mut out = String::with_capacity(s.len());
+    let _ = write_escaped(&mut out, s, false);
+    out
 }
 
 /// Escapes attribute values (text escapes plus `"`).
 #[must_use]
 pub fn escape_attr(s: &str) -> String {
-    escape_text(s).replace('"', "&quot;")
+    let mut out = String::with_capacity(s.len());
+    let _ = write_escaped(&mut out, s, true);
+    out
 }
 
 #[cfg(test)]
@@ -608,11 +645,14 @@ mod tests {
         let mut d = Document::new("r");
         let e = d.add_element(d.root(), "e");
         d.set_attribute(e, "a", "x\"<y>");
-        d.add_text(e, "a & b < c");
+        d.set_attribute(e, "b", "&");
+        d.add_text(e, "a & b < c > \"d\"");
         assert_eq!(
             d.to_xml_string(),
-            "<r><e a=\"x&quot;&lt;y&gt;\">a &amp; b &lt; c</e></r>"
+            "<r><e a=\"x&quot;&lt;y&gt;\" b=\"&amp;\">a &amp; b &lt; c &gt; \"d\"</e></r>"
         );
+        assert_eq!(escape_text("<\"&\">"), "&lt;\"&amp;\"&gt;");
+        assert_eq!(escape_attr("<\"&\">"), "&lt;&quot;&amp;&quot;&gt;");
     }
 
     #[test]
