@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Repository gate: offline build, clippy with warnings denied, full test
 # suite, the wsbench build, tests and short runs, the websec-lint static
-# checks, the WS001-WS012 analyzer over every example stack (byte-diffed
+# checks, the WS002-WS012 analyzer over every example stack (byte-diffed
 # for determinism, failing on error findings), the WS013-WS018 static
 # policy verifier over the seed fixtures (byte-diffed against the
 # committed ANALYSIS_policy.json baseline), and the serving benchmark,

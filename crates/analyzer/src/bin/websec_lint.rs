@@ -33,7 +33,10 @@
 //!   the compiled decision hot-path modules (`policy/src/compiled.rs`,
 //!   `xml/src/automaton.rs`) — lookups there run on every cache miss, so
 //!   allocation belongs in the one-time snapshot build
-//!   (`// lint:allow(hot-alloc)` opts a line out).
+//!   (`// lint:allow(hot-alloc)` opts a line out);
+//! * a `"WSnnn"` string literal that [`websec_analyzer::lookup`] does not
+//!   know: every stable code a program emits is a `REGISTRY` row, so a
+//!   retired or mistyped code fails here rather than in a user's report.
 //!
 //! Test code is exempt: by repository convention the `#[cfg(test)]` module
 //! sits at the end of each file, so everything after the first `#[cfg(test)]`
@@ -53,7 +56,7 @@
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-use websec_analyzer::{Diagnostic, Report, Severity};
+use websec_analyzer::{lookup, Diagnostic, Report, Severity};
 
 /// One lint finding. `rule` is the stable machine code (`LINT-unwrap`,
 /// `LINT-lock-order`, ...) used by `--machine` output.
@@ -408,6 +411,17 @@ fn line_lock_rank(code: &str, spec: &LockOrderSpec) -> Option<usize> {
     None
 }
 
+/// The first `"WSnnn"` string literal on the line whose code is not
+/// registered.
+fn unregistered_code(code: &str) -> Option<&str> {
+    code.match_indices("\"WS").find_map(|(at, _)| {
+        let literal = code.get(at + 1..at + 6)?;
+        let shaped = literal[2..].bytes().all(|b| b.is_ascii_digit())
+            && code[at + 6..].starts_with('"');
+        (shaped && lookup(literal).is_none()).then_some(literal)
+    })
+}
+
 /// The first synchronizing atomic named (as a whole token) on the line.
 fn sync_atomic(code: &str) -> Option<&'static str> {
     for token in code.split(|c: char| !(c.is_alphanumeric() || c == '_')) {
@@ -528,6 +542,18 @@ fn lint_file(file: &Path, source: &str, is_crate_root: bool, findings: &mut Vec<
                     ),
                 });
             }
+        }
+        if let Some(unknown) = unregistered_code(code) {
+            findings.push(Finding {
+                rule: "LINT-unregistered-code",
+                file: file.to_path_buf(),
+                line: idx + 1,
+                warning: false,
+                message: format!(
+                    "diagnostic code \"{unknown}\" is not in the websec_analyzer \
+                     registry: register it or emit a registered code"
+                ),
+            });
         }
         if let Some(spec) = lock_order_spec {
             if code.contains("fn ") {
@@ -925,6 +951,27 @@ mod tests {
             .diagnostic()
             .machine_line()
             .starts_with("LINT-relaxed-sync|warning|"));
+    }
+
+    #[test]
+    fn unregistered_code_literals_are_flagged() {
+        let file = Path::new("crates/x/src/a.rs");
+        let src = "fn f() { Diagnostic::new(\"WS001\", Severity::Error, s, m); }\n";
+        let mut findings = Vec::new();
+        lint_file(file, src, false, &mut findings);
+        assert_eq!(findings.len(), 1, "{}", render(&findings));
+        assert_eq!(findings[0].rule, "LINT-unregistered-code");
+        assert!(!findings[0].warning);
+        assert!(findings[0].message.contains("\"WS001\""));
+
+        // Registered codes, other shapes, comments and test code are clean.
+        let src = "fn f() { let a = (\"WS014\", \"WS109\", \"WS1234\", \"WSX01\", \"WS\"); } \
+                   // \"WS001\"\n\
+                   #[cfg(test)]\n\
+                   mod t { fn g() { let d = \"WS001\"; } }\n";
+        let mut findings = Vec::new();
+        lint_file(file, src, false, &mut findings);
+        assert!(findings.is_empty(), "{}", render(&findings));
     }
 
     #[test]

@@ -26,7 +26,7 @@ impl fmt::Display for Severity {
 /// One analyzer finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
-    /// Stable diagnostic code (`WS001`..`WS005`).
+    /// Stable diagnostic code (`WS002`..`WS018`, or a `LINT-*` rule).
     pub code: &'static str,
     /// Severity of the finding.
     pub severity: Severity,
@@ -88,7 +88,7 @@ impl fmt::Display for Diagnostic {
 /// The aggregate result of an analyzer run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Report {
-    /// All findings, in pass order (WS001 first).
+    /// All findings, in pass order (lowest code first).
     pub diagnostics: Vec<Diagnostic>,
 }
 
@@ -238,8 +238,8 @@ mod tests {
 
     #[test]
     fn machine_line_shape() {
-        let d = Diagnostic::new("WS001", Severity::Error, "a1/a2", "conflict");
-        assert_eq!(d.machine_line(), "WS001|error|a1/a2|conflict");
+        let d = Diagnostic::new("WS014", Severity::Error, "a1/a2", "conflict");
+        assert_eq!(d.machine_line(), "WS014|error|a1/a2|conflict");
     }
 
     #[test]
@@ -250,7 +250,7 @@ mod tests {
         r.diagnostics
             .push(Diagnostic::new("WS002", Severity::Warning, "x", "m"));
         r.diagnostics
-            .push(Diagnostic::new("WS001", Severity::Error, "y", "n"));
+            .push(Diagnostic::new("WS014", Severity::Error, "y", "n"));
         assert!(!r.is_clean());
         assert!(r.has_errors());
         assert_eq!(r.with_code("WS002").len(), 1);
@@ -273,14 +273,14 @@ mod tests {
         r.diagnostics
             .push(Diagnostic::new("WS007", Severity::Warning, "a", "m1"));
         r.diagnostics
-            .push(Diagnostic::new("WS001", Severity::Error, "z", "m0"));
+            .push(Diagnostic::new("WS002", Severity::Error, "z", "m0"));
         r.normalize();
         let order: Vec<(&str, &str)> = r
             .diagnostics
             .iter()
             .map(|d| (d.code, d.span.as_str()))
             .collect();
-        assert_eq!(order, vec![("WS001", "z"), ("WS007", "a"), ("WS007", "b")]);
+        assert_eq!(order, vec![("WS002", "z"), ("WS007", "a"), ("WS007", "b")]);
     }
 
     #[test]

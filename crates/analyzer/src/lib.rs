@@ -5,8 +5,7 @@
 //!
 //! | code  | pass                                                    |
 //! |-------|---------------------------------------------------------|
-//! | WS001 | authorization conflict detection                        |
-//! | WS002 | shadowed / unreachable rule detection                   |
+//! | WS002 | shadowed rule detection                                 |
 //! | WS003 | MLS label flow analysis                                 |
 //! | WS004 | privacy inference-channel detection (single table)      |
 //! | WS005 | dangling reference check                                |

@@ -1,11 +1,11 @@
-//! The twelve analysis passes (WS001–WS012) and their shared input.
+//! The eleven analysis passes (WS002–WS012) and their shared input.
 //!
 //! All passes are static: they inspect a configured stack — policy base,
 //! documents, labels, privacy constraints, catalogs, RDF stores,
 //! dissemination partitions, UDDI registries — without executing a single
 //! query. Approximations are conservative and documented per pass.
 //!
-//! WS001–WS005 are per-store checks; WS006–WS012 are whole-stack
+//! WS002–WS005 are per-store checks; WS006–WS012 are whole-stack
 //! information-flow checks built on the [`crate::flow`] graph. Each pass is
 //! addressable through [`PassId`] and declares the input [`Section`]s it
 //! reads, which is what makes incremental re-analysis possible: a caller
@@ -68,7 +68,7 @@ pub struct AnalyzerInput<'a> {
     /// Named documents the policies govern, under distinct names.
     pub documents: Vec<(&'a str, &'a Document)>,
     /// The decision tables compiled from `store` over `documents`, the
-    /// one source WS001/WS002 read coverage from: supplied through
+    /// one source WS002 reads coverage from: supplied through
     /// [`AnalyzerInput::with_compiled`], or compiled on first use.
     compiled: OnceLock<Arc<CompiledPolicies>>,
     /// Per-document MLS labels (WS003, WS010).
@@ -136,8 +136,8 @@ impl<'a> AnalyzerInput<'a> {
     }
 
     /// Supplies the decision tables compiled from this input's store over
-    /// its documents (builder style), so WS001/WS002 read coverage from
-    /// them instead of compiling their own. Tables compiled from anything
+    /// its documents (builder style), so WS002 reads coverage from
+    /// them instead of compiling its own. Tables compiled from anything
     /// else yield meaningless findings.
     #[must_use]
     pub fn with_compiled(self, compiled: Arc<CompiledPolicies>) -> Self {
@@ -145,7 +145,7 @@ impl<'a> AnalyzerInput<'a> {
         self
     }
 
-    /// The decision tables WS001/WS002 read coverage from: the supplied
+    /// The decision tables WS002 reads coverage from: the supplied
     /// ones, or tables compiled on first use from the store and a copy of
     /// the documents registered by then. Every later call returns the
     /// same tables.
@@ -224,9 +224,7 @@ impl Section {
 /// Identifies one analysis pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum PassId {
-    /// WS001 conflict detection.
-    Ws001,
-    /// WS002 shadowed/unreachable rules.
+    /// WS002 shadowed rules.
     Ws002,
     /// WS003 MLS label flows.
     Ws003,
@@ -252,8 +250,7 @@ pub enum PassId {
 
 impl PassId {
     /// Every pass, in code order.
-    pub const ALL: [PassId; 12] = [
-        PassId::Ws001,
+    pub const ALL: [PassId; 11] = [
         PassId::Ws002,
         PassId::Ws003,
         PassId::Ws004,
@@ -271,7 +268,6 @@ impl PassId {
     #[must_use]
     pub fn code(self) -> &'static str {
         match self {
-            PassId::Ws001 => "WS001",
             PassId::Ws002 => "WS002",
             PassId::Ws003 => "WS003",
             PassId::Ws004 => "WS004",
@@ -291,7 +287,7 @@ impl PassId {
     #[must_use]
     pub fn sections(self) -> &'static [Section] {
         match self {
-            PassId::Ws001 | PassId::Ws002 => &[Section::Policy, Section::Documents],
+            PassId::Ws002 => &[Section::Policy, Section::Documents],
             PassId::Ws003 => &[Section::Labels],
             PassId::Ws004 | PassId::Ws007 => &[Section::Privacy],
             PassId::Ws005 => &[
@@ -315,7 +311,6 @@ impl PassId {
 #[must_use]
 pub fn run_pass(input: &AnalyzerInput<'_>, pass: PassId) -> Vec<Diagnostic> {
     match pass {
-        PassId::Ws001 => ws001_conflicts(input),
         PassId::Ws002 => ws002_shadowed_rules(input),
         PassId::Ws003 => ws003_mls_flows(input),
         PassId::Ws004 => ws004_inference_channels(input),
@@ -334,7 +329,7 @@ pub fn run_pass(input: &AnalyzerInput<'_>, pass: PassId) -> Vec<Diagnostic> {
 pub struct Analyzer;
 
 impl Analyzer {
-    /// Runs WS001–WS012 over `input`. The returned report is normalized
+    /// Runs WS002–WS012 over `input`. The returned report is normalized
     /// (sorted by `(code, span)`), so identical inputs yield byte-identical
     /// machine output.
     #[must_use]
@@ -351,31 +346,6 @@ impl Analyzer {
 
 pub(crate) fn auth_span(a: &Authorization) -> String {
     format!("authorization #{}", a.id.0)
-}
-
-pub(crate) fn pair_span(a: &Authorization, b: &Authorization) -> String {
-    format!("authorizations #{} and #{}", a.id.0, b.id.0)
-}
-
-/// Could a single subject match both specs? Conservative, except that two
-/// *unrelated* roles are treated as disjoint — a profile activating both at
-/// once is possible but rare enough that flagging every role pair would
-/// drown real findings.
-pub(crate) fn subjects_may_overlap(
-    a: &SubjectSpec,
-    b: &SubjectSpec,
-    hierarchy: &RoleHierarchy,
-) -> bool {
-    match (a, b) {
-        (SubjectSpec::Anyone, _) | (_, SubjectSpec::Anyone) => true,
-        (SubjectSpec::Identity(x), SubjectSpec::Identity(y)) => x == y,
-        (SubjectSpec::InRole(r), SubjectSpec::InRole(s)) => {
-            hierarchy.dominates(r, s) || hierarchy.dominates(s, r)
-        }
-        // Identity vs role, anything vs credentials: membership is not
-        // statically known, so assume overlap.
-        _ => true,
-    }
 }
 
 /// Does every subject matched by `inner` also match `outer`? (Static
@@ -455,137 +425,20 @@ impl Coverage {
         }
         coverage
     }
-
-    /// The first document on which rules `a` and `b` share a node or an
-    /// attribute decision. An attribute-selecting rule also collides with
-    /// an element-level rule covering the owning element.
-    fn first_overlap(&self, a: usize, b: usize) -> Option<usize> {
-        let first = |r: usize, other: usize| {
-            self.of_rule[r]
-                .iter()
-                .find(|&&(doc, set)| self.sets[doc][set].binary_search(&other).is_ok())
-                .map(|&(doc, _)| doc)
-        };
-        [first(a, b), first(b, a)].into_iter().flatten().min()
-    }
 }
 
-/// WS001: opposite-sign pairs that can collide on the same subject, object
-/// and privilege. A pair whose outcome is decided only by the strategy's
-/// silent denial tiebreak is an error; a pair that different strategies
-/// resolve differently is a warning.
-pub fn ws001_conflicts(input: &AnalyzerInput<'_>) -> Vec<Diagnostic> {
-    let auths = input.store.authorizations();
-    let coverage = Coverage::of(input);
-    let mut out = Vec::new();
-
-    for (gi, g) in auths.iter().enumerate() {
-        if g.sign != Sign::Plus {
-            continue;
-        }
-        for (di, d) in auths.iter().enumerate() {
-            if d.sign != Sign::Minus {
-                continue;
-            }
-            // Privileges collide iff some privilege is both supported by the
-            // grant and blocked by the denial: d.privilege ≤ g.privilege.
-            if !g.privilege.implies(d.privilege) {
-                continue;
-            }
-            if !subjects_may_overlap(&g.subject, &d.subject, &input.store.hierarchy) {
-                continue;
-            }
-            let Some(doc) = coverage.first_overlap(gi, di) else {
-                continue;
-            };
-            let doc_name = input.documents[doc].0;
-
-            let pair: [&Authorization; 2] = [g, d];
-            let tie = match input.strategy {
-                ConflictStrategy::DenialsTakePrecedence
-                | ConflictStrategy::PermissionsTakePrecedence => false,
-                ConflictStrategy::MostSpecificSubject => {
-                    g.subject.specificity() == d.subject.specificity()
-                }
-                ConflictStrategy::MostSpecificObject => {
-                    g.object.granularity() == d.object.granularity()
-                }
-                ConflictStrategy::ExplicitPriority => g.priority == d.priority,
-            };
-
-            if tie {
-                out.push(
-                    Diagnostic::new(
-                        "WS001",
-                        Severity::Error,
-                        pair_span(g, d),
-                        format!(
-                            "grant #{} and denial #{} collide on '{doc_name}' and are \
-                             unresolvable under {:?}: the outcome falls back to the \
-                             silent denials-take-precedence tiebreak",
-                            g.id.0, d.id.0, input.strategy
-                        ),
-                    )
-                    .with_suggestion(
-                        "disambiguate the pair (distinct priorities, or more specific \
-                         subject/object specs) or drop one rule",
-                    ),
-                );
-            } else {
-                let configured = input
-                    .strategy
-                    .resolve(&pair)
-                    .map_or("deny", |s| if s == Sign::Plus { "grant" } else { "deny" });
-                out.push(
-                    Diagnostic::new(
-                        "WS001",
-                        Severity::Warning,
-                        pair_span(g, d),
-                        format!(
-                            "grant #{} and denial #{} collide on '{doc_name}'; {:?} \
-                             resolves the pair to '{configured}', but the outcome is \
-                             strategy-dependent (other strategies disagree)",
-                            g.id.0, d.id.0, input.strategy
-                        ),
-                    )
-                    .with_suggestion(
-                        "make the intended winner explicit instead of relying on the \
-                         configured strategy",
-                    ),
-                );
-            }
-        }
-    }
-    out
-}
-
-/// WS002: rules that can never matter — either they match no object in any
-/// configured document (unreachable), or removing them changes no decision
-/// for any statically comparable subject (shadowed). Coverage comes from
-/// the compiled tables the input carries.
+/// WS002: rules whose removal changes no decision for any statically
+/// comparable subject (shadowed). Coverage comes from the compiled tables
+/// the input carries. A rule that covers nothing is WS015's dead policy,
+/// not a shadowed one, so it is skipped: the replay over its empty
+/// coverage would find no decision it changes.
 pub fn ws002_shadowed_rules(input: &AnalyzerInput<'_>) -> Vec<Diagnostic> {
     let auths = input.store.authorizations();
     let coverage = Coverage::of(input);
     let mut out = Vec::new();
 
     for (ai, a) in auths.iter().enumerate() {
-        if coverage.of_rule[ai].is_empty() {
-            if input.documents.is_empty() {
-                continue; // nothing configured: reachability is undecidable
-            }
-            out.push(
-                Diagnostic::new(
-                    "WS002",
-                    Severity::Warning,
-                    auth_span(a),
-                    "rule matches no node or attribute of any configured document \
-                     (unreachable)",
-                )
-                .with_suggestion("fix the object spec or remove the rule"),
-            );
-            continue;
-        }
-        if is_shadowed(input, &coverage, ai, a) {
+        if !coverage.of_rule[ai].is_empty() && is_shadowed(input, &coverage, ai, a) {
             out.push(
                 Diagnostic::new(
                     "WS002",
@@ -1474,6 +1327,22 @@ mod tests {
         assert!(report.is_clean(), "{}", report.human());
     }
 
+    /// Grant/denial conflicts are WS014's: the analyzer reports no pair,
+    /// and WS014 over the analyzer's own tables does.
+    fn conflicts(input: &AnalyzerInput<'_>) -> Vec<Diagnostic> {
+        let report = Analyzer::analyze(input);
+        assert!(
+            report.diagnostics.iter().all(|d| !d.span.starts_with("authorizations ")),
+            "{}",
+            report.human()
+        );
+        let mut verify = crate::PolicyVerifyInput::new(input.compiled());
+        for &(name, doc) in &input.documents {
+            verify = verify.with_document(name, doc);
+        }
+        crate::run_policy_pass(&verify, crate::PolicyPassId::Ws014)
+    }
+
     #[test]
     fn ws001_strategy_dependent_conflict() {
         let mut store = PolicyStore::new();
@@ -1482,9 +1351,8 @@ mod tests {
         let d = doc();
         let input = AnalyzerInput::new(&store, ConflictStrategy::default())
             .with_document("h.xml", &d);
-        let report = Analyzer::analyze(&input);
-        let hits = report.with_code("WS001");
-        assert_eq!(hits.len(), 1, "{}", report.human());
+        let hits = conflicts(&input);
+        assert_eq!(hits.len(), 1, "{hits:?}");
         assert_eq!(hits[0].severity, Severity::Warning);
     }
 
@@ -1496,15 +1364,8 @@ mod tests {
         let d = doc();
         let input = AnalyzerInput::new(&store, ConflictStrategy::ExplicitPriority)
             .with_document("h.xml", &d);
-        let report = Analyzer::analyze(&input);
-        assert!(
-            report
-                .with_code("WS001")
-                .iter()
-                .any(|f| f.severity == Severity::Error),
-            "{}",
-            report.human()
-        );
+        let hits = conflicts(&input);
+        assert!(hits.iter().any(|f| f.severity == Severity::Error), "{hits:?}");
     }
 
     #[test]
@@ -1515,9 +1376,11 @@ mod tests {
         let d = doc();
         let input = AnalyzerInput::new(&store, ConflictStrategy::default())
             .with_document("h.xml", &d);
-        assert!(ws001_conflicts(&input).is_empty());
+        assert!(conflicts(&input).is_empty());
     }
 
+    /// A rule that covers nothing is WS015's dead policy: WS002 does not
+    /// report it, neither as unreachable nor as shadowed.
     #[test]
     fn ws002_unreachable_rule() {
         let mut store = PolicyStore::new();
@@ -1526,9 +1389,7 @@ mod tests {
         let input = AnalyzerInput::new(&store, ConflictStrategy::default())
             .with_document("h.xml", &d);
         let report = Analyzer::analyze(&input);
-        let hits = report.with_code("WS002");
-        assert_eq!(hits.len(), 1, "{}", report.human());
-        assert!(hits[0].message.contains("unreachable"));
+        assert!(report.with_code("WS002").is_empty(), "{}", report.human());
     }
 
     #[test]

@@ -26,6 +26,9 @@
 //!   the denied element's full content. Decided once per (witness,
 //!   equivalence class), then read per element and child.
 //!
+//! WS014 and WS015 are the stack's only grant/denial conflict and
+//! dead-rule checks: the analyzer (WS002–WS012) reports neither.
+//!
 //! All passes read only the [`Section::Policy`] and
 //! [`Section::Documents`] sections, so the server's epoch-keyed
 //! incremental analysis can skip the whole suite when neither changed.
@@ -36,12 +39,12 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use websec_policy::{
     AccessDecision, Authorization, CompiledPolicies, Credential, CredentialExpr, PolicyEngine,
-    Privilege, Sign, SubjectProfile, SubjectSpec,
+    Privilege, RoleHierarchy, Sign, SubjectProfile, SubjectSpec,
 };
 use websec_xml::Document;
 
 use crate::diagnostics::{Diagnostic, Report, Severity};
-use crate::passes::{pair_span, subject_covers, subjects_may_overlap, Section};
+use crate::passes::{auth_span, subject_covers, Section};
 
 /// Privileges in implication order, with their relevance-mask bits.
 const PRIVILEGES: [(Privilege, u8); 4] = [
@@ -175,6 +178,31 @@ pub fn verify_policies(input: &PolicyVerifyInput<'_>) -> Report {
     let mut report = Report { diagnostics };
     report.normalize();
     report
+}
+
+fn pair_span(a: &Authorization, b: &Authorization) -> String {
+    format!("authorizations #{} and #{}", a.id.0, b.id.0)
+}
+
+/// Could a single subject match both specs? Conservative, except that two
+/// *unrelated* roles are treated as disjoint — a profile activating both at
+/// once is possible but rare enough that flagging every role pair would
+/// drown real findings.
+fn subjects_may_overlap(
+    a: &SubjectSpec,
+    b: &SubjectSpec,
+    hierarchy: &RoleHierarchy,
+) -> bool {
+    match (a, b) {
+        (SubjectSpec::Anyone, _) | (_, SubjectSpec::Anyone) => true,
+        (SubjectSpec::Identity(x), SubjectSpec::Identity(y)) => x == y,
+        (SubjectSpec::InRole(r), SubjectSpec::InRole(s)) => {
+            hierarchy.dominates(r, s) || hierarchy.dominates(s, r)
+        }
+        // Identity vs role, anything vs credentials: membership is not
+        // statically known, so assume overlap.
+        _ => true,
+    }
 }
 
 /// Bitmask of privileges the authorization is relevant to (grant of `q`
@@ -445,7 +473,7 @@ fn ws015_dead_policies(input: &PolicyVerifyInput<'_>) -> Vec<Diagnostic> {
             Diagnostic::new(
                 "WS015",
                 Severity::Warning,
-                crate::passes::auth_span(auth),
+                auth_span(auth),
                 format!(
                     "dead policy: authorization #{} on {:?} matches no element or attribute \
                      in any registered document",
@@ -825,6 +853,31 @@ mod tests {
         let compiled = compile(&store, ConflictStrategy::ExplicitPriority, &doc);
         let input = PolicyVerifyInput::new(&compiled).with_document("h.xml", &doc);
         assert!(run_policy_pass(&input, PolicyPassId::Ws014).is_empty());
+
+        // A pair the strategy resolves is a warning: the outcome rests on
+        // the strategy, not on a tie.
+        let mut store = PolicyStore::new();
+        store.add(
+            Authorization::for_subject(SubjectSpec::Anyone)
+                .on(ObjectSpec::Document("h.xml".into()))
+                .privilege(Privilege::Read)
+                .grant(),
+        );
+        store.add(
+            Authorization::for_subject(SubjectSpec::Identity("eve".into()))
+                .on(ObjectSpec::Portion {
+                    document: "h.xml".into(),
+                    path: Path::parse("/hospital/admin").expect("path"),
+                })
+                .privilege(Privilege::Read)
+                .deny(),
+        );
+        let compiled = compile(&store, ConflictStrategy::DenialsTakePrecedence, &doc);
+        let input = PolicyVerifyInput::new(&compiled).with_document("h.xml", &doc);
+        let found = run_policy_pass(&input, PolicyPassId::Ws014);
+        assert_eq!(found.len(), 1, "{found:?}");
+        assert_eq!(found[0].severity, Severity::Warning);
+        assert_eq!(found[0].span, "authorizations #0 and #1");
     }
 
     #[test]
@@ -843,11 +896,23 @@ mod tests {
                 .privilege(Privilege::Read)
                 .grant(),
         );
+        // A path that selects nothing in a registered document is dead
+        // too.
+        store.add(
+            Authorization::for_subject(SubjectSpec::Anyone)
+                .on(ObjectSpec::Portion {
+                    document: "h.xml".into(),
+                    path: Path::parse("//nonexistent").expect("path"),
+                })
+                .privilege(Privilege::Read)
+                .grant(),
+        );
         let compiled = compile(&store, ConflictStrategy::DenialsTakePrecedence, &doc);
         let input = PolicyVerifyInput::new(&compiled).with_document("h.xml", &doc);
         let found = run_policy_pass(&input, PolicyPassId::Ws015);
-        assert_eq!(found.len(), 1, "{found:?}");
+        assert_eq!(found.len(), 2, "{found:?}");
         assert!(found[0].message.contains("ghost.xml"));
+        assert_eq!(found[1].span, "authorization #2");
     }
 
     #[test]

@@ -42,16 +42,10 @@ pub struct CodeInfo {
 /// Every stable code, in code order.
 pub const REGISTRY: &[CodeInfo] = &[
     CodeInfo {
-        code: "WS001",
-        severity: Severity::Error,
-        phase: Phase::Static,
-        description: "authorization conflict (grant and denial may both apply)",
-    },
-    CodeInfo {
         code: "WS002",
         severity: Severity::Warning,
         phase: Phase::Static,
-        description: "shadowed or unreachable authorization rule",
+        description: "shadowed authorization rule",
     },
     CodeInfo {
         code: "WS003",
@@ -250,7 +244,6 @@ mod tests {
         for pass in PassId::ALL {
             // Exhaustive: new variants must be added here and registered.
             let code = match pass {
-                PassId::Ws001 => "WS001",
                 PassId::Ws002 => "WS002",
                 PassId::Ws003 => "WS003",
                 PassId::Ws004 => "WS004",

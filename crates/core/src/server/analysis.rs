@@ -4,7 +4,7 @@
 //! describes the most recently analysed snapshot: its `{generation, epoch}`
 //! [`Token`], the fingerprints of its nine input [`Section`]s (FNV-1a over
 //! each section's deterministic rendering), and whatever is known of its
-//! analysis — the per-pass WS001–WS012 diagnostics with their assembled
+//! analysis — the per-pass WS002–WS012 diagnostics with their assembled
 //! [`Report`], and the WS013–WS018 policy-verifier report.
 //! [`StackServer::analyze`], [`StackServer::verify_policies`] and the
 //! `Deny` gate all read and extend it:
@@ -23,7 +23,7 @@
 //! [`super::MetricsSnapshot`]), and [`AnalysisGate::Deny`] analyzes the
 //! mutated copy of the stack against the memo's analysis of the current
 //! snapshot and refuses to commit — with a stable `WS109` error — when the
-//! copy carries *new* error-severity findings. A policy change costs six
+//! copy carries *new* error-severity findings. A policy change costs five
 //! analyzer and six verifier passes per gated update (DESIGN.md §8 counts
 //! them per kind of change). An accepted copy's analysis enters the memo
 //! under the token its publication creates, so the next `analyze` and
@@ -49,8 +49,7 @@ use super::StackServer;
 use crate::error::Error;
 use crate::hash::Fnv1a;
 use crate::stack::SecureWebStack;
-use websec_analyzer::policy_verify::{self, PolicyPassId, PolicyVerifyInput};
-use websec_analyzer::{run_pass, Diagnostic, PassId, Report, Section, Severity};
+use websec_analyzer::{run_pass, Diagnostic, PassId, PolicyPassId, Report, Section, Severity};
 use websec_policy::{CompiledPolicies, PolicyEngine, Privilege};
 
 /// What [`StackServer::try_update`] does with analyzer findings.
@@ -92,7 +91,7 @@ struct SnapshotAnalysis {
     /// Per-pass diagnostics (indexed like [`PassId::ALL`]); `None` for a
     /// pass not yet run on this snapshot.
     passes: Vec<Option<Vec<Diagnostic>>>,
-    /// The assembled, normalized WS001–WS012 report, present exactly when
+    /// The assembled, normalized WS002–WS012 report, present exactly when
     /// every pass is.
     report: Option<Report>,
     /// The normalized WS013–WS018 report, once the verifier ran.
@@ -111,10 +110,13 @@ pub(super) struct AnalysisMemo {
 }
 
 /// Writes the deterministic rendering of one analyzer input section of
-/// `stack` to `s`. Renderings use `Debug` over BTree-backed
-/// (deterministically ordered) structures; the one `HashMap` (document
-/// labels) is sorted by name first. The policy section includes the
-/// engine's conflict strategy, which WS001/WS002 and the compiled plane the
+/// `stack` to `s`: two stacks built alike render the same bytes.
+/// Documents stream through [`websec_xml::Document::write_xml`], document
+/// labels are sorted by name first, and the other sections render with
+/// `Debug` over `Vec`s, BTree collections and triple stores, whose
+/// hand-written `Debug` prints their terms in id order and their SPO
+/// index but not their term lookup `HashMap`. The policy section includes
+/// the engine's conflict strategy, which WS002 and the compiled plane the
 /// verifier reads (WS014) depend on.
 fn render_section(stack: &SecureWebStack, section: Section, s: &mut impl Write) {
     match section {
@@ -244,7 +246,7 @@ impl SnapshotAnalysis {
         }
     }
 
-    /// The WS001–WS012 report of `stack` (the snapshot this analysis
+    /// The WS002–WS012 report of `stack` (the snapshot this analysis
     /// describes) over `compiled`, its decision plane, running only the
     /// passes with no result yet; also returns the codes of the passes
     /// run.
@@ -287,15 +289,7 @@ impl SnapshotAnalysis {
     ) -> (&Report, bool) {
         let (report, ran) = match self.policy.take() {
             Some(report) => (report, false),
-            None => {
-                let mut input = PolicyVerifyInput::new(compiled);
-                for name in stack.documents.names() {
-                    if let Some(doc) = stack.documents.get(name) {
-                        input.documents.push((name, doc));
-                    }
-                }
-                (policy_verify::verify_policies(&input), true)
-            }
+            None => (stack.verify_policies(compiled), true),
         };
         (&*self.policy.insert(report), ran)
     }
@@ -469,8 +463,8 @@ impl StackServer {
     ///    the compiled tables must match the interpreter's
     ///    [`PolicyEngine::policy_equivalence_classes`] partition exactly.
     ///
-    /// WS001/WS002 are not re-run here: they read their coverage from
-    /// these very tables, so a comparison through them could not fail.
+    /// WS002 is not re-run here: it reads its coverage from these very
+    /// tables, so a comparison through it could not fail.
     /// Per-rule coverage is pinned to the interpreter by the
     /// `compiled_decisions` suite instead.
     ///
@@ -570,7 +564,7 @@ impl StackServer {
                 let mut candidate = (**current).clone();
                 let result = mutate(&mut candidate);
                 // The candidate's decision plane is compiled once, before
-                // any analysis: WS001/WS002, the verifier and (on success)
+                // any analysis: WS002, the verifier and (on success)
                 // publication share the same artifact, preserving the
                 // compile-once-per-publication contract. Rejected updates
                 // bump no compile counter — the work happened but nothing
@@ -606,5 +600,37 @@ impl StackServer {
                 Ok(result)
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use websec_rdf::{SecureStore, Term, Triple};
+
+    /// A stack holding one semantic store of sixteen triples, built the
+    /// same way on every call.
+    fn rdf_stack() -> SecureWebStack {
+        let mut store = SecureStore::new();
+        for i in 0..16 {
+            store.store.insert(&Triple::new(
+                Term::iri(&format!("http://example.org/s{i}")),
+                Term::iri("http://example.org/p"),
+                Term::lit(&format!("o{i}")),
+            ));
+        }
+        let mut stack = SecureWebStack::new([7u8; 32]);
+        stack.semantic_stores.push(("kb".into(), store));
+        stack
+    }
+
+    /// The same content renders the same bytes: two identically built
+    /// stacks with RDF data get equal fingerprints in every section.
+    #[test]
+    fn identically_built_stacks_fingerprint_alike() {
+        assert_eq!(
+            section_fingerprints(&rdf_stack()),
+            section_fingerprints(&rdf_stack())
+        );
     }
 }

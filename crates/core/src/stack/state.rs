@@ -12,7 +12,7 @@ use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
 use crate::error::Error;
-use websec_analyzer::{AnalyzerInput, DissemInput, UddiInput};
+use websec_analyzer::{Analyzer, AnalyzerInput, DissemInput, PolicyVerifyInput, Report, UddiInput};
 use websec_dissem::{RegionMap, SubjectKeyring};
 use websec_policy::mls::{ContextLabel, SecurityContext};
 use websec_policy::{
@@ -209,25 +209,47 @@ impl SecureWebStack {
         f(&input)
     }
 
-    /// Runs the twelve static-analysis passes (WS001–WS012) over the
+    /// The policy verifier's report (WS013–WS018) over `compiled`, the
+    /// tables [`Self::compile`] builds from this stack. The serving layer's
+    /// memo and [`SecureWebStack::analyze_strict`] both verify through
+    /// here.
+    pub(crate) fn verify_policies(&self, compiled: &CompiledPolicies) -> Report {
+        let mut input = PolicyVerifyInput::new(compiled);
+        for name in self.documents.names() {
+            if let Some(doc) = self.documents.get(name) {
+                input.documents.push((name, doc));
+            }
+        }
+        websec_analyzer::verify_policies(&input)
+    }
+
+    /// Runs the eleven static-analysis passes (WS002–WS012) over the
     /// stack's current configuration — policy base, documents, labels,
     /// catalog, privacy constraints, semantic stores, dissemination audits,
     /// UDDI registry and subject registry — without executing any query.
-    /// The stack is compiled once for the run: WS001/WS002 read coverage
-    /// from its decision tables.
+    /// The stack is compiled once for the run: WS002 reads coverage from
+    /// its decision tables.
     #[must_use]
-    pub fn analyze(&self) -> websec_analyzer::Report {
-        self.with_analyzer_input(&self.compile(), websec_analyzer::Analyzer::analyze)
+    pub fn analyze(&self) -> Report {
+        self.with_analyzer_input(&self.compile(), Analyzer::analyze)
     }
 
-    /// Strict boot gate: refuses service when [`Self::analyze`] reports any
-    /// error-severity finding, returning the report otherwise.
+    /// Strict boot gate: compiles the stack once, runs the analyzer
+    /// (WS002–WS012) and the policy verifier (WS013–WS018) over the same
+    /// tables, and refuses service when either reports an error-severity
+    /// finding — the definition the serving layer's `Deny` gate applies
+    /// to every update. Returns both reports merged otherwise.
     ///
     /// # Errors
     /// `WS104` ([`Error::Misconfigured`]) carrying the machine rendering of
-    /// the findings.
-    pub fn analyze_strict(&self) -> Result<websec_analyzer::Report, Error> {
-        let report = self.analyze();
+    /// the merged findings.
+    pub fn analyze_strict(&self) -> Result<Report, Error> {
+        let compiled = self.compile();
+        let mut report = self.with_analyzer_input(&compiled, Analyzer::analyze);
+        report
+            .diagnostics
+            .extend(self.verify_policies(&compiled).diagnostics);
+        report.normalize();
         if report.has_errors() {
             return Err(Error::Misconfigured(report.machine()));
         }

@@ -8,9 +8,8 @@
 //! source authorizations cover which equivalence classes and which
 //! attributes, which are dead, which pairs collide inside a class. The
 //! policy verifier (`websec_analyzer::policy_verify`, WS013–WS018) and
-//! the analyzer's conflict and shadowing passes (WS001/WS002) read
-//! coverage only through this module, which exposes exactly that
-//! enumeration surface, keyed back to source [`Authorization`]s so
+//! the analyzer's shadowing pass (WS002) read coverage only through this
+//! module, which exposes exactly that enumeration surface, keyed back to source [`Authorization`]s so
 //! diagnostics can speak in terms the policy author wrote, without
 //! widening the mutable surface of the compiled artifact itself.
 //!

@@ -128,13 +128,25 @@ impl ContainerKind {
 }
 
 /// An indexed, dictionary-encoded triple store.
-#[derive(Debug, Default, Clone)]
+#[derive(Default, Clone)]
 pub struct TripleStore {
     dict: Dictionary,
     spo: BTreeSet<(TermId, TermId, TermId)>,
     pos: BTreeSet<(TermId, TermId, TermId)>,
     osp: BTreeSet<(TermId, TermId, TermId)>,
     next_blank: u32,
+}
+
+/// Prints the terms, the SPO index and the blank-node counter: the POS
+/// and OSP indexes are permutations of SPO, so each triple prints once.
+impl std::fmt::Debug for TripleStore {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("TripleStore")
+            .field("terms", &self.dict)
+            .field("spo", &self.spo)
+            .field("next_blank", &self.next_blank)
+            .finish()
+    }
 }
 
 impl TripleStore {

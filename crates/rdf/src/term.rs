@@ -47,10 +47,18 @@ impl std::fmt::Display for Term {
 pub(crate) type TermId = u32;
 
 /// Bidirectional term dictionary.
-#[derive(Debug, Default, Clone)]
+#[derive(Default, Clone)]
 pub(crate) struct Dictionary {
     by_term: HashMap<Term, TermId>,
     by_id: Vec<Term>,
+}
+
+/// Prints the terms in id order only: `by_term` holds the same pairs in
+/// hash order, which differs between two identically built dictionaries.
+impl std::fmt::Debug for Dictionary {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(&self.by_id).finish()
+    }
 }
 
 impl Dictionary {

@@ -544,10 +544,9 @@ fn run_adversarial(
 /// Drives the analysis-gate rejection path end to end: under
 /// `AnalysisGate::Deny`, a policy mutation that flips the stack to
 /// explicit-priority resolution and adds an equal-priority grant/deny
-/// pair on the same portion (a textbook WS014 conflict, and a WS001 tie
-/// at the AST level) must be rejected with `WS109`, the rejection must
-/// name `WS014`, and the published snapshot must keep serving the
-/// pre-mutation bytes.
+/// pair on the same portion (a textbook WS014 conflict) must be
+/// rejected with `WS109`, the rejection must name `WS014`, and the
+/// published snapshot must keep serving the pre-mutation bytes.
 fn run_gate_probe(
     scenario: &Scenario,
     build_server: &dyn Fn(bool) -> StackServer,

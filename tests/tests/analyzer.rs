@@ -1,6 +1,7 @@
-//! End-to-end exercise of the static analyzer (WS001–WS005) through the
-//! public stack API: every diagnostic class fires on a purpose-built
-//! misconfiguration, and a well-formed stack analyzes clean.
+//! End-to-end exercise of the static analyzer (WS002–WS005) and of the
+//! strict boot gate through the public stack API: every diagnostic class
+//! fires on a purpose-built misconfiguration, and a well-formed stack
+//! analyzes clean.
 
 use websec_core::policy::mls::ContextLabel;
 use websec_core::prelude::*;
@@ -35,19 +36,23 @@ fn default_stack_analyzes_clean() {
     assert!(s.analyze_strict().is_ok());
 }
 
+/// WS001's strategy-dependent conflict, reported by WS014 since WS001
+/// was retired: a warning, so strict boot proceeds and returns it.
 #[test]
 fn ws001_conflict_surfaces_through_stack() {
     let mut s = base_stack();
     s.policies.add(Authorization::for_subject(SubjectSpec::Anyone).on(ObjectSpec::Document("h.xml".into())).privilege(Privilege::Read).grant());
     s.policies.add(Authorization::for_subject(SubjectSpec::Identity("eve".into())).on(portion("/hospital/admin")).privilege(Privilege::Read).deny());
-    let report = s.analyze();
-    let hits = report.with_code("WS001");
-    assert!(!hits.is_empty(), "{}", report.human());
-    assert!(hits.iter().all(|d| d.code == "WS001"));
-    // Strategy-dependent but resolvable: warning, not a strict-boot error.
-    assert!(s.analyze_strict().is_ok());
+    let report = s.analyze_strict().expect("a warning does not block strict boot");
+    let hits = report.with_code("WS014");
+    assert_eq!(hits.len(), 1, "{}", report.human());
+    assert_eq!(hits[0].span, "authorizations #1 and #2");
+    assert_eq!(hits[0].severity, Severity::Warning);
 }
 
+/// WS001's priority tie, reported by WS014 since WS001 was retired: the
+/// analyzer alone finds no error, and strict boot refuses on the
+/// verifier's.
 #[test]
 fn ws001_priority_tie_refuses_strict_boot() {
     let mut s = base_stack();
@@ -55,30 +60,26 @@ fn ws001_priority_tie_refuses_strict_boot() {
     s.policies.add(Authorization::for_subject(SubjectSpec::Anyone).on(ObjectSpec::Document("h.xml".into())).privilege(Privilege::Read).grant());
     s.policies.add(Authorization::for_subject(SubjectSpec::Anyone).on(ObjectSpec::Document("h.xml".into())).privilege(Privilege::Read).deny());
     let report = s.analyze();
-    assert!(
-        report
-            .with_code("WS001")
-            .iter()
-            .any(|d| d.severity == Severity::Error),
-        "{}",
-        report.human()
-    );
+    assert!(!report.has_errors(), "{}", report.human());
     match s.analyze_strict() {
-        Err(Error::Misconfigured(m)) => assert!(m.contains("WS001"), "{m}"),
+        Err(Error::Misconfigured(m)) => {
+            assert!(m.contains("WS014|error|authorizations #1 and #2|"), "{m}");
+        }
         other => panic!("expected Misconfigured, got {other:?}"),
     }
 }
 
+/// WS002's former unreachable case is WS015's dead policy.
 #[test]
 fn ws002_unreachable_rule_is_flagged() {
     let mut s = base_stack();
     s.policies.add(Authorization::for_subject(SubjectSpec::Anyone).on(portion("//cafeteria")).privilege(Privilege::Read).grant());
-    let report = s.analyze();
-    let hits = report.with_code("WS002");
-    assert_eq!(hits.len(), 1, "{}", report.human());
-    assert!(hits[0].message.contains("unreachable"));
     // Warnings do not block a strict boot.
-    assert!(s.analyze_strict().is_ok());
+    let report = s.analyze_strict().expect("a warning does not block strict boot");
+    assert!(report.with_code("WS002").is_empty(), "{}", report.human());
+    let hits = report.with_code("WS015");
+    assert_eq!(hits.len(), 1, "{}", report.human());
+    assert_eq!(hits[0].span, "authorization #1");
 }
 
 #[test]

@@ -5,7 +5,9 @@
 //! drop-in for [`PolicyEngine`]: same views byte-for-byte, same per-node
 //! decisions, same equivalence-class partition, under every conflict
 //! strategy, and the same coverage for every rule — the fact the
-//! analyzer's WS001/WS002 read from the tables instead of the interpreter.
+//! analyzer's WS002 reads from the tables instead of the interpreter. The
+//! verifier's shadowing and dead-rule findings are checked against the
+//! interpreter too: revoking a flagged rule changes no decision.
 //! This suite drives that claim with seeded random policy bases, then
 //! checks the server-level wiring: the server, which answers every cache
 //! miss from the compiled tables, serves the interpreter's bytes,
@@ -15,7 +17,6 @@
 
 use std::collections::HashSet;
 use websec_core::analyzer::policy_verify::{run_policy_pass, PolicyPassId, PolicyVerifyInput};
-use websec_core::analyzer::run_pass;
 use websec_core::policy::AuthzId;
 use websec_core::prelude::*;
 use websec_core::xml::NodeId;
@@ -306,8 +307,8 @@ fn rich_stack(rng: &mut SecureRng) -> (PolicyStore, DocumentStore) {
 /// classes it covers plus the `(node, attribute)` pairs it selects — is
 /// exactly [`PolicyEngine::covered_nodes`], for every rule and document of
 /// seeded [`rich_stack`] stores, denials and attribute rules included.
-/// WS001/WS002 read coverage only from the tables, so this is the fact
-/// their findings rest on.
+/// WS002 reads coverage only from the tables, so this is the fact its
+/// findings rest on.
 #[test]
 fn compiled_coverage_matches_interpreter_rule_by_rule() {
     let mut compared = 0usize;
@@ -426,47 +427,113 @@ fn class_numbering_follows_document_order() {
     assert_no_sync_findings();
 }
 
-/// Every WS001 finding has a WS014 finding for the same (grant, denial)
-/// pair at the same severity, over seeded [`rich_stack`] stores: the
-/// compiled verifier sees every collision the coverage-based conflict
-/// pass sees, attribute-only collisions included.
+/// Seeded [`rich_stack`] stores in the verifier oracle: enough for more
+/// than fifty WS013 findings.
+const REDUNDANCY_SEEDS: u64 = 1_000;
+
+/// Profiles for the verifier oracle: one holding each [`rich_stack`]
+/// subject spec besides `Anyone` (`carol` holds none, and a `chief` also
+/// acts as `staff`), then two holding two specs of their own.
+fn oracle_profiles() -> Vec<SubjectProfile> {
+    vec![
+        SubjectProfile::new("carol"),
+        SubjectProfile::new("alice"),
+        SubjectProfile::new("bob"),
+        SubjectProfile::new("dave").with_role(Role::new("staff")),
+        SubjectProfile::new("erin").with_role(Role::new("chief")),
+        SubjectProfile::new("frank").with_credential(Credential::new("physician", "frank")),
+        SubjectProfile::new("alice").with_role(Role::new("chief")),
+        SubjectProfile::new("bob").with_credential(Credential::new("physician", "bob")),
+    ]
+}
+
+/// Every interpreted decision over `docs` under `store`: per profile and
+/// document, the view and, per privilege, the node and attribute
+/// decisions. `PolicyEngine::check` at a node is
+/// `evaluate_document(..).is_allowed(node)`, so each (profile, document,
+/// privilege) is evaluated once and read at every node.
+fn interpreted_decisions(
+    engine: &PolicyEngine,
+    store: &PolicyStore,
+    docs: &DocumentStore,
+    profiles: &[SubjectProfile],
+) -> Vec<(String, Vec<bool>)> {
+    let mut out = Vec::new();
+    for profile in profiles {
+        for name in docs.names() {
+            let doc = docs.get(name).unwrap();
+            let view = engine.compute_view(store, profile, name, doc).to_xml_string();
+            let mut decisions = Vec::new();
+            for privilege in [
+                Privilege::Browse,
+                Privilege::Read,
+                Privilege::Write,
+                Privilege::Admin,
+            ] {
+                let decision = engine.evaluate_document(store, profile, name, doc, privilege);
+                for node in doc.all_nodes() {
+                    decisions.push(decision.is_allowed(node));
+                    for (attribute, _) in doc.attributes(node) {
+                        decisions.push(decision.attr_allowed(node, attribute));
+                    }
+                }
+            }
+            out.push((view, decisions));
+        }
+    }
+    out
+}
+
+/// Verifies the verifier: a rule that WS013 calls shadowed or WS015 calls
+/// dead is redundant, so revoking it leaves every interpreted decision
+/// and view unchanged (Gabillon's redundancy test, "A Logical
+/// Formalization of a Secure XML Database"), over seeded [`rich_stack`]
+/// stores under all five strategies, for profiles holding one subject
+/// spec or two.
 #[test]
-fn every_ws001_conflict_has_a_ws014_pair() {
-    let mut conflicts = 0usize;
-    let mut on_attributes = 0usize;
-    for seed in 0..COVERAGE_SEEDS {
+fn rules_the_verifier_flags_are_redundant() {
+    let profiles = oracle_profiles();
+    let (mut shadowed, mut dead) = (0usize, 0usize);
+    for seed in 0..REDUNDANCY_SEEDS {
         let mut rng = SecureRng::seeded(0xc07e_0000 + seed);
         let (store, docs) = rich_stack(&mut rng);
         let strategy = STRATEGIES[(seed % 5) as usize];
         let compiled = PolicySnapshot::new(&store, strategy, &docs).compile();
-        let mut analyzer_input = AnalyzerInput::new(&store, strategy);
-        let mut verify_input = PolicyVerifyInput::new(&compiled);
+        let mut input = PolicyVerifyInput::new(&compiled);
         for name in docs.names() {
-            let doc = docs.get(name).unwrap();
-            analyzer_input = analyzer_input.with_document(name, doc);
-            verify_input = verify_input.with_document(name, doc);
+            input = input.with_document(name, docs.get(name).unwrap());
         }
-        let analyzer_input = analyzer_input.with_compiled(compiled.clone());
-        let ws014 = run_policy_pass(&verify_input, PolicyPassId::Ws014);
-        for finding in run_pass(&analyzer_input, PassId::Ws001) {
-            let pair = ws014
-                .iter()
-                .find(|d| d.span == finding.span && d.severity == finding.severity);
-            let Some(pair) = pair else {
-                panic!(
-                    "seed {seed} ({strategy:?}): WS001 without a WS014 pair: {}",
-                    finding.machine_line()
-                );
-            };
-            conflicts += 1;
-            on_attributes += usize::from(pair.message.contains("attribute '"));
+        let flagged: Vec<(Diagnostic, u32)> = [PolicyPassId::Ws013, PolicyPassId::Ws015]
+            .into_iter()
+            .flat_map(|pass| run_policy_pass(&input, pass))
+            .map(|finding| {
+                // The flagged rule is the last one the span names.
+                let id = finding.span.rsplit('#').next().unwrap().parse().unwrap();
+                (finding, id)
+            })
+            .collect();
+        if flagged.is_empty() {
+            continue;
+        }
+        let engine = PolicyEngine::new(strategy);
+        let before = interpreted_decisions(&engine, &store, &docs, &profiles);
+        for (finding, id) in flagged {
+            let mut without = store.clone();
+            assert!(without.revoke(AuthzId(id)), "seed {seed}: no rule #{id}");
+            assert!(
+                interpreted_decisions(&engine, &without, &docs, &profiles) == before,
+                "seed {seed} ({strategy:?}): revoking the flagged rule changes a decision: {}",
+                finding.machine_line()
+            );
+            if finding.code == "WS013" {
+                shadowed += 1;
+            } else {
+                dead += 1;
+            }
         }
     }
-    assert!(conflicts > 200, "only {conflicts} WS001 findings checked");
-    assert!(
-        on_attributes > 20,
-        "only {on_attributes} pairs collide on attributes alone"
-    );
+    assert!(shadowed >= 50, "only {shadowed} WS013 findings checked");
+    assert!(dead >= 500, "only {dead} WS015 findings checked");
     assert_no_sync_findings();
 }
 

@@ -210,7 +210,7 @@ fn strategy_switch_reaches_both_analyses() {
     // An equal-priority grant/deny pair is a warning under the default
     // strategy and an error tie under ExplicitPriority. The conflict
     // strategy is part of the policy section's fingerprint, so switching
-    // it re-runs the passes that read it (WS001, WS014) instead of
+    // it re-runs the passes that read it (WS002, WS014) instead of
     // reusing their default-strategy findings.
     let mut stack = hospital_stack(&spec());
     for sign in [Sign::Plus, Sign::Minus] {
@@ -232,17 +232,70 @@ fn strategy_switch_reaches_both_analyses() {
             .iter()
             .any(|d| d.code == code && d.severity == Severity::Error)
     };
-    assert!(!is_error(&server.analyze(), "WS001"));
+    let _ = server.analyze();
     assert!(!is_error(&server.verify_policies(), "WS014"));
 
     server.update(|s| s.engine.strategy = ConflictStrategy::ExplicitPriority);
     server.invalidate_views();
     let report = server.analyze();
-    assert!(is_error(&report, "WS001"), "{}", report.human());
+    assert!(server.last_passes_run().contains(&"WS002"));
     assert_eq!(report.to_json(), server.snapshot().analyze().to_json());
     let report = server.verify_policies();
     assert!(is_error(&report, "WS014"), "{}", report.human());
     assert_eq!(report.to_json(), cold_verify(&server).to_json());
+}
+
+/// The Deny gate refuses only error lines a change introduces. From a
+/// stack that already carries the planted tie under ExplicitPriority, a
+/// switch to MostSpecificSubject keeps the tie's WS014 line byte for byte
+/// and introduces none, so it is admitted; a switch to MostSpecificObject
+/// also ties the planted denial with the hospital's grants on the same
+/// portion, so it is rejected.
+#[test]
+fn deny_gate_judges_a_strategy_switch_by_the_lines_it_introduces() {
+    let tied = || {
+        let mut stack = hospital_stack(&spec());
+        plant_ws014_conflict(&mut stack);
+        let server = StackServer::new(stack);
+        server.set_analysis_gate(AnalysisGate::Deny);
+        server
+    };
+    let errors = |report: &Report| -> Vec<String> {
+        report
+            .diagnostics
+            .iter()
+            .filter(|d| d.severity == Severity::Error)
+            .map(Diagnostic::machine_line)
+            .collect()
+    };
+
+    let server = tied();
+    let grandfathered = errors(&server.verify_policies());
+    assert!(!grandfathered.is_empty(), "the planted tie is an error");
+    server
+        .try_update(|s| s.engine.strategy = ConflictStrategy::MostSpecificSubject)
+        .expect("a switch that introduces no error line is admitted");
+    assert_eq!(
+        server.snapshot().engine.strategy,
+        ConflictStrategy::MostSpecificSubject
+    );
+    assert_eq!(errors(&server.verify_policies()), grandfathered);
+    assert!(!server.analyze().has_errors());
+
+    let server = tied();
+    match server.try_update(|s| s.engine.strategy = ConflictStrategy::MostSpecificObject) {
+        Err(e) => {
+            assert_eq!(e.code(), "WS109");
+            let rendered = e.to_string();
+            assert!(rendered.contains("WS014|error|"), "{rendered}");
+        }
+        Ok(()) => panic!("a switch that ties the hospital's grants was admitted"),
+    }
+    assert_eq!(
+        server.snapshot().engine.strategy,
+        ConflictStrategy::ExplicitPriority
+    );
+    assert_eq!(server.metrics().gate_denials, 1);
 }
 
 #[test]
