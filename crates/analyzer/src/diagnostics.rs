@@ -67,7 +67,10 @@ impl Diagnostic {
     /// Line-oriented machine form: `CODE|severity|span|message`.
     #[must_use]
     pub fn machine_line(&self) -> String {
-        format!("{}|{}|{}|{}", self.code, self.severity, self.span, self.message)
+        format!(
+            "{}|{}|{}|{}",
+            self.code, self.severity, self.span, self.message
+        )
     }
 }
 

@@ -164,7 +164,9 @@ impl FlowGraph {
 
     /// All node indices whose label satisfies `pred`, ascending.
     pub fn nodes_where(&self, mut pred: impl FnMut(&FlowNode) -> bool) -> Vec<usize> {
-        (0..self.nodes.len()).filter(|&i| pred(&self.nodes[i])).collect()
+        (0..self.nodes.len())
+            .filter(|&i| pred(&self.nodes[i]))
+            .collect()
     }
 
     /// Successors of `from` along edges of the given kinds.
@@ -221,8 +223,8 @@ impl FlowGraph {
                     continue;
                 }
                 let has_succ = self.successors(i, kinds).any(|s| alive[s]);
-                let has_pred = (0..n)
-                    .any(|p| alive[p] && self.successors(p, kinds).any(|s| s == i));
+                let has_pred =
+                    (0..n).any(|p| alive[p] && self.successors(p, kinds).any(|s| s == i));
                 if !has_succ || !has_pred {
                     alive[i] = false;
                     changed = true;

@@ -447,8 +447,10 @@ pub fn ws002_shadowed_rules(input: &AnalyzerInput<'_>) -> Vec<Diagnostic> {
                     "rule is shadowed: removing it changes no access decision for \
                      any statically comparable subject",
                 )
-                .with_suggestion("remove the rule or reorder the policy intent \
-                     (e.g. adjust signs, priorities or specificity)"),
+                .with_suggestion(
+                    "remove the rule or reorder the policy intent \
+                     (e.g. adjust signs, priorities or specificity)",
+                ),
             );
         }
     }
@@ -577,8 +579,14 @@ pub fn ws003_mls_flows(input: &AnalyzerInput<'_>) -> Vec<Diagnostic> {
         if max_level <= min_level {
             continue;
         }
-        let low_ctx = samples.iter().find(|(_, l)| *l == min_level).map(|(d, _)| d.clone());
-        let high_ctx = samples.iter().find(|(_, l)| *l == max_level).map(|(d, _)| d.clone());
+        let low_ctx = samples
+            .iter()
+            .find(|(_, l)| *l == min_level)
+            .map(|(d, _)| d.clone());
+        let high_ctx = samples
+            .iter()
+            .find(|(_, l)| *l == max_level)
+            .map(|(d, _)| d.clone());
         let severity = if conditions.is_empty() {
             Severity::Info
         } else {
@@ -636,8 +644,7 @@ pub fn ws004_inference_channels(input: &AnalyzerInput<'_>) -> Vec<Diagnostic> {
                 classify(input.constraints, &single) < constraint.level
             });
             if assemblable {
-                let attrs: Vec<&str> =
-                    constraint.attributes.iter().map(String::as_str).collect();
+                let attrs: Vec<&str> = constraint.attributes.iter().map(String::as_str).collect();
                 out.push(
                     Diagnostic::new(
                         "WS004",
@@ -690,10 +697,7 @@ pub fn ws005_dangling_references(input: &AnalyzerInput<'_>) -> Vec<Diagnostic> {
 
     for a in input.store.authorizations() {
         match &a.object {
-            ObjectSpec::Document(name)
-            | ObjectSpec::Portion {
-                document: name, ..
-            } => {
+            ObjectSpec::Document(name) | ObjectSpec::Portion { document: name, .. } => {
                 if check_docs && !doc_names.contains(name.as_str()) {
                     out.push(
                         Diagnostic::new(
@@ -706,34 +710,30 @@ pub fn ws005_dangling_references(input: &AnalyzerInput<'_>) -> Vec<Diagnostic> {
                     );
                 }
             }
-            ObjectSpec::Collection(c) => {
-                match input.store.collection_members(c) {
-                    None => out.push(
-                        Diagnostic::new(
-                            "WS005",
-                            Severity::Error,
-                            auth_span(a),
-                            format!("references collection '{c}', which was never registered"),
-                        )
-                        .with_suggestion("register the collection or fix the name"),
-                    ),
-                    Some(members) if check_docs => {
-                        for m in members {
-                            if !doc_names.contains(m.as_str()) {
-                                out.push(Diagnostic::new(
-                                    "WS005",
-                                    Severity::Warning,
-                                    format!("collection '{c}'"),
-                                    format!(
-                                        "member document '{m}' is not in the store"
-                                    ),
-                                ));
-                            }
+            ObjectSpec::Collection(c) => match input.store.collection_members(c) {
+                None => out.push(
+                    Diagnostic::new(
+                        "WS005",
+                        Severity::Error,
+                        auth_span(a),
+                        format!("references collection '{c}', which was never registered"),
+                    )
+                    .with_suggestion("register the collection or fix the name"),
+                ),
+                Some(members) if check_docs => {
+                    for m in members {
+                        if !doc_names.contains(m.as_str()) {
+                            out.push(Diagnostic::new(
+                                "WS005",
+                                Severity::Warning,
+                                format!("collection '{c}'"),
+                                format!("member document '{m}' is not in the store"),
+                            ));
                         }
                     }
-                    Some(_) => {}
                 }
-            }
+                Some(_) => {}
+            },
             ObjectSpec::AllDocuments | ObjectSpec::PortionAll(_) => {}
         }
 
@@ -760,9 +760,7 @@ pub fn ws005_dangling_references(input: &AnalyzerInput<'_>) -> Vec<Diagnostic> {
                                 "WS005",
                                 Severity::Warning,
                                 auth_span(a),
-                                format!(
-                                    "references credential type '{t}', which no issuer mints"
-                                ),
+                                format!("references credential type '{t}', which no issuer mints"),
                             ));
                         }
                     }
@@ -893,8 +891,7 @@ pub fn ws007_privacy_closure(input: &AnalyzerInput<'_>) -> Vec<Diagnostic> {
             }
             for (i, a) in columns.iter().enumerate() {
                 for b in columns.iter().skip(i + 1) {
-                    let pair: BTreeSet<String> =
-                        [a.clone(), b.clone()].into_iter().collect();
+                    let pair: BTreeSet<String> = [a.clone(), b.clone()].into_iter().collect();
                     if classify(input.constraints, &pair) < constraint.level {
                         g.link(attr(a), attr(b), EdgeKind::Join);
                         g.link(attr(b), attr(a), EdgeKind::Join);
@@ -905,7 +902,9 @@ pub fn ws007_privacy_closure(input: &AnalyzerInput<'_>) -> Vec<Diagnostic> {
 
         let mut attrs = constraint.attributes.iter();
         let Some(first) = attrs.next() else { continue };
-        let Some(seed) = g.find(&attr(first)) else { continue };
+        let Some(seed) = g.find(&attr(first)) else {
+            continue;
+        };
         let reached = g.reachable(&[seed], &[EdgeKind::Join]);
         let all_linked = constraint
             .attributes
@@ -933,9 +932,7 @@ pub fn ws007_privacy_closure(input: &AnalyzerInput<'_>) -> Vec<Diagnostic> {
         let joins: Vec<String> = reached
             .iter()
             .filter_map(|&i| match g.label(i) {
-                FlowNode::Attribute(a) if !constraint.attributes.contains(a) => {
-                    Some(a.clone())
-                }
+                FlowNode::Attribute(a) if !constraint.attributes.contains(a) => Some(a.clone()),
                 _ => None,
             })
             .collect();
@@ -985,8 +982,7 @@ pub fn ws008_key_over_coverage(input: &AnalyzerInput<'_>) -> Vec<Diagnostic> {
             for region in &map.regions {
                 let entitled = region.policies.iter().any(|pid| {
                     auths.iter().find(|a| a.id == *pid).is_some_and(|a| {
-                        a.sign == Sign::Plus
-                            && a.subject.matches(profile, &input.store.hierarchy)
+                        a.sign == Sign::Plus && a.subject.matches(profile, &input.store.hierarchy)
                     })
                 });
                 if entitled {
@@ -1101,7 +1097,11 @@ pub fn ws009_escalation_cycles(input: &AnalyzerInput<'_>) -> Vec<Diagnostic> {
                 continue;
             }
             if objects_overlap(input, &admin.object, &other.object) {
-                g.link(role_node(victim), role_node(admin_role), EdgeKind::Escalation);
+                g.link(
+                    role_node(victim),
+                    role_node(admin_role),
+                    EdgeKind::Escalation,
+                );
             }
         }
     }
@@ -1283,9 +1283,7 @@ pub fn ws012_dead_credentials(input: &AnalyzerInput<'_>) -> Vec<Diagnostic> {
                              the requirement is never satisfiable as deployed"
                         ),
                     )
-                    .with_suggestion(
-                        "enroll a subject holding the credential or retire the rule",
-                    ),
+                    .with_suggestion("enroll a subject holding the credential or retire the rule"),
                 );
             }
         }
@@ -1319,10 +1317,15 @@ mod tests {
     #[test]
     fn clean_base_has_no_findings() {
         let mut store = PolicyStore::new();
-        store.add(Authorization::for_subject(SubjectSpec::Identity("doc".into())).on(portion("//patient")).privilege(Privilege::Read).grant());
+        store.add(
+            Authorization::for_subject(SubjectSpec::Identity("doc".into()))
+                .on(portion("//patient"))
+                .privilege(Privilege::Read)
+                .grant(),
+        );
         let d = doc();
-        let input = AnalyzerInput::new(&store, ConflictStrategy::default())
-            .with_document("h.xml", &d);
+        let input =
+            AnalyzerInput::new(&store, ConflictStrategy::default()).with_document("h.xml", &d);
         let report = Analyzer::analyze(&input);
         assert!(report.is_clean(), "{}", report.human());
     }
@@ -1332,7 +1335,10 @@ mod tests {
     fn conflicts(input: &AnalyzerInput<'_>) -> Vec<Diagnostic> {
         let report = Analyzer::analyze(input);
         assert!(
-            report.diagnostics.iter().all(|d| !d.span.starts_with("authorizations ")),
+            report
+                .diagnostics
+                .iter()
+                .all(|d| !d.span.starts_with("authorizations ")),
             "{}",
             report.human()
         );
@@ -1346,11 +1352,21 @@ mod tests {
     #[test]
     fn ws001_strategy_dependent_conflict() {
         let mut store = PolicyStore::new();
-        store.add(Authorization::for_subject(SubjectSpec::Anyone).on(ObjectSpec::Document("h.xml".into())).privilege(Privilege::Read).grant());
-        store.add(Authorization::for_subject(SubjectSpec::Identity("eve".into())).on(portion("/hospital/admin")).privilege(Privilege::Read).deny());
+        store.add(
+            Authorization::for_subject(SubjectSpec::Anyone)
+                .on(ObjectSpec::Document("h.xml".into()))
+                .privilege(Privilege::Read)
+                .grant(),
+        );
+        store.add(
+            Authorization::for_subject(SubjectSpec::Identity("eve".into()))
+                .on(portion("/hospital/admin"))
+                .privilege(Privilege::Read)
+                .deny(),
+        );
         let d = doc();
-        let input = AnalyzerInput::new(&store, ConflictStrategy::default())
-            .with_document("h.xml", &d);
+        let input =
+            AnalyzerInput::new(&store, ConflictStrategy::default()).with_document("h.xml", &d);
         let hits = conflicts(&input);
         assert_eq!(hits.len(), 1, "{hits:?}");
         assert_eq!(hits[0].severity, Severity::Warning);
@@ -1359,23 +1375,46 @@ mod tests {
     #[test]
     fn ws001_priority_tie_is_error() {
         let mut store = PolicyStore::new();
-        store.add(Authorization::for_subject(SubjectSpec::Anyone).on(ObjectSpec::Document("h.xml".into())).privilege(Privilege::Read).grant());
-        store.add(Authorization::for_subject(SubjectSpec::Anyone).on(ObjectSpec::Document("h.xml".into())).privilege(Privilege::Read).deny());
+        store.add(
+            Authorization::for_subject(SubjectSpec::Anyone)
+                .on(ObjectSpec::Document("h.xml".into()))
+                .privilege(Privilege::Read)
+                .grant(),
+        );
+        store.add(
+            Authorization::for_subject(SubjectSpec::Anyone)
+                .on(ObjectSpec::Document("h.xml".into()))
+                .privilege(Privilege::Read)
+                .deny(),
+        );
         let d = doc();
         let input = AnalyzerInput::new(&store, ConflictStrategy::ExplicitPriority)
             .with_document("h.xml", &d);
         let hits = conflicts(&input);
-        assert!(hits.iter().any(|f| f.severity == Severity::Error), "{hits:?}");
+        assert!(
+            hits.iter().any(|f| f.severity == Severity::Error),
+            "{hits:?}"
+        );
     }
 
     #[test]
     fn ws001_disjoint_subjects_do_not_conflict() {
         let mut store = PolicyStore::new();
-        store.add(Authorization::for_subject(SubjectSpec::Identity("alice".into())).on(ObjectSpec::Document("h.xml".into())).privilege(Privilege::Read).grant());
-        store.add(Authorization::for_subject(SubjectSpec::Identity("bob".into())).on(ObjectSpec::Document("h.xml".into())).privilege(Privilege::Read).deny());
+        store.add(
+            Authorization::for_subject(SubjectSpec::Identity("alice".into()))
+                .on(ObjectSpec::Document("h.xml".into()))
+                .privilege(Privilege::Read)
+                .grant(),
+        );
+        store.add(
+            Authorization::for_subject(SubjectSpec::Identity("bob".into()))
+                .on(ObjectSpec::Document("h.xml".into()))
+                .privilege(Privilege::Read)
+                .deny(),
+        );
         let d = doc();
-        let input = AnalyzerInput::new(&store, ConflictStrategy::default())
-            .with_document("h.xml", &d);
+        let input =
+            AnalyzerInput::new(&store, ConflictStrategy::default()).with_document("h.xml", &d);
         assert!(conflicts(&input).is_empty());
     }
 
@@ -1384,10 +1423,15 @@ mod tests {
     #[test]
     fn ws002_unreachable_rule() {
         let mut store = PolicyStore::new();
-        store.add(Authorization::for_subject(SubjectSpec::Anyone).on(portion("//nonexistent")).privilege(Privilege::Read).grant());
+        store.add(
+            Authorization::for_subject(SubjectSpec::Anyone)
+                .on(portion("//nonexistent"))
+                .privilege(Privilege::Read)
+                .grant(),
+        );
         let d = doc();
-        let input = AnalyzerInput::new(&store, ConflictStrategy::default())
-            .with_document("h.xml", &d);
+        let input =
+            AnalyzerInput::new(&store, ConflictStrategy::default()).with_document("h.xml", &d);
         let report = Analyzer::analyze(&input);
         assert!(report.with_code("WS002").is_empty(), "{}", report.human());
     }
@@ -1395,11 +1439,21 @@ mod tests {
     #[test]
     fn ws002_shadowed_grant() {
         let mut store = PolicyStore::new();
-        store.add(Authorization::for_subject(SubjectSpec::Anyone).on(ObjectSpec::Document("h.xml".into())).privilege(Privilege::Browse).deny());
-        store.add(Authorization::for_subject(SubjectSpec::Identity("bob".into())).on(portion("//patient")).privilege(Privilege::Read).grant());
+        store.add(
+            Authorization::for_subject(SubjectSpec::Anyone)
+                .on(ObjectSpec::Document("h.xml".into()))
+                .privilege(Privilege::Browse)
+                .deny(),
+        );
+        store.add(
+            Authorization::for_subject(SubjectSpec::Identity("bob".into()))
+                .on(portion("//patient"))
+                .privilege(Privilege::Read)
+                .grant(),
+        );
         let d = doc();
-        let input = AnalyzerInput::new(&store, ConflictStrategy::default())
-            .with_document("h.xml", &d);
+        let input =
+            AnalyzerInput::new(&store, ConflictStrategy::default()).with_document("h.xml", &d);
         let shadows = ws002_shadowed_rules(&input);
         assert!(
             shadows
@@ -1455,8 +1509,10 @@ mod tests {
             &["name", "diagnosis"],
             PrivacyLevel::Private,
         )];
-        let columns: Vec<String> =
-            ["id", "name", "diagnosis"].iter().map(|s| s.to_string()).collect();
+        let columns: Vec<String> = ["id", "name", "diagnosis"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
         let mut input = AnalyzerInput::new(&store, ConflictStrategy::default())
             .with_schema("patients", &columns);
         input.constraints = &constraints;
@@ -1474,8 +1530,10 @@ mod tests {
             PrivacyConstraint::new(&["name", "diagnosis"], PrivacyLevel::Private),
             PrivacyConstraint::new(&["diagnosis"], PrivacyLevel::Private),
         ];
-        let columns: Vec<String> =
-            ["id", "name", "diagnosis"].iter().map(|s| s.to_string()).collect();
+        let columns: Vec<String> = ["id", "name", "diagnosis"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
         let mut input = AnalyzerInput::new(&store, ConflictStrategy::default())
             .with_schema("patients", &columns);
         input.constraints = &constraints;
@@ -1486,10 +1544,15 @@ mod tests {
     #[test]
     fn ws005_dangling_document() {
         let mut store = PolicyStore::new();
-        store.add(Authorization::for_subject(SubjectSpec::Anyone).on(ObjectSpec::Document("ghost.xml".into())).privilege(Privilege::Read).grant());
+        store.add(
+            Authorization::for_subject(SubjectSpec::Anyone)
+                .on(ObjectSpec::Document("ghost.xml".into()))
+                .privilege(Privilege::Read)
+                .grant(),
+        );
         let d = doc();
-        let input = AnalyzerInput::new(&store, ConflictStrategy::default())
-            .with_document("h.xml", &d);
+        let input =
+            AnalyzerInput::new(&store, ConflictStrategy::default()).with_document("h.xml", &d);
         let report = Analyzer::analyze(&input);
         let hits = report.with_code("WS005");
         assert!(
@@ -1503,10 +1566,15 @@ mod tests {
     #[test]
     fn ws005_unregistered_collection() {
         let mut store = PolicyStore::new();
-        store.add(Authorization::for_subject(SubjectSpec::Anyone).on(ObjectSpec::Collection("wards".into())).privilege(Privilege::Read).grant());
+        store.add(
+            Authorization::for_subject(SubjectSpec::Anyone)
+                .on(ObjectSpec::Collection("wards".into()))
+                .privilege(Privilege::Read)
+                .grant(),
+        );
         let d = doc();
-        let input = AnalyzerInput::new(&store, ConflictStrategy::default())
-            .with_document("h.xml", &d);
+        let input =
+            AnalyzerInput::new(&store, ConflictStrategy::default()).with_document("h.xml", &d);
         let hits = ws005_dangling_references(&input);
         assert!(hits.iter().any(|f| f.message.contains("never registered")));
     }
@@ -1514,11 +1582,23 @@ mod tests {
     #[test]
     fn ws005_unknown_subject_and_credential() {
         let mut store = PolicyStore::new();
-        store.add(Authorization::for_subject(SubjectSpec::Identity("ghost".into())).on(ObjectSpec::Document("h.xml".into())).privilege(Privilege::Read).grant());
-        store.add(Authorization::for_subject(SubjectSpec::WithCredentials(CredentialExpr::OfType("unicorn-wrangler".into()))).on(ObjectSpec::Document("h.xml".into())).privilege(Privilege::Read).grant());
+        store.add(
+            Authorization::for_subject(SubjectSpec::Identity("ghost".into()))
+                .on(ObjectSpec::Document("h.xml".into()))
+                .privilege(Privilege::Read)
+                .grant(),
+        );
+        store.add(
+            Authorization::for_subject(SubjectSpec::WithCredentials(CredentialExpr::OfType(
+                "unicorn-wrangler".into(),
+            )))
+            .on(ObjectSpec::Document("h.xml".into()))
+            .privilege(Privilege::Read)
+            .grant(),
+        );
         let d = doc();
-        let mut input = AnalyzerInput::new(&store, ConflictStrategy::default())
-            .with_document("h.xml", &d);
+        let mut input =
+            AnalyzerInput::new(&store, ConflictStrategy::default()).with_document("h.xml", &d);
         input.known_subjects = Some(["alice".to_string()].into_iter().collect());
         input.known_credential_types = Some(["physician".to_string()].into_iter().collect());
         let hits = ws005_dangling_references(&input);

@@ -188,11 +188,7 @@ fn pair_span(a: &Authorization, b: &Authorization) -> String {
 /// *unrelated* roles are treated as disjoint — a profile activating both at
 /// once is possible but rare enough that flagging every role pair would
 /// drown real findings.
-fn subjects_may_overlap(
-    a: &SubjectSpec,
-    b: &SubjectSpec,
-    hierarchy: &RoleHierarchy,
-) -> bool {
+fn subjects_may_overlap(a: &SubjectSpec, b: &SubjectSpec, hierarchy: &RoleHierarchy) -> bool {
     match (a, b) {
         (SubjectSpec::Anyone, _) | (_, SubjectSpec::Anyone) => true,
         (SubjectSpec::Identity(x), SubjectSpec::Identity(y)) => x == y,
@@ -510,14 +506,12 @@ fn ws016_escalation_chains(input: &PolicyVerifyInput<'_>) -> Vec<Diagnostic> {
                     if senior == junior || !hierarchy.dominates(senior, junior) {
                         continue;
                     }
-                    let Some(privilege) = first_shared_privilege(
-                        relevance_mask(grant),
-                        relevance_mask(denial),
-                    ) else {
+                    let Some(privilege) =
+                        first_shared_privilege(relevance_mask(grant), relevance_mask(denial))
+                    else {
                         continue;
                     };
-                    let witness =
-                        SubjectProfile::new("ws016:witness").with_role(senior.clone());
+                    let witness = SubjectProfile::new("ws016:witness").with_role(senior.clone());
                     if compiled.check(&witness, name, cv.nodes[0], privilege)
                         != Some(AccessDecision::Granted)
                         || !seen.insert((grant.id.0, denial.id.0))
@@ -533,8 +527,13 @@ fn ws016_escalation_chains(input: &PolicyVerifyInput<'_>) -> Vec<Diagnostic> {
                                 "privilege escalation: role '{}' dominates '{}', so grant #{} \
                                  reaches it through the hierarchy and overrides denial #{} for \
                                  {:?} on class {} of '{}'",
-                                senior.0, junior.0, grant.id.0, denial.id.0, privilege,
-                                cv.class, name
+                                senior.0,
+                                junior.0,
+                                grant.id.0,
+                                denial.id.0,
+                                privilege,
+                                cv.class,
+                                name
                             ),
                         )
                         .with_suggestion(
@@ -570,10 +569,9 @@ fn ws017_revocation_gaps(input: &PolicyVerifyInput<'_>) -> Vec<Diagnostic> {
                     let SubjectSpec::InRole(role) = &grant.subject else {
                         continue;
                     };
-                    let Some(privilege) = first_shared_privilege(
-                        relevance_mask(grant),
-                        relevance_mask(denial),
-                    ) else {
+                    let Some(privilege) =
+                        first_shared_privilege(relevance_mask(grant), relevance_mask(denial))
+                    else {
                         continue;
                     };
                     let with_role = SubjectProfile::new(who).with_role(role.clone());
@@ -614,14 +612,16 @@ fn ws017_revocation_gaps(input: &PolicyVerifyInput<'_>) -> Vec<Diagnostic> {
 fn satisfy(expr: &CredentialExpr) -> Option<Vec<Credential>> {
     match expr {
         CredentialExpr::OfType(t) => Some(vec![Credential::new(t, "ws018:witness")]),
-        CredentialExpr::AttrEq(name, value) => Some(vec![
-            Credential::new("ws018:cred", "ws018:witness").with_attr(name, value.clone()),
-        ]),
+        CredentialExpr::AttrEq(name, value) => {
+            Some(vec![
+                Credential::new("ws018:cred", "ws018:witness").with_attr(name, value.clone())
+            ])
+        }
         CredentialExpr::AttrGe(name, bound) | CredentialExpr::AttrLe(name, bound) => Some(vec![
             Credential::new("ws018:cred", "ws018:witness").with_attr(name, *bound),
         ]),
         CredentialExpr::HasAttr(name) => Some(vec![
-            Credential::new("ws018:cred", "ws018:witness").with_attr(name, 1i64),
+            Credential::new("ws018:cred", "ws018:witness").with_attr(name, 1i64)
         ]),
         CredentialExpr::And(a, b) => {
             let mut creds = satisfy(a)?;
@@ -753,8 +753,7 @@ fn ws018_inference_channels(input: &PolicyVerifyInput<'_>) -> Vec<Diagnostic> {
 mod tests {
     use super::*;
     use websec_policy::{
-        Authorization, ConflictStrategy, ObjectSpec, PolicySnapshot, PolicyStore, Propagation,
-        Role,
+        Authorization, ConflictStrategy, ObjectSpec, PolicySnapshot, PolicyStore, Propagation, Role,
     };
     use websec_xml::{Document, DocumentStore, Path};
 

@@ -306,9 +306,7 @@ mod tests {
             .collect();
         assert_eq!(
             runtime,
-            vec![
-                "WS101", "WS102", "WS103", "WS104", "WS105", "WS106", "WS107", "WS108", "WS109"
-            ]
+            vec!["WS101", "WS102", "WS103", "WS104", "WS105", "WS106", "WS107", "WS108", "WS109"]
         );
     }
 }
