@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
-# Repository gate: offline build, clippy with warnings denied, full test
-# suite, the wsbench build, tests and short runs, the websec-lint static
-# checks, the WS002-WS012 analyzer over every example stack (byte-diffed
-# for determinism, failing on error findings), the WS013-WS018 static
-# policy verifier over the seed fixtures (byte-diffed against the
-# committed ANALYSIS_policy.json baseline), and the serving benchmark,
-# which evaluates its own speedup, equivalence, incremental-analysis and
-# compile-cost gates. Fails on the first broken step.
+# Repository gate: rustfmt over the analyzer library, offline build,
+# clippy with warnings denied, full test suite, the wsbench build, tests
+# and short runs, the websec-lint static checks, the WS003-WS012 analyzer
+# over every example stack (byte-diffed for determinism, failing on error
+# findings), the WS013-WS018 static policy verifier over the seed fixtures
+# (byte-diffed against the committed ANALYSIS_policy.json baseline), and
+# the serving benchmark, which evaluates its own speedup, equivalence,
+# incremental-analysis and compile-cost gates. Fails on the first broken
+# step.
 # `./check.sh --verify-policies` runs just the policy verifier step.
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -40,6 +41,11 @@ if [ "${1:-}" = "--verify-policies" ]; then
     echo "check.sh: policy-verifier gate passed"
     exit 0
 fi
+
+# The analyzer library (lib.rs and every module it declares) is in
+# rustfmt's default style; the rest of the tree is not yet.
+echo "==> rustfmt --check (analyzer library)"
+rustfmt --edition 2021 --check crates/analyzer/src/lib.rs
 
 echo "==> cargo build --release --offline"
 cargo build --release --offline

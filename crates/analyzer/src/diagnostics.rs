@@ -26,7 +26,7 @@ impl fmt::Display for Severity {
 /// One analyzer finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
-    /// Stable diagnostic code (`WS002`..`WS018`, or a `LINT-*` rule).
+    /// Stable diagnostic code (`WS003`..`WS018`, or a `LINT-*` rule).
     pub code: &'static str,
     /// Severity of the finding.
     pub severity: Severity,
@@ -251,12 +251,12 @@ mod tests {
         assert!(r.is_clean());
         assert!(!r.has_errors());
         r.diagnostics
-            .push(Diagnostic::new("WS002", Severity::Warning, "x", "m"));
+            .push(Diagnostic::new("WS005", Severity::Warning, "x", "m"));
         r.diagnostics
             .push(Diagnostic::new("WS014", Severity::Error, "y", "n"));
         assert!(!r.is_clean());
         assert!(r.has_errors());
-        assert_eq!(r.with_code("WS002").len(), 1);
+        assert_eq!(r.with_code("WS005").len(), 1);
         assert_eq!(r.count_at_least(Severity::Warning), 2);
         assert_eq!(r.count_at_least(Severity::Error), 1);
     }
@@ -276,14 +276,14 @@ mod tests {
         r.diagnostics
             .push(Diagnostic::new("WS007", Severity::Warning, "a", "m1"));
         r.diagnostics
-            .push(Diagnostic::new("WS002", Severity::Error, "z", "m0"));
+            .push(Diagnostic::new("WS005", Severity::Error, "z", "m0"));
         r.normalize();
         let order: Vec<(&str, &str)> = r
             .diagnostics
             .iter()
             .map(|d| (d.code, d.span.as_str()))
             .collect();
-        assert_eq!(order, vec![("WS002", "z"), ("WS007", "a"), ("WS007", "b")]);
+        assert_eq!(order, vec![("WS005", "z"), ("WS007", "a"), ("WS007", "b")]);
     }
 
     #[test]

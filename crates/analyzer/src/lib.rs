@@ -5,7 +5,6 @@
 //!
 //! | code  | pass                                                    |
 //! |-------|---------------------------------------------------------|
-//! | WS002 | shadowed rule detection                                 |
 //! | WS003 | MLS label flow analysis                                 |
 //! | WS004 | privacy inference-channel detection (single table)      |
 //! | WS005 | dangling reference check                                |
@@ -16,16 +15,18 @@
 //! | WS010 | declassification without a sanitizer                    |
 //! | WS011 | UDDI binding without a signed tModel chain              |
 //! | WS012 | dead credential type                                    |
-//! | WS013 | compiled-plane rule shadowing                           |
+//! | WS013 | compiled-plane rule shadowing (removal changes nothing) |
 //! | WS014 | compiled-plane grant/deny conflict                      |
 //! | WS015 | dead policy (matches nothing compiled)                  |
 //! | WS016 | privilege escalation via role dominators                |
 //! | WS017 | revocation gap through a role path                      |
 //! | WS018 | inference channel via view composition                  |
 //!
-//! Each pass is a pure function over borrowed stores; the [`Analyzer`]
-//! aggregates them into a [`Report`] with human-readable, line-oriented
-//! machine, and stable-JSON output. Passes WS006–WS012 run over a unified
+//! The [`Analyzer`] runs WS003–WS012, each a pure function over borrowed
+//! stores; [`verify_policies`] runs WS013–WS018 over the compiled decision
+//! tables, which no analyzer pass reads. Both aggregate their findings
+//! into a [`Report`] with human-readable, line-oriented machine, and
+//! stable-JSON output. Passes WS006–WS012 run over a unified
 //! [`flow::FlowGraph`] — an interned graph of subjects, roles, credential
 //! types, policy objects, RDF statements, privacy attributes, dissemination
 //! regions, and UDDI entities, connected by typed edges (grants,

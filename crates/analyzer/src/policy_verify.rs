@@ -6,9 +6,9 @@
 //! artifact (falling back to the compiled `check` oracle where static
 //! coverage alone cannot decide) and emit six diagnostics:
 //!
-//! * **WS013 rule shadowing** — an earlier authorization covers a later
-//!   same-signed one everywhere it applies, at a resolution key at
-//!   least as strong, making the later rule unreachable.
+//! * **WS013 rule shadowing** — removing an authorization changes no
+//!   decision: another rule covers everything it does and beats it, or
+//!   it is a denial every grant it can meet beats.
 //! * **WS014 conflict** — a grant and a denial for overlapping subjects
 //!   land in the same equivalence class, or bear on the same selected
 //!   attribute (its attribute entry plus its element's class), for a
@@ -26,8 +26,10 @@
 //!   the denied element's full content. Decided once per (witness,
 //!   equivalence class), then read per element and child.
 //!
-//! WS014 and WS015 are the stack's only grant/denial conflict and
-//! dead-rule checks: the analyzer (WS002–WS012) reports neither.
+//! WS013, WS014 and WS015 are the stack's only shadowing, grant/denial
+//! conflict and dead-rule checks, and the verifier is the stack's only
+//! reader of the compiled tables: the analyzer (WS003–WS012) reads the
+//! stores alone.
 //!
 //! All passes read only the [`Section::Policy`] and
 //! [`Section::Documents`] sections, so the server's epoch-keyed
@@ -35,16 +37,16 @@
 //! Reports are normalized: identical inputs yield byte-identical
 //! machine output.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeSet, HashMap};
 
 use websec_policy::{
-    AccessDecision, Authorization, CompiledPolicies, Credential, CredentialExpr, PolicyEngine,
-    Privilege, RoleHierarchy, Sign, SubjectProfile, SubjectSpec,
+    AccessDecision, Authorization, CompiledPolicies, ConflictStrategy, Credential, CredentialExpr,
+    PolicyEngine, Privilege, RoleHierarchy, Sign, SubjectProfile, SubjectSpec,
 };
 use websec_xml::Document;
 
 use crate::diagnostics::{Diagnostic, Report, Severity};
-use crate::passes::{auth_span, subject_covers, Section};
+use crate::passes::{auth_span, Section};
 
 /// Privileges in implication order, with their relevance-mask bits.
 const PRIVILEGES: [(Privilege, u8); 4] = [
@@ -129,7 +131,7 @@ impl PolicyPassId {
     #[must_use]
     pub fn description(self) -> &'static str {
         match self {
-            PolicyPassId::Ws013 => "rule shadowing: an earlier rule makes a later one unreachable",
+            PolicyPassId::Ws013 => "rule shadowing: removing the rule changes no decision",
             PolicyPassId::Ws014 => {
                 "conflict: overlapping subjects both granted and denied in one class or attribute"
             }
@@ -221,96 +223,203 @@ fn first_shared_privilege(a: u8, b: u8) -> Option<Privilege> {
         .map(|&(p, _)| p)
 }
 
-/// Equivalence-class membership of every source authorization:
-/// `(doc index in sorted name order, class id)` pairs.
-fn class_memberships(compiled: &CompiledPolicies) -> BTreeMap<u32, BTreeSet<(usize, u32)>> {
-    let mut memberships: BTreeMap<u32, BTreeSet<(usize, u32)>> = BTreeMap::new();
-    for (doc_idx, name) in compiled.document_names().iter().enumerate() {
-        let Some(classes) = compiled.classes_of(name) else {
-            continue;
+/// Does every subject matched by `inner` also match `outer`? A static
+/// under-approximation: credential expressions cover only when equal.
+fn subject_covers(outer: &SubjectSpec, inner: &SubjectSpec, hierarchy: &RoleHierarchy) -> bool {
+    match (outer, inner) {
+        (SubjectSpec::Anyone, _) => true,
+        (SubjectSpec::Identity(x), SubjectSpec::Identity(y)) => x == y,
+        // inner-role subjects activate `ri`; they also activate `ro` when
+        // `ri` dominates `ro` (their activating role then dominates both).
+        (SubjectSpec::InRole(ro), SubjectSpec::InRole(ri)) => hierarchy.dominates(ri, ro),
+        (SubjectSpec::WithCredentials(x), SubjectSpec::WithCredentials(y)) => x == y,
+        _ => false,
+    }
+}
+
+/// Could one profile match both specs? Fully conservative, unlike
+/// [`subjects_may_overlap`]: a profile can hold any number of roles and
+/// credentials, so only two different identities are disjoint.
+fn subjects_can_meet(a: &SubjectSpec, b: &SubjectSpec) -> bool {
+    !matches!((a, b), (SubjectSpec::Identity(x), SubjectSpec::Identity(y)) if x != y)
+}
+
+/// Does `w` win over `l` wherever both apply, so that with `w` present,
+/// removing `l` changes no decision? The same sign at a resolution key at
+/// least as strong; a denial over a grant under deny-precedence or at a
+/// key at least as strong (keyed ties go to the denial); a grant over a
+/// denial under permit-precedence or at a strictly stronger key.
+fn beats(compiled: &CompiledPolicies, w: &Authorization, l: &Authorization) -> bool {
+    let (kw, kl) = (compiled.resolution_key(w), compiled.resolution_key(l));
+    match (w.sign, compiled.strategy()) {
+        (sign, _) if sign == l.sign => kw >= kl,
+        (_, ConflictStrategy::DenialsTakePrecedence) => w.sign == Sign::Minus,
+        (_, ConflictStrategy::PermissionsTakePrecedence) => w.sign == Sign::Plus,
+        (Sign::Minus, _) => kw >= kl,
+        (Sign::Plus, _) => kw > kl,
+    }
+}
+
+/// What WS013 reads from the compiled tables, per source authorization
+/// (indexed like [`CompiledPolicies::source_authorizations`]).
+struct Shadowing<'a> {
+    compiled: &'a CompiledPolicies,
+    /// Source index of each authorization id.
+    index: HashMap<u32, usize>,
+    masks: Vec<u8>,
+    /// The `(document, class)` pairs a rule decides in: the classes whose
+    /// nodes it covers and those of the elements whose attributes it
+    /// selects. An attribute is decided over the rules selecting it plus
+    /// its element's class rules, so a rule that selects no attribute and
+    /// covers every class of this set takes part in every decision the
+    /// rule does. Empty for a rule that covers nothing.
+    classes: Vec<BTreeSet<(usize, u32)>>,
+    selects_attribute: Vec<bool>,
+    /// Per denial: some grant can meet it in one of its decisions without
+    /// beating it.
+    held: Vec<bool>,
+}
+
+impl<'a> Shadowing<'a> {
+    fn new(compiled: &'a CompiledPolicies) -> Self {
+        let auths = compiled.source_authorizations();
+        let mut s = Shadowing {
+            compiled,
+            index: auths.iter().enumerate().map(|(i, a)| (a.id.0, i)).collect(),
+            masks: auths.iter().map(relevance_mask).collect(),
+            classes: vec![BTreeSet::new(); auths.len()],
+            selects_attribute: vec![false; auths.len()],
+            held: vec![false; auths.len()],
         };
-        for cv in classes {
-            for auth in cv.auths {
-                memberships
-                    .entry(auth.id.0)
-                    .or_default()
-                    .insert((doc_idx, cv.class));
+        for (doc, name) in compiled.document_names().into_iter().enumerate() {
+            let Some(classes) = compiled.classes_of(name) else {
+                continue;
+            };
+            for cv in &classes {
+                for rule in &cv.auths {
+                    let i = s.index[&rule.id.0];
+                    s.classes[i].insert((doc, cv.class));
+                }
+                s.meet(&cv.auths, &cv.auths);
+            }
+            // An entry's decision set depends only on its class and the
+            // rules selecting it, so each distinct pair is read once.
+            let mut scanned: BTreeSet<(u32, Vec<u32>)> = BTreeSet::new();
+            for entry in compiled.attrs_of(name).unwrap_or_default() {
+                if !scanned.insert((entry.class, entry.auths.iter().map(|a| a.id.0).collect())) {
+                    continue;
+                }
+                for rule in &entry.auths {
+                    let i = s.index[&rule.id.0];
+                    s.classes[i].insert((doc, entry.class));
+                    s.selects_attribute[i] = true;
+                }
+                let class_rules = &classes[entry.class as usize].auths;
+                s.meet(&entry.auths, &entry.auths);
+                s.meet(&entry.auths, class_rules);
+                s.meet(class_rules, &entry.auths);
+            }
+        }
+        s
+    }
+
+    /// Marks each denial in `denials` that a grant in `grants` can meet —
+    /// a shared privilege, subjects not provably disjoint — without
+    /// beating it.
+    fn meet(&mut self, grants: &[&Authorization], denials: &[&Authorization]) {
+        for grant in grants.iter().filter(|a| a.sign == Sign::Plus) {
+            let g = self.index[&grant.id.0];
+            for denial in denials.iter().filter(|a| a.sign == Sign::Minus) {
+                let d = self.index[&denial.id.0];
+                if !self.held[d]
+                    && self.masks[g] & self.masks[d] != 0
+                    && subjects_can_meet(&grant.subject, &denial.subject)
+                    && !beats(self.compiled, grant, denial)
+                {
+                    self.held[d] = true;
+                }
             }
         }
     }
-    memberships
-}
 
-/// Ids with attribute-granularity coverage anywhere; WS013 skips these
-/// conservatively (element classes alone cannot prove an attribute rule
-/// unreachable).
-fn attr_level_ids(compiled: &CompiledPolicies) -> BTreeSet<u32> {
-    let mut ids = BTreeSet::new();
-    for name in compiled.document_names() {
-        if let Some(doc_ids) = compiled.attr_auth_ids(name) {
-            ids.extend(doc_ids.into_iter().map(|id| id.0));
-        }
+    /// Does rule `w` cover every class, subject and privilege rule `l`
+    /// does, and beat it? Then `w` takes part in every decision `l` does
+    /// and wins it.
+    fn dominates(&self, w: usize, l: usize) -> bool {
+        let auths = self.compiled.source_authorizations();
+        !self.selects_attribute[w]
+            && self.masks[w] & self.masks[l] == self.masks[l]
+            && beats(self.compiled, &auths[w], &auths[l])
+            && subject_covers(
+                &auths[w].subject,
+                &auths[l].subject,
+                self.compiled.hierarchy(),
+            )
+            && self.classes[l].is_subset(&self.classes[w])
     }
-    ids
 }
 
-/// WS013: an earlier authorization of the same sign covers a later one
-/// everywhere it applies (same classes, covering subject, superset
-/// relevance) at a resolution key at least as strong — so removing the
-/// later rule cannot change any decision: it is shadowed.
+/// WS013: a rule whose removal changes no decision, for one of two
+/// reasons. Another rule that selects no attribute covers every class,
+/// subject and privilege it does and beats it ([`beats`]); of two rules
+/// dominating each other, only the later is reported. Or it is a denial
+/// that every grant it can meet beats, including a denial that meets no
+/// grant: where it applies without a winning grant, the closed-world
+/// default denies just the same. Revoking every flagged rule at once changes no decision
+/// either: each dominated rule keeps an unflagged dominator. A rule that
+/// covers nothing is WS015's.
 fn ws013_shadowing(input: &PolicyVerifyInput<'_>) -> Vec<Diagnostic> {
     let compiled = input.compiled;
     let auths = compiled.source_authorizations();
-    let hierarchy = compiled.hierarchy();
-    let memberships = class_memberships(compiled);
-    let attr_ids = attr_level_ids(compiled);
-    let empty = BTreeSet::new();
-    let masks: Vec<u8> = auths.iter().map(relevance_mask).collect();
-
+    let s = Shadowing::new(compiled);
     let mut out = Vec::new();
-    for (li, later) in auths.iter().enumerate() {
-        if attr_ids.contains(&later.id.0) {
+    for (l, rule) in auths.iter().enumerate() {
+        if s.classes[l].is_empty() {
             continue;
         }
-        let later_classes = memberships.get(&later.id.0).unwrap_or(&empty);
-        if later_classes.is_empty() {
-            // Covers nothing: WS015 territory, not shadowing.
-            continue;
-        }
-        for (ei, earlier) in auths.iter().enumerate().take(li) {
-            if earlier.sign != later.sign
-                || attr_ids.contains(&earlier.id.0)
-                || masks[ei] & masks[li] != masks[li]
-                || !subject_covers(&earlier.subject, &later.subject, hierarchy)
-                || compiled.resolution_key(earlier) < compiled.resolution_key(later)
-            {
-                continue;
-            }
-            let earlier_classes = memberships.get(&earlier.id.0).unwrap_or(&empty);
-            if !later_classes.is_subset(earlier_classes) {
-                continue;
-            }
-            let sign = match later.sign {
+        let id = rule.id.0;
+        let shadower = (0..auths.len())
+            .find(|&w| w != l && s.dominates(w, l) && (w < l || !s.dominates(l, w)));
+        if let Some(w) = shadower {
+            let sign = match rule.sign {
                 Sign::Plus => "grant",
                 Sign::Minus => "denial",
+            };
+            let by = auths[w].id.0;
+            let how = if auths[w].sign == rule.sign {
+                "at a resolution key at least as strong"
+            } else {
+                "and overrides it wherever both apply"
             };
             out.push(
                 Diagnostic::new(
                     "WS013",
                     Severity::Warning,
-                    pair_span(earlier, later),
+                    pair_span(&auths[w], rule),
                     format!(
-                        "{sign} #{} is shadowed: #{} applies to every subject, privilege, and \
-                         equivalence class it covers, at a resolution key at least as strong",
-                        later.id.0, earlier.id.0
+                        "{sign} #{id} is shadowed: #{by} applies to every subject, privilege, \
+                         and equivalence class it covers, {how}"
                     ),
                 )
                 .with_suggestion(format!(
-                    "remove authorization #{} or narrow #{} so the later rule can take effect",
-                    later.id.0, earlier.id.0
+                    "remove authorization #{id} or narrow #{by} so #{id} can take effect"
                 )),
             );
-            break; // one shadower per victim is enough
+        } else if rule.sign == Sign::Minus && !s.held[l] {
+            out.push(
+                Diagnostic::new(
+                    "WS013",
+                    Severity::Warning,
+                    auth_span(rule),
+                    format!(
+                        "denial #{id} is shadowed: every grant it can meet overrides it, and \
+                         where it meets none the closed-world default denies without it"
+                    ),
+                )
+                .with_suggestion(format!(
+                    "remove authorization #{id}, or make it win over the grants it should block"
+                )),
+            );
         }
     }
     out
@@ -808,6 +917,98 @@ mod tests {
         let compiled = compile(&store, ConflictStrategy::MostSpecificObject, &doc);
         let input = PolicyVerifyInput::new(&compiled).with_document("h.xml", &doc);
         assert!(run_policy_pass(&input, PolicyPassId::Ws013).is_empty());
+    }
+
+    /// WS013 spans of `store` compiled over `doc` under `strategy`.
+    fn ws013_spans(store: &PolicyStore, strategy: ConflictStrategy, doc: &Document) -> Vec<String> {
+        let compiled = compile(store, strategy, doc);
+        let input = PolicyVerifyInput::new(&compiled).with_document("h.xml", doc);
+        run_policy_pass(&input, PolicyPassId::Ws013)
+            .into_iter()
+            .map(|d| d.span)
+            .collect()
+    }
+
+    /// A blanket `Anyone` denial of Browse (which blocks every privilege)
+    /// dominates a narrower Read grant under deny-precedence; under
+    /// permit-precedence the grant wins instead, and the denial, which
+    /// every grant it can meet overrides, is the redundant rule.
+    #[test]
+    fn ws013_denial_dominates_a_grant_across_signs() {
+        let doc = hospital_doc();
+        let mut store = PolicyStore::new();
+        store.add(
+            Authorization::for_subject(SubjectSpec::Anyone)
+                .on(ObjectSpec::Document("h.xml".into()))
+                .privilege(Privilege::Browse)
+                .deny(),
+        );
+        store.add(
+            Authorization::for_subject(SubjectSpec::Identity("bob".into()))
+                .on(ObjectSpec::Portion {
+                    document: "h.xml".into(),
+                    path: Path::parse("//patient").expect("path"),
+                })
+                .privilege(Privilege::Read)
+                .grant(),
+        );
+        assert_eq!(
+            ws013_spans(&store, ConflictStrategy::DenialsTakePrecedence, &doc),
+            ["authorizations #0 and #1"]
+        );
+        assert_eq!(
+            ws013_spans(&store, ConflictStrategy::PermissionsTakePrecedence, &doc),
+            ["authorization #0"]
+        );
+    }
+
+    /// A denial is redundant when every grant it can meet overrides it
+    /// (permit-precedence) or when it meets no grant at all (two different
+    /// identities never meet); one grant it can meet that does not
+    /// override it keeps it. An identity and a role always meet: the
+    /// identity may hold the role.
+    #[test]
+    fn ws013_flags_a_denial_every_grant_it_meets_beats() {
+        let doc = hospital_doc();
+        let rule = |subject: SubjectSpec| {
+            Authorization::for_subject(subject)
+                .on(ObjectSpec::Document("h.xml".into()))
+                .privilege(Privilege::Read)
+        };
+        let mut gap = PolicyStore::new();
+        gap.add(rule(SubjectSpec::Identity("eve".into())).deny());
+        gap.add(rule(SubjectSpec::InRole(Role::new("staff"))).grant());
+        assert_eq!(
+            ws013_spans(&gap, ConflictStrategy::PermissionsTakePrecedence, &doc),
+            ["authorization #0"]
+        );
+        assert!(ws013_spans(&gap, ConflictStrategy::DenialsTakePrecedence, &doc).is_empty());
+
+        let mut disjoint = PolicyStore::new();
+        disjoint.add(rule(SubjectSpec::Identity("ann".into())).grant());
+        disjoint.add(rule(SubjectSpec::Identity("bob".into())).deny());
+        assert_eq!(
+            ws013_spans(&disjoint, ConflictStrategy::DenialsTakePrecedence, &doc),
+            ["authorization #1"]
+        );
+    }
+
+    #[test]
+    fn subject_cover_role_hierarchy() {
+        let mut h = RoleHierarchy::new();
+        h.add_seniority(Role::new("chief"), Role::new("doctor"));
+        // Everyone activating "chief" also activates "doctor", so a
+        // doctor-rule covers a chief-rule's subjects.
+        assert!(subject_covers(
+            &SubjectSpec::InRole(Role::new("doctor")),
+            &SubjectSpec::InRole(Role::new("chief")),
+            &h
+        ));
+        assert!(!subject_covers(
+            &SubjectSpec::InRole(Role::new("chief")),
+            &SubjectSpec::InRole(Role::new("doctor")),
+            &h
+        ));
     }
 
     #[test]

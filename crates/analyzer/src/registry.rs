@@ -42,12 +42,6 @@ pub struct CodeInfo {
 /// Every stable code, in code order.
 pub const REGISTRY: &[CodeInfo] = &[
     CodeInfo {
-        code: "WS002",
-        severity: Severity::Warning,
-        phase: Phase::Static,
-        description: "shadowed authorization rule",
-    },
-    CodeInfo {
         code: "WS003",
         severity: Severity::Warning,
         phase: Phase::Static,
@@ -111,7 +105,7 @@ pub const REGISTRY: &[CodeInfo] = &[
         code: "WS013",
         severity: Severity::Warning,
         phase: Phase::Static,
-        description: "compiled-plane rule shadowing (later rule unreachable)",
+        description: "compiled-plane rule shadowing: removing the rule changes no decision",
     },
     CodeInfo {
         code: "WS014",
@@ -244,7 +238,6 @@ mod tests {
         for pass in PassId::ALL {
             // Exhaustive: new variants must be added here and registered.
             let code = match pass {
-                PassId::Ws002 => "WS002",
                 PassId::Ws003 => "WS003",
                 PassId::Ws004 => "WS004",
                 PassId::Ws005 => "WS005",

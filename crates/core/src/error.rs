@@ -4,7 +4,7 @@
 //! stack-processing errors, transport failures, and malformed requests —
 //! is wrapped in one `#[non_exhaustive]` [`Error`] carrying a **stable
 //! error code**. Codes extend the analyzer's `WSxxx` scheme (static
-//! findings use `WS002`–`WS018`; runtime serving errors use the `WS1xx`
+//! findings use `WS003`–`WS018`; runtime serving errors use the `WS1xx`
 //! series) so callers and tooling match on [`Error::code`] instead of
 //! display strings.
 //!

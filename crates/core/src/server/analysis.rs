@@ -4,7 +4,7 @@
 //! describes the most recently analysed snapshot: its `{generation, epoch}`
 //! [`Token`], the fingerprints of its nine input [`Section`]s (FNV-1a over
 //! each section's deterministic rendering), and whatever is known of its
-//! analysis — the per-pass WS002–WS012 diagnostics with their assembled
+//! analysis — the per-pass WS003–WS012 diagnostics with their assembled
 //! [`Report`], and the WS013–WS018 policy-verifier report.
 //! [`StackServer::analyze`], [`StackServer::verify_policies`] and the
 //! `Deny` gate all read and extend it:
@@ -23,7 +23,7 @@
 //! [`super::MetricsSnapshot`]), and [`AnalysisGate::Deny`] analyzes the
 //! mutated copy of the stack against the memo's analysis of the current
 //! snapshot and refuses to commit — with a stable `WS109` error — when the
-//! copy carries *new* error-severity findings. A policy change costs five
+//! copy carries *new* error-severity findings. A policy change costs four
 //! analyzer and six verifier passes per gated update (DESIGN.md §8 counts
 //! them per kind of change). An accepted copy's analysis enters the memo
 //! under the token its publication creates, so the next `analyze` and
@@ -74,13 +74,6 @@ const PASS_COUNT: usize = PassId::ALL.len();
 /// Number of policy-verifier passes (WS013–WS018).
 const POLICY_PASS_COUNT: usize = PolicyPassId::ALL.len();
 
-/// The input sections the policy verifier reads. Every WS013–WS018 pass
-/// declares exactly these two ([`PolicyPassId::sections`]), so the suite
-/// caches all-or-nothing: if neither fingerprint moved, the whole run is
-/// reused; if either did, all six passes re-run (they share the compiled
-/// artifact, which any policy or document change invalidates wholesale).
-const POLICY_SECTIONS: [Section; 2] = [Section::Policy, Section::Documents];
-
 /// What is known of one snapshot's analysis.
 #[derive(Clone)]
 struct SnapshotAnalysis {
@@ -91,7 +84,7 @@ struct SnapshotAnalysis {
     /// Per-pass diagnostics (indexed like [`PassId::ALL`]); `None` for a
     /// pass not yet run on this snapshot.
     passes: Vec<Option<Vec<Diagnostic>>>,
-    /// The assembled, normalized WS002–WS012 report, present exactly when
+    /// The assembled, normalized WS003–WS012 report, present exactly when
     /// every pass is.
     report: Option<Report>,
     /// The normalized WS013–WS018 report, once the verifier ran.
@@ -116,8 +109,8 @@ pub(super) struct AnalysisMemo {
 /// `Debug` over `Vec`s, BTree collections and triple stores, whose
 /// hand-written `Debug` prints their terms in id order and their SPO
 /// index but not their term lookup `HashMap`. The policy section includes
-/// the engine's conflict strategy, which WS002 and the compiled plane the
-/// verifier reads (WS014) depend on.
+/// the engine's conflict strategy, which the compiled plane the verifier
+/// reads (WS013, WS014) depends on.
 fn render_section(stack: &SecureWebStack, section: Section, s: &mut impl Write) {
     match section {
         Section::Policy => {
@@ -234,8 +227,11 @@ impl SnapshotAnalysis {
         let report = prev
             .filter(|_| passes.iter().all(Option::is_some))
             .and_then(|p| p.report.clone());
+        // The verifier caches all-or-nothing: its passes share the compiled
+        // artifact, which any change to their sections invalidates
+        // wholesale.
         let policy = prev
-            .filter(|_| unchanged(&POLICY_SECTIONS))
+            .filter(|_| PolicyPassId::ALL.iter().all(|pass| unchanged(pass.sections())))
             .and_then(|p| p.policy.clone());
         SnapshotAnalysis {
             token,
@@ -246,21 +242,16 @@ impl SnapshotAnalysis {
         }
     }
 
-    /// The WS002–WS012 report of `stack` (the snapshot this analysis
-    /// describes) over `compiled`, its decision plane, running only the
-    /// passes with no result yet; also returns the codes of the passes
-    /// run.
-    fn complete_report(
-        &mut self,
-        stack: &SecureWebStack,
-        compiled: &Arc<CompiledPolicies>,
-    ) -> (&Report, Vec<&'static str>) {
+    /// The WS003–WS012 report of `stack` (the snapshot this analysis
+    /// describes), running only the passes with no result yet; also
+    /// returns the codes of the passes run.
+    fn complete_report(&mut self, stack: &SecureWebStack) -> (&Report, Vec<&'static str>) {
         let mut ran = Vec::new();
         let report = match self.report.take() {
             Some(report) => report,
             None => {
                 let passes = &mut self.passes;
-                stack.with_analyzer_input(compiled, |input| {
+                stack.with_analyzer_input(|input| {
                     for (pass, slot) in PassId::ALL.iter().zip(passes.iter_mut()) {
                         if slot.is_none() {
                             ran.push(pass.code());
@@ -337,7 +328,7 @@ impl StackServer {
             }
         }
         let mut analysis = self.memo_for(stack, token);
-        let (report, ran) = analysis.complete_report(stack, &published.compiled);
+        let (report, ran) = analysis.complete_report(stack);
         let report = report.clone();
         self.count_passes(ran.len());
         self.commit(analysis, Some(ran));
@@ -463,10 +454,8 @@ impl StackServer {
     ///    the compiled tables must match the interpreter's
     ///    [`PolicyEngine::policy_equivalence_classes`] partition exactly.
     ///
-    /// WS002 is not re-run here: it reads its coverage from these very
-    /// tables, so a comparison through it could not fail.
-    /// Per-rule coverage is pinned to the interpreter by the
-    /// `compiled_decisions` suite instead.
+    /// Per-rule coverage, which the verifier reads from these tables, is
+    /// pinned to the interpreter by the `compiled_decisions` suite.
     ///
     /// # Errors
     /// `WS109` ([`Error::AnalysisRejected`]) describing the first
@@ -553,7 +542,7 @@ impl StackServer {
                 // an ungated update or republication since the last
                 // analysis).
                 let mut baseline = self.memo_for(current, token);
-                let (report, baseline_ran) = baseline.complete_report(current, &published.compiled);
+                let (report, baseline_ran) = baseline.complete_report(current);
                 let baseline_errors: BTreeSet<String> = error_lines(report).collect();
                 let (report, baseline_policy_ran) =
                     baseline.complete_policy(current, &published.compiled);
@@ -563,12 +552,11 @@ impl StackServer {
 
                 let mut candidate = (**current).clone();
                 let result = mutate(&mut candidate);
-                // The candidate's decision plane is compiled once, before
-                // any analysis: WS002, the verifier and (on success)
-                // publication share the same artifact, preserving the
-                // compile-once-per-publication contract. Rejected updates
-                // bump no compile counter — the work happened but nothing
-                // was published.
+                // The candidate's decision plane is compiled once: the
+                // verifier and (on success) publication share the same
+                // artifact, preserving the compile-once-per-publication
+                // contract. Rejected updates bump no compile counter — the
+                // work happened but nothing was published.
                 let t = Instant::now();
                 let compiled = candidate.compile();
                 let compile_ns =
@@ -576,7 +564,7 @@ impl StackServer {
                 // Keyed by the current token until publication creates
                 // the candidate's own.
                 let mut analysis = SnapshotAnalysis::rebase(Some(&baseline), &candidate, token);
-                let (report, ran) = analysis.complete_report(&candidate, &compiled);
+                let (report, ran) = analysis.complete_report(&candidate);
                 let mut introduced: Vec<String> = error_lines(report)
                     .filter(|line| !baseline_errors.contains(line))
                     .collect();

@@ -149,21 +149,15 @@ impl SecureWebStack {
         PolicySnapshot::new(&self.policies, self.engine.strategy, &self.documents).compile()
     }
 
-    /// Builds the full [`AnalyzerInput`] over every configured layer, with
-    /// `compiled` (the tables [`Self::compile`] builds from this stack) as
-    /// its coverage source, and hands it to `f`. Closure-shaped because the
-    /// input borrows from temporaries (the sorted label list, the catalog
-    /// names) that must outlive the borrow; both [`SecureWebStack::analyze`]
-    /// and the serving layer's incremental re-analysis funnel through here
-    /// so every caller sees the same input.
-    pub(crate) fn with_analyzer_input<R>(
-        &self,
-        compiled: &Arc<CompiledPolicies>,
-        f: impl FnOnce(&AnalyzerInput<'_>) -> R,
-    ) -> R {
+    /// Builds the full [`AnalyzerInput`] over every configured layer and
+    /// hands it to `f`. Closure-shaped because the input borrows from
+    /// temporaries (the sorted label list, the catalog names) that must
+    /// outlive the borrow; both [`SecureWebStack::analyze`] and the serving
+    /// layer's incremental re-analysis funnel through here so every caller
+    /// sees the same input.
+    pub(crate) fn with_analyzer_input<R>(&self, f: impl FnOnce(&AnalyzerInput<'_>) -> R) -> R {
         let catalog: Vec<String> = self.catalog_names();
-        let mut input = AnalyzerInput::new(&self.policies, self.engine.strategy)
-            .with_compiled(Arc::clone(compiled));
+        let mut input = AnalyzerInput::new(&self.policies);
         for name in self.documents.names() {
             if let Some(doc) = self.documents.get(name) {
                 input.documents.push((name, doc));
@@ -223,32 +217,30 @@ impl SecureWebStack {
         websec_analyzer::verify_policies(&input)
     }
 
-    /// Runs the eleven static-analysis passes (WS002–WS012) over the
-    /// stack's current configuration — policy base, documents, labels,
-    /// catalog, privacy constraints, semantic stores, dissemination audits,
-    /// UDDI registry and subject registry — without executing any query.
-    /// The stack is compiled once for the run: WS002 reads coverage from
-    /// its decision tables.
+    /// Runs the ten static-analysis passes (WS003–WS012) over the stack's
+    /// current configuration — policy base, documents, labels, catalog,
+    /// privacy constraints, semantic stores, dissemination audits, UDDI
+    /// registry and subject registry — without executing any query or
+    /// compiling anything.
     #[must_use]
     pub fn analyze(&self) -> Report {
-        self.with_analyzer_input(&self.compile(), Analyzer::analyze)
+        self.with_analyzer_input(Analyzer::analyze)
     }
 
-    /// Strict boot gate: compiles the stack once, runs the analyzer
-    /// (WS002–WS012) and the policy verifier (WS013–WS018) over the same
-    /// tables, and refuses service when either reports an error-severity
-    /// finding — the definition the serving layer's `Deny` gate applies
-    /// to every update. Returns both reports merged otherwise.
+    /// Strict boot gate: runs the analyzer (WS003–WS012) and the policy
+    /// verifier (WS013–WS018, over the stack compiled once), and refuses
+    /// service when either reports an error-severity finding — the
+    /// definition the serving layer's `Deny` gate applies to every
+    /// update. Returns both reports merged otherwise.
     ///
     /// # Errors
     /// `WS104` ([`Error::Misconfigured`]) carrying the machine rendering of
     /// the merged findings.
     pub fn analyze_strict(&self) -> Result<Report, Error> {
-        let compiled = self.compile();
-        let mut report = self.with_analyzer_input(&compiled, Analyzer::analyze);
+        let mut report = self.analyze();
         report
             .diagnostics
-            .extend(self.verify_policies(&compiled).diagnostics);
+            .extend(self.verify_policies(&self.compile()).diagnostics);
         report.normalize();
         if report.has_errors() {
             return Err(Error::Misconfigured(report.machine()));

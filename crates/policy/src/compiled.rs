@@ -45,8 +45,7 @@
 //! [`PolicyEngine::covered_nodes`], which the seeded
 //! `compiled_decisions` integration suite and the unit tests below pin.
 //! The tables are the one coverage source of static analysis: the
-//! analyzer's WS002 and the WS013–WS018 verifier read them, not the
-//! interpreter.
+//! WS013–WS018 verifier reads them, not the interpreter.
 
 use crate::authz::{Authorization, AuthzId, ObjectSpec, Privilege, Propagation, Sign};
 use crate::conflict::ConflictStrategy;

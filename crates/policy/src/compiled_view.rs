@@ -7,9 +7,9 @@
 //! Static analysis instead needs to *enumerate* the plane — which
 //! source authorizations cover which equivalence classes and which
 //! attributes, which are dead, which pairs collide inside a class. The
-//! policy verifier (`websec_analyzer::policy_verify`, WS013–WS018) and
-//! the analyzer's shadowing pass (WS002) read coverage only through this
-//! module, which exposes exactly that enumeration surface, keyed back to source [`Authorization`]s so
+//! policy verifier (`websec_analyzer::policy_verify`, WS013–WS018) reads
+//! coverage only through this module, which exposes exactly that
+//! enumeration surface, keyed back to source [`Authorization`]s so
 //! diagnostics can speak in terms the policy author wrote, without
 //! widening the mutable surface of the compiled artifact itself.
 //!
@@ -119,32 +119,14 @@ impl CompiledPolicies {
     /// when the document is not compiled.
     pub fn covered_auth_ids(&self, doc: &str) -> Option<BTreeSet<AuthzId>> {
         let cd = self.docs.get(doc)?;
-        let mut ids = BTreeSet::new();
-        for locals in &cd.classes {
-            for &l in locals {
-                ids.insert(self.auths[cd.local_auths[l as usize] as usize].id);
-            }
-        }
-        ids.extend(self.attr_auth_ids_inner(doc)?);
-        Some(ids)
-    }
-
-    /// Ids of authorizations with attribute-specific coverage in `doc`
-    /// (passes that only reason at element granularity skip these
-    /// conservatively), or `None` when the document is not compiled.
-    pub fn attr_auth_ids(&self, doc: &str) -> Option<BTreeSet<AuthzId>> {
-        self.attr_auth_ids_inner(doc)
-    }
-
-    fn attr_auth_ids_inner(&self, doc: &str) -> Option<BTreeSet<AuthzId>> {
-        let cd = self.docs.get(doc)?;
-        let mut ids = BTreeSet::new();
-        for entry in &cd.attr_entries {
-            for &l in &entry.auths {
-                ids.insert(self.auths[cd.local_auths[l as usize] as usize].id);
-            }
-        }
-        Some(ids)
+        let classes = cd.classes.iter().flatten();
+        let attributes = cd.attr_entries.iter().flat_map(|entry| &entry.auths);
+        Some(
+            classes
+                .chain(attributes)
+                .map(|&l| self.auths[cd.local_auths[l as usize] as usize].id)
+                .collect(),
+        )
     }
 
     /// The source policy base this artifact was compiled from, in

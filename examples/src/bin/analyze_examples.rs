@@ -1,4 +1,4 @@
-//! CI gate: runs the whole-stack information-flow analyzer (WS002–WS012)
+//! CI gate: runs the whole-stack information-flow analyzer (WS003–WS012)
 //! over every example stack configuration and prints one stable JSON line
 //! per stack.
 //!

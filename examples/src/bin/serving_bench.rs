@@ -25,7 +25,7 @@
 //!   evaluations) with admission control engaged: the batch engine must
 //!   keep its edge while faults are landing (gated:
 //!   `faulted_parallel_qps >= faulted_serial_qps`);
-//! * **analysis** — cold full analyzer run (all eleven passes) vs the
+//! * **analysis** — cold full analyzer run (all ten passes) vs the
 //!   epoch-keyed incremental re-analysis after a single privacy-section
 //!   mutation (gated: `analysis_incremental_us <= analysis_full_us`),
 //!   plus the static policy verifier (WS013–WS018): a cold full run over
@@ -133,7 +133,7 @@ fn build_nodup_requests() -> Vec<QueryRequest> {
 }
 
 /// The serving stack with every analyzer input section populated, so the
-/// analysis timings cover all eleven passes end to end.
+/// analysis timings cover all ten passes end to end.
 fn build_analysis_stack() -> SecureWebStack {
     let mut stack = build_stack();
     let mut store = SecureStore::new();
@@ -530,7 +530,7 @@ fn main() -> ExitCode {
     let faulted_metrics = faulted.metrics();
     let faulted_injected = injector.fired_total();
 
-    // Analysis section: cold full fixpoint (all eleven passes) vs the
+    // Analysis section: cold full fixpoint (all ten passes) vs the
     // epoch-keyed incremental re-analysis after a single-section mutation
     // (only the passes reading the Privacy section re-run). Gated:
     // `analysis_incremental_us <= analysis_full_us`.

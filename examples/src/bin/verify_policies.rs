@@ -1,6 +1,6 @@
-//! CI gate: runs the static policy verifier (WS013–WS018) over twelve
-//! seed fixtures — one positive and one negative per pass — and prints
-//! one stable JSON line per fixture.
+//! CI gate: runs the static policy verifier (WS013–WS018) over sixteen
+//! seed fixtures — one positive and one negative per finding kind — and
+//! prints one stable JSON line per fixture.
 //!
 //! The output is deterministic (reports are normalized before printing),
 //! so check.sh byte-diffs two consecutive runs and then diffs the result
@@ -29,8 +29,9 @@ fn hospital_doc() -> Document {
     .expect("fixture parses")
 }
 
-/// One self-verifying fixture: a policy store, a strategy, the codes the
-/// verifier must emit, and the codes it must not.
+/// One self-verifying fixture: a policy store, a strategy, the findings
+/// the verifier must emit, and those it must not. A finding is named by a
+/// prefix of its machine line: a code, or a code, severity and span.
 struct Fixture {
     name: &'static str,
     strategy: ConflictStrategy,
@@ -75,6 +76,74 @@ fn fixtures() -> Vec<Fixture> {
         name: "ws013_most_specific_keeps_portion",
         strategy: ConflictStrategy::MostSpecificObject,
         store: shadowed,
+        expect: &[],
+        absent: &["WS013"],
+    });
+
+    // WS013 across signs: a blanket Browse denial (which blocks every
+    // privilege) covers everything a narrower Read grant does, and under
+    // deny-precedence it wins wherever both apply, so the grant never
+    // decides...
+    let mut overruled = PolicyStore::new();
+    overruled.add(
+        Authorization::for_subject(SubjectSpec::Anyone)
+            .on(ObjectSpec::Document("h.xml".into()))
+            .privilege(Privilege::Browse)
+            .deny(),
+    );
+    overruled.add(
+        Authorization::for_subject(SubjectSpec::Identity("bob".into()))
+            .on(portion("h.xml", "//patient"))
+            .privilege(Privilege::Read)
+            .grant(),
+    );
+    out.push(Fixture {
+        name: "ws013_broad_denial_shadows_grant",
+        strategy: ConflictStrategy::DenialsTakePrecedence,
+        store: overruled.clone(),
+        expect: &["WS013|warning|authorizations #0 and #1|"],
+        absent: &[],
+    });
+    // ...while under permit-precedence the grant wins instead: it is the
+    // denial that never decides (see the next pair).
+    out.push(Fixture {
+        name: "ws013_permit_precedence_keeps_grant",
+        strategy: ConflictStrategy::PermissionsTakePrecedence,
+        store: overruled,
+        expect: &["WS013|warning|authorization #0|"],
+        absent: &["WS013|warning|authorizations #0 and #1|"],
+    });
+
+    // WS013 for a beaten denial: eve's denial meets the staff grant (eve
+    // may hold the role), and under permit-precedence every grant it can
+    // meet overrides it; where no grant applies, the closed-world default
+    // denies without it...
+    let mut beaten = PolicyStore::new();
+    beaten.add(
+        Authorization::for_subject(SubjectSpec::Identity("eve".into()))
+            .on(portion("h.xml", "//patient"))
+            .privilege(Privilege::Read)
+            .deny(),
+    );
+    beaten.add(
+        Authorization::for_subject(SubjectSpec::InRole(Role::new("staff")))
+            .on(ObjectSpec::Document("h.xml".into()))
+            .privilege(Privilege::Read)
+            .grant(),
+    );
+    out.push(Fixture {
+        name: "ws013_denial_beaten_by_grant",
+        strategy: ConflictStrategy::PermissionsTakePrecedence,
+        store: beaten.clone(),
+        expect: &["WS013|warning|authorization #0|"],
+        absent: &[],
+    });
+    // ...while under deny-precedence it overrides the grant for a staff
+    // member named eve, so it decides.
+    out.push(Fixture {
+        name: "ws013_denial_holds_under_deny_precedence",
+        strategy: ConflictStrategy::DenialsTakePrecedence,
+        store: beaten,
         expect: &[],
         absent: &["WS013"],
     });
@@ -258,8 +327,11 @@ fn fixtures() -> Vec<Fixture> {
     out
 }
 
-fn has_code(report: &Report, code: &str) -> bool {
-    report.diagnostics.iter().any(|d| d.code == code)
+fn has_finding(report: &Report, prefix: &str) -> bool {
+    report
+        .diagnostics
+        .iter()
+        .any(|d| d.machine_line().starts_with(prefix))
 }
 
 fn main() {
@@ -277,15 +349,15 @@ fn main() {
             fixture.name,
             report.to_json()
         );
-        for code in fixture.expect {
-            if !has_code(&report, code) {
-                eprintln!("verify_policies: {} expected {code}, not found", fixture.name);
+        for finding in fixture.expect {
+            if !has_finding(&report, finding) {
+                eprintln!("verify_policies: {} expected {finding}, not found", fixture.name);
                 failures += 1;
             }
         }
-        for code in fixture.absent {
-            if has_code(&report, code) {
-                eprintln!("verify_policies: {} must not emit {code}", fixture.name);
+        for finding in fixture.absent {
+            if has_finding(&report, finding) {
+                eprintln!("verify_policies: {} must not emit {finding}", fixture.name);
                 failures += 1;
             }
         }

@@ -1,4 +1,4 @@
-//! End-to-end exercise of the static analyzer (WS002–WS005) and of the
+//! End-to-end exercise of the static analyzer (WS003–WS005) and of the
 //! strict boot gate through the public stack API: every diagnostic class
 //! fires on a purpose-built misconfiguration, and a well-formed stack
 //! analyzes clean.
@@ -36,10 +36,10 @@ fn default_stack_analyzes_clean() {
     assert!(s.analyze_strict().is_ok());
 }
 
-/// WS001's strategy-dependent conflict, reported by WS014 since WS001
-/// was retired: a warning, so strict boot proceeds and returns it.
+/// A strategy-dependent conflict is WS014's warning, so strict boot
+/// proceeds and returns it.
 #[test]
-fn ws001_conflict_surfaces_through_stack() {
+fn ws014_conflict_surfaces_through_stack() {
     let mut s = base_stack();
     s.policies.add(Authorization::for_subject(SubjectSpec::Anyone).on(ObjectSpec::Document("h.xml".into())).privilege(Privilege::Read).grant());
     s.policies.add(Authorization::for_subject(SubjectSpec::Identity("eve".into())).on(portion("/hospital/admin")).privilege(Privilege::Read).deny());
@@ -50,11 +50,10 @@ fn ws001_conflict_surfaces_through_stack() {
     assert_eq!(hits[0].severity, Severity::Warning);
 }
 
-/// WS001's priority tie, reported by WS014 since WS001 was retired: the
-/// analyzer alone finds no error, and strict boot refuses on the
-/// verifier's.
+/// A priority tie is WS014's error: the analyzer alone finds no error,
+/// and strict boot refuses on the verifier's.
 #[test]
-fn ws001_priority_tie_refuses_strict_boot() {
+fn ws014_priority_tie_refuses_strict_boot() {
     let mut s = base_stack();
     s.engine = PolicyEngine::new(ConflictStrategy::ExplicitPriority);
     s.policies.add(Authorization::for_subject(SubjectSpec::Anyone).on(ObjectSpec::Document("h.xml".into())).privilege(Privilege::Read).grant());
@@ -69,14 +68,13 @@ fn ws001_priority_tie_refuses_strict_boot() {
     }
 }
 
-/// WS002's former unreachable case is WS015's dead policy.
+/// A rule matching no node is WS015's dead policy.
 #[test]
-fn ws002_unreachable_rule_is_flagged() {
+fn ws015_unreachable_rule_is_flagged() {
     let mut s = base_stack();
     s.policies.add(Authorization::for_subject(SubjectSpec::Anyone).on(portion("//cafeteria")).privilege(Privilege::Read).grant());
     // Warnings do not block a strict boot.
     let report = s.analyze_strict().expect("a warning does not block strict boot");
-    assert!(report.with_code("WS002").is_empty(), "{}", report.human());
     let hits = report.with_code("WS015");
     assert_eq!(hits.len(), 1, "{}", report.human());
     assert_eq!(hits[0].span, "authorization #1");
@@ -110,8 +108,7 @@ fn ws004_inference_channel_via_direct_input() {
         .iter()
         .map(|s| s.to_string())
         .collect();
-    let mut input = AnalyzerInput::new(&store, ConflictStrategy::default())
-        .with_schema("patients", &columns);
+    let mut input = AnalyzerInput::new(&store).with_schema("patients", &columns);
     input.constraints = &constraints;
     let report = Analyzer::analyze(&input);
     let hits = report.with_code("WS004");

@@ -5,9 +5,10 @@
 //! drop-in for [`PolicyEngine`]: same views byte-for-byte, same per-node
 //! decisions, same equivalence-class partition, under every conflict
 //! strategy, and the same coverage for every rule — the fact the
-//! analyzer's WS002 reads from the tables instead of the interpreter. The
+//! verifier reads from the tables instead of the interpreter. The
 //! verifier's shadowing and dead-rule findings are checked against the
-//! interpreter too: revoking a flagged rule changes no decision.
+//! interpreter too: revoking flagged rules, one at a time or all of a
+//! store's at once, changes no decision.
 //! This suite drives that claim with seeded random policy bases, then
 //! checks the server-level wiring: the server, which answers every cache
 //! miss from the compiled tables, serves the interpreter's bytes,
@@ -17,6 +18,7 @@
 
 use std::collections::HashSet;
 use websec_core::analyzer::policy_verify::{run_policy_pass, PolicyPassId, PolicyVerifyInput};
+use websec_core::policy::mls::ContextLabel;
 use websec_core::policy::AuthzId;
 use websec_core::prelude::*;
 use websec_core::xml::NodeId;
@@ -307,8 +309,8 @@ fn rich_stack(rng: &mut SecureRng) -> (PolicyStore, DocumentStore) {
 /// classes it covers plus the `(node, attribute)` pairs it selects — is
 /// exactly [`PolicyEngine::covered_nodes`], for every rule and document of
 /// seeded [`rich_stack`] stores, denials and attribute rules included.
-/// WS002 reads coverage only from the tables, so this is the fact its
-/// findings rest on.
+/// The verifier reads coverage only from the tables, so this is the fact
+/// its WS013–WS015 findings rest on.
 #[test]
 fn compiled_coverage_matches_interpreter_rule_by_rule() {
     let mut compared = 0usize;
@@ -427,8 +429,7 @@ fn class_numbering_follows_document_order() {
     assert_no_sync_findings();
 }
 
-/// Seeded [`rich_stack`] stores in the verifier oracle: enough for more
-/// than fifty WS013 findings.
+/// Seeded [`rich_stack`] stores in the verifier oracle.
 const REDUNDANCY_SEEDS: u64 = 1_000;
 
 /// Profiles for the verifier oracle: one holding each [`rich_stack`]
@@ -484,57 +485,241 @@ fn interpreted_decisions(
     out
 }
 
+/// The rules the verifier calls redundant in `compiled`: each WS013 and
+/// WS015 finding with the rule it flags (the last one its span names).
+/// A WS013 span names two rules when another rule dominates the flagged
+/// one and one when the flagged denial loses to every grant it can meet.
+fn flagged_rules(compiled: &CompiledPolicies, docs: &DocumentStore) -> Vec<(Diagnostic, AuthzId)> {
+    let mut input = PolicyVerifyInput::new(compiled);
+    for name in docs.names() {
+        input = input.with_document(name, docs.get(name).unwrap());
+    }
+    [PolicyPassId::Ws013, PolicyPassId::Ws015]
+        .into_iter()
+        .flat_map(|pass| run_policy_pass(&input, pass))
+        .map(|finding| {
+            let id = finding.span.rsplit('#').next().unwrap().parse().unwrap();
+            (finding, AuthzId(id))
+        })
+        .collect()
+}
+
+/// Flagged rules checked by [`assert_flagged_rules_are_redundant`], per
+/// kind.
+#[derive(Default)]
+struct Redundant {
+    dominated: usize,
+    beaten_denials: usize,
+    dead: usize,
+}
+
+/// Revokes each rule the verifier flags in `store` (compiled under
+/// `strategy` over `docs`), one at a time and then all together, and
+/// asserts that no interpreted decision or view changes for `profiles`.
+fn assert_flagged_rules_are_redundant(
+    store: &PolicyStore,
+    docs: &DocumentStore,
+    strategy: ConflictStrategy,
+    profiles: &[SubjectProfile],
+    label: &str,
+    counts: &mut Redundant,
+) {
+    let compiled = PolicySnapshot::new(store, strategy, docs).compile();
+    let flagged = flagged_rules(&compiled, docs);
+    if flagged.is_empty() {
+        return;
+    }
+    let engine = PolicyEngine::new(strategy);
+    let before = interpreted_decisions(&engine, store, docs, profiles);
+    let mut all = store.clone();
+    for (finding, id) in &flagged {
+        let mut without = store.clone();
+        assert!(without.revoke(*id), "{label}: no rule #{}", id.0);
+        assert!(
+            interpreted_decisions(&engine, &without, docs, profiles) == before,
+            "{label} ({strategy:?}): revoking the flagged rule changes a decision: {}",
+            finding.machine_line()
+        );
+        all.revoke(*id);
+        match (finding.code, finding.span.starts_with("authorizations ")) {
+            ("WS013", true) => counts.dominated += 1,
+            ("WS013", false) => counts.beaten_denials += 1,
+            _ => counts.dead += 1,
+        }
+    }
+    // With one flagged rule, the loop above already revoked "all".
+    assert!(
+        flagged.len() == 1 || interpreted_decisions(&engine, &all, docs, profiles) == before,
+        "{label} ({strategy:?}): revoking all {} flagged rules together changes a decision",
+        flagged.len()
+    );
+}
+
+/// Profiles for the large-store oracle: each identity the store's
+/// specific grants name, plus one it does not, holding no role or one of
+/// the hierarchy's four, with and without a physician credential.
+fn large_store_oracle_profiles(policies: &PolicyStore) -> Vec<SubjectProfile> {
+    let mut identities: Vec<String> = policies
+        .authorizations()
+        .iter()
+        .filter_map(|a| match &a.subject {
+            SubjectSpec::Identity(who) => Some(who.clone()),
+            _ => None,
+        })
+        .collect();
+    identities.sort();
+    identities.dedup();
+    identities.push("carol".into());
+    let mut out = Vec::new();
+    for who in &identities {
+        for role in [None, Some("staff"), Some("resident"), Some("attending"), Some("chief")] {
+            for physician in [false, true] {
+                let mut profile = SubjectProfile::new(who);
+                if let Some(role) = role {
+                    profile = profile.with_role(Role::new(role));
+                }
+                if physician {
+                    profile = profile.with_credential(Credential::new("physician", who));
+                }
+                out.push(profile);
+            }
+        }
+    }
+    out
+}
+
+/// A 40-document store from the generator `serving_bench` and wsbench's
+/// `cold_reads` run at 100,000 documents: 8 subjects, 4 specific grants.
+fn small_large_store() -> (PolicyStore, DocumentStore) {
+    let (policies, docs, _) = large_store(&LargeStoreSpec {
+        docs: 40,
+        subjects: 8,
+        specific_auths: 4,
+    });
+    (policies, docs)
+}
+
 /// Verifies the verifier: a rule that WS013 calls shadowed or WS015 calls
 /// dead is redundant, so revoking it leaves every interpreted decision
 /// and view unchanged (Gabillon's redundancy test, "A Logical
-/// Formalization of a Secure XML Database"), over seeded [`rich_stack`]
+/// Formalization of a Secure XML Database"), and so does revoking every
+/// flagged rule of a store at once. Checked over seeded [`rich_stack`]
 /// stores under all five strategies, for profiles holding one subject
-/// spec or two.
+/// spec or two, and over the 40-document large store under the default
+/// strategy it is served with, for identity × role × credential profiles
+/// (about 6 s of a debug run per strategy, so one).
 #[test]
 fn rules_the_verifier_flags_are_redundant() {
     let profiles = oracle_profiles();
-    let (mut shadowed, mut dead) = (0usize, 0usize);
+    let mut counts = Redundant::default();
     for seed in 0..REDUNDANCY_SEEDS {
         let mut rng = SecureRng::seeded(0xc07e_0000 + seed);
         let (store, docs) = rich_stack(&mut rng);
         let strategy = STRATEGIES[(seed % 5) as usize];
-        let compiled = PolicySnapshot::new(&store, strategy, &docs).compile();
-        let mut input = PolicyVerifyInput::new(&compiled);
-        for name in docs.names() {
-            input = input.with_document(name, docs.get(name).unwrap());
-        }
-        let flagged: Vec<(Diagnostic, u32)> = [PolicyPassId::Ws013, PolicyPassId::Ws015]
-            .into_iter()
-            .flat_map(|pass| run_policy_pass(&input, pass))
-            .map(|finding| {
-                // The flagged rule is the last one the span names.
-                let id = finding.span.rsplit('#').next().unwrap().parse().unwrap();
-                (finding, id)
-            })
-            .collect();
-        if flagged.is_empty() {
-            continue;
-        }
-        let engine = PolicyEngine::new(strategy);
-        let before = interpreted_decisions(&engine, &store, &docs, &profiles);
-        for (finding, id) in flagged {
-            let mut without = store.clone();
-            assert!(without.revoke(AuthzId(id)), "seed {seed}: no rule #{id}");
-            assert!(
-                interpreted_decisions(&engine, &without, &docs, &profiles) == before,
-                "seed {seed} ({strategy:?}): revoking the flagged rule changes a decision: {}",
-                finding.machine_line()
-            );
-            if finding.code == "WS013" {
-                shadowed += 1;
-            } else {
-                dead += 1;
-            }
-        }
+        let label = format!("seed {seed}");
+        assert_flagged_rules_are_redundant(&store, &docs, strategy, &profiles, &label, &mut counts);
     }
-    assert!(shadowed >= 50, "only {shadowed} WS013 findings checked");
-    assert!(dead >= 500, "only {dead} WS015 findings checked");
+    assert!(counts.dominated >= 120, "only {} dominated rules checked", counts.dominated);
+    assert!(counts.beaten_denials >= 850, "only {} beaten denials checked", counts.beaten_denials);
+    assert!(counts.dead >= 1_000, "only {} dead rules checked", counts.dead);
+
+    let (policies, docs) = small_large_store();
+    let profiles = large_store_oracle_profiles(&policies);
+    let mut counts = Redundant::default();
+    let strategy = ConflictStrategy::DenialsTakePrecedence;
+    assert_flagged_rules_are_redundant(&policies, &docs, strategy, &profiles, "large store", &mut counts);
+    assert!(counts.dominated >= 5, "only {} large-store rules checked", counts.dominated);
     assert_no_sync_findings();
+}
+
+/// Two rules a shadowing check must not flag, because each decides a
+/// view: rule #3 of [`rich_stack`] seed 70 (deny `Read` on `//n0` to
+/// `alice`, first-level propagation) under deny-precedence, and the
+/// physician denial #14 on `//audit` of the 40-document large store. A
+/// profile holding two subject specs meets both a grant and the denial,
+/// so revoking the denial changes its view. Neither the analyzer nor the
+/// verifier names either rule.
+#[test]
+fn rules_that_decide_a_view_are_not_flagged() {
+    let mut rng = SecureRng::seeded(0xc07e_0000 + 70);
+    let (store, docs) = rich_stack(&mut rng);
+    let alice_chief = SubjectProfile::new("alice").with_role(Role::new("chief"));
+    let lengths = assert_decisive_and_unflagged(
+        &store,
+        &docs,
+        STRATEGIES[70 % 5],
+        AuthzId(3),
+        &alice_chief,
+        "d.xml",
+    );
+    // An `<n0 ssn="s0"/>` appears once the denial is gone.
+    assert_eq!(lengths, (43, 57));
+
+    let (policies, docs) = small_large_store();
+    let physician_chief = SubjectProfile::new("subject-0")
+        .with_role(Role::new("chief"))
+        .with_credential(Credential::new("physician", "subject-0"));
+    let lengths = assert_decisive_and_unflagged(
+        &policies,
+        &docs,
+        ConflictStrategy::DenialsTakePrecedence,
+        AuthzId(14),
+        &physician_chief,
+        "r0.xml",
+    );
+    // An empty `<audit/>` appears once the physician denial is gone: the
+    // chief's grant reaches it, while `sig` stays denied to the staff and
+    // resident roles a chief dominates.
+    assert_eq!(lengths, (103, 111));
+    assert_no_sync_findings();
+}
+
+/// Asserts that revoking `rule` from `store` changes the interpreted
+/// view of `doc` for `profile`, and that neither the analyzer nor the
+/// verifier flags `rule`. Returns the view's length before and after.
+fn assert_decisive_and_unflagged(
+    store: &PolicyStore,
+    docs: &DocumentStore,
+    strategy: ConflictStrategy,
+    rule: AuthzId,
+    profile: &SubjectProfile,
+    doc: &str,
+) -> (usize, usize) {
+    let engine = PolicyEngine::new(strategy);
+    let view = |store: &PolicyStore| {
+        engine
+            .compute_view(store, profile, doc, docs.get(doc).unwrap())
+            .to_xml_string()
+    };
+    let mut without = store.clone();
+    assert!(without.revoke(rule));
+    let (before, after) = (view(store), view(&without));
+    assert_ne!(before, after, "revoking #{} must change the view", rule.0);
+
+    let mut stack = SecureWebStack::new([MASTER_KEY_SEED; 32]);
+    for name in docs.names() {
+        let label = ContextLabel::fixed(Level::Unclassified);
+        stack.add_document(name, docs.get(name).unwrap().clone(), label);
+    }
+    stack.policies = store.clone();
+    stack.engine = engine;
+    let span = format!("authorization #{}", rule.0);
+    let report = stack.analyze();
+    assert!(
+        report.diagnostics.iter().all(|d| d.span != span),
+        "the analyzer flags decisive #{}: {}",
+        rule.0,
+        report.human()
+    );
+    let compiled = PolicySnapshot::new(store, strategy, docs).compile();
+    let flagged = flagged_rules(&compiled, docs);
+    assert!(
+        flagged.iter().all(|(_, id)| *id != rule),
+        "the verifier flags decisive #{}: {:?}",
+        rule.0,
+        flagged
+    );
+    (before.len(), after.len())
 }
 
 /// A deliberately per-node WS018: for each element with element

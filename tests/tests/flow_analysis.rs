@@ -101,7 +101,7 @@ fn notary_profile() -> SubjectProfile {
 }
 
 /// A stack with every analyzer input section populated and well-formed:
-/// the default-configuration regression for WS002–WS012.
+/// the default-configuration regression for WS003–WS012.
 fn configured_stack() -> SecureWebStack {
     let mut s = base_stack();
     s.policies.add(Authorization::for_subject(SubjectSpec::WithCredentials(CredentialExpr::OfType("notary".into()))).on(portion("//admin")).privilege(Privilege::Read).id(5).grant());
@@ -463,17 +463,17 @@ fn incremental_reanalysis_runs_only_affected_passes() {
     // Cold start: every pass runs.
     let report = server.analyze();
     assert!(report.is_clean(), "{}", report.human());
-    assert_eq!(server.last_passes_run().len(), 11);
+    assert_eq!(server.last_passes_run().len(), 10);
     let m = server.metrics();
-    assert_eq!(m.analysis_passes_run, 11);
+    assert_eq!(m.analysis_passes_run, 10);
     assert_eq!(m.analysis_passes_reused, 0);
 
     // Same token: the cached report is reused wholesale.
     let _ = server.analyze();
     assert!(server.last_passes_run().is_empty());
     let m = server.metrics();
-    assert_eq!(m.analysis_passes_run, 11);
-    assert_eq!(m.analysis_passes_reused, 11);
+    assert_eq!(m.analysis_passes_run, 10);
+    assert_eq!(m.analysis_passes_reused, 10);
 
     // A privacy-section mutation re-runs exactly the passes that read it.
     server.update(|s| {
@@ -483,20 +483,20 @@ fn incremental_reanalysis_runs_only_affected_passes() {
     let _ = server.analyze();
     assert_eq!(server.last_passes_run(), vec!["WS004", "WS007", "WS010"]);
     let m = server.metrics();
-    assert_eq!(m.analysis_passes_run, 14);
-    assert_eq!(m.analysis_passes_reused, 19);
+    assert_eq!(m.analysis_passes_run, 13);
+    assert_eq!(m.analysis_passes_reused, 17);
 
     // An RDF-section mutation re-runs exactly the semantic passes.
     server.update(|s| s.semantic_stores.push(("extra".into(), sealed_store())));
     let _ = server.analyze();
     assert_eq!(server.last_passes_run(), vec!["WS006", "WS009"]);
     let m = server.metrics();
-    assert_eq!(m.analysis_passes_run, 16);
-    assert_eq!(m.analysis_passes_reused, 28);
+    assert_eq!(m.analysis_passes_run, 15);
+    assert_eq!(m.analysis_passes_reused, 25);
 
     // Under the Deny gate the gate's analysis of the candidate is the
     // update's only analysis: an accepted policy-only update runs exactly
-    // the five passes that read the policy section, and publishes their
+    // the four passes that read the policy section, and publishes their
     // report, so the analyze() right after it is a wholesale reuse.
     server.set_analysis_gate(AnalysisGate::Deny);
     let _ = server.verify_policies();
@@ -512,16 +512,16 @@ fn incremental_reanalysis_runs_only_affected_passes() {
         })
         .expect("policy update admitted");
     let d = server.metrics().delta(&before);
-    assert_eq!(d.analysis_passes_run, 5);
+    assert_eq!(d.analysis_passes_run, 4);
     assert_eq!(
         server.last_passes_run(),
-        vec!["WS002", "WS005", "WS008", "WS009", "WS012"]
+        vec!["WS005", "WS008", "WS009", "WS012"]
     );
     let before = server.metrics();
     let report = server.analyze();
     let d = server.metrics().delta(&before);
     assert!(server.last_passes_run().is_empty());
-    assert_eq!((d.analysis_passes_run, d.analysis_passes_reused), (0, 11));
+    assert_eq!((d.analysis_passes_run, d.analysis_passes_reused), (0, 10));
     assert_eq!(report.to_json(), server.snapshot().analyze().to_json());
 
     // A privacy-only gated update runs exactly the privacy passes.
@@ -542,7 +542,7 @@ fn incremental_reanalysis_runs_only_affected_passes() {
     let before = server.metrics();
     let _ = server.analyze();
     let d = server.metrics().delta(&before);
-    assert_eq!((d.analysis_passes_run, d.analysis_passes_reused), (0, 11));
+    assert_eq!((d.analysis_passes_run, d.analysis_passes_reused), (0, 10));
 }
 
 #[test]

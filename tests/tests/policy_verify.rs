@@ -210,8 +210,9 @@ fn strategy_switch_reaches_both_analyses() {
     // An equal-priority grant/deny pair is a warning under the default
     // strategy and an error tie under ExplicitPriority. The conflict
     // strategy is part of the policy section's fingerprint, so switching
-    // it re-runs the passes that read it (WS002, WS014) instead of
-    // reusing their default-strategy findings.
+    // it re-runs the passes that read that section (WS005, WS008, WS009,
+    // WS012 and the verifier, whose WS014 depends on the strategy) instead
+    // of reusing their default-strategy findings.
     let mut stack = hospital_stack(&spec());
     for sign in [Sign::Plus, Sign::Minus] {
         stack.policies.add(
@@ -238,7 +239,10 @@ fn strategy_switch_reaches_both_analyses() {
     server.update(|s| s.engine.strategy = ConflictStrategy::ExplicitPriority);
     server.invalidate_views();
     let report = server.analyze();
-    assert!(server.last_passes_run().contains(&"WS002"));
+    assert_eq!(
+        server.last_passes_run(),
+        vec!["WS005", "WS008", "WS009", "WS012"]
+    );
     assert_eq!(report.to_json(), server.snapshot().analyze().to_json());
     let report = server.verify_policies();
     assert!(is_error(&report, "WS014"), "{}", report.human());
