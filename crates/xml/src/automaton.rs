@@ -249,7 +249,13 @@ impl PathAutomaton {
         self.steps.len()
     }
 
-    fn node_matches(&self, step: &AutoStep, doc: &Document, node: NodeId, sym: Option<u32>) -> bool {
+    fn node_matches(
+        &self,
+        step: &AutoStep,
+        doc: &Document,
+        node: NodeId,
+        sym: Option<u32>,
+    ) -> bool {
         let name_ok = match step.test {
             AutoTest::Name(want) => sym == Some(want),
             AutoTest::Wildcard => doc.name(node).is_some(),

@@ -201,8 +201,7 @@ impl ElementDecl {
     /// Allows the given child element names.
     #[must_use]
     pub fn with_children(mut self, names: &[&str]) -> Self {
-        self.children
-            .extend(names.iter().map(|s| (*s).to_string()));
+        self.children.extend(names.iter().map(|s| (*s).to_string()));
         self
     }
 
@@ -272,7 +271,8 @@ mod tests {
 
     #[test]
     fn missing_required_attribute() {
-        let doc = Document::parse("<hospital><patient><name>A</name></patient></hospital>").unwrap();
+        let doc =
+            Document::parse("<hospital><patient><name>A</name></patient></hospital>").unwrap();
         let violations = patient_dtd().validate(&doc);
         assert!(violations.contains(&Violation::MissingAttribute {
             element: "patient".into(),
@@ -282,8 +282,7 @@ mod tests {
 
     #[test]
     fn disallowed_attribute_on_closed_list() {
-        let doc =
-            Document::parse("<hospital><patient id=\"p1\" ssn=\"x\"/></hospital>").unwrap();
+        let doc = Document::parse("<hospital><patient id=\"p1\" ssn=\"x\"/></hospital>").unwrap();
         let violations = patient_dtd().validate(&doc);
         assert!(violations.contains(&Violation::AttributeNotAllowed {
             element: "patient".into(),

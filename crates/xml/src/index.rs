@@ -138,7 +138,12 @@ mod tests {
     #[test]
     fn complex_paths_fall_back() {
         let indexed = IndexedDocument::new(doc());
-        for q in ["//item[@id='2']", "/shop/item", "//item/price", "//item/@id"] {
+        for q in [
+            "//item[@id='2']",
+            "/shop/item",
+            "//item/price",
+            "//item/@id",
+        ] {
             let path = Path::parse(q).unwrap();
             assert!(
                 IndexedDocument::bare_descendant_name(&path).is_none(),

@@ -674,10 +674,7 @@ mod tests {
         let mut d2 = Document::new("r");
         d2.set_attribute(d2.root(), "b", "2");
         d2.set_attribute(d2.root(), "a", "1");
-        assert_eq!(
-            d1.canonical_bytes(d1.root()),
-            d2.canonical_bytes(d2.root())
-        );
+        assert_eq!(d1.canonical_bytes(d1.root()), d2.canonical_bytes(d2.root()));
     }
 
     #[test]

@@ -470,7 +470,11 @@ mod tests {
     fn nesting_past_the_limit_is_refused() {
         let err = Document::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
         assert!(err.message.contains("nesting"), "{err}");
-        assert_eq!(err.offset, 3 * MAX_DEPTH, "refused at the first level too deep");
+        assert_eq!(
+            err.offset,
+            3 * MAX_DEPTH,
+            "refused at the first level too deep"
+        );
     }
 
     #[test]

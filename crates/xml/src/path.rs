@@ -162,12 +162,9 @@ impl Path {
             let mut predicates = Vec::new();
             while pos < bytes.len() && bytes[pos] == b'[' {
                 pos += 1;
-                let end = src[pos..]
-                    .find(']')
-                    .ok_or_else(|| PathError {
-                        message: "unterminated predicate".into(),
-                    })?
-                    + pos;
+                let end = src[pos..].find(']').ok_or_else(|| PathError {
+                    message: "unterminated predicate".into(),
+                })? + pos;
                 predicates.push(parse_pred(src[pos..end].trim())?);
                 pos = end + 1;
             }
@@ -274,10 +271,7 @@ impl Path {
                     .iter()
                     .map(|&n| {
                         if step.descendant {
-                            doc.descendants(n)
-                                .into_iter()
-                                .filter(|&d| d != n)
-                                .collect()
+                            doc.descendants(n).into_iter().filter(|&d| d != n).collect()
                         } else {
                             doc.children(n).collect()
                         }
@@ -348,10 +342,7 @@ impl Path {
     /// Whether the final step addresses an attribute.
     #[must_use]
     pub fn targets_attribute(&self) -> bool {
-        matches!(
-            self.steps.last().map(|s| &s.test),
-            Some(Test::Attribute(_))
-        )
+        matches!(self.steps.last().map(|s| &s.test), Some(Test::Attribute(_)))
     }
 
     /// The source text this path was parsed from.
@@ -450,7 +441,10 @@ mod tests {
     fn child_path() {
         let d = doc();
         assert_eq!(
-            Path::parse("/hospital/patient").unwrap().select_nodes(&d).len(),
+            Path::parse("/hospital/patient")
+                .unwrap()
+                .select_nodes(&d)
+                .len(),
             2
         );
     }
@@ -461,7 +455,10 @@ mod tests {
         // name appears under patient (2x) and doctor (1x).
         assert_eq!(Path::parse("//name").unwrap().select_nodes(&d).len(), 3);
         assert_eq!(
-            Path::parse("/hospital//name").unwrap().select_nodes(&d).len(),
+            Path::parse("/hospital//name")
+                .unwrap()
+                .select_nodes(&d)
+                .len(),
             3
         );
     }
@@ -470,7 +467,10 @@ mod tests {
     fn wildcard() {
         let d = doc();
         // children of hospital: 2 patients + 1 staff.
-        assert_eq!(Path::parse("/hospital/*").unwrap().select_nodes(&d).len(), 3);
+        assert_eq!(
+            Path::parse("/hospital/*").unwrap().select_nodes(&d).len(),
+            3
+        );
     }
 
     #[test]
@@ -498,7 +498,9 @@ mod tests {
     #[test]
     fn child_text_predicate() {
         let d = doc();
-        let nodes = Path::parse("//patient[name='Alice']").unwrap().select_nodes(&d);
+        let nodes = Path::parse("//patient[name='Alice']")
+            .unwrap()
+            .select_nodes(&d);
         assert_eq!(nodes.len(), 1);
         assert_eq!(d.attribute(nodes[0], "id"), Some("p1"));
     }
@@ -506,7 +508,9 @@ mod tests {
     #[test]
     fn own_text_predicate() {
         let d = doc();
-        let nodes = Path::parse("//record[text()='injury']").unwrap().select_nodes(&d);
+        let nodes = Path::parse("//record[text()='injury']")
+            .unwrap()
+            .select_nodes(&d);
         assert_eq!(nodes.len(), 1);
         assert_eq!(d.attribute(nodes[0], "severity"), Some("high"));
     }
@@ -514,10 +518,14 @@ mod tests {
     #[test]
     fn positional_predicate() {
         let d = doc();
-        let first = Path::parse("/hospital/patient[1]").unwrap().select_nodes(&d);
+        let first = Path::parse("/hospital/patient[1]")
+            .unwrap()
+            .select_nodes(&d);
         assert_eq!(first.len(), 1);
         assert_eq!(d.attribute(first[0], "id"), Some("p1"));
-        let second = Path::parse("/hospital/patient[2]").unwrap().select_nodes(&d);
+        let second = Path::parse("/hospital/patient[2]")
+            .unwrap()
+            .select_nodes(&d);
         assert_eq!(d.attribute(second[0], "id"), Some("p2"));
     }
 

@@ -293,8 +293,14 @@ mod tests {
         let (v, mut doc) = store.read("item.xml").unwrap();
         doc.set_attribute(doc.root(), "editor", "b");
         store.commit("item.xml", v, doc).unwrap();
-        assert_eq!(store.read("item.xml").unwrap().1.attribute(
-            store.read("item.xml").unwrap().1.root(), "editor"), Some("b"));
+        assert_eq!(
+            store
+                .read("item.xml")
+                .unwrap()
+                .1
+                .attribute(store.read("item.xml").unwrap().1.root(), "editor"),
+            Some("b")
+        );
     }
 
     #[test]
