@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Repository gate: rustfmt over the analyzer library, offline build,
-# clippy with warnings denied, full test suite, the wsbench build, tests
-# and short runs, the websec-lint static checks, the WS003-WS012 analyzer
+# Repository gate: rustfmt over the analyzer and websec-xml libraries,
+# offline build, clippy with warnings denied, full test suite, the wsbench
+# build, tests and short runs, the websec-lint static checks, the WS003-WS012 analyzer
 # over every example stack (byte-diffed for determinism, failing on error
 # findings), the WS013-WS018 static policy verifier over the seed fixtures
 # (byte-diffed against the committed ANALYSIS_policy.json baseline), and
@@ -42,10 +42,11 @@ if [ "${1:-}" = "--verify-policies" ]; then
     exit 0
 fi
 
-# The analyzer library (lib.rs and every module it declares) is in
-# rustfmt's default style; the rest of the tree is not yet.
-echo "==> rustfmt --check (analyzer library)"
+# The analyzer and websec-xml libraries (each lib.rs and every module it
+# declares) are in rustfmt's default style; the rest of the tree is not yet.
+echo "==> rustfmt --check (analyzer and websec-xml libraries)"
 rustfmt --edition 2021 --check crates/analyzer/src/lib.rs
+rustfmt --edition 2021 --check crates/xml/src/lib.rs
 
 echo "==> cargo build --release --offline"
 cargo build --release --offline

@@ -15,7 +15,9 @@
 //!   passes whose declared sections ([`websec_analyzer::PassId::sections`])
 //!   moved re-run, with the memo's diagnostics spliced in for the rest; the
 //!   verifier, whose passes all read Policy and Documents, re-runs only when
-//!   one of those two moved.
+//!   one of those two moved. The Documents section is rendered only when
+//!   the snapshot holds other documents than the ones the memo
+//!   fingerprinted (compared by identity, see [`SnapshotAnalysis::rebase`]).
 //!
 //! The [`AnalysisGate`] decides what updates do with findings:
 //! [`AnalysisGate::Off`] skips analysis entirely, [`AnalysisGate::Warn`]
@@ -51,6 +53,7 @@ use crate::hash::Fnv1a;
 use crate::stack::SecureWebStack;
 use websec_analyzer::{run_pass, Diagnostic, PassId, PolicyPassId, Report, Section, Severity};
 use websec_policy::{CompiledPolicies, PolicyEngine, Privilege};
+use websec_xml::DocumentStore;
 
 /// What [`StackServer::try_update`] does with analyzer findings.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -81,6 +84,12 @@ struct SnapshotAnalysis {
     token: Token,
     /// Per-[`Section`] fingerprints (indexed like [`Section::ALL`]).
     fingerprints: [u64; SECTION_COUNT],
+    /// The documents the Documents fingerprint was taken over. Holding
+    /// them keeps each one shared, so any later write to one copies it to
+    /// a new address first: a store that
+    /// [`DocumentStore::shares_documents`] with this one holds the same
+    /// bytes.
+    documents: DocumentStore,
     /// Per-pass diagnostics (indexed like [`PassId::ALL`]); `None` for a
     /// pass not yet run on this snapshot.
     passes: Vec<Option<Vec<Diagnostic>>>,
@@ -104,6 +113,8 @@ pub(super) struct AnalysisMemo {
 
 /// Writes the deterministic rendering of one analyzer input section of
 /// `stack` to `s`: two stacks built alike render the same bytes.
+/// [`section_fingerprints`] does not call it for the Documents section
+/// when the memo already fingerprinted the very same documents.
 /// Documents stream through [`websec_xml::Document::write_xml`], document
 /// labels are sorted by name first, and the other sections render with
 /// `Debug` over `Vec`s, BTree collections and triple stores, whose
@@ -172,12 +183,21 @@ fn render_section(stack: &SecureWebStack, section: Section, s: &mut impl Write) 
 }
 
 /// Fingerprints every analyzer input section of `stack`: the FNV-1a
-/// digest of its rendering, written straight into the digest.
-fn section_fingerprints(stack: &SecureWebStack) -> [u64; SECTION_COUNT] {
-    Section::ALL.map(|section| {
-        let mut digest = Fnv1a::default();
-        render_section(stack, section, &mut digest);
-        digest.0
+/// digest of its rendering, written straight into the digest. When `prev`
+/// fingerprinted exactly `stack`'s documents, their digest carries over
+/// and the Documents section is not rendered.
+fn section_fingerprints(
+    stack: &SecureWebStack,
+    prev: Option<&SnapshotAnalysis>,
+) -> [u64; SECTION_COUNT] {
+    let same_documents = prev.filter(|p| p.documents.shares_documents(&stack.documents));
+    std::array::from_fn(|i| match (Section::ALL[i], same_documents) {
+        (Section::Documents, Some(p)) => p.fingerprints[i],
+        (section, _) => {
+            let mut digest = Fnv1a::default();
+            render_section(stack, section, &mut digest);
+            digest.0
+        }
     })
 }
 
@@ -203,9 +223,12 @@ fn severity_counts(report: Option<&Report>) -> (u64, u64) {
 impl SnapshotAnalysis {
     /// The analysis of `stack` at `token`, derived from `prev`, another
     /// snapshot's analysis: `stack` is fingerprinted once, and every result
-    /// whose declared sections kept their fingerprints carries over.
+    /// whose declared sections kept their fingerprints carries over. The
+    /// Documents section is rendered only when `stack` does not hold
+    /// exactly `prev`'s documents, that is after a document was inserted,
+    /// removed or written.
     fn rebase(prev: Option<&SnapshotAnalysis>, stack: &SecureWebStack, token: Token) -> Self {
-        let fingerprints = section_fingerprints(stack);
+        let fingerprints = section_fingerprints(stack, prev);
         let moved: Vec<Section> = match prev {
             Some(p) => Section::ALL
                 .iter()
@@ -236,6 +259,7 @@ impl SnapshotAnalysis {
         SnapshotAnalysis {
             token,
             fingerprints,
+            documents: stack.documents.clone(),
             passes,
             report,
             policy,
@@ -617,8 +641,8 @@ mod tests {
     #[test]
     fn identically_built_stacks_fingerprint_alike() {
         assert_eq!(
-            section_fingerprints(&rdf_stack()),
-            section_fingerprints(&rdf_stack())
+            section_fingerprints(&rdf_stack(), None),
+            section_fingerprints(&rdf_stack(), None)
         );
     }
 }

@@ -508,7 +508,10 @@ impl StackServer {
 
     /// Mutates the stack configuration (documents, policies, labels,
     /// context, gate) on a private clone of the snapshot, then publishes
-    /// the clone and drops every cached view.
+    /// the clone and drops every cached view. The clone shares the
+    /// snapshot's documents, and `mutate` copies only those it writes, so
+    /// a policy change neither copies nor, when the replaced snapshot is
+    /// dropped, frees any document.
     ///
     /// Takes `&self`: mutation is safe *during* concurrent serving.
     /// In-flight requests complete against the snapshot they started with;

@@ -34,7 +34,10 @@ pub mod vocab {
 /// The layered stack.
 ///
 /// Cloning produces an independent snapshot — the serving layer relies on
-/// this for copy-on-write mutation of a shared `Arc` snapshot.
+/// this for copy-on-write mutation of a shared `Arc` snapshot. The clone
+/// shares every document with the original until one side writes it
+/// ([`DocumentStore`]), so a clone costs the policy base and the other
+/// configuration, not the documents.
 #[derive(Clone)]
 pub struct SecureWebStack {
     /// Documents under management.
@@ -102,8 +105,26 @@ impl SecureWebStack {
     }
 
     /// Adds a document with a context label, registering catalog metadata.
+    /// The catalog keeps one entry per document: re-adding a name replaces
+    /// the document, its label and its entry's classification.
     pub fn add_document(&mut self, name: &str, doc: Document, label: ContextLabel) {
-        let entry = self.catalog.fresh_blank();
+        let named = TriplePattern::new(
+            PatternTerm::Any,
+            PatternTerm::Const(Term::iri(vocab::DOC_NAME)),
+            PatternTerm::Const(Term::lit(name)),
+        );
+        let entry = match self.catalog.query(&named).into_iter().next() {
+            Some(existing) => existing.s,
+            None => self.catalog.fresh_blank(),
+        };
+        let classified = TriplePattern::new(
+            PatternTerm::Const(entry.clone()),
+            PatternTerm::Const(Term::iri(vocab::CLASSIFIED)),
+            PatternTerm::Any,
+        );
+        for stale in self.catalog.query(&classified) {
+            self.catalog.remove(&stale);
+        }
         self.catalog.insert(&Triple::new(
             entry.clone(),
             Term::iri(vocab::DOC_NAME),
@@ -265,6 +286,26 @@ mod tests {
         assert_eq!(s.catalog_names(), vec!["h.xml".to_string()]);
         assert!(s.label_of("h.xml").is_some());
         assert!(s.label_of("nope.xml").is_none());
+
+        // Re-adding a document under another label keeps one catalog
+        // entry, classified at the new level only.
+        s.add_document(
+            "h.xml",
+            Document::parse("<hospital/>").unwrap(),
+            ContextLabel::fixed(Level::Secret),
+        );
+        assert_eq!(s.catalog_names(), vec!["h.xml".to_string()]);
+        let levels: Vec<Term> = s
+            .catalog
+            .query(&TriplePattern::new(
+                PatternTerm::Any,
+                PatternTerm::Const(Term::iri(vocab::CLASSIFIED)),
+                PatternTerm::Any,
+            ))
+            .into_iter()
+            .map(|t| t.o)
+            .collect();
+        assert_eq!(levels, vec![Term::lit("S")]);
     }
 
     #[test]

@@ -178,6 +178,32 @@ impl DocumentDecision {
     pub fn allowed_count(&self) -> usize {
         self.node_allowed.values().filter(|&&ok| ok).count()
     }
+
+    /// The view of `doc` this decision leaves: the pruning that keeps
+    /// exactly the allowed nodes and visible attributes. Of a Read
+    /// decision, it is [`PolicyEngine::compute_view`]'s view.
+    #[must_use]
+    pub fn view(&self, doc: &Document) -> Document {
+        let keep = self.allowed_nodes();
+        // Attribute pruning: for kept elements, keep attributes whose
+        // (possibly inherited) decision is positive.
+        let mut keep_attrs: HashMap<NodeId, Vec<String>> = HashMap::new();
+        for &node in &keep {
+            let attrs = doc.attributes(node);
+            if attrs.is_empty() {
+                continue;
+            }
+            let visible: Vec<String> = attrs
+                .iter()
+                .filter(|(name, _)| self.attr_allowed(node, name))
+                .map(|(name, _)| name.clone())
+                .collect();
+            if visible.len() != attrs.len() {
+                keep_attrs.insert(node, visible);
+            }
+        }
+        doc.prune_to_view(&keep, &keep_attrs)
+    }
 }
 
 /// What one authorization covers in one document: the element and text
@@ -374,26 +400,8 @@ impl PolicyEngine {
         doc_name: &str,
         doc: &Document,
     ) -> Document {
-        let decision = self.evaluate_document(store, profile, doc_name, doc, Privilege::Read);
-        let keep = decision.allowed_nodes();
-        // Attribute pruning: for kept elements, keep attributes whose
-        // (possibly inherited) decision is positive.
-        let mut keep_attrs: HashMap<NodeId, Vec<String>> = HashMap::new();
-        for &node in &keep {
-            let attrs = doc.attributes(node);
-            if attrs.is_empty() {
-                continue;
-            }
-            let visible: Vec<String> = attrs
-                .iter()
-                .filter(|(name, _)| decision.attr_allowed(node, name))
-                .map(|(name, _)| name.clone())
-                .collect();
-            if visible.len() != attrs.len() {
-                keep_attrs.insert(node, visible);
-            }
-        }
-        doc.prune_to_view(&keep, &keep_attrs)
+        self.evaluate_document(store, profile, doc_name, doc, Privilege::Read)
+            .view(doc)
     }
 
     /// Computes, per node, the set of **granting** authorizations for

@@ -8,11 +8,19 @@
 use crate::node::{Document, NodeId};
 use crate::path::Path;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// A named collection of XML documents.
+///
+/// Each document sits behind an `Arc` and is copied only when written:
+/// cloning the store shares every document with the clone, and
+/// [`DocumentStore::get_mut`] or [`DocumentStore::remove`] copies a
+/// document that another clone still holds. A store and its clone
+/// therefore never see each other's writes, and a document written after
+/// a clone lives at a new address ([`DocumentStore::shares_documents`]).
 #[derive(Debug, Clone, Default)]
 pub struct DocumentStore {
-    docs: BTreeMap<String, Document>,
+    docs: BTreeMap<String, Arc<Document>>,
     collections: BTreeMap<String, Vec<String>>,
 }
 
@@ -34,7 +42,7 @@ impl DocumentStore {
 
     /// Inserts (or replaces) a document under `name`.
     pub fn insert(&mut self, name: &str, doc: Document) {
-        self.docs.insert(name.to_string(), doc);
+        self.docs.insert(name.to_string(), Arc::new(doc));
     }
 
     /// Removes a document; returns it if present.
@@ -42,18 +50,34 @@ impl DocumentStore {
         for members in self.collections.values_mut() {
             members.retain(|m| m != name);
         }
-        self.docs.remove(name)
+        self.docs.remove(name).map(Arc::unwrap_or_clone)
     }
 
     /// Fetches a document by name.
     #[must_use]
     pub fn get(&self, name: &str) -> Option<&Document> {
-        self.docs.get(name)
+        self.docs.get(name).map(Arc::as_ref)
     }
 
-    /// Mutable access to a document.
+    /// Mutable access to a document, copying it first when a clone of
+    /// this store still shares it.
     pub fn get_mut(&mut self, name: &str) -> Option<&mut Document> {
-        self.docs.get_mut(name)
+        self.docs.get_mut(name).map(Arc::make_mut)
+    }
+
+    /// True when `other` holds exactly this store's documents: the same
+    /// names, each bound to the very document this store holds, not a
+    /// copy. Collections are not compared. While `self` is alive, no write
+    /// through `other` leaves this true, since a write copies a shared
+    /// document first.
+    #[must_use]
+    pub fn shares_documents(&self, other: &DocumentStore) -> bool {
+        self.docs.len() == other.docs.len()
+            && self
+                .docs
+                .iter()
+                .zip(&other.docs)
+                .all(|((a, doc_a), (b, doc_b))| a == b && Arc::ptr_eq(doc_a, doc_b))
     }
 
     /// All document names, sorted.
@@ -211,6 +235,61 @@ mod tests {
     fn collection_requires_existing_doc() {
         let mut s = store();
         s.add_to_collection("wards", "nope.xml");
+    }
+
+    /// Every document's name and serialized bytes.
+    fn bytes(s: &DocumentStore) -> Vec<(String, String)> {
+        s.names()
+            .into_iter()
+            .map(|name| (name.to_string(), s.get(name).unwrap().to_xml_string()))
+            .collect()
+    }
+
+    /// A clone shares each document until one side writes it; a write
+    /// through either side (an attribute set through `get_mut`, an
+    /// insert, a remove) leaves the other side's bytes unchanged.
+    #[test]
+    fn clones_share_documents_until_written() {
+        for write_the_clone in [true, false] {
+            let mut original = store();
+            let mut copy = original.clone();
+            assert!(original.shares_documents(&copy) && copy.shares_documents(&original));
+            let (written, kept) = if write_the_clone {
+                (&mut copy, &original)
+            } else {
+                (&mut original, &copy)
+            };
+            let before = bytes(kept);
+
+            let doc = written.get_mut("ward1.xml").unwrap();
+            let root = doc.root();
+            doc.set_attribute(root, "wing", "east");
+            assert!(!kept.shares_documents(written));
+            assert!(!Arc::ptr_eq(
+                &kept.docs["ward1.xml"],
+                &written.docs["ward1.xml"]
+            ));
+            assert!(Arc::ptr_eq(
+                &kept.docs["ward2.xml"],
+                &written.docs["ward2.xml"]
+            ));
+            assert_eq!(bytes(kept), before);
+
+            written.insert("ward2.xml", Document::parse("<ward/>").unwrap());
+            assert!(written.remove("staff.xml").is_some());
+            assert_eq!(bytes(kept), before);
+            assert_eq!(
+                bytes(written),
+                vec![
+                    (
+                        "ward1.xml".to_string(),
+                        "<ward wing=\"east\"><patient id=\"p1\"/><patient id=\"p2\"/></ward>"
+                            .to_string()
+                    ),
+                    ("ward2.xml".to_string(), "<ward/>".to_string()),
+                ]
+            );
+        }
     }
 
     #[test]

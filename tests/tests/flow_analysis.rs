@@ -535,6 +535,23 @@ fn incremental_reanalysis_runs_only_affected_passes() {
     assert_eq!(server.last_passes_run(), vec!["WS004", "WS007", "WS010"]);
     assert_eq!(server.metrics().delta(&before).analysis_passes_run, 3);
 
+    // A gated update that edits one document in place moves the Documents
+    // section: the candidate shares the snapshot's documents, and the
+    // write copies the edited one, so its fingerprint is taken again. It
+    // re-runs exactly WS005, the only analyzer pass reading Documents,
+    // and the verifier.
+    let before = server.metrics();
+    server
+        .try_update(|s| {
+            let doc = s.documents.get_mut("h.xml").expect("h.xml is registered");
+            let root = doc.root();
+            doc.set_attribute(root, "wing", "east");
+        })
+        .expect("document edit admitted");
+    assert_eq!(server.last_passes_run(), vec!["WS005"]);
+    let d = server.metrics().delta(&before);
+    assert_eq!((d.analysis_passes_run, d.policy_passes_run), (1, 6));
+
     // A rejected update leaves the memo at the old token: the next
     // analyze() is a wholesale reuse.
     let rejected = server.try_update(|s| s.semantic_stores.push(("planted".into(), leaky_store())));
