@@ -128,9 +128,9 @@ impl AdministeredStore {
         match object {
             ObjectSpec::Document(d) => Ok(vec![d.clone()]),
             ObjectSpec::Portion { document, .. } => Ok(vec![document.clone()]),
-            ObjectSpec::AllDocuments
-            | ObjectSpec::Collection(_)
-            | ObjectSpec::PortionAll(_) => Err(AdminError::UnadministrableObject),
+            ObjectSpec::AllDocuments | ObjectSpec::Collection(_) | ObjectSpec::PortionAll(_) => {
+                Err(AdminError::UnadministrableObject)
+            }
         }
     }
 
@@ -158,7 +158,10 @@ impl AdministeredStore {
             return Err(AdminError::UnknownAuthorization);
         };
         let documents = Self::target_documents(&auth.object)?;
-        let is_granter = self.granted_by.get(&id).is_some_and(|g| g == &actor.identity);
+        let is_granter = self
+            .granted_by
+            .get(&id)
+            .is_some_and(|g| g == &actor.identity);
         let administers_all = documents
             .iter()
             .all(|d| self.can_administer(&actor.identity, d));
@@ -196,7 +199,10 @@ mod tests {
     use crate::authz::{Privilege, SubjectSpec};
 
     fn grant_for(doc: &str) -> Authorization {
-        Authorization::for_subject(SubjectSpec::Anyone).on(ObjectSpec::Document(doc.into())).privilege(Privilege::Read).grant()
+        Authorization::for_subject(SubjectSpec::Anyone)
+            .on(ObjectSpec::Document(doc.into()))
+            .privilege(Privilege::Read)
+            .grant()
     }
 
     #[test]
@@ -215,7 +221,12 @@ mod tests {
         admin.register_owner("h.xml", "alice");
         let mallory = SubjectProfile::new("mallory");
         let err = admin.try_add(&mallory, grant_for("h.xml")).unwrap_err();
-        assert_eq!(err, AdminError::NotAuthorized { document: "h.xml".into() });
+        assert_eq!(
+            err,
+            AdminError::NotAuthorized {
+                document: "h.xml".into()
+            }
+        );
         assert_eq!(admin.store.len(), 0);
     }
 
@@ -223,11 +234,15 @@ mod tests {
     fn delegation_enables_administration() {
         let mut admin = AdministeredStore::new();
         admin.register_owner("h.xml", "alice");
-        admin.delegate_admin("alice", "h.xml", "bob", false).unwrap();
+        admin
+            .delegate_admin("alice", "h.xml", "bob", false)
+            .unwrap();
         let bob = SubjectProfile::new("bob");
         assert!(admin.try_add(&bob, grant_for("h.xml")).is_ok());
         // Without grant option bob cannot re-delegate.
-        assert!(admin.delegate_admin("bob", "h.xml", "carol", false).is_err());
+        assert!(admin
+            .delegate_admin("bob", "h.xml", "carol", false)
+            .is_err());
     }
 
     #[test]
@@ -235,7 +250,9 @@ mod tests {
         let mut admin = AdministeredStore::new();
         admin.register_owner("h.xml", "alice");
         admin.delegate_admin("alice", "h.xml", "bob", true).unwrap();
-        admin.delegate_admin("bob", "h.xml", "carol", false).unwrap();
+        admin
+            .delegate_admin("bob", "h.xml", "carol", false)
+            .unwrap();
         let carol = SubjectProfile::new("carol");
         assert!(admin.try_add(&carol, grant_for("h.xml")).is_ok());
     }
@@ -245,7 +262,9 @@ mod tests {
         let mut admin = AdministeredStore::new();
         admin.register_owner("a.xml", "alice");
         admin.register_owner("b.xml", "alice");
-        admin.delegate_admin("alice", "a.xml", "bob", false).unwrap();
+        admin
+            .delegate_admin("alice", "a.xml", "bob", false)
+            .unwrap();
         let bob = SubjectProfile::new("bob");
         assert!(admin.try_add(&bob, grant_for("a.xml")).is_ok());
         assert!(admin.try_add(&bob, grant_for("b.xml")).is_err());
@@ -255,7 +274,9 @@ mod tests {
     fn revoke_by_granter_or_admin() {
         let mut admin = AdministeredStore::new();
         admin.register_owner("h.xml", "alice");
-        admin.delegate_admin("alice", "h.xml", "bob", false).unwrap();
+        admin
+            .delegate_admin("alice", "h.xml", "bob", false)
+            .unwrap();
         let bob = SubjectProfile::new("bob");
         let alice = SubjectProfile::new("alice");
         let mallory = SubjectProfile::new("mallory");
@@ -275,7 +296,9 @@ mod tests {
     fn granter_can_revoke_own_grant() {
         let mut admin = AdministeredStore::new();
         admin.register_owner("h.xml", "alice");
-        admin.delegate_admin("alice", "h.xml", "bob", false).unwrap();
+        admin
+            .delegate_admin("alice", "h.xml", "bob", false)
+            .unwrap();
         let bob = SubjectProfile::new("bob");
         let id = admin.try_add(&bob, grant_for("h.xml")).unwrap();
         admin.try_revoke(&bob, id).unwrap();
@@ -287,7 +310,10 @@ mod tests {
         let mut admin = AdministeredStore::new();
         admin.register_owner("h.xml", "alice");
         let alice = SubjectProfile::new("alice");
-        let auth = Authorization::for_subject(SubjectSpec::Anyone).on(ObjectSpec::AllDocuments).privilege(Privilege::Read).grant();
+        let auth = Authorization::for_subject(SubjectSpec::Anyone)
+            .on(ObjectSpec::AllDocuments)
+            .privilege(Privilege::Read)
+            .grant();
         assert_eq!(
             admin.try_add(&alice, auth).unwrap_err(),
             AdminError::UnadministrableObject
@@ -299,10 +325,13 @@ mod tests {
         let mut admin = AdministeredStore::new();
         admin.register_owner("h.xml", "alice");
         let alice = SubjectProfile::new("alice");
-        let auth = Authorization::for_subject(SubjectSpec::Anyone).on(ObjectSpec::Portion {
+        let auth = Authorization::for_subject(SubjectSpec::Anyone)
+            .on(ObjectSpec::Portion {
                 document: "h.xml".into(),
                 path: websec_xml::Path::parse("//patient").unwrap(),
-            }).privilege(Privilege::Read).grant();
+            })
+            .privilege(Privilege::Read)
+            .grant();
         assert!(admin.try_add(&alice, auth).is_ok());
     }
 }

@@ -331,13 +331,21 @@ mod tests {
 
     #[test]
     fn builders() {
-        let a = Authorization::for_subject(SubjectSpec::Anyone).on(ObjectSpec::AllDocuments).privilege(Privilege::Read).id(1).grant()
-        .with_propagation(Propagation::None)
-        .with_priority(5);
+        let a = Authorization::for_subject(SubjectSpec::Anyone)
+            .on(ObjectSpec::AllDocuments)
+            .privilege(Privilege::Read)
+            .id(1)
+            .grant()
+            .with_propagation(Propagation::None)
+            .with_priority(5);
         assert_eq!(a.sign, Sign::Plus);
         assert_eq!(a.propagation, Propagation::None);
         assert_eq!(a.priority, 5);
-        let d = Authorization::for_subject(SubjectSpec::Anyone).on(ObjectSpec::AllDocuments).privilege(Privilege::Read).id(2).deny();
+        let d = Authorization::for_subject(SubjectSpec::Anyone)
+            .on(ObjectSpec::AllDocuments)
+            .privilege(Privilege::Read)
+            .id(2)
+            .deny();
         assert_eq!(d.sign, Sign::Minus);
     }
 }

@@ -904,8 +904,7 @@ mod tests {
                     profile.identity
                 );
                 for privilege in PRIVILEGES {
-                    let dec =
-                        engine.evaluate_document(store, profile, "h.xml", &d, privilege);
+                    let dec = engine.evaluate_document(store, profile, "h.xml", &d, privilege);
                     for node in d.all_nodes() {
                         assert_eq!(
                             compiled.check(profile, "h.xml", node, privilege),
@@ -928,24 +927,51 @@ mod tests {
     #[test]
     fn document_grants_and_portion_denials() {
         let mut store = PolicyStore::new();
-        store.add(Authorization::for_subject(SubjectSpec::Anyone).on(ObjectSpec::Document("h.xml".into())).privilege(Privilege::Read).grant());
-        store.add(Authorization::for_subject(SubjectSpec::Anyone).on(portion("/hospital/admin")).privilege(Privilege::Read).deny());
-        store.add(Authorization::for_subject(SubjectSpec::Identity("mallory".into())).on(portion("//record")).privilege(Privilege::Read).deny());
+        store.add(
+            Authorization::for_subject(SubjectSpec::Anyone)
+                .on(ObjectSpec::Document("h.xml".into()))
+                .privilege(Privilege::Read)
+                .grant(),
+        );
+        store.add(
+            Authorization::for_subject(SubjectSpec::Anyone)
+                .on(portion("/hospital/admin"))
+                .privilege(Privilege::Read)
+                .deny(),
+        );
+        store.add(
+            Authorization::for_subject(SubjectSpec::Identity("mallory".into()))
+                .on(portion("//record"))
+                .privilege(Privilege::Read)
+                .deny(),
+        );
         assert_equivalent(
             &store,
-            &[
-                SubjectProfile::new("alice"),
-                SubjectProfile::new("mallory"),
-            ],
+            &[SubjectProfile::new("alice"), SubjectProfile::new("mallory")],
         );
     }
 
     #[test]
     fn attribute_denials_and_grants() {
         let mut store = PolicyStore::new();
-        store.add(Authorization::for_subject(SubjectSpec::Anyone).on(ObjectSpec::Document("h.xml".into())).privilege(Privilege::Read).grant());
-        store.add(Authorization::for_subject(SubjectSpec::Anyone).on(portion("//patient/@ssn")).privilege(Privilege::Read).deny());
-        store.add(Authorization::for_subject(SubjectSpec::Identity("auditor".into())).on(portion("//patient/@ssn")).privilege(Privilege::Read).grant());
+        store.add(
+            Authorization::for_subject(SubjectSpec::Anyone)
+                .on(ObjectSpec::Document("h.xml".into()))
+                .privilege(Privilege::Read)
+                .grant(),
+        );
+        store.add(
+            Authorization::for_subject(SubjectSpec::Anyone)
+                .on(portion("//patient/@ssn"))
+                .privilege(Privilege::Read)
+                .deny(),
+        );
+        store.add(
+            Authorization::for_subject(SubjectSpec::Identity("auditor".into()))
+                .on(portion("//patient/@ssn"))
+                .privilege(Privilege::Read)
+                .grant(),
+        );
         assert_equivalent(
             &store,
             &[SubjectProfile::new("x"), SubjectProfile::new("auditor")],
@@ -959,12 +985,27 @@ mod tests {
             .hierarchy
             .add_seniority(Role::new("chief"), Role::new("doctor"));
         store.add_collection_member("wards", "h.xml");
-        store.add(Authorization::for_subject(SubjectSpec::InRole(Role::new("doctor"))).on(ObjectSpec::Collection("wards".into())).privilege(Privilege::Read).grant());
-        store.add(Authorization::for_subject(SubjectSpec::WithCredentials(
+        store.add(
+            Authorization::for_subject(SubjectSpec::InRole(Role::new("doctor")))
+                .on(ObjectSpec::Collection("wards".into()))
+                .privilege(Privilege::Read)
+                .grant(),
+        );
+        store.add(
+            Authorization::for_subject(SubjectSpec::WithCredentials(
                 CredentialExpr::OfType("physician".into())
                     .and(CredentialExpr::AttrGe("years".into(), 5)),
-            )).on(portion("//patient")).privilege(Privilege::Write).grant());
-        store.add(Authorization::for_subject(SubjectSpec::InRole(Role::new("doctor"))).on(portion("/hospital/admin")).privilege(Privilege::Browse).deny());
+            ))
+            .on(portion("//patient"))
+            .privilege(Privilege::Write)
+            .grant(),
+        );
+        store.add(
+            Authorization::for_subject(SubjectSpec::InRole(Role::new("doctor")))
+                .on(portion("/hospital/admin"))
+                .privilege(Privilege::Browse)
+                .deny(),
+        );
         let chief = SubjectProfile::new("carol").with_role(Role::new("chief"));
         let nurse = SubjectProfile::new("nina").with_role(Role::new("nurse"));
         let senior = SubjectProfile::new("sam")
@@ -976,16 +1017,25 @@ mod tests {
     fn propagation_modes_and_positional_fallback() {
         let mut store = PolicyStore::new();
         store.add(
-            Authorization::for_subject(SubjectSpec::Anyone).on(portion("/hospital/patient[1]")).privilege(Privilege::Read).grant()
-            .with_propagation(Propagation::FirstLevel),
+            Authorization::for_subject(SubjectSpec::Anyone)
+                .on(portion("/hospital/patient[1]"))
+                .privilege(Privilege::Read)
+                .grant()
+                .with_propagation(Propagation::FirstLevel),
         );
         store.add(
-            Authorization::for_subject(SubjectSpec::Anyone).on(portion("//record[text()='flu']")).privilege(Privilege::Read).grant()
-            .with_propagation(Propagation::None),
+            Authorization::for_subject(SubjectSpec::Anyone)
+                .on(portion("//record[text()='flu']"))
+                .privilege(Privilege::Read)
+                .grant()
+                .with_propagation(Propagation::None),
         );
         store.add(
-            Authorization::for_subject(SubjectSpec::Anyone).on(ObjectSpec::PortionAll(Path::parse("//budget").unwrap())).privilege(Privilege::Browse).deny()
-            .with_priority(7),
+            Authorization::for_subject(SubjectSpec::Anyone)
+                .on(ObjectSpec::PortionAll(Path::parse("//budget").unwrap()))
+                .privilege(Privilege::Browse)
+                .deny()
+                .with_priority(7),
         );
         assert_equivalent(&store, &[SubjectProfile::new("x")]);
     }
@@ -994,15 +1044,47 @@ mod tests {
     fn duplicate_selections_cover_like_single_rules() {
         let mut store = PolicyStore::new();
         for who in ["ann", "bob", "cy"] {
-            store.add(Authorization::for_subject(SubjectSpec::Identity(who.into())).on(portion("//patient")).privilege(Privilege::Read).grant());
-            store.add(Authorization::for_subject(SubjectSpec::Identity(who.into())).on(portion("//patient/@ssn")).privilege(Privilege::Read).deny());
+            store.add(
+                Authorization::for_subject(SubjectSpec::Identity(who.into()))
+                    .on(portion("//patient"))
+                    .privilege(Privilege::Read)
+                    .grant(),
+            );
+            store.add(
+                Authorization::for_subject(SubjectSpec::Identity(who.into()))
+                    .on(portion("//patient/@ssn"))
+                    .privilege(Privilege::Read)
+                    .deny(),
+            );
             if who == "ann" {
-                store.add(Authorization::for_subject(SubjectSpec::Identity(who.into())).on(portion("/hospital/patient/@ssn")).privilege(Privilege::Read).grant());
+                store.add(
+                    Authorization::for_subject(SubjectSpec::Identity(who.into()))
+                        .on(portion("/hospital/patient/@ssn"))
+                        .privilege(Privilege::Read)
+                        .grant(),
+                );
             }
         }
-        store.add(Authorization::for_subject(SubjectSpec::Identity("bob".into())).on(portion("//patient")).privilege(Privilege::Read).deny().with_propagation(Propagation::FirstLevel));
-        store.add(Authorization::for_subject(SubjectSpec::Identity("cy".into())).on(ObjectSpec::Document("h.xml".into())).privilege(Privilege::Read).grant());
-        store.add(Authorization::for_subject(SubjectSpec::Anyone).on(ObjectSpec::AllDocuments).privilege(Privilege::Read).deny().with_propagation(Propagation::None));
+        store.add(
+            Authorization::for_subject(SubjectSpec::Identity("bob".into()))
+                .on(portion("//patient"))
+                .privilege(Privilege::Read)
+                .deny()
+                .with_propagation(Propagation::FirstLevel),
+        );
+        store.add(
+            Authorization::for_subject(SubjectSpec::Identity("cy".into()))
+                .on(ObjectSpec::Document("h.xml".into()))
+                .privilege(Privilege::Read)
+                .grant(),
+        );
+        store.add(
+            Authorization::for_subject(SubjectSpec::Anyone)
+                .on(ObjectSpec::AllDocuments)
+                .privilege(Privilege::Read)
+                .deny()
+                .with_propagation(Propagation::None),
+        );
         let profiles: Vec<SubjectProfile> =
             ["ann", "bob", "cy", "dee"].map(SubjectProfile::new).into();
         assert_equivalent(&store, &profiles);
@@ -1046,15 +1128,37 @@ mod tests {
         assert!(compiled
             .compute_view(&SubjectProfile::new("x"), "missing.xml", &d)
             .is_none());
-        assert!(compiled.check(&SubjectProfile::new("x"), "missing.xml", d.root(), Privilege::Read).is_none());
+        assert!(compiled
+            .check(
+                &SubjectProfile::new("x"),
+                "missing.xml",
+                d.root(),
+                Privilege::Read
+            )
+            .is_none());
     }
 
     #[test]
     fn equivalence_classes_match_interpreter() {
         let mut store = PolicyStore::new();
-        store.add(Authorization::for_subject(SubjectSpec::InRole(Role::new("doctor"))).on(portion("//patient")).privilege(Privilege::Read).grant());
-        store.add(Authorization::for_subject(SubjectSpec::InRole(Role::new("auditor"))).on(portion("//patient[@id='p1']")).privilege(Privilege::Read).grant());
-        store.add(Authorization::for_subject(SubjectSpec::Anyone).on(portion("/hospital/admin")).privilege(Privilege::Read).deny());
+        store.add(
+            Authorization::for_subject(SubjectSpec::InRole(Role::new("doctor")))
+                .on(portion("//patient"))
+                .privilege(Privilege::Read)
+                .grant(),
+        );
+        store.add(
+            Authorization::for_subject(SubjectSpec::InRole(Role::new("auditor")))
+                .on(portion("//patient[@id='p1']"))
+                .privilege(Privilege::Read)
+                .grant(),
+        );
+        store.add(
+            Authorization::for_subject(SubjectSpec::Anyone)
+                .on(portion("/hospital/admin"))
+                .privilege(Privilege::Read)
+                .deny(),
+        );
         let d = doc();
         let documents = docs_with(&d);
         let compiled =
@@ -1071,7 +1175,12 @@ mod tests {
     #[test]
     fn epoch_and_counts_exposed() {
         let mut store = PolicyStore::new();
-        store.add(Authorization::for_subject(SubjectSpec::Anyone).on(ObjectSpec::AllDocuments).privilege(Privilege::Read).grant());
+        store.add(
+            Authorization::for_subject(SubjectSpec::Anyone)
+                .on(ObjectSpec::AllDocuments)
+                .privilege(Privilege::Read)
+                .grant(),
+        );
         let d = doc();
         let documents = docs_with(&d);
         let compiled =

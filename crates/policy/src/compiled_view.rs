@@ -151,7 +151,8 @@ impl CompiledPolicies {
             ConflictStrategy::MostSpecificSubject => i64::from(auth.subject.specificity()),
             ConflictStrategy::MostSpecificObject => i64::from(auth.object.granularity()),
             ConflictStrategy::ExplicitPriority => i64::from(auth.priority),
-            ConflictStrategy::DenialsTakePrecedence | ConflictStrategy::PermissionsTakePrecedence => 0,
+            ConflictStrategy::DenialsTakePrecedence
+            | ConflictStrategy::PermissionsTakePrecedence => 0,
         }
     }
 

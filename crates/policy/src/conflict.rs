@@ -101,11 +101,19 @@ mod tests {
     use crate::subject::Role;
 
     fn grant_all(id: u32) -> Authorization {
-        Authorization::for_subject(SubjectSpec::Anyone).on(ObjectSpec::AllDocuments).privilege(Privilege::Read).id(id).grant()
+        Authorization::for_subject(SubjectSpec::Anyone)
+            .on(ObjectSpec::AllDocuments)
+            .privilege(Privilege::Read)
+            .id(id)
+            .grant()
     }
 
     fn deny_identity(id: u32) -> Authorization {
-        Authorization::for_subject(SubjectSpec::Identity("alice".into())).on(ObjectSpec::AllDocuments).privilege(Privilege::Read).id(id).deny()
+        Authorization::for_subject(SubjectSpec::Identity("alice".into()))
+            .on(ObjectSpec::AllDocuments)
+            .privilege(Privilege::Read)
+            .id(id)
+            .deny()
     }
 
     #[test]
@@ -134,19 +142,35 @@ mod tests {
     #[test]
     fn most_specific_subject() {
         // Identity-level denial beats role-level grant...
-        let g = Authorization::for_subject(SubjectSpec::InRole(Role::new("doctor"))).on(ObjectSpec::AllDocuments).privilege(Privilege::Read).id(1).grant();
+        let g = Authorization::for_subject(SubjectSpec::InRole(Role::new("doctor")))
+            .on(ObjectSpec::AllDocuments)
+            .privilege(Privilege::Read)
+            .id(1)
+            .grant();
         let d = deny_identity(2);
         let s = ConflictStrategy::MostSpecificSubject;
         assert_eq!(s.resolve(&[&g, &d]), Some(Sign::Minus));
         // ...and an identity-level grant beats an anyone-level denial.
-        let g2 = Authorization::for_subject(SubjectSpec::Identity("alice".into())).on(ObjectSpec::AllDocuments).privilege(Privilege::Read).id(3).grant();
-        let d2 = Authorization::for_subject(SubjectSpec::Anyone).on(ObjectSpec::AllDocuments).privilege(Privilege::Read).id(4).deny();
+        let g2 = Authorization::for_subject(SubjectSpec::Identity("alice".into()))
+            .on(ObjectSpec::AllDocuments)
+            .privilege(Privilege::Read)
+            .id(3)
+            .grant();
+        let d2 = Authorization::for_subject(SubjectSpec::Anyone)
+            .on(ObjectSpec::AllDocuments)
+            .privilege(Privilege::Read)
+            .id(4)
+            .deny();
         assert_eq!(s.resolve(&[&g2, &d2]), Some(Sign::Plus));
     }
 
     #[test]
     fn most_specific_subject_tie_denies() {
-        let g = Authorization::for_subject(SubjectSpec::Identity("alice".into())).on(ObjectSpec::AllDocuments).privilege(Privilege::Read).id(1).grant();
+        let g = Authorization::for_subject(SubjectSpec::Identity("alice".into()))
+            .on(ObjectSpec::AllDocuments)
+            .privilege(Privilege::Read)
+            .id(1)
+            .grant();
         let d = deny_identity(2);
         assert_eq!(
             ConflictStrategy::MostSpecificSubject.resolve(&[&g, &d]),
@@ -157,21 +181,37 @@ mod tests {
     #[test]
     fn most_specific_object() {
         use websec_xml::Path;
-        let doc_grant = Authorization::for_subject(SubjectSpec::Anyone).on(ObjectSpec::Document("d".into())).privilege(Privilege::Read).id(1).grant();
-        let portion_deny = Authorization::for_subject(SubjectSpec::Anyone).on(ObjectSpec::Portion {
+        let doc_grant = Authorization::for_subject(SubjectSpec::Anyone)
+            .on(ObjectSpec::Document("d".into()))
+            .privilege(Privilege::Read)
+            .id(1)
+            .grant();
+        let portion_deny = Authorization::for_subject(SubjectSpec::Anyone)
+            .on(ObjectSpec::Portion {
                 document: "d".into(),
                 path: Path::parse("/a/b").unwrap(),
-            }).privilege(Privilege::Read).id(2).deny();
+            })
+            .privilege(Privilege::Read)
+            .id(2)
+            .deny();
         assert_eq!(
             ConflictStrategy::MostSpecificObject.resolve(&[&doc_grant, &portion_deny]),
             Some(Sign::Minus)
         );
         // Finer grant beats coarser denial.
-        let all_deny = Authorization::for_subject(SubjectSpec::Anyone).on(ObjectSpec::AllDocuments).privilege(Privilege::Read).id(3).deny();
-        let portion_grant = Authorization::for_subject(SubjectSpec::Anyone).on(ObjectSpec::Portion {
+        let all_deny = Authorization::for_subject(SubjectSpec::Anyone)
+            .on(ObjectSpec::AllDocuments)
+            .privilege(Privilege::Read)
+            .id(3)
+            .deny();
+        let portion_grant = Authorization::for_subject(SubjectSpec::Anyone)
+            .on(ObjectSpec::Portion {
                 document: "d".into(),
                 path: Path::parse("/a").unwrap(),
-            }).privilege(Privilege::Read).id(4).grant();
+            })
+            .privilege(Privilege::Read)
+            .id(4)
+            .grant();
         assert_eq!(
             ConflictStrategy::MostSpecificObject.resolve(&[&all_deny, &portion_grant]),
             Some(Sign::Plus)
@@ -220,9 +260,17 @@ mod tests {
         // With no sign mixture there is no conflict to resolve: the answer
         // is the common sign, whatever the strategy.
         let g1 = grant_all(1).with_priority(5);
-        let g2 = Authorization::for_subject(SubjectSpec::Identity("alice".into())).on(ObjectSpec::Document("d".into())).privilege(Privilege::Read).id(2).grant();
+        let g2 = Authorization::for_subject(SubjectSpec::Identity("alice".into()))
+            .on(ObjectSpec::Document("d".into()))
+            .privilege(Privilege::Read)
+            .id(2)
+            .grant();
         let d1 = deny_identity(3).with_priority(7);
-        let d2 = Authorization::for_subject(SubjectSpec::Anyone).on(ObjectSpec::AllDocuments).privilege(Privilege::Read).id(4).deny();
+        let d2 = Authorization::for_subject(SubjectSpec::Anyone)
+            .on(ObjectSpec::AllDocuments)
+            .privilege(Privilege::Read)
+            .id(4)
+            .deny();
         for s in ALL_STRATEGIES {
             assert_eq!(s.resolve(&[&g1, &g2]), Some(Sign::Plus), "{s:?}");
             assert_eq!(s.resolve(&[&d1, &d2]), Some(Sign::Minus), "{s:?}");
@@ -235,13 +283,21 @@ mod tests {
         // one denial (generic subject, fine object, low priority): each
         // strategy picks its own winner.
         use websec_xml::Path;
-        let g = Authorization::for_subject(SubjectSpec::Identity("alice".into())).on(ObjectSpec::AllDocuments).privilege(Privilege::Read).id(1).grant()
-        .with_priority(10);
-        let d = Authorization::for_subject(SubjectSpec::Anyone).on(ObjectSpec::Portion {
+        let g = Authorization::for_subject(SubjectSpec::Identity("alice".into()))
+            .on(ObjectSpec::AllDocuments)
+            .privilege(Privilege::Read)
+            .id(1)
+            .grant()
+            .with_priority(10);
+        let d = Authorization::for_subject(SubjectSpec::Anyone)
+            .on(ObjectSpec::Portion {
                 document: "d".into(),
                 path: Path::parse("/a").unwrap(),
-            }).privilege(Privilege::Read).id(2).deny()
-        .with_priority(1);
+            })
+            .privilege(Privilege::Read)
+            .id(2)
+            .deny()
+            .with_priority(1);
         let expected = [
             (ConflictStrategy::DenialsTakePrecedence, Sign::Minus),
             (ConflictStrategy::PermissionsTakePrecedence, Sign::Plus),
@@ -261,8 +317,12 @@ mod tests {
         // Equal specificity / granularity / priority: every strategy that
         // compares them falls back to denials-take-precedence.
         let g = grant_all(1).with_priority(3);
-        let d = Authorization::for_subject(SubjectSpec::Anyone).on(ObjectSpec::AllDocuments).privilege(Privilege::Read).id(2).deny()
-        .with_priority(3);
+        let d = Authorization::for_subject(SubjectSpec::Anyone)
+            .on(ObjectSpec::AllDocuments)
+            .privilege(Privilege::Read)
+            .id(2)
+            .deny()
+            .with_priority(3);
         for s in [
             ConflictStrategy::MostSpecificSubject,
             ConflictStrategy::MostSpecificObject,

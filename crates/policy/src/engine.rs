@@ -1,9 +1,7 @@
 //! Policy evaluation: per-node decisions, Author-X views, and the
 //! policy-equivalence classes used by secure dissemination.
 
-use crate::authz::{
-    Authorization, AuthzId, ObjectSpec, Privilege, Propagation, Sign,
-};
+use crate::authz::{Authorization, AuthzId, ObjectSpec, Privilege, Propagation, Sign};
 use crate::conflict::ConflictStrategy;
 use crate::subject::{RoleHierarchy, SubjectProfile};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
@@ -465,13 +463,27 @@ mod tests {
     #[test]
     fn revoke_matching_sweeps_and_bumps_epoch_once() {
         let mut store = PolicyStore::new();
-        store.add(Authorization::for_subject(SubjectSpec::Identity("doctor".into())).on(ObjectSpec::Document("h.xml".into())).privilege(Privilege::Read).grant());
-        store.add(Authorization::for_subject(SubjectSpec::Identity("doctor".into())).on(ObjectSpec::Document("other.xml".into())).privilege(Privilege::Read).grant());
-        store.add(Authorization::for_subject(SubjectSpec::Identity("clerk".into())).on(ObjectSpec::Document("h.xml".into())).privilege(Privilege::Read).grant());
+        store.add(
+            Authorization::for_subject(SubjectSpec::Identity("doctor".into()))
+                .on(ObjectSpec::Document("h.xml".into()))
+                .privilege(Privilege::Read)
+                .grant(),
+        );
+        store.add(
+            Authorization::for_subject(SubjectSpec::Identity("doctor".into()))
+                .on(ObjectSpec::Document("other.xml".into()))
+                .privilege(Privilege::Read)
+                .grant(),
+        );
+        store.add(
+            Authorization::for_subject(SubjectSpec::Identity("clerk".into()))
+                .on(ObjectSpec::Document("h.xml".into()))
+                .privilege(Privilege::Read)
+                .grant(),
+        );
         let epoch = store.epoch();
-        let removed = store.revoke_matching(|a| {
-            matches!(&a.subject, SubjectSpec::Identity(id) if id == "doctor")
-        });
+        let removed = store
+            .revoke_matching(|a| matches!(&a.subject, SubjectSpec::Identity(id) if id == "doctor"));
         assert_eq!(removed, 2);
         assert_eq!(store.len(), 1);
         assert_eq!(store.epoch(), epoch + 1, "one bump for the whole sweep");
@@ -495,7 +507,12 @@ mod tests {
     #[test]
     fn document_grant_cascades() {
         let mut store = PolicyStore::new();
-        store.add(Authorization::for_subject(SubjectSpec::Anyone).on(ObjectSpec::Document("h.xml".into())).privilege(Privilege::Read).grant());
+        store.add(
+            Authorization::for_subject(SubjectSpec::Anyone)
+                .on(ObjectSpec::Document("h.xml".into()))
+                .privilege(Privilege::Read)
+                .grant(),
+        );
         let engine = PolicyEngine::default();
         let d = doc();
         let profile = SubjectProfile::new("anyone");
@@ -506,7 +523,12 @@ mod tests {
     #[test]
     fn wrong_document_name_does_not_apply() {
         let mut store = PolicyStore::new();
-        store.add(Authorization::for_subject(SubjectSpec::Anyone).on(ObjectSpec::Document("other.xml".into())).privilege(Privilege::Read).grant());
+        store.add(
+            Authorization::for_subject(SubjectSpec::Anyone)
+                .on(ObjectSpec::Document("other.xml".into()))
+                .privilege(Privilege::Read)
+                .grant(),
+        );
         let engine = PolicyEngine::default();
         let d = doc();
         let decision = engine.evaluate_document(
@@ -523,8 +545,18 @@ mod tests {
     fn portion_grant_with_denial_override() {
         let mut store = PolicyStore::new();
         // Grant the whole document, deny the admin subtree.
-        store.add(Authorization::for_subject(SubjectSpec::Anyone).on(ObjectSpec::Document("h.xml".into())).privilege(Privilege::Read).grant());
-        store.add(Authorization::for_subject(SubjectSpec::Anyone).on(portion("/hospital/admin")).privilege(Privilege::Read).deny());
+        store.add(
+            Authorization::for_subject(SubjectSpec::Anyone)
+                .on(ObjectSpec::Document("h.xml".into()))
+                .privilege(Privilege::Read)
+                .grant(),
+        );
+        store.add(
+            Authorization::for_subject(SubjectSpec::Anyone)
+                .on(portion("/hospital/admin"))
+                .privilege(Privilege::Read)
+                .deny(),
+        );
         let engine = PolicyEngine::default();
         let d = doc();
         let view = engine.compute_view(&store, &SubjectProfile::new("x"), "h.xml", &d);
@@ -539,7 +571,12 @@ mod tests {
         store
             .hierarchy
             .add_seniority(Role::new("chief"), Role::new("doctor"));
-        store.add(Authorization::for_subject(SubjectSpec::InRole(Role::new("doctor"))).on(ObjectSpec::Document("h.xml".into())).privilege(Privilege::Read).grant());
+        store.add(
+            Authorization::for_subject(SubjectSpec::InRole(Role::new("doctor")))
+                .on(ObjectSpec::Document("h.xml".into()))
+                .privilege(Privilege::Read)
+                .grant(),
+        );
         let engine = PolicyEngine::default();
         let d = doc();
         let chief = SubjectProfile::new("carol").with_role(Role::new("chief"));
@@ -557,10 +594,15 @@ mod tests {
     #[test]
     fn credential_based_grant() {
         let mut store = PolicyStore::new();
-        store.add(Authorization::for_subject(SubjectSpec::WithCredentials(
+        store.add(
+            Authorization::for_subject(SubjectSpec::WithCredentials(
                 CredentialExpr::OfType("physician".into())
                     .and(CredentialExpr::AttrGe("years".into(), 5)),
-            )).on(ObjectSpec::Document("h.xml".into())).privilege(Privilege::Read).grant());
+            ))
+            .on(ObjectSpec::Document("h.xml".into()))
+            .privilege(Privilege::Read)
+            .grant(),
+        );
         let engine = PolicyEngine::default();
         let d = doc();
         let senior = SubjectProfile::new("a")
@@ -586,7 +628,10 @@ mod tests {
         // No propagation: only the patient element itself.
         let mut store = PolicyStore::new();
         store.add(
-            Authorization::for_subject(SubjectSpec::Anyone).on(portion(patient1_path)).privilege(Privilege::Read).grant()
+            Authorization::for_subject(SubjectSpec::Anyone)
+                .on(portion(patient1_path))
+                .privilege(Privilege::Read)
+                .grant()
                 .with_propagation(Propagation::None),
         );
         let dec = engine.evaluate_document(
@@ -601,7 +646,10 @@ mod tests {
         // First level: patient + name + record (not their text children).
         let mut store = PolicyStore::new();
         store.add(
-            Authorization::for_subject(SubjectSpec::Anyone).on(portion(patient1_path)).privilege(Privilege::Read).grant()
+            Authorization::for_subject(SubjectSpec::Anyone)
+                .on(portion(patient1_path))
+                .privilege(Privilege::Read)
+                .grant()
                 .with_propagation(Propagation::FirstLevel),
         );
         let dec = engine.evaluate_document(
@@ -615,7 +663,12 @@ mod tests {
 
         // Cascade: the whole subtree (patient, name, text, record, text).
         let mut store = PolicyStore::new();
-        store.add(Authorization::for_subject(SubjectSpec::Anyone).on(portion(patient1_path)).privilege(Privilege::Read).grant());
+        store.add(
+            Authorization::for_subject(SubjectSpec::Anyone)
+                .on(portion(patient1_path))
+                .privilege(Privilege::Read)
+                .grant(),
+        );
         let dec = engine.evaluate_document(
             &store,
             &SubjectProfile::new("x"),
@@ -629,8 +682,18 @@ mod tests {
     #[test]
     fn attribute_level_denial() {
         let mut store = PolicyStore::new();
-        store.add(Authorization::for_subject(SubjectSpec::Anyone).on(ObjectSpec::Document("h.xml".into())).privilege(Privilege::Read).grant());
-        store.add(Authorization::for_subject(SubjectSpec::Anyone).on(portion("//patient/@ssn")).privilege(Privilege::Read).deny());
+        store.add(
+            Authorization::for_subject(SubjectSpec::Anyone)
+                .on(ObjectSpec::Document("h.xml".into()))
+                .privilege(Privilege::Read)
+                .grant(),
+        );
+        store.add(
+            Authorization::for_subject(SubjectSpec::Anyone)
+                .on(portion("//patient/@ssn"))
+                .privilege(Privilege::Read)
+                .deny(),
+        );
         let engine = PolicyEngine::default();
         let d = doc();
         let view = engine.compute_view(&store, &SubjectProfile::new("x"), "h.xml", &d);
@@ -643,7 +706,12 @@ mod tests {
     fn attribute_decision_requires_visible_element() {
         let mut store = PolicyStore::new();
         // Only an attribute grant, element itself not readable.
-        store.add(Authorization::for_subject(SubjectSpec::Anyone).on(portion("//patient/@id")).privilege(Privilege::Read).grant());
+        store.add(
+            Authorization::for_subject(SubjectSpec::Anyone)
+                .on(portion("//patient/@id"))
+                .privilege(Privilege::Read)
+                .grant(),
+        );
         let engine = PolicyEngine::default();
         let d = doc();
         let dec = engine.evaluate_document(
@@ -661,7 +729,12 @@ mod tests {
     #[test]
     fn write_grant_implies_read() {
         let mut store = PolicyStore::new();
-        store.add(Authorization::for_subject(SubjectSpec::Anyone).on(ObjectSpec::Document("h.xml".into())).privilege(Privilege::Write).grant());
+        store.add(
+            Authorization::for_subject(SubjectSpec::Anyone)
+                .on(ObjectSpec::Document("h.xml".into()))
+                .privilege(Privilege::Write)
+                .grant(),
+        );
         let engine = PolicyEngine::default();
         let d = doc();
         assert_eq!(
@@ -677,7 +750,12 @@ mod tests {
         );
         // But a Read grant does not imply Write.
         let mut store2 = PolicyStore::new();
-        store2.add(Authorization::for_subject(SubjectSpec::Anyone).on(ObjectSpec::Document("h.xml".into())).privilege(Privilege::Read).grant());
+        store2.add(
+            Authorization::for_subject(SubjectSpec::Anyone)
+                .on(ObjectSpec::Document("h.xml".into()))
+                .privilege(Privilege::Read)
+                .grant(),
+        );
         assert_eq!(
             engine.check(
                 &store2,
@@ -694,8 +772,18 @@ mod tests {
     #[test]
     fn read_denial_blocks_write_request() {
         let mut store = PolicyStore::new();
-        store.add(Authorization::for_subject(SubjectSpec::Anyone).on(ObjectSpec::Document("h.xml".into())).privilege(Privilege::Admin).grant());
-        store.add(Authorization::for_subject(SubjectSpec::Identity("mallory".into())).on(ObjectSpec::Document("h.xml".into())).privilege(Privilege::Read).deny());
+        store.add(
+            Authorization::for_subject(SubjectSpec::Anyone)
+                .on(ObjectSpec::Document("h.xml".into()))
+                .privilege(Privilege::Admin)
+                .grant(),
+        );
+        store.add(
+            Authorization::for_subject(SubjectSpec::Identity("mallory".into()))
+                .on(ObjectSpec::Document("h.xml".into()))
+                .privilege(Privilege::Read)
+                .deny(),
+        );
         let engine = PolicyEngine::default();
         let d = doc();
         let mallory = SubjectProfile::new("mallory");
@@ -714,7 +802,12 @@ mod tests {
     fn collection_grant() {
         let mut store = PolicyStore::new();
         store.add_collection_member("wards", "h.xml");
-        store.add(Authorization::for_subject(SubjectSpec::Anyone).on(ObjectSpec::Collection("wards".into())).privilege(Privilege::Read).grant());
+        store.add(
+            Authorization::for_subject(SubjectSpec::Anyone)
+                .on(ObjectSpec::Collection("wards".into()))
+                .privilege(Privilege::Read)
+                .grant(),
+        );
         let engine = PolicyEngine::default();
         let d = doc();
         assert_eq!(
@@ -744,8 +837,18 @@ mod tests {
     #[test]
     fn equivalence_classes_partition_document() {
         let mut store = PolicyStore::new();
-        store.add(Authorization::for_subject(SubjectSpec::InRole(Role::new("doctor"))).on(portion("//patient")).privilege(Privilege::Read).grant());
-        store.add(Authorization::for_subject(SubjectSpec::InRole(Role::new("admin"))).on(portion("/hospital/admin")).privilege(Privilege::Read).grant());
+        store.add(
+            Authorization::for_subject(SubjectSpec::InRole(Role::new("doctor")))
+                .on(portion("//patient"))
+                .privilege(Privilege::Read)
+                .grant(),
+        );
+        store.add(
+            Authorization::for_subject(SubjectSpec::InRole(Role::new("admin")))
+                .on(portion("/hospital/admin"))
+                .privilege(Privilege::Read)
+                .grant(),
+        );
         let d = doc();
         let classes =
             PolicyEngine::policy_equivalence_classes(&store, "h.xml", &d, Privilege::Read);
@@ -758,8 +861,18 @@ mod tests {
     #[test]
     fn equivalence_classes_overlapping_policies() {
         let mut store = PolicyStore::new();
-        store.add(Authorization::for_subject(SubjectSpec::InRole(Role::new("doctor"))).on(portion("//patient")).privilege(Privilege::Read).grant());
-        store.add(Authorization::for_subject(SubjectSpec::InRole(Role::new("auditor"))).on(portion("//patient[@id='p1']")).privilege(Privilege::Read).grant());
+        store.add(
+            Authorization::for_subject(SubjectSpec::InRole(Role::new("doctor")))
+                .on(portion("//patient"))
+                .privilege(Privilege::Read)
+                .grant(),
+        );
+        store.add(
+            Authorization::for_subject(SubjectSpec::InRole(Role::new("auditor")))
+                .on(portion("//patient[@id='p1']"))
+                .privilege(Privilege::Read)
+                .grant(),
+        );
         let d = doc();
         let classes =
             PolicyEngine::policy_equivalence_classes(&store, "h.xml", &d, Privilege::Read);
@@ -772,7 +885,12 @@ mod tests {
     #[test]
     fn revoke_removes_grant() {
         let mut store = PolicyStore::new();
-        let id = store.add(Authorization::for_subject(SubjectSpec::Anyone).on(ObjectSpec::AllDocuments).privilege(Privilege::Read).grant());
+        let id = store.add(
+            Authorization::for_subject(SubjectSpec::Anyone)
+                .on(ObjectSpec::AllDocuments)
+                .privilege(Privilege::Read)
+                .grant(),
+        );
         let engine = PolicyEngine::default();
         let d = doc();
         assert_eq!(
@@ -805,7 +923,12 @@ mod tests {
     fn portion_all_spans_documents() {
         // A PortionAll grant applies to every document the engine sees.
         let mut store = PolicyStore::new();
-        store.add(Authorization::for_subject(SubjectSpec::Anyone).on(ObjectSpec::PortionAll(Path::parse("//patient").unwrap())).privilege(Privilege::Read).grant());
+        store.add(
+            Authorization::for_subject(SubjectSpec::Anyone)
+                .on(ObjectSpec::PortionAll(Path::parse("//patient").unwrap()))
+                .privilege(Privilege::Read)
+                .grant(),
+        );
         let engine = PolicyEngine::default();
         let d = doc();
         for name in ["h.xml", "other.xml", "third.xml"] {
@@ -824,7 +947,12 @@ mod tests {
     fn browse_privilege_is_distinct() {
         // A Browse-only grant exposes structure checks but not Read.
         let mut store = PolicyStore::new();
-        store.add(Authorization::for_subject(SubjectSpec::Anyone).on(ObjectSpec::Document("h.xml".into())).privilege(Privilege::Browse).grant());
+        store.add(
+            Authorization::for_subject(SubjectSpec::Anyone)
+                .on(ObjectSpec::Document("h.xml".into()))
+                .privilege(Privilege::Browse)
+                .grant(),
+        );
         let engine = PolicyEngine::default();
         let d = doc();
         assert_eq!(
@@ -855,7 +983,12 @@ mod tests {
     fn epoch_tracks_mutations() {
         let mut store = PolicyStore::new();
         assert_eq!(store.epoch(), 0);
-        let id = store.add(Authorization::for_subject(SubjectSpec::Anyone).on(ObjectSpec::AllDocuments).privilege(Privilege::Read).grant());
+        let id = store.add(
+            Authorization::for_subject(SubjectSpec::Anyone)
+                .on(ObjectSpec::AllDocuments)
+                .privilege(Privilege::Read)
+                .grant(),
+        );
         assert_eq!(store.epoch(), 1);
         store.add_collection_member("wards", "h.xml");
         assert_eq!(store.epoch(), 2);
@@ -872,7 +1005,12 @@ mod tests {
     fn content_dependent_policy() {
         // Content-dependent: only records whose text is 'flu' are readable.
         let mut store = PolicyStore::new();
-        store.add(Authorization::for_subject(SubjectSpec::Anyone).on(portion("//record[text()='flu']")).privilege(Privilege::Read).grant());
+        store.add(
+            Authorization::for_subject(SubjectSpec::Anyone)
+                .on(portion("//record[text()='flu']"))
+                .privilege(Privilege::Read)
+                .grant(),
+        );
         let engine = PolicyEngine::default();
         let d = doc();
         let dec = engine.evaluate_document(

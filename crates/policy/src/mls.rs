@@ -260,8 +260,8 @@ mod tests {
 
     #[test]
     fn emergency_upgrade() {
-        let l = ContextLabel::fixed(Level::Unclassified)
-            .while_condition("emergency", Level::Secret);
+        let l =
+            ContextLabel::fixed(Level::Unclassified).while_condition("emergency", Level::Secret);
         assert_eq!(l.effective(&SecurityContext::new()), Level::Unclassified);
         assert_eq!(
             l.effective(&SecurityContext::new().with_condition("emergency")),
@@ -295,7 +295,8 @@ mod tests {
 
     #[test]
     fn declassification_changes_readability() {
-        let obj = ContextLabel::fixed(Level::Secret).unless_condition("wartime", Level::Unclassified);
+        let obj =
+            ContextLabel::fixed(Level::Secret).unless_condition("wartime", Level::Unclassified);
         let public = Clearance(Level::Unclassified);
         let war = SecurityContext::new().with_condition("wartime");
         let peace = SecurityContext::new();

@@ -214,12 +214,12 @@ impl CredentialExpr {
             CredentialExpr::AttrEq(name, want) => credentials
                 .iter()
                 .any(|c| c.attr(name).is_some_and(|v| v == want)),
-            CredentialExpr::AttrGe(name, bound) => credentials.iter().any(|c| {
-                matches!(c.attr(name), Some(AttrValue::Int(v)) if v >= bound)
-            }),
-            CredentialExpr::AttrLe(name, bound) => credentials.iter().any(|c| {
-                matches!(c.attr(name), Some(AttrValue::Int(v)) if v <= bound)
-            }),
+            CredentialExpr::AttrGe(name, bound) => credentials
+                .iter()
+                .any(|c| matches!(c.attr(name), Some(AttrValue::Int(v)) if v >= bound)),
+            CredentialExpr::AttrLe(name, bound) => credentials
+                .iter()
+                .any(|c| matches!(c.attr(name), Some(AttrValue::Int(v)) if v <= bound)),
             CredentialExpr::HasAttr(name) => credentials.iter().any(|c| c.attr(name).is_some()),
             CredentialExpr::And(a, b) => a.eval(credentials) && b.eval(credentials),
             CredentialExpr::Or(a, b) => a.eval(credentials) || b.eval(credentials),
@@ -384,7 +384,10 @@ mod tests {
         let c = Credential::new("physician", "alice")
             .with_attr("department", "oncology")
             .with_attr("years", 12i64);
-        assert_eq!(c.attr("department"), Some(&AttrValue::Str("oncology".into())));
+        assert_eq!(
+            c.attr("department"),
+            Some(&AttrValue::Str("oncology".into()))
+        );
         assert_eq!(c.attr("years"), Some(&AttrValue::Int(12)));
         assert_eq!(c.attr("missing"), None);
     }
@@ -477,7 +480,10 @@ mod tests {
         let cs = creds();
         let physician = CredentialExpr::OfType("physician".into());
         let nurse = CredentialExpr::OfType("nurse".into());
-        assert!(physician.clone().and(CredentialExpr::HasAttr("clearance".into())).eval(&cs));
+        assert!(physician
+            .clone()
+            .and(CredentialExpr::HasAttr("clearance".into()))
+            .eval(&cs));
         assert!(physician.clone().or(nurse.clone()).eval(&cs));
         assert!(!nurse.clone().eval(&cs));
         assert!(nurse.negate().eval(&cs));
