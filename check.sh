@@ -1,13 +1,13 @@
 #!/usr/bin/env bash
-# Repository gate: rustfmt over the analyzer and websec-xml libraries,
-# offline build, clippy with warnings denied, full test suite, the wsbench
-# build, tests and short runs, the websec-lint static checks, the WS003-WS012 analyzer
-# over every example stack (byte-diffed for determinism, failing on error
-# findings), the WS013-WS018 static policy verifier over the seed fixtures
-# (byte-diffed against the committed ANALYSIS_policy.json baseline), and
-# the serving benchmark, which evaluates its own speedup, equivalence,
-# incremental-analysis and compile-cost gates. Fails on the first broken
-# step.
+# Repository gate: rustfmt over the analyzer, websec-xml and websec-policy
+# libraries, offline build, clippy with warnings denied, full test suite,
+# the wsbench build, tests and short runs, the websec-lint static checks,
+# the WS003-WS012 analyzer over every example stack (byte-diffed for
+# determinism, failing on error findings), the WS013-WS018 static policy
+# verifier over the seed fixtures (byte-diffed against the committed
+# ANALYSIS_policy.json baseline), and the serving benchmark, which
+# evaluates its own speedup, equivalence, incremental-analysis and
+# compile-cost gates. Fails on the first broken step.
 # `./check.sh --verify-policies` runs just the policy verifier step.
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -42,11 +42,13 @@ if [ "${1:-}" = "--verify-policies" ]; then
     exit 0
 fi
 
-# The analyzer and websec-xml libraries (each lib.rs and every module it
-# declares) are in rustfmt's default style; the rest of the tree is not yet.
-echo "==> rustfmt --check (analyzer and websec-xml libraries)"
+# The analyzer, websec-xml and websec-policy libraries (each lib.rs and
+# every module it declares) are in rustfmt's default style; the rest of the
+# tree is not yet.
+echo "==> rustfmt --check (analyzer, websec-xml and websec-policy libraries)"
 rustfmt --edition 2021 --check crates/analyzer/src/lib.rs
 rustfmt --edition 2021 --check crates/xml/src/lib.rs
+rustfmt --edition 2021 --check crates/policy/src/lib.rs
 
 echo "==> cargo build --release --offline"
 cargo build --release --offline

@@ -11,7 +11,7 @@
 //! anything (autonomy — the federation never sees more than any single site
 //! would release), and results are merged with site provenance attached.
 
-use crate::query::{QueryStrategy, SecureHit, SecureQueryProcessor};
+use crate::query::{SecureHit, SecureQueryProcessor};
 use websec_policy::{PolicyEngine, PolicyStore, SubjectProfile};
 use websec_xml::{DocumentStore, Path};
 
@@ -48,7 +48,7 @@ impl Site {
         let mut out = Vec::new();
         for doc_name in self.documents.names() {
             let doc = self.documents.get(doc_name).expect("listed name exists");
-            for hit in processor.query(profile, doc_name, doc, path, QueryStrategy::FilterAfter) {
+            for hit in processor.query(profile, doc_name, doc, path) {
                 out.push(FederatedHit {
                     site: self.name.clone(),
                     document: doc_name.to_string(),

@@ -27,7 +27,8 @@
 //!   admission-control load shedding (`WS108`);
 //! * [`query`] — security-aware query processing (§3.1: "query processing
 //!   algorithms may need to take into consideration the access control
-//!   policies"), with view-first and filter-after strategies;
+//!   policies"): a query selects over the subject's authorized view and
+//!   returns the readable nodes it matches;
 //! * [`federation`] — secure interoperability of autonomous sites (§5),
 //!   each enforcing its own policy base;
 //! * [`metadata`] — the §2.1 metadata-placement question (centralized vs
@@ -109,7 +110,7 @@ pub use faults::{
 pub use federation::{FederatedHit, Federation, Site};
 pub use hash::{fnv1a, FNV1A_START};
 pub use metadata::{DocumentMeta, MetadataRepository, Placement};
-pub use query::{QueryStrategy, SecureHit, SecureQueryProcessor};
+pub use query::{SecureHit, SecureQueryProcessor};
 pub use request::{BatchRequest, CacheStatus, Decision, QueryRequest, QueryResponse};
 pub use server::{
     AnalysisGate, BatchResponse, BatchStats, LatencyHistogram, MetricsSnapshot, ServerConfig,
@@ -129,7 +130,7 @@ pub mod prelude {
         FaultInjector, FaultKind, FaultLayer, FaultPlan, FaultRule, FaultSchedule, RetryPolicy,
     };
     pub use crate::federation::{FederatedHit, Federation, Site};
-    pub use crate::query::{QueryStrategy, SecureQueryProcessor};
+    pub use crate::query::SecureQueryProcessor;
     pub use crate::request::{BatchRequest, CacheStatus, Decision, QueryRequest, QueryResponse};
     pub use crate::server::{
         AnalysisGate, BatchResponse, BatchStats, LatencyHistogram, MetricsSnapshot,

@@ -4,30 +4,15 @@
 //! management functions… query processing algorithms may need to take into
 //! consideration the access control policies."
 //!
-//! Two strategies with identical semantics but different cost profiles:
-//!
-//! * **view-first** — materialize the subject's authorized view, then run
-//!   the query on it (simple; pays full view cost even for selective
-//!   queries);
-//! * **filter-after** — run the query on the raw document, then keep only
-//!   hits whose entire subtree the subject may read (cheap for selective
-//!   queries; never leaks, because results are re-checked node by node).
-//!
-//! The equivalence of the two is asserted by integration property tests;
-//! their cost difference is the query-processing "security impact" the
-//! paper asks about.
+//! A query runs over the subject's authorized view, the one Author-X view
+//! that [`websec_policy::DocumentDecision::view`] defines: the document is
+//! evaluated once, the path is selected over the view, and each hit is a
+//! node the subject may read, serialized from the view (so partially
+//! readable subtrees appear pruned). The denied ancestors the view keeps as
+//! name-only shells are structure, not results.
 
-use websec_policy::{DocumentDecision, PolicyEngine, PolicyStore, Privilege, SubjectProfile};
+use websec_policy::{PolicyEngine, PolicyStore, Privilege, SubjectProfile};
 use websec_xml::{Document, Path};
-
-/// Evaluation strategy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum QueryStrategy {
-    /// Materialize the view, then query it.
-    ViewFirst,
-    /// Query the raw document, then filter hits by per-node decisions.
-    FilterAfter,
-}
 
 /// A secure query processor bound to one policy base.
 pub struct SecureQueryProcessor<'a> {
@@ -52,7 +37,8 @@ impl<'a> SecureQueryProcessor<'a> {
         SecureQueryProcessor { store, engine }
     }
 
-    /// Runs `path` over `doc` for `profile` under the chosen strategy.
+    /// Runs `path` over `profile`'s view of `doc` (named `doc_name`): one
+    /// hit per readable node the path selects in the view.
     #[must_use]
     pub fn query(
         &self,
@@ -60,146 +46,39 @@ impl<'a> SecureQueryProcessor<'a> {
         doc_name: &str,
         doc: &Document,
         path: &Path,
-        strategy: QueryStrategy,
     ) -> Vec<SecureHit> {
-        match strategy {
-            QueryStrategy::ViewFirst => {
-                let view = self.engine.compute_view(self.store, profile, doc_name, doc);
-                // The view keeps unauthorized *ancestors* as structural
-                // shells (Author-X path visibility); those must not count
-                // as query results. Node ids are stable across pruning, so
-                // the per-node decision filters them out.
-                let decision = self.engine.evaluate_document(
-                    self.store,
-                    profile,
-                    doc_name,
-                    doc,
-                    Privilege::Read,
-                );
-                path.select_nodes(&view)
-                    .into_iter()
-                    .filter(|&n| decision.is_allowed(n))
-                    .map(|n| SecureHit {
-                        xml: subtree_xml(&view, n),
-                    })
-                    .collect()
-            }
-            QueryStrategy::FilterAfter => {
-                let decision = self.engine.evaluate_document(
-                    self.store,
-                    profile,
-                    doc_name,
-                    doc,
-                    Privilege::Read,
-                );
-                // A hit is returned iff the matched node itself is
-                // readable; its subtree is pruned to the readable portion
-                // (matching what the view would contain).
-                let hits = path.select_nodes(doc);
-                hits.into_iter()
-                    .filter(|&n| decision.is_allowed(n))
-                    .map(|n| SecureHit {
-                        xml: pruned_subtree_xml(doc, n, &decision),
-                    })
-                    .collect()
-            }
-        }
-    }
-}
-
-/// Serializes the subtree at `node` of an (already pruned) view.
-fn subtree_xml(view: &Document, node: websec_xml::NodeId) -> String {
-    emit(view, node)
-}
-
-/// Serializes the subtree at `node` of the raw document, omitting nodes
-/// and attributes the decision forbids.
-fn pruned_subtree_xml(doc: &Document, node: websec_xml::NodeId, decision: &DocumentDecision) -> String {
-    let mut out = String::new();
-    emit_filtered(doc, node, decision, &mut out);
-    out
-}
-
-fn emit(doc: &Document, node: websec_xml::NodeId) -> String {
-    let mut out = String::new();
-    emit_all(doc, node, &mut out);
-    out
-}
-
-fn emit_all(doc: &Document, node: websec_xml::NodeId, out: &mut String) {
-    match doc.kind(node) {
-        websec_xml::NodeKind::Text(t) => out.push_str(&websec_xml::node::escape_text(t)),
-        websec_xml::NodeKind::Element { name, attributes } => {
-            out.push('<');
-            out.push_str(name);
-            for (k, v) in attributes {
-                out.push_str(&format!(" {k}=\"{}\"", websec_xml::node::escape_attr(v)));
-            }
-            let children: Vec<_> = doc.children(node).collect();
-            if children.is_empty() {
-                out.push_str("/>");
-            } else {
-                out.push('>');
-                for c in children {
-                    emit_all(doc, c, out);
-                }
-                out.push_str(&format!("</{name}>"));
-            }
-        }
-    }
-}
-
-fn emit_filtered(
-    doc: &Document,
-    node: websec_xml::NodeId,
-    decision: &DocumentDecision,
-    out: &mut String,
-) {
-    if !decision.is_allowed(node) {
-        return;
-    }
-    match doc.kind(node) {
-        websec_xml::NodeKind::Text(t) => out.push_str(&websec_xml::node::escape_text(t)),
-        websec_xml::NodeKind::Element { name, attributes } => {
-            out.push('<');
-            out.push_str(name);
-            for (k, v) in attributes {
-                if decision.attr_allowed(node, k) {
-                    out.push_str(&format!(" {k}=\"{}\"", websec_xml::node::escape_attr(v)));
-                }
-            }
-            let children: Vec<_> = doc
-                .children(node)
-                .filter(|&c| decision.is_allowed(c))
-                .collect();
-            if children.is_empty() {
-                out.push_str("/>");
-            } else {
-                out.push('>');
-                for c in children {
-                    emit_filtered(doc, c, decision, out);
-                }
-                out.push_str(&format!("</{name}>"));
-            }
-        }
+        let decision =
+            self.engine
+                .evaluate_document(self.store, profile, doc_name, doc, Privilege::Read);
+        let view = decision.view(doc);
+        // Node ids are stable across pruning, so the decision tells the
+        // view's shells from its readable nodes.
+        path.select_nodes(&view)
+            .into_iter()
+            .filter(|&n| decision.is_allowed(n))
+            .map(|n| SecureHit {
+                xml: view.node_xml(n),
+            })
+            .collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use websec_policy::{Authorization, ObjectSpec, SubjectSpec};
+    use websec_policy::{Authorization, ObjectSpec, Propagation, SubjectSpec};
+
+    fn portion(path: &str) -> ObjectSpec {
+        ObjectSpec::Portion {
+            document: "h.xml".into(),
+            path: Path::parse(path).unwrap(),
+        }
+    }
 
     fn setup() -> (PolicyStore, Document) {
         let mut store = PolicyStore::new();
-        store.add(Authorization::for_subject(SubjectSpec::Anyone).on(ObjectSpec::Portion {
-                document: "h.xml".into(),
-                path: Path::parse("//patient").unwrap(),
-            }).privilege(Privilege::Read).grant());
-        store.add(Authorization::for_subject(SubjectSpec::Anyone).on(ObjectSpec::Portion {
-                document: "h.xml".into(),
-                path: Path::parse("//patient/@ssn").unwrap(),
-            }).privilege(Privilege::Read).deny());
+        store.add(Authorization::for_subject(SubjectSpec::Anyone).on(portion("//patient")).privilege(Privilege::Read).grant());
+        store.add(Authorization::for_subject(SubjectSpec::Anyone).on(portion("//patient/@ssn")).privilege(Privilege::Read).deny());
         let doc = Document::parse(
             "<hospital>\
                <patient id=\"p1\" ssn=\"123\"><name>Alice</name></patient>\
@@ -211,17 +90,30 @@ mod tests {
         (store, doc)
     }
 
+    fn xml_of(hits: &[SecureHit]) -> Vec<&str> {
+        hits.iter().map(|h| h.xml.as_str()).collect()
+    }
+
     #[test]
-    fn strategies_agree() {
+    fn hits_are_readable_subtrees_of_the_view() {
         let (store, doc) = setup();
         let processor = SecureQueryProcessor::new(&store, PolicyEngine::default());
         let profile = SubjectProfile::new("u");
-        for q in ["//patient", "//name", "/hospital/admin", "//patient[@id='p2']"] {
-            let path = Path::parse(q).unwrap();
-            let a = processor.query(&profile, "h.xml", &doc, &path, QueryStrategy::ViewFirst);
-            let b = processor.query(&profile, "h.xml", &doc, &path, QueryStrategy::FilterAfter);
-            assert_eq!(a, b, "query {q}");
-        }
+        let query = |q: &str| processor.query(&profile, "h.xml", &doc, &Path::parse(q).unwrap());
+        assert_eq!(
+            xml_of(&query("//patient")),
+            [
+                "<patient id=\"p1\"><name>Alice</name></patient>",
+                "<patient id=\"p2\"><name>Bob</name></patient>",
+            ]
+        );
+        assert_eq!(xml_of(&query("//name")), ["<name>Alice</name>", "<name>Bob</name>"]);
+        assert_eq!(
+            xml_of(&query("//patient[@id='p2']")),
+            ["<patient id=\"p2\"><name>Bob</name></patient>"]
+        );
+        // The root is a shell of the view, not a result.
+        assert!(query("/hospital").is_empty());
     }
 
     #[test]
@@ -230,10 +122,32 @@ mod tests {
         let processor = SecureQueryProcessor::new(&store, PolicyEngine::default());
         let profile = SubjectProfile::new("u");
         let path = Path::parse("//patient[@id='p1']").unwrap();
-        let hits = processor.query(&profile, "h.xml", &doc, &path, QueryStrategy::FilterAfter);
+        let hits = processor.query(&profile, "h.xml", &doc, &path);
         assert_eq!(hits.len(), 1);
         assert!(hits[0].xml.contains("Alice"), "{}", hits[0].xml);
         assert!(!hits[0].xml.contains("ssn"), "{}", hits[0].xml);
+    }
+
+    #[test]
+    fn hits_keep_readable_content_under_a_denied_element() {
+        // A cascading grant of //patient and a non-propagating denial of
+        // //name: the name element is denied, its text is not.
+        let mut store = PolicyStore::new();
+        store.add(Authorization::for_subject(SubjectSpec::Anyone).on(portion("//patient")).privilege(Privilege::Read).grant());
+        store.add(Authorization::for_subject(SubjectSpec::Anyone).on(portion("//name")).privilege(Privilege::Read).propagation(Propagation::None).deny());
+        let doc = Document::parse(
+            "<hospital><patient id=\"p1\"><name>Alice</name><record>flu</record></patient></hospital>",
+        )
+        .unwrap();
+        let processor = SecureQueryProcessor::new(&store, PolicyEngine::default());
+        let profile = SubjectProfile::new("u");
+        let hits = processor.query(&profile, "h.xml", &doc, &Path::parse("//patient").unwrap());
+        assert_eq!(
+            xml_of(&hits),
+            ["<patient id=\"p1\"><name>Alice</name><record>flu</record></patient>"]
+        );
+        let names = processor.query(&profile, "h.xml", &doc, &Path::parse("//name").unwrap());
+        assert!(names.is_empty(), "{names:?}");
     }
 
     #[test]
@@ -242,10 +156,6 @@ mod tests {
         let processor = SecureQueryProcessor::new(&store, PolicyEngine::default());
         let profile = SubjectProfile::new("u");
         let path = Path::parse("//budget").unwrap();
-        for strategy in [QueryStrategy::ViewFirst, QueryStrategy::FilterAfter] {
-            assert!(processor
-                .query(&profile, "h.xml", &doc, &path, strategy)
-                .is_empty());
-        }
+        assert!(processor.query(&profile, "h.xml", &doc, &path).is_empty());
     }
 }

@@ -96,6 +96,15 @@ pub(crate) fn gate_key(identity: &str, doc_name: &str, path: &Path) -> String {
     format!("{identity}|{doc_name}|{}", path.source())
 }
 
+/// The response body: every node `path` selects in `doc`, each wrapped in
+/// its ancestor chain ([`Document::subtree_xml`]), in document order.
+fn matches_xml(doc: &Document, path: &Path) -> String {
+    path.select_nodes(doc)
+        .into_iter()
+        .map(|n| doc.subtree_xml(n))
+        .collect()
+}
+
 impl SecureWebStack {
     /// Processes one request through all four layers.
     ///
@@ -162,23 +171,11 @@ impl SecureWebStack {
         let (result_xml, cache) = if enforce {
             let resolved = resolver.resolve(self, profile, doc_name, doc);
             timings.compile_ns += resolved.compile_ns;
-            let view = resolved.view;
-            let matched = path.select_nodes(&view);
-            let xml = matched
-                .iter()
-                .map(|&n| view.subtree_xml(n))
-                .collect::<Vec<_>>()
-                .join("");
-            (xml, resolved.cache)
+            (matches_xml(&resolved.view, path), resolved.cache)
         } else {
-            // Unchecked fast path: raw query on the stored document.
-            let xml = path
-                .select_nodes(doc)
-                .iter()
-                .map(|&n| String::from_utf8_lossy(&doc.canonical_bytes(n)).to_string())
-                .collect::<Vec<_>>()
-                .join("");
-            (xml, CacheStatus::Bypass)
+            // Unchecked fast path: raw query on the stored document,
+            // answered in the same format.
+            (matches_xml(doc, path), CacheStatus::Bypass)
         };
         timings.xml_ns += t.elapsed().as_nanos();
 
@@ -352,5 +349,27 @@ mod tests {
         assert!(response.xml.contains("Alice"), "{}", response.xml);
         assert_eq!(response.decision, Decision::AdmittedUnchecked);
         assert_eq!(response.cache, CacheStatus::Bypass);
+    }
+
+    #[test]
+    fn unchecked_and_enforced_answers_share_one_format() {
+        let mut s = SecureWebStack::new([3u8; 32]);
+        let doc = Document::parse(
+            "<hospital><patient ssn=\"1\" id=\"p1\"><name>Alice</name><note/></patient></hospital>",
+        )
+        .unwrap();
+        s.add_document("h.xml", doc, ContextLabel::fixed(Level::Unclassified));
+        s.policies.add(Authorization::for_subject(SubjectSpec::Anyone).on(ObjectSpec::Document("h.xml".into())).privilege(Privilege::Read).grant());
+        let req = request("anyone", Clearance(Level::Unclassified), "h.xml", "//patient");
+        let enforced = s.execute(&req).unwrap();
+        s.gate = FlexibleEnforcer::new(0, [3u8; 32]);
+        let unchecked = s.execute(&req).unwrap();
+        assert_eq!(enforced.decision, Decision::Enforced);
+        assert_eq!(unchecked.decision, Decision::AdmittedUnchecked);
+        assert_eq!(
+            enforced.xml,
+            "<hospital><patient ssn=\"1\" id=\"p1\"><name>Alice</name><note/></patient></hospital>"
+        );
+        assert_eq!(unchecked.xml, enforced.xml);
     }
 }

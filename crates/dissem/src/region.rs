@@ -6,10 +6,13 @@
 //! subject satisfying either A or B receives that region's key — exactly the
 //! minimal-key scheme of §4.1.
 //!
-//! Region payloads are **node records**. A `Full` record carries the node's
-//! complete content; a `Shell` record carries only the element name and tree
-//! position, letting the subscriber rebuild the path from the root to its
-//! authorized nodes (the Author-X view keeps ancestor structure visible).
+//! Region payloads are **node records**. An `Element` or `Text` record
+//! carries the node's complete content; a `Shell` record carries only the
+//! element name and tree position, letting the subscriber rebuild the path
+//! from the root to its authorized nodes. That is exactly what the Author-X
+//! view (`Document::prune_to_view`) keeps of such an ancestor, so under a
+//! policy base of grants the opened package equals the pulled view byte
+//! for byte.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use websec_policy::{AuthzId, PolicyEngine, PolicyStore, Privilege};
@@ -46,7 +49,8 @@ pub enum NodeRecord {
         /// Text content.
         content: String,
     },
-    /// Structural shell of an ancestor element: name only.
+    /// Structural shell of an ancestor element: name only, no attribute,
+    /// as the view keeps a denied ancestor of a readable node.
     Shell {
         /// Node id in the source document.
         id: u32,

@@ -651,6 +651,30 @@ impl CompiledPolicies {
         })
     }
 
+    /// The explicit decision one attribute entry yields, from its matched
+    /// rules plus the matched rules of its element's `class`: `None` when
+    /// none of the entry's own rules matched (the interpreter creates
+    /// `per_attr` entries only from matched attribute coverage), so the
+    /// attribute inherits its element's decision.
+    fn entry_decision(
+        &self,
+        cd: &CompiledDoc,
+        entry: &AttrEntry,
+        class: &[u32],
+        matched: &[bool],
+    ) -> Option<bool> {
+        if !entry.auths.iter().any(|&l| matched[l as usize]) {
+            return None;
+        }
+        let mut it = entry
+            .auths
+            .iter()
+            .chain(class)
+            .filter(|&&l| matched[l as usize])
+            .map(|&l| &self.auths[cd.local_auths[l as usize] as usize]);
+        self.resolve_iter(&mut it).map(|s| s == Sign::Plus)
+    }
+
     /// Single-node access check against the compiled tables; `None`
     /// when the document was not part of the compiled snapshot.
     /// Equivalent to [`PolicyEngine::check`] on the source store.
@@ -722,20 +746,7 @@ impl CompiledPolicies {
                 .binary_search_by_key(&(pos, sym), |e| (e.node_pos, e.attr_sym))
                 .ok()
                 .map(|i| &cd.attr_entries[i])?;
-            let mut it = entry
-                .auths
-                .iter()
-                .chain(class.iter())
-                .filter(|&&l| matched[l as usize])
-                .map(|&l| &self.auths[cd.local_auths[l as usize] as usize]);
-            // An entry only yields an explicit decision when at least
-            // one *attribute-specific* authorization matched (the
-            // interpreter creates `per_attr` entries only from matched
-            // attribute coverage).
-            if !entry.auths.iter().any(|&l| matched[l as usize]) {
-                return None;
-            }
-            self.resolve_iter(&mut it).map(|s| s == Sign::Plus)
+            self.entry_decision(cd, entry, class, &matched)
         });
         Some(match explicit {
             Some(e) => e && node_allowed,
@@ -785,16 +796,9 @@ impl CompiledPolicies {
                 let class = &cd.classes[cd.node_class[pos as usize] as usize];
                 let mut hidden: Vec<u32> = Vec::with_capacity(0);
                 for entry in &cd.attr_entries[i..j] {
-                    if !entry.auths.iter().any(|&l| matched[l as usize]) {
-                        continue; // no explicit decision: inherits "visible"
-                    }
-                    let mut it = entry
-                        .auths
-                        .iter()
-                        .chain(class.iter())
-                        .filter(|&&l| matched[l as usize])
-                        .map(|&l| &self.auths[cd.local_auths[l as usize] as usize]);
-                    if self.resolve_iter(&mut it) != Some(Sign::Plus) {
+                    // Without an explicit decision the attribute inherits
+                    // its kept element's.
+                    if self.entry_decision(cd, entry, class, &matched) == Some(false) {
                         hidden.push(entry.attr_sym);
                     }
                 }
@@ -815,7 +819,7 @@ impl CompiledPolicies {
             i = j;
         }
 
-        Some(doc.prune_to_view_bits(&keep, &keep_attrs))
+        Some(doc.prune_to_view(&keep, &keep_attrs))
     }
 
     /// Projects the compiled tables back to the interpreter's

@@ -4,8 +4,8 @@
 use crate::authz::{Authorization, AuthzId, ObjectSpec, Privilege, Propagation, Sign};
 use crate::conflict::ConflictStrategy;
 use crate::subject::{RoleHierarchy, SubjectProfile};
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
-use websec_xml::{Document, NodeId, Selection};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use websec_xml::{Document, NodeBitset, NodeId, Selection};
 
 /// A policy base: authorizations plus the role hierarchy and collection
 /// membership needed to interpret them.
@@ -161,15 +161,6 @@ impl DocumentDecision {
         }
     }
 
-    /// All allowed nodes.
-    #[must_use]
-    pub fn allowed_nodes(&self) -> HashSet<NodeId> {
-        self.node_allowed
-            .iter()
-            .filter_map(|(&n, &ok)| ok.then_some(n))
-            .collect()
-    }
-
     /// Count of allowed nodes (used by the flexible-enforcement exposure
     /// metric and by tests).
     #[must_use]
@@ -178,15 +169,20 @@ impl DocumentDecision {
     }
 
     /// The view of `doc` this decision leaves: the pruning that keeps
-    /// exactly the allowed nodes and visible attributes. Of a Read
-    /// decision, it is [`PolicyEngine::compute_view`]'s view.
+    /// exactly the allowed nodes and visible attributes, with the denied
+    /// ancestors of allowed nodes as name-only shells. Of a Read decision,
+    /// it is [`PolicyEngine::compute_view`]'s view.
     #[must_use]
     pub fn view(&self, doc: &Document) -> Document {
-        let keep = self.allowed_nodes();
+        let keep: NodeBitset = self
+            .node_allowed
+            .iter()
+            .filter_map(|(&n, &ok)| ok.then_some(n))
+            .collect();
         // Attribute pruning: for kept elements, keep attributes whose
         // (possibly inherited) decision is positive.
         let mut keep_attrs: HashMap<NodeId, Vec<String>> = HashMap::new();
-        for &node in &keep {
+        for node in keep.iter() {
             let attrs = doc.attributes(node);
             if attrs.is_empty() {
                 continue;

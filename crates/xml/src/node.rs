@@ -6,6 +6,8 @@
 //! lifetime of the document, which the policy engine relies on when it maps
 //! authorizations to document portions.
 
+use crate::automaton::NodeBitset;
+use std::collections::HashMap;
 use std::fmt::{self, Write};
 
 /// Stable identifier of a node within one [`Document`].
@@ -291,65 +293,36 @@ impl Document {
     /// Produces a copy of the document containing only the nodes in `keep`
     /// (plus their ancestors, so the result stays a tree, and minus
     /// attributes not listed in `keep_attrs` for nodes that appear there).
+    /// An ancestor kept only as structure is a shell: it keeps its name and
+    /// loses every attribute.
     ///
     /// This is the Author-X "view" operation: the subject sees exactly the
-    /// authorized portion.
+    /// authorized portion. Keeping a node does not keep its descendants;
+    /// callers decide subtree semantics.
     #[must_use]
     pub fn prune_to_view(
         &self,
-        keep: &std::collections::HashSet<NodeId>,
-        keep_attrs: &std::collections::HashMap<NodeId, Vec<String>>,
-    ) -> Document {
-        let mut view = self.clone();
-        // Expand: keeping a node keeps its ancestors (structure) but NOT its
-        // descendants implicitly; callers decide subtree semantics.
-        let mut keep_full: std::collections::HashSet<NodeId> = keep.clone();
-        for &id in keep {
-            for anc in self.ancestors(id) {
-                keep_full.insert(anc);
-            }
-        }
-        for id in self.all_nodes() {
-            if !keep_full.contains(&id) {
-                view.nodes[id.index()].removed = true;
-            }
-        }
-        // Attribute-level pruning: for kept elements with an explicit
-        // attribute list, drop everything not listed.
-        for (id, allowed) in keep_attrs {
-            if view.nodes[id.index()].removed {
-                continue;
-            }
-            if let NodeKind::Element { attributes, .. } = &mut view.nodes[id.index()].kind {
-                attributes.retain(|(n, _)| allowed.iter().any(|a| a == n));
-            }
-        }
-        view
-    }
-
-    /// Bitset twin of [`Document::prune_to_view`]: identical semantics
-    /// (kept nodes retain their ancestors as structural shells; listed
-    /// elements drop unlisted attributes), but membership tests run
-    /// against a [`crate::automaton::NodeBitset`] so the compiled
-    /// decision path never materializes a `HashSet` of kept nodes.
-    /// Byte-for-byte equivalence with `prune_to_view` is pinned by the
-    /// `bitset_view_matches_hashset_view` test.
-    #[must_use]
-    pub fn prune_to_view_bits(
-        &self,
-        keep: &crate::automaton::NodeBitset,
-        keep_attrs: &std::collections::HashMap<NodeId, Vec<String>>,
+        keep: &NodeBitset,
+        keep_attrs: &HashMap<NodeId, Vec<String>>,
     ) -> Document {
         let mut view = self.clone();
         let mut keep_full = keep.clone();
         for id in keep.iter() {
-            for anc in self.ancestors(id) {
+            let mut cur = self.nodes[id.index()].parent;
+            // Stop at a node already kept: it is in `keep`, whose own walk
+            // adds its ancestors, or an earlier walk went on past it.
+            while let Some(anc) = cur.filter(|&a| !keep_full.contains(a)) {
                 keep_full.insert(anc);
+                cur = self.nodes[anc.index()].parent;
             }
         }
         for id in self.all_nodes() {
             if !keep_full.contains(id) {
                 view.nodes[id.index()].removed = true;
+            } else if !keep.contains(id) {
+                if let NodeKind::Element { attributes, .. } = &mut view.nodes[id.index()].kind {
+                    attributes.clear();
+                }
             }
         }
         for (id, allowed) in keep_attrs {
@@ -365,10 +338,10 @@ impl Document {
 
     /// Serializes the live subtree under `node`, wrapped in its chain of
     /// ancestor elements (each carrying its attributes but none of its other
-    /// children). The output is byte-identical to
-    /// `prune_to_view(&descendants(node), &HashMap::new()).to_xml_string()`
-    /// but performs no copy of the document — this is the cheap "slice" used
-    /// by the serving layer when projecting matched nodes out of a cached
+    /// children). The output is byte-identical to the XML of the
+    /// `prune_to_view` that keeps the subtree and its ancestors, but
+    /// performs no copy of the document — this is the cheap "slice" used by
+    /// the serving layer when projecting matched nodes out of a cached
     /// policy view. A removed `node` serializes to the empty string.
     #[must_use]
     pub fn subtree_xml(&self, node: NodeId) -> String {
@@ -399,8 +372,16 @@ impl Document {
     /// Serializes the live tree to an XML string.
     #[must_use]
     pub fn to_xml_string(&self) -> String {
+        self.node_xml(self.root)
+    }
+
+    /// Serializes the live subtree under `node` alone, without its
+    /// ancestors: the bytes [`Document::to_xml_string`] writes for it. A
+    /// removed `node` serializes to the empty string.
+    #[must_use]
+    pub fn node_xml(&self, node: NodeId) -> String {
         let mut out = String::new();
-        let _ = self.write_xml(&mut out);
+        let _ = self.write_node(node, &mut out);
         out
     }
 
@@ -518,7 +499,6 @@ pub fn escape_attr(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::{HashMap, HashSet};
 
     fn sample() -> (Document, NodeId, NodeId, NodeId) {
         let mut d = Document::new("hospital");
@@ -594,22 +574,10 @@ mod tests {
     #[test]
     fn view_keeps_ancestors() {
         let (d, _, name, _) = sample();
-        let keep: HashSet<NodeId> = [name].into_iter().collect();
+        let keep: NodeBitset = [name].into_iter().collect();
         let view = d.prune_to_view(&keep, &HashMap::new());
-        // name kept, record dropped, text under name dropped (not in keep).
-        assert_eq!(
-            view.to_xml_string(),
-            "<hospital><patient id=\"p1\"><name/></patient></hospital>"
-        );
-    }
-
-    #[test]
-    fn view_attribute_pruning() {
-        let (d, patient, name, _) = sample();
-        let keep: HashSet<NodeId> = [patient, name].into_iter().collect();
-        let mut keep_attrs = HashMap::new();
-        keep_attrs.insert(patient, vec![]); // drop all attributes
-        let view = d.prune_to_view(&keep, &keep_attrs);
+        // name kept, record dropped, text under name dropped (not in keep),
+        // patient kept as a shell without its id.
         assert_eq!(
             view.to_xml_string(),
             "<hospital><patient><name/></patient></hospital>"
@@ -617,27 +585,16 @@ mod tests {
     }
 
     #[test]
-    fn bitset_view_matches_hashset_view() {
-        use crate::automaton::NodeBitset;
-        let (d, patient, name, record) = sample();
-        let cases: Vec<Vec<NodeId>> = vec![
-            vec![name],
-            vec![patient, name],
-            vec![patient, name, record],
-            d.all_nodes(),
-            vec![],
-        ];
-        for keep_nodes in cases {
-            let keep: HashSet<NodeId> = keep_nodes.iter().copied().collect();
-            let bits: NodeBitset = keep_nodes.iter().copied().collect();
-            let mut keep_attrs = HashMap::new();
-            keep_attrs.insert(patient, vec![]);
-            assert_eq!(
-                d.prune_to_view(&keep, &keep_attrs).to_xml_string(),
-                d.prune_to_view_bits(&bits, &keep_attrs).to_xml_string(),
-                "{keep_nodes:?}"
-            );
-        }
+    fn view_attribute_pruning() {
+        let (d, patient, name, _) = sample();
+        let keep: NodeBitset = [patient, name].into_iter().collect();
+        let mut keep_attrs = HashMap::new();
+        keep_attrs.insert(patient, vec![]); // drop all attributes
+        let view = d.prune_to_view(&keep, &keep_attrs);
+        assert_eq!(
+            view.to_xml_string(),
+            "<hospital><patient><name/></patient></hospital>"
+        );
     }
 
     #[test]
@@ -681,10 +638,27 @@ mod tests {
     fn subtree_xml_matches_prune_to_view() {
         let (d, patient, name, record) = sample();
         for node in [d.root(), patient, name, record] {
-            let keep: HashSet<NodeId> = d.descendants(node).into_iter().collect();
+            let keep: NodeBitset = d
+                .descendants(node)
+                .into_iter()
+                .chain(d.ancestors(node))
+                .collect();
             let via_view = d.prune_to_view(&keep, &HashMap::new()).to_xml_string();
             assert_eq!(d.subtree_xml(node), via_view, "node {node:?}");
         }
+    }
+
+    #[test]
+    fn node_xml_omits_ancestors() {
+        let (mut d, patient, name, record) = sample();
+        assert_eq!(d.node_xml(name), "<name>Alice</name>");
+        assert_eq!(d.node_xml(d.root()), d.to_xml_string());
+        d.prune(record);
+        assert_eq!(d.node_xml(record), "");
+        assert_eq!(
+            d.node_xml(patient),
+            "<patient id=\"p1\"><name>Alice</name></patient>"
+        );
     }
 
     #[test]

@@ -4,6 +4,7 @@
 //! subscriber's decrypted view contains exactly the content the engine
 //! says it may read.
 
+use websec_core::dissem::DissemError;
 use websec_core::prelude::*;
 
 fn hospital() -> Document {
@@ -35,44 +36,51 @@ fn policies() -> PolicyStore {
     store
 }
 
-/// Every piece of text visible in the decrypted package view must also be
-/// visible in the engine-computed view, and vice versa.
+/// A document whose denied ancestors carry attributes: a subject granted
+/// `//name` alone must see neither the patient's `id`/`ssn` nor the root's
+/// `budget`.
+fn attributed() -> Document {
+    Document::parse(
+        "<hospital budget=\"9\">\
+           <patient id=\"p1\" ssn=\"123\"><name>Alice</name><record>flu</record></patient>\
+         </hospital>",
+    )
+    .unwrap()
+}
+
+/// Push equals pull: the decrypted package view is byte-for-byte the
+/// engine-computed view, shells included, for every subject on both
+/// documents (a subject with no region opens nothing and has an empty view).
 #[test]
 fn package_view_matches_engine_view() {
-    let doc = hospital();
-    let store = policies();
+    let mut store = policies();
+    store.add(Authorization::for_subject(SubjectSpec::Identity("clerk".into())).on(ObjectSpec::Portion {
+            document: "h.xml".into(),
+            path: Path::parse("//name").unwrap(),
+        }).privilege(Privilege::Read).grant());
     let engine = PolicyEngine::default();
-    let map = RegionMap::build(&store, "h.xml", &doc);
-    let authority = KeyAuthority::new("h.xml", [1u8; 32]);
-    let package = DissemPackage::seal(&map, b"t1", |r| authority.region_key(&map, r.id));
+    for doc in [hospital(), attributed()] {
+        let map = RegionMap::build(&store, "h.xml", &doc);
+        let authority = KeyAuthority::new("h.xml", [1u8; 32]);
+        let package = DissemPackage::seal(&map, b"t1", |r| authority.region_key(&map, r.id));
 
-    for identity in ["doctor", "accountant"] {
-        let profile = SubjectProfile::new(identity);
-        let engine_view = engine.compute_view(&store, &profile, "h.xml", &doc);
-        let keyring = authority.keys_for(&store, &map, &profile);
-        let package_view = package.open(&keyring).unwrap();
-
-        // Text contents must coincide (structure may differ in shells).
-        let mut engine_text: Vec<String> = engine_view
-            .all_nodes()
-            .iter()
-            .filter_map(|&n| match engine_view.kind(n) {
-                websec_core::xml::NodeKind::Text(t) => Some(t.clone()),
-                _ => None,
-            })
-            .collect();
-        let mut package_text: Vec<String> = package_view
-            .all_nodes()
-            .iter()
-            .filter_map(|&n| match package_view.kind(n) {
-                websec_core::xml::NodeKind::Text(t) => Some(t.clone()),
-                _ => None,
-            })
-            .collect();
-        engine_text.sort();
-        package_text.sort();
-        assert_eq!(engine_text, package_text, "subject {identity}");
+        for identity in ["doctor", "accountant", "clerk"] {
+            let profile = SubjectProfile::new(identity);
+            let engine_view = engine.compute_view(&store, &profile, "h.xml", &doc);
+            let keyring = authority.keys_for(&store, &map, &profile);
+            let package_xml = match package.open(&keyring) {
+                Ok(view) => view.to_xml_string(),
+                Err(DissemError::NoAccessibleRegion) => String::new(),
+                Err(e) => panic!("subject {identity}: {e:?}"),
+            };
+            assert_eq!(engine_view.to_xml_string(), package_xml, "subject {identity}");
+        }
     }
+    let clerk_view = engine.compute_view(&store, &SubjectProfile::new("clerk"), "h.xml", &attributed());
+    assert_eq!(
+        clerk_view.to_xml_string(),
+        "<hospital><patient><name>Alice</name></patient></hospital>"
+    );
 }
 
 #[test]

@@ -368,3 +368,45 @@ fn error_codes_are_stable_at_the_boundary() {
     assert_eq!(server.serve(&pathless).unwrap_err().code(), "WS105");
     assert_no_sync_findings();
 }
+
+/// The denied ancestors a view keeps as structure carry their name only:
+/// a subject granted `//name` alone is served neither the patient's `ssn`
+/// nor the root's `budget`, on the direct path (interpreted view) and from
+/// the server (compiled view, then its cached copy).
+#[test]
+fn served_shells_carry_no_attributes() {
+    let mut stack = SecureWebStack::new([MASTER_KEY_SEED; 32]);
+    stack.add_document(
+        "h.xml",
+        Document::parse(
+            "<hospital budget=\"9\"><patient id=\"p1\" ssn=\"123\"><name>Alice</name><record>flu</record></patient></hospital>",
+        )
+        .unwrap(),
+        ContextLabel::fixed(Level::Unclassified),
+    );
+    stack.policies.add(
+        Authorization::for_subject(SubjectSpec::Anyone)
+            .on(ObjectSpec::Portion {
+                document: "h.xml".into(),
+                path: Path::parse("//name").unwrap(),
+            })
+            .privilege(Privilege::Read)
+            .grant(),
+    );
+    let request = QueryRequest::for_doc("h.xml")
+        .path(Path::parse("//name").unwrap())
+        .subject(&SubjectProfile::new("clerk"))
+        .clearance(Clearance(Level::Unclassified));
+    let expected = "<hospital><patient><name>Alice</name></patient></hospital>";
+    assert_eq!(stack.execute(&request).unwrap().xml, expected);
+    let server = StackServer::new(stack);
+    let first = server.serve(&request).unwrap();
+    let second = server.serve(&request).unwrap();
+    assert_eq!(first.cache, CacheStatus::Miss);
+    assert_eq!(second.cache, CacheStatus::Hit);
+    for response in [first, second] {
+        assert_eq!(response.xml, expected);
+        assert!(!response.xml.contains("ssn") && !response.xml.contains("budget"));
+    }
+    assert_no_sync_findings();
+}

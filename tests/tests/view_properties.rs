@@ -177,3 +177,138 @@ fn flexible_rate_tracks_level() {
         );
     }
 }
+
+const STRATEGIES: [ConflictStrategy; 5] = [
+    ConflictStrategy::DenialsTakePrecedence,
+    ConflictStrategy::PermissionsTakePrecedence,
+    ConflictStrategy::MostSpecificSubject,
+    ConflictStrategy::MostSpecificObject,
+    ConflictStrategy::ExplicitPriority,
+];
+
+/// A random document whose elements carry attributes `a` and `b` at random.
+fn attributed_document(rng: &mut SecureRng) -> Document {
+    let mut doc = random_document(rng);
+    for node in doc.all_nodes() {
+        if doc.name(node).is_none() {
+            continue;
+        }
+        for attr in ["a", "b"] {
+            if rng.gen_range(2) == 0 {
+                doc.set_attribute(node, attr, &format!("{attr}{}", node.index()));
+            }
+        }
+    }
+    doc
+}
+
+/// A random policy base on `d.xml` over the document alphabet: element and
+/// attribute portions, grants and denials, under all three propagations,
+/// three subjects and a few priorities.
+fn shaped_policies(rng: &mut SecureRng) -> PolicyStore {
+    let mut store = PolicyStore::new();
+    for _ in 0..rng.gen_range(8) {
+        let name = rng.gen_range(4);
+        let path = match rng.gen_range(4) {
+            0 => format!("//n{name}"),
+            1 => format!("/root/n{name}"),
+            2 => format!("//n{name}/@a"),
+            _ => "//@b".to_string(),
+        };
+        let subject = match rng.gen_range(3) {
+            0 => SubjectSpec::Anyone,
+            1 => SubjectSpec::Identity("alice".into()),
+            _ => SubjectSpec::InRole(Role::new("staff")),
+        };
+        let propagation = match rng.gen_range(3) {
+            0 => Propagation::None,
+            1 => Propagation::FirstLevel,
+            _ => Propagation::Cascade,
+        };
+        let rule = Authorization::for_subject(subject)
+            .on(ObjectSpec::Portion {
+                document: "d.xml".into(),
+                path: Path::parse(&path).unwrap(),
+            })
+            .privilege(Privilege::Read)
+            .propagation(propagation)
+            .priority(rng.gen_range(3) as i32);
+        store.add(if rng.gen_range(2) == 0 {
+            rule.grant()
+        } else {
+            rule.deny()
+        });
+    }
+    store
+}
+
+/// The view's shape, interpreted and compiled, under every strategy: each
+/// element of the view is either an allowed element with exactly the
+/// attributes `attr_allowed` accepts, or a name-only shell with an allowed
+/// descendant; every text node of the view is allowed; and every query hit
+/// is `node_xml` of an allowed node of the view.
+#[test]
+fn views_are_allowed_nodes_plus_name_only_shells() {
+    let mut rng = SecureRng::seeded(0x71e6);
+    let profile = SubjectProfile::new("alice").with_role(Role::new("staff"));
+    let (mut shells, mut hidden_attrs, mut hits) = (0, 0, 0);
+    for case in 0..96 {
+        let doc = attributed_document(&mut rng);
+        let store = shaped_policies(&mut rng);
+        let mut documents = DocumentStore::new();
+        documents.insert("d.xml", doc.clone());
+        let query = Path::parse(&format!("//n{}", rng.gen_range(4))).unwrap();
+        for strategy in STRATEGIES {
+            let engine = PolicyEngine::new(strategy);
+            let decision = engine.evaluate_document(&store, &profile, "d.xml", &doc, Privilege::Read);
+            let compiled = PolicySnapshot::new(&store, strategy, &documents)
+                .compile()
+                .compute_view(&profile, "d.xml", &doc)
+                .unwrap();
+            let interpreted = engine.compute_view(&store, &profile, "d.xml", &doc);
+            for (label, view) in [("interpreted", &interpreted), ("compiled", &compiled)] {
+                let at = |node| format!("case {case}, {strategy:?}, {label}, node {node:?}");
+                for node in doc.all_nodes() {
+                    let shown = !view.is_removed(node);
+                    let attrs = view.attributes(node);
+                    if decision.is_allowed(node) {
+                        assert!(shown, "{}", at(node));
+                        let visible: Vec<(String, String)> = doc
+                            .attributes(node)
+                            .iter()
+                            .filter(|(name, _)| decision.attr_allowed(node, name))
+                            .cloned()
+                            .collect();
+                        hidden_attrs += doc.attributes(node).len() - visible.len();
+                        assert_eq!(attrs, visible.as_slice(), "{}", at(node));
+                    } else {
+                        let covers_allowed =
+                            doc.descendants(node).iter().any(|&d| decision.is_allowed(d));
+                        assert_eq!(shown, covers_allowed, "{}", at(node));
+                        if shown {
+                            shells += 1;
+                            assert!(view.name(node).is_some(), "text shell: {}", at(node));
+                            assert!(attrs.is_empty(), "shell attributes: {}", at(node));
+                        }
+                    }
+                }
+            }
+            let processor = SecureQueryProcessor::new(&store, engine);
+            let served: Vec<String> = processor
+                .query(&profile, "d.xml", &doc, &query)
+                .into_iter()
+                .map(|hit| hit.xml)
+                .collect();
+            let expected: Vec<String> = query
+                .select_nodes(&compiled)
+                .into_iter()
+                .filter(|&n| decision.is_allowed(n))
+                .map(|n| compiled.node_xml(n))
+                .collect();
+            hits += served.len();
+            assert_eq!(served, expected, "case {case}, {strategy:?}, query {}", query.source());
+        }
+    }
+    // The generator reaches every case the property names.
+    assert!(shells > 0 && hidden_attrs > 0 && hits > 0, "{shells} {hidden_attrs} {hits}");
+}
