@@ -14,11 +14,11 @@
 //! for the referencing element, so multimedia inherits the document's
 //! policy without duplicating it.
 
+use std::collections::BTreeMap;
 use websec_crypto::sha256::{sha256, Digest};
 use websec_crypto::{hkdf, hmac_sha256, ChaCha20};
 use websec_policy::{PolicyEngine, PolicyStore, Privilege, SubjectProfile};
 use websec_xml::{Document, NodeId};
-use std::collections::BTreeMap;
 
 /// The attribute linking an element to its blob.
 pub const BLOB_REF_ATTR: &str = "blobRef";
@@ -253,22 +253,23 @@ mod tests {
     #[test]
     fn policy_gated_fetch() {
         let mut store = BlobStore::new([5u8; 32]);
-        let mut doc = Document::parse(
-            "<hospital><patient id=\"p1\"><scan/></patient></hospital>",
-        )
-        .unwrap();
+        let mut doc =
+            Document::parse("<hospital><patient id=\"p1\"><scan/></patient></hospital>").unwrap();
         let scan_el = Path::parse("//scan").unwrap().select_nodes(&doc)[0];
         attach_blob(&mut doc, scan_el, &mut store, b"MRI bytes");
 
         let mut policies = PolicyStore::new();
-        policies.add(Authorization::for_subject(SubjectSpec::Identity("doctor".into())).on(ObjectSpec::Document("h.xml".into())).privilege(Privilege::Read).grant());
+        policies.add(
+            Authorization::for_subject(SubjectSpec::Identity("doctor".into()))
+                .on(ObjectSpec::Document("h.xml".into()))
+                .privilege(Privilege::Read)
+                .grant(),
+        );
         let engine = PolicyEngine::default();
 
         let doctor = SubjectProfile::new("doctor");
-        let bytes = fetch_authorized(
-            &store, &policies, &engine, &doctor, "h.xml", &doc, scan_el,
-        )
-        .unwrap();
+        let bytes =
+            fetch_authorized(&store, &policies, &engine, &doctor, "h.xml", &doc, scan_el).unwrap();
         assert_eq!(bytes, b"MRI bytes");
 
         let stranger = SubjectProfile::new("stranger");
@@ -287,12 +288,22 @@ mod tests {
         attach_blob(&mut doc, media, &mut store, b"video");
 
         let mut policies = PolicyStore::new();
-        policies.add(Authorization::for_subject(SubjectSpec::Anyone).on(ObjectSpec::Document("d".into())).privilege(Privilege::Read).grant());
+        policies.add(
+            Authorization::for_subject(SubjectSpec::Anyone)
+                .on(ObjectSpec::Document("d".into()))
+                .privilege(Privilege::Read)
+                .grant(),
+        );
         // Deny the reference attribute itself: metadata visible, blob not.
-        policies.add(Authorization::for_subject(SubjectSpec::Anyone).on(ObjectSpec::Portion {
-                document: "d".into(),
-                path: Path::parse("//media/@blobRef").unwrap(),
-            }).privilege(Privilege::Read).deny());
+        policies.add(
+            Authorization::for_subject(SubjectSpec::Anyone)
+                .on(ObjectSpec::Portion {
+                    document: "d".into(),
+                    path: Path::parse("//media/@blobRef").unwrap(),
+                })
+                .privilege(Privilege::Read)
+                .deny(),
+        );
         let engine = PolicyEngine::default();
         assert_eq!(
             fetch_authorized(
@@ -315,7 +326,12 @@ mod tests {
         let doc = Document::parse("<r><media/></r>").unwrap();
         let media = Path::parse("//media").unwrap().select_nodes(&doc)[0];
         let mut policies = PolicyStore::new();
-        policies.add(Authorization::for_subject(SubjectSpec::Anyone).on(ObjectSpec::Document("d".into())).privilege(Privilege::Read).grant());
+        policies.add(
+            Authorization::for_subject(SubjectSpec::Anyone)
+                .on(ObjectSpec::Document("d".into()))
+                .privilege(Privilege::Read)
+                .grant(),
+        );
         assert_eq!(
             fetch_authorized(
                 &store,

@@ -157,9 +157,7 @@ mod tests {
         let codes: Vec<&str> = errors.iter().map(Error::code).collect();
         assert_eq!(
             codes,
-            vec![
-                "WS101", "WS102", "WS103", "WS104", "WS105", "WS106", "WS107", "WS108", "WS109"
-            ]
+            vec!["WS101", "WS102", "WS103", "WS104", "WS105", "WS106", "WS107", "WS108", "WS109"]
         );
     }
 

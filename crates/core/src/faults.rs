@@ -354,7 +354,9 @@ impl FaultInjector {
     #[must_use]
     pub fn fired(&self, index: usize) -> u64 {
         // Monotonic tally read after the run; relaxed readers tolerate lag.
-        self.fired.get(index).map_or(0, |f| f.load(Ordering::Relaxed)) // lint:allow(relaxed-counter)
+        self.fired
+            .get(index)
+            .map_or(0, |f| f.load(Ordering::Relaxed)) // lint:allow(relaxed-counter)
     }
 
     /// Total fires across all rules.
@@ -388,7 +390,9 @@ impl FaultInjector {
             }
             let key_hash = site.key_hash();
             let index = {
-                let mut map = self.counters[i].lock().unwrap_or_else(PoisonError::into_inner);
+                let mut map = self.counters[i]
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner);
                 let slot = map.entry(key_hash).or_insert(0);
                 let current = *slot;
                 *slot += 1;
@@ -511,7 +515,10 @@ mod tests {
     #[test]
     fn schedules_fire_deterministically() {
         let always = FaultSchedule::Always;
-        let nth = FaultSchedule::Nth { every: 3, offset: 1 };
+        let nth = FaultSchedule::Nth {
+            every: 3,
+            offset: 1,
+        };
         let at = FaultSchedule::At(2);
         let until = FaultSchedule::Until(2);
         for index in 0..9 {
@@ -552,9 +559,13 @@ mod tests {
             injector.check(&site(FaultLayer::Channel, "alice", "d.xml")),
             vec![FaultKind::ChannelDrop]
         );
-        assert!(injector.check(&site(FaultLayer::Channel, "alice", "d.xml")).is_empty());
+        assert!(injector
+            .check(&site(FaultLayer::Channel, "alice", "d.xml"))
+            .is_empty());
         // Bob's stream is independent and unmatched by the subject scope.
-        assert!(injector.check(&site(FaultLayer::Channel, "bob", "d.xml")).is_empty());
+        assert!(injector
+            .check(&site(FaultLayer::Channel, "bob", "d.xml"))
+            .is_empty());
         // A different doc is a different stream for the same subject.
         assert_eq!(
             injector.check(&site(FaultLayer::Channel, "alice", "other.xml")),
@@ -584,8 +595,7 @@ mod tests {
 
     #[test]
     fn worker_scope_only_matches_that_worker() {
-        let plan =
-            FaultPlan::seeded(3).rule(FaultRule::new(FaultKind::WorkerPanic).for_worker(1));
+        let plan = FaultPlan::seeded(3).rule(FaultRule::new(FaultKind::WorkerPanic).for_worker(1));
         let injector = FaultInjector::new(plan);
         let unmatched = FaultSite {
             layer: FaultLayer::Eval,

@@ -127,7 +127,12 @@ mod tests {
             "ward.xml",
             Document::parse("<ward><patient><name>Alice</name></patient></ward>").unwrap(),
         );
-        a.policies.add(Authorization::for_subject(SubjectSpec::Identity("researcher".into())).on(ObjectSpec::Document("ward.xml".into())).privilege(Privilege::Read).grant());
+        a.policies.add(
+            Authorization::for_subject(SubjectSpec::Identity("researcher".into()))
+                .on(ObjectSpec::Document("ward.xml".into()))
+                .privilege(Privilege::Read)
+                .grant(),
+        );
         fed.add_site(a);
 
         // Site B: grants nothing to researchers, everything to its admin.
@@ -136,7 +141,12 @@ mod tests {
             "ward.xml",
             Document::parse("<ward><patient><name>Bob</name></patient></ward>").unwrap(),
         );
-        b.policies.add(Authorization::for_subject(SubjectSpec::Identity("b-admin".into())).on(ObjectSpec::Document("ward.xml".into())).privilege(Privilege::Read).grant());
+        b.policies.add(
+            Authorization::for_subject(SubjectSpec::Identity("b-admin".into()))
+                .on(ObjectSpec::Document("ward.xml".into()))
+                .privilege(Privilege::Read)
+                .grant(),
+        );
         fed.add_site(b);
         fed
     }
@@ -163,7 +173,12 @@ mod tests {
         // A subject granted at both sites sees the union; sites remain the
         // enforcement points.
         for site in &mut fed.sites {
-            site.policies.add(Authorization::for_subject(SubjectSpec::Identity("auditor".into())).on(ObjectSpec::Document("ward.xml".into())).privilege(Privilege::Read).grant());
+            site.policies.add(
+                Authorization::for_subject(SubjectSpec::Identity("auditor".into()))
+                    .on(ObjectSpec::Document("ward.xml".into()))
+                    .privilege(Privilege::Read)
+                    .grant(),
+            );
         }
         let hits = fed.query(
             &SubjectProfile::new("auditor"),

@@ -133,8 +133,8 @@ pub mod prelude {
     pub use crate::query::SecureQueryProcessor;
     pub use crate::request::{BatchRequest, CacheStatus, Decision, QueryRequest, QueryResponse};
     pub use crate::server::{
-        AnalysisGate, BatchResponse, BatchStats, LatencyHistogram, MetricsSnapshot,
-        ServerConfig, ShardStats, StackServer,
+        AnalysisGate, BatchResponse, BatchStats, LatencyHistogram, MetricsSnapshot, ServerConfig,
+        ShardStats, StackServer,
     };
     pub use crate::stack::{LayerTimings, SecureWebStack};
     pub use crate::sync::{
@@ -161,8 +161,8 @@ pub mod prelude {
         SubjectProfile, SubjectSpec,
     };
     pub use websec_privacy::{
-        AggregateDecision, AggregateQuery, ConsentLedger, InferenceController,
-        HistoryGranularity, PrivacyConstraint, PrivacyLevel, PrivacyPolicy, Query, QueryDecision, StatisticalGate,
+        AggregateDecision, AggregateQuery, ConsentLedger, HistoryGranularity, InferenceController,
+        PrivacyConstraint, PrivacyLevel, PrivacyPolicy, Query, QueryDecision, StatisticalGate,
         Table, UserPreferences, Value, WsaChecklist,
     };
     pub use websec_publish::{verify_answer, Owner, Publisher};
@@ -170,8 +170,9 @@ pub mod prelude {
         ClassAuthorization, ClassLabel, EnforcementMode, OntologyGuard, PatternTerm,
         RdfAuthorization, Schema, SecureStore, Term, Triple, TriplePattern, TripleStore,
     };
-    pub use websec_services::{ChannelSession, Envelope, SecureChannel, ServiceDescription,
-        ServiceHost, ServiceRequestor};
+    pub use websec_services::{
+        ChannelSession, Envelope, SecureChannel, ServiceDescription, ServiceHost, ServiceRequestor,
+    };
     pub use websec_uddi::{
         BusinessEntity, BusinessService, FindQualifier, InquiryRequest, InquiryResponse,
         ServiceProvider, TModelOverview, UddiRegistry, UntrustedAgency,

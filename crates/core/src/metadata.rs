@@ -95,10 +95,7 @@ impl MetadataRepository {
             }
             Placement::PerSite | Placement::Replicated => {
                 let site = meta.site.clone();
-                assert!(
-                    self.stores.contains_key(&site),
-                    "unknown site '{site}'"
-                );
+                assert!(self.stores.contains_key(&site), "unknown site '{site}'");
                 self.stores
                     .get_mut(&site)
                     .expect("site checked above")

@@ -77,8 +77,18 @@ mod tests {
 
     fn setup() -> (PolicyStore, Document) {
         let mut store = PolicyStore::new();
-        store.add(Authorization::for_subject(SubjectSpec::Anyone).on(portion("//patient")).privilege(Privilege::Read).grant());
-        store.add(Authorization::for_subject(SubjectSpec::Anyone).on(portion("//patient/@ssn")).privilege(Privilege::Read).deny());
+        store.add(
+            Authorization::for_subject(SubjectSpec::Anyone)
+                .on(portion("//patient"))
+                .privilege(Privilege::Read)
+                .grant(),
+        );
+        store.add(
+            Authorization::for_subject(SubjectSpec::Anyone)
+                .on(portion("//patient/@ssn"))
+                .privilege(Privilege::Read)
+                .deny(),
+        );
         let doc = Document::parse(
             "<hospital>\
                <patient id=\"p1\" ssn=\"123\"><name>Alice</name></patient>\
@@ -107,7 +117,10 @@ mod tests {
                 "<patient id=\"p2\"><name>Bob</name></patient>",
             ]
         );
-        assert_eq!(xml_of(&query("//name")), ["<name>Alice</name>", "<name>Bob</name>"]);
+        assert_eq!(
+            xml_of(&query("//name")),
+            ["<name>Alice</name>", "<name>Bob</name>"]
+        );
         assert_eq!(
             xml_of(&query("//patient[@id='p2']")),
             ["<patient id=\"p2\"><name>Bob</name></patient>"]
@@ -133,8 +146,19 @@ mod tests {
         // A cascading grant of //patient and a non-propagating denial of
         // //name: the name element is denied, its text is not.
         let mut store = PolicyStore::new();
-        store.add(Authorization::for_subject(SubjectSpec::Anyone).on(portion("//patient")).privilege(Privilege::Read).grant());
-        store.add(Authorization::for_subject(SubjectSpec::Anyone).on(portion("//name")).privilege(Privilege::Read).propagation(Propagation::None).deny());
+        store.add(
+            Authorization::for_subject(SubjectSpec::Anyone)
+                .on(portion("//patient"))
+                .privilege(Privilege::Read)
+                .grant(),
+        );
+        store.add(
+            Authorization::for_subject(SubjectSpec::Anyone)
+                .on(portion("//name"))
+                .privilege(Privilege::Read)
+                .propagation(Propagation::None)
+                .deny(),
+        );
         let doc = Document::parse(
             "<hospital><patient id=\"p1\"><name>Alice</name><record>flu</record></patient></hospital>",
         )

@@ -148,9 +148,7 @@ fn render_section(stack: &SecureWebStack, section: Section, s: &mut impl Write) 
                 .documents
                 .names()
                 .iter()
-                .filter_map(|n| {
-                    stack.label_of(n).map(|l| (n.to_string(), format!("{l:?}")))
-                })
+                .filter_map(|n| stack.label_of(n).map(|l| (n.to_string(), format!("{l:?}"))))
                 .collect();
             labels.sort();
             let _ = write!(s, "{labels:?}");
@@ -254,7 +252,11 @@ impl SnapshotAnalysis {
         // artifact, which any change to their sections invalidates
         // wholesale.
         let policy = prev
-            .filter(|_| PolicyPassId::ALL.iter().all(|pass| unchanged(pass.sections())))
+            .filter(|_| {
+                PolicyPassId::ALL
+                    .iter()
+                    .all(|pass| unchanged(pass.sections()))
+            })
             .and_then(|p| p.policy.clone());
         SnapshotAnalysis {
             token,
@@ -499,12 +501,8 @@ impl StackServer {
                 continue;
             };
             for privilege in [Privilege::Browse, Privilege::Read] {
-                let interpreted = PolicyEngine::policy_equivalence_classes(
-                    &stack.policies,
-                    name,
-                    doc,
-                    privilege,
-                );
+                let interpreted =
+                    PolicyEngine::policy_equivalence_classes(&stack.policies, name, doc, privilege);
                 if compiled.equivalence_classes(name, privilege).as_ref() != Some(&interpreted) {
                     return Err(Error::AnalysisRejected(format!(
                         "{privilege:?} equivalence classes diverge for document '{name}' \
@@ -539,10 +537,7 @@ impl StackServer {
     ///   machine lines of every introduced finding — an update that trips
     ///   both an AST error and a WS014 tie reports both. An accepted one
     ///   enters the memo under its new token.
-    pub fn try_update<R>(
-        &self,
-        mutate: impl FnOnce(&mut SecureWebStack) -> R,
-    ) -> Result<R, Error> {
+    pub fn try_update<R>(&self, mutate: impl FnOnce(&mut SecureWebStack) -> R) -> Result<R, Error> {
         match self.analysis_gate() {
             AnalysisGate::Off => Ok(self.update(mutate)),
             AnalysisGate::Warn => {
@@ -583,8 +578,7 @@ impl StackServer {
                 // work happened but nothing was published.
                 let t = Instant::now();
                 let compiled = candidate.compile();
-                let compile_ns =
-                    u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX);
+                let compile_ns = u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX);
                 // Keyed by the current token until publication creates
                 // the candidate's own.
                 let mut analysis = SnapshotAnalysis::rebase(Some(&baseline), &candidate, token);
@@ -592,8 +586,7 @@ impl StackServer {
                 let mut introduced: Vec<String> = error_lines(report)
                     .filter(|line| !baseline_errors.contains(line))
                     .collect();
-                let (policy_report, policy_ran) =
-                    analysis.complete_policy(&candidate, &compiled);
+                let (policy_report, policy_ran) = analysis.complete_policy(&candidate, &compiled);
                 introduced.extend(
                     error_lines(policy_report)
                         .filter(|line| !baseline_policy_errors.contains(line)),

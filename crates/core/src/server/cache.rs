@@ -16,8 +16,8 @@ use std::sync::atomic::Ordering;
 use std::sync::{Arc, PoisonError};
 
 use super::metrics::ShardStats;
-use crate::sync::{TrackedAtomicU64, TrackedReadGuard, TrackedRwLock, TrackedWriteGuard};
 use crate::hash::{fnv1a, FNV1A_START};
+use crate::sync::{TrackedAtomicU64, TrackedReadGuard, TrackedRwLock, TrackedWriteGuard};
 use websec_xml::Document;
 
 /// Validity token for cached views: the server's snapshot generation
@@ -223,7 +223,10 @@ mod tests {
         l2.insert(other.clone(), T0, doc());
         l2.remove(&key);
         assert!(l2.lookup(&key, T0).is_none(), "removed L2 entry served");
-        assert!(l2.lookup(&other, T0).is_some(), "remove() evicted a neighbor");
+        assert!(
+            l2.lookup(&other, T0).is_some(),
+            "remove() evicted a neighbor"
+        );
     }
 
     #[test]

@@ -108,8 +108,7 @@ mod tests {
 
     #[test]
     fn defaults_match_plain_new() {
-        let server =
-            StackServer::with_config(SecureWebStack::new([1u8; 32]), ServerConfig::new());
+        let server = StackServer::with_config(SecureWebStack::new([1u8; 32]), ServerConfig::new());
         let plain = StackServer::new(SecureWebStack::new([1u8; 32]));
         assert_eq!(server.shard_count(), plain.shard_count());
         assert_eq!(server.queue_limit(), plain.queue_limit());

@@ -23,9 +23,9 @@
 use std::sync::atomic::Ordering;
 
 use crate::error::Error;
-use crate::sync::TrackedAtomicU64;
 use crate::request::{CacheStatus, Decision, QueryResponse};
 use crate::stack::LayerTimings;
+use crate::sync::TrackedAtomicU64;
 
 /// Number of log₂ latency buckets (bucket `i` covers `[2^i, 2^{i+1})` ns;
 /// 40 buckets span ~18 minutes, far beyond any sane request).
@@ -680,7 +680,11 @@ mod tests {
         assert_eq!(snap.session_lock_waits, 1);
         assert_eq!(snap.cache_lock_waits, 2);
         assert_eq!(snap.latency.count, 3);
-        assert_eq!(snap.layer_totals.total_ns(), 300, "compile_ns attributes, not adds");
+        assert_eq!(
+            snap.layer_totals.total_ns(),
+            300,
+            "compile_ns attributes, not adds"
+        );
         assert_eq!(snap.compiled_hits, 1, "only the Miss built a view");
         assert_eq!(snap.compile_ns, 21);
         assert_eq!(snap.layer_totals.compile_ns, 21);

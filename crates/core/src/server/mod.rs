@@ -83,7 +83,7 @@ use crate::hash::{fnv1a, FNV1A_START};
 use crate::request::{BatchRequest, CacheStatus, QueryRequest, QueryResponse};
 use crate::stack::{ResolvedView, SecureWebStack, ViewResolver};
 use crate::sync::{
-    TrackedAtomicBool, TrackedAtomicU8, TrackedAtomicU64, TrackedAtomicUsize, TrackedMutex,
+    TrackedAtomicBool, TrackedAtomicU64, TrackedAtomicU8, TrackedAtomicUsize, TrackedMutex,
     TrackedRwLock,
 };
 use cache::{L2ViewCache, Token, ViewKey};
@@ -405,7 +405,10 @@ impl StackServer {
         if !self.faults_enabled.load(Ordering::Acquire) {
             return None;
         }
-        self.faults.lock().unwrap_or_else(PoisonError::into_inner).clone()
+        self.faults
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
     }
 
     /// The logical clock, in ticks. It advances only on injected
@@ -482,7 +485,10 @@ impl StackServer {
             token,
         });
         let replaced = {
-            let mut current = self.snapshot.write().unwrap_or_else(PoisonError::into_inner);
+            let mut current = self
+                .snapshot
+                .write()
+                .unwrap_or_else(PoisonError::into_inner);
             std::mem::replace(&mut *current, published)
         };
         self.generation.store(token.generation, Ordering::Release);
@@ -629,6 +635,9 @@ impl StackServer {
                         local.bump(Counter::FaultsInjected);
                         self.clock.fetch_add(ticks, Ordering::Relaxed);
                     }
+                    // Unformatted so the lint marker stays on the panic's
+                    // line, where websec-lint reads it.
+                    #[rustfmt::skip]
                     FaultKind::WorkerPanic => {
                         local.bump(Counter::FaultsInjected);
                         // Unwinds through serve_caught's boundary into a
@@ -675,8 +684,7 @@ impl StackServer {
         caught.unwrap_or_else(|_| {
             local.bump(Counter::WorkerPanics);
             Err(Error::ShardPoisoned(
-                "request evaluation panicked; the batch degraded this request and continued"
-                    .into(),
+                "request evaluation panicked; the batch degraded this request and continued".into(),
             ))
         })
     }
@@ -753,9 +761,8 @@ impl StackServer {
                 Err(e) => return Err(e),
             }
         }
-        Err(last_transient.unwrap_or_else(|| {
-            Error::InvalidRequest("retry policy allowed zero attempts".into())
-        }))
+        Err(last_transient
+            .unwrap_or_else(|| Error::InvalidRequest("retry policy allowed zero attempts".into())))
     }
 
     /// Serves a [`BatchRequest`] across its configured workers, which claim
@@ -960,10 +967,15 @@ mod tests {
             .unwrap(),
             ContextLabel::fixed(Level::Unclassified),
         );
-        s.policies.add(Authorization::for_subject(SubjectSpec::Identity("doctor".into())).on(ObjectSpec::Portion {
-                document: "h.xml".into(),
-                path: Path::parse("//patient").unwrap(),
-            }).privilege(Privilege::Read).grant());
+        s.policies.add(
+            Authorization::for_subject(SubjectSpec::Identity("doctor".into()))
+                .on(ObjectSpec::Portion {
+                    document: "h.xml".into(),
+                    path: Path::parse("//patient").unwrap(),
+                })
+                .privilege(Privilege::Read)
+                .grant(),
+        );
         s
     }
 
@@ -1009,7 +1021,12 @@ mod tests {
         assert_eq!(server.metrics().cached_views, 1);
         let epoch_before = server.snapshot().policies.epoch();
         server.update(|s| {
-            s.policies.add(Authorization::for_subject(SubjectSpec::Identity("doctor".into())).on(ObjectSpec::Document("h.xml".into())).privilege(Privilege::Read).deny());
+            s.policies.add(
+                Authorization::for_subject(SubjectSpec::Identity("doctor".into()))
+                    .on(ObjectSpec::Document("h.xml".into()))
+                    .privilege(Privilege::Read)
+                    .deny(),
+            );
         });
         assert!(server.snapshot().policies.epoch() > epoch_before);
         assert_eq!(server.metrics().cached_views, 0, "stale views evicted");

@@ -17,10 +17,10 @@ use std::sync::atomic::Ordering;
 use std::sync::{Arc, TryLockError};
 
 use super::metrics::{Counter, LocalMetrics, ShardStats};
-use crate::sync::{TrackedAtomicU64, TrackedMutex, TrackedMutexGuard};
 use crate::error::Error;
 use crate::faults::{FaultContext, FaultKind, FaultLayer};
 use crate::hash::{fnv1a, FNV1A_START};
+use crate::sync::{TrackedAtomicU64, TrackedMutex, TrackedMutexGuard};
 use websec_services::ChannelSession;
 
 /// Acquires `mutex`, counting a contention event into `waits` when the
@@ -189,8 +189,12 @@ mod tests {
         let shards = SessionShards::new(4);
         let mut local = LocalMetrics::default();
         let key = [7u8; 32];
-        let first = shards.get_or_establish("alice", &key, true, &mut local, None).unwrap();
-        let again = shards.get_or_establish("alice", &key, true, &mut local, None).unwrap();
+        let first = shards
+            .get_or_establish("alice", &key, true, &mut local, None)
+            .unwrap();
+        let again = shards
+            .get_or_establish("alice", &key, true, &mut local, None)
+            .unwrap();
         assert!(Arc::ptr_eq(&first, &again));
         assert_eq!(local.get(Counter::SessionsEstablished), 1);
         assert_eq!(local.get(Counter::SessionReuses), 1);
@@ -202,9 +206,13 @@ mod tests {
         let shards = SessionShards::new(4);
         let mut local = LocalMetrics::default();
         let key = [7u8; 32];
-        let first = shards.get_or_establish("bob", &key, true, &mut local, None).unwrap();
+        let first = shards
+            .get_or_establish("bob", &key, true, &mut local, None)
+            .unwrap();
         shards.evict("bob");
-        let second = shards.get_or_establish("bob", &key, true, &mut local, None).unwrap();
+        let second = shards
+            .get_or_establish("bob", &key, true, &mut local, None)
+            .unwrap();
         assert!(!Arc::ptr_eq(&first, &second));
         assert_eq!(local.get(Counter::SessionsEstablished), 2);
     }
@@ -214,7 +222,9 @@ mod tests {
         let shards = SessionShards::new(1); // everything routes to shard 0
         let mut local = LocalMetrics::default();
         let key = [7u8; 32];
-        shards.get_or_establish("alice", &key, true, &mut local, None).unwrap();
+        shards
+            .get_or_establish("alice", &key, true, &mut local, None)
+            .unwrap();
         // Poison the shard map mutex by panicking while holding it.
         let shard_map = &shards.shards[0].map;
         let _ = std::thread::scope(|scope| {

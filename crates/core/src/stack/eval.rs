@@ -82,7 +82,9 @@ impl ViewResolver for FreshViews {
     ) -> ResolvedView {
         ResolvedView {
             view: Arc::new(
-                stack.engine.compute_view(&stack.policies, profile, doc_name, doc),
+                stack
+                    .engine
+                    .compute_view(&stack.policies, profile, doc_name, doc),
             ),
             cache: CacheStatus::Bypass,
             compile_ns: 0,
@@ -184,8 +186,8 @@ impl SecureWebStack {
         let received = session.transit_to_client(result_xml.as_bytes())?;
         timings.channel_ns += t.elapsed().as_nanos();
 
-        let text = String::from_utf8(received)
-            .map_err(|_| Error::Channel("response not UTF-8".into()))?;
+        let text =
+            String::from_utf8(received).map_err(|_| Error::Channel("response not UTF-8".into()))?;
         Ok(QueryResponse {
             xml: text,
             decision: if enforce {
@@ -203,9 +205,7 @@ impl SecureWebStack {
 mod tests {
     use super::*;
     use websec_policy::mls::{Clearance, ContextLabel, Level, SecurityContext};
-    use websec_policy::{
-        Authorization, FlexibleEnforcer, ObjectSpec, Privilege, SubjectSpec,
-    };
+    use websec_policy::{Authorization, FlexibleEnforcer, ObjectSpec, Privilege, SubjectSpec};
 
     fn stack() -> SecureWebStack {
         let mut s = SecureWebStack::new([3u8; 32]);
@@ -214,10 +214,15 @@ mod tests {
         )
         .unwrap();
         s.add_document("h.xml", doc, ContextLabel::fixed(Level::Unclassified));
-        s.policies.add(Authorization::for_subject(SubjectSpec::Identity("doctor".into())).on(ObjectSpec::Portion {
-                document: "h.xml".into(),
-                path: Path::parse("//patient").unwrap(),
-            }).privilege(Privilege::Read).grant());
+        s.policies.add(
+            Authorization::for_subject(SubjectSpec::Identity("doctor".into()))
+                .on(ObjectSpec::Portion {
+                    document: "h.xml".into(),
+                    path: Path::parse("//patient").unwrap(),
+                })
+                .privilege(Privilege::Read)
+                .grant(),
+        );
         s
     }
 
@@ -267,7 +272,12 @@ mod tests {
             Document::parse("<ops><plan>x</plan></ops>").unwrap(),
             ContextLabel::fixed(Level::Secret),
         );
-        s.policies.add(Authorization::for_subject(SubjectSpec::Anyone).on(ObjectSpec::AllDocuments).privilege(Privilege::Read).grant());
+        s.policies.add(
+            Authorization::for_subject(SubjectSpec::Anyone)
+                .on(ObjectSpec::AllDocuments)
+                .privilege(Privilege::Read)
+                .grant(),
+        );
         let err = s
             .execute(&request(
                 "public",
@@ -297,7 +307,12 @@ mod tests {
             Document::parse("<ops><plan>x</plan></ops>").unwrap(),
             ContextLabel::fixed(Level::Secret).unless_condition("wartime", Level::Unclassified),
         );
-        s.policies.add(Authorization::for_subject(SubjectSpec::Anyone).on(ObjectSpec::AllDocuments).privilege(Privilege::Read).grant());
+        s.policies.add(
+            Authorization::for_subject(SubjectSpec::Anyone)
+                .on(ObjectSpec::AllDocuments)
+                .privilege(Privilege::Read)
+                .grant(),
+        );
         s.context = SecurityContext::new().with_condition("wartime");
         let req = request(
             "journalist",
@@ -359,8 +374,18 @@ mod tests {
         )
         .unwrap();
         s.add_document("h.xml", doc, ContextLabel::fixed(Level::Unclassified));
-        s.policies.add(Authorization::for_subject(SubjectSpec::Anyone).on(ObjectSpec::Document("h.xml".into())).privilege(Privilege::Read).grant());
-        let req = request("anyone", Clearance(Level::Unclassified), "h.xml", "//patient");
+        s.policies.add(
+            Authorization::for_subject(SubjectSpec::Anyone)
+                .on(ObjectSpec::Document("h.xml".into()))
+                .privilege(Privilege::Read)
+                .grant(),
+        );
+        let req = request(
+            "anyone",
+            Clearance(Level::Unclassified),
+            "h.xml",
+            "//patient",
+        );
         let enforced = s.execute(&req).unwrap();
         s.gate = FlexibleEnforcer::new(0, [3u8; 32]);
         let unchecked = s.execute(&req).unwrap();

@@ -185,11 +185,8 @@ impl SecureWebStack {
             }
         }
         // Deterministic label order (the map iterates in arbitrary order).
-        let mut labels: Vec<(&str, &ContextLabel)> = self
-            .labels
-            .iter()
-            .map(|(n, l)| (n.as_str(), l))
-            .collect();
+        let mut labels: Vec<(&str, &ContextLabel)> =
+            self.labels.iter().map(|(n, l)| (n.as_str(), l)).collect();
         labels.sort_by_key(|(n, _)| *n);
         input.labels = labels;
         input.catalog_names = catalog.iter().map(String::as_str).collect();

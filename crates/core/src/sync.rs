@@ -157,7 +157,9 @@ thread_local! {
 fn detector() -> &'static Detector {
     DETECTOR.get_or_init(|| Detector {
         enabled: AtomicBool::new(
-            std::env::var("WEBSEC_LOCKDEP").map(|v| v == "1").unwrap_or(false),
+            std::env::var("WEBSEC_LOCKDEP")
+                .map(|v| v == "1")
+                .unwrap_or(false),
         ),
         registry: Mutex::new(Registry::default()),
     })
@@ -323,8 +325,7 @@ fn before_lock(class: &'static str) -> bool {
                 // The new edge h -> class closes a cycle iff class already
                 // reaches h; the cycle is class ->* h -> class.
                 if let Some(path) = reg.find_path(class, h) {
-                    let message =
-                        format!("lock-order inversion: {}", normalize_cycle(path));
+                    let message = format!("lock-order inversion: {}", normalize_cycle(path));
                     reg.report("WS110", message);
                 }
             }
@@ -370,11 +371,17 @@ fn on_release(class: &'static str) {
 }
 
 fn is_release(order: Ordering) -> bool {
-    matches!(order, Ordering::Release | Ordering::AcqRel | Ordering::SeqCst)
+    matches!(
+        order,
+        Ordering::Release | Ordering::AcqRel | Ordering::SeqCst
+    )
 }
 
 fn is_acquire(order: Ordering) -> bool {
-    matches!(order, Ordering::Acquire | Ordering::AcqRel | Ordering::SeqCst)
+    matches!(
+        order,
+        Ordering::Acquire | Ordering::AcqRel | Ordering::SeqCst
+    )
 }
 
 /// Models a store (or the store half of an RMW) to a synchronizing atomic.
@@ -564,11 +571,13 @@ impl<T> TrackedMutex<T> {
                 if tracked {
                     after_lock(self.class);
                 }
-                Err(TryLockError::Poisoned(PoisonError::new(TrackedMutexGuard {
-                    inner: poisoned.into_inner(),
-                    class: self.class,
-                    tracked,
-                })))
+                Err(TryLockError::Poisoned(PoisonError::new(
+                    TrackedMutexGuard {
+                        inner: poisoned.into_inner(),
+                        class: self.class,
+                        tracked,
+                    },
+                )))
             }
             Err(TryLockError::WouldBlock) => Err(TryLockError::WouldBlock),
         }
@@ -731,11 +740,13 @@ impl<T> TrackedRwLock<T> {
                 if tracked {
                     after_lock(self.class);
                 }
-                Err(TryLockError::Poisoned(PoisonError::new(TrackedWriteGuard {
-                    inner: poisoned.into_inner(),
-                    class: self.class,
-                    tracked,
-                })))
+                Err(TryLockError::Poisoned(PoisonError::new(
+                    TrackedWriteGuard {
+                        inner: poisoned.into_inner(),
+                        class: self.class,
+                        tracked,
+                    },
+                )))
             }
             Err(TryLockError::WouldBlock) => Err(TryLockError::WouldBlock),
         }

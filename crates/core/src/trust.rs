@@ -205,7 +205,9 @@ mod tests {
         let kp = keypair(2);
         let store = TrustStore::new(3);
         assert_eq!(
-            store.establish("someone", &kp.public_key(), &[]).unwrap_err(),
+            store
+                .establish("someone", &kp.public_key(), &[])
+                .unwrap_err(),
             TrustError::UntrustedRoot("someone".into())
         );
     }
@@ -264,8 +266,7 @@ mod tests {
         let mut store = TrustStore::new(3);
         store.trust_root("ca", ca.public_key());
         // The rogue signs a voucher claiming to be the CA.
-        let mut voucher =
-            issue_voucher("ca", &mut rogue, "acme", provider.public_key()).unwrap();
+        let mut voucher = issue_voucher("ca", &mut rogue, "acme", provider.public_key()).unwrap();
         assert_eq!(
             store
                 .establish("acme", &provider.public_key(), &[voucher.clone()])
@@ -294,8 +295,7 @@ mod tests {
         let v1 = issue_voucher("ca", &mut ca, "regional", other.public_key()).unwrap();
         // Second link claims a different introducer name than link 1's
         // subject.
-        let v2 = issue_voucher("someone-else", &mut other, "acme", provider.public_key())
-            .unwrap();
+        let v2 = issue_voucher("someone-else", &mut other, "acme", provider.public_key()).unwrap();
         assert_eq!(
             store
                 .establish("acme", &provider.public_key(), &[v1, v2])
