@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Repository gate: rustfmt over the analyzer, websec-xml and websec-policy
-# libraries, offline build, clippy with warnings denied, full test suite,
+# Repository gate: rustfmt over the analyzer, websec-xml, websec-policy and
+# websec-core libraries, offline build, clippy with warnings denied, full test suite,
 # the wsbench build, tests and short runs, the websec-lint static checks,
 # the WS003-WS012 analyzer over every example stack (byte-diffed for
 # determinism, failing on error findings), the WS013-WS018 static policy
@@ -42,13 +42,14 @@ if [ "${1:-}" = "--verify-policies" ]; then
     exit 0
 fi
 
-# The analyzer, websec-xml and websec-policy libraries (each lib.rs and
-# every module it declares) are in rustfmt's default style; the rest of the
-# tree is not yet.
-echo "==> rustfmt --check (analyzer, websec-xml and websec-policy libraries)"
+# The analyzer, websec-xml, websec-policy and websec-core libraries (each
+# lib.rs and every module it declares) are in rustfmt's default style; the
+# rest of the tree is not yet.
+echo "==> rustfmt --check (analyzer, websec-xml, websec-policy and websec-core libraries)"
 rustfmt --edition 2021 --check crates/analyzer/src/lib.rs
 rustfmt --edition 2021 --check crates/xml/src/lib.rs
 rustfmt --edition 2021 --check crates/policy/src/lib.rs
+rustfmt --edition 2021 --check crates/core/src/lib.rs
 
 echo "==> cargo build --release --offline"
 cargo build --release --offline
@@ -126,7 +127,7 @@ verify_policies_step
 # gate table (parallel >= serial, faulted parallel >= faulted serial, the
 # core-aware no-dup scaling bar, incremental <= full analysis and policy
 # verification, compiled >= 5x interpreted with byte equivalence and the
-# epoch and class-partition cross-check, sixteen duplicate grants
+# class-partition cross-check, sixteen duplicate grants
 # compiling in <= 2x the time of one, detector-off overhead <= 2%)
 # against the values as written, printing one line per gate; any failed
 # gate exits non-zero.

@@ -753,24 +753,19 @@ pub fn ws007_privacy_closure(input: &AnalyzerInput<'_>) -> Vec<Diagnostic> {
 /// policy does not grant. For every audited partition the pass builds
 /// `Holds` edges (subject → region, from the keyring) and `Covers` edges
 /// (subject → region, re-deriving entitlement from the *current* policy
-/// base exactly as `KeyAuthority::keys_for` does) and reports every `Holds`
-/// edge without a matching `Covers` edge. Typical causes: revocation
-/// without re-keying, or externally escrowed keys.
+/// base through `Region::granted_to`, the rule `KeyAuthority::keys_for`
+/// hands out keys by) and reports every `Holds` edge without a matching
+/// `Covers` edge. Typical causes: revocation without re-keying, or
+/// externally escrowed keys.
 pub fn ws008_key_over_coverage(input: &AnalyzerInput<'_>) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    let auths = input.store.authorizations();
     for unit in &input.dissem {
         let map = unit.map;
         let mut g = FlowGraph::new();
         for (profile, keyring) in &unit.holders {
             let subject = g.node(FlowNode::Subject(profile.identity.clone()));
             for region in &map.regions {
-                let entitled = region.policies.iter().any(|pid| {
-                    auths.iter().find(|a| a.id == *pid).is_some_and(|a| {
-                        a.sign == Sign::Plus && a.subject.matches(profile, &input.store.hierarchy)
-                    })
-                });
-                if entitled {
+                if region.granted_to(input.store, profile) {
                     let r = g.node(FlowNode::Region(map.document.clone(), region.id.0));
                     g.edge(subject, r, EdgeKind::Covers);
                 }

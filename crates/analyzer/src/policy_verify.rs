@@ -32,7 +32,7 @@
 //! stores alone.
 //!
 //! All passes read only the [`Section::Policy`] and
-//! [`Section::Documents`] sections, so the server's epoch-keyed
+//! [`Section::Documents`] sections, so the server's generation-keyed
 //! incremental analysis can skip the whole suite when neither changed.
 //! Reports are normalized: identical inputs yield byte-identical
 //! machine output.

@@ -66,7 +66,7 @@ pub enum Error {
     /// mutated configuration would introduce *new* error-severity analyzer
     /// findings; carries their machine rendering. The snapshot is
     /// unchanged. Not transient: the same mutation yields the same
-    /// findings — fix the configuration (or drop the gate to `Warn`)
+    /// findings — fix the configuration (or set the gate to `Off`)
     /// instead of retrying.
     AnalysisRejected(String),
 }

@@ -3,7 +3,7 @@
 //! The paper's threat model assumes untrusted, failure-prone parties —
 //! third-party publishers, discovery agencies, lossy channels — yet the
 //! serving engine's failure paths (`WS103` channel faults, `WS106` shard
-//! poisoning, epoch-bump races) were previously reachable only by real
+//! poisoning, publication races) were previously reachable only by real
 //! panics in ad-hoc tests. This module makes every failure path a
 //! first-class, *replayable* input:
 //!

@@ -219,8 +219,8 @@ pub enum Decision {
 /// Whether the policy-view cache served a request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CacheStatus {
-    /// A cached view keyed by `(identity, document, policy epoch)` was
-    /// reused.
+    /// A view cached in the snapshot the request ran against, keyed by
+    /// `(identity, document)`, was reused.
     Hit,
     /// The view was computed (and, under a [`crate::server::StackServer`],
     /// inserted for later reuse).

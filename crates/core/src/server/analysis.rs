@@ -1,17 +1,17 @@
 //! Incremental analysis over one memo, and the update gate.
 //!
 //! The serving layer keeps one [`AnalysisMemo`] behind one mutex. It
-//! describes the most recently analysed snapshot: its `{generation, epoch}`
-//! [`Token`], the fingerprints of its nine input [`Section`]s (FNV-1a over
+//! describes the most recently analysed snapshot: its generation, the
+//! fingerprints of its nine input [`Section`]s (FNV-1a over
 //! each section's deterministic rendering), and whatever is known of its
 //! analysis — the per-pass WS003–WS012 diagnostics with their assembled
 //! [`Report`], and the WS013–WS018 policy-verifier report.
 //! [`StackServer::analyze`], [`StackServer::verify_policies`] and the
 //! `Deny` gate all read and extend it:
 //!
-//! * at the memo's own token the cached reports answer wholesale (zero
-//!   passes executed);
-//! * at another token the snapshot is fingerprinted once, and only the
+//! * at the memo's own generation the cached reports answer wholesale
+//!   (zero passes executed);
+//! * at another generation the snapshot is fingerprinted once, and only the
 //!   passes whose declared sections ([`websec_analyzer::PassId::sections`])
 //!   moved re-run, with the memo's diagnostics spliced in for the rest; the
 //!   verifier, whose passes all read Policy and Documents, re-runs only when
@@ -20,17 +20,15 @@
 //!   fingerprinted (compared by identity, see [`SnapshotAnalysis::rebase`]).
 //!
 //! The [`AnalysisGate`] decides what updates do with findings:
-//! [`AnalysisGate::Off`] skips analysis entirely, [`AnalysisGate::Warn`]
-//! analyzes after committing (findings surface through
-//! [`super::MetricsSnapshot`]), and [`AnalysisGate::Deny`] analyzes the
-//! mutated copy of the stack against the memo's analysis of the current
-//! snapshot and refuses to commit — with a stable `WS109` error — when the
-//! copy carries *new* error-severity findings. A policy change costs four
-//! analyzer and six verifier passes per gated update (DESIGN.md §8 counts
-//! them per kind of change). An accepted copy's analysis enters the memo
-//! under the token its publication creates, so the next `analyze` and
-//! `verify_policies` are wholesale reuses; a rejected copy leaves the memo
-//! untouched.
+//! [`AnalysisGate::Off`] skips analysis entirely, and [`AnalysisGate::Deny`]
+//! analyzes the mutated copy of the stack against the memo's analysis of
+//! the current snapshot and refuses to commit — with a stable `WS109`
+//! error — when the copy carries *new* error-severity findings. A policy
+//! change costs four analyzer and six verifier passes per gated update
+//! (DESIGN.md §8 counts them per kind of change). An accepted copy's
+//! analysis enters the memo under the generation its publication creates,
+//! so the next `analyze` and `verify_policies` are wholesale reuses; a
+//! rejected copy leaves the memo untouched.
 //!
 //! Lock order: the update mutex is the server's outermost lock, taken
 //! before the snapshot lock and before the memo mutex; the snapshot lock
@@ -45,7 +43,6 @@ use std::sync::atomic::Ordering;
 use std::sync::{Arc, PoisonError};
 use std::time::Instant;
 
-use super::cache::Token;
 use super::metrics::Counter;
 use super::StackServer;
 use crate::error::Error;
@@ -61,13 +58,10 @@ pub enum AnalysisGate {
     /// No analysis on update (the default — updates are infallible).
     #[default]
     Off = 0,
-    /// Analyze after committing: findings never block the update but are
-    /// cached and surfaced through [`super::MetricsSnapshot`].
-    Warn = 1,
     /// Pre-validate on a copy of the stack: an update introducing *new*
     /// error-severity findings is rejected with `WS109`
     /// ([`Error::AnalysisRejected`]) and the snapshot stays unchanged.
-    Deny = 2,
+    Deny = 1,
 }
 
 /// Number of fingerprinted input sections.
@@ -80,8 +74,8 @@ const POLICY_PASS_COUNT: usize = PolicyPassId::ALL.len();
 /// What is known of one snapshot's analysis.
 #[derive(Clone)]
 struct SnapshotAnalysis {
-    /// The snapshot's `{generation, epoch}` token.
-    token: Token,
+    /// The snapshot's generation.
+    generation: u64,
     /// Per-[`Section`] fingerprints (indexed like [`Section::ALL`]).
     fingerprints: [u64; SECTION_COUNT],
     /// The documents the Documents fingerprint was taken over. Holding
@@ -121,18 +115,22 @@ pub(super) struct AnalysisMemo {
 /// hand-written `Debug` prints their terms in id order and their SPO
 /// index but not their term lookup `HashMap`. The policy section includes
 /// the engine's conflict strategy, which the compiled plane the verifier
-/// reads (WS013, WS014) depends on.
+/// reads (WS013, WS014) depends on, and collection membership, which
+/// decides the documents a collection rule covers.
 fn render_section(stack: &SecureWebStack, section: Section, s: &mut impl Write) {
     match section {
         Section::Policy => {
+            let policies = &stack.policies;
             let _ = write!(
                 s,
-                "{};{:?};{:?};{:?}",
-                stack.policies.epoch(),
+                "{:?};{:?};{:?}",
                 stack.engine.strategy,
-                stack.policies.authorizations(),
-                stack.policies.hierarchy.seniority_pairs()
+                policies.authorizations(),
+                policies.hierarchy.seniority_pairs()
             );
+            for name in policies.collection_names() {
+                let _ = write!(s, ";{name:?}:{:?}", policies.collection_members(name));
+            }
         }
         Section::Documents => {
             for name in stack.documents.names() {
@@ -219,13 +217,13 @@ fn severity_counts(report: Option<&Report>) -> (u64, u64) {
 }
 
 impl SnapshotAnalysis {
-    /// The analysis of `stack` at `token`, derived from `prev`, another
+    /// The analysis of `stack` at `generation`, derived from `prev`, another
     /// snapshot's analysis: `stack` is fingerprinted once, and every result
     /// whose declared sections kept their fingerprints carries over. The
     /// Documents section is rendered only when `stack` does not hold
     /// exactly `prev`'s documents, that is after a document was inserted,
     /// removed or written.
-    fn rebase(prev: Option<&SnapshotAnalysis>, stack: &SecureWebStack, token: Token) -> Self {
+    fn rebase(prev: Option<&SnapshotAnalysis>, stack: &SecureWebStack, generation: u64) -> Self {
         let fingerprints = section_fingerprints(stack, prev);
         let moved: Vec<Section> = match prev {
             Some(p) => Section::ALL
@@ -259,7 +257,7 @@ impl SnapshotAnalysis {
             })
             .and_then(|p| p.policy.clone());
         SnapshotAnalysis {
-            token,
+            generation,
             fingerprints,
             documents: stack.documents.clone(),
             passes,
@@ -323,28 +321,27 @@ impl StackServer {
     #[must_use]
     pub fn analysis_gate(&self) -> AnalysisGate {
         match self.analysis_gate.load(Ordering::Relaxed) {
-            1 => AnalysisGate::Warn,
-            2 => AnalysisGate::Deny,
+            1 => AnalysisGate::Deny,
             _ => AnalysisGate::Off,
         }
     }
 
     /// Analyzes the current snapshot **incrementally**: results are cached
-    /// keyed by the snapshot's `{generation, epoch}` token, and when the
-    /// token moved, only the passes whose input sections' fingerprints
-    /// changed re-run — cached diagnostics are spliced in for the rest.
+    /// keyed by the snapshot's generation, and when the generation moved,
+    /// only the passes whose input sections' fingerprints changed re-run —
+    /// cached diagnostics are spliced in for the rest.
     /// The pass-run/reuse split is observable through
     /// [`super::MetricsSnapshot`] and [`StackServer::last_passes_run`].
     #[must_use]
     pub fn analyze(&self) -> Report {
-        let published = self.snapshot_with_token();
-        let (stack, token) = (&published.stack, published.token);
+        let published = self.published();
+        let (stack, generation) = (&published.stack, published.generation);
         {
             let mut memo = self.analysis.lock().unwrap_or_else(PoisonError::into_inner);
             let cached = memo
                 .latest
                 .as_ref()
-                .filter(|latest| latest.token == token)
+                .filter(|latest| latest.generation == generation)
                 .and_then(|latest| latest.report.clone());
             if let Some(report) = cached {
                 memo.last_passes_run.clear();
@@ -353,7 +350,7 @@ impl StackServer {
                 return report;
             }
         }
-        let mut analysis = self.memo_for(stack, token);
+        let mut analysis = self.memo_for(stack, generation);
         let (report, ran) = analysis.complete_report(stack);
         let report = report.clone();
         self.count_passes(ran.len());
@@ -374,10 +371,10 @@ impl StackServer {
             .clone()
     }
 
-    /// The memo's analysis of the snapshot `stack` at `token`: the memo's
+    /// The memo's analysis of the snapshot `stack` at `generation`: the memo's
     /// own entry when it describes that snapshot, else one rebased onto it
     /// from the memo's entry. A copy, so no pass runs under the mutex.
-    fn memo_for(&self, stack: &SecureWebStack, token: Token) -> SnapshotAnalysis {
+    fn memo_for(&self, stack: &SecureWebStack, generation: u64) -> SnapshotAnalysis {
         let latest = self
             .analysis
             .lock()
@@ -385,8 +382,8 @@ impl StackServer {
             .latest
             .clone();
         match latest {
-            Some(latest) if latest.token == token => latest,
-            latest => SnapshotAnalysis::rebase(latest.as_ref(), stack, token),
+            Some(latest) if latest.generation == generation => latest,
+            latest => SnapshotAnalysis::rebase(latest.as_ref(), stack, generation),
         }
     }
 
@@ -402,7 +399,7 @@ impl StackServer {
         if memo
             .latest
             .as_ref()
-            .is_none_or(|latest| latest.token.generation <= analysis.token.generation)
+            .is_none_or(|latest| latest.generation <= analysis.generation)
         {
             memo.latest = Some(analysis);
         }
@@ -441,7 +438,7 @@ impl StackServer {
     /// Runs the static policy verifier (WS013–WS018,
     /// [`websec_analyzer::policy_verify`]) over the current snapshot's
     /// compiled decision plane, **incrementally**: the report is memoized
-    /// with the snapshot's analysis, and when the token moved without the
+    /// with the snapshot's analysis, and when the generation moved without the
     /// policy base or the documents changing (fingerprint-checked — e.g.
     /// after [`StackServer::invalidate_views`]), the memoized report is
     /// reused wholesale. The run/reuse split is observable through
@@ -449,21 +446,21 @@ impl StackServer {
     /// [`super::MetricsSnapshot::policy_passes_reused`].
     #[must_use]
     pub fn verify_policies(&self) -> Report {
-        let published = self.snapshot_with_token();
-        let (stack, token) = (&published.stack, published.token);
+        let published = self.published();
+        let (stack, generation) = (&published.stack, published.generation);
         let cached = self
             .analysis
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .latest
             .as_ref()
-            .filter(|latest| latest.token == token)
+            .filter(|latest| latest.generation == generation)
             .and_then(|latest| latest.policy.clone());
         if let Some(report) = cached {
             self.count_policy_passes(false);
             return report;
         }
-        let mut analysis = self.memo_for(stack, token);
+        let mut analysis = self.memo_for(stack, generation);
         let (report, ran) = analysis.complete_policy(stack, &published.compiled);
         let report = report.clone();
         self.count_policy_passes(ran);
@@ -472,13 +469,11 @@ impl StackServer {
     }
 
     /// Cross-checks the current snapshot's compiled decision tables
-    /// against the live policy base and the interpreter:
-    ///
-    /// 1. the artifact's baked epoch must match the snapshot's policy
-    ///    epoch (a stale artifact can never pass as current);
-    /// 2. the per-document Browse/Read equivalence classes projected from
-    ///    the compiled tables must match the interpreter's
-    ///    [`PolicyEngine::policy_equivalence_classes`] partition exactly.
+    /// against the interpreter: the per-document Browse/Read equivalence
+    /// classes projected from the tables must match the interpreter's
+    /// [`PolicyEngine::policy_equivalence_classes`] partition of the
+    /// snapshot's policy base exactly. The tables are published with the
+    /// stack they were compiled from, so no other pairing can reach here.
     ///
     /// Per-rule coverage, which the verifier reads from these tables, is
     /// pinned to the interpreter by the `compiled_decisions` suite.
@@ -487,15 +482,8 @@ impl StackServer {
     /// `WS109` ([`Error::AnalysisRejected`]) describing the first
     /// divergence found.
     pub fn verify_compiled(&self) -> Result<(), Error> {
-        let published = self.snapshot_with_token();
+        let published = self.published();
         let (stack, compiled) = (&published.stack, &published.compiled);
-        if compiled.epoch() != stack.policies.epoch() {
-            return Err(Error::AnalysisRejected(format!(
-                "compiled artifact baked at policy epoch {} but the snapshot is at epoch {}",
-                compiled.epoch(),
-                stack.policies.epoch()
-            )));
-        }
         for name in stack.documents.names() {
             let Some(doc) = stack.documents.get(name) else {
                 continue;
@@ -517,10 +505,9 @@ impl StackServer {
     /// Gated counterpart of [`StackServer::update`]:
     ///
     /// * [`AnalysisGate::Off`] — behaves exactly like `update` (infallible
-    ///   in practice; always returns `Ok`).
-    /// * [`AnalysisGate::Warn`] — commits the update, then re-analyzes
-    ///   incrementally so findings surface in
-    ///   [`super::MetricsSnapshot`] without blocking anything.
+    ///   in practice; always returns `Ok`). To surface findings without
+    ///   blocking, call [`StackServer::analyze`] and
+    ///   [`StackServer::verify_policies`] after the update.
     /// * [`AnalysisGate::Deny`] — applies the mutation to a *copy* of the
     ///   stack under the update lock (so no concurrent writer can
     ///   interleave between validation and commit — readers keep serving
@@ -532,27 +519,21 @@ impl StackServer {
     ///   analysis is incremental against the memo: the pre-update
     ///   configuration's reports come from it, and the copy re-runs only
     ///   the passes whose input sections the mutation moved. A rejected
-    ///   update leaves the snapshot, generation, caches and memo untouched
+    ///   update leaves the snapshot, generation, views and memo untouched
     ///   and returns `WS109` ([`Error::AnalysisRejected`]) carrying the
     ///   machine lines of every introduced finding — an update that trips
     ///   both an AST error and a WS014 tie reports both. An accepted one
-    ///   enters the memo under its new token.
+    ///   enters the memo under its new generation.
     pub fn try_update<R>(&self, mutate: impl FnOnce(&mut SecureWebStack) -> R) -> Result<R, Error> {
         match self.analysis_gate() {
             AnalysisGate::Off => Ok(self.update(mutate)),
-            AnalysisGate::Warn => {
-                let result = self.update(mutate);
-                let _ = self.analyze();
-                let _ = self.verify_policies();
-                Ok(result)
-            }
             AnalysisGate::Deny => {
                 let writer = self
                     .update_lock
                     .lock()
                     .unwrap_or_else(PoisonError::into_inner);
-                let published = self.snapshot_with_token();
-                let (current, token) = (&published.stack, published.token);
+                let published = self.published();
+                let (current, generation) = (&published.stack, published.generation);
                 // Pre-existing errors are grandfathered: the gate blocks
                 // *regressions*, not stacks that already carried findings
                 // when the gate was enabled. The baseline is the memo's
@@ -560,7 +541,7 @@ impl StackServer {
                 // when the memo fell behind it (the first gated update, or
                 // an ungated update or republication since the last
                 // analysis).
-                let mut baseline = self.memo_for(current, token);
+                let mut baseline = self.memo_for(current, generation);
                 let (report, baseline_ran) = baseline.complete_report(current);
                 let baseline_errors: BTreeSet<String> = error_lines(report).collect();
                 let (report, baseline_policy_ran) =
@@ -579,9 +560,10 @@ impl StackServer {
                 let t = Instant::now();
                 let compiled = candidate.compile();
                 let compile_ns = u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                // Keyed by the current token until publication creates
-                // the candidate's own.
-                let mut analysis = SnapshotAnalysis::rebase(Some(&baseline), &candidate, token);
+                // Keyed by the current generation until publication
+                // creates the candidate's own.
+                let mut analysis =
+                    SnapshotAnalysis::rebase(Some(&baseline), &candidate, generation);
                 let (report, ran) = analysis.complete_report(&candidate);
                 let mut introduced: Vec<String> = error_lines(report)
                     .filter(|line| !baseline_errors.contains(line))
@@ -599,7 +581,7 @@ impl StackServer {
                     return Err(Error::AnalysisRejected(introduced.join("\n")));
                 }
                 self.count_compile(compile_ns);
-                analysis.token = self.publish(Arc::new(candidate), compiled);
+                analysis.generation = self.publish(Arc::new(candidate), compiled);
                 self.commit(analysis, Some(ran));
                 drop(writer);
                 Ok(result)

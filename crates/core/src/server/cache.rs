@@ -1,15 +1,17 @@
-//! The shared policy-view cache (L2), sharded by subject-identity hash
-//! (same shard count and hash as the session table). Each shard is an
-//! epoch-keyed map behind its own `RwLock`; two requests contend only when
-//! their identities collide on a shard. It is the only view cache: every
-//! request, single or batched, reads and fills it, so a view computed by
-//! one worker is a hit for every other.
+//! The policy-view cache (L2) of one published snapshot, sharded by
+//! subject-identity hash (same shard count and hash as the session table).
+//! Each shard is a map behind its own `RwLock`; two requests contend only
+//! when their identities collide on a shard. It is the only view cache:
+//! every request, single or batched, reads and fills the cache of the
+//! snapshot it runs against, so a view computed by one worker is a hit for
+//! every other.
 //!
-//! Every entry is valid only under the [`Token`] its shard was filled at,
-//! so a [`websec_policy::PolicyStore`] mutation (epoch bump) or a snapshot
-//! swap (generation bump) invalidates views without any cross-thread
-//! signalling: stale entries are simply unreachable (token mismatch) and
-//! evicted wholesale on the next write to their shard.
+//! A view is a pure function of the snapshot's policy base, subject and
+//! document, so a cached view is valid exactly as long as its snapshot:
+//! each publication builds an empty cache, and the views of a replaced
+//! snapshot are unreachable from the current one and freed with it. The
+//! per-shard lock-wait counters are the server's, shared by every
+//! snapshot's cache, so they count cumulatively across publications.
 
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
@@ -20,152 +22,108 @@ use crate::hash::{fnv1a, FNV1A_START};
 use crate::sync::{TrackedAtomicU64, TrackedReadGuard, TrackedRwLock, TrackedWriteGuard};
 use websec_xml::Document;
 
-/// Validity token for cached views: the server's snapshot generation
-/// (bumped by every [`crate::server::StackServer::update`] /
-/// `invalidate_views`) paired with the policy-store epoch (bumped by every
-/// policy mutation). An entry is valid only under the exact token it was
-/// computed at.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) struct Token {
-    /// Snapshot generation (covers document/label/context/gate mutations).
-    pub generation: u64,
-    /// Policy epoch (covers policy-base mutations, including any performed
-    /// out of band via [`websec_policy::PolicyStore::bump_epoch`]).
-    pub epoch: u64,
-}
-
 /// Cache key: the subject *identity* and document name (the server maps
 /// each authenticated identity to one profile; see the module docs of
 /// [`crate::server`]).
 pub(crate) type ViewKey = (String, String);
 
-struct CacheShardInner {
-    token: Token,
-    views: HashMap<ViewKey, Arc<Document>>,
+type Views = HashMap<ViewKey, Arc<Document>>;
+
+/// Per-shard lock-wait counters, one per shard, kept by the server for
+/// the caches of all its snapshots.
+pub(crate) type LockWaits = Arc<[TrackedAtomicU64]>;
+
+/// Fresh lock-wait counters for `shards` shards.
+pub(crate) fn lock_waits(shards: usize) -> LockWaits {
+    (0..shards)
+        .map(|_| TrackedAtomicU64::counter("server.cache_lock_waits", 0))
+        .collect()
 }
 
-struct CacheShard {
-    inner: TrackedRwLock<CacheShardInner>,
-    lock_waits: TrackedAtomicU64,
-}
-
-impl CacheShard {
-    /// Read-locks the shard, counting contention; a poisoned shard heals
-    /// itself (cached views are disposable, so recovering the guard is
-    /// safe — at worst a view is recomputed).
-    fn read(&self) -> TrackedReadGuard<'_, CacheShardInner> {
-        match self.inner.try_read() {
-            Ok(guard) => guard,
-            Err(_) => {
-                self.lock_waits.fetch_add(1, Ordering::Relaxed);
-                self.inner.read().unwrap_or_else(PoisonError::into_inner)
-            }
-        }
-    }
-
-    fn write(&self) -> TrackedWriteGuard<'_, CacheShardInner> {
-        match self.inner.try_write() {
-            Ok(guard) => guard,
-            Err(_) => {
-                self.lock_waits.fetch_add(1, Ordering::Relaxed);
-                self.inner.write().unwrap_or_else(PoisonError::into_inner)
-            }
-        }
-    }
-}
-
-/// The shared L2 view cache, sharded by identity hash.
+/// One snapshot's L2 view cache, sharded by identity hash.
 pub(crate) struct L2ViewCache {
-    shards: Vec<CacheShard>,
+    shards: Vec<TrackedRwLock<Views>>,
+    lock_waits: LockWaits,
     mask: u64,
 }
 
 impl L2ViewCache {
-    pub fn new(shards: usize) -> Self {
-        debug_assert!(shards.is_power_of_two());
+    /// An empty cache with one shard per counter of `lock_waits` (a power
+    /// of two), counting contention into them.
+    pub fn new(lock_waits: LockWaits) -> Self {
+        debug_assert!(lock_waits.len().is_power_of_two());
         L2ViewCache {
-            shards: (0..shards)
-                .map(|_| CacheShard {
-                    inner: TrackedRwLock::new(
-                        "server.cache_shard",
-                        CacheShardInner {
-                            token: Token {
-                                generation: 0,
-                                epoch: 0,
-                            },
-                            views: HashMap::new(),
-                        },
-                    ),
-                    lock_waits: TrackedAtomicU64::counter("server.cache_lock_waits", 0),
-                })
+            shards: (0..lock_waits.len())
+                .map(|_| TrackedRwLock::new("server.cache_shard", HashMap::new()))
                 .collect(),
-            mask: shards as u64 - 1,
+            mask: lock_waits.len() as u64 - 1,
+            lock_waits,
         }
     }
 
-    fn shard_for(&self, identity: &str) -> &CacheShard {
-        &self.shards[(fnv1a(identity.as_bytes(), FNV1A_START) & self.mask) as usize]
+    fn shard_for(&self, identity: &str) -> usize {
+        (fnv1a(identity.as_bytes(), FNV1A_START) & self.mask) as usize
     }
 
-    /// A valid cached view, or `None`. Counts nothing: the hit or miss is
-    /// counted once, from the request's `CacheStatus`, in the caller's
-    /// [`super::metrics::LocalMetrics`], so the lookup path performs no
-    /// shared-counter write.
-    pub fn lookup(&self, key: &ViewKey, token: Token) -> Option<Arc<Document>> {
-        let guard = self.shard_for(&key.0).read();
-        if guard.token == token {
-            if let Some(view) = guard.views.get(key) {
-                return Some(Arc::clone(view));
+    /// Read-locks shard `i`, counting contention; a poisoned shard heals
+    /// itself (cached views are disposable, so recovering the guard is
+    /// safe — at worst a view is recomputed).
+    fn read(&self, i: usize) -> TrackedReadGuard<'_, Views> {
+        match self.shards[i].try_read() {
+            Ok(guard) => guard,
+            Err(_) => {
+                self.lock_waits[i].fetch_add(1, Ordering::Relaxed);
+                self.shards[i]
+                    .read()
+                    .unwrap_or_else(PoisonError::into_inner)
             }
         }
-        None
     }
 
-    /// Inserts a computed view under `token`, evicting the shard wholesale
-    /// first when its resident token is older.
-    pub fn insert(&self, key: ViewKey, token: Token, view: Arc<Document>) {
-        let shard = self.shard_for(&key.0);
-        let mut guard = shard.write();
-        if guard.token != token {
-            // Never let a newer shard regress to an older token: a racing
-            // slow worker may finish a view computed under a superseded
-            // snapshot after the shard already advanced.
-            if token.generation < guard.token.generation {
-                return;
+    fn write(&self, i: usize) -> TrackedWriteGuard<'_, Views> {
+        match self.shards[i].try_write() {
+            Ok(guard) => guard,
+            Err(_) => {
+                self.lock_waits[i].fetch_add(1, Ordering::Relaxed);
+                self.shards[i]
+                    .write()
+                    .unwrap_or_else(PoisonError::into_inner)
             }
-            guard.views.clear();
-            guard.token = token;
         }
-        guard.views.insert(key, view);
+    }
+
+    /// The cached view for `key`, or `None`. Counts nothing: the hit or
+    /// miss is counted once, from the request's `CacheStatus`, in the
+    /// caller's [`super::metrics::LocalMetrics`], so the lookup path
+    /// performs no shared-counter write.
+    pub fn lookup(&self, key: &ViewKey) -> Option<Arc<Document>> {
+        self.read(self.shard_for(&key.0)).get(key).map(Arc::clone)
+    }
+
+    /// Inserts a computed view.
+    pub fn insert(&self, key: ViewKey, view: Arc<Document>) {
+        self.write(self.shard_for(&key.0)).insert(key, view);
     }
 
     /// Drops one cached view (fault-injection `CacheEvict` hook: forces
     /// the next lookup for `key` to recompute). A no-op when the entry is
     /// absent.
     pub fn remove(&self, key: &ViewKey) {
-        let shard = self.shard_for(&key.0);
-        shard.write().views.remove(key);
-    }
-
-    /// Drops every cached view in every shard.
-    pub fn clear(&self) {
-        for shard in &self.shards {
-            shard.write().views.clear();
-        }
+        self.write(self.shard_for(&key.0)).remove(key);
     }
 
     /// Views currently resident across all shards.
     #[cfg(test)]
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.read().views.len()).sum()
+        (0..self.shards.len()).map(|i| self.read(i).len()).sum()
     }
 
     /// Folds this cache's per-shard counters into `stats` (index-aligned
     /// with the session table's shards).
     pub fn fill_stats(&self, stats: &mut [ShardStats]) {
-        for (i, shard) in self.shards.iter().enumerate() {
-            stats[i].cache_lock_waits = shard.lock_waits.load(Ordering::Relaxed);
-            stats[i].cached_views = shard.read().views.len() as u64;
+        for (i, stat) in stats.iter_mut().enumerate() {
+            stat.cache_lock_waits = self.lock_waits[i].load(Ordering::Relaxed);
+            stat.cached_views = self.read(i).len() as u64;
         }
     }
 }
@@ -178,65 +136,15 @@ mod tests {
         Arc::new(Document::parse("<x/>").unwrap())
     }
 
-    const T0: Token = Token {
-        generation: 0,
-        epoch: 0,
-    };
-    const T1: Token = Token {
-        generation: 1,
-        epoch: 1,
-    };
-
-    #[test]
-    fn l2_hit_requires_matching_token() {
-        let l2 = L2ViewCache::new(4);
-        let key = ("alice".to_string(), "d.xml".to_string());
-        assert!(l2.lookup(&key, T0).is_none());
-        l2.insert(key.clone(), T0, doc());
-        assert!(l2.lookup(&key, T0).is_some());
-        // A token bump makes the entry unreachable...
-        assert!(l2.lookup(&key, T1).is_none());
-        // ...and the next insert evicts the stale shard wholesale.
-        l2.insert(("bob".to_string(), "d.xml".to_string()), T1, doc());
-        assert!(l2.lookup(&key, T0).is_none() || l2.len() <= 2);
-    }
-
-    #[test]
-    fn l2_never_regresses_to_an_older_generation() {
-        let l2 = L2ViewCache::new(1);
-        let new_key = ("bob".to_string(), "d.xml".to_string());
-        l2.insert(new_key.clone(), T1, doc());
-        // A slow worker finishing a view computed under the old snapshot
-        // must not clobber the newer shard.
-        let old_key = ("alice".to_string(), "d.xml".to_string());
-        l2.insert(old_key.clone(), T0, doc());
-        assert!(l2.lookup(&new_key, T1).is_some());
-        assert!(l2.lookup(&old_key, T0).is_none());
-    }
-
     #[test]
     fn remove_evicts_one_entry() {
-        let l2 = L2ViewCache::new(4);
+        let l2 = L2ViewCache::new(lock_waits(4));
         let key = ("alice".to_string(), "d.xml".to_string());
         let other = ("alice".to_string(), "e.xml".to_string());
-        l2.insert(key.clone(), T0, doc());
-        l2.insert(other.clone(), T0, doc());
+        l2.insert(key.clone(), doc());
+        l2.insert(other.clone(), doc());
         l2.remove(&key);
-        assert!(l2.lookup(&key, T0).is_none(), "removed L2 entry served");
-        assert!(
-            l2.lookup(&other, T0).is_some(),
-            "remove() evicted a neighbor"
-        );
-    }
-
-    #[test]
-    fn clear_empties_every_shard() {
-        let l2 = L2ViewCache::new(8);
-        for i in 0..32 {
-            l2.insert((format!("s{i}"), "d.xml".to_string()), T0, doc());
-        }
-        assert!(l2.len() > 0);
-        l2.clear();
-        assert_eq!(l2.len(), 0);
+        assert!(l2.lookup(&key).is_none(), "removed L2 entry served");
+        assert!(l2.lookup(&other).is_some(), "remove() evicted a neighbor");
     }
 }

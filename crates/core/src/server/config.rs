@@ -28,7 +28,7 @@ use crate::stack::SecureWebStack;
 ///     ServerConfig::new()
 ///         .shards(8)
 ///         .queue_limit(64)
-///         .analysis_gate(AnalysisGate::Warn),
+///         .analysis_gate(AnalysisGate::Deny),
 /// );
 /// assert_eq!(server.shard_count(), 8);
 /// assert_eq!(server.queue_limit(), 64);

@@ -86,9 +86,11 @@ pub struct ShardStats {
     /// Contended acquisitions of this shard's session-table lock (the
     /// acquiring thread found it held and had to block).
     pub session_lock_waits: u64,
-    /// Contended acquisitions of this shard's L2 view-cache lock.
+    /// Contended acquisitions of this shard's L2 view-cache lock, summed
+    /// over every snapshot's cache.
     pub cache_lock_waits: u64,
-    /// Views currently cached in this shard (current token only).
+    /// Views currently cached in this shard of the current snapshot's
+    /// cache.
     pub cached_views: u64,
 }
 
@@ -204,7 +206,7 @@ pub struct MetricsSnapshot {
     /// [`crate::server::StackServer::analyze`] calls.
     pub analysis_passes_run: u64,
     /// Analyzer passes answered from the incremental cache (unchanged
-    /// token or unchanged input sections).
+    /// generation or unchanged input sections).
     pub analysis_passes_reused: u64,
     /// Error-severity findings in the most recent cached analysis report
     /// (0 until the first analyze).
@@ -218,7 +220,7 @@ pub struct MetricsSnapshot {
     /// [`crate::server::StackServer::verify_policies`] calls.
     pub policy_passes_run: u64,
     /// Policy-verifier passes answered from the incremental cache
-    /// (unchanged token or unchanged policy/document sections).
+    /// (unchanged generation or unchanged policy/document sections).
     pub policy_passes_reused: u64,
     /// Error-severity findings in the most recent cached policy-verifier
     /// report (0 until the first verify).

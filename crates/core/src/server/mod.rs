@@ -12,11 +12,8 @@
 //!   subject-identity hash. Two requests contend only when their subjects
 //!   collide on a shard ([`shard`], [`cache`]). This per-subject state is
 //!   kept once: every request, single or batched, takes its session from
-//!   the table and its cached view from the L2, whose entries are checked
-//!   against a [`cache::Token`] (snapshot generation + policy epoch), so
-//!   a [`StackServer::update`] or [`websec_policy::PolicyStore`] mutation
-//!   invalidates them immediately. A batch worker keeps only its snapshot
-//!   handle and its index.
+//!   the table and its cached view from the L2 of the snapshot it runs
+//!   against. A batch worker keeps only its snapshot handle and its index.
 //! * **One claim cursor** — a batch's scheduled request indices are an
 //!   immutable list, and workers claim from it with one shared
 //!   `fetch_add` cursor: each index is claimed exactly once, with no
@@ -32,14 +29,16 @@
 //!   requests never coalesce (a follower must not inherit a leader's
 //!   timing).
 //! * **One published snapshot** — the immutable stack, the decision
-//!   tables compiled from it and its validity token are published as one
-//!   `Arc` behind one `RwLock`. Writers clone, mutate and compile under a
-//!   dedicated update mutex, then swap the `Arc` in under the write lock
-//!   and bump the generation. A reader takes the read lock once per
-//!   generation and keeps the `Arc` until the generation moves, so it
-//!   never waits on a writer's mutation work, and a panicked update
-//!   closure cannot poison the read path. Every L2 miss is answered from
-//!   the snapshot's compiled tables; the interpreting engine stays the
+//!   tables compiled from it, its L2 view cache and its generation are
+//!   published as one `Arc` behind one `RwLock`. Writers clone, mutate and
+//!   compile under a dedicated update mutex, then swap the `Arc` in under
+//!   the write lock and bump the generation. A view is a pure function of
+//!   its snapshot, so each publication starts with an empty cache, and the
+//!   generation is the one key the analysis memo checks. A reader takes the
+//!   read lock once per generation and keeps the `Arc` until the generation
+//!   moves, so it never waits on a writer's mutation work, and a panicked
+//!   update closure cannot poison the read path. Every L2 miss is answered
+//!   from the snapshot's compiled tables; the interpreting engine stays the
 //!   oracle of [`SecureWebStack::execute`] and the tests.
 //! * **Graceful degradation** — a panicking request evaluation, a poisoned
 //!   shard, or a dead worker degrades to `WS106`
@@ -86,7 +85,7 @@ use crate::sync::{
     TrackedAtomicBool, TrackedAtomicU64, TrackedAtomicU8, TrackedAtomicUsize, TrackedMutex,
     TrackedRwLock,
 };
-use cache::{L2ViewCache, Token, ViewKey};
+use cache::{L2ViewCache, LockWaits, ViewKey};
 use metrics::{Counter, LocalMetrics, MetricsInner};
 use shard::SessionShards;
 use websec_policy::{CompiledPolicies, SubjectProfile};
@@ -102,13 +101,17 @@ pub use metrics::{BatchResponse, BatchStats, LatencyHistogram, MetricsSnapshot, 
 const DEFAULT_SHARDS: usize = 16;
 
 /// One published snapshot: the immutable stack, the decision tables
-/// compiled from it at publication time, and the validity token both
-/// carry. Published and replaced as one `Arc`, so a reader can never pair
-/// a stack with another snapshot's tables or token.
+/// compiled from it at publication time, the views computed from it, and
+/// its generation. Published and replaced as one `Arc`, so a reader can
+/// never pair a stack with another snapshot's tables or views.
 struct Published {
     stack: Arc<SecureWebStack>,
     compiled: Arc<CompiledPolicies>,
-    token: Token,
+    /// The snapshot's L2 view cache, empty at publication.
+    cache: L2ViewCache,
+    /// 0 at construction, one more per publication: the one invalidation
+    /// key of everything derived from a snapshot.
+    generation: u64,
 }
 
 /// A concurrent server over an immutable [`SecureWebStack`] snapshot.
@@ -118,8 +121,8 @@ struct Published {
 /// configuration can mutate *while a batch is in flight* — in-flight
 /// requests finish against the snapshot they started with, and every
 /// request that starts after [`StackServer::update`] returns observes the
-/// new configuration (cached views are token-checked, so no worker can
-/// serve a stale view past the epoch bump).
+/// new configuration (cached views live in their snapshot, so no worker
+/// can serve a view of a replaced one).
 pub struct StackServer {
     /// The published snapshot. Writers prepare the new stack and tables
     /// *outside* this lock and hold the write lock only to swap the `Arc`,
@@ -136,7 +139,9 @@ pub struct StackServer {
     /// Release/Acquire pairs publish the swap.
     generation: TrackedAtomicU64,
     sessions: SessionShards,
-    cache: L2ViewCache,
+    /// Per-shard lock-wait counters of the view caches, shared by every
+    /// snapshot's cache so they stay cumulative across publications.
+    cache_lock_waits: LockWaits,
     metrics: MetricsInner,
     /// The armed fault injector, if a chaos plan is installed. Guarded by
     /// `faults_enabled` so the no-plan serving path pays one atomic load.
@@ -150,7 +155,7 @@ pub struct StackServer {
     /// Admission-control capacity per batch worker (0 = unlimited): a
     /// batch larger than `limit × workers` has its tail shed with `WS108`.
     queue_limit: TrackedAtomicUsize,
-    /// The analysis memo: the most recently analysed snapshot's token,
+    /// The analysis memo: the most recently analysed snapshot's generation,
     /// section fingerprints, per-pass analyzer results and both reports,
     /// plus the codes of the last analyzer run. Lock order: taken after
     /// the update mutex, never while the snapshot lock is held.
@@ -167,8 +172,8 @@ type WorkerOutput = (
 );
 
 /// Worker-local serving state: the last snapshot resolved (revalidated by
-/// generation on reuse) and the batch worker's index. Sessions and views
-/// live in the server's shared tables, never here.
+/// generation on reuse) and the batch worker's index. Sessions live in the
+/// server's shared table and views in the snapshot's cache, never here.
 #[derive(Default)]
 struct WorkerState {
     snapshot: Option<Arc<Published>>,
@@ -183,33 +188,29 @@ impl WorkerState {
     /// a lock).
     fn snapshot(&mut self, server: &StackServer) -> Arc<Published> {
         if let Some(published) = &self.snapshot {
-            if published.token.generation == server.generation.load(Ordering::Acquire) {
+            if published.generation == server.generation.load(Ordering::Acquire) {
                 return Arc::clone(published);
             }
         }
-        let published = server.snapshot_with_token();
+        let published = server.published();
         self.snapshot = Some(Arc::clone(&published));
         published
     }
 }
 
-/// The server's view resolver: the sharded L2 (one shard lock) over a
-/// fresh computation, token-checked.
+/// The server's view resolver: one snapshot's sharded L2 (one shard lock)
+/// over that snapshot's compiled decision tables.
 struct CachedViews<'a> {
-    l2: &'a L2ViewCache,
-    token: Token,
+    published: &'a Published,
     local: &'a mut LocalMetrics,
     /// Cache-layer injection hook (`None` on every non-chaos path).
     faults: Option<&'a FaultContext<'a>>,
-    /// The snapshot's compiled decision tables, which answer every L2
-    /// miss.
-    compiled: &'a CompiledPolicies,
 }
 
 impl ViewResolver for CachedViews<'_> {
     fn resolve(
         &mut self,
-        stack: &SecureWebStack,
+        _stack: &SecureWebStack,
         profile: &SubjectProfile,
         doc_name: &str,
         doc: &Document,
@@ -221,11 +222,11 @@ impl ViewResolver for CachedViews<'_> {
                     // Evict before lookup: the request recomputes its view
                     // (correctness is unaffected — only hit counters move).
                     self.local.bump(Counter::FaultsInjected);
-                    self.l2.remove(&key);
+                    self.published.cache.remove(&key);
                 }
             }
         }
-        if let Some(view) = self.l2.lookup(&key, self.token) {
+        if let Some(view) = self.published.cache.lookup(&key) {
             return ResolvedView {
                 view,
                 cache: CacheStatus::Hit,
@@ -233,19 +234,16 @@ impl ViewResolver for CachedViews<'_> {
             };
         }
         // Compute outside any lock; a racing worker may duplicate the work
-        // but both produce the same view. `compile()` compiles every
-        // document of the stack it is given, so a published snapshot's
-        // tables know each of its documents; the interpreter arm is only
-        // the answer for a document they were not compiled with.
+        // but both produce the same view.
         let t = Instant::now();
-        let compiled = self.compiled.compute_view(profile, doc_name, doc);
+        let view = self
+            .published
+            .compiled
+            .compute_view(profile, doc_name, doc)
+            .expect("compile() compiles every document of the stack it publishes");
         let compile_ns = t.elapsed().as_nanos();
-        let view = Arc::new(compiled.unwrap_or_else(|| {
-            stack
-                .engine
-                .compute_view(&stack.policies, profile, doc_name, doc)
-        }));
-        self.l2.insert(key, self.token, Arc::clone(&view));
+        let view = Arc::new(view);
+        self.published.cache.insert(key, Arc::clone(&view));
         ResolvedView {
             view,
             cache: CacheStatus::Miss,
@@ -335,21 +333,19 @@ impl StackServer {
         let t = Instant::now();
         let compiled = stack.compile();
         let initial_compile_ns = u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        let token = Token {
-            generation: 0,
-            epoch: stack.policies.epoch(),
-        };
+        let cache_lock_waits = cache::lock_waits(shards);
         let published = Published {
             stack: Arc::new(stack),
             compiled,
-            token,
+            cache: L2ViewCache::new(Arc::clone(&cache_lock_waits)),
+            generation: 0,
         };
         let server = StackServer {
             snapshot: TrackedRwLock::new("server.snapshot", Arc::new(published)),
             update_lock: TrackedMutex::new("server.update", ()),
             generation: TrackedAtomicU64::synchronizing("server.generation", 0),
             sessions: SessionShards::new(shards),
-            cache: L2ViewCache::new(shards),
+            cache_lock_waits,
             metrics: MetricsInner::default(),
             faults: TrackedMutex::new("server.faults", None),
             faults_enabled: TrackedAtomicBool::synchronizing("server.faults_enabled", false),
@@ -366,7 +362,7 @@ impl StackServer {
     /// atomically with it; see [`websec_policy::CompiledPolicies`]).
     #[must_use]
     pub fn compiled_policies(&self) -> Arc<CompiledPolicies> {
-        Arc::clone(&self.snapshot_with_token().compiled)
+        Arc::clone(&self.published().compiled)
     }
 
     /// Policy compilations performed so far: one at construction plus one
@@ -454,35 +450,33 @@ impl StackServer {
     /// survives a panicked update closure untouched.
     #[must_use]
     pub fn snapshot(&self) -> Arc<SecureWebStack> {
-        Arc::clone(&self.snapshot_with_token().stack)
+        Arc::clone(&self.published().stack)
     }
 
-    /// The published snapshot: stack, tables and token from one read of
-    /// the one lock, so the three always belong together. A poisoned lock
-    /// heals itself: its value is only ever replaced whole, so it is
-    /// always a complete snapshot.
-    fn snapshot_with_token(&self) -> Arc<Published> {
+    /// The published snapshot: stack, tables, views and generation from
+    /// one read of the one lock, so they always belong together. A
+    /// poisoned lock heals itself: its value is only ever replaced whole,
+    /// so it is always a complete snapshot.
+    fn published(&self) -> Arc<Published> {
         Arc::clone(&self.snapshot.read().unwrap_or_else(PoisonError::into_inner))
     }
 
     /// Installs `stack` (with the decision tables compiled from it) as the
-    /// new current snapshot: swaps the `Arc` under the write lock, stores
-    /// the new generation (Release — the publication edge workers
-    /// acquire), and drops every cached view. The replaced snapshot is
-    /// dropped after the lock is released. Returns the new snapshot's
-    /// token.
+    /// new current snapshot, with an empty view cache: swaps the `Arc`
+    /// under the write lock and stores the new generation (Release — the
+    /// publication edge workers acquire). The replaced snapshot, views
+    /// included, is dropped after the lock is released, or by the last
+    /// reader still holding it. Returns the new generation.
     ///
     /// Must be called with `update_lock` held, so the generation read here
     /// is still the latest when it is stored back.
-    fn publish(&self, stack: Arc<SecureWebStack>, compiled: Arc<CompiledPolicies>) -> Token {
-        let token = Token {
-            generation: self.generation.load(Ordering::Acquire) + 1,
-            epoch: stack.policies.epoch(),
-        };
+    fn publish(&self, stack: Arc<SecureWebStack>, compiled: Arc<CompiledPolicies>) -> u64 {
+        let generation = self.generation.load(Ordering::Acquire) + 1;
         let published = Arc::new(Published {
             stack,
             compiled,
-            token,
+            cache: L2ViewCache::new(Arc::clone(&self.cache_lock_waits)),
+            generation,
         });
         let replaced = {
             let mut current = self
@@ -491,10 +485,9 @@ impl StackServer {
                 .unwrap_or_else(PoisonError::into_inner);
             std::mem::replace(&mut *current, published)
         };
-        self.generation.store(token.generation, Ordering::Release);
-        self.cache.clear();
+        self.generation.store(generation, Ordering::Release);
         drop(replaced);
-        token
+        generation
     }
 
     /// Compiles `stack` under the update lock, attributing the elapsed
@@ -514,7 +507,7 @@ impl StackServer {
 
     /// Mutates the stack configuration (documents, policies, labels,
     /// context, gate) on a private clone of the snapshot, then publishes
-    /// the clone and drops every cached view. The clone shares the
+    /// the clone with an empty view cache. The clone shares the
     /// snapshot's documents, and `mutate` copies only those it writes, so
     /// a policy change neither copies nor, when the replaced snapshot is
     /// dropped, frees any document.
@@ -522,11 +515,10 @@ impl StackServer {
     /// Takes `&self`: mutation is safe *during* concurrent serving.
     /// In-flight requests complete against the snapshot they started with;
     /// any request that starts after `update` returns observes the new
-    /// configuration (cached views and coalesced results are
-    /// token-checked, so none can survive the bump). Readers never wait on
-    /// the mutation: `mutate` runs on the private clone, outside the
-    /// snapshot lock — and if it panics, the current snapshot is untouched
-    /// and serving continues unaffected.
+    /// configuration and reads only the new snapshot's views. Readers never
+    /// wait on the mutation: `mutate` runs on the private clone, outside
+    /// the snapshot lock — and if it panics, the current snapshot is
+    /// untouched and serving continues unaffected.
     pub fn update<R>(&self, mutate: impl FnOnce(&mut SecureWebStack) -> R) -> R {
         let _writer = self
             .update_lock
@@ -539,18 +531,19 @@ impl StackServer {
         result
     }
 
-    /// Explicitly invalidates every cached view (e.g. after out-of-band
-    /// mutation of state neither the policy epoch nor the snapshot
-    /// generation can observe). Republishes the current stack and tables
-    /// (no deep clone, and no recompilation — the stack is unchanged, so
-    /// the existing compiled artifact stays exact) under a new token,
-    /// without changing what readers see.
+    /// Drops every cached view: republishes the current stack and tables
+    /// (no clone, and no recompilation — the stack is unchanged, so the
+    /// existing compiled artifact stays exact) with an empty view cache
+    /// under a new generation, without changing what readers see. No
+    /// correctness path needs it, since a view is valid exactly as long as
+    /// its snapshot; it gives benchmarks cold views and a generation the
+    /// analysis memo has not seen.
     pub fn invalidate_views(&self) {
         let _writer = self
             .update_lock
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
-        let current = self.snapshot_with_token();
+        let current = self.published();
         self.publish(Arc::clone(&current.stack), Arc::clone(&current.compiled));
     }
 
@@ -660,11 +653,9 @@ impl StackServer {
             }
         }
         let mut resolver = CachedViews {
-            l2: &self.cache,
-            token: published.token,
+            published: &published,
             local,
             faults: ctx.as_ref(),
-            compiled: &published.compiled,
         };
         stack.execute_in_session(request, &mut guard, &mut resolver)
     }
@@ -690,8 +681,8 @@ impl StackServer {
     }
 
     /// Serves one request: session lookup (handshake only on first
-    /// contact), the four-layer evaluation with the token-checked view
-    /// caches plugged in, and metrics accounting. Runs behind the same
+    /// contact), the four-layer evaluation with the snapshot's view cache
+    /// plugged in, and metrics accounting. Runs behind the same
     /// panic boundary as batch workers, so an injected (or real) panic
     /// degrades to `WS106` instead of unwinding into the caller.
     pub fn serve(&self, request: &QueryRequest) -> Result<QueryResponse, Error> {
@@ -939,7 +930,7 @@ impl StackServer {
     pub fn metrics(&self) -> MetricsSnapshot {
         let mut stats = vec![ShardStats::default(); self.sessions.len()];
         self.sessions.fill_stats(&mut stats);
-        self.cache.fill_stats(&mut stats);
+        self.published().cache.fill_stats(&mut stats);
         let mut snap = self.metrics.snapshot(stats);
         let [(errors, warnings), (policy_errors, policy_warnings)] = self.analysis_gauges();
         snap.analysis_errors = errors;
@@ -1019,7 +1010,7 @@ mod tests {
         let before = server.serve(&doctor_request()).unwrap();
         assert!(before.xml.contains("Alice"));
         assert_eq!(server.metrics().cached_views, 1);
-        let epoch_before = server.snapshot().policies.epoch();
+        let generation_before = server.published().generation;
         server.update(|s| {
             s.policies.add(
                 Authorization::for_subject(SubjectSpec::Identity("doctor".into()))
@@ -1028,7 +1019,7 @@ mod tests {
                     .deny(),
             );
         });
-        assert!(server.snapshot().policies.epoch() > epoch_before);
+        assert_eq!(server.published().generation, generation_before + 1);
         assert_eq!(server.metrics().cached_views, 0, "stale views evicted");
         let after = server.serve(&doctor_request()).unwrap();
         assert_eq!(after.cache, CacheStatus::Miss, "view recomputed");
@@ -1047,16 +1038,19 @@ mod tests {
                         let mut last_generation = 0;
                         loop {
                             let finished = done.load(Ordering::Acquire);
-                            let published = server.snapshot_with_token();
-                            let token = published.token;
-                            assert_eq!(token.epoch, published.stack.policies.epoch());
-                            assert_eq!(token.epoch, published.compiled.epoch());
-                            assert!(
-                                token.generation >= last_generation,
-                                "generation went back from {last_generation} to {}",
-                                token.generation
+                            let published = server.published();
+                            assert_eq!(
+                                published.compiled.auth_count(),
+                                published.stack.policies.len(),
+                                "tables of another snapshot at generation {}",
+                                published.generation
                             );
-                            last_generation = token.generation;
+                            assert!(
+                                published.generation >= last_generation,
+                                "generation went back from {last_generation} to {}",
+                                published.generation
+                            );
+                            last_generation = published.generation;
                             if finished {
                                 return last_generation;
                             }
@@ -1064,7 +1058,7 @@ mod tests {
                     })
                 })
                 .collect();
-            let first_epoch = server.snapshot().policies.epoch();
+            let first_len = server.snapshot().policies.len();
             for i in 0..UPDATES {
                 server.update(|s| {
                     s.policies.add(
@@ -1075,12 +1069,48 @@ mod tests {
                     );
                 });
             }
-            assert!(server.snapshot().policies.epoch() >= first_epoch + UPDATES);
+            assert_eq!(
+                server.snapshot().policies.len(),
+                first_len + UPDATES as usize
+            );
             done.store(true, Ordering::Release);
             for reader in readers {
                 assert_eq!(reader.join().unwrap(), UPDATES, "missed the last update");
             }
         });
+    }
+
+    #[test]
+    fn a_view_from_a_replaced_snapshot_is_never_served() {
+        let server = StackServer::new(stack());
+        let old = server.published();
+        server.update(|s| {
+            s.policies.add(
+                Authorization::for_subject(SubjectSpec::Identity("doctor".into()))
+                    .on(ObjectSpec::Document("h.xml".into()))
+                    .privilege(Privilege::Read)
+                    .deny(),
+            );
+        });
+        // A slow worker finishing a view of the replaced snapshot can only
+        // fill that snapshot's cache.
+        let doc = old.stack.documents.get("h.xml").unwrap();
+        let stale = old
+            .compiled
+            .compute_view(&SubjectProfile::new("doctor"), "h.xml", doc)
+            .unwrap();
+        assert!(stale.to_xml_string().contains("Alice"));
+        old.cache
+            .insert(("doctor".into(), "h.xml".into()), Arc::new(stale));
+        let served = server.serve(&doctor_request()).unwrap();
+        assert_eq!(served.cache, CacheStatus::Miss);
+        assert!(!served.xml.contains("Alice"), "{}", served.xml);
+        assert_eq!(old.cache.len(), 1);
+        assert_eq!(
+            server.metrics().cached_views,
+            1,
+            "only the current snapshot's views count"
+        );
     }
 
     #[test]

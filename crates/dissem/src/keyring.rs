@@ -54,7 +54,8 @@ impl KeyAuthority {
     }
 
     /// Computes the keyring for `profile`: keys for every region granted to
-    /// it by at least one of its satisfying authorizations.
+    /// it by at least one of its satisfying authorizations
+    /// ([`crate::Region::granted_to`]).
     #[must_use]
     pub fn keys_for(
         &self,
@@ -62,19 +63,12 @@ impl KeyAuthority {
         map: &RegionMap,
         profile: &SubjectProfile,
     ) -> SubjectKeyring {
-        let mut keys = BTreeMap::new();
-        for region in &map.regions {
-            let entitled = region.policies.iter().any(|pid| {
-                store
-                    .authorizations()
-                    .iter()
-                    .find(|a| a.id == *pid)
-                    .is_some_and(|a| a.subject.matches(profile, &store.hierarchy))
-            });
-            if entitled {
-                keys.insert(region.id, self.region_key(map, region.id));
-            }
-        }
+        let keys = map
+            .regions
+            .iter()
+            .filter(|region| region.granted_to(store, profile))
+            .map(|region| (region.id, self.region_key(map, region.id)))
+            .collect();
         SubjectKeyring { keys }
     }
 }

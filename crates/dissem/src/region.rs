@@ -15,7 +15,7 @@
 //! for byte.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use websec_policy::{AuthzId, PolicyEngine, PolicyStore, Privilege};
+use websec_policy::{AuthzId, PolicyEngine, PolicyStore, Privilege, Sign, SubjectProfile};
 use websec_xml::{Document, NodeId, NodeKind};
 
 /// Region identifier (dense, stable within one [`RegionMap`]).
@@ -90,6 +90,26 @@ pub struct Region {
     pub policies: BTreeSet<AuthzId>,
     /// Node records (full nodes plus ancestor shells).
     pub records: Vec<NodeRecord>,
+}
+
+impl Region {
+    /// The entitlement rule of push-mode keys: true when some policy of
+    /// the region names a grant in `store` whose subject `profile`
+    /// matches. [`crate::KeyAuthority::keys_for`] hands out the keys of
+    /// exactly these regions, and the analyzer's WS008 re-derives
+    /// entitlement through this method.
+    #[must_use]
+    pub fn granted_to(&self, store: &PolicyStore, profile: &SubjectProfile) -> bool {
+        self.policies.iter().any(|pid| {
+            store
+                .authorizations()
+                .iter()
+                .find(|a| a.id == *pid)
+                .is_some_and(|a| {
+                    a.sign == Sign::Plus && a.subject.matches(profile, &store.hierarchy)
+                })
+        })
+    }
 }
 
 /// The complete partition of one document.

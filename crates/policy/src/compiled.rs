@@ -162,12 +162,10 @@ impl CompiledDoc {
 }
 
 /// The compiled artifact: immutable, shared behind an `Arc` inside the
-/// server's one published snapshot, invalidated exactly like every other
-/// snapshot derivative by the `{generation, epoch}` token.
+/// server's one published snapshot, and replaced with it.
 #[derive(Debug)]
 pub struct CompiledPolicies {
     pub(crate) strategy: ConflictStrategy,
-    pub(crate) epoch: u64,
     /// Interned subject identities.
     pub(crate) subjects: NameInterner,
     /// Interned attribute names.
@@ -311,7 +309,6 @@ impl<'a> PolicySnapshot<'a> {
 
         Arc::new(CompiledPolicies {
             strategy: self.strategy,
-            epoch: self.store.epoch(),
             subjects,
             attrs,
             auths,
@@ -531,12 +528,6 @@ fn compile_doc(
 }
 
 impl CompiledPolicies {
-    /// The policy-base epoch this artifact was compiled from.
-    #[must_use]
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
     /// The conflict strategy baked into the tables.
     #[must_use]
     pub fn strategy(&self) -> ConflictStrategy {
@@ -1189,7 +1180,6 @@ mod tests {
         let documents = docs_with(&d);
         let compiled =
             PolicySnapshot::new(&store, ConflictStrategy::ExplicitPriority, &documents).compile();
-        assert_eq!(compiled.epoch(), store.epoch());
         assert_eq!(compiled.doc_count(), 1);
         assert_eq!(compiled.auth_count(), 1);
         assert_eq!(compiled.strategy(), ConflictStrategy::ExplicitPriority);

@@ -31,7 +31,7 @@ use crate::subject::RoleHierarchy;
 /// source authorizations that cover them (in policy-base order).
 #[derive(Debug, Clone)]
 pub struct ClassView<'a> {
-    /// Class index within the document (stable for a given epoch).
+    /// Class index within the document (stable within one compiled artifact).
     pub class: u32,
     /// Source authorizations covering every node of this class, in
     /// policy-base order.

@@ -16,7 +16,6 @@ pub struct PolicyStore {
     pub hierarchy: RoleHierarchy,
     collections: BTreeMap<String, BTreeSet<String>>,
     next_id: u32,
-    epoch: u64,
 }
 
 impl PolicyStore {
@@ -26,22 +25,6 @@ impl PolicyStore {
         Self::default()
     }
 
-    /// Monotonic mutation counter: bumped by every change to the policy base
-    /// ([`Self::add`], [`Self::revoke`], [`Self::add_collection_member`]).
-    /// Serving-layer caches key derived artifacts (per-subject views) on this
-    /// epoch so a policy mutation implicitly invalidates them.
-    #[must_use]
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Explicitly advances the epoch. Call after mutating state the store
-    /// cannot observe itself (e.g. editing the public `hierarchy` field) so
-    /// epoch-keyed caches are invalidated.
-    pub fn bump_epoch(&mut self) {
-        self.epoch += 1;
-    }
-
     /// Adds an authorization, assigning it a fresh id (any id set by the
     /// caller is overwritten).
     pub fn add(&mut self, mut authorization: Authorization) -> AuthzId {
@@ -49,7 +32,6 @@ impl PolicyStore {
         self.next_id += 1;
         authorization.id = id;
         self.authorizations.push(authorization);
-        self.epoch += 1;
         id
     }
 
@@ -57,25 +39,17 @@ impl PolicyStore {
     pub fn revoke(&mut self, id: AuthzId) -> bool {
         let before = self.authorizations.len();
         self.authorizations.retain(|a| a.id != id);
-        let removed = self.authorizations.len() != before;
-        if removed {
-            self.epoch += 1;
-        }
-        removed
+        self.authorizations.len() != before
     }
 
     /// Removes every authorization matching `predicate`, returning how many
-    /// were removed. The epoch advances **once** for the whole sweep (not
-    /// per removal), so epoch-keyed caches see a single invalidation point
-    /// — this is the revocation primitive concurrent serving tests lean on.
+    /// were removed. Inside one `StackServer::update` the whole sweep is one
+    /// publication, so concurrent readers see either none or all of it —
+    /// the revocation primitive concurrent serving tests lean on.
     pub fn revoke_matching(&mut self, predicate: impl Fn(&Authorization) -> bool) -> usize {
         let before = self.authorizations.len();
         self.authorizations.retain(|a| !predicate(a));
-        let removed = before - self.authorizations.len();
-        if removed > 0 {
-            self.epoch += 1;
-        }
-        removed
+        before - self.authorizations.len()
     }
 
     /// The current authorizations.
@@ -102,7 +76,6 @@ impl PolicyStore {
             .entry(collection.to_string())
             .or_default()
             .insert(document.to_string());
-        self.epoch += 1;
     }
 
     /// True when `document` is a registered member of `collection`.
@@ -457,7 +430,7 @@ mod tests {
     }
 
     #[test]
-    fn revoke_matching_sweeps_and_bumps_epoch_once() {
+    fn revoke_matching_sweeps_every_match() {
         let mut store = PolicyStore::new();
         store.add(
             Authorization::for_subject(SubjectSpec::Identity("doctor".into()))
@@ -477,15 +450,13 @@ mod tests {
                 .privilege(Privilege::Read)
                 .grant(),
         );
-        let epoch = store.epoch();
         let removed = store
             .revoke_matching(|a| matches!(&a.subject, SubjectSpec::Identity(id) if id == "doctor"));
         assert_eq!(removed, 2);
         assert_eq!(store.len(), 1);
-        assert_eq!(store.epoch(), epoch + 1, "one bump for the whole sweep");
-        // A sweep that matches nothing must not invalidate caches.
+        // A sweep that matches nothing removes nothing.
         assert_eq!(store.revoke_matching(|_| false), 0);
-        assert_eq!(store.epoch(), epoch + 1);
+        assert_eq!(store.len(), 1);
     }
 
     #[test]
@@ -973,28 +944,6 @@ mod tests {
             ),
             AccessDecision::Denied
         );
-    }
-
-    #[test]
-    fn epoch_tracks_mutations() {
-        let mut store = PolicyStore::new();
-        assert_eq!(store.epoch(), 0);
-        let id = store.add(
-            Authorization::for_subject(SubjectSpec::Anyone)
-                .on(ObjectSpec::AllDocuments)
-                .privilege(Privilege::Read)
-                .grant(),
-        );
-        assert_eq!(store.epoch(), 1);
-        store.add_collection_member("wards", "h.xml");
-        assert_eq!(store.epoch(), 2);
-        assert!(store.revoke(id));
-        assert_eq!(store.epoch(), 3);
-        // Revoking a missing id is not a mutation.
-        assert!(!store.revoke(id));
-        assert_eq!(store.epoch(), 3);
-        store.bump_epoch();
-        assert_eq!(store.epoch(), 4);
     }
 
     #[test]

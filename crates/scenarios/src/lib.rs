@@ -19,7 +19,7 @@
 //! * [`runner`] — executes one scenario against a `StackServer`: a serial
 //!   fault-free oracle pass, a configured serial pass, a worker sweep, and
 //!   the declared [`Invariant`] checks (byte-equivalence vs the oracle, no
-//!   stale view past a committed revocation epoch, `Err ∈ WS1xx`, …);
+//!   stale view past a committed revocation, `Err ∈ WS1xx`, …);
 //! * [`cache`] — the FNV-1a fingerprint-keyed result cache over the
 //!   `BENCH_scenarios.json` history: unchanged scenarios (same declared
 //!   data, same workspace revision) skip re-runs;

@@ -442,7 +442,7 @@ fn run_revocation_storm(
     }
     result.revocation_updates = storm.updates as u64;
 
-    // Post-storm: the first serve after the committed epoch must miss the
+    // Post-storm: the first serve after the committed revocation must miss the
     // view cache and must not expose revoked content.
     let mut stale = 0u64;
     for s in 0..subjects.min(storm.updates) {

@@ -35,9 +35,9 @@ pub enum Invariant {
     /// Every error anywhere in the run carries a `WS1xx` code (no panics
     /// laundered into ad-hoc failures, no unknown codes).
     ErrorsAreWs1xx,
-    /// After a committed revocation epoch, no served view may contain
-    /// revoked content and the first post-revocation serve must miss the
-    /// view cache (no stale views past the epoch).
+    /// After a committed revocation, no served view may contain revoked
+    /// content and the first post-revocation serve must miss the view
+    /// cache (no stale views past the revocation).
     NoStaleAfterRevocation,
     /// The workload is expected to produce no errors at all (used by
     /// deliberately-broken scenarios in the harness's own tests).

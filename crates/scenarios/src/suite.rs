@@ -68,9 +68,9 @@ pub fn smoke() -> Vec<Scenario> {
             .faults(smoke_fault_plan())
             .invariant(Invariant::SerialEquivalence)
             .invariant(Invariant::ErrorsAreWs1xx),
-        // Committed revocation epochs must invalidate every view: the
-        // storm denies previously-granted subjects and the first serve
-        // past each epoch must recompute, without stale bytes.
+        // Committed revocations must invalidate every view: the storm
+        // denies previously-granted subjects and the first serve past
+        // each revocation must recompute, without stale bytes.
         Scenario::named("revocation_storm", 0x5EED_0004)
             .corpus(HospitalSpec::small())
             .traffic(Recipe::PatientRead {

@@ -72,15 +72,14 @@ fn main() {
     }
     server.clear_faults();
 
-    // Phase 3 — snapshot mutation: the write lock, the generation bump,
-    // and the cache clear.
+    // Phase 3 — snapshot mutation: the write lock and the generation bump
+    // (the new snapshot starts with an empty view cache).
     server.update(|stack| {
         stack.policies.add(Authorization::for_subject(SubjectSpec::Identity("doctor".into())).on(ObjectSpec::Document("ward.xml".into())).privilege(Privilege::Write).grant());
     });
 
     // Phase 4 — incremental analysis: the analysis memo after the
     // snapshot read path, for both analyses (cold run, cached reuse).
-    server.set_analysis_gate(AnalysisGate::Warn);
     let _ = server.analyze();
     let _ = server.analyze();
     let _ = server.verify_policies();

@@ -26,10 +26,10 @@
 //!   keep its edge while faults are landing (gated:
 //!   `faulted_parallel_qps >= faulted_serial_qps`);
 //! * **analysis** — cold full analyzer run (all ten passes) vs the
-//!   epoch-keyed incremental re-analysis after a single privacy-section
+//!   generation-keyed incremental re-analysis after a single privacy-section
 //!   mutation (gated: `analysis_incremental_us <= analysis_full_us`),
 //!   plus the static policy verifier (WS013–WS018): a cold full run over
-//!   the compiled decision plane vs the token-keyed incremental re-check
+//!   the compiled decision plane vs the generation-keyed incremental re-check
 //!   after a Privacy-only update (gated:
 //!   `policy_verify_incremental_us <= policy_verify_full_us`);
 //! * **compiled** — the snapshot-compiled decision path over a generated
@@ -37,10 +37,9 @@
 //!   subject so no cache level can answer): `CompiledPolicies::compute_view`
 //!   vs the interpreting `PolicyEngine::compute_view` on identical
 //!   cache-miss traffic, plus the one-time compile cost, a sampled
-//!   byte-equality sweep between the two paths, and the epoch and
-//!   class-partition cross-check (`StackServer::verify_compiled`: the
-//!   artifact's epoch and its Browse/Read equivalence classes against the
-//!   interpreter's). Gated: `compiled_speedup >= 5` and both equivalence
+//!   byte-equality sweep between the two paths, and the class-partition
+//!   cross-check (`StackServer::verify_compiled`: the artifact's
+//!   Browse/Read equivalence classes against the interpreter's). Gated: `compiled_speedup >= 5` and both equivalence
 //!   booleans;
 //! * **compile** — the snapshot compile of the bench hospital, whose 16
 //!   grants all select `//patient`, against the same stack with one grant
@@ -341,7 +340,7 @@ const GATES: [Gate; 10] = [
     ("policy_verify_incremental_us", Cmp::AtMost, Bound::Key("policy_verify_full_us")),
     // The compiled tables beat the interpreter >= 5x on unique-subject
     // misses over the large store, agree with it byte for byte on the
-    // sampled traffic, and pass the epoch and class-partition cross-check.
+    // sampled traffic, and pass the class-partition cross-check.
     ("compiled_speedup", Cmp::AtLeast, Bound::Value(5.0)),
     ("compiled_equivalent", Cmp::AtLeast, Bound::Value(1.0)),
     ("compiled_verify_ok", Cmp::AtLeast, Bound::Value(1.0)),
@@ -531,7 +530,7 @@ fn main() -> ExitCode {
     let faulted_injected = injector.fired_total();
 
     // Analysis section: cold full fixpoint (all ten passes) vs the
-    // epoch-keyed incremental re-analysis after a single-section mutation
+    // generation-keyed incremental re-analysis after a single-section mutation
     // (only the passes reading the Privacy section re-run). Gated:
     // `analysis_incremental_us <= analysis_full_us`.
     let analysis = StackServer::new(build_analysis_stack());
@@ -650,7 +649,7 @@ fn main() -> ExitCode {
     };
 
     // Untimed correctness sweep: byte equality on a sample of the traffic,
-    // and the epoch and class-partition cross-check of the compiled form
+    // and the class-partition cross-check of the compiled form
     // on the serving stack. Both are gated.
     let mut compiled_equivalent = true;
     let equiv_stride = (COMPILED_SUBJECTS / COMPILED_EQUIV_SAMPLE).max(1);
@@ -834,7 +833,7 @@ fn main() -> ExitCode {
          interpreted {interpreted_qps:>8.0} v/s, compiled {compiled_qps:>8.0} v/s = \
          {compiled_speedup:.2}x  (compile {compiled_compile_us} us, \
          {compiled_equiv_checked} sampled equal: {compiled_equivalent}, \
-         epoch and class cross-check ok: {compiled_verify_ok})"
+         class cross-check ok: {compiled_verify_ok})"
     );
     println!(
         "  compile (median of {COMPILE_RUNS}): hospital {compile_hospital_us:.1} us, \

@@ -3,8 +3,8 @@
 //!
 //! The sweep's contract, per seed: under an armed [`FaultPlan`] every
 //! batch position is either **byte-identical to the fault-free reference**
-//! or a stable `WS1xx` error — never a wrong document, never a stale view
-//! past an epoch bump — and once the plan is cleared the server serves
+//! or a stable `WS1xx` error — never a wrong document, never a view of a
+//! replaced snapshot — and once the plan is cleared the server serves
 //! cleanly again (retries with backoff absorb the residual poisoned
 //! sessions).
 //!
@@ -272,7 +272,7 @@ fn seeded_fault_sweep_yields_only_ws1xx_or_correct_answers() {
         }
 
         // Revocation under fire: re-arm the plan, revoke every ward grant,
-        // and demand that no request served after the epoch bump sees the
+        // and demand that no request served after the publication sees the
         // revoked portion — faults may fail requests, not resurrect views.
         server.install_faults(plan);
         server.update(|stack| {
@@ -286,7 +286,7 @@ fn seeded_fault_sweep_yields_only_ws1xx_or_correct_answers() {
             match result {
                 Ok(response) => assert!(
                     response.xml.is_empty(),
-                    "seed {seed}, request {i}: stale view served past the epoch bump: {}",
+                    "seed {seed}, request {i}: stale view served past the revocation: {}",
                     response.xml
                 ),
                 Err(e) => assert_ws1xx(e.code(), seed, i),

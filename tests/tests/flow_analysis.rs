@@ -468,7 +468,7 @@ fn incremental_reanalysis_runs_only_affected_passes() {
     assert_eq!(m.analysis_passes_run, 10);
     assert_eq!(m.analysis_passes_reused, 0);
 
-    // Same token: the cached report is reused wholesale.
+    // Same generation: the cached report is reused wholesale.
     let _ = server.analyze();
     assert!(server.last_passes_run().is_empty());
     let m = server.metrics();
@@ -552,7 +552,7 @@ fn incremental_reanalysis_runs_only_affected_passes() {
     let d = server.metrics().delta(&before);
     assert_eq!((d.analysis_passes_run, d.policy_passes_run), (1, 6));
 
-    // A rejected update leaves the memo at the old token: the next
+    // A rejected update leaves the memo at the old generation: the next
     // analyze() is a wholesale reuse.
     let rejected = server.try_update(|s| s.semantic_stores.push(("planted".into(), leaky_store())));
     assert_eq!(rejected.expect_err("leak must be rejected").code(), "WS109");
@@ -560,6 +560,43 @@ fn incremental_reanalysis_runs_only_affected_passes() {
     let _ = server.analyze();
     let d = server.metrics().delta(&before);
     assert_eq!((d.analysis_passes_run, d.analysis_passes_reused), (0, 10));
+}
+
+/// Collection membership is part of the policy base the analyses read:
+/// a member added by an update re-runs WS005 and the verifier, so
+/// neither reports the rule that covered nothing before.
+#[test]
+fn collection_membership_reruns_ws005_and_the_verifier() {
+    let mut stack = SecureWebStack::new([7u8; 32]);
+    stack.add_document("h.xml", hospital(), ContextLabel::fixed(Level::Unclassified));
+    stack.policies.add(
+        Authorization::for_subject(SubjectSpec::Anyone)
+            .on(ObjectSpec::Collection("wards".into()))
+            .privilege(Privilege::Read)
+            .grant(),
+    );
+    let server = StackServer::new(stack);
+    let codes = |report: &Report| -> Vec<String> {
+        report.diagnostics.iter().map(|d| d.code.to_string()).collect()
+    };
+    let analyzed = server.analyze();
+    assert!(codes(&analyzed).contains(&"WS005".into()), "{}", analyzed.human());
+    let verified = server.verify_policies();
+    assert!(codes(&verified).contains(&"WS015".into()), "{}", verified.human());
+
+    server.update(|s| s.policies.add_collection_member("wards", "h.xml"));
+    let analyzed = server.analyze();
+    assert!(
+        !codes(&analyzed).contains(&"WS005".into()),
+        "stale analyzer report {:?}",
+        codes(&analyzed)
+    );
+    let verified = server.verify_policies();
+    assert!(
+        !codes(&verified).contains(&"WS015".into()),
+        "stale verifier report {:?}",
+        codes(&verified)
+    );
 }
 
 #[test]
@@ -597,11 +634,12 @@ fn analysis_gate_deny_rejects_leak_introducing_update() {
 
 #[test]
 fn analysis_gate_warn_admits_and_surfaces_findings_in_metrics() {
+    // Findings surface without blocking when the update is followed by
+    // both analyses.
     let server = StackServer::new(configured_stack());
-    server.set_analysis_gate(AnalysisGate::Warn);
-
-    let result = server.try_update(|s| s.semantic_stores.push(("planted".into(), leaky_store())));
-    assert!(result.is_ok());
+    server.update(|s| s.semantic_stores.push(("planted".into(), leaky_store())));
+    let _ = server.analyze();
+    let _ = server.verify_policies();
     assert_eq!(server.snapshot().semantic_stores.len(), 2);
     let m = server.metrics();
     assert_eq!(m.gate_denials, 0);

@@ -291,7 +291,7 @@ fn deny_gate_matches_its_full_recomputation() {
         let (mut accepted, mut rejected) = (0, 0);
         for k in 0..STEPS {
             let step = Step::draw(&mut rng, &spec, k);
-            // Now and then the token moves first — a republication, or an
+            // Now and then the generation moves first — a republication, or an
             // ungated update — so the gate finds the memo a snapshot behind
             // and brings its baseline up to date.
             match rng.below(10) {
