@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Repository gate: rustfmt over the analyzer, websec-xml, websec-policy and
-# websec-core libraries, offline build, clippy with warnings denied, full test suite,
-# the wsbench build, tests and short runs, the websec-lint static checks,
-# the WS003-WS012 analyzer over every example stack (byte-diffed for
-# determinism, failing on error findings), the WS013-WS018 static policy
+# websec-core libraries and the websec-lint binary, offline build, clippy
+# with warnings denied, full test suite, the wsbench build, tests and
+# short runs, the websec-lint static checks, the WS003-WS012 analyzer over
+# every example stack (byte-diffed for determinism, failing on error
+# findings), the WS013-WS018 static policy
 # verifier over the seed fixtures (byte-diffed against the committed
 # ANALYSIS_policy.json baseline), and the serving benchmark, which
 # evaluates its own speedup, equivalence, incremental-analysis and
@@ -43,10 +44,11 @@ if [ "${1:-}" = "--verify-policies" ]; then
 fi
 
 # The analyzer, websec-xml, websec-policy and websec-core libraries (each
-# lib.rs and every module it declares) are in rustfmt's default style; the
-# rest of the tree is not yet.
-echo "==> rustfmt --check (analyzer, websec-xml, websec-policy and websec-core libraries)"
+# lib.rs and every module it declares) and the websec-lint binary are in
+# rustfmt's default style; the rest of the tree is not yet.
+echo "==> rustfmt --check (analyzer, websec-xml, websec-policy and websec-core libraries, websec-lint)"
 rustfmt --edition 2021 --check crates/analyzer/src/lib.rs
+rustfmt --edition 2021 --check crates/analyzer/src/bin/websec_lint.rs
 rustfmt --edition 2021 --check crates/xml/src/lib.rs
 rustfmt --edition 2021 --check crates/policy/src/lib.rs
 rustfmt --edition 2021 --check crates/core/src/lib.rs
@@ -128,7 +130,9 @@ verify_policies_step
 # core-aware no-dup scaling bar, incremental <= full analysis and policy
 # verification, compiled >= 5x interpreted with byte equivalence and the
 # class-partition cross-check, sixteen duplicate grants
-# compiling in <= 2x the time of one, detector-off overhead <= 2%)
+# compiling in <= 2x the time of one, a revocation compiled against the
+# published tables in <= 0.5x the time of compiling it from nothing,
+# detector-off overhead <= 2%)
 # against the values as written, printing one line per gate; any failed
 # gate exits non-zero.
 echo "==> serving-layer benchmark and gates (BENCH_serving.json)"

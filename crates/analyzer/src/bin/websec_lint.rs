@@ -72,7 +72,11 @@ impl Finding {
     /// The finding as an analyzer diagnostic: `LINT-*` code, lint severity
     /// mapped onto the shared [`Severity`] scale, `file:line` as the span.
     fn diagnostic(&self) -> Diagnostic {
-        let severity = if self.warning { Severity::Warning } else { Severity::Error };
+        let severity = if self.warning {
+            Severity::Warning
+        } else {
+            Severity::Error
+        };
         Diagnostic::new(
             self.rule,
             severity,
@@ -205,7 +209,10 @@ fn walk_rs(dir: &Path, out: &mut Vec<(PathBuf, bool)>) -> std::io::Result<()> {
             walk_rs(&path, out)?;
         } else if path.extension().is_some_and(|e| e == "rs") {
             let is_crate_root = path.file_name().is_some_and(|n| n == "lib.rs")
-                && path.parent().and_then(Path::file_name).is_some_and(|n| n == "src");
+                && path
+                    .parent()
+                    .and_then(Path::file_name)
+                    .is_some_and(|n| n == "src");
             out.push((path, is_crate_root));
         }
     }
@@ -278,7 +285,9 @@ const LOCK_ORDER_SPECS: &[LockOrderSpec] = &[
 /// The ordering spec that applies to `file`, if any.
 fn lock_order_for(file: &Path) -> Option<&'static LockOrderSpec> {
     let path = file.to_string_lossy().replace('\\', "/");
-    LOCK_ORDER_SPECS.iter().find(|spec| path.ends_with(spec.path))
+    LOCK_ORDER_SPECS
+        .iter()
+        .find(|spec| path.ends_with(spec.path))
 }
 
 /// Atomics whose Release/Acquire pairs order shared state: the snapshot
@@ -328,7 +337,9 @@ const RAW_SYNC_SCOPE: [&str; 4] = [
 /// wrappers (see [`RAW_SYNC_SCOPE`]).
 fn raw_sync_scope(file: &Path) -> bool {
     let path = file.to_string_lossy().replace('\\', "/");
-    RAW_SYNC_SCOPE.iter().any(|fragment| path.contains(fragment))
+    RAW_SYNC_SCOPE
+        .iter()
+        .any(|fragment| path.contains(fragment))
 }
 
 /// Hot-path modules of the compiled decision path: consulted on every
@@ -399,7 +410,13 @@ fn raw_sync_constructor(code: &str) -> Option<&'static str> {
 /// line must contain an acquisition call and exactly identify a ranked
 /// receiver token.
 fn line_lock_rank(code: &str, spec: &LockOrderSpec) -> Option<usize> {
-    let acquires = [".lock()", ".try_lock()", ".read()", ".write()", "lock_counting("];
+    let acquires = [
+        ".lock()",
+        ".try_lock()",
+        ".read()",
+        ".write()",
+        "lock_counting(",
+    ];
     if !acquires.iter().any(|a| code.contains(a)) {
         return None;
     }
@@ -416,8 +433,8 @@ fn line_lock_rank(code: &str, spec: &LockOrderSpec) -> Option<usize> {
 fn unregistered_code(code: &str) -> Option<&str> {
     code.match_indices("\"WS").find_map(|(at, _)| {
         let literal = code.get(at + 1..at + 6)?;
-        let shaped = literal[2..].bytes().all(|b| b.is_ascii_digit())
-            && code[at + 6..].starts_with('"');
+        let shaped =
+            literal[2..].bytes().all(|b| b.is_ascii_digit()) && code[at + 6..].starts_with('"');
         (shaped && lookup(literal).is_none()).then_some(literal)
     })
 }
@@ -466,7 +483,9 @@ fn lint_file(file: &Path, source: &str, is_crate_root: bool, findings: &mut Vec<
     let hot_alloc_scope = hot_alloc_scope(file);
     let mut last_lock: Option<usize> = None;
     let mut in_test_code = false;
+    let mut previous = "";
     for (idx, line) in source.lines().enumerate() {
+        let above = std::mem::replace(&mut previous, line);
         // Repository convention: the test module is the last item of a file,
         // so the first #[cfg(test)] marks the start of test-only code.
         if line.trim_start().starts_with("#[cfg(test)]") {
@@ -477,8 +496,14 @@ fn lint_file(file: &Path, source: &str, is_crate_root: bool, findings: &mut Vec<
         }
         // An explicit, greppable opt-out for lines where the banned pattern
         // *is* the behavior (e.g. the fault injector's deliberate panic):
-        // `// lint:allow(panic)`, `// lint:allow(unwrap)`, `// lint:allow(unsafe)`.
-        let allowed = |rule: &str| line.contains(&format!("lint:allow({rule})"));
+        // `// lint:allow(panic)`, `// lint:allow(unwrap)`, `// lint:allow(unsafe)`,
+        // trailing the flagged line or alone on the line directly above it
+        // (where rustfmt leaves a marker that would overflow the line).
+        let allowed = |rule: &str| {
+            let marker = format!("lint:allow({rule})");
+            line.contains(&marker)
+                || above.trim().strip_prefix("//").map(str::trim) == Some(marker.as_str())
+        };
         let code = strip_comment(line);
         if code.contains(".unwrap()") && !allowed("unwrap") {
             findings.push(Finding {
@@ -636,13 +661,7 @@ fn strip_comment(line: &str) -> &str {
 fn render(findings: &[Finding]) -> String {
     let mut out = String::new();
     for f in findings {
-        let _ = writeln!(
-            out,
-            "{}:{}:{}",
-            f.file.display(),
-            f.line,
-            f.message
-        );
+        let _ = writeln!(out, "{}:{}:{}", f.file.display(), f.line, f.message);
     }
     out
 }
@@ -688,6 +707,39 @@ mod tests {
         let src = "#![forbid(unsafe_code)]\nfn f() { panic!(); } // lint:allow(unwrap)\n";
         lint_file(Path::new("crates/x/src/lib.rs"), src, true, &mut findings);
         assert_eq!(findings.len(), 1);
+    }
+
+    /// rustfmt moves a trailing comment that overflows the line onto a
+    /// line of its own, so a marker alone on the line directly above the
+    /// flagged line allows it too; a marker further up, or one trailing
+    /// the code of the line above, does not.
+    #[test]
+    fn lint_allow_marker_on_the_line_above() {
+        let mut findings = Vec::new();
+        let src = "#![forbid(unsafe_code)]\n\
+                   fn f() {\n\
+                       // lint:allow(panic)\n\
+                       panic!(\"injected\");\n\
+                   }\n";
+        lint_file(Path::new("crates/x/src/lib.rs"), src, true, &mut findings);
+        assert!(findings.is_empty(), "{}", render(&findings));
+        let src = "#![forbid(unsafe_code)]\n\
+                   fn f() {\n\
+                       // lint:allow(panic)\n\
+                       let x = 1;\n\
+                       panic!(\"injected\");\n\
+                   }\n\
+                   fn g() {\n\
+                       let y = 2; // lint:allow(panic)\n\
+                       panic!(\"injected\");\n\
+                   }\n\
+                   fn h() {\n\
+                       // lint:allow(unwrap)\n\
+                       panic!(\"injected\");\n\
+                   }\n";
+        lint_file(Path::new("crates/x/src/lib.rs"), src, true, &mut findings);
+        let lines: Vec<usize> = findings.iter().map(|f| f.line).collect();
+        assert_eq!(lines, [5, 9, 13], "{}", render(&findings));
     }
 
     #[test]
@@ -745,7 +797,12 @@ mod tests {
                    let g = lock_counting(session, &waits);\n\
                    let m = lock_counting(&shard.map, &waits);\n\
                    }\n";
-        lint_file(Path::new("crates/core/src/stack/eval.rs"), src, false, &mut findings);
+        lint_file(
+            Path::new("crates/core/src/stack/eval.rs"),
+            src,
+            false,
+            &mut findings,
+        );
         assert!(findings.is_empty(), "{}", render(&findings));
     }
 
@@ -757,9 +814,16 @@ mod tests {
                    let s = self.snapshot.read();\n\
                    }\n";
         let mut findings = Vec::new();
-        lint_file(Path::new("crates/core/src/server/mod.rs"), src, false, &mut findings);
+        lint_file(
+            Path::new("crates/core/src/server/mod.rs"),
+            src,
+            false,
+            &mut findings,
+        );
         assert_eq!(findings.len(), 1, "{}", render(&findings));
-        assert!(findings[0].message.contains("'snapshot' acquired after 'faults'"));
+        assert!(findings[0]
+            .message
+            .contains("'snapshot' acquired after 'faults'"));
 
         // analysis.rs: the analysis mutex after the snapshot lock is the
         // canonical order...
@@ -768,7 +832,12 @@ mod tests {
                    let a = self.analysis.lock();\n\
                    }\n";
         let mut findings = Vec::new();
-        lint_file(Path::new("crates/core/src/server/analysis.rs"), src, false, &mut findings);
+        lint_file(
+            Path::new("crates/core/src/server/analysis.rs"),
+            src,
+            false,
+            &mut findings,
+        );
         assert!(findings.is_empty(), "{}", render(&findings));
 
         // ...and the reverse is the inversion the module docs warn about.
@@ -777,7 +846,12 @@ mod tests {
                    let s = self.snapshot.write();\n\
                    }\n";
         let mut findings = Vec::new();
-        lint_file(Path::new("crates/core/src/server/analysis.rs"), src, false, &mut findings);
+        lint_file(
+            Path::new("crates/core/src/server/analysis.rs"),
+            src,
+            false,
+            &mut findings,
+        );
         assert_eq!(findings.len(), 1, "{}", render(&findings));
         assert!(findings[0].message.contains("lock order inversion"));
     }
@@ -793,7 +867,9 @@ mod tests {
         lint_file(file, src, false, &mut findings);
         assert_eq!(findings.len(), 2, "{}", render(&findings));
         assert!(findings.iter().all(|f| !f.warning));
-        assert!(findings[0].message.contains("raw std::sync primitive 'Mutex::new'"));
+        assert!(findings[0]
+            .message
+            .contains("raw std::sync primitive 'Mutex::new'"));
 
         // Tracked wrappers are exactly the point — they must not match.
         let src = "fn f() { let m = TrackedMutex::new(\"c\", 0); \
@@ -805,7 +881,12 @@ mod tests {
         // Out of scope (not serving/fault code) and opt-outs are clean.
         let src = "fn f() { let m = Mutex::new(0); }\n";
         let mut findings = Vec::new();
-        lint_file(Path::new("crates/core/src/stack/mod.rs"), src, false, &mut findings);
+        lint_file(
+            Path::new("crates/core/src/stack/mod.rs"),
+            src,
+            false,
+            &mut findings,
+        );
         assert!(findings.is_empty(), "{}", render(&findings));
         let src = "fn f() { let m = Mutex::new(0); } // lint:allow(raw-sync)\n";
         let mut findings = Vec::new();
@@ -820,7 +901,9 @@ mod tests {
         let mut findings = Vec::new();
         lint_file(file, src, false, &mut findings);
         assert_eq!(findings.len(), 1, "{}", render(&findings));
-        assert!(findings[0].message.contains("synchronizing atomic 'generation'"));
+        assert!(findings[0]
+            .message
+            .contains("synchronizing atomic 'generation'"));
         assert!(findings[0].message.contains("WS111"));
 
         // Acquire/Release on the same atomic is the fix, not a finding.
@@ -849,7 +932,9 @@ mod tests {
         lint_file(file, src, false, &mut findings);
         assert_eq!(findings.len(), 3, "{}", render(&findings));
         assert!(findings.iter().all(|f| !f.warning));
-        assert!(findings[0].message.contains("heap allocation '.to_string()'"));
+        assert!(findings[0]
+            .message
+            .contains("heap allocation '.to_string()'"));
 
         // Sized and interned forms are the fix, not findings — and a
         // non-Vec `::new(` must not match.
@@ -867,7 +952,12 @@ mod tests {
         assert!(findings.is_empty(), "{}", render(&findings));
         let src = "fn f() { let s = format!(\"x\"); }\n";
         let mut findings = Vec::new();
-        lint_file(Path::new("crates/policy/src/engine.rs"), src, false, &mut findings);
+        lint_file(
+            Path::new("crates/policy/src/engine.rs"),
+            src,
+            false,
+            &mut findings,
+        );
         assert!(findings.is_empty(), "{}", render(&findings));
     }
 
@@ -893,7 +983,12 @@ mod tests {
         }
         // Non-compiled policy modules stay out of scope.
         let mut findings = Vec::new();
-        lint_file(Path::new("crates/policy/src/engine.rs"), src, false, &mut findings);
+        lint_file(
+            Path::new("crates/policy/src/engine.rs"),
+            src,
+            false,
+            &mut findings,
+        );
         assert!(findings.is_empty(), "{}", render(&findings));
     }
 
@@ -906,7 +1001,12 @@ mod tests {
                    let m = self.analysis.lock();\n\
                    }\n";
         let mut findings = Vec::new();
-        lint_file(Path::new("crates/core/src/server/analysis.rs"), src, false, &mut findings);
+        lint_file(
+            Path::new("crates/core/src/server/analysis.rs"),
+            src,
+            false,
+            &mut findings,
+        );
         assert!(findings.is_empty(), "{}", render(&findings));
 
         // ...and taking the update lock under the memo mutex inverts.
@@ -915,9 +1015,16 @@ mod tests {
                    let w = self.update_lock.lock();\n\
                    }\n";
         let mut findings = Vec::new();
-        lint_file(Path::new("crates/core/src/server/analysis.rs"), src, false, &mut findings);
+        lint_file(
+            Path::new("crates/core/src/server/analysis.rs"),
+            src,
+            false,
+            &mut findings,
+        );
         assert_eq!(findings.len(), 1, "{}", render(&findings));
-        assert!(findings[0].message.contains("'update_lock' acquired after 'analysis'"));
+        assert!(findings[0]
+            .message
+            .contains("'update_lock' acquired after 'analysis'"));
 
         // mod.rs ranks the memo between the faults mutex and the shard
         // locks.
@@ -926,7 +1033,12 @@ mod tests {
                    let m = self.analysis.lock();\n\
                    }\n";
         let mut findings = Vec::new();
-        lint_file(Path::new("crates/core/src/server/mod.rs"), src, false, &mut findings);
+        lint_file(
+            Path::new("crates/core/src/server/mod.rs"),
+            src,
+            false,
+            &mut findings,
+        );
         assert_eq!(findings.len(), 1, "{}", render(&findings));
         assert!(findings[0].message.contains("lock order inversion"));
     }
@@ -945,7 +1057,12 @@ mod tests {
         // Warnings map onto the shared severity scale.
         let mut findings = Vec::new();
         let src = "fn f(&self) { let g = self.generation.load(Ordering::Relaxed); }\n";
-        lint_file(Path::new("crates/core/src/server/mod.rs"), src, false, &mut findings);
+        lint_file(
+            Path::new("crates/core/src/server/mod.rs"),
+            src,
+            false,
+            &mut findings,
+        );
         assert_eq!(findings.len(), 1);
         assert!(findings[0]
             .diagnostic()

@@ -37,7 +37,7 @@
 //! Reports are normalized: identical inputs yield byte-identical
 //! machine output.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap, HashSet};
 
 use websec_policy::{
     AccessDecision, Authorization, CompiledPolicies, ConflictStrategy, Credential, CredentialExpr,
@@ -621,7 +621,7 @@ fn ws016_escalation_chains(input: &PolicyVerifyInput<'_>) -> Vec<Diagnostic> {
                         continue;
                     };
                     let witness = SubjectProfile::new("ws016:witness").with_role(senior.clone());
-                    if compiled.check(&witness, name, cv.nodes[0], privilege)
+                    if compiled.check(&witness, name, cv.first_node, privilege)
                         != Some(AccessDecision::Granted)
                         || !seen.insert((grant.id.0, denial.id.0))
                     {
@@ -685,9 +685,9 @@ fn ws017_revocation_gaps(input: &PolicyVerifyInput<'_>) -> Vec<Diagnostic> {
                     };
                     let with_role = SubjectProfile::new(who).with_role(role.clone());
                     let bare = SubjectProfile::new(who);
-                    if compiled.check(&with_role, name, cv.nodes[0], privilege)
+                    if compiled.check(&with_role, name, cv.first_node, privilege)
                         != Some(AccessDecision::Granted)
-                        || compiled.check(&bare, name, cv.nodes[0], privilege)
+                        || compiled.check(&bare, name, cv.first_node, privilege)
                             != Some(AccessDecision::Denied)
                         || !seen.insert((denial.id.0, grant.id.0))
                     {
@@ -742,37 +742,69 @@ fn satisfy(expr: &CredentialExpr) -> Option<Vec<Credential>> {
     }
 }
 
+/// The identity of WS018's anonymous witness, the first in witness order.
+const ANONYMOUS: &str = "ws018:anonymous";
+
 /// Deterministic witness subjects drawn from the policy base: the
-/// anonymous subject plus one witness per distinct subject spec.
+/// anonymous subject, then one witness per subject spec in policy-base
+/// order, each kept only when no earlier witness has the same identity,
+/// roles and credentials. Witness kinds never coincide: an identity
+/// witness holds no role or credential, a role witness exactly one role
+/// and no credential, a credential witness credentials only.
 fn witness_profiles(compiled: &CompiledPolicies) -> Vec<SubjectProfile> {
-    let mut seen = BTreeSet::new();
-    let mut out = Vec::new();
-    let mut push = |profile: SubjectProfile, seen: &mut BTreeSet<String>| {
-        if seen.insert(format!("{profile:?}")) {
-            out.push(profile);
-        }
-    };
-    push(SubjectProfile::new("ws018:anonymous"), &mut seen);
+    let mut out = vec![SubjectProfile::new(ANONYMOUS)];
+    let mut identities: HashSet<&str> = HashSet::from([ANONYMOUS]);
+    let mut roles: HashSet<&str> = HashSet::new();
     for auth in compiled.source_authorizations() {
         match &auth.subject {
             SubjectSpec::Anyone => {}
-            SubjectSpec::Identity(who) => push(SubjectProfile::new(who), &mut seen),
-            SubjectSpec::InRole(role) => push(
-                SubjectProfile::new(&format!("ws018:role:{}", role.0)).with_role(role.clone()),
-                &mut seen,
-            ),
+            SubjectSpec::Identity(who) => {
+                if identities.insert(who) {
+                    out.push(SubjectProfile::new(who));
+                }
+            }
+            SubjectSpec::InRole(role) => {
+                if roles.insert(&role.0) {
+                    out.push(
+                        SubjectProfile::new(&format!("ws018:role:{}", role.0))
+                            .with_role(role.clone()),
+                    );
+                }
+            }
             SubjectSpec::WithCredentials(expr) => {
-                if let Some(creds) = satisfy(expr) {
-                    let mut profile = SubjectProfile::new("ws018:credentialed");
-                    for cred in creds {
-                        profile = profile.with_credential(cred);
-                    }
-                    push(profile, &mut seen);
+                let Some(creds) = satisfy(expr) else { continue };
+                let mut profile = SubjectProfile::new("ws018:credentialed");
+                for cred in creds {
+                    profile = profile.with_credential(cred);
+                }
+                if !out.iter().any(|w| same_witness(w, &profile)) {
+                    out.push(profile);
                 }
             }
         }
     }
     out
+}
+
+/// Whether two witnesses hold the same identity, roles and credentials
+/// (type, holder, attributes, issuer and signature presence; witness
+/// credentials are never signed).
+fn same_witness(a: &SubjectProfile, b: &SubjectProfile) -> bool {
+    let same_credential = |x: &Credential, y: &Credential| {
+        x.ctype == y.ctype
+            && x.holder == y.holder
+            && x.attributes == y.attributes
+            && x.issuer == y.issuer
+            && x.signature.is_none()
+            && y.signature.is_none()
+    };
+    a.identity == b.identity
+        && a.roles == b.roles
+        && a.credentials.len() == b.credentials.len()
+        && a.credentials
+            .iter()
+            .zip(&b.credentials)
+            .all(|(x, y)| same_credential(x, y))
 }
 
 /// WS018: for some witness subject, an element is denied `Read` but
@@ -781,78 +813,145 @@ fn witness_profiles(compiled: &CompiledPolicies) -> Vec<SubjectProfile> {
 /// decision-plane property: per-portion queries answer for each child
 /// regardless of how a single pruned view would be rendered.
 ///
-/// A node's decision depends only on its equivalence class, so each
-/// witness is matched against a document's rules once and each class is
-/// resolved once ([`CompiledPolicies::class_decisions`]); every node and
-/// child is then answered from its class, exactly as
-/// [`CompiledPolicies::check`] answers it (a node the tables do not hold
-/// is denied).
+/// A node's decision depends only on its equivalence class, so whether an
+/// element is flagged, and by which witness, depends only on its *shape*:
+/// its class and the set of its element children's classes. Each document
+/// is walked once to give every element with element children its shape,
+/// each distinct shape is decided once against the witnesses in order
+/// (each witness resolving each class once through
+/// [`CompiledPolicies::class_decisions`]), and every element of a flagged
+/// shape is reported, exactly as a per-node [`CompiledPolicies::check`]
+/// walk would report it (a node the tables do not hold is denied).
+///
+/// A witness of identity only that no rule of the document names matches
+/// exactly the rules the anonymous witness matches there, and the
+/// anonymous witness comes first, so such witnesses are skipped.
 fn ws018_inference_channels(input: &PolicyVerifyInput<'_>) -> Vec<Diagnostic> {
+    /// The class of a node the tables do not hold.
+    const NONE: u32 = u32::MAX;
     let compiled = input.compiled;
     let witnesses = witness_profiles(compiled);
-    let mut seen: BTreeSet<(String, usize)> = BTreeSet::new();
+    let mut seen: BTreeSet<(&str, usize)> = BTreeSet::new();
     let mut out = Vec::new();
+    let mut class_of: Vec<u32> = Vec::new();
+    let mut shape: Vec<u32> = Vec::new();
     for &(name, doc) in &input.documents {
-        let Some(classes) = compiled.classes_of(name) else {
+        let (Some(classes), Some(node_classes)) =
+            (compiled.classes_of(name), compiled.node_classes(name))
+        else {
             continue;
         };
-        let mut class_of: Vec<Option<u32>> = vec![None; doc.arena_len()];
-        for cv in &classes {
-            for node in &cv.nodes {
-                if let Some(slot) = class_of.get_mut(node.index()) {
-                    *slot = Some(cv.class);
+        class_of.clear();
+        class_of.resize(doc.arena_len(), NONE);
+        for (node, class) in node_classes {
+            if let Some(slot) = class_of.get_mut(node.index()) {
+                *slot = class;
+            }
+        }
+
+        // Every element with element children, with its shape: its class,
+        // then its children's classes, sorted and each once. An element
+        // sharing its class with a child is never flagged (one class is
+        // not both denied and granted), so it gets no shape.
+        let mut shape_ids: HashMap<Vec<u32>, usize> = HashMap::new();
+        let mut shapes: Vec<Vec<u32>> = Vec::new();
+        let mut elements: Vec<(usize, &str, usize, usize)> = Vec::new();
+        let nodes = compiled.node_classes(name).into_iter().flatten();
+        for (pos, (node, class)) in nodes.enumerate() {
+            // Nodes of the compiled document, read in `doc`, which must be
+            // that document: one that is not is read only where its arena
+            // reaches.
+            if node.index() >= doc.arena_len() {
+                continue;
+            }
+            let Some(elem) = doc.name(node) else { continue };
+            shape.clear();
+            shape.push(class);
+            let mut own_class = false;
+            for child in doc.children(node).filter(|&c| doc.name(c).is_some()) {
+                let child = class_of[child.index()];
+                own_class = child == class;
+                if own_class {
+                    break;
+                }
+                shape.push(child);
+            }
+            let children = shape.len() - 1;
+            if children == 0 || own_class {
+                continue;
+            }
+            // No child shares the element's class, so deduplicating the
+            // whole shape keeps the class in front.
+            shape[1..].sort_unstable();
+            shape.dedup();
+            let id = match shape_ids.get(shape.as_slice()) {
+                Some(&id) => id,
+                None => {
+                    shape_ids.insert(shape.clone(), shapes.len());
+                    shapes.push(shape.clone());
+                    shapes.len() - 1
+                }
+            };
+            elements.push((pos, elem, children, id));
+        }
+        if shapes.is_empty() {
+            continue;
+        }
+
+        // The first witness flagging each shape.
+        let named: HashSet<&str> = classes
+            .iter()
+            .flat_map(|cv| &cv.auths)
+            .filter_map(|auth| match &auth.subject {
+                SubjectSpec::Identity(who) => Some(who.as_str()),
+                _ => None,
+            })
+            .collect();
+        let anonymous_named = named.contains(ANONYMOUS);
+        let mut flagged_by: Vec<Option<usize>> = vec![None; shapes.len()];
+        let mut open = shapes.len();
+        for (w, witness) in witnesses.iter().enumerate() {
+            if open == 0 {
+                break;
+            }
+            let identity_only = witness.roles.is_empty() && witness.credentials.is_empty();
+            if w > 0 && identity_only && !anonymous_named && !named.contains(&*witness.identity) {
+                continue;
+            }
+            let granted = compiled
+                .class_decisions(witness, name, Privilege::Read)
+                .unwrap_or_default();
+            let allows = |class: u32| granted.get(class as usize).copied().unwrap_or(false);
+            for (shape, flag) in shapes.iter().zip(&mut flagged_by) {
+                if flag.is_none() && !allows(shape[0]) && shape[1..].iter().all(|&c| allows(c)) {
+                    *flag = Some(w);
+                    open -= 1;
                 }
             }
         }
-        // Per witness, whether each class is granted Read.
-        let granted: Vec<Vec<bool>> = witnesses
-            .iter()
-            .map(|witness| {
-                compiled
-                    .class_decisions(witness, name, Privilege::Read)
-                    .unwrap_or_default()
-            })
-            .collect();
-        for (pos, node) in doc.all_nodes().into_iter().enumerate() {
-            let Some(elem) = doc.name(node) else { continue };
-            let children: Vec<Option<u32>> = doc
-                .children(node)
-                .filter(|&c| doc.name(c).is_some())
-                .map(|c| class_of[c.index()])
-                .collect();
-            if children.is_empty() {
+
+        for (pos, elem, children, id) in elements {
+            let Some(w) = flagged_by[id] else { continue };
+            if !seen.insert((name, pos)) {
                 continue;
             }
-            let class = class_of[node.index()];
-            for (witness, granted) in witnesses.iter().zip(&granted) {
-                let allows = |class: Option<u32>| class.is_some_and(|c| granted[c as usize]);
-                if allows(class)
-                    || !children.iter().all(|&c| allows(c))
-                    || !seen.insert((name.to_string(), pos))
-                {
-                    continue;
-                }
-                out.push(
-                    Diagnostic::new(
-                        "WS018",
-                        Severity::Warning,
-                        format!("document '{name}' element '{elem}'"),
-                        format!(
-                            "inference channel: subject '{}' is denied Read on <{}> but \
-                             granted all {} element children — the permitted views compose \
-                             to the denied element's content",
-                            witness.identity,
-                            elem,
-                            children.len()
-                        ),
-                    )
-                    .with_suggestion(
-                        "propagate the denial to the children (Cascade) or deny the \
-                         children explicitly",
+            out.push(
+                Diagnostic::new(
+                    "WS018",
+                    Severity::Warning,
+                    format!("document '{name}' element '{elem}'"),
+                    format!(
+                        "inference channel: subject '{}' is denied Read on <{}> but \
+                         granted all {} element children — the permitted views compose \
+                         to the denied element's content",
+                        witnesses[w].identity, elem, children
                     ),
-                );
-                break; // one witness per element is enough
-            }
+                )
+                .with_suggestion(
+                    "propagate the denial to the children (Cascade) or deny the \
+                     children explicitly",
+                ),
+            );
         }
     }
     out
@@ -1216,6 +1315,62 @@ mod tests {
         let compiled = compile(&store, ConflictStrategy::DenialsTakePrecedence, &doc);
         let input = PolicyVerifyInput::new(&compiled).with_document("h.xml", &doc);
         assert!(run_policy_pass(&input, PolicyPassId::Ws018).is_empty());
+    }
+
+    /// An identity witness no rule of a document names decides there like
+    /// the anonymous witness, so WS018 skips it, unless a rule of the
+    /// document names the anonymous witness itself: then `eve`, named only
+    /// by a rule on another document, is the first witness denied `<admin>`
+    /// and granted its `<budget>`.
+    #[test]
+    fn ws018_keeps_identity_witnesses_when_the_anonymous_one_is_named() {
+        let doc = hospital_doc();
+        let portion = |path: &str| ObjectSpec::Portion {
+            document: "h.xml".into(),
+            path: Path::parse(path).expect("path"),
+        };
+        let mut store = PolicyStore::new();
+        store.add(
+            Authorization::for_subject(SubjectSpec::Anyone)
+                .on(ObjectSpec::Document("h.xml".into()))
+                .privilege(Privilege::Read)
+                .grant(),
+        );
+        store.add(
+            Authorization::for_subject(SubjectSpec::Anyone)
+                .on(portion("/hospital/admin"))
+                .privilege(Privilege::Read)
+                .deny()
+                .with_propagation(Propagation::None),
+        );
+        store.add(
+            Authorization::for_subject(SubjectSpec::Identity("eve".into()))
+                .on(ObjectSpec::Document("other.xml".into()))
+                .privilege(Privilege::Read)
+                .grant(),
+        );
+        let messages = |store: &PolicyStore| {
+            let compiled = compile(store, ConflictStrategy::DenialsTakePrecedence, &doc);
+            let input = PolicyVerifyInput::new(&compiled).with_document("h.xml", &doc);
+            run_policy_pass(&input, PolicyPassId::Ws018)
+                .into_iter()
+                .map(|d| d.message)
+                .collect::<Vec<_>>()
+        };
+        let found = messages(&store);
+        assert_eq!(found.len(), 1, "{found:?}");
+        assert!(found[0].contains("subject 'ws018:anonymous'"), "{found:?}");
+
+        store.add(
+            Authorization::for_subject(SubjectSpec::Identity(ANONYMOUS.into()))
+                .on(portion("//budget"))
+                .privilege(Privilege::Read)
+                .deny()
+                .with_propagation(Propagation::None),
+        );
+        let found = messages(&store);
+        assert_eq!(found.len(), 1, "{found:?}");
+        assert!(found[0].contains("subject 'eve'"), "{found:?}");
     }
 
     #[test]

@@ -552,13 +552,14 @@ impl StackServer {
 
                 let mut candidate = (**current).clone();
                 let result = mutate(&mut candidate);
-                // The candidate's decision plane is compiled once: the
-                // verifier and (on success) publication share the same
-                // artifact, preserving the compile-once-per-publication
-                // contract. Rejected updates bump no compile counter — the
-                // work happened but nothing was published.
+                // The candidate's decision plane is compiled once, against
+                // the published tables: the verifier and (on success)
+                // publication share the same artifact, preserving the
+                // compile-once-per-publication contract. Rejected updates
+                // bump no compile counter — the work happened but nothing
+                // was published.
                 let t = Instant::now();
-                let compiled = candidate.compile();
+                let compiled = candidate.compile(Some(&published.compiled));
                 let compile_ns = u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX);
                 // Keyed by the current generation until publication
                 // creates the candidate's own.

@@ -331,7 +331,7 @@ impl StackServer {
     pub fn with_shards(stack: SecureWebStack, shards: usize) -> Self {
         let shards = shards.clamp(1, 4096).next_power_of_two();
         let t = Instant::now();
-        let compiled = stack.compile();
+        let compiled = stack.compile(None);
         let initial_compile_ns = u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX);
         let cache_lock_waits = cache::lock_waits(shards);
         let published = Published {
@@ -490,11 +490,16 @@ impl StackServer {
         generation
     }
 
-    /// Compiles `stack` under the update lock, attributing the elapsed
-    /// time and bumping the compile counter.
-    fn compile_for_publication(&self, stack: &SecureWebStack) -> Arc<CompiledPolicies> {
+    /// Compiles `stack` under the update lock against `published`, the
+    /// tables it replaces, attributing the elapsed time and bumping the
+    /// compile counter.
+    fn compile_for_publication(
+        &self,
+        stack: &SecureWebStack,
+        published: &CompiledPolicies,
+    ) -> Arc<CompiledPolicies> {
         let t = Instant::now();
-        let compiled = stack.compile();
+        let compiled = stack.compile(Some(published));
         self.count_compile(u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX));
         compiled
     }
@@ -510,7 +515,9 @@ impl StackServer {
     /// the clone with an empty view cache. The clone shares the
     /// snapshot's documents, and `mutate` copies only those it writes, so
     /// a policy change neither copies nor, when the replaced snapshot is
-    /// dropped, frees any document.
+    /// dropped, frees any document. The clone is compiled against the
+    /// published tables, so it re-runs only the selections of new cover
+    /// keys and of written documents.
     ///
     /// Takes `&self`: mutation is safe *during* concurrent serving.
     /// In-flight requests complete against the snapshot they started with;
@@ -524,9 +531,11 @@ impl StackServer {
             .update_lock
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
-        let mut candidate = (*self.snapshot()).clone();
+        let published = self.published();
+        let mut candidate = (*published.stack).clone();
         let result = mutate(&mut candidate);
-        let compiled = self.compile_for_publication(&candidate);
+        let compiled = self.compile_for_publication(&candidate, &published.compiled);
+        drop(published);
         self.publish(Arc::new(candidate), compiled);
         result
     }
@@ -628,16 +637,14 @@ impl StackServer {
                         local.bump(Counter::FaultsInjected);
                         self.clock.fetch_add(ticks, Ordering::Relaxed);
                     }
-                    // Unformatted so the lint marker stays on the panic's
-                    // line, where websec-lint reads it.
-                    #[rustfmt::skip]
                     FaultKind::WorkerPanic => {
                         local.bump(Counter::FaultsInjected);
                         // Unwinds through serve_caught's boundary into a
                         // WS106 answer; the held session guard poisons its
                         // mutex, exercising the eviction/self-heal path —
                         // the panic IS the injected fault.
-                        panic!("injected fault: worker panic for '{identity}'"); // lint:allow(panic)
+                        // lint:allow(panic)
+                        panic!("injected fault: worker panic for '{identity}'");
                     }
                     _ => {}
                 }

@@ -163,11 +163,14 @@ impl SecureWebStack {
             .collect()
     }
 
-    /// Compiles the policy base over the documents into decision tables.
-    /// The serving layer runs it once per snapshot publication (under the
-    /// update lock), never on a request path.
-    pub(crate) fn compile(&self) -> Arc<CompiledPolicies> {
-        PolicySnapshot::new(&self.policies, self.engine.strategy, &self.documents).compile()
+    /// Compiles the policy base over the documents into decision tables,
+    /// reusing the selections of `previous` (the published tables an
+    /// update replaces) wherever they still hold. The serving layer runs
+    /// it once per snapshot publication (under the update lock), never on
+    /// a request path.
+    pub(crate) fn compile(&self, previous: Option<&CompiledPolicies>) -> Arc<CompiledPolicies> {
+        PolicySnapshot::new(&self.policies, self.engine.strategy, &self.documents)
+            .compile_against(previous)
     }
 
     /// Builds the full [`AnalyzerInput`] over every configured layer and
@@ -258,7 +261,7 @@ impl SecureWebStack {
         let mut report = self.analyze();
         report
             .diagnostics
-            .extend(self.verify_policies(&self.compile()).diagnostics);
+            .extend(self.verify_policies(&self.compile(None)).diagnostics);
         report.normalize();
         if report.has_errors() {
             return Err(Error::Misconfigured(report.machine()));

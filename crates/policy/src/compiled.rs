@@ -30,6 +30,15 @@
 //! positions are indexed by arena slot ([`NodeId::index`]), so `check`
 //! and `attr_allowed` find a node's class with two array reads.
 //!
+//! A selection is a function of (document, path, propagation) alone, so
+//! each document's tables keep the document they were compiled from and
+//! what each of its cover keys selected. [`PolicySnapshot::compile_against`]
+//! reuses those selections from the artifact it replaces wherever the
+//! document is still the same allocation ([`Arc::ptr_eq`]) and the key is
+//! unchanged: a policy change runs selections only for its new keys, and a
+//! written document re-runs its own. Cascade propagation is a union of
+//! pre-order subtree ranges.
+//!
 //! The tables keep one class-numbering contract, which analyzer output
 //! depends on: class ids follow the document order in which each class
 //! first appears; every class rule list and attribute-entry rule list
@@ -129,10 +138,19 @@ pub(crate) struct AttrEntry {
 /// Per-document decision tables.
 #[derive(Debug, Clone)]
 pub(crate) struct CompiledDoc {
+    /// The document the tables address by node id. Holding it keeps its
+    /// identity exact: while these tables live, no other document can
+    /// take its address, so [`Arc::ptr_eq`] tells whether a later
+    /// snapshot still holds it unwritten.
+    doc: Arc<Document>,
+    /// What each group's cover key selects in `doc`.
+    selections: Selections,
     /// Indices into [`CompiledPolicies::auths`] of every authorization
     /// that covers at least one node or attribute of this document, in
     /// policy-base order.
     pub(crate) local_auths: Vec<u32>,
+    /// The group of each local authorization, parallel to `local_auths`.
+    local_group: Vec<u32>,
     /// Live nodes in document order (the interpreter's `all_nodes`
     /// order, which equivalence-class reconstruction must preserve).
     pub(crate) node_ids: Vec<NodeId>,
@@ -141,6 +159,8 @@ pub(crate) struct CompiledDoc {
     pub(crate) node_pos: Vec<u32>,
     /// Equivalence-class id per node, parallel to `node_ids`.
     pub(crate) node_class: Vec<u32>,
+    /// Position of each class's first node.
+    pub(crate) class_first: Vec<u32>,
     /// Class → covering local authorization indices (sorted).
     pub(crate) classes: Vec<Vec<u32>>,
     /// Attribute-specific coverage, sorted by `(node_pos, attr_sym)`.
@@ -161,6 +181,63 @@ impl CompiledDoc {
     }
 }
 
+/// What the cover keys of one document's groups select, flat and in group
+/// order: group `g` covers `nodes[groups[g - 1].nodes_end..groups[g].nodes_end]`
+/// and selects the attributes in the matching range of `attrs`.
+#[derive(Debug, Clone)]
+struct Selections {
+    groups: Vec<SelectionEnd>,
+    /// Covered node positions, ascending and each once per group.
+    nodes: Vec<u32>,
+    /// Selected attributes as `(node position, index into the node's
+    /// attributes)`, in selection order per group.
+    attrs: Vec<(u32, u32)>,
+}
+
+/// One group's entry in [`Selections`].
+#[derive(Debug, Clone, Copy)]
+struct SelectionEnd {
+    /// The group's cover key, an index into [`CompiledPolicies::covers`].
+    key: u32,
+    nodes_end: u32,
+    attrs_end: u32,
+}
+
+impl Selections {
+    /// The covered positions and selected attributes of group `g`.
+    fn group(&self, g: usize) -> (&[u32], &[(u32, u32)]) {
+        let (nodes_start, attrs_start) = match g.checked_sub(1) {
+            Some(prev) => (self.groups[prev].nodes_end, self.groups[prev].attrs_end),
+            None => (0, 0),
+        };
+        let end = self.groups[g];
+        (
+            &self.nodes[nodes_start as usize..end.nodes_end as usize],
+            &self.attrs[attrs_start as usize..end.attrs_end as usize],
+        )
+    }
+
+    /// Closes the group whose nodes and attributes were appended last.
+    fn close(&mut self, key: u32) {
+        self.groups.push(SelectionEnd {
+            key,
+            nodes_end: u32::try_from(self.nodes.len()).expect("too many covered nodes"),
+            attrs_end: u32::try_from(self.attrs.len()).expect("too many selected attributes"),
+        });
+    }
+}
+
+/// Selection work of one compilation: every distinct cover key of a
+/// document is one selection, run over the document or reused from the
+/// artifact compiled against ([`PolicySnapshot::compile_against`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CompileStats {
+    /// Selections run: a path selection plus its propagation.
+    pub selections_run: usize,
+    /// Selections taken from the previous artifact.
+    pub selections_reused: usize,
+}
+
 /// The compiled artifact: immutable, shared behind an `Arc` inside the
 /// server's one published snapshot, and replaced with it.
 #[derive(Debug)]
@@ -176,6 +253,18 @@ pub struct CompiledPolicies {
     /// can name the rules it reads coverage for.
     pub(crate) source: Vec<Authorization>,
     pub(crate) hierarchy: crate::subject::RoleHierarchy,
+    /// Each cover key: the index into `source` of its first rule, whose
+    /// object names the key's path (if any), and its propagation.
+    covers: Vec<(u32, Propagation)>,
+    stats: CompileStats,
+}
+
+/// The path an object selects within a document, if it names one.
+fn object_path(object: &ObjectSpec) -> Option<&Path> {
+    match object {
+        ObjectSpec::Portion { path, .. } | ObjectSpec::PortionAll(path) => Some(path),
+        ObjectSpec::AllDocuments | ObjectSpec::Document(_) | ObjectSpec::Collection(_) => None,
+    }
 }
 
 impl<'a> PolicySnapshot<'a> {
@@ -193,11 +282,22 @@ impl<'a> PolicySnapshot<'a> {
         }
     }
 
-    /// Compiles the snapshot into decision tables. Called once per
-    /// snapshot publication (under the server's update lock), never on
-    /// the request path.
+    /// Compiles the snapshot into decision tables from nothing:
+    /// [`Self::compile_against`] with no previous artifact.
     #[must_use]
     pub fn compile(&self) -> Arc<CompiledPolicies> {
+        self.compile_against(None)
+    }
+
+    /// Compiles the snapshot into decision tables, reusing the selections
+    /// of `previous` (normally the artifact these tables replace) for
+    /// every document it compiled that the snapshot still holds unwritten
+    /// and every cover key it shares. The result equals a compilation from
+    /// nothing; only [`CompiledPolicies::compile_stats`] tells them apart.
+    /// Called once per snapshot publication (under the server's update
+    /// lock), never on the request path.
+    #[must_use]
+    pub fn compile_against(&self, previous: Option<&CompiledPolicies>) -> Arc<CompiledPolicies> {
         let source: Vec<Authorization> = self.store.authorizations().to_vec();
         let mut subjects = NameInterner::new();
         let mut attrs = NameInterner::new();
@@ -242,34 +342,54 @@ impl<'a> PolicySnapshot<'a> {
             });
         }
 
-        // Give every authorization its cover key, compiling each distinct
-        // path to an automaton once.
+        // Give every authorization its cover key. Each distinct path is
+        // compiled to an automaton once, when a selection first needs it.
         let mut covers = Covers {
             paths: Vec::with_capacity(8),
             keys: Vec::with_capacity(8),
+            first_rule: Vec::with_capacity(8),
             key_of: Vec::with_capacity(source.len()),
+            previous_key: Vec::with_capacity(0),
             names: NameInterner::new(),
         };
         let mut path_ids: HashMap<&str, u32> = HashMap::with_capacity(8);
         let mut key_ids: HashMap<(Option<u32>, Propagation), u32> = HashMap::with_capacity(8);
-        for auth in &source {
-            let path = match &auth.object {
-                ObjectSpec::Portion { path, .. } | ObjectSpec::PortionAll(path) => {
-                    Some(*path_ids.entry(path.source()).or_insert_with(|| {
-                        let automaton = PathAutomaton::compile(path, &mut covers.names);
-                        covers.paths.push((path, automaton));
-                        u32::try_from(covers.paths.len() - 1).expect("too many paths")
-                    }))
-                }
-                ObjectSpec::AllDocuments | ObjectSpec::Document(_) | ObjectSpec::Collection(_) => {
-                    None
-                }
-            };
+        for (i, auth) in source.iter().enumerate() {
+            let path = object_path(&auth.object).map(|path| {
+                *path_ids.entry(path.source()).or_insert_with(|| {
+                    covers.paths.push((path, None));
+                    u32::try_from(covers.paths.len() - 1).expect("too many paths")
+                })
+            });
             let key = *key_ids.entry((path, auth.propagation)).or_insert_with(|| {
                 covers.keys.push((path, auth.propagation));
+                covers
+                    .first_rule
+                    .push(u32::try_from(i).expect("policy base too large"));
                 u32::try_from(covers.keys.len() - 1).expect("too many cover keys")
             });
             covers.key_of.push(key);
+        }
+
+        // The previous artifact's id of each cover key, matched by path
+        // source and propagation.
+        covers.previous_key = vec![UNSET; covers.keys.len()];
+        if let Some(prev) = previous {
+            let mut ids: HashMap<(Option<&str>, Propagation), u32> =
+                HashMap::with_capacity(prev.covers.len());
+            for (id, &(rule, propagation)) in prev.covers.iter().enumerate() {
+                let path = object_path(&prev.source[rule as usize].object).map(Path::source);
+                ids.insert(
+                    (path, propagation),
+                    u32::try_from(id).expect("too many cover keys"),
+                );
+            }
+            for (key, &(path, propagation)) in covers.keys.iter().enumerate() {
+                let path = path.map(|p| covers.paths[p as usize].0.source());
+                if let Some(&id) = ids.get(&(path, propagation)) {
+                    covers.previous_key[key] = id;
+                }
+            }
         }
 
         // Bucket authorizations by target document so compilation stays
@@ -294,19 +414,40 @@ impl<'a> PolicySnapshot<'a> {
         }
 
         let mut docs = HashMap::with_capacity(self.documents.len());
-        let mut slots = vec![UNSET; covers.keys.len()];
+        let mut key_slots = KeySlots {
+            group: vec![UNSET; covers.keys.len()],
+            previous_group: vec![UNSET; previous.map_or(0, |prev| prev.covers.len())],
+        };
+        let mut stats = CompileStats::default();
         for name in self.documents.names() {
-            let doc = self.documents.get(name).expect("listed document");
+            let doc = self.documents.get_shared(name).expect("listed document");
             let mut cands: Vec<u32> = by_doc.get(name).cloned().unwrap_or_default();
             cands.extend(&global);
             cands.sort_unstable();
             cands.dedup();
+            let unwritten = previous
+                .and_then(|prev| prev.docs.get(name))
+                .filter(|cd| Arc::ptr_eq(&cd.doc, doc));
             docs.insert(
                 String::from(name),
-                compile_doc(doc, &cands, &covers, &mut attrs, &mut slots),
+                compile_doc(
+                    doc,
+                    unwritten,
+                    &cands,
+                    &mut covers,
+                    &mut attrs,
+                    &mut key_slots,
+                    &mut stats,
+                ),
             );
         }
 
+        let covers = covers
+            .first_rule
+            .iter()
+            .zip(&covers.keys)
+            .map(|(&rule, &(_, propagation))| (rule, propagation))
+            .collect();
         Arc::new(CompiledPolicies {
             strategy: self.strategy,
             subjects,
@@ -315,31 +456,10 @@ impl<'a> PolicySnapshot<'a> {
             docs,
             source,
             hierarchy: self.store.hierarchy.clone(),
+            covers,
+            stats,
         })
     }
-}
-
-/// Expands propagation over a selected element set — the exact
-/// semantics of [`PolicyEngine::covered_nodes`]'s propagation stage.
-fn propagate(doc: &Document, propagation: Propagation, selected: &[NodeId]) -> Vec<NodeId> {
-    let mut expanded: Vec<NodeId> = Vec::with_capacity(selected.len());
-    match propagation {
-        Propagation::None => expanded.extend(selected),
-        Propagation::FirstLevel => {
-            for &n in selected {
-                expanded.push(n);
-                expanded.extend(doc.children(n));
-            }
-        }
-        Propagation::Cascade => {
-            for &n in selected {
-                expanded.extend(doc.descendants(n));
-            }
-        }
-    }
-    expanded.sort_unstable();
-    expanded.dedup();
-    expanded
 }
 
 /// How the policy base selects and propagates, shared by every document
@@ -347,128 +467,222 @@ fn propagate(doc: &Document, propagation: Propagation, selected: &[NodeId]) -> V
 /// document; propagation): rules with one key cover exactly the same
 /// nodes and attributes of any document.
 struct Covers<'s> {
-    /// Each distinct path with its automaton (`None` when the automaton
-    /// refuses the path and [`websec_xml::Path::select`] runs instead).
-    paths: Vec<(&'s Path, Option<PathAutomaton>)>,
+    /// Each distinct path with its automaton, once compiled (`Some(None)`
+    /// when the automaton refuses the path and [`websec_xml::Path::select`]
+    /// runs instead).
+    paths: Vec<(&'s Path, Option<Option<PathAutomaton>>)>,
     /// Each cover key: an index into `paths` (`None` for the whole
     /// document) and a propagation.
     keys: Vec<(Option<u32>, Propagation)>,
+    /// The index of each cover key's first rule in the policy base.
+    first_rule: Vec<u32>,
     /// Cover key per authorization.
     key_of: Vec<u32>,
+    /// Per cover key, the previous artifact's id of the same key, or
+    /// [`UNSET`].
+    previous_key: Vec<u32>,
     /// Element names the automata match.
     names: NameInterner,
 }
 
-/// The candidate rules of one document that share a cover key.
-struct Group {
-    /// Positions of the covered nodes, each once.
-    nodes: Vec<u32>,
-    /// Whether the group selects any attribute.
-    selects_attrs: bool,
-    /// Local indices of the members, ascending; empty while the group
-    /// covers nothing.
-    locals: Vec<u32>,
+/// The group of each cover key within the document [`compile_doc`] is
+/// compiling; every entry is [`UNSET`] between documents.
+struct KeySlots {
+    /// Cover key → this document's group.
+    group: Vec<u32>,
+    /// Cover key of the previous artifact → group of the previous tables
+    /// of this document.
+    previous_group: Vec<u32>,
 }
 
 /// Marks an unset slot in the group and class tables of [`compile_doc`].
 const UNSET: u32 = u32::MAX;
 
 /// Compiles one document's tables from its candidate rules (ascending
-/// indices into the policy base). `slots` maps cover keys to this
-/// document's groups; it is all [`UNSET`] on entry and on return.
+/// indices into the policy base). `unwritten` is the previous artifact's
+/// tables of this very document, whose layout and selections are reused.
 fn compile_doc(
-    doc: &Document,
+    doc: &Arc<Document>,
+    unwritten: Option<&CompiledDoc>,
     cands: &[u32],
-    covers: &Covers<'_>,
+    covers: &mut Covers<'_>,
     attrs: &mut NameInterner,
-    slots: &mut [u32],
+    key_slots: &mut KeySlots,
+    stats: &mut CompileStats,
 ) -> CompiledDoc {
-    let node_ids = doc.all_nodes();
-    let mut node_pos = vec![NO_POS; doc.arena_len()];
-    for (pos, &n) in node_ids.iter().enumerate() {
-        node_pos[n.index()] = u32::try_from(pos).expect("document too large");
+    let (node_ids, node_pos) = match unwritten {
+        Some(prev) => (prev.node_ids.clone(), prev.node_pos.clone()),
+        None => {
+            let node_ids = doc.all_nodes();
+            let mut node_pos = vec![NO_POS; doc.arena_len()];
+            for (pos, &n) in node_ids.iter().enumerate() {
+                node_pos[n.index()] = u32::try_from(pos).expect("document too large");
+            }
+            (node_ids, node_pos)
+        }
+    };
+    if let Some(prev) = unwritten {
+        for (g, end) in prev.selections.groups.iter().enumerate() {
+            key_slots.previous_group[end.key as usize] = u32::try_from(g).expect("too many groups");
+        }
     }
 
-    // Per-document symbol table, computed lazily: only documents
-    // actually touched by an automaton pay for it.
-    let mut syms: Option<Vec<Option<u32>>> = None;
+    let mut layout = Layout {
+        doc,
+        node_ids: &node_ids,
+        node_pos: &node_pos,
+        syms: None,
+        ends: None,
+    };
 
-    // Select and propagate once per group, in the order of each group's
-    // first member, so attribute names are interned in policy-base order.
-    // Name/collection gating already happened in the bucketing pass, so
-    // every candidate's base selection starts here.
-    let mut groups: Vec<Group> = Vec::with_capacity(8);
+    // Select and propagate once per group (or take the selection from the
+    // previous tables), in the order of each group's first member, so
+    // attribute names are interned in policy-base order. Name/collection
+    // gating already happened in the bucketing pass, so every candidate's
+    // base selection starts here.
+    let mut selections = Selections {
+        groups: Vec::with_capacity(cands.len()),
+        nodes: Vec::with_capacity(node_ids.len()),
+        attrs: Vec::with_capacity(0),
+    };
     let mut group_of: Vec<u32> = Vec::with_capacity(cands.len());
     // `(position, attribute symbol, group)` per selected attribute.
-    let mut selections: Vec<(u32, u32, u32)> = Vec::with_capacity(0);
+    let mut selected_attrs: Vec<(u32, u32, u32)> = Vec::with_capacity(0);
     for &g in cands {
-        let key = covers.key_of[g as usize] as usize;
-        if slots[key] == UNSET {
-            let (path, propagation) = covers.keys[key];
-            let (selected, attr_pairs) = match path.map(|p| &covers.paths[p as usize]) {
-                None => (vec![doc.root()], Vec::with_capacity(0)),
-                Some((_, Some(auto))) => {
-                    let table = syms.get_or_insert_with(|| covers.names.document_symbols(doc));
-                    (auto.select_nodes(doc, table), Vec::with_capacity(0))
-                }
-                Some((path, None)) => match path.select(doc) {
-                    Selection::Nodes(nodes) => (nodes, Vec::with_capacity(0)),
-                    Selection::Attributes(pairs) => (Vec::with_capacity(0), pairs),
-                },
-            };
-            let id = u32::try_from(groups.len()).expect("too many groups");
-            selections.extend(
-                attr_pairs
-                    .iter()
-                    .map(|(n, attr)| (node_pos[n.index()], attrs.intern(attr), id)),
-            );
-            groups.push(Group {
-                nodes: propagate(doc, propagation, &selected)
-                    .iter()
-                    .map(|n| node_pos[n.index()])
-                    .collect(),
-                selects_attrs: !attr_pairs.is_empty(),
-                locals: Vec::with_capacity(0),
-            });
-            slots[key] = id;
+        let key = covers.key_of[g as usize];
+        if key_slots.group[key as usize] == UNSET {
+            let id = selections.groups.len();
+            let previous = covers.previous_key[key as usize];
+            let reusable = unwritten
+                .filter(|_| previous != UNSET)
+                .map(|prev| (prev, key_slots.previous_group[previous as usize]))
+                .filter(|&(_, group)| group != UNSET);
+            if let Some((prev, group)) = reusable {
+                let (nodes, pairs) = prev.selections.group(group as usize);
+                selections.nodes.extend_from_slice(nodes);
+                selections.attrs.extend_from_slice(pairs);
+                stats.selections_reused += 1;
+            } else {
+                layout.select(covers, key, &mut selections);
+                stats.selections_run += 1;
+            }
+            selections.close(key);
+            let id = u32::try_from(id).expect("too many groups");
+            for &(pos, index) in selections.group(id as usize).1 {
+                let (name, _) = &doc.attributes(node_ids[pos as usize])[index as usize];
+                selected_attrs.push((pos, attrs.intern(name), id));
+            }
+            key_slots.group[key as usize] = id;
         }
-        group_of.push(slots[key]);
+        group_of.push(key_slots.group[key as usize]);
     }
     for &g in cands {
-        slots[covers.key_of[g as usize] as usize] = UNSET;
+        key_slots.group[covers.key_of[g as usize] as usize] = UNSET;
     }
+    if let Some(prev) = unwritten {
+        for end in &prev.selections.groups {
+            key_slots.previous_group[end.key as usize] = UNSET;
+        }
+    }
+    // The selections live as long as the tables.
+    selections.nodes.shrink_to_fit();
 
     // Local indices, in policy-base order, for the rules that cover
-    // something.
+    // something, with the group of each; each group's members among them,
+    // ascending (empty while the group covers nothing).
+    let mut locals: Vec<Vec<u32>> = vec![Vec::with_capacity(0); selections.groups.len()];
     let mut local_auths: Vec<u32> = Vec::with_capacity(cands.len());
+    let mut local_group: Vec<u32> = Vec::with_capacity(cands.len());
     for (&g, &id) in cands.iter().zip(&group_of) {
-        let group = &mut groups[id as usize];
-        if group.nodes.is_empty() && !group.selects_attrs {
+        let (nodes, pairs) = selections.group(id as usize);
+        if nodes.is_empty() && pairs.is_empty() {
             continue;
         }
-        group
-            .locals
+        locals[id as usize]
             .push(u32::try_from(local_auths.len()).expect("too many authorizations"));
         local_auths.push(g);
+        local_group.push(id);
     }
 
+    // The partition depends only on the groups' covered nodes, so when the
+    // previous tables of this document had the same cover keys in the same
+    // order, their classes are these tables' classes: only each class's
+    // rule list is rebuilt.
+    let same_groups = unwritten.filter(|prev| {
+        prev.selections.groups.len() == selections.groups.len()
+            && prev
+                .selections
+                .groups
+                .iter()
+                .zip(&selections.groups)
+                .all(|(old, new)| covers.previous_key[new.key as usize] == old.key)
+    });
+    let (node_class, class_first, classes) = match same_groups {
+        Some(prev) => (
+            prev.node_class.clone(),
+            prev.class_first.clone(),
+            regroup(prev, &locals),
+        ),
+        None => partition(&selections, &locals, node_ids.len()),
+    };
+
+    // One entry per selected `(node, attribute)` pair, its rules merged
+    // from every group selecting it.
+    selected_attrs.sort_unstable();
+    let mut attr_entries: Vec<AttrEntry> = Vec::with_capacity(selected_attrs.len());
+    for run in selected_attrs.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
+        let mut auths: Vec<u32> = Vec::with_capacity(run.len());
+        for &(_, _, id) in run {
+            auths.extend(&locals[id as usize]);
+        }
+        auths.sort_unstable();
+        attr_entries.push(AttrEntry {
+            node_pos: run[0].0,
+            attr_sym: run[0].1,
+            auths,
+        });
+    }
+
+    CompiledDoc {
+        doc: Arc::clone(doc),
+        selections,
+        local_auths,
+        local_group,
+        node_ids,
+        node_pos,
+        node_class,
+        class_first,
+        classes,
+        attr_entries,
+    }
+}
+
+/// Partitions `nodes` node positions into classes by the list of groups
+/// covering each, and expands each class's rule list from the groups'
+/// members (`locals`). Returns each node's class, each class's first
+/// position and each class's rules.
+fn partition(
+    selections: &Selections,
+    locals: &[Vec<u32>],
+    nodes: usize,
+) -> (Vec<u32>, Vec<u32>, Vec<Vec<u32>>) {
     // Key each node by the list of groups covering it. List 0 is empty;
     // list l ≠ 0 is `lists[l] = (parent list, group)`: the parent
     // extended by one later group. A group moves each of its nodes from
     // its list to that list's child, found through `child` and reset
     // after each group.
-    let mut node_list = vec![0u32; node_ids.len()];
+    let mut node_list = vec![0u32; nodes];
     let mut lists: Vec<(u32, u32)> = Vec::with_capacity(8);
     lists.push((0, UNSET));
     let mut child: Vec<u32> = vec![UNSET];
     let mut touched: Vec<u32> = Vec::with_capacity(8);
-    for (id, group) in groups.iter().enumerate() {
-        let id = u32::try_from(id).expect("too many groups");
-        for &pos in &group.nodes {
+    for id in 0..selections.groups.len() {
+        let group = u32::try_from(id).expect("too many groups");
+        for &pos in selections.group(id).0 {
             let parent = node_list[pos as usize];
             if child[parent as usize] == UNSET {
                 child[parent as usize] = u32::try_from(lists.len()).expect("too many classes");
-                lists.push((parent, id));
+                lists.push((parent, group));
                 child.push(UNSET);
                 touched.push(parent);
             }
@@ -483,47 +697,175 @@ fn compile_doc(
     // first node, its rule list expanded once.
     let mut class_of_list = vec![UNSET; lists.len()];
     let mut classes: Vec<Vec<u32>> = Vec::with_capacity(8);
-    let mut node_class = Vec::with_capacity(node_ids.len());
-    for &list in &node_list {
+    let mut class_first: Vec<u32> = Vec::with_capacity(8);
+    let mut node_class = Vec::with_capacity(nodes);
+    for (pos, &list) in node_list.iter().enumerate() {
         if class_of_list[list as usize] == UNSET {
             class_of_list[list as usize] = u32::try_from(classes.len()).expect("too many classes");
             let mut rules: Vec<u32> = Vec::with_capacity(4);
             let mut l = list;
             while l != 0 {
                 let (parent, id) = lists[l as usize];
-                rules.extend(&groups[id as usize].locals);
+                rules.extend(&locals[id as usize]);
                 l = parent;
             }
             rules.sort_unstable();
             classes.push(rules);
+            class_first.push(u32::try_from(pos).expect("document too large"));
         }
         node_class.push(class_of_list[list as usize]);
     }
+    (node_class, class_first, classes)
+}
 
-    // One entry per selected `(node, attribute)` pair, its rules merged
-    // from every group selecting it.
-    selections.sort_unstable();
-    let mut attr_entries: Vec<AttrEntry> = Vec::with_capacity(selections.len());
-    for run in selections.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
-        let mut auths: Vec<u32> = Vec::with_capacity(run.len());
-        for &(_, _, id) in run {
-            auths.extend(&groups[id as usize].locals);
+/// The class rule lists of `prev`'s partition under new group members
+/// (`locals`), for tables whose groups have the cover keys of `prev`'s in
+/// the same order: each class takes the members of the groups its
+/// previous rules belonged to, every group that covers a node having at
+/// least one member.
+fn regroup(prev: &CompiledDoc, locals: &[Vec<u32>]) -> Vec<Vec<u32>> {
+    let mut last_class = vec![UNSET; locals.len()];
+    let mut classes = Vec::with_capacity(prev.classes.len());
+    for (class, rules) in prev.classes.iter().enumerate() {
+        let class = u32::try_from(class).expect("too many classes");
+        let mut expanded: Vec<u32> = Vec::with_capacity(rules.len());
+        for &l in rules {
+            let group = prev.local_group[l as usize] as usize;
+            if last_class[group] != class {
+                last_class[group] = class;
+                expanded.extend(&locals[group]);
+            }
         }
-        auths.sort_unstable();
-        attr_entries.push(AttrEntry {
-            node_pos: run[0].0,
-            attr_sym: run[0].1,
-            auths,
-        });
+        expanded.sort_unstable();
+        classes.push(expanded);
+    }
+    classes
+}
+
+/// A document with its live nodes in document order, as selection and
+/// propagation address it.
+struct Layout<'d> {
+    doc: &'d Document,
+    node_ids: &'d [NodeId],
+    node_pos: &'d [u32],
+    /// The document's symbol table, with the number of names it was built
+    /// over, and its subtree ends: built on first use, so only documents an
+    /// automaton or a cascade runs over pay for them.
+    syms: Option<(usize, Vec<Option<u32>>)>,
+    ends: Option<Vec<u32>>,
+}
+
+impl Layout<'_> {
+    /// Runs the selection of cover key `key` over the document, appending
+    /// what it covers and selects to `out`. A path's automaton is compiled
+    /// on first use.
+    fn select(&mut self, covers: &mut Covers<'_>, key: u32, out: &mut Selections) {
+        let doc = self.doc;
+        let (path, propagation) = covers.keys[key as usize];
+        let selected = match path {
+            None => Selection::Nodes(vec![doc.root()]),
+            Some(p) => {
+                let (path, automaton) = &mut covers.paths[p as usize];
+                let automaton = automaton
+                    .get_or_insert_with(|| PathAutomaton::compile(path, &mut covers.names));
+                match automaton {
+                    Some(auto) => {
+                        let names = covers.names.len();
+                        if self.syms.as_ref().map(|(built, _)| *built) != Some(names) {
+                            self.syms = Some((names, covers.names.document_symbols(doc)));
+                        }
+                        let table = &self.syms.as_ref().expect("symbols just built").1;
+                        Selection::Nodes(auto.select_nodes(doc, table))
+                    }
+                    None => path.select(doc),
+                }
+            }
+        };
+        match selected {
+            Selection::Nodes(nodes) => self.propagate(propagation, &nodes, out),
+            Selection::Attributes(pairs) => self.attributes(&pairs, out),
+        }
     }
 
-    CompiledDoc {
-        local_auths,
-        node_ids,
-        node_pos,
-        node_class,
-        classes,
-        attr_entries,
+    /// Appends the positions `propagation` expands the `selected` elements
+    /// to, ascending and each once, to `out` — the exact semantics of
+    /// [`PolicyEngine::covered_nodes`]'s propagation stage. A cascade is
+    /// the union of the selected subtrees, each one range of positions.
+    fn propagate(&mut self, propagation: Propagation, selected: &[NodeId], out: &mut Selections) {
+        let out = &mut out.nodes;
+        let start = out.len();
+        let live = |n: NodeId| Some(self.node_pos[n.index()]).filter(|&pos| pos != NO_POS);
+        out.extend(selected.iter().filter_map(|&n| live(n)));
+        match propagation {
+            Propagation::None => {}
+            Propagation::FirstLevel => {
+                for &n in selected {
+                    if live(n).is_some() {
+                        out.extend(self.doc.children(n).filter_map(live));
+                    }
+                }
+            }
+            Propagation::Cascade => {
+                if self.ends.is_none() {
+                    self.ends = Some(self.subtree_ends());
+                }
+                let ends = self.ends.as_ref().expect("subtree ends just built");
+                out[start..].sort_unstable();
+                let roots = out.len();
+                let mut covered_to = 0;
+                for r in start..roots {
+                    let pos = out[r];
+                    if pos >= covered_to {
+                        covered_to = ends[pos as usize];
+                        out.extend(pos..covered_to);
+                    }
+                }
+                out.drain(start..roots);
+                return;
+            }
+        }
+        out[start..].sort_unstable();
+        let mut kept = start;
+        for r in start..out.len() {
+            if kept == start || out[r] != out[kept - 1] {
+                out[kept] = out[r];
+                kept += 1;
+            }
+        }
+        out.truncate(kept);
+    }
+
+    /// Appends the selected `(element, attribute)` pairs to `out` as
+    /// (element position, index into the element's attributes).
+    fn attributes(&self, pairs: &[(NodeId, String)], out: &mut Selections) {
+        for (node, attr) in pairs {
+            let index = self
+                .doc
+                .attributes(*node)
+                .iter()
+                .position(|(name, _)| name == attr)
+                .expect("a selected attribute is present");
+            out.attrs.push((
+                self.node_pos[node.index()],
+                u32::try_from(index).expect("too many attributes"),
+            ));
+        }
+    }
+
+    /// One past the last position of each node's subtree: document order
+    /// lists a subtree as one range starting at its root.
+    fn subtree_ends(&self) -> Vec<u32> {
+        let mut ends = vec![1u32; self.node_ids.len()];
+        for pos in (1..self.node_ids.len()).rev() {
+            if let Some(parent) = self.doc.parent(self.node_ids[pos]) {
+                let size = ends[pos];
+                ends[self.node_pos[parent.index()] as usize] += size;
+            }
+        }
+        for (pos, end) in ends.iter_mut().enumerate() {
+            *end += u32::try_from(pos).expect("document too large");
+        }
+        ends
     }
 }
 
@@ -544,6 +886,12 @@ impl CompiledPolicies {
     #[must_use]
     pub fn auth_count(&self) -> usize {
         self.auths.len()
+    }
+
+    /// The selections this compilation ran and reused.
+    #[must_use]
+    pub fn compile_stats(&self) -> CompileStats {
+        self.stats
     }
 
     /// Matches every covering authorization of `cd` against the

@@ -26,9 +26,10 @@ use crate::compiled::CompiledPolicies;
 use crate::conflict::ConflictStrategy;
 use crate::subject::RoleHierarchy;
 
-/// One equivalence class of a compiled document: the set of nodes that
-/// share an identical covering-authorization set, together with the
-/// source authorizations that cover them (in policy-base order).
+/// One equivalence class of a compiled document: the nodes that share an
+/// identical covering-authorization set, named by the source
+/// authorizations that cover them (in policy-base order) and by its first
+/// node. [`CompiledPolicies::node_classes`] lists the members.
 #[derive(Debug, Clone)]
 pub struct ClassView<'a> {
     /// Class index within the document (stable within one compiled artifact).
@@ -36,9 +37,9 @@ pub struct ClassView<'a> {
     /// Source authorizations covering every node of this class, in
     /// policy-base order.
     pub auths: Vec<&'a Authorization>,
-    /// Member nodes in document order. Non-empty by construction: a
-    /// class only exists because at least one node landed in it.
-    pub nodes: Vec<NodeId>,
+    /// The class's first node in document order: a class only exists
+    /// because at least one node landed in it.
+    pub first_node: NodeId,
 }
 
 /// One attribute of a compiled document that some authorization's path
@@ -72,23 +73,34 @@ impl CompiledPolicies {
     /// authorizations, or `None` when the document is not compiled.
     pub fn classes_of(&self, doc: &str) -> Option<Vec<ClassView<'_>>> {
         let cd = self.docs.get(doc)?;
-        let mut views: Vec<ClassView<'_>> = cd
-            .classes
-            .iter()
-            .enumerate()
-            .map(|(class, locals)| ClassView {
-                class: class as u32,
-                auths: locals
-                    .iter()
-                    .map(|&l| &self.source[cd.local_auths[l as usize] as usize])
-                    .collect(),
-                nodes: Vec::new(),
-            })
-            .collect();
-        for (pos, &node) in cd.node_ids.iter().enumerate() {
-            views[cd.node_class[pos] as usize].nodes.push(node);
-        }
-        Some(views)
+        Some(
+            cd.classes
+                .iter()
+                .zip(&cd.class_first)
+                .enumerate()
+                .map(|(class, (locals, &first))| ClassView {
+                    class: class as u32,
+                    auths: locals
+                        .iter()
+                        .map(|&l| &self.source[cd.local_auths[l as usize] as usize])
+                        .collect(),
+                    first_node: cd.node_ids[first as usize],
+                })
+                .collect(),
+        )
+    }
+
+    /// Each live node of `doc` with its class index, in document order, or
+    /// `None` when the document is not compiled. Every live node has
+    /// exactly one class.
+    pub fn node_classes(&self, doc: &str) -> Option<impl Iterator<Item = (NodeId, u32)> + '_> {
+        let cd = self.docs.get(doc)?;
+        Some(
+            cd.node_ids
+                .iter()
+                .copied()
+                .zip(cd.node_class.iter().copied()),
+        )
     }
 
     /// Attribute-specific coverage of `doc`, one entry per selected

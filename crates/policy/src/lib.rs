@@ -45,7 +45,7 @@ pub use authz::{
     Authorization, AuthorizationBuilder, AuthzId, ObjectSpec, Privilege, Propagation, Sign,
     SubjectSpec,
 };
-pub use compiled::{CompiledPolicies, PolicySnapshot};
+pub use compiled::{CompileStats, CompiledPolicies, PolicySnapshot};
 pub use compiled_view::{AttrView, ClassView};
 pub use conflict::ConflictStrategy;
 pub use engine::{AccessDecision, CoveredNodes, DocumentDecision, PolicyEngine, PolicyStore};

@@ -59,6 +59,15 @@ impl DocumentStore {
         self.docs.get(name).map(Arc::as_ref)
     }
 
+    /// The shared handle of a document: the allocation this store holds.
+    /// A holder of the handle can later tell, by [`Arc::ptr_eq`], whether a
+    /// store still holds that document unwritten; holding it keeps the
+    /// address from being reused by another document meanwhile.
+    #[must_use]
+    pub fn get_shared(&self, name: &str) -> Option<&Arc<Document>> {
+        self.docs.get(name)
+    }
+
     /// Mutable access to a document, copying it first when a clone of
     /// this store still shares it.
     pub fn get_mut(&mut self, name: &str) -> Option<&mut Document> {
@@ -265,14 +274,14 @@ mod tests {
             let root = doc.root();
             doc.set_attribute(root, "wing", "east");
             assert!(!kept.shares_documents(written));
-            assert!(!Arc::ptr_eq(
-                &kept.docs["ward1.xml"],
-                &written.docs["ward1.xml"]
-            ));
-            assert!(Arc::ptr_eq(
-                &kept.docs["ward2.xml"],
-                &written.docs["ward2.xml"]
-            ));
+            let shared = |name: &str| {
+                Arc::ptr_eq(
+                    kept.get_shared(name).unwrap(),
+                    written.get_shared(name).unwrap(),
+                )
+            };
+            assert!(!shared("ward1.xml"));
+            assert!(shared("ward2.xml"));
             assert_eq!(bytes(kept), before);
 
             written.insert("ward2.xml", Document::parse("<ward/>").unwrap());

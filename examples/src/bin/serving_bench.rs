@@ -46,7 +46,10 @@
 //!   (the medians of interleaved runs). Compilation selects and
 //!   propagates once per distinct selection, so duplicate grants cost
 //!   little more than their subjects. Gated:
-//!   `compile_duplicate_ratio <= 2`;
+//!   `compile_duplicate_ratio <= 2`. Then the bench hospital's revocation
+//!   of one doctor's grant, compiled against the tables published before
+//!   it and compiled from nothing: the first reuses every selection.
+//!   Gated: `compile_reuse_ratio <= 0.5`;
 //! * **lockdep** — an in-process A/B probe of the `websec_core::sync`
 //!   wrappers: the per-request synchronization pattern (two Acquire
 //!   loads, one RwLock read, one Mutex lock, two relaxed counter bumps,
@@ -196,33 +199,70 @@ fn compiled_spec() -> LargeStoreSpec {
 /// Interleaved compile runs per hospital shape in the compile section.
 const COMPILE_RUNS: usize = 101;
 
+/// The compilation inputs of `stack`.
+fn snapshot(stack: &SecureWebStack) -> PolicySnapshot<'_> {
+    PolicySnapshot::new(&stack.policies, stack.engine.strategy, &stack.documents)
+}
+
+/// Medians, in microseconds, of `a` and `b` over [`COMPILE_RUNS`]
+/// interleaved runs each, so host drift lands on both sides.
+fn interleaved_medians_us(a: impl Fn(), b: impl Fn()) -> (f64, f64) {
+    let time = |f: &dyn Fn()| {
+        let t = Instant::now();
+        f();
+        t.elapsed().as_secs_f64() * 1e6
+    };
+    let mut a_us = Vec::with_capacity(COMPILE_RUNS);
+    let mut b_us = Vec::with_capacity(COMPILE_RUNS);
+    for _ in 0..COMPILE_RUNS {
+        a_us.push(time(&a));
+        b_us.push(time(&b));
+    }
+    let median = |mut runs: Vec<f64>| {
+        runs.sort_by(f64::total_cmp);
+        runs[runs.len() / 2]
+    };
+    (median(a_us), median(b_us))
+}
+
 /// Median compile times, in microseconds, of the bench hospital and of
-/// the same stack with a single grant, over [`COMPILE_RUNS`] interleaved
-/// runs each, so host drift lands on both sides.
+/// the same stack with a single grant.
 fn compile_medians_us() -> (f64, f64) {
     let bench = hospital_stack(&corpus());
     let one_grant = hospital_stack(&HospitalSpec {
         granted: 1,
         ..corpus()
     });
-    let time = |stack: &SecureWebStack| {
-        let snapshot =
-            PolicySnapshot::new(&stack.policies, stack.engine.strategy, &stack.documents);
-        let t = Instant::now();
-        std::hint::black_box(snapshot.compile());
-        t.elapsed().as_secs_f64() * 1e6
-    };
-    let mut bench_us = Vec::with_capacity(COMPILE_RUNS);
-    let mut one_grant_us = Vec::with_capacity(COMPILE_RUNS);
-    for _ in 0..COMPILE_RUNS {
-        bench_us.push(time(&bench));
-        one_grant_us.push(time(&one_grant));
-    }
-    let median = |mut runs: Vec<f64>| {
-        runs.sort_by(f64::total_cmp);
-        runs[runs.len() / 2]
-    };
-    (median(bench_us), median(one_grant_us))
+    interleaved_medians_us(
+        || {
+            std::hint::black_box(snapshot(&bench).compile());
+        },
+        || {
+            std::hint::black_box(snapshot(&one_grant).compile());
+        },
+    )
+}
+
+/// Median compile times, in microseconds, of the bench hospital's
+/// revocation of its first doctor's grant, compiled against the tables
+/// published before it and compiled from nothing. The revoked stack is a
+/// clone of the published one, so it shares every document.
+fn compile_reuse_medians_us() -> (f64, f64) {
+    let published = hospital_stack(&corpus());
+    let tables = snapshot(&published).compile();
+    let mut revoked = published.clone();
+    let doctor = corpus().granted_subject(0);
+    revoked
+        .policies
+        .revoke_matching(|a| matches!(&a.subject, SubjectSpec::Identity(id) if *id == doctor));
+    interleaved_medians_us(
+        || {
+            std::hint::black_box(snapshot(&revoked).compile_against(Some(&tables)));
+        },
+        || {
+            std::hint::black_box(snapshot(&revoked).compile());
+        },
+    )
 }
 
 /// Total operations per lockdep-probe round (split across the workers).
@@ -326,7 +366,7 @@ type Gate = (&'static str, Cmp, Bound);
 /// The bench's gates, evaluated by [`check_gates`] against
 /// `BENCH_serving.json` exactly as written.
 #[rustfmt::skip]
-const GATES: [Gate; 10] = [
+const GATES: [Gate; 11] = [
     // The 4-worker batch engine must not lose to the serial serve() loop,
     ("parallel_qps", Cmp::AtLeast, Bound::Key("serial_qps")),
     // and must keep its edge under the seeded ~10% fault plan.
@@ -347,6 +387,9 @@ const GATES: [Gate; 10] = [
     // Sixteen grants selecting one path compile in at most twice the time
     // of one: selection and propagation run once per distinct selection.
     ("compile_duplicate_ratio", Cmp::AtMost, Bound::Value(2.0)),
+    // A revocation compiled against the published tables reuses their
+    // selections: at most half the time of compiling it from nothing.
+    ("compile_reuse_ratio", Cmp::AtMost, Bound::Value(0.5)),
     // The tracked sync wrappers, detector off, stay within 2% of raw
     // std::sync.
     ("lockdep_off_ratio", Cmp::AtLeast, Bound::Value(0.98)),
@@ -665,10 +708,18 @@ fn main() -> ExitCode {
     }
     let compiled_verify_ok = serial.verify_compiled().is_ok();
 
-    // Compile section: duplicate selections must not multiply the cost.
+    // Compile section: duplicate selections must not multiply the cost,
+    // and a revocation compiled against the published tables reuses
+    // their selections.
     let (compile_hospital_us, compile_one_grant_us) = compile_medians_us();
     let compile_duplicate_ratio = if compile_one_grant_us > 0.0 {
         compile_hospital_us / compile_one_grant_us
+    } else {
+        0.0
+    };
+    let (compile_revocation_reused_us, compile_revocation_full_us) = compile_reuse_medians_us();
+    let compile_reuse_ratio = if compile_revocation_full_us > 0.0 {
+        compile_revocation_reused_us / compile_revocation_full_us
     } else {
         0.0
     };
@@ -750,6 +801,9 @@ fn main() -> ExitCode {
          \"compile_hospital_us\": {compile_hospital_us:.1},\n  \
          \"compile_one_grant_us\": {compile_one_grant_us:.1},\n  \
          \"compile_duplicate_ratio\": {compile_duplicate_ratio:.3},\n  \
+         \"compile_revocation_reused_us\": {compile_revocation_reused_us:.1},\n  \
+         \"compile_revocation_full_us\": {compile_revocation_full_us:.1},\n  \
+         \"compile_reuse_ratio\": {compile_reuse_ratio:.3},\n  \
          \"nodup_requests\": {NODUP_REQUESTS},\n  \
          \"nodup_qps_1w\": {nodup_qps_1w:.1},\n  \
          \"nodup_qps_8w\": {nodup_qps_8w:.1},\n  \
@@ -837,7 +891,9 @@ fn main() -> ExitCode {
     );
     println!(
         "  compile (median of {COMPILE_RUNS}): hospital {compile_hospital_us:.1} us, \
-         one grant {compile_one_grant_us:.1} us = {compile_duplicate_ratio:.3}x"
+         one grant {compile_one_grant_us:.1} us = {compile_duplicate_ratio:.3}x; \
+         revocation against the published tables {compile_revocation_reused_us:.1} us, \
+         from nothing {compile_revocation_full_us:.1} us = {compile_reuse_ratio:.3}x"
     );
     println!("  wrote BENCH_serving.json");
     if check_gates(&json, &GATES) {

@@ -19,7 +19,7 @@
 use std::collections::{HashMap, HashSet};
 use websec_core::analyzer::policy_verify::{run_policy_pass, PolicyPassId, PolicyVerifyInput};
 use websec_core::policy::mls::ContextLabel;
-use websec_core::policy::AuthzId;
+use websec_core::policy::{AuthzId, CompileStats};
 use websec_core::prelude::*;
 use websec_core::xml::NodeId;
 use websec_scenarios::{hospital_stack, large_store, HospitalSpec, LargeStoreSpec};
@@ -251,58 +251,77 @@ fn rich_stack(rng: &mut SecureRng) -> (PolicyStore, DocumentStore) {
         .add_seniority(Role::new("chief"), Role::new("staff"));
     store.add_collection_member("ward", RICH_DOCS[rng.gen_range(2) as usize]);
     for _ in 0..1 + rng.gen_range(8) {
-        let document = match rng.gen_range(5) {
-            0 => "ghost.xml",
-            1 | 2 => RICH_DOCS[0],
-            _ => RICH_DOCS[1],
-        };
-        let path =
-            Path::parse(RICH_PATHS[rng.gen_range(RICH_PATHS.len() as u64) as usize]).unwrap();
-        let object = match rng.gen_range(6) {
-            0 => ObjectSpec::AllDocuments,
-            1 => ObjectSpec::Collection("ward".into()),
-            2 => ObjectSpec::Document(document.into()),
-            3 => ObjectSpec::PortionAll(path),
-            _ => ObjectSpec::Portion {
-                document: document.into(),
-                path,
-            },
-        };
-        let subject = match rng.gen_range(6) {
-            0 => SubjectSpec::Anyone,
-            1 => SubjectSpec::Identity("alice".into()),
-            2 => SubjectSpec::InRole(Role::new("staff")),
-            3 => SubjectSpec::InRole(Role::new("chief")),
-            4 => SubjectSpec::WithCredentials(CredentialExpr::OfType("physician".into())),
-            _ => SubjectSpec::Identity("bob".into()),
-        };
-        let privilege = [
-            Privilege::Browse,
-            Privilege::Read,
-            Privilege::Write,
-            Privilege::Admin,
-        ][rng.gen_range(4) as usize];
-        let propagation = match rng.gen_range(3) {
-            0 => Propagation::None,
-            1 => Propagation::FirstLevel,
-            _ => Propagation::Cascade,
-        };
-        let builder = Authorization::for_subject(subject)
-            .on(object)
-            .privilege(privilege)
-            .propagation(propagation)
-            .priority(rng.gen_range(5) as i32 - 2);
-        let rule = if rng.gen_range(2) == 0 {
-            builder.grant()
-        } else {
-            builder.deny()
-        };
-        let id = store.add(rule);
+        let id = store.add(rich_rule(rng));
         if rng.gen_range(6) == 0 {
             store.revoke(id);
         }
     }
     (store, docs)
+}
+
+/// One random [`rich_stack`] rule: an object over [`RICH_DOCS`] or an
+/// unregistered document, a subject, privilege, propagation, priority
+/// and sign.
+fn rich_rule(rng: &mut SecureRng) -> Authorization {
+    let document = match rng.gen_range(5) {
+        0 => "ghost.xml",
+        1 | 2 => RICH_DOCS[0],
+        _ => RICH_DOCS[1],
+    };
+    let path = Path::parse(RICH_PATHS[rng.gen_range(RICH_PATHS.len() as u64) as usize]).unwrap();
+    let object = match rng.gen_range(6) {
+        0 => ObjectSpec::AllDocuments,
+        1 => ObjectSpec::Collection("ward".into()),
+        2 => ObjectSpec::Document(document.into()),
+        3 => ObjectSpec::PortionAll(path),
+        _ => ObjectSpec::Portion {
+            document: document.into(),
+            path,
+        },
+    };
+    let subject = match rng.gen_range(6) {
+        0 => SubjectSpec::Anyone,
+        1 => SubjectSpec::Identity("alice".into()),
+        2 => SubjectSpec::InRole(Role::new("staff")),
+        3 => SubjectSpec::InRole(Role::new("chief")),
+        4 => SubjectSpec::WithCredentials(CredentialExpr::OfType("physician".into())),
+        _ => SubjectSpec::Identity("bob".into()),
+    };
+    let privilege = [
+        Privilege::Browse,
+        Privilege::Read,
+        Privilege::Write,
+        Privilege::Admin,
+    ][rng.gen_range(4) as usize];
+    let propagation = match rng.gen_range(3) {
+        0 => Propagation::None,
+        1 => Propagation::FirstLevel,
+        _ => Propagation::Cascade,
+    };
+    let builder = Authorization::for_subject(subject)
+        .on(object)
+        .privilege(privilege)
+        .propagation(propagation)
+        .priority(rng.gen_range(5) as i32 - 2);
+    if rng.gen_range(2) == 0 {
+        builder.grant()
+    } else {
+        builder.deny()
+    }
+}
+
+/// Each class's member nodes, indexed by class, in the document order
+/// [`CompiledPolicies::node_classes`] lists them.
+fn class_members(compiled: &CompiledPolicies, doc: &str) -> Vec<Vec<NodeId>> {
+    let mut members: Vec<Vec<NodeId>> = Vec::new();
+    for (node, class) in compiled.node_classes(doc).expect("document was compiled") {
+        let class = class as usize;
+        if members.len() <= class {
+            members.resize(class + 1, Vec::new());
+        }
+        members[class].push(node);
+    }
+    members
 }
 
 /// Each rule's coverage read from the compiled tables — the nodes of the
@@ -323,12 +342,13 @@ fn compiled_coverage_matches_interpreter_rule_by_rule() {
         for name in docs.names() {
             let doc = docs.get(name).unwrap();
             let classes = compiled.classes_of(name).expect("document was compiled");
+            let members = class_members(&compiled, name);
             let attrs = compiled.attrs_of(name).expect("document was compiled");
             for auth in store.authorizations() {
                 let mut nodes: Vec<NodeId> = classes
                     .iter()
                     .filter(|class| class.auths.iter().any(|a| a.id == auth.id))
-                    .flat_map(|class| class.nodes.iter().copied())
+                    .flat_map(|class| members[class.class as usize].iter().copied())
                     .collect();
                 nodes.sort_unstable();
                 let mut pairs: Vec<(NodeId, String)> = attrs
@@ -362,8 +382,10 @@ fn compiled_coverage_matches_interpreter_rule_by_rule() {
 
 /// The class-numbering contract of the compiled tables: class ids follow
 /// the document order in which each class first appears, every live node
-/// of a compiled document has exactly one class, and every class and
-/// attribute entry lists its rules in ascending policy-base order.
+/// of a compiled document has exactly one class (`node_classes` lists
+/// them in document order, and each class's `first_node` is its first
+/// member), and every class and attribute entry lists its rules in
+/// ascending policy-base order.
 #[test]
 fn class_numbering_follows_document_order() {
     let mut classes_seen = 0usize;
@@ -385,31 +407,33 @@ fn class_numbering_follows_document_order() {
             let live = docs.get(name).unwrap().all_nodes();
             let at = |node: NodeId| live.iter().position(|&n| n == node).unwrap();
             let classes = compiled.classes_of(name).expect("document was compiled");
-            let mut covered: Vec<NodeId> = Vec::new();
+            let listed: Vec<NodeId> = compiled
+                .node_classes(name)
+                .expect("document was compiled")
+                .map(|(node, _)| node)
+                .collect();
+            assert_eq!(
+                listed, live,
+                "seed {seed}: '{name}' node classes are not the live nodes in document order"
+            );
+            let members = class_members(&compiled, name);
+            assert_eq!(members.len(), classes.len(), "seed {seed}: a class has no node");
             for (i, class) in classes.iter().enumerate() {
                 assert_eq!(class.class as usize, i, "seed {seed}: class ids are dense");
                 assert!(
                     ascending(&class.auths),
                     "seed {seed}: class {i} rules unsorted"
                 );
-                let positions: Vec<usize> = class.nodes.iter().map(|&n| at(n)).collect();
-                assert!(
-                    positions.windows(2).all(|w| w[0] < w[1]),
-                    "seed {seed}: class {i} nodes out of document order"
+                assert_eq!(
+                    Some(&class.first_node),
+                    members[i].first(),
+                    "seed {seed}: class {i} first node is not its first member"
                 );
-                covered.extend(&class.nodes);
             }
-            let firsts: Vec<usize> = classes.iter().map(|c| at(c.nodes[0])).collect();
+            let firsts: Vec<usize> = classes.iter().map(|c| at(c.first_node)).collect();
             assert!(
                 firsts.windows(2).all(|w| w[0] < w[1]),
                 "seed {seed}: '{name}' classes not numbered in first-appearance order"
-            );
-            covered.sort_unstable();
-            let mut want = live.clone();
-            want.sort_unstable();
-            assert_eq!(
-                covered, want,
-                "seed {seed}: '{name}' live nodes and classes differ"
             );
             let entries = compiled.attrs_of(name).expect("document was compiled");
             for entry in &entries {
@@ -426,6 +450,229 @@ fn class_numbering_follows_document_order() {
         }
     }
     assert!(classes_seen > 1_000, "only {classes_seen} classes checked");
+    assert_no_sync_findings();
+}
+
+/// Seeded [`rich_stack`] stores walked by the reuse oracle, and the
+/// mutations each walks through: one compile against the previous tables
+/// per step, 10,000 in all.
+const REUSE_SEEDS: u64 = 500;
+const REUSE_STEPS: usize = 20;
+
+/// Everything the tables answer about `docs`, read back through the
+/// public API: per document its classes (rules and first node), attribute
+/// entries, node classes, equivalence classes for every privilege, and
+/// the views of three profiles.
+fn tables_digest(compiled: &CompiledPolicies, docs: &DocumentStore) -> Vec<String> {
+    let ids = |auths: &[&Authorization]| auths.iter().map(|a| a.id.0).collect::<Vec<_>>();
+    let profiles = [
+        SubjectProfile::new("alice").with_role(Role::new("chief")),
+        SubjectProfile::new("bob").with_credential(Credential::new("physician", "bob")),
+        SubjectProfile::new("carol"),
+    ];
+    let mut out = vec![format!("{:?}", compiled.document_names())];
+    for name in docs.names() {
+        let doc = docs.get(name).unwrap();
+        let classes: Vec<_> = compiled
+            .classes_of(name)
+            .expect("document was compiled")
+            .iter()
+            .map(|class| (class.class, ids(&class.auths), class.first_node))
+            .collect();
+        let attrs: Vec<_> = compiled
+            .attrs_of(name)
+            .expect("document was compiled")
+            .iter()
+            .map(|entry| (entry.node, entry.attribute, entry.class, ids(&entry.auths)))
+            .collect();
+        let nodes: Vec<_> = compiled.node_classes(name).unwrap().collect();
+        out.push(format!("{name}: {classes:?} {attrs:?} {nodes:?}"));
+        for privilege in [
+            Privilege::Browse,
+            Privilege::Read,
+            Privilege::Write,
+            Privilege::Admin,
+        ] {
+            out.push(format!("{:?}", compiled.equivalence_classes(name, privilege)));
+        }
+        for profile in &profiles {
+            out.push(compiled.compute_view(profile, name, doc).unwrap().to_xml_string());
+        }
+    }
+    out
+}
+
+/// One random mutation of a [`rich_stack`] walk: a rule added or revoked,
+/// a strategy change, a document written through `get_mut`, inserted
+/// (possibly the unregistered `ghost.xml`) or removed, or a collection
+/// member added.
+fn mutate(
+    rng: &mut SecureRng,
+    store: &mut PolicyStore,
+    docs: &mut DocumentStore,
+    strategy: &mut ConflictStrategy,
+) {
+    let names = ["d.xml", "e.xml", "ghost.xml"];
+    let name = names[rng.gen_range(3) as usize];
+    match rng.gen_range(7) {
+        0 => {
+            store.add(rich_rule(rng));
+        }
+        1 => {
+            let ids: Vec<AuthzId> = store.authorizations().iter().map(|a| a.id).collect();
+            if !ids.is_empty() {
+                store.revoke(ids[rng.gen_range(ids.len() as u64) as usize]);
+            }
+        }
+        2 => *strategy = STRATEGIES[rng.gen_range(5) as usize],
+        3 => {
+            if let Some(doc) = docs.get_mut(name) {
+                let elements: Vec<NodeId> = doc
+                    .all_nodes()
+                    .into_iter()
+                    .filter(|&n| doc.name(n).is_some())
+                    .collect();
+                let node = elements[rng.gen_range(elements.len() as u64) as usize];
+                if rng.gen_range(2) == 0 {
+                    doc.set_attribute(node, "ssn", &format!("s{}", rng.gen_range(3)));
+                } else {
+                    let child = format!("n{}", rng.gen_range(4));
+                    doc.add_element(node, &child);
+                }
+            }
+        }
+        4 => docs.insert(name, rich_document(rng)),
+        5 => {
+            docs.remove(name);
+        }
+        _ => store.add_collection_member("ward", name),
+    }
+}
+
+/// Compiling against the previous tables equals compiling from nothing:
+/// over 10,000 compiles of seeded [`rich_stack`] stores walked through
+/// rule additions and revocations, strategy changes, document writes,
+/// inserts and removals, and collection membership changes, the tables
+/// answer every question alike ([`tables_digest`]). Each compile is made
+/// against the previous step's reused tables, so reuse chains too.
+#[test]
+fn compiling_against_the_previous_tables_equals_compiling_from_nothing() {
+    let mut stats = CompileStats::default();
+    for seed in 0..REUSE_SEEDS {
+        let mut rng = SecureRng::seeded(0x2e05_0000 + seed);
+        let (mut store, mut docs) = rich_stack(&mut rng);
+        let mut strategy = STRATEGIES[(seed % 5) as usize];
+        let mut previous = PolicySnapshot::new(&store, strategy, &docs).compile();
+        for step in 0..REUSE_STEPS {
+            mutate(&mut rng, &mut store, &mut docs, &mut strategy);
+            let snapshot = PolicySnapshot::new(&store, strategy, &docs);
+            let reused = snapshot.compile_against(Some(&previous));
+            assert_eq!(
+                tables_digest(&reused, &docs),
+                tables_digest(&snapshot.compile(), &docs),
+                "seed {seed} step {step}: compiling against the previous tables diverged"
+            );
+            let step_stats = reused.compile_stats();
+            stats.selections_run += step_stats.selections_run;
+            stats.selections_reused += step_stats.selections_reused;
+            previous = reused;
+        }
+    }
+    assert!(
+        stats.selections_reused > 2 * stats.selections_run && stats.selections_run > 1_000,
+        "the walk reused too little to test reuse: {stats:?}"
+    );
+    assert_no_sync_findings();
+}
+
+/// The number of selections compiling `docs` from nothing runs.
+fn selections_of(store: &PolicyStore, docs: &DocumentStore) -> usize {
+    let compiled = PolicySnapshot::new(store, ConflictStrategy::default(), docs).compile();
+    compiled.compile_stats().selections_run
+}
+
+/// Compiling against the published tables runs only the selections that
+/// changed. On the bench hospital (one `//patient` selection of
+/// `records.xml`, one whole-document selection of `secret.xml`), a gated
+/// revocation runs none, and a gated denial of `//patient[@id='p7']` runs
+/// exactly one. A document written through `get_mut` re-runs all of its
+/// own selections and none of the other document's.
+#[test]
+fn compiling_against_published_tables_runs_only_changed_selections() {
+    let server = StackServer::new(hospital_stack(&HospitalSpec::bench()));
+    server.set_analysis_gate(AnalysisGate::Deny);
+    let stats = || server.compiled_policies().compile_stats();
+    assert_eq!(stats().selections_run, 2, "construction compiles from nothing");
+    server
+        .try_update(|stack| {
+            stack.policies.revoke_matching(
+                |a| matches!(&a.subject, SubjectSpec::Identity(id) if id == "doctor-0"),
+            )
+        })
+        .expect("a revocation passes the gate");
+    assert_eq!(
+        stats(),
+        CompileStats {
+            selections_run: 0,
+            selections_reused: 2
+        },
+        "a revocation runs no selection"
+    );
+    server
+        .try_update(|stack| {
+            stack.policies.add(
+                Authorization::for_subject(SubjectSpec::Identity("doctor-1".into()))
+                    .on(ObjectSpec::Portion {
+                        document: "records.xml".into(),
+                        path: Path::parse("//patient[@id='p7']").unwrap(),
+                    })
+                    .privilege(Privilege::Read)
+                    .deny(),
+            )
+        })
+        .expect("a denial passes the gate");
+    assert_eq!(
+        stats(),
+        CompileStats {
+            selections_run: 1,
+            selections_reused: 2
+        },
+        "a new path runs one selection"
+    );
+    server.update(|stack| stack.engine.strategy = ConflictStrategy::MostSpecificObject);
+    assert_eq!(stats().selections_run, 0, "an ungated strategy change runs none");
+
+    let mut written = 0;
+    for seed in 0..50 {
+        let mut rng = SecureRng::seeded(0x2e05_0000 + seed);
+        let (store, mut docs) = rich_stack(&mut rng);
+        let published = PolicySnapshot::new(&store, ConflictStrategy::default(), &docs).compile();
+        let only = |name: &str, docs: &DocumentStore| {
+            let mut one = DocumentStore::new();
+            one.insert(name, docs.get(name).unwrap().clone());
+            selections_of(&store, &one)
+        };
+        let (target, other) = if seed % 2 == 0 {
+            ("d.xml", "e.xml")
+        } else {
+            ("e.xml", "d.xml")
+        };
+        let doc = docs.get_mut(target).unwrap();
+        let root = doc.root();
+        doc.set_attribute(root, "rev", "1");
+        let compiled = PolicySnapshot::new(&store, ConflictStrategy::default(), &docs)
+            .compile_against(Some(&published));
+        assert_eq!(
+            compiled.compile_stats(),
+            CompileStats {
+                selections_run: only(target, &docs),
+                selections_reused: only(other, &docs)
+            },
+            "seed {seed}: writing '{target}' re-runs its selections and only those"
+        );
+        written += compiled.compile_stats().selections_run;
+    }
+    assert!(written > 50, "only {written} selections re-run over written documents");
     assert_no_sync_findings();
 }
 
