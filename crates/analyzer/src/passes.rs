@@ -863,13 +863,13 @@ pub fn ws009_escalation_cycles(input: &AnalyzerInput<'_>) -> Vec<Diagnostic> {
 
     let auths = input.store.authorizations();
     for admin in auths
-        .iter()
+        .clone()
         .filter(|a| a.sign == Sign::Plus && a.privilege == Privilege::Admin)
     {
         let SubjectSpec::InRole(admin_role) = &admin.subject else {
             continue;
         };
-        for other in auths.iter().filter(|a| a.sign == Sign::Plus) {
+        for other in auths.clone().filter(|a| a.sign == Sign::Plus) {
             let SubjectSpec::InRole(victim) = &other.subject else {
                 continue;
             };

@@ -286,7 +286,7 @@ impl<'a> Shadowing<'a> {
         let mut s = Shadowing {
             compiled,
             index: auths.iter().enumerate().map(|(i, a)| (a.id.0, i)).collect(),
-            masks: auths.iter().map(relevance_mask).collect(),
+            masks: auths.iter().map(|auth| relevance_mask(auth)).collect(),
             classes: vec![BTreeSet::new(); auths.len()],
             selects_attribute: vec![false; auths.len()],
             held: vec![false; auths.len()],

@@ -17,7 +17,9 @@
 //!   verifier, whose passes all read Policy and Documents, re-runs only when
 //!   one of those two moved. The Documents section is rendered only when
 //!   the snapshot holds other documents than the ones the memo
-//!   fingerprinted (compared by identity, see [`SnapshotAnalysis::rebase`]).
+//!   fingerprinted, and the Policy section renders only the rules the memo
+//!   has not digested (both compared by identity, see
+//!   [`SnapshotAnalysis::rebase`]).
 //!
 //! The [`AnalysisGate`] decides what updates do with findings:
 //! [`AnalysisGate::Off`] skips analysis entirely, and [`AnalysisGate::Deny`]
@@ -46,10 +48,12 @@ use std::time::Instant;
 use super::metrics::Counter;
 use super::StackServer;
 use crate::error::Error;
-use crate::hash::Fnv1a;
+use crate::hash::{fnv1a, Fnv1a};
 use crate::stack::SecureWebStack;
 use websec_analyzer::{run_pass, Diagnostic, PassId, PolicyPassId, Report, Section, Severity};
-use websec_policy::{CompiledPolicies, PolicyEngine, Privilege};
+use websec_policy::{
+    shared_rule_positions, Authorization, CompiledPolicies, PolicyEngine, PolicyStore, Privilege,
+};
 use websec_xml::DocumentStore;
 
 /// What [`StackServer::try_update`] does with analyzer findings.
@@ -84,6 +88,12 @@ struct SnapshotAnalysis {
     /// [`DocumentStore::shares_documents`] with this one holds the same
     /// bytes.
     documents: DocumentStore,
+    /// The rules the Policy fingerprint was taken over, in policy-base
+    /// order, and the digest of each. Holding them keeps each one
+    /// allocated, so a rule of a later snapshot at the same address
+    /// ([`std::sync::Arc::ptr_eq`]) is that very rule.
+    rules: Vec<Arc<Authorization>>,
+    rule_digests: Vec<u64>,
     /// Per-pass diagnostics (indexed like [`PassId::ALL`]); `None` for a
     /// pass not yet run on this snapshot.
     passes: Vec<Option<Vec<Diagnostic>>>,
@@ -115,19 +125,18 @@ pub(super) struct AnalysisMemo {
 /// hand-written `Debug` prints their terms in id order and their SPO
 /// index but not their term lookup `HashMap`. The policy section includes
 /// the engine's conflict strategy, which the compiled plane the verifier
-/// reads (WS013, WS014) depends on, and collection membership, which
-/// decides the documents a collection rule covers.
-fn render_section(stack: &SecureWebStack, section: Section, s: &mut impl Write) {
+/// reads (WS013, WS014) depends on, each rule as the digest of its own
+/// rendering (`rule_digests`, in policy-base order), and collection
+/// membership, which decides the documents a collection rule covers.
+fn render_section(stack: &SecureWebStack, section: Section, rule_digests: &[u64], s: &mut Fnv1a) {
     match section {
         Section::Policy => {
             let policies = &stack.policies;
-            let _ = write!(
-                s,
-                "{:?};{:?};{:?}",
-                stack.engine.strategy,
-                policies.authorizations(),
-                policies.hierarchy.seniority_pairs()
-            );
+            let _ = write!(s, "{:?};", stack.engine.strategy);
+            for digest in rule_digests {
+                s.0 = fnv1a(&digest.to_le_bytes(), s.0);
+            }
+            let _ = write!(s, ";{:?}", policies.hierarchy.seniority_pairs());
             for name in policies.collection_names() {
                 let _ = write!(s, ";{name:?}:{:?}", policies.collection_members(name));
             }
@@ -178,12 +187,39 @@ fn render_section(stack: &SecureWebStack, section: Section, s: &mut impl Write) 
     }
 }
 
+/// The digest of each rule of `policies`' base, in policy-base order:
+/// carried over from `prev` for every rule it digested (the very same
+/// allocation, which `prev` keeps alive), rendered with `Debug` for the
+/// others. Also returns how many rules were rendered.
+fn rule_digests(policies: &PolicyStore, prev: Option<&SnapshotAnalysis>) -> (Vec<u64>, usize) {
+    let (before, digests) = prev.map_or((&[][..], &[][..]), |p| {
+        (p.rules.as_slice(), p.rule_digests.as_slice())
+    });
+    let rules = policies.shared_authorizations();
+    let mut rendered = 0;
+    let out = shared_rule_positions(before, rules)
+        .zip(rules)
+        .map(|(seen, rule)| match seen {
+            Some(j) => digests[j],
+            None => {
+                rendered += 1;
+                let mut digest = Fnv1a::default();
+                let _ = write!(digest, "{rule:?}");
+                digest.0
+            }
+        })
+        .collect();
+    (out, rendered)
+}
+
 /// Fingerprints every analyzer input section of `stack`: the FNV-1a
-/// digest of its rendering, written straight into the digest. When `prev`
-/// fingerprinted exactly `stack`'s documents, their digest carries over
-/// and the Documents section is not rendered.
+/// digest of its rendering, written straight into the digest, given the
+/// digest of each of its rules. When `prev` fingerprinted exactly
+/// `stack`'s documents, their digest carries over and the Documents
+/// section is not rendered.
 fn section_fingerprints(
     stack: &SecureWebStack,
+    rule_digests: &[u64],
     prev: Option<&SnapshotAnalysis>,
 ) -> [u64; SECTION_COUNT] {
     let same_documents = prev.filter(|p| p.documents.shares_documents(&stack.documents));
@@ -191,7 +227,7 @@ fn section_fingerprints(
         (Section::Documents, Some(p)) => p.fingerprints[i],
         (section, _) => {
             let mut digest = Fnv1a::default();
-            render_section(stack, section, &mut digest);
+            render_section(stack, section, rule_digests, &mut digest);
             digest.0
         }
     })
@@ -224,7 +260,8 @@ impl SnapshotAnalysis {
     /// exactly `prev`'s documents, that is after a document was inserted,
     /// removed or written.
     fn rebase(prev: Option<&SnapshotAnalysis>, stack: &SecureWebStack, generation: u64) -> Self {
-        let fingerprints = section_fingerprints(stack, prev);
+        let (rule_digests, _) = rule_digests(&stack.policies, prev);
+        let fingerprints = section_fingerprints(stack, &rule_digests, prev);
         let moved: Vec<Section> = match prev {
             Some(p) => Section::ALL
                 .iter()
@@ -260,6 +297,8 @@ impl SnapshotAnalysis {
             generation,
             fingerprints,
             documents: stack.documents.clone(),
+            rules: stack.policies.shared_authorizations().to_vec(),
+            rule_digests,
             passes,
             report,
             policy,
@@ -594,7 +633,10 @@ impl StackServer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use websec_policy::mls::{ContextLabel, Level};
+    use websec_policy::{ObjectSpec, SubjectSpec};
     use websec_rdf::{SecureStore, Term, Triple};
+    use websec_xml::{Document, Path};
 
     /// A stack holding one semantic store of sixteen triples, built the
     /// same way on every call.
@@ -616,9 +658,125 @@ mod tests {
     /// stacks with RDF data get equal fingerprints in every section.
     #[test]
     fn identically_built_stacks_fingerprint_alike() {
-        assert_eq!(
-            section_fingerprints(&rdf_stack(), None),
-            section_fingerprints(&rdf_stack(), None)
+        let fingerprints = |stack: &SecureWebStack| {
+            let (rules, _) = rule_digests(&stack.policies, None);
+            section_fingerprints(stack, &rules, None)
+        };
+        assert_eq!(fingerprints(&rdf_stack()), fingerprints(&rdf_stack()));
+    }
+
+    /// A one-document stack whose policy base grants `//patient` to each
+    /// of `doctors`.
+    fn ward_stack(doctors: &[&str]) -> SecureWebStack {
+        let mut stack = SecureWebStack::new([9u8; 32]);
+        stack.add_document(
+            "h.xml",
+            Document::parse("<hospital><patient id=\"p1\"><name>Alice</name></patient></hospital>")
+                .unwrap(),
+            ContextLabel::fixed(Level::Unclassified),
         );
+        for doctor in doctors {
+            stack.policies.add(grant(doctor));
+        }
+        stack
+    }
+
+    fn grant(who: &str) -> Authorization {
+        Authorization::for_subject(SubjectSpec::Identity(who.into()))
+            .on(ObjectSpec::Portion {
+                document: "h.xml".into(),
+                path: Path::parse("//patient").unwrap(),
+            })
+            .privilege(Privilege::Read)
+            .grant()
+    }
+
+    /// The Policy fingerprint renders only the rules the memo has not seen:
+    /// none after a revocation, the new one after an add, every rule of a
+    /// stack built separately (whose ids repeat the memo's). The
+    /// fingerprint still moves with each, and a stack built alike
+    /// fingerprints alike.
+    #[test]
+    fn the_policy_fingerprint_renders_only_new_rules() {
+        let policy = Section::ALL
+            .iter()
+            .position(|s| *s == Section::Policy)
+            .unwrap();
+        let mut stack = ward_stack(&["ann", "bob", "cy"]);
+        let (_, rendered) = rule_digests(&stack.policies, None);
+        assert_eq!(rendered, 3);
+        let first = SnapshotAnalysis::rebase(None, &stack, 0);
+
+        stack
+            .policies
+            .revoke_matching(|a| matches!(&a.subject, SubjectSpec::Identity(id) if id == "bob"));
+        let (_, rendered) = rule_digests(&stack.policies, Some(&first));
+        assert_eq!(rendered, 0, "a revocation renders no rule");
+        let second = SnapshotAnalysis::rebase(Some(&first), &stack, 1);
+        assert_ne!(second.fingerprints[policy], first.fingerprints[policy]);
+
+        stack.policies.add(grant("dee"));
+        let (_, rendered) = rule_digests(&stack.policies, Some(&second));
+        assert_eq!(rendered, 1, "an add renders the new rule only");
+        let third = SnapshotAnalysis::rebase(Some(&second), &stack, 2);
+        assert_ne!(third.fingerprints[policy], second.fingerprints[policy]);
+
+        // A stack built separately numbers its rules alike, but none of
+        // them is a rule the memo digested.
+        let other = ward_stack(&["ann", "eve", "cy"]);
+        let (_, rendered) = rule_digests(&other.policies, Some(&first));
+        assert_eq!(rendered, 3, "equal ids are not the same rules");
+        assert_eq!(
+            SnapshotAnalysis::rebase(Some(&first), &other, 3).fingerprints[policy],
+            SnapshotAnalysis::rebase(None, &other, 3).fingerprints[policy]
+        );
+        assert_ne!(
+            SnapshotAnalysis::rebase(None, &other, 3).fingerprints[policy],
+            first.fingerprints[policy]
+        );
+
+        // The same content built from nothing fingerprints alike.
+        let mut twin = ward_stack(&["ann", "bob", "cy"]);
+        twin.policies
+            .revoke_matching(|a| matches!(&a.subject, SubjectSpec::Identity(id) if id == "bob"));
+        twin.policies.add(grant("dee"));
+        assert_eq!(
+            SnapshotAnalysis::rebase(None, &twin, 0).fingerprints,
+            third.fingerprints
+        );
+    }
+
+    /// A thousand gated revoke-and-grant cycles over fresh identities
+    /// leave the published tables and the memo holding no more than the
+    /// live policy base needs: one form per rule, an identity table within
+    /// twice the identity rules (or 16), one digest per rule.
+    #[test]
+    fn churn_keeps_the_tables_and_the_memo_bounded_by_the_live_base() {
+        let server = StackServer::new(ward_stack(&["ann", "bob", "f0"]));
+        server.set_analysis_gate(AnalysisGate::Deny);
+        for k in 1..=1_000 {
+            let (revoked, granted) = (format!("f{}", k - 1), format!("f{k}"));
+            server
+                .try_update(|stack| {
+                    stack.policies.revoke_matching(
+                        |a| matches!(&a.subject, SubjectSpec::Identity(id) if *id == revoked),
+                    );
+                    stack.policies.add(grant(&granted));
+                })
+                .expect("a grant passes the gate");
+            let published = server.published();
+            let live = published.stack.policies.len();
+            assert_eq!(live, 3);
+            assert_eq!(published.compiled.auth_count(), live, "cycle {k}");
+            assert!(published.compiled.interned_subjects() <= 16, "cycle {k}");
+            let memo = server.analysis.lock().unwrap();
+            let latest = memo.latest.as_ref().expect("the gate analysed the change");
+            assert_eq!(latest.generation, published.generation);
+            assert_eq!(
+                (latest.rules.len(), latest.rule_digests.len()),
+                (live, live),
+                "cycle {k}"
+            );
+        }
     }
 }

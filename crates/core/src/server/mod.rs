@@ -1012,7 +1012,7 @@ mod tests {
     }
 
     #[test]
-    fn update_invalidates_views_and_epoch_keys_cache() {
+    fn update_publishes_a_new_generation_with_an_empty_view_cache() {
         let server = StackServer::new(stack());
         let before = server.serve(&doctor_request()).unwrap();
         assert!(before.xml.contains("Alice"));
@@ -1034,7 +1034,7 @@ mod tests {
     }
 
     #[test]
-    fn every_read_pairs_stack_tables_and_token_while_updates_publish() {
+    fn every_read_pairs_stack_and_tables_while_updates_publish() {
         const UPDATES: u64 = 50;
         let server = StackServer::new(stack());
         let done = TrackedAtomicBool::synchronizing("test.updates_done", false);

@@ -123,14 +123,24 @@ mod tests {
 
     fn setup() -> (PolicyStore, Document) {
         let mut store = PolicyStore::new();
-        store.add(Authorization::for_subject(SubjectSpec::Identity("doctor".into())).on(ObjectSpec::Portion {
-                document: "h.xml".into(),
-                path: Path::parse("//patient").unwrap(),
-            }).privilege(Privilege::Read).grant());
-        store.add(Authorization::for_subject(SubjectSpec::Identity("accountant".into())).on(ObjectSpec::Portion {
-                document: "h.xml".into(),
-                path: Path::parse("//admin").unwrap(),
-            }).privilege(Privilege::Read).grant());
+        store.add(
+            Authorization::for_subject(SubjectSpec::Identity("doctor".into()))
+                .on(ObjectSpec::Portion {
+                    document: "h.xml".into(),
+                    path: Path::parse("//patient").unwrap(),
+                })
+                .privilege(Privilege::Read)
+                .grant(),
+        );
+        store.add(
+            Authorization::for_subject(SubjectSpec::Identity("accountant".into()))
+                .on(ObjectSpec::Portion {
+                    document: "h.xml".into(),
+                    path: Path::parse("//admin").unwrap(),
+                })
+                .privilege(Privilege::Read)
+                .grant(),
+        );
         let doc = Document::parse(
             "<hospital><patient><name>A</name></patient><admin><budget>1</budget></admin></hospital>",
         )
@@ -187,25 +197,34 @@ mod tests {
         let patient_region_1 = map1
             .regions
             .iter()
-            .find(|r| r.records.iter().any(|rec| {
+            .find(|r| {
+                r.records.iter().any(|rec| {
                 matches!(rec, crate::region::NodeRecord::Element { name, .. } if name == "patient")
-            }))
+            })
+            })
             .unwrap();
         let key_before = ka.region_key(&map1, patient_region_1.id);
 
         // Add a policy on a different subtree; the patient policy set is
         // unchanged, so its key must be too.
-        store.add(Authorization::for_subject(SubjectSpec::Identity("auditor".into())).on(ObjectSpec::Portion {
-                document: "h.xml".into(),
-                path: Path::parse("//admin").unwrap(),
-            }).privilege(Privilege::Read).grant());
+        store.add(
+            Authorization::for_subject(SubjectSpec::Identity("auditor".into()))
+                .on(ObjectSpec::Portion {
+                    document: "h.xml".into(),
+                    path: Path::parse("//admin").unwrap(),
+                })
+                .privilege(Privilege::Read)
+                .grant(),
+        );
         let map2 = RegionMap::build(&store, "h.xml", &doc);
         let patient_region_2 = map2
             .regions
             .iter()
-            .find(|r| r.records.iter().any(|rec| {
+            .find(|r| {
+                r.records.iter().any(|rec| {
                 matches!(rec, crate::region::NodeRecord::Element { name, .. } if name == "patient")
-            }))
+            })
+            })
             .unwrap();
         let key_after = ka.region_key(&map2, patient_region_2.id);
         assert_eq!(key_before, key_after);

@@ -91,12 +91,7 @@ impl DissemPackage {
             .map(|region| {
                 let key = key_for(region);
                 let (enc_key, mac_key) = subkeys(&key);
-                let nonce_bytes = hkdf(
-                    b"dissem-nonce",
-                    nonce_seed,
-                    &region.id.0.to_le_bytes(),
-                    12,
-                );
+                let nonce_bytes = hkdf(b"dissem-nonce", nonce_seed, &region.id.0.to_le_bytes(), 12);
                 let mut nonce = [0u8; 12];
                 nonce.copy_from_slice(&nonce_bytes);
                 let mut ciphertext = encode_records(&region.records);
@@ -141,8 +136,8 @@ impl DissemPackage {
             }
             let mut plaintext = region.ciphertext.clone();
             ChaCha20::new(&enc_key, &region.nonce, 1).apply(&mut plaintext);
-            let decoded = decode_records(&plaintext)
-                .map_err(|e| DissemError::Corrupt(region.id, e))?;
+            let decoded =
+                decode_records(&plaintext).map_err(|e| DissemError::Corrupt(region.id, e))?;
             records.extend(decoded);
             opened += 1;
         }
@@ -333,14 +328,24 @@ mod tests {
 
     fn setup() -> (PolicyStore, Document, RegionMap, KeyAuthority) {
         let mut store = PolicyStore::new();
-        store.add(Authorization::for_subject(SubjectSpec::Identity("doctor".into())).on(ObjectSpec::Portion {
-                document: "h.xml".into(),
-                path: Path::parse("//patient").unwrap(),
-            }).privilege(Privilege::Read).grant());
-        store.add(Authorization::for_subject(SubjectSpec::Identity("accountant".into())).on(ObjectSpec::Portion {
-                document: "h.xml".into(),
-                path: Path::parse("//admin").unwrap(),
-            }).privilege(Privilege::Read).grant());
+        store.add(
+            Authorization::for_subject(SubjectSpec::Identity("doctor".into()))
+                .on(ObjectSpec::Portion {
+                    document: "h.xml".into(),
+                    path: Path::parse("//patient").unwrap(),
+                })
+                .privilege(Privilege::Read)
+                .grant(),
+        );
+        store.add(
+            Authorization::for_subject(SubjectSpec::Identity("accountant".into()))
+                .on(ObjectSpec::Portion {
+                    document: "h.xml".into(),
+                    path: Path::parse("//admin").unwrap(),
+                })
+                .privilege(Privilege::Read)
+                .grant(),
+        );
         let doc = Document::parse(
             "<hospital><patient><name>Alice</name></patient><admin><budget>100</budget></admin></hospital>",
         )
@@ -420,7 +425,10 @@ mod tests {
         let (store, _doc, map, ka) = setup();
         let pkg = DissemPackage::seal(&map, b"broadcast-1", |r| ka.region_key(&map, r.id));
         let keyring = ka.keys_for(&store, &map, &SubjectProfile::new("stranger"));
-        assert_eq!(pkg.open(&keyring).unwrap_err(), DissemError::NoAccessibleRegion);
+        assert_eq!(
+            pkg.open(&keyring).unwrap_err(),
+            DissemError::NoAccessibleRegion
+        );
     }
 
     #[test]
@@ -479,7 +487,12 @@ mod tests {
         let (mut store, doc, _m, _ka) = setup();
         // A super-user identity granted both portions via a third policy
         // set: grant both paths to "chief".
-        store.add(Authorization::for_subject(SubjectSpec::Identity("chief".into())).on(ObjectSpec::Document("h.xml".into())).privilege(Privilege::Read).grant());
+        store.add(
+            Authorization::for_subject(SubjectSpec::Identity("chief".into()))
+                .on(ObjectSpec::Document("h.xml".into()))
+                .privilege(Privilege::Read)
+                .grant(),
+        );
         let map = RegionMap::build(&store, "h.xml", &doc);
         let ka = KeyAuthority::new("h.xml", [5u8; 32]);
         let pkg = DissemPackage::seal(&map, b"b2", |r| ka.region_key(&map, r.id));

@@ -127,10 +127,15 @@ mod tests {
 
     fn setup() -> (PolicyStore, Document) {
         let mut store = PolicyStore::new();
-        store.add(Authorization::for_subject(SubjectSpec::Identity("doctor".into())).on(ObjectSpec::Portion {
-                document: "h.xml".into(),
-                path: Path::parse("//patient").unwrap(),
-            }).privilege(Privilege::Read).grant());
+        store.add(
+            Authorization::for_subject(SubjectSpec::Identity("doctor".into()))
+                .on(ObjectSpec::Portion {
+                    document: "h.xml".into(),
+                    path: Path::parse("//patient").unwrap(),
+                })
+                .privilege(Privilege::Read)
+                .grant(),
+        );
         let doc = Document::parse(
             "<hospital><patient><name>Alice</name></patient><admin><budget>1</budget></admin></hospital>",
         )
@@ -198,7 +203,10 @@ mod tests {
         let key = [3u8; 32];
         let mut response = server.serve(&SubjectProfile::new("doctor"), &key, [0u8; 12]);
         response.ciphertext[0] ^= 1;
-        assert_eq!(open_pull(&response, &key).unwrap_err(), PullError::IntegrityFailure);
+        assert_eq!(
+            open_pull(&response, &key).unwrap_err(),
+            PullError::IntegrityFailure
+        );
     }
 
     #[test]

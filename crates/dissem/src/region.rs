@@ -100,14 +100,10 @@ impl Region {
     /// entitlement through this method.
     #[must_use]
     pub fn granted_to(&self, store: &PolicyStore, profile: &SubjectProfile) -> bool {
-        self.policies.iter().any(|pid| {
-            store
-                .authorizations()
-                .iter()
-                .find(|a| a.id == *pid)
-                .is_some_and(|a| {
-                    a.sign == Sign::Plus && a.subject.matches(profile, &store.hierarchy)
-                })
+        self.policies.iter().any(|&pid| {
+            store.get(pid).is_some_and(|a| {
+                a.sign == Sign::Plus && a.subject.matches(profile, &store.hierarchy)
+            })
         })
     }
 }
@@ -325,14 +321,24 @@ mod tests {
 
     fn store_two_policies() -> PolicyStore {
         let mut store = PolicyStore::new();
-        store.add(Authorization::for_subject(SubjectSpec::Identity("doctor".into())).on(ObjectSpec::Portion {
-                document: "h.xml".into(),
-                path: Path::parse("//patient").unwrap(),
-            }).privilege(Privilege::Read).grant());
-        store.add(Authorization::for_subject(SubjectSpec::Identity("accountant".into())).on(ObjectSpec::Portion {
-                document: "h.xml".into(),
-                path: Path::parse("/hospital/admin").unwrap(),
-            }).privilege(Privilege::Read).grant());
+        store.add(
+            Authorization::for_subject(SubjectSpec::Identity("doctor".into()))
+                .on(ObjectSpec::Portion {
+                    document: "h.xml".into(),
+                    path: Path::parse("//patient").unwrap(),
+                })
+                .privilege(Privilege::Read)
+                .grant(),
+        );
+        store.add(
+            Authorization::for_subject(SubjectSpec::Identity("accountant".into()))
+                .on(ObjectSpec::Portion {
+                    document: "h.xml".into(),
+                    path: Path::parse("/hospital/admin").unwrap(),
+                })
+                .privilege(Privilege::Read)
+                .grant(),
+        );
         store
     }
 
@@ -398,7 +404,12 @@ mod tests {
     fn reconstruct_preserves_sibling_order() {
         let d = Document::parse("<r><a/><b/><c/></r>").unwrap();
         let mut store = PolicyStore::new();
-        store.add(Authorization::for_subject(SubjectSpec::Anyone).on(ObjectSpec::Document("d".into())).privilege(Privilege::Read).grant());
+        store.add(
+            Authorization::for_subject(SubjectSpec::Anyone)
+                .on(ObjectSpec::Document("d".into()))
+                .privilege(Privilege::Read)
+                .grant(),
+        );
         let map = RegionMap::build(&store, "d", &d);
         assert_eq!(map.key_count(), 1);
         let view = reconstruct(&map.regions[0].records).unwrap();
@@ -416,10 +427,15 @@ mod tests {
         // patient region + admin region both shell the root; merging with a
         // full root record (from a root-granting policy) keeps attributes.
         let mut store = store_two_policies();
-        store.add(Authorization::for_subject(SubjectSpec::Identity("root-reader".into())).on(ObjectSpec::Portion {
-                document: "h.xml".into(),
-                path: Path::parse("/hospital").unwrap(),
-            }).privilege(Privilege::Read).grant());
+        store.add(
+            Authorization::for_subject(SubjectSpec::Identity("root-reader".into()))
+                .on(ObjectSpec::Portion {
+                    document: "h.xml".into(),
+                    path: Path::parse("/hospital").unwrap(),
+                })
+                .privilege(Privilege::Read)
+                .grant(),
+        );
         let map = RegionMap::build(&store, "h.xml", &d);
         // Root-granting policy cascades over everything: nodes now have
         // bigger policy sets, still partitioned consistently.

@@ -154,7 +154,7 @@ impl AdministeredStore {
     /// Revokes an authorization on behalf of `actor`: allowed for the
     /// original granter and for anyone administering the target.
     pub fn try_revoke(&mut self, actor: &SubjectProfile, id: AuthzId) -> Result<(), AdminError> {
-        let Some(auth) = self.store.authorizations().iter().find(|a| a.id == id) else {
+        let Some(auth) = self.store.get(id) else {
             return Err(AdminError::UnknownAuthorization);
         };
         let documents = Self::target_documents(&auth.object)?;

@@ -39,6 +39,15 @@
 //! written document re-runs its own. Cascade propagation is a union of
 //! pre-order subtree ranges.
 //!
+//! A rule's compiled form (subject matcher, relevance mask, resolution-key
+//! fields, cover key, and the documents it is a candidate for) is likewise
+//! a function of that one rule, and of the role hierarchy for a role
+//! subject. The tables share each rule's [`Arc`] with the policy base, so
+//! compiling against the previous artifact takes the form of every rule it
+//! compiled from the very same allocation, and derives forms only for new
+//! rules (and for role rules after a hierarchy edit). Interned identities
+//! carry over with them.
+//!
 //! The tables keep one class-numbering contract, which analyzer output
 //! depends on: class ids follow the document order in which each class
 //! first appears; every class rule list and attribute-entry rule list
@@ -56,10 +65,10 @@
 //! The tables are the one coverage source of static analysis: the
 //! WS013–WS018 verifier reads them, not the interpreter.
 
-use crate::authz::{Authorization, AuthzId, ObjectSpec, Privilege, Propagation, Sign};
+use crate::authz::{Authorization, AuthzId, ObjectSpec, Privilege, Propagation, Sign, SubjectSpec};
 use crate::conflict::ConflictStrategy;
-use crate::engine::{AccessDecision, PolicyEngine, PolicyStore};
-use crate::subject::{CredentialExpr, SubjectProfile};
+use crate::engine::{shared_rule_positions, AccessDecision, PolicyEngine, PolicyStore};
+use crate::subject::{CredentialExpr, RoleHierarchy, SubjectProfile};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 use websec_xml::{
@@ -97,7 +106,8 @@ pub struct PolicySnapshot<'a> {
 /// One authorization in compiled form: the interned subject matcher
 /// plus the scalar fields conflict resolution reads. Coverage lives in
 /// the per-document tables, so the hot path never touches
-/// [`ObjectSpec`] again.
+/// [`ObjectSpec`] again. Cheap to clone, as compiling against a previous
+/// artifact copies the form of every rule it keeps.
 #[derive(Debug, Clone)]
 pub(crate) struct CompiledAuth {
     pub(crate) id: AuthzId,
@@ -122,8 +132,8 @@ pub(crate) enum CompiledSubject {
     /// Sorted names of every role whose activation implies the target
     /// role (the target itself plus all hierarchy roles dominating it),
     /// so matching is a binary search instead of a hierarchy walk.
-    RoleDominators(Vec<String>),
-    Credentials(CredentialExpr),
+    RoleDominators(Arc<[String]>),
+    Credentials(Arc<CredentialExpr>),
 }
 
 /// Attribute-specific coverage: the authorizations (as local indices)
@@ -138,6 +148,10 @@ pub(crate) struct AttrEntry {
 /// Per-document decision tables.
 #[derive(Debug, Clone)]
 pub(crate) struct CompiledDoc {
+    /// Indices into [`CompiledPolicies::source`] of the rules that name
+    /// this document, by name or through a collection, ascending. With the
+    /// rules that name every document, they are its candidates.
+    specific: Vec<u32>,
     /// The document the tables address by node id. Holding it keeps its
     /// identity exact: while these tables live, no other document can
     /// take its address, so [`Arc::ptr_eq`] tells whether a later
@@ -227,11 +241,16 @@ impl Selections {
     }
 }
 
-/// Selection work of one compilation: every distinct cover key of a
-/// document is one selection, run over the document or reused from the
-/// artifact compiled against ([`PolicySnapshot::compile_against`]).
+/// The work of one compilation: every rule's form and every distinct
+/// cover key of a document (one selection) is derived here or taken from
+/// the artifact compiled against ([`PolicySnapshot::compile_against`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CompileStats {
+    /// Rules whose compiled form was derived: new rules, and role rules
+    /// after a hierarchy edit.
+    pub rules_compiled: usize,
+    /// Rules whose compiled form was taken from the previous artifact.
+    pub rules_reused: usize,
     /// Selections run: a path selection plus its propagation.
     pub selections_run: usize,
     /// Selections taken from the previous artifact.
@@ -243,19 +262,31 @@ pub struct CompileStats {
 #[derive(Debug)]
 pub struct CompiledPolicies {
     pub(crate) strategy: ConflictStrategy,
-    /// Interned subject identities.
-    pub(crate) subjects: NameInterner,
+    /// Interned subject identities, shared with the artifact compiled
+    /// against until a new identity is interned.
+    pub(crate) subjects: Arc<NameInterner>,
     /// Interned attribute names.
     pub(crate) attrs: NameInterner,
+    /// Each rule's compiled form, parallel to `source`.
     pub(crate) auths: Vec<CompiledAuth>,
     pub(crate) docs: HashMap<String, CompiledDoc>,
-    /// The source authorizations, parallel to `auths`, so static analysis
-    /// can name the rules it reads coverage for.
-    pub(crate) source: Vec<Authorization>,
-    pub(crate) hierarchy: crate::subject::RoleHierarchy,
-    /// Each cover key: the index into `source` of its first rule, whose
-    /// object names the key's path (if any), and its propagation.
-    covers: Vec<(u32, Propagation)>,
+    /// The source authorizations, shared with the policy base, so static
+    /// analysis can name the rules it reads coverage for and a later
+    /// compilation can tell which rules it already compiled.
+    pub(crate) source: Vec<Arc<Authorization>>,
+    pub(crate) hierarchy: RoleHierarchy,
+    /// The collection membership the candidates were bucketed under.
+    collections: Arc<BTreeMap<String, BTreeSet<String>>>,
+    /// Indices into `source` of the rules that name every document,
+    /// ascending.
+    global: Vec<u32>,
+    /// Cover key per rule, an index into `keys`.
+    key_of: Vec<u32>,
+    /// Each cover key: an index into `paths` (`None` for the whole
+    /// document) and a propagation.
+    keys: Vec<(Option<u32>, Propagation)>,
+    /// Each distinct path: the index into `source` of a rule selecting it.
+    paths: Vec<u32>,
     stats: CompileStats,
 }
 
@@ -289,149 +320,78 @@ impl<'a> PolicySnapshot<'a> {
         self.compile_against(None)
     }
 
-    /// Compiles the snapshot into decision tables, reusing the selections
-    /// of `previous` (normally the artifact these tables replace) for
-    /// every document it compiled that the snapshot still holds unwritten
-    /// and every cover key it shares. The result equals a compilation from
-    /// nothing; only [`CompiledPolicies::compile_stats`] tells them apart.
-    /// Called once per snapshot publication (under the server's update
-    /// lock), never on the request path.
+    /// Compiles the snapshot into decision tables, reusing what `previous`
+    /// (normally the artifact these tables replace) derived from the same
+    /// inputs: the form of every rule it compiled from the very same
+    /// allocation, and the selections of every document it compiled that
+    /// the snapshot still holds unwritten, for every cover key it shares.
+    /// The result equals a compilation from nothing; only
+    /// [`CompiledPolicies::compile_stats`] tells them apart. Called once
+    /// per snapshot publication (under the server's update lock), never on
+    /// the request path.
     #[must_use]
     pub fn compile_against(&self, previous: Option<&CompiledPolicies>) -> Arc<CompiledPolicies> {
-        let source: Vec<Authorization> = self.store.authorizations().to_vec();
-        let mut subjects = NameInterner::new();
-        let mut attrs = NameInterner::new();
-
-        // Compile subjects and scalar resolution data.
-        let mut auths = Vec::with_capacity(source.len());
-        for auth in &source {
-            let subject = match &auth.subject {
-                crate::authz::SubjectSpec::Anyone => CompiledSubject::Anyone,
-                crate::authz::SubjectSpec::Identity(id) => {
-                    CompiledSubject::Identity(subjects.intern(id))
-                }
-                crate::authz::SubjectSpec::InRole(role) => {
-                    let mut doms = Vec::with_capacity(4);
-                    doms.push(role.0.clone());
-                    for senior in self.store.hierarchy.roles() {
-                        if senior != *role && self.store.hierarchy.dominates(&senior, role) {
-                            doms.push(senior.0.clone());
-                        }
-                    }
-                    doms.sort_unstable();
-                    CompiledSubject::RoleDominators(doms)
-                }
-                crate::authz::SubjectSpec::WithCredentials(expr) => {
-                    CompiledSubject::Credentials(expr.clone())
-                }
-            };
-            let mut relevance = 0u8;
-            for p in PRIVILEGES {
-                if PolicyEngine::relevant(auth, p) {
-                    relevance |= privilege_bit(p);
-                }
-            }
-            auths.push(CompiledAuth {
-                id: auth.id,
-                subject,
-                sign: auth.sign,
-                relevance,
-                specificity: auth.subject.specificity(),
-                granularity: auth.object.granularity(),
-                priority: auth.priority,
-            });
-        }
-
-        // Give every authorization its cover key. Each distinct path is
-        // compiled to an automaton once, when a selection first needs it.
-        let mut covers = Covers {
-            paths: Vec::with_capacity(8),
-            keys: Vec::with_capacity(8),
-            first_rule: Vec::with_capacity(8),
-            key_of: Vec::with_capacity(source.len()),
-            previous_key: Vec::with_capacity(0),
-            names: NameInterner::new(),
-        };
-        let mut path_ids: HashMap<&str, u32> = HashMap::with_capacity(8);
-        let mut key_ids: HashMap<(Option<u32>, Propagation), u32> = HashMap::with_capacity(8);
-        for (i, auth) in source.iter().enumerate() {
-            let path = object_path(&auth.object).map(|path| {
-                *path_ids.entry(path.source()).or_insert_with(|| {
-                    covers.paths.push((path, None));
-                    u32::try_from(covers.paths.len() - 1).expect("too many paths")
-                })
-            });
-            let key = *key_ids.entry((path, auth.propagation)).or_insert_with(|| {
-                covers.keys.push((path, auth.propagation));
-                covers
-                    .first_rule
-                    .push(u32::try_from(i).expect("policy base too large"));
-                u32::try_from(covers.keys.len() - 1).expect("too many cover keys")
-            });
-            covers.key_of.push(key);
-        }
-
-        // The previous artifact's id of each cover key, matched by path
-        // source and propagation.
-        covers.previous_key = vec![UNSET; covers.keys.len()];
+        let source = self.store.shared_authorizations();
+        // Each rule's position in `previous` when it compiled the very same
+        // allocation, and each previous rule's new position.
+        let mut reused = vec![UNSET; source.len()];
+        let mut moved = vec![UNSET; previous.map_or(0, |prev| prev.source.len())];
         if let Some(prev) = previous {
-            let mut ids: HashMap<(Option<&str>, Propagation), u32> =
-                HashMap::with_capacity(prev.covers.len());
-            for (id, &(rule, propagation)) in prev.covers.iter().enumerate() {
-                let path = object_path(&prev.source[rule as usize].object).map(Path::source);
-                ids.insert(
-                    (path, propagation),
-                    u32::try_from(id).expect("too many cover keys"),
-                );
-            }
-            for (key, &(path, propagation)) in covers.keys.iter().enumerate() {
-                let path = path.map(|p| covers.paths[p as usize].0.source());
-                if let Some(&id) = ids.get(&(path, propagation)) {
-                    covers.previous_key[key] = id;
+            for (i, j) in shared_rule_positions(&prev.source, source).enumerate() {
+                if let Some(j) = j {
+                    reused[i] = u32::try_from(j).expect("policy base too large");
+                    moved[j] = u32::try_from(i).expect("policy base too large");
                 }
             }
         }
+        let mut stats = CompileStats::default();
+        let (auths, subjects) = self.rule_forms(previous, &reused, &mut stats);
+        let mut covers = Covers::new(source, previous, &reused);
 
-        // Bucket authorizations by target document so compilation stays
-        // O(auths + docs·coverage) instead of O(auths × docs).
-        let mut by_doc: HashMap<&str, Vec<u32>> = HashMap::with_capacity(16);
-        let mut global: Vec<u32> = Vec::with_capacity(4);
-        for (i, auth) in source.iter().enumerate() {
-            let i = u32::try_from(i).expect("policy base too large");
-            match &auth.object {
-                ObjectSpec::Document(name) | ObjectSpec::Portion { document: name, .. } => {
-                    by_doc.entry(name).or_default().push(i);
-                }
-                ObjectSpec::Collection(c) => {
-                    if let Some(members) = self.store.collection_members(c) {
-                        for member in members {
-                            by_doc.entry(member).or_default().push(i);
-                        }
-                    }
-                }
-                ObjectSpec::AllDocuments | ObjectSpec::PortionAll(_) => global.push(i),
-            }
-        }
+        // Bucket the new rules by target document, so compilation stays
+        // O(auths + docs·coverage) instead of O(auths × docs); the rules
+        // compiled before keep their previous buckets. A document the
+        // previous artifact did not compile, or any document after a
+        // collection membership change, is bucketed from every rule.
+        let fresh = Buckets::of(
+            self.store,
+            (0..source.len()).filter(|&i| reused[i] == UNSET),
+        );
+        let mut everything: Option<Buckets<'_>> = None;
+        let same_collections =
+            previous.is_some_and(|prev| prev.collections == *self.store.collections());
+        let mut global = previous.map_or_else(Vec::new, |prev| moved_rules(&prev.global, &moved));
+        extend_sorted(&mut global, &fresh.global);
 
         let mut docs = HashMap::with_capacity(self.documents.len());
+        let mut attrs = NameInterner::new();
         let mut key_slots = KeySlots {
             group: vec![UNSET; covers.keys.len()],
-            previous_group: vec![UNSET; previous.map_or(0, |prev| prev.covers.len())],
+            previous_group: vec![UNSET; previous.map_or(0, |prev| prev.keys.len())],
         };
-        let mut stats = CompileStats::default();
         for name in self.documents.names() {
             let doc = self.documents.get_shared(name).expect("listed document");
-            let mut cands: Vec<u32> = by_doc.get(name).cloned().unwrap_or_default();
-            cands.extend(&global);
-            cands.sort_unstable();
-            cands.dedup();
-            let unwritten = previous
-                .and_then(|prev| prev.docs.get(name))
-                .filter(|cd| Arc::ptr_eq(&cd.doc, doc));
+            let previous_doc = previous.and_then(|prev| prev.docs.get(name));
+            let specific = match previous_doc.filter(|_| same_collections) {
+                Some(cd) => {
+                    let mut specific = moved_rules(&cd.specific, &moved);
+                    extend_sorted(&mut specific, fresh.of_document(name));
+                    specific
+                }
+                None if previous.is_none() => fresh.of_document(name).to_vec(),
+                None => everything
+                    .get_or_insert_with(|| Buckets::of(self.store, 0..source.len()))
+                    .of_document(name)
+                    .to_vec(),
+            };
+            let mut cands = specific.clone();
+            extend_sorted(&mut cands, &global);
+            let unwritten = previous_doc.filter(|cd| Arc::ptr_eq(&cd.doc, doc));
             docs.insert(
                 String::from(name),
                 compile_doc(
                     doc,
+                    specific,
                     unwritten,
                     &cands,
                     &mut covers,
@@ -442,23 +402,172 @@ impl<'a> PolicySnapshot<'a> {
             );
         }
 
-        let covers = covers
-            .first_rule
-            .iter()
-            .zip(&covers.keys)
-            .map(|(&rule, &(_, propagation))| (rule, propagation))
-            .collect();
         Arc::new(CompiledPolicies {
             strategy: self.strategy,
             subjects,
             attrs,
             auths,
             docs,
-            source,
+            source: source.to_vec(),
             hierarchy: self.store.hierarchy.clone(),
-            covers,
+            collections: Arc::clone(self.store.collections()),
+            global,
+            key_of: covers.key_of,
+            keys: covers.keys,
+            paths: covers.path_rule,
             stats,
         })
+    }
+
+    /// Each rule's compiled form: the previous artifact's for a rule it
+    /// compiled from the very same allocation (under the same hierarchy,
+    /// for a role subject), else derived here. Identities are interned into
+    /// the previous artifact's table, which is copied only when a new one
+    /// arrives; once the table holds more than twice as many identities as
+    /// the base has identity rules (and more than 16), it is rebuilt from
+    /// the live rules, so revoked identities do not accumulate.
+    fn rule_forms(
+        &self,
+        previous: Option<&CompiledPolicies>,
+        reused: &[u32],
+        stats: &mut CompileStats,
+    ) -> (Vec<CompiledAuth>, Arc<NameInterner>) {
+        let source = self.store.shared_authorizations();
+        let hierarchy = &self.store.hierarchy;
+        let same_hierarchy = previous.is_some_and(|prev| prev.hierarchy == *hierarchy);
+        let mut subjects = previous.map_or_else(Arc::default, |prev| Arc::clone(&prev.subjects));
+        let mut identities = 0;
+        let mut auths = Vec::with_capacity(source.len());
+        for (auth, &j) in source.iter().zip(reused) {
+            let kept = previous
+                .filter(|_| j != UNSET)
+                .map(|prev| &prev.auths[j as usize])
+                .filter(|form| {
+                    same_hierarchy || !matches!(form.subject, CompiledSubject::RoleDominators(_))
+                });
+            let form = match kept {
+                Some(form) => {
+                    stats.rules_reused += 1;
+                    form.clone()
+                }
+                None => {
+                    stats.rules_compiled += 1;
+                    compile_auth(auth, hierarchy, &mut subjects)
+                }
+            };
+            identities += usize::from(matches!(form.subject, CompiledSubject::Identity(_)));
+            auths.push(form);
+        }
+        if subjects.len() > 2 * identities.max(8) {
+            let mut live = NameInterner::new();
+            for (form, auth) in auths.iter_mut().zip(source) {
+                if let SubjectSpec::Identity(id) = &auth.subject {
+                    form.subject = CompiledSubject::Identity(live.intern(id));
+                }
+            }
+            subjects = Arc::new(live);
+        }
+        (auths, subjects)
+    }
+}
+
+/// Derives the compiled form of `auth`, interning its identity (if it
+/// names one) into `subjects`.
+fn compile_auth(
+    auth: &Authorization,
+    hierarchy: &RoleHierarchy,
+    subjects: &mut Arc<NameInterner>,
+) -> CompiledAuth {
+    let subject = match &auth.subject {
+        SubjectSpec::Anyone => CompiledSubject::Anyone,
+        SubjectSpec::Identity(id) => CompiledSubject::Identity(match subjects.get(id) {
+            Some(sym) => sym,
+            None => Arc::make_mut(subjects).intern(id),
+        }),
+        SubjectSpec::InRole(role) => {
+            let mut doms = Vec::with_capacity(4);
+            doms.push(role.0.clone());
+            for senior in hierarchy.roles() {
+                if senior != *role && hierarchy.dominates(&senior, role) {
+                    doms.push(senior.0.clone());
+                }
+            }
+            doms.sort_unstable();
+            CompiledSubject::RoleDominators(doms.into())
+        }
+        SubjectSpec::WithCredentials(expr) => CompiledSubject::Credentials(Arc::new(expr.clone())),
+    };
+    let mut relevance = 0u8;
+    for p in PRIVILEGES {
+        if PolicyEngine::relevant(auth, p) {
+            relevance |= privilege_bit(p);
+        }
+    }
+    CompiledAuth {
+        id: auth.id,
+        subject,
+        sign: auth.sign,
+        relevance,
+        specificity: auth.subject.specificity(),
+        granularity: auth.object.granularity(),
+        priority: auth.priority,
+    }
+}
+
+/// Rules bucketed by the documents they are candidates for: each named
+/// document's own rules (by name, or through a collection's members), and
+/// the rules that name every document, all as ascending indices into the
+/// policy base.
+#[derive(Default)]
+struct Buckets<'s> {
+    by_doc: HashMap<&'s str, Vec<u32>>,
+    global: Vec<u32>,
+}
+
+impl<'s> Buckets<'s> {
+    /// Buckets the rules of `store` at the ascending positions `rules`.
+    fn of(store: &'s PolicyStore, rules: impl Iterator<Item = usize>) -> Self {
+        let source = store.shared_authorizations();
+        let mut buckets = Buckets::default();
+        for i in rules {
+            let rule = u32::try_from(i).expect("policy base too large");
+            match &source[i].object {
+                ObjectSpec::Document(name) | ObjectSpec::Portion { document: name, .. } => {
+                    buckets.by_doc.entry(name).or_default().push(rule);
+                }
+                ObjectSpec::Collection(c) => {
+                    for member in store.collection_members(c).into_iter().flatten() {
+                        buckets.by_doc.entry(member).or_default().push(rule);
+                    }
+                }
+                ObjectSpec::AllDocuments | ObjectSpec::PortionAll(_) => buckets.global.push(rule),
+            }
+        }
+        buckets
+    }
+
+    /// The rules that name `document` itself.
+    fn of_document(&self, document: &str) -> &[u32] {
+        self.by_doc.get(document).map_or(&[], Vec::as_slice)
+    }
+}
+
+/// The previous positions `rules` (ascending) that the new base still
+/// holds, at their new positions: still ascending, as a merge walk matched
+/// them.
+fn moved_rules(rules: &[u32], moved: &[u32]) -> Vec<u32> {
+    rules
+        .iter()
+        .map(|&j| moved[j as usize])
+        .filter(|&i| i != UNSET)
+        .collect()
+}
+
+/// Adds the ascending positions `more` to the ascending `rules`.
+fn extend_sorted(rules: &mut Vec<u32>, more: &[u32]) {
+    if !more.is_empty() {
+        rules.extend_from_slice(more);
+        rules.sort_unstable();
     }
 }
 
@@ -471,11 +580,11 @@ struct Covers<'s> {
     /// when the automaton refuses the path and [`websec_xml::Path::select`]
     /// runs instead).
     paths: Vec<(&'s Path, Option<Option<PathAutomaton>>)>,
+    /// The index of each path's first rule in the policy base.
+    path_rule: Vec<u32>,
     /// Each cover key: an index into `paths` (`None` for the whole
     /// document) and a propagation.
     keys: Vec<(Option<u32>, Propagation)>,
-    /// The index of each cover key's first rule in the policy base.
-    first_rule: Vec<u32>,
     /// Cover key per authorization.
     key_of: Vec<u32>,
     /// Per cover key, the previous artifact's id of the same key, or
@@ -483,6 +592,100 @@ struct Covers<'s> {
     previous_key: Vec<u32>,
     /// Element names the automata match.
     names: NameInterner,
+}
+
+impl<'s> Covers<'s> {
+    /// The cover keys of `source`, numbered in the order of their first
+    /// rule as compiling from nothing numbers them. A rule `previous`
+    /// compiled (`reused`) keeps its key there; only a new rule's path and
+    /// propagation are hashed, among the previous artifact's keys and the
+    /// other new rules'.
+    fn new(
+        source: &'s [Arc<Authorization>],
+        previous: Option<&CompiledPolicies>,
+        reused: &[u32],
+    ) -> Self {
+        let (prev_keys, prev_paths) = previous.map_or((&[][..], &[][..]), |prev| {
+            (prev.keys.as_slice(), prev.paths.as_slice())
+        });
+        // Each rule's key in one numbering: the previous artifact's keys
+        // and paths first, then the new ones (a new path by its first rule).
+        let mut new_keys: Vec<(Option<u32>, Propagation)> = Vec::with_capacity(0);
+        let mut new_paths = 0;
+        let mut key_ids: HashMap<(Option<u32>, Propagation), u32> = HashMap::with_capacity(0);
+        let mut path_ids: HashMap<&str, u32> = HashMap::with_capacity(0);
+        let mut indexed = false;
+        let mut either_key = Vec::with_capacity(source.len());
+        for (auth, &j) in source.iter().zip(reused) {
+            if let Some(prev) = previous.filter(|_| j != UNSET) {
+                either_key.push(prev.key_of[j as usize]);
+                continue;
+            }
+            if !indexed {
+                indexed = true;
+                if let Some(prev) = previous {
+                    for (id, &rule) in (0..).zip(&prev.paths) {
+                        let path = object_path(&prev.source[rule as usize].object);
+                        path_ids.insert(path.expect("a path's rule names it").source(), id);
+                    }
+                    key_ids.extend(prev.keys.iter().copied().zip(0..));
+                }
+            }
+            let path = object_path(&auth.object).map(|path| {
+                *path_ids.entry(path.source()).or_insert_with(|| {
+                    new_paths += 1;
+                    u32::try_from(prev_paths.len() + new_paths - 1).expect("too many paths")
+                })
+            });
+            let key = *key_ids.entry((path, auth.propagation)).or_insert_with(|| {
+                new_keys.push((path, auth.propagation));
+                u32::try_from(prev_keys.len() + new_keys.len() - 1).expect("too many cover keys")
+            });
+            either_key.push(key);
+        }
+
+        // Number the keys and paths the rules use, in rule order.
+        let mut key_id = vec![UNSET; prev_keys.len() + new_keys.len()];
+        let mut path_id = vec![UNSET; prev_paths.len() + new_paths];
+        let mut covers = Covers {
+            paths: Vec::with_capacity(8),
+            path_rule: Vec::with_capacity(8),
+            keys: Vec::with_capacity(8),
+            key_of: Vec::with_capacity(source.len()),
+            previous_key: Vec::with_capacity(8),
+            names: NameInterner::new(),
+        };
+        for (i, &key) in (0..).zip(&either_key) {
+            if key_id[key as usize] == UNSET {
+                let previous_key = (key as usize) < prev_keys.len();
+                let (path, propagation) = if previous_key {
+                    prev_keys[key as usize]
+                } else {
+                    new_keys[key as usize - prev_keys.len()]
+                };
+                let path = path.map(|p| {
+                    if path_id[p as usize] == UNSET {
+                        path_id[p as usize] =
+                            u32::try_from(covers.paths.len()).expect("too many paths");
+                        let path = object_path(&source[i as usize].object);
+                        covers
+                            .paths
+                            .push((path.expect("the key's rule names it"), None));
+                        covers.path_rule.push(i);
+                    }
+                    path_id[p as usize]
+                });
+                key_id[key as usize] =
+                    u32::try_from(covers.keys.len()).expect("too many cover keys");
+                covers.keys.push((path, propagation));
+                covers
+                    .previous_key
+                    .push(if previous_key { key } else { UNSET });
+            }
+            covers.key_of.push(key_id[key as usize]);
+        }
+        covers
+    }
 }
 
 /// The group of each cover key within the document [`compile_doc`] is
@@ -499,10 +702,13 @@ struct KeySlots {
 const UNSET: u32 = u32::MAX;
 
 /// Compiles one document's tables from its candidate rules (ascending
-/// indices into the policy base). `unwritten` is the previous artifact's
-/// tables of this very document, whose layout and selections are reused.
+/// indices into the policy base), of which `specific` name the document
+/// itself. `unwritten` is the previous artifact's tables of this very
+/// document, whose layout and selections are reused.
+#[allow(clippy::too_many_arguments)]
 fn compile_doc(
     doc: &Arc<Document>,
+    specific: Vec<u32>,
     unwritten: Option<&CompiledDoc>,
     cands: &[u32],
     covers: &mut Covers<'_>,
@@ -644,6 +850,7 @@ fn compile_doc(
     }
 
     CompiledDoc {
+        specific,
         doc: Arc::clone(doc),
         selections,
         local_auths,
@@ -888,10 +1095,18 @@ impl CompiledPolicies {
         self.auths.len()
     }
 
-    /// The selections this compilation ran and reused.
+    /// The rule forms and selections this compilation derived and reused.
     #[must_use]
     pub fn compile_stats(&self) -> CompileStats {
         self.stats
+    }
+
+    /// Number of identities in the table subject matching reads: the
+    /// identities the policy base names, plus revoked ones until the table
+    /// is rebuilt (it never exceeds twice the identity rules, or 16).
+    #[must_use]
+    pub fn interned_subjects(&self) -> usize {
+        self.subjects.len()
     }
 
     /// Matches every covering authorization of `cd` against the
@@ -1511,6 +1726,124 @@ mod tests {
                 compiled.equivalence_classes("h.xml", privilege).unwrap(),
                 PolicyEngine::policy_equivalence_classes(&store, "h.xml", &d, privilege),
                 "{privilege:?}"
+            );
+        }
+    }
+
+    fn identity_grant(who: &str) -> Authorization {
+        Authorization::for_subject(SubjectSpec::Identity(who.into()))
+            .on(portion("//patient"))
+            .privilege(Privilege::Read)
+            .grant()
+    }
+
+    #[test]
+    fn compiling_against_reuses_rule_forms_and_the_identity_table() {
+        let mut store = PolicyStore::new();
+        let ids: Vec<AuthzId> = ["ann", "bob", "cy"]
+            .map(|who| store.add(identity_grant(who)))
+            .into();
+        store.add(
+            Authorization::for_subject(SubjectSpec::InRole(Role::new("doctor")))
+                .on(portion("//record"))
+                .privilege(Privilege::Read)
+                .grant(),
+        );
+        let d = doc();
+        let documents = docs_with(&d);
+        let strategy = ConflictStrategy::default();
+        let counts = |c: &CompiledPolicies| {
+            let stats = c.compile_stats();
+            (stats.rules_compiled, stats.rules_reused)
+        };
+        let first = PolicySnapshot::new(&store, strategy, &documents).compile();
+        assert_eq!(counts(&first), (4, 0));
+
+        store.revoke(ids[0]);
+        let second =
+            PolicySnapshot::new(&store, strategy, &documents).compile_against(Some(&first));
+        assert_eq!(counts(&second), (0, 3), "a revocation compiles no rule");
+        assert!(
+            Arc::ptr_eq(&first.subjects, &second.subjects),
+            "a revocation copies no identity"
+        );
+
+        store.add(identity_grant("dee"));
+        let third =
+            PolicySnapshot::new(&store, strategy, &documents).compile_against(Some(&second));
+        assert_eq!(counts(&third), (1, 3), "an add compiles the new rule only");
+        assert!(third.subjects.get("dee").is_some());
+        assert!(
+            third.subjects.get("ann").is_some(),
+            "a revoked identity stays interned until the table is rebuilt"
+        );
+
+        store
+            .hierarchy
+            .add_seniority(Role::new("chief"), Role::new("doctor"));
+        let fourth =
+            PolicySnapshot::new(&store, strategy, &documents).compile_against(Some(&third));
+        assert_eq!(
+            counts(&fourth),
+            (1, 3),
+            "a hierarchy edit recompiles the role rule"
+        );
+
+        let profiles = [
+            SubjectProfile::new("ann"),
+            SubjectProfile::new("dee"),
+            SubjectProfile::new("carol").with_role(Role::new("chief")),
+        ];
+        let engine = PolicyEngine::new(strategy);
+        for profile in &profiles {
+            assert_eq!(
+                fourth
+                    .compute_view(profile, "h.xml", &d)
+                    .unwrap()
+                    .to_xml_string(),
+                engine
+                    .compute_view(&store, profile, "h.xml", &d)
+                    .to_xml_string(),
+                "{}",
+                profile.identity
+            );
+        }
+    }
+
+    #[test]
+    fn the_identity_table_stays_bounded_by_the_live_identity_rules() {
+        let mut store = PolicyStore::new();
+        store.add(
+            Authorization::for_subject(SubjectSpec::Anyone)
+                .on(portion("/hospital/admin"))
+                .privilege(Privilege::Read)
+                .grant(),
+        );
+        let d = doc();
+        let documents = docs_with(&d);
+        let strategy = ConflictStrategy::default();
+        let mut previous = PolicySnapshot::new(&store, strategy, &documents).compile();
+        let mut held = store.add(identity_grant("f0"));
+        for k in 1..200 {
+            store.revoke(held);
+            held = store.add(identity_grant(&format!("f{k}")));
+            previous =
+                PolicySnapshot::new(&store, strategy, &documents).compile_against(Some(&previous));
+            assert!(previous.interned_subjects() <= 16, "step {k}");
+            assert_eq!(previous.auth_count(), store.len());
+        }
+        let engine = PolicyEngine::new(strategy);
+        for who in ["f198", "f199"] {
+            let profile = SubjectProfile::new(who);
+            assert_eq!(
+                previous
+                    .compute_view(&profile, "h.xml", &d)
+                    .unwrap()
+                    .to_xml_string(),
+                engine
+                    .compute_view(&store, &profile, "h.xml", &d)
+                    .to_xml_string(),
+                "{who}"
             );
         }
     }

@@ -18,6 +18,7 @@
 //! reports built on top byte-diff cleanly across runs.
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use websec_xml::NodeId;
 
@@ -82,7 +83,7 @@ impl CompiledPolicies {
                     class: class as u32,
                     auths: locals
                         .iter()
-                        .map(|&l| &self.source[cd.local_auths[l as usize] as usize])
+                        .map(|&l| &*self.source[cd.local_auths[l as usize] as usize])
                         .collect(),
                     first_node: cd.node_ids[first as usize],
                 })
@@ -119,7 +120,7 @@ impl CompiledPolicies {
                     auths: entry
                         .auths
                         .iter()
-                        .map(|&l| &self.source[cd.local_auths[l as usize] as usize])
+                        .map(|&l| &*self.source[cd.local_auths[l as usize] as usize])
                         .collect(),
                 })
                 .collect(),
@@ -142,8 +143,8 @@ impl CompiledPolicies {
     }
 
     /// The source policy base this artifact was compiled from, in
-    /// policy-base order.
-    pub fn source_authorizations(&self) -> &[Authorization] {
+    /// policy-base order: the very rules the policy base holds.
+    pub fn source_authorizations(&self) -> &[Arc<Authorization>] {
         &self.source
     }
 

@@ -5,16 +5,23 @@ use crate::authz::{Authorization, AuthzId, ObjectSpec, Privilege, Propagation, S
 use crate::conflict::ConflictStrategy;
 use crate::subject::{RoleHierarchy, SubjectProfile};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::sync::Arc;
 use websec_xml::{Document, NodeBitset, NodeId, Selection};
 
 /// A policy base: authorizations plus the role hierarchy and collection
 /// membership needed to interpret them.
+///
+/// Each authorization is held behind an [`Arc`] and never changes once
+/// added, so a clone shares every rule and the clone's `add` and `revoke`
+/// leave the others shared: a snapshot copy and the drop of a replaced one
+/// copy and free no rule. Rules are kept in policy-base order, which is
+/// ascending [`AuthzId`] order.
 #[derive(Debug, Clone, Default)]
 pub struct PolicyStore {
-    authorizations: Vec<Authorization>,
+    authorizations: Vec<Arc<Authorization>>,
     /// Role seniority used for `SubjectSpec::InRole`.
     pub hierarchy: RoleHierarchy,
-    collections: BTreeMap<String, BTreeSet<String>>,
+    collections: Arc<BTreeMap<String, BTreeSet<String>>>,
     next_id: u32,
 }
 
@@ -31,7 +38,7 @@ impl PolicyStore {
         let id = AuthzId(self.next_id);
         self.next_id += 1;
         authorization.id = id;
-        self.authorizations.push(authorization);
+        self.authorizations.push(Arc::new(authorization));
         id
     }
 
@@ -52,10 +59,29 @@ impl PolicyStore {
         before - self.authorizations.len()
     }
 
-    /// The current authorizations.
+    /// The current authorizations, in policy-base order.
+    pub fn authorizations(
+        &self,
+    ) -> impl ExactSizeIterator<Item = &Authorization> + DoubleEndedIterator + Clone {
+        self.authorizations.iter().map(|a| &**a)
+    }
+
+    /// The current authorizations as the shared handles every clone of
+    /// this store holds, in policy-base order: two handles are the very
+    /// same rule exactly when [`Arc::ptr_eq`] says so.
     #[must_use]
-    pub fn authorizations(&self) -> &[Authorization] {
+    pub fn shared_authorizations(&self) -> &[Arc<Authorization>] {
         &self.authorizations
+    }
+
+    /// The authorization with id `id`, if the base holds it.
+    #[must_use]
+    pub fn get(&self, id: AuthzId) -> Option<&Authorization> {
+        let i = self
+            .authorizations
+            .binary_search_by_key(&id, |a| a.id)
+            .ok()?;
+        Some(&self.authorizations[i])
     }
 
     /// Number of authorizations.
@@ -72,7 +98,7 @@ impl PolicyStore {
 
     /// Registers `document` as a member of `collection`.
     pub fn add_collection_member(&mut self, collection: &str, document: &str) {
-        self.collections
+        Arc::make_mut(&mut self.collections)
             .entry(collection.to_string())
             .or_default()
             .insert(document.to_string());
@@ -97,6 +123,35 @@ impl PolicyStore {
     pub fn collection_members(&self, collection: &str) -> Option<&BTreeSet<String>> {
         self.collections.get(collection)
     }
+
+    /// Every collection with its members, shared with the clones of this
+    /// store that did not change membership since.
+    pub(crate) fn collections(&self) -> &Arc<BTreeMap<String, BTreeSet<String>>> {
+        &self.collections
+    }
+}
+
+/// For each rule of `after`, in order, its position in `before` when
+/// `before` holds that very allocation ([`Arc::ptr_eq`]), else `None`.
+/// Both lists are in policy-base order, as [`PolicyStore`] keeps them, so
+/// one merge walk by id finds every shared rule. Equal ids alone prove
+/// nothing: a store built separately numbers its rules from 0 too, and a
+/// re-granted rule is a new allocation.
+pub fn shared_rule_positions<'a>(
+    before: &'a [Arc<Authorization>],
+    after: &'a [Arc<Authorization>],
+) -> impl Iterator<Item = Option<usize>> + 'a {
+    let mut next = 0;
+    after.iter().map(move |rule| {
+        while before.get(next).is_some_and(|b| b.id < rule.id) {
+            next += 1;
+        }
+        let shared = before.get(next).is_some_and(|b| Arc::ptr_eq(b, rule));
+        shared.then(|| {
+            next += 1;
+            next - 1
+        })
+    })
 }
 
 /// Outcome of an access check.
@@ -457,6 +512,67 @@ mod tests {
         // A sweep that matches nothing removes nothing.
         assert_eq!(store.revoke_matching(|_| false), 0);
         assert_eq!(store.len(), 1);
+    }
+
+    fn read_grant(who: &str) -> Authorization {
+        Authorization::for_subject(SubjectSpec::Identity(who.into()))
+            .on(ObjectSpec::Document("h.xml".into()))
+            .privilege(Privilege::Read)
+            .grant()
+    }
+
+    #[test]
+    fn clones_share_every_rule_and_edits_keep_the_others_shared() {
+        let mut store = PolicyStore::new();
+        let ids: Vec<AuthzId> = ["a", "b", "c", "d"]
+            .map(|who| store.add(read_grant(who)))
+            .into();
+        let positions = |before: &PolicyStore, after: &PolicyStore| {
+            shared_rule_positions(
+                before.shared_authorizations(),
+                after.shared_authorizations(),
+            )
+            .collect::<Vec<_>>()
+        };
+        let copy = store.clone();
+        assert_eq!(
+            positions(&store, &copy),
+            [Some(0), Some(1), Some(2), Some(3)]
+        );
+
+        // A revocation and an add leave every other rule the very same
+        // allocation; the new rule is nobody else's.
+        let mut edited = store.clone();
+        assert!(edited.revoke(ids[1]));
+        edited.add(read_grant("e"));
+        assert_eq!(
+            positions(&store, &edited),
+            [Some(0), Some(2), Some(3), None]
+        );
+        assert_eq!(
+            positions(&edited, &store),
+            [Some(0), None, Some(1), Some(2)]
+        );
+
+        // Re-granting a revoked rule's content makes a new rule: new id,
+        // new allocation.
+        let content = store.get(ids[2]).expect("held").clone();
+        let mut regranted = store.clone();
+        regranted.revoke(ids[2]);
+        let id = regranted.add(content);
+        assert_ne!(id, ids[2]);
+        assert_eq!(
+            positions(&store, &regranted),
+            [Some(0), Some(1), Some(3), None]
+        );
+
+        // A store built separately numbers its rules alike but shares none.
+        let mut twin = PolicyStore::new();
+        for who in ["a", "b", "c", "d"] {
+            twin.add(read_grant(who));
+        }
+        assert_eq!(twin.authorizations().map(|a| a.id).collect::<Vec<_>>(), ids);
+        assert_eq!(positions(&store, &twin), [None; 4]);
     }
 
     #[test]

@@ -244,7 +244,7 @@ impl Role {
 ///
 /// An authorization granted to a role applies to every subject activating
 /// that role *or any senior of it*.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct RoleHierarchy {
     /// senior → direct juniors.
     juniors: BTreeMap<Role, BTreeSet<Role>>,

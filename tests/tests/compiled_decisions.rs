@@ -397,7 +397,6 @@ fn class_numbering_follows_document_order() {
         let order = |id: AuthzId| {
             store
                 .authorizations()
-                .iter()
                 .position(|a| a.id == id)
                 .expect("compiled rule comes from the store")
         };
@@ -462,13 +461,14 @@ const REUSE_STEPS: usize = 20;
 /// Everything the tables answer about `docs`, read back through the
 /// public API: per document its classes (rules and first node), attribute
 /// entries, node classes, equivalence classes for every privilege, and
-/// the views of three profiles.
+/// the views of four profiles.
 fn tables_digest(compiled: &CompiledPolicies, docs: &DocumentStore) -> Vec<String> {
     let ids = |auths: &[&Authorization]| auths.iter().map(|a| a.id.0).collect::<Vec<_>>();
     let profiles = [
         SubjectProfile::new("alice").with_role(Role::new("chief")),
         SubjectProfile::new("bob").with_credential(Credential::new("physician", "bob")),
         SubjectProfile::new("carol"),
+        SubjectProfile::new("dave").with_role(Role::new("head")),
     ];
     let mut out = vec![format!("{:?}", compiled.document_names())];
     for name in docs.names() {
@@ -502,8 +502,11 @@ fn tables_digest(compiled: &CompiledPolicies, docs: &DocumentStore) -> Vec<Strin
     out
 }
 
-/// One random mutation of a [`rich_stack`] walk: a rule added or revoked,
-/// a strategy change, a document written through `get_mut`, inserted
+/// One random mutation of a [`rich_stack`] walk: a rule added, revoked or
+/// re-granted (its content revoked and added again, under a new id and
+/// allocation), a strategy change, a role-hierarchy edit (a seniority edge
+/// among `head`, `chief` and `staff`, or a hierarchy rebuilt with at most
+/// `chief > staff`), a document written through `get_mut`, inserted
 /// (possibly the unregistered `ghost.xml`) or removed, or a collection
 /// member added.
 fn mutate(
@@ -514,12 +517,12 @@ fn mutate(
 ) {
     let names = ["d.xml", "e.xml", "ghost.xml"];
     let name = names[rng.gen_range(3) as usize];
-    match rng.gen_range(7) {
+    let ids: Vec<AuthzId> = store.authorizations().map(|a| a.id).collect();
+    match rng.gen_range(9) {
         0 => {
             store.add(rich_rule(rng));
         }
         1 => {
-            let ids: Vec<AuthzId> = store.authorizations().iter().map(|a| a.id).collect();
             if !ids.is_empty() {
                 store.revoke(ids[rng.gen_range(ids.len() as u64) as usize]);
             }
@@ -545,34 +548,87 @@ fn mutate(
         5 => {
             docs.remove(name);
         }
-        _ => store.add_collection_member("ward", name),
+        6 => store.add_collection_member("ward", name),
+        7 => {
+            if !ids.is_empty() {
+                let id = ids[rng.gen_range(ids.len() as u64) as usize];
+                let content = store.get(id).expect("held").clone();
+                store.revoke(id);
+                store.add(content);
+            }
+        }
+        _ => {
+            let roles = ["head", "chief", "staff"];
+            if rng.gen_range(2) == 0 {
+                let senior = rng.gen_range(2) as usize;
+                let junior = senior + 1 + rng.gen_range(2 - senior as u64) as usize;
+                store
+                    .hierarchy
+                    .add_seniority(Role::new(roles[senior]), Role::new(roles[junior]));
+            } else {
+                store.hierarchy = RoleHierarchy::new();
+                if rng.gen_range(2) == 0 {
+                    store
+                        .hierarchy
+                        .add_seniority(Role::new("chief"), Role::new("staff"));
+                }
+            }
+        }
     }
 }
 
 /// Compiling against the previous tables equals compiling from nothing:
 /// over 10,000 compiles of seeded [`rich_stack`] stores walked through
-/// rule additions and revocations, strategy changes, document writes,
-/// inserts and removals, and collection membership changes, the tables
-/// answer every question alike ([`tables_digest`]). Each compile is made
-/// against the previous step's reused tables, so reuse chains too.
+/// rule additions, revocations and re-grants, strategy changes,
+/// role-hierarchy edits, document writes, inserts and removals, and
+/// collection membership changes, the tables answer every question alike
+/// ([`tables_digest`]). Each compile is made against the previous step's
+/// reused tables, so reuse chains too, except about one in eight, made
+/// against the tables of an unrelated seeded stack: its rules carry the
+/// same ids (both bases number from 0), yet none of its forms or
+/// selections may be taken.
 #[test]
 fn compiling_against_the_previous_tables_equals_compiling_from_nothing() {
     let mut stats = CompileStats::default();
+    let mut unrelated_compiles = 0;
+    let mut colliding_ids = 0;
     for seed in 0..REUSE_SEEDS {
         let mut rng = SecureRng::seeded(0x2e05_0000 + seed);
         let (mut store, mut docs) = rich_stack(&mut rng);
         let mut strategy = STRATEGIES[(seed % 5) as usize];
         let mut previous = PolicySnapshot::new(&store, strategy, &docs).compile();
+        let (other_store, other_docs) = rich_stack(&mut SecureRng::seeded(0x2e05_8000 + seed));
+        let unrelated = PolicySnapshot::new(&other_store, strategy, &other_docs).compile();
         for step in 0..REUSE_STEPS {
             mutate(&mut rng, &mut store, &mut docs, &mut strategy);
             let snapshot = PolicySnapshot::new(&store, strategy, &docs);
-            let reused = snapshot.compile_against(Some(&previous));
+            let against_unrelated = rng.gen_range(8) == 0;
+            let reused = if against_unrelated {
+                snapshot.compile_against(Some(&unrelated))
+            } else {
+                snapshot.compile_against(Some(&previous))
+            };
             assert_eq!(
                 tables_digest(&reused, &docs),
                 tables_digest(&snapshot.compile(), &docs),
-                "seed {seed} step {step}: compiling against the previous tables diverged"
+                "seed {seed} step {step}: compiling against {} tables diverged",
+                if against_unrelated { "unrelated" } else { "the previous" }
             );
             let step_stats = reused.compile_stats();
+            if against_unrelated {
+                assert_eq!(
+                    (step_stats.rules_reused, step_stats.selections_reused),
+                    (0, 0),
+                    "seed {seed} step {step}: reused the unrelated stack's work"
+                );
+                unrelated_compiles += 1;
+                colliding_ids += store
+                    .authorizations()
+                    .filter(|a| other_store.get(a.id).is_some())
+                    .count();
+            }
+            stats.rules_compiled += step_stats.rules_compiled;
+            stats.rules_reused += step_stats.rules_reused;
             stats.selections_run += step_stats.selections_run;
             stats.selections_reused += step_stats.selections_reused;
             previous = reused;
@@ -582,7 +638,71 @@ fn compiling_against_the_previous_tables_equals_compiling_from_nothing() {
         stats.selections_reused > 2 * stats.selections_run && stats.selections_run > 1_000,
         "the walk reused too little to test reuse: {stats:?}"
     );
+    assert!(
+        stats.rules_reused > 4 * stats.rules_compiled && stats.rules_compiled > 1_000,
+        "the walk reused too few rule forms to test reuse: {stats:?}"
+    );
+    assert!(
+        unrelated_compiles > 500 && colliding_ids > 1_000,
+        "too few compiles against colliding ids: {unrelated_compiles} compiles, \
+         {colliding_ids} ids"
+    );
     assert_no_sync_findings();
+}
+
+/// A profile whose identity only a revoked rule named matches nothing in
+/// the tables compiled against the published ones, although the identity
+/// table it carries over still holds that identity: `check` denies the
+/// patient the revoked grant covered, and `compute_view` shows none of it,
+/// exactly as compiling from nothing and the interpreter do.
+#[test]
+fn an_identity_only_a_revoked_rule_named_matches_nothing() {
+    let spec = HospitalSpec::bench();
+    let published_stack = hospital_stack(&spec);
+    fn snapshot(stack: &SecureWebStack) -> PolicySnapshot<'_> {
+        PolicySnapshot::new(&stack.policies, stack.engine.strategy, &stack.documents)
+    }
+    let published = snapshot(&published_stack).compile();
+    let mut stack = published_stack.clone();
+    let doctor = spec.granted_subject(0);
+    stack
+        .policies
+        .revoke_matching(|a| matches!(&a.subject, SubjectSpec::Identity(id) if *id == doctor));
+    let compiled = snapshot(&stack).compile_against(Some(&published));
+    assert_eq!(compiled.compile_stats().rules_compiled, 0);
+
+    let profile = SubjectProfile::new(&doctor);
+    let doc = stack.documents.get("records.xml").unwrap();
+    let patient = Path::parse("//patient[@id='p1']").unwrap().select_nodes(doc)[0];
+    assert_eq!(
+        published.check(&profile, "records.xml", patient, Privilege::Read),
+        Some(AccessDecision::Granted)
+    );
+    assert_eq!(
+        compiled.check(&profile, "records.xml", patient, Privilege::Read),
+        Some(AccessDecision::Denied),
+        "the revoked identity still matches"
+    );
+    let view = compiled
+        .compute_view(&profile, "records.xml", doc)
+        .unwrap()
+        .to_xml_string();
+    assert!(!view.contains("N1"), "{view}");
+    let engine = PolicyEngine::new(stack.engine.strategy);
+    assert_eq!(
+        view,
+        engine
+            .compute_view(&stack.policies, &profile, "records.xml", doc)
+            .to_xml_string()
+    );
+    assert_eq!(
+        view,
+        snapshot(&stack)
+            .compile()
+            .compute_view(&profile, "records.xml", doc)
+            .unwrap()
+            .to_xml_string()
+    );
 }
 
 /// The number of selections compiling `docs` from nothing runs.
@@ -591,18 +711,30 @@ fn selections_of(store: &PolicyStore, docs: &DocumentStore) -> usize {
     compiled.compile_stats().selections_run
 }
 
-/// Compiling against the published tables runs only the selections that
-/// changed. On the bench hospital (one `//patient` selection of
-/// `records.xml`, one whole-document selection of `secret.xml`), a gated
-/// revocation runs none, and a gated denial of `//patient[@id='p7']` runs
-/// exactly one. A document written through `get_mut` re-runs all of its
-/// own selections and none of the other document's.
+/// Compiling against the published tables derives only the rule forms and
+/// runs only the selections that changed. On the bench hospital (sixteen
+/// `doctor-` grants on `//patient` of `records.xml`, one whole-document
+/// grant of `secret.xml`), a gated revocation compiles no rule and runs no
+/// selection, and a gated denial of `//patient[@id='p7']` compiles that one
+/// rule and runs its one selection. A strategy change compiles nothing; a
+/// hierarchy edit compiles exactly the role rules again. A document
+/// written through `get_mut` re-runs all of its own selections and none
+/// of the other document's, and compiles no rule.
 #[test]
 fn compiling_against_published_tables_runs_only_changed_selections() {
     let server = StackServer::new(hospital_stack(&HospitalSpec::bench()));
     server.set_analysis_gate(AnalysisGate::Deny);
     let stats = || server.compiled_policies().compile_stats();
-    assert_eq!(stats().selections_run, 2, "construction compiles from nothing");
+    assert_eq!(
+        stats(),
+        CompileStats {
+            rules_compiled: 17,
+            rules_reused: 0,
+            selections_run: 2,
+            selections_reused: 0
+        },
+        "construction compiles from nothing"
+    );
     server
         .try_update(|stack| {
             stack.policies.revoke_matching(
@@ -613,10 +745,12 @@ fn compiling_against_published_tables_runs_only_changed_selections() {
     assert_eq!(
         stats(),
         CompileStats {
+            rules_compiled: 0,
+            rules_reused: 16,
             selections_run: 0,
             selections_reused: 2
         },
-        "a revocation runs no selection"
+        "a revocation compiles no rule and runs no selection"
     );
     server
         .try_update(|stack| {
@@ -634,13 +768,52 @@ fn compiling_against_published_tables_runs_only_changed_selections() {
     assert_eq!(
         stats(),
         CompileStats {
+            rules_compiled: 1,
+            rules_reused: 16,
             selections_run: 1,
             selections_reused: 2
         },
-        "a new path runs one selection"
+        "a new rule with a new path compiles one rule and runs one selection"
     );
     server.update(|stack| stack.engine.strategy = ConflictStrategy::MostSpecificObject);
-    assert_eq!(stats().selections_run, 0, "an ungated strategy change runs none");
+    assert_eq!(
+        (stats().rules_compiled, stats().selections_run),
+        (0, 0),
+        "an ungated strategy change compiles and runs nothing"
+    );
+    server.update(|stack| {
+        for (role, path) in [("nurse", "//patient/name"), ("chief", "//patient/record")] {
+            stack.policies.add(
+                Authorization::for_subject(SubjectSpec::InRole(Role::new(role)))
+                    .on(ObjectSpec::Portion {
+                        document: "records.xml".into(),
+                        path: Path::parse(path).unwrap(),
+                    })
+                    .privilege(Privilege::Read)
+                    .grant(),
+            );
+        }
+    });
+    assert_eq!(stats().rules_compiled, 2, "two new role rules");
+    let chief_view = || {
+        let chief = SubjectProfile::new("c").with_role(Role::new("chief"));
+        let doc = server.snapshot().documents.get("records.xml").unwrap().clone();
+        let compiled = server.compiled_policies();
+        compiled.compute_view(&chief, "records.xml", &doc).unwrap().to_xml_string()
+    };
+    assert!(!chief_view().contains("N1"), "{}", chief_view());
+    server.update(|stack| {
+        stack
+            .policies
+            .hierarchy
+            .add_seniority(Role::new("chief"), Role::new("nurse"))
+    });
+    assert_eq!(
+        (stats().rules_compiled, stats().rules_reused),
+        (2, 17),
+        "a hierarchy edit compiles the role rules again, and only those"
+    );
+    assert!(chief_view().contains("N1"), "the senior role reads the junior's grant");
 
     let mut written = 0;
     for seed in 0..50 {
@@ -665,6 +838,8 @@ fn compiling_against_published_tables_runs_only_changed_selections() {
         assert_eq!(
             compiled.compile_stats(),
             CompileStats {
+                rules_compiled: 0,
+                rules_reused: store.len(),
                 selections_run: only(target, &docs),
                 selections_reused: only(other, &docs)
             },
@@ -820,7 +995,7 @@ fn assert_flagged_rules_are_redundant(
             interpreted_decisions(&engine, without, docs, name, profiles) == before[name]
         })
     };
-    let rule = |id: AuthzId| store.authorizations().iter().find(|a| a.id == id).unwrap();
+    let rule = |id: AuthzId| store.get(id).unwrap();
     let mut all = store.clone();
     for (finding, id) in &flagged {
         let mut without = store.clone();
@@ -852,7 +1027,6 @@ fn assert_flagged_rules_are_redundant(
 fn large_store_oracle_profiles(policies: &PolicyStore) -> Vec<SubjectProfile> {
     let mut identities: Vec<String> = policies
         .authorizations()
-        .iter()
         .filter_map(|a| match &a.subject {
             SubjectSpec::Identity(who) => Some(who.clone()),
             _ => None,

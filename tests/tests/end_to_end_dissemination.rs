@@ -129,7 +129,7 @@ fn revocation_changes_regions_and_keys() {
     assert_eq!(doctor_keys_before.len(), 2);
 
     // Revoke the staff grant.
-    let staff_auth = store.authorizations()[1].id;
+    let staff_auth = store.shared_authorizations()[1].id;
     assert!(store.revoke(staff_auth));
     let map_after = RegionMap::build(&store, "h.xml", &doc);
     let doctor_keys_after =

@@ -212,7 +212,7 @@ fn ws008_revoked_keyring_fires_and_current_entitlement_silences() {
     assert!(report.with_code("WS008").is_empty(), "{}", report.human());
 
     // Revoking the grant without re-keying leaves the key over-covering.
-    let granted = s.policies.authorizations()[0].id;
+    let granted = s.policies.shared_authorizations()[0].id;
     assert!(s.policies.revoke(granted));
     let report = s.analyze();
     let hits = report.with_code("WS008");

@@ -151,7 +151,6 @@ impl Step {
                 let held = s
                     .policies
                     .authorizations()
-                    .iter()
                     .any(|a| is_identity(a, subject, Sign::Plus));
                 if held {
                     s.policies
@@ -169,7 +168,6 @@ impl Step {
                 let held = s
                     .policies
                     .authorizations()
-                    .iter()
                     .any(|a| is_identity(a, subject, Sign::Minus));
                 if held {
                     s.policies
