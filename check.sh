@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Repository gate: rustfmt over the analyzer, websec-xml, websec-policy,
-# websec-core and websec-dissem libraries and the websec-lint binary,
-# offline build, clippy
+# websec-core, websec-dissem, websec-rdf and websec-uddi libraries and the
+# websec-lint binary, offline build, clippy
 # with warnings denied, full test suite, the wsbench build, tests and
 # short runs, the websec-lint static checks, the WS003-WS012 analyzer over
 # every example stack (byte-diffed for determinism, failing on error
@@ -44,16 +44,19 @@ if [ "${1:-}" = "--verify-policies" ]; then
     exit 0
 fi
 
-# The analyzer, websec-xml, websec-policy, websec-core and websec-dissem
-# libraries (each lib.rs and every module it declares) and the websec-lint
-# binary are in rustfmt's default style; the rest of the tree is not yet.
-echo "==> rustfmt --check (analyzer, websec-xml, websec-policy, websec-core and websec-dissem libraries, websec-lint)"
+# The analyzer, websec-xml, websec-policy, websec-core, websec-dissem,
+# websec-rdf and websec-uddi libraries (each lib.rs and every module it
+# declares) and the websec-lint binary are in rustfmt's default style; the
+# rest of the tree is not yet.
+echo "==> rustfmt --check (analyzer, websec-xml, websec-policy, websec-core, websec-dissem, websec-rdf and websec-uddi libraries, websec-lint)"
 rustfmt --edition 2021 --check crates/analyzer/src/lib.rs
 rustfmt --edition 2021 --check crates/analyzer/src/bin/websec_lint.rs
 rustfmt --edition 2021 --check crates/xml/src/lib.rs
 rustfmt --edition 2021 --check crates/policy/src/lib.rs
 rustfmt --edition 2021 --check crates/core/src/lib.rs
 rustfmt --edition 2021 --check crates/dissem/src/lib.rs
+rustfmt --edition 2021 --check crates/rdf/src/lib.rs
+rustfmt --edition 2021 --check crates/uddi/src/lib.rs
 
 echo "==> cargo build --release --offline"
 cargo build --release --offline

@@ -80,12 +80,10 @@ impl<'a> LineParser<'a> {
         self.skip_ws();
         let rest = &self.text[self.pos..];
         if let Some(after) = rest.strip_prefix('<') {
-            let end = after
-                .find('>')
-                .ok_or_else(|| NtError {
-                    line: self.line,
-                    message: "unterminated IRI".into(),
-                })?;
+            let end = after.find('>').ok_or_else(|| NtError {
+                line: self.line,
+                message: "unterminated IRI".into(),
+            })?;
             self.pos += 1 + end + 1;
             return Ok(Term::Iri(after[..end].to_string()));
         }
@@ -129,12 +127,10 @@ impl<'a> LineParser<'a> {
                 return self.err("bad blank node label");
             }
             self.pos += 3 + digits.len();
-            let n: u32 = digits
-                .parse()
-                .map_err(|_| NtError {
-                    line: self.line,
-                    message: "blank node label out of range".into(),
-                })?;
+            let n: u32 = digits.parse().map_err(|_| NtError {
+                line: self.line,
+                message: "blank node label out of range".into(),
+            })?;
             return Ok(Term::Blank(n));
         }
         let preview: String = rest.chars().take(12).collect();
@@ -195,11 +191,7 @@ mod tests {
             Term::iri("http://x/name"),
             Term::lit("Alice \"A\" O'Hara\nline2"),
         ));
-        store.insert(&t(
-            Term::Blank(3),
-            Term::iri("http://x/p"),
-            Term::Blank(4),
-        ));
+        store.insert(&t(Term::Blank(3), Term::iri("http://x/p"), Term::Blank(4)));
         let text = to_ntriples(&store);
         let parsed = from_ntriples(&text).unwrap();
         assert_eq!(parsed.len(), store.len());

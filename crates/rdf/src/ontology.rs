@@ -103,12 +103,7 @@ impl OntologyGuard {
     /// Does the overlay allow `profile` to see `triple`? Open default;
     /// class-scoped denials take precedence over class-scoped grants.
     #[must_use]
-    pub fn allows(
-        &self,
-        closure: &TripleStore,
-        profile: &SubjectProfile,
-        triple: &Triple,
-    ) -> bool {
+    pub fn allows(&self, closure: &TripleStore, profile: &SubjectProfile, triple: &Triple) -> bool {
         let classes = Self::classes_of(closure, &triple.s);
         for auth in &self.class_authorizations {
             if auth.sign == Sign::Minus
@@ -229,10 +224,22 @@ mod tests {
         );
         let ctx = SecurityContext::new();
         assert!(guard
-            .query(&store, &SubjectProfile::new("mallory"), Level::TopSecret, &ctx, &probe)
+            .query(
+                &store,
+                &SubjectProfile::new("mallory"),
+                Level::TopSecret,
+                &ctx,
+                &probe
+            )
             .is_empty());
         assert!(!guard
-            .query(&store, &SubjectProfile::new("colleague"), Level::TopSecret, &ctx, &probe)
+            .query(
+                &store,
+                &SubjectProfile::new("colleague"),
+                Level::TopSecret,
+                &ctx,
+                &probe
+            )
             .is_empty());
     }
 
@@ -253,11 +260,23 @@ mod tests {
         let ctx = SecurityContext::new();
         // Public clearance sees nothing about alice.
         assert!(guard
-            .query(&store, &SubjectProfile::new("u"), Level::Unclassified, &ctx, &probe)
+            .query(
+                &store,
+                &SubjectProfile::new("u"),
+                Level::Unclassified,
+                &ctx,
+                &probe
+            )
             .is_empty());
         // Secret clearance sees all.
         assert!(!guard
-            .query(&store, &SubjectProfile::new("u"), Level::Secret, &ctx, &probe)
+            .query(
+                &store,
+                &SubjectProfile::new("u"),
+                Level::Secret,
+                &ctx,
+                &probe
+            )
             .is_empty());
     }
 
@@ -278,12 +297,24 @@ mod tests {
         // During an emergency the roster is classified...
         let emergency = SecurityContext::new().with_condition("emergency");
         assert!(guard
-            .query(&store, &SubjectProfile::new("u"), Level::Unclassified, &emergency, &probe)
+            .query(
+                &store,
+                &SubjectProfile::new("u"),
+                Level::Unclassified,
+                &emergency,
+                &probe
+            )
             .is_empty());
         // ...afterwards it is public.
         let normal = SecurityContext::new();
         assert!(!guard
-            .query(&store, &SubjectProfile::new("u"), Level::Unclassified, &normal, &probe)
+            .query(
+                &store,
+                &SubjectProfile::new("u"),
+                Level::Unclassified,
+                &normal,
+                &probe
+            )
             .is_empty());
     }
 

@@ -116,20 +116,12 @@ impl Schema {
                 // Domain / range typing.
                 for (prop, class) in &domain_pairs {
                     if *prop == &t.p {
-                        new_triples.push(Triple::new(
-                            t.s.clone(),
-                            type_.clone(),
-                            (*class).clone(),
-                        ));
+                        new_triples.push(Triple::new(t.s.clone(), type_.clone(), (*class).clone()));
                     }
                 }
                 for (prop, class) in &range_pairs {
                     if *prop == &t.p {
-                        new_triples.push(Triple::new(
-                            t.o.clone(),
-                            type_.clone(),
-                            (*class).clone(),
-                        ));
+                        new_triples.push(Triple::new(t.o.clone(), type_.clone(), (*class).clone()));
                     }
                 }
             }
@@ -187,7 +179,11 @@ mod tests {
     fn deep_hierarchy_propagates() {
         let mut st = TripleStore::new();
         for i in 0..6 {
-            st.insert(&t(&format!("C{i}"), rdfs::SUB_CLASS_OF, &format!("C{}", i + 1)));
+            st.insert(&t(
+                &format!("C{i}"),
+                rdfs::SUB_CLASS_OF,
+                &format!("C{}", i + 1),
+            ));
         }
         st.insert(&t("x", rdf::TYPE, "C0"));
         let closed = Schema::closure(&st);

@@ -323,12 +323,24 @@ mod tests {
         );
         // The denied pattern itself returns nothing either way...
         assert!(ss
-            .query_as(&profile, clearance, &ctx, &probe, EnforcementMode::Syntactic)
+            .query_as(
+                &profile,
+                clearance,
+                &ctx,
+                &probe,
+                EnforcementMode::Syntactic
+            )
             .is_empty());
         // ...but the subclass typing leaks through syntactic enforcement,
         // letting the adversary infer the protected fact:
         assert_eq!(
-            ss.leakage(&profile, clearance, &ctx, &probe, EnforcementMode::Syntactic),
+            ss.leakage(
+                &profile,
+                clearance,
+                &ctx,
+                &probe,
+                EnforcementMode::Syntactic
+            ),
             1
         );
     }
@@ -377,8 +389,14 @@ mod tests {
             PatternTerm::c(Term::iri("Clerk")),
         );
         assert_eq!(
-            ss2.query_as(&profile, clearance, &ctx, &clerk_probe, EnforcementMode::Semantic)
-                .len(),
+            ss2.query_as(
+                &profile,
+                clearance,
+                &ctx,
+                &clerk_probe,
+                EnforcementMode::Semantic
+            )
+            .len(),
             1
         );
     }
@@ -396,7 +414,13 @@ mod tests {
         );
         // Syntactic: the entailed answer is missing.
         assert!(ss
-            .query_as(&profile, clearance, &ctx, &probe, EnforcementMode::Syntactic)
+            .query_as(
+                &profile,
+                clearance,
+                &ctx,
+                &probe,
+                EnforcementMode::Syntactic
+            )
             .is_empty());
         // Semantic: present.
         assert_eq!(
@@ -424,11 +448,23 @@ mod tests {
         let mallory = SubjectProfile::new("mallory");
         let alice = SubjectProfile::new("alice");
         assert!(ss
-            .query_as(&mallory, Clearance(Level::TopSecret), &ctx, &probe, EnforcementMode::Syntactic)
+            .query_as(
+                &mallory,
+                Clearance(Level::TopSecret),
+                &ctx,
+                &probe,
+                EnforcementMode::Syntactic
+            )
             .is_empty());
         assert_eq!(
-            ss.query_as(&alice, Clearance(Level::TopSecret), &ctx, &probe, EnforcementMode::Syntactic)
-                .len(),
+            ss.query_as(
+                &alice,
+                Clearance(Level::TopSecret),
+                &ctx,
+                &probe,
+                EnforcementMode::Syntactic
+            )
+            .len(),
             1
         );
     }
@@ -455,11 +491,23 @@ mod tests {
         let war = SecurityContext::new().with_condition("wartime");
         let peace = SecurityContext::new();
         assert!(ss
-            .query_as(&profile, clearance, &war, &probe, EnforcementMode::Syntactic)
+            .query_as(
+                &profile,
+                clearance,
+                &war,
+                &probe,
+                EnforcementMode::Syntactic
+            )
             .is_empty());
         assert_eq!(
-            ss.query_as(&profile, clearance, &peace, &probe, EnforcementMode::Syntactic)
-                .len(),
+            ss.query_as(
+                &profile,
+                clearance,
+                &peace,
+                &probe,
+                EnforcementMode::Syntactic
+            )
+            .len(),
             1
         );
     }
@@ -481,13 +529,15 @@ mod tests {
             sign: Sign::Minus,
         });
         let (profile, clearance, ctx) = anyone();
-        let probe = TriplePattern::new(
-            PatternTerm::c(stmt),
-            PatternTerm::Any,
-            PatternTerm::Any,
-        );
+        let probe = TriplePattern::new(PatternTerm::c(stmt), PatternTerm::Any, PatternTerm::Any);
         assert!(ss
-            .query_as(&profile, clearance, &ctx, &probe, EnforcementMode::Syntactic)
+            .query_as(
+                &profile,
+                clearance,
+                &ctx,
+                &probe,
+                EnforcementMode::Syntactic
+            )
             .is_empty());
     }
 

@@ -304,11 +304,8 @@ impl TripleStore {
                         other => other.clone(),
                     }
                 };
-                let concrete = TriplePattern::new(
-                    subst(&pattern.s),
-                    subst(&pattern.p),
-                    subst(&pattern.o),
-                );
+                let concrete =
+                    TriplePattern::new(subst(&pattern.s), subst(&pattern.p), subst(&pattern.o));
                 for triple in self.query(&concrete) {
                     let mut b = binding.clone();
                     let mut ok = true;
@@ -569,11 +566,7 @@ mod tests {
         let bag = st.add_container(ContainerKind::Seq, &members);
         assert_eq!(st.container_members(&bag), members);
         // Type triple present.
-        assert!(st.contains(&Triple::new(
-            bag,
-            Term::iri(rdf::TYPE),
-            Term::iri(rdf::SEQ)
-        )));
+        assert!(st.contains(&Triple::new(bag, Term::iri(rdf::TYPE), Term::iri(rdf::SEQ))));
     }
 
     #[test]
@@ -613,8 +606,9 @@ mod tests {
     #[test]
     fn pattern_matches() {
         let tr = t("a", "p", "b");
-        assert!(TriplePattern::new(PatternTerm::Any, PatternTerm::Any, PatternTerm::Any)
-            .matches(&tr));
+        assert!(
+            TriplePattern::new(PatternTerm::Any, PatternTerm::Any, PatternTerm::Any).matches(&tr)
+        );
         assert!(TriplePattern::new(
             PatternTerm::c(Term::iri("a")),
             PatternTerm::v("x"),

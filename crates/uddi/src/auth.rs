@@ -279,7 +279,10 @@ mod tests {
         }
         let err = verify_entry(&ans, &provider.public_key(), "biz-acme", &path).unwrap_err();
         assert!(
-            matches!(err, VerifyError::ContentMismatch(_) | VerifyError::ProofInvalid),
+            matches!(
+                err,
+                VerifyError::ContentMismatch(_) | VerifyError::ProofInvalid
+            ),
             "{err:?}"
         );
     }
@@ -310,9 +313,13 @@ mod tests {
         assert_eq!(hits.len(), 1);
         let (row, answer) = &hits[0];
         let name_path = Path::parse("/businessEntity/name").unwrap();
-        let verified =
-            verify_entry(answer, &provider.public_key(), &row.business_key, &name_path)
-                .expect("honest browse verifies");
+        let verified = verify_entry(
+            answer,
+            &provider.public_key(),
+            &row.business_key,
+            &name_path,
+        )
+        .expect("honest browse verifies");
         assert!(verified.view.to_xml_string().contains("Acme Healthcare"));
     }
 
@@ -329,8 +336,13 @@ mod tests {
             }
         }
         let name_path = Path::parse("/businessEntity/name").unwrap();
-        assert!(verify_entry(answer, &provider.public_key(), &row.business_key, &name_path)
-            .is_err());
+        assert!(verify_entry(
+            answer,
+            &provider.public_key(),
+            &row.business_key,
+            &name_path
+        )
+        .is_err());
     }
 
     #[test]

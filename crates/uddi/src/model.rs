@@ -253,10 +253,16 @@ mod tests {
     fn entity_document_structure() {
         let d = sample().to_document();
         let s = d.to_xml_string();
-        assert!(s.starts_with("<businessEntity businessKey=\"biz-1\">"), "{s}");
+        assert!(
+            s.starts_with("<businessEntity businessKey=\"biz-1\">"),
+            "{s}"
+        );
         assert!(s.contains("<name>Acme Healthcare</name>"), "{s}");
         assert!(s.contains("serviceKey=\"svc-1\""), "{s}");
-        assert!(s.contains("accessPoint=\"https://acme.example/soap\""), "{s}");
+        assert!(
+            s.contains("accessPoint=\"https://acme.example/soap\""),
+            "{s}"
+        );
         assert!(s.contains("keyValue=\"62\""), "{s}");
         assert!(s.contains("ops@acme.example"), "{s}");
     }
@@ -264,8 +270,9 @@ mod tests {
     #[test]
     fn entity_document_queryable() {
         let d = sample().to_document();
-        let p = websec_xml::Path::parse("/businessEntity/businessServices/businessService/@serviceKey")
-            .unwrap();
+        let p =
+            websec_xml::Path::parse("/businessEntity/businessServices/businessService/@serviceKey")
+                .unwrap();
         assert_eq!(p.select(&d).len(), 1);
     }
 

@@ -36,9 +36,7 @@
 //! the subject may not read, and drill-downs answer with the subject's
 //! authorized **view** of the entry document.
 
-use crate::model::{
-    BindingTemplate, BusinessEntity, BusinessService, PublisherAssertion, TModel,
-};
+use crate::model::{BindingTemplate, BusinessEntity, BusinessService, PublisherAssertion, TModel};
 use std::collections::BTreeMap;
 use websec_policy::{PolicyEngine, PolicyStore, Privilege, SubjectProfile};
 use websec_xml::{Document, Path};
@@ -402,9 +400,9 @@ impl UddiRegistry {
                 Some(subject) => self.find_business_for_impl(&qualifier, subject),
                 None => self.find_business_impl(&qualifier),
             })),
-            InquiryKind::FindService => {
-                Ok(InquiryResponse::Services(self.find_service_impl(&qualifier)))
-            }
+            InquiryKind::FindService => Ok(InquiryResponse::Services(
+                self.find_service_impl(&qualifier),
+            )),
             InquiryKind::FindTModel => {
                 Ok(InquiryResponse::TModels(self.find_tmodel_impl(&qualifier)))
             }
@@ -530,10 +528,7 @@ impl UddiRegistry {
             .ok_or_else(|| RegistryError::UnknownKey(key.to_string()))
     }
 
-    fn service_detail_impl(
-        &self,
-        key: &str,
-    ) -> Result<(&str, &BusinessService), RegistryError> {
+    fn service_detail_impl(&self, key: &str) -> Result<(&str, &BusinessService), RegistryError> {
         for be in self.businesses.values() {
             if let Some(svc) = be.services.iter().find(|s| s.service_key == key) {
                 return Ok((be.business_key.as_str(), svc));
@@ -545,11 +540,7 @@ impl UddiRegistry {
     fn binding_detail_impl(&self, key: &str) -> Result<&BindingTemplate, RegistryError> {
         for be in self.businesses.values() {
             for svc in &be.services {
-                if let Some(bt) = svc
-                    .binding_templates
-                    .iter()
-                    .find(|b| b.binding_key == key)
-                {
+                if let Some(bt) = svc.binding_templates.iter().find(|b| b.binding_key == key) {
                     return Ok(bt);
                 }
             }
@@ -631,7 +622,8 @@ mod tests {
         r.save_business(acme);
 
         let mut beta = BusinessEntity::new("biz-beta", "Beta Logistics");
-        beta.services.push(BusinessService::new("svc-track", "Tracking"));
+        beta.services
+            .push(BusinessService::new("svc-track", "Tracking"));
         r.save_business(beta);
 
         r.save_tmodel(TModel::new("uddi:tm-sched", "Scheduling Interface"));
@@ -721,18 +713,22 @@ mod tests {
     fn drill_down_and_delete() {
         let mut r = registry();
         assert!(r.inquire(&InquiryRequest::get_business("biz-acme")).is_ok());
-        let InquiryResponse::TModelDetail(tm) =
-            r.inquire(&InquiryRequest::get_tmodel("uddi:tm-sched")).unwrap()
+        let InquiryResponse::TModelDetail(tm) = r
+            .inquire(&InquiryRequest::get_tmodel("uddi:tm-sched"))
+            .unwrap()
         else {
             panic!("expected TModelDetail");
         };
         assert_eq!(tm.name, "Scheduling Interface");
         assert_eq!(
-            r.inquire(&InquiryRequest::get_business("nope")).unwrap_err(),
+            r.inquire(&InquiryRequest::get_business("nope"))
+                .unwrap_err(),
             RegistryError::UnknownKey("nope".into())
         );
         r.delete_business("biz-acme").unwrap();
-        assert!(r.inquire(&InquiryRequest::get_business("biz-acme")).is_err());
+        assert!(r
+            .inquire(&InquiryRequest::get_business("biz-acme"))
+            .is_err());
         assert!(r.delete_business("biz-acme").is_err());
     }
 
@@ -742,7 +738,9 @@ mod tests {
         let InquiryResponse::ServiceDetail {
             business_key,
             service,
-        } = r.inquire(&InquiryRequest::get_service("svc-sched")).unwrap()
+        } = r
+            .inquire(&InquiryRequest::get_service("svc-sched"))
+            .unwrap()
         else {
             panic!("expected ServiceDetail");
         };
@@ -786,7 +784,12 @@ mod tests {
     #[test]
     fn access_controlled_detail() {
         let mut r = registry();
-        r.policies.add(Authorization::for_subject(SubjectSpec::Identity("partner".into())).on(ObjectSpec::Document("biz-acme".into())).privilege(Privilege::Read).grant());
+        r.policies.add(
+            Authorization::for_subject(SubjectSpec::Identity("partner".into()))
+                .on(ObjectSpec::Document("biz-acme".into()))
+                .privilege(Privilege::Read)
+                .grant(),
+        );
         let partner = SubjectProfile::new("partner");
         let stranger = SubjectProfile::new("stranger");
         let InquiryResponse::AuthorizedBusinessView(view) = r
@@ -807,11 +810,21 @@ mod tests {
     fn access_controlled_portion_pruning() {
         let mut r = registry();
         // Partner may read everything except binding templates.
-        r.policies.add(Authorization::for_subject(SubjectSpec::Identity("partner".into())).on(ObjectSpec::Document("biz-acme".into())).privilege(Privilege::Read).grant());
-        r.policies.add(Authorization::for_subject(SubjectSpec::Identity("partner".into())).on(ObjectSpec::Portion {
-                document: "biz-acme".into(),
-                path: Path::parse("//bindingTemplates").unwrap(),
-            }).privilege(Privilege::Read).deny());
+        r.policies.add(
+            Authorization::for_subject(SubjectSpec::Identity("partner".into()))
+                .on(ObjectSpec::Document("biz-acme".into()))
+                .privilege(Privilege::Read)
+                .grant(),
+        );
+        r.policies.add(
+            Authorization::for_subject(SubjectSpec::Identity("partner".into()))
+                .on(ObjectSpec::Portion {
+                    document: "biz-acme".into(),
+                    path: Path::parse("//bindingTemplates").unwrap(),
+                })
+                .privilege(Privilege::Read)
+                .deny(),
+        );
         let InquiryResponse::AuthorizedBusinessView(view) = r
             .inquire(
                 &InquiryRequest::get_business("biz-acme")
@@ -829,7 +842,12 @@ mod tests {
     #[test]
     fn access_controlled_find_hides_unreadable() {
         let mut r = registry();
-        r.policies.add(Authorization::for_subject(SubjectSpec::Identity("partner".into())).on(ObjectSpec::Document("biz-acme".into())).privilege(Privilege::Read).grant());
+        r.policies.add(
+            Authorization::for_subject(SubjectSpec::Identity("partner".into()))
+                .on(ObjectSpec::Document("biz-acme".into()))
+                .privilege(Privilege::Read)
+                .grant(),
+        );
         let all = businesses(r.inquire(&InquiryRequest::find_business()).unwrap());
         assert_eq!(all.len(), 2);
         let partner_rows = businesses(
@@ -871,8 +889,9 @@ mod tests {
         acme2.description = "v2".into();
         r.save_business(acme2);
         assert_eq!(r.business_count(), 2);
-        let InquiryResponse::BusinessDetail(be) =
-            r.inquire(&InquiryRequest::get_business("biz-acme")).unwrap()
+        let InquiryResponse::BusinessDetail(be) = r
+            .inquire(&InquiryRequest::get_business("biz-acme"))
+            .unwrap()
         else {
             panic!("expected BusinessDetail");
         };
