@@ -142,8 +142,10 @@ impl<'a> AnalyzerInput<'a> {
     }
 }
 
-/// The input sections a pass reads. Fingerprinting each section lets a
-/// caller decide which passes a mutation can possibly affect.
+/// The input sections a pass reads. Comparing each section of a changed
+/// configuration with the one already analysed lets a caller decide which
+/// passes a mutation can possibly affect: only those reading a section
+/// that differs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Section {
     /// Policy base: authorizations, hierarchy, collections.
@@ -168,7 +170,7 @@ pub enum Section {
 }
 
 impl Section {
-    /// Every section, in fingerprint order.
+    /// Every section, in declaration order.
     pub const ALL: [Section; 9] = [
         Section::Policy,
         Section::Documents,

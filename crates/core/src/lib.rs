@@ -41,8 +41,7 @@
 //!   content-addressed, sealed-at-rest blob store whose retrieval is gated
 //!   by the XML-level access decision of the referencing element;
 //! * [`hash`] — FNV-1a, the one non-cryptographic hash behind shard
-//!   placement, fault schedules, analysis fingerprints and scenario
-//!   digests;
+//!   placement, retry backoff, fault schedules and scenario digests;
 //! * [`sync`] — the **concurrency-correctness layer**: instrumented
 //!   [`sync::TrackedMutex`]/[`sync::TrackedRwLock`]/`TrackedAtomic*`
 //!   wrappers feeding a lockdep-style lock-order graph (`WS110`) and a

@@ -2,24 +2,22 @@
 //!
 //! The serving layer keeps one [`AnalysisMemo`] behind one mutex. It
 //! describes the most recently analysed snapshot: its generation, the
-//! fingerprints of its nine input [`Section`]s (FNV-1a over
-//! each section's deterministic rendering), and whatever is known of its
-//! analysis — the per-pass WS003–WS012 diagnostics with their assembled
-//! [`Report`], and the WS013–WS018 policy-verifier report.
-//! [`StackServer::analyze`], [`StackServer::verify_policies`] and the
-//! `Deny` gate all read and extend it:
+//! snapshot itself, and whatever is known of its analysis — the per-pass
+//! WS003–WS012 diagnostics with their assembled [`Report`], and the
+//! WS013–WS018 policy-verifier report. [`StackServer::analyze`],
+//! [`StackServer::verify_policies`] and the `Deny` gate all read and
+//! extend it:
 //!
 //! * at the memo's own generation the cached reports answer wholesale
 //!   (zero passes executed);
-//! * at another generation the snapshot is fingerprinted once, and only the
-//!   passes whose declared sections ([`websec_analyzer::PassId::sections`])
-//!   moved re-run, with the memo's diagnostics spliced in for the rest; the
-//!   verifier, whose passes all read Policy and Documents, re-runs only when
-//!   one of those two moved. The Documents section is rendered only when
-//!   the snapshot holds other documents than the ones the memo
-//!   fingerprinted, and the Policy section renders only the rules the memo
-//!   has not digested (both compared by identity, see
-//!   [`SnapshotAnalysis::rebase`]).
+//! * at another generation the snapshot is compared with the memo's,
+//!   section by section, and only the passes whose declared sections
+//!   ([`websec_analyzer::PassId::sections`]) moved re-run, with the memo's
+//!   diagnostics spliced in for the rest; the verifier, whose passes all
+//!   read Policy and Documents, re-runs only when one of those two moved.
+//!   Nothing moved when both are the very same snapshot; Policy and
+//!   Documents compare rules and documents by identity, the other sections
+//!   by value (see [`moved_sections`]).
 //!
 //! The [`AnalysisGate`] decides what updates do with findings:
 //! [`AnalysisGate::Off`] skips analysis entirely, and [`AnalysisGate::Deny`]
@@ -27,10 +25,11 @@
 //! the current snapshot and refuses to commit — with a stable `WS109`
 //! error — when the copy carries *new* error-severity findings. A policy
 //! change costs four analyzer and six verifier passes per gated update
-//! (DESIGN.md §8 counts them per kind of change). An accepted copy's
-//! analysis enters the memo under the generation its publication creates,
-//! so the next `analyze` and `verify_policies` are wholesale reuses; a
-//! rejected copy leaves the memo untouched.
+//! (DESIGN.md §8 counts them per kind of change). An accepted copy is
+//! published as the very snapshot its analysis holds, and that analysis
+//! enters the memo under the generation its publication creates, so the
+//! next `analyze` and `verify_policies` are wholesale reuses; a rejected
+//! copy leaves the memo untouched.
 //!
 //! Lock order: the update mutex is the server's outermost lock, taken
 //! before the snapshot lock and before the memo mutex; the snapshot lock
@@ -40,7 +39,6 @@
 //! entry for an older snapshot never replaces one for a newer snapshot.
 
 use std::collections::BTreeSet;
-use std::fmt::Write;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, PoisonError};
 use std::time::Instant;
@@ -48,13 +46,9 @@ use std::time::Instant;
 use super::metrics::Counter;
 use super::StackServer;
 use crate::error::Error;
-use crate::hash::{fnv1a, Fnv1a};
 use crate::stack::SecureWebStack;
 use websec_analyzer::{run_pass, Diagnostic, PassId, PolicyPassId, Report, Section, Severity};
-use websec_policy::{
-    shared_rule_positions, Authorization, CompiledPolicies, PolicyEngine, PolicyStore, Privilege,
-};
-use websec_xml::DocumentStore;
+use websec_policy::{CompiledPolicies, PolicyEngine, Privilege};
 
 /// What [`StackServer::try_update`] does with analyzer findings.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -68,8 +62,6 @@ pub enum AnalysisGate {
     Deny = 1,
 }
 
-/// Number of fingerprinted input sections.
-const SECTION_COUNT: usize = Section::ALL.len();
 /// Number of analyzer passes.
 const PASS_COUNT: usize = PassId::ALL.len();
 /// Number of policy-verifier passes (WS013–WS018).
@@ -80,20 +72,11 @@ const POLICY_PASS_COUNT: usize = PolicyPassId::ALL.len();
 struct SnapshotAnalysis {
     /// The snapshot's generation.
     generation: u64,
-    /// Per-[`Section`] fingerprints (indexed like [`Section::ALL`]).
-    fingerprints: [u64; SECTION_COUNT],
-    /// The documents the Documents fingerprint was taken over. Holding
-    /// them keeps each one shared, so any later write to one copies it to
-    /// a new address first: a store that
-    /// [`DocumentStore::shares_documents`] with this one holds the same
-    /// bytes.
-    documents: DocumentStore,
-    /// The rules the Policy fingerprint was taken over, in policy-base
-    /// order, and the digest of each. Holding them keeps each one
-    /// allocated, so a rule of a later snapshot at the same address
-    /// ([`std::sync::Arc::ptr_eq`]) is that very rule.
-    rules: Vec<Arc<Authorization>>,
-    rule_digests: Vec<u64>,
+    /// The snapshot analysed. Holding it keeps each of its documents and
+    /// rules shared, so any later write to one copies it to a new address
+    /// first, and none of them is freed: a snapshot whose documents or
+    /// rules sit at the same addresses holds the same bytes.
+    stack: Arc<SecureWebStack>,
     /// Per-pass diagnostics (indexed like [`PassId::ALL`]); `None` for a
     /// pass not yet run on this snapshot.
     passes: Vec<Option<Vec<Diagnostic>>>,
@@ -115,122 +98,40 @@ pub(super) struct AnalysisMemo {
     last_passes_run: Vec<&'static str>,
 }
 
-/// Writes the deterministic rendering of one analyzer input section of
-/// `stack` to `s`: two stacks built alike render the same bytes.
-/// [`section_fingerprints`] does not call it for the Documents section
-/// when the memo already fingerprinted the very same documents.
-/// Documents stream through [`websec_xml::Document::write_xml`], document
-/// labels are sorted by name first, and the other sections render with
-/// `Debug` over `Vec`s, BTree collections and triple stores, whose
-/// hand-written `Debug` prints their terms in id order and their SPO
-/// index but not their term lookup `HashMap`. The policy section includes
-/// the engine's conflict strategy, which the compiled plane the verifier
-/// reads (WS013, WS014) depends on, each rule as the digest of its own
-/// rendering (`rule_digests`, in policy-base order), and collection
-/// membership, which decides the documents a collection rule covers.
-fn render_section(stack: &SecureWebStack, section: Section, rule_digests: &[u64], s: &mut Fnv1a) {
-    match section {
-        Section::Policy => {
-            let policies = &stack.policies;
-            let _ = write!(s, "{:?};", stack.engine.strategy);
-            for digest in rule_digests {
-                s.0 = fnv1a(&digest.to_le_bytes(), s.0);
-            }
-            let _ = write!(s, ";{:?}", policies.hierarchy.seniority_pairs());
-            for name in policies.collection_names() {
-                let _ = write!(s, ";{name:?}:{:?}", policies.collection_members(name));
-            }
-        }
-        Section::Documents => {
-            for name in stack.documents.names() {
-                if let Some(doc) = stack.documents.get(name) {
-                    let _ = write!(s, "{name}\u{1f}");
-                    let _ = doc.write_xml(s);
-                    let _ = s.write_char('\u{1e}');
-                }
-            }
-        }
-        Section::Labels => {
-            let mut labels: Vec<(String, String)> = stack
-                .documents
-                .names()
-                .iter()
-                .filter_map(|n| stack.label_of(n).map(|l| (n.to_string(), format!("{l:?}"))))
-                .collect();
-            labels.sort();
-            let _ = write!(s, "{labels:?}");
-        }
-        Section::Catalog => {
-            for triple in stack.catalog.all() {
-                let _ = writeln!(s, "{triple}");
-            }
-        }
-        Section::Privacy => {
-            let _ = write!(
-                s,
-                "{:?};{:?};{:?}",
-                stack.privacy_constraints, stack.table_schemas, stack.sanitized_documents
-            );
-        }
-        Section::Rdf => {
-            let _ = write!(s, "{:?};{:?}", stack.context, stack.semantic_stores);
-        }
-        Section::Dissem => {
-            let _ = write!(s, "{:?}", stack.dissemination_audits);
-        }
-        Section::Uddi => {
-            let _ = write!(s, "{:?}", stack.uddi);
-        }
-        Section::Subjects => {
-            let _ = write!(s, "{:?}", stack.registered_profiles);
-        }
+/// The analyzer input sections in which `after` may differ from `before`,
+/// in [`Section::ALL`] order: none when both are the very same snapshot.
+/// Policy compares the conflict strategy, which the compiled plane the
+/// verifier reads (WS013, WS014) depends on, and the policy base by
+/// identity ([`websec_policy::PolicyStore::shares_base`]); Documents
+/// compares by identity too ([`websec_xml::DocumentStore::shares_documents`]).
+/// Identity is exact because `before` is the memo's snapshot, which keeps
+/// its rules and documents alive; a stack built separately moves both,
+/// whatever it holds. Every other section compares by value.
+fn moved_sections(before: &Arc<SecureWebStack>, after: &Arc<SecureWebStack>) -> Vec<Section> {
+    if Arc::ptr_eq(before, after) {
+        return Vec::new();
     }
-}
-
-/// The digest of each rule of `policies`' base, in policy-base order:
-/// carried over from `prev` for every rule it digested (the very same
-/// allocation, which `prev` keeps alive), rendered with `Debug` for the
-/// others. Also returns how many rules were rendered.
-fn rule_digests(policies: &PolicyStore, prev: Option<&SnapshotAnalysis>) -> (Vec<u64>, usize) {
-    let (before, digests) = prev.map_or((&[][..], &[][..]), |p| {
-        (p.rules.as_slice(), p.rule_digests.as_slice())
-    });
-    let rules = policies.shared_authorizations();
-    let mut rendered = 0;
-    let out = shared_rule_positions(before, rules)
-        .zip(rules)
-        .map(|(seen, rule)| match seen {
-            Some(j) => digests[j],
-            None => {
-                rendered += 1;
-                let mut digest = Fnv1a::default();
-                let _ = write!(digest, "{rule:?}");
-                digest.0
+    let (b, a) = (&**before, &**after);
+    Section::ALL
+        .into_iter()
+        .filter(|section| match section {
+            Section::Policy => {
+                b.engine.strategy != a.engine.strategy || !b.policies.shares_base(&a.policies)
             }
+            Section::Documents => !b.documents.shares_documents(&a.documents),
+            Section::Labels => b.labels != a.labels,
+            Section::Catalog => b.catalog != a.catalog,
+            Section::Privacy => {
+                b.privacy_constraints != a.privacy_constraints
+                    || b.table_schemas != a.table_schemas
+                    || b.sanitized_documents != a.sanitized_documents
+            }
+            Section::Rdf => b.context != a.context || b.semantic_stores != a.semantic_stores,
+            Section::Dissem => b.dissemination_audits != a.dissemination_audits,
+            Section::Uddi => b.uddi != a.uddi,
+            Section::Subjects => b.registered_profiles != a.registered_profiles,
         })
-        .collect();
-    (out, rendered)
-}
-
-/// Fingerprints every analyzer input section of `stack`: the FNV-1a
-/// digest of its rendering, written straight into the digest, given the
-/// digest of each of its rules. When `prev` fingerprinted exactly
-/// `stack`'s documents, their digest carries over and the Documents
-/// section is not rendered.
-fn section_fingerprints(
-    stack: &SecureWebStack,
-    rule_digests: &[u64],
-    prev: Option<&SnapshotAnalysis>,
-) -> [u64; SECTION_COUNT] {
-    let same_documents = prev.filter(|p| p.documents.shares_documents(&stack.documents));
-    std::array::from_fn(|i| match (Section::ALL[i], same_documents) {
-        (Section::Documents, Some(p)) => p.fingerprints[i],
-        (section, _) => {
-            let mut digest = Fnv1a::default();
-            render_section(stack, section, rule_digests, &mut digest);
-            digest.0
-        }
-    })
+        .collect()
 }
 
 /// Machine lines of the error-severity findings in `report`, in report
@@ -254,23 +155,15 @@ fn severity_counts(report: Option<&Report>) -> (u64, u64) {
 
 impl SnapshotAnalysis {
     /// The analysis of `stack` at `generation`, derived from `prev`, another
-    /// snapshot's analysis: `stack` is fingerprinted once, and every result
-    /// whose declared sections kept their fingerprints carries over. The
-    /// Documents section is rendered only when `stack` does not hold
-    /// exactly `prev`'s documents, that is after a document was inserted,
-    /// removed or written.
-    fn rebase(prev: Option<&SnapshotAnalysis>, stack: &SecureWebStack, generation: u64) -> Self {
-        let (rule_digests, _) = rule_digests(&stack.policies, prev);
-        let fingerprints = section_fingerprints(stack, &rule_digests, prev);
-        let moved: Vec<Section> = match prev {
-            Some(p) => Section::ALL
-                .iter()
-                .zip(p.fingerprints.iter().zip(&fingerprints))
-                .filter(|(_, (before, after))| before != after)
-                .map(|(section, _)| *section)
-                .collect(),
-            None => Section::ALL.to_vec(),
-        };
+    /// snapshot's analysis: every result whose declared sections did not
+    /// move between `prev`'s snapshot and `stack` ([`moved_sections`])
+    /// carries over.
+    fn rebase(
+        prev: Option<&SnapshotAnalysis>,
+        stack: &Arc<SecureWebStack>,
+        generation: u64,
+    ) -> Self {
+        let moved = prev.map_or(Section::ALL.to_vec(), |p| moved_sections(&p.stack, stack));
         let unchanged = |sections: &[Section]| !sections.iter().any(|s| moved.contains(s));
         let passes: Vec<Option<Vec<Diagnostic>>> = PassId::ALL
             .iter()
@@ -295,26 +188,23 @@ impl SnapshotAnalysis {
             .and_then(|p| p.policy.clone());
         SnapshotAnalysis {
             generation,
-            fingerprints,
-            documents: stack.documents.clone(),
-            rules: stack.policies.shared_authorizations().to_vec(),
-            rule_digests,
+            stack: Arc::clone(stack),
             passes,
             report,
             policy,
         }
     }
 
-    /// The WS003–WS012 report of `stack` (the snapshot this analysis
-    /// describes), running only the passes with no result yet; also
-    /// returns the codes of the passes run.
-    fn complete_report(&mut self, stack: &SecureWebStack) -> (&Report, Vec<&'static str>) {
+    /// The WS003–WS012 report of the snapshot this analysis describes,
+    /// running only the passes with no result yet; also returns the codes
+    /// of the passes run.
+    fn complete_report(&mut self) -> (&Report, Vec<&'static str>) {
         let mut ran = Vec::new();
         let report = match self.report.take() {
             Some(report) => report,
             None => {
                 let passes = &mut self.passes;
-                stack.with_analyzer_input(|input| {
+                self.stack.with_analyzer_input(|input| {
                     for (pass, slot) in PassId::ALL.iter().zip(passes.iter_mut()) {
                         if slot.is_none() {
                             ran.push(pass.code());
@@ -333,17 +223,13 @@ impl SnapshotAnalysis {
         (&*self.report.insert(report), ran)
     }
 
-    /// The WS013–WS018 report of `stack` over `compiled`, its decision
-    /// plane, running the full suite unless the report is known; also
-    /// returns whether it ran.
-    fn complete_policy(
-        &mut self,
-        stack: &SecureWebStack,
-        compiled: &CompiledPolicies,
-    ) -> (&Report, bool) {
+    /// The WS013–WS018 report of the snapshot this analysis describes over
+    /// `compiled`, its decision plane, running the full suite unless the
+    /// report is known; also returns whether it ran.
+    fn complete_policy(&mut self, compiled: &CompiledPolicies) -> (&Report, bool) {
         let (report, ran) = match self.policy.take() {
             Some(report) => (report, false),
-            None => (stack.verify_policies(compiled), true),
+            None => (self.stack.verify_policies(compiled), true),
         };
         (&*self.policy.insert(report), ran)
     }
@@ -367,14 +253,14 @@ impl StackServer {
 
     /// Analyzes the current snapshot **incrementally**: results are cached
     /// keyed by the snapshot's generation, and when the generation moved,
-    /// only the passes whose input sections' fingerprints changed re-run —
-    /// cached diagnostics are spliced in for the rest.
+    /// only the passes whose input sections differ from the memo's
+    /// snapshot re-run — cached diagnostics are spliced in for the rest.
     /// The pass-run/reuse split is observable through
     /// [`super::MetricsSnapshot`] and [`StackServer::last_passes_run`].
     #[must_use]
     pub fn analyze(&self) -> Report {
         let published = self.published();
-        let (stack, generation) = (&published.stack, published.generation);
+        let generation = published.generation;
         {
             let mut memo = self.analysis.lock().unwrap_or_else(PoisonError::into_inner);
             let cached = memo
@@ -389,8 +275,8 @@ impl StackServer {
                 return report;
             }
         }
-        let mut analysis = self.memo_for(stack, generation);
-        let (report, ran) = analysis.complete_report(stack);
+        let mut analysis = self.memo_for(&published.stack, generation);
+        let (report, ran) = analysis.complete_report();
         let report = report.clone();
         self.count_passes(ran.len());
         self.commit(analysis, Some(ran));
@@ -413,7 +299,7 @@ impl StackServer {
     /// The memo's analysis of the snapshot `stack` at `generation`: the memo's
     /// own entry when it describes that snapshot, else one rebased onto it
     /// from the memo's entry. A copy, so no pass runs under the mutex.
-    fn memo_for(&self, stack: &SecureWebStack, generation: u64) -> SnapshotAnalysis {
+    fn memo_for(&self, stack: &Arc<SecureWebStack>, generation: u64) -> SnapshotAnalysis {
         let latest = self
             .analysis
             .lock()
@@ -429,19 +315,25 @@ impl StackServer {
     /// Stores `analysis` as the memo's entry unless the memo already
     /// describes a newer snapshot (a reader that analysed an older one
     /// finishing after a publication); `ran`, when given, becomes
-    /// [`StackServer::last_passes_run`].
+    /// [`StackServer::last_passes_run`]. The entry left out is dropped
+    /// after the mutex is released: it may hold the last handle on a
+    /// replaced snapshot.
     fn commit(&self, analysis: SnapshotAnalysis, ran: Option<Vec<&'static str>>) {
         let mut memo = self.analysis.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(ran) = ran {
             memo.last_passes_run = ran;
         }
-        if memo
+        let newer = memo
             .latest
             .as_ref()
-            .is_none_or(|latest| latest.generation <= analysis.generation)
-        {
-            memo.latest = Some(analysis);
-        }
+            .is_none_or(|latest| latest.generation <= analysis.generation);
+        let left_out = if newer {
+            memo.latest.replace(analysis)
+        } else {
+            Some(analysis)
+        };
+        drop(memo);
+        drop(left_out);
     }
 
     /// Accounts one analyzer run that executed `ran` passes and reused the
@@ -478,15 +370,16 @@ impl StackServer {
     /// [`websec_analyzer::policy_verify`]) over the current snapshot's
     /// compiled decision plane, **incrementally**: the report is memoized
     /// with the snapshot's analysis, and when the generation moved without the
-    /// policy base or the documents changing (fingerprint-checked — e.g.
-    /// after [`StackServer::invalidate_views`]), the memoized report is
-    /// reused wholesale. The run/reuse split is observable through
+    /// policy base or the documents changing (compared with the memo's
+    /// snapshot — e.g. after [`StackServer::invalidate_views`], which
+    /// republishes the very same one), the memoized report is reused
+    /// wholesale. The run/reuse split is observable through
     /// [`super::MetricsSnapshot::policy_passes_run`] and
     /// [`super::MetricsSnapshot::policy_passes_reused`].
     #[must_use]
     pub fn verify_policies(&self) -> Report {
         let published = self.published();
-        let (stack, generation) = (&published.stack, published.generation);
+        let generation = published.generation;
         let cached = self
             .analysis
             .lock()
@@ -499,8 +392,8 @@ impl StackServer {
             self.count_policy_passes(false);
             return report;
         }
-        let mut analysis = self.memo_for(stack, generation);
-        let (report, ran) = analysis.complete_policy(stack, &published.compiled);
+        let mut analysis = self.memo_for(&published.stack, generation);
+        let (report, ran) = analysis.complete_policy(&published.compiled);
         let report = report.clone();
         self.count_policy_passes(ran);
         self.commit(analysis, None);
@@ -581,10 +474,9 @@ impl StackServer {
                 // an ungated update or republication since the last
                 // analysis).
                 let mut baseline = self.memo_for(current, generation);
-                let (report, baseline_ran) = baseline.complete_report(current);
+                let (report, baseline_ran) = baseline.complete_report();
                 let baseline_errors: BTreeSet<String> = error_lines(report).collect();
-                let (report, baseline_policy_ran) =
-                    baseline.complete_policy(current, &published.compiled);
+                let (report, baseline_policy_ran) = baseline.complete_policy(&published.compiled);
                 let baseline_policy_errors: BTreeSet<String> = error_lines(report).collect();
                 self.count_passes(baseline_ran.len());
                 self.count_policy_passes(baseline_policy_ran);
@@ -600,15 +492,17 @@ impl StackServer {
                 let t = Instant::now();
                 let compiled = candidate.compile(Some(&published.compiled));
                 let compile_ns = u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                // Keyed by the current generation until publication
-                // creates the candidate's own.
+                // Analysed as the very snapshot it is published as, keyed
+                // by the current generation until publication creates its
+                // own.
+                let candidate = Arc::new(candidate);
                 let mut analysis =
                     SnapshotAnalysis::rebase(Some(&baseline), &candidate, generation);
-                let (report, ran) = analysis.complete_report(&candidate);
+                let (report, ran) = analysis.complete_report();
                 let mut introduced: Vec<String> = error_lines(report)
                     .filter(|line| !baseline_errors.contains(line))
                     .collect();
-                let (policy_report, policy_ran) = analysis.complete_policy(&candidate, &compiled);
+                let (policy_report, policy_ran) = analysis.complete_policy(&compiled);
                 introduced.extend(
                     error_lines(policy_report)
                         .filter(|line| !baseline_policy_errors.contains(line)),
@@ -621,7 +515,7 @@ impl StackServer {
                     return Err(Error::AnalysisRejected(introduced.join("\n")));
                 }
                 self.count_compile(compile_ns);
-                analysis.generation = self.publish(Arc::new(candidate), compiled);
+                analysis.generation = self.publish(candidate, compiled);
                 self.commit(analysis, Some(ran));
                 drop(writer);
                 Ok(result)
@@ -633,37 +527,14 @@ impl StackServer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use websec_policy::mls::{ContextLabel, Level};
-    use websec_policy::{ObjectSpec, SubjectSpec};
+    use crate::stack::vocab;
+    use websec_dissem::{KeyAuthority, RegionMap};
+    use websec_policy::mls::{ContextLabel, Level, SecurityContext};
+    use websec_policy::{Authorization, ObjectSpec, SubjectProfile, SubjectSpec};
+    use websec_privacy::{PrivacyConstraint, PrivacyLevel};
     use websec_rdf::{SecureStore, Term, Triple};
+    use websec_uddi::{TModel, UddiRegistry};
     use websec_xml::{Document, Path};
-
-    /// A stack holding one semantic store of sixteen triples, built the
-    /// same way on every call.
-    fn rdf_stack() -> SecureWebStack {
-        let mut store = SecureStore::new();
-        for i in 0..16 {
-            store.store.insert(&Triple::new(
-                Term::iri(&format!("http://example.org/s{i}")),
-                Term::iri("http://example.org/p"),
-                Term::lit(&format!("o{i}")),
-            ));
-        }
-        let mut stack = SecureWebStack::new([7u8; 32]);
-        stack.semantic_stores.push(("kb".into(), store));
-        stack
-    }
-
-    /// The same content renders the same bytes: two identically built
-    /// stacks with RDF data get equal fingerprints in every section.
-    #[test]
-    fn identically_built_stacks_fingerprint_alike() {
-        let fingerprints = |stack: &SecureWebStack| {
-            let (rules, _) = rule_digests(&stack.policies, None);
-            section_fingerprints(stack, &rules, None)
-        };
-        assert_eq!(fingerprints(&rdf_stack()), fingerprints(&rdf_stack()));
-    }
 
     /// A one-document stack whose policy base grants `//patient` to each
     /// of `doctors`.
@@ -691,65 +562,87 @@ mod tests {
             .grant()
     }
 
-    /// The Policy fingerprint renders only the rules the memo has not seen:
-    /// none after a revocation, the new one after an add, every rule of a
-    /// stack built separately (whose ids repeat the memo's). The
-    /// fingerprint still moves with each, and a stack built alike
-    /// fingerprints alike.
-    #[test]
-    fn the_policy_fingerprint_renders_only_new_rules() {
-        let policy = Section::ALL
-            .iter()
-            .position(|s| *s == Section::Policy)
-            .unwrap();
+    /// A ward stack with every other input section populated too (a
+    /// semantic store, a condition, privacy, an audit, a registry and a
+    /// profile), built the same way on every call.
+    fn configured_stack() -> SecureWebStack {
         let mut stack = ward_stack(&["ann", "bob", "cy"]);
-        let (_, rendered) = rule_digests(&stack.policies, None);
-        assert_eq!(rendered, 3);
-        let first = SnapshotAnalysis::rebase(None, &stack, 0);
-
+        let mut kb = SecureStore::new();
+        for i in 0..16 {
+            kb.store.insert(&Triple::new(
+                Term::iri(&format!("http://example.org/s{i}")),
+                Term::iri("http://example.org/p"),
+                Term::lit(&format!("o{i}")),
+            ));
+        }
+        stack.semantic_stores.push(("kb".into(), kb));
+        stack.context = SecurityContext::new().with_condition("drill");
+        stack.privacy_constraints.push(PrivacyConstraint::new(
+            &["name", "ssn"],
+            PrivacyLevel::Private,
+        ));
         stack
+            .table_schemas
+            .push(("admissions".into(), vec!["name".into(), "ssn".into()]));
+        stack.sanitized_documents.insert("h.xml".into());
+        let doc = stack.documents.get("h.xml").unwrap();
+        let map = RegionMap::build(&stack.policies, "h.xml", doc);
+        let ann = SubjectProfile::new("ann");
+        let keys = KeyAuthority::new("h.xml", [3u8; 32]).keys_for(&stack.policies, &map, &ann);
+        stack.dissemination_audits.push((map, vec![(ann, keys)]));
+        let mut registry = UddiRegistry::new();
+        registry.save_tmodel(TModel::new("tm:pay", "payment interface"));
+        stack.uddi = Some((registry, BTreeSet::new()));
+        stack.registered_profiles.push(SubjectProfile::new("ann"));
+        stack
+    }
+
+    /// Which sections each kind of change moves: a clone none, a
+    /// revocation or an add Policy alone, a stack built separately with
+    /// the same content Policy and Documents (its rules and documents are
+    /// not the memo's), and a catalog edit that keeps the catalog's text
+    /// rendering Catalog alone.
+    #[test]
+    fn each_change_moves_exactly_its_sections() {
+        let before = Arc::new(configured_stack());
+        let moved = |after: SecureWebStack| moved_sections(&before, &Arc::new(after));
+        assert!(moved_sections(&before, &before).is_empty());
+        assert_eq!(moved((*before).clone()), []);
+
+        let mut revoked = (*before).clone();
+        revoked
             .policies
             .revoke_matching(|a| matches!(&a.subject, SubjectSpec::Identity(id) if id == "bob"));
-        let (_, rendered) = rule_digests(&stack.policies, Some(&first));
-        assert_eq!(rendered, 0, "a revocation renders no rule");
-        let second = SnapshotAnalysis::rebase(Some(&first), &stack, 1);
-        assert_ne!(second.fingerprints[policy], first.fingerprints[policy]);
+        assert_eq!(moved(revoked), [Section::Policy]);
+        let mut added = (*before).clone();
+        added.policies.add(grant("dee"));
+        assert_eq!(moved(added), [Section::Policy]);
 
-        stack.policies.add(grant("dee"));
-        let (_, rendered) = rule_digests(&stack.policies, Some(&second));
-        assert_eq!(rendered, 1, "an add renders the new rule only");
-        let third = SnapshotAnalysis::rebase(Some(&second), &stack, 2);
-        assert_ne!(third.fingerprints[policy], second.fingerprints[policy]);
-
-        // A stack built separately numbers its rules alike, but none of
-        // them is a rule the memo digested.
-        let other = ward_stack(&["ann", "eve", "cy"]);
-        let (_, rendered) = rule_digests(&other.policies, Some(&first));
-        assert_eq!(rendered, 3, "equal ids are not the same rules");
         assert_eq!(
-            SnapshotAnalysis::rebase(Some(&first), &other, 3).fingerprints[policy],
-            SnapshotAnalysis::rebase(None, &other, 3).fingerprints[policy]
-        );
-        assert_ne!(
-            SnapshotAnalysis::rebase(None, &other, 3).fingerprints[policy],
-            first.fingerprints[policy]
+            moved(configured_stack()),
+            [Section::Policy, Section::Documents]
         );
 
-        // The same content built from nothing fingerprints alike.
-        let mut twin = ward_stack(&["ann", "bob", "cy"]);
-        twin.policies
-            .revoke_matching(|a| matches!(&a.subject, SubjectSpec::Identity(id) if id == "bob"));
-        twin.policies.add(grant("dee"));
-        assert_eq!(
-            SnapshotAnalysis::rebase(None, &twin, 0).fingerprints,
-            third.fingerprints
-        );
+        // One entry naming `p" .⏎_:b5 <…#documentName> "q`, then the two
+        // entries `p` and `q`: one line per triple prints both alike.
+        let entry =
+            |name: &str| Triple::new(Term::Blank(5), Term::iri(vocab::DOC_NAME), Term::lit(name));
+        let joined = format!("p\" .\n_:b5 <{}> \"q", vocab::DOC_NAME);
+        let mut odd = (*before).clone();
+        odd.catalog.insert(&entry(&joined));
+        let odd = Arc::new(odd);
+        let mut split = (*odd).clone();
+        split.catalog.remove(&entry(&joined));
+        split.catalog.insert(&entry("p"));
+        split.catalog.insert(&entry("q"));
+        assert_eq!(moved_sections(&odd, &Arc::new(split)), [Section::Catalog]);
     }
 
     /// A thousand gated revoke-and-grant cycles over fresh identities
     /// leave the published tables and the memo holding no more than the
     /// live policy base needs: one form per rule, an identity table within
-    /// twice the identity rules (or 16), one digest per rule.
+    /// twice the identity rules (or 16), and a memo holding the published
+    /// snapshot itself.
     #[test]
     fn churn_keeps_the_tables_and_the_memo_bounded_by_the_live_base() {
         let server = StackServer::new(ward_stack(&["ann", "bob", "f0"]));
@@ -772,11 +665,7 @@ mod tests {
             let memo = server.analysis.lock().unwrap();
             let latest = memo.latest.as_ref().expect("the gate analysed the change");
             assert_eq!(latest.generation, published.generation);
-            assert_eq!(
-                (latest.rules.len(), latest.rule_digests.len()),
-                (live, live),
-                "cycle {k}"
-            );
+            assert!(Arc::ptr_eq(&latest.stack, &published.stack), "cycle {k}");
         }
     }
 }

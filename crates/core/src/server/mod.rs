@@ -155,9 +155,9 @@ pub struct StackServer {
     /// Admission-control capacity per batch worker (0 = unlimited): a
     /// batch larger than `limit × workers` has its tail shed with `WS108`.
     queue_limit: TrackedAtomicUsize,
-    /// The analysis memo: the most recently analysed snapshot's generation,
-    /// section fingerprints, per-pass analyzer results and both reports,
-    /// plus the codes of the last analyzer run. Lock order: taken after
+    /// The analysis memo: the most recently analysed snapshot with its
+    /// generation, per-pass analyzer results and both reports, plus the
+    /// codes of the last analyzer run. Lock order: taken after
     /// the update mutex, never while the snapshot lock is held.
     analysis: TrackedMutex<analysis::AnalysisMemo>,
     /// The configured [`AnalysisGate`] (stored as its discriminant).

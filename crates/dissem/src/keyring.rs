@@ -74,7 +74,7 @@ impl KeyAuthority {
 }
 
 /// The keys one subject holds.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SubjectKeyring {
     keys: BTreeMap<RegionId, RegionKey>,
 }

@@ -82,7 +82,7 @@ impl NodeRecord {
 }
 
 /// One policy-equivalence region.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Region {
     /// Identifier.
     pub id: RegionId,
@@ -109,7 +109,7 @@ impl Region {
 }
 
 /// The complete partition of one document.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RegionMap {
     /// Document name the partition was computed for.
     pub document: String,

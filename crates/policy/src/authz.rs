@@ -13,7 +13,7 @@ use websec_xml::Path;
 pub struct AuthzId(pub u32);
 
 /// Who an authorization applies to.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum SubjectSpec {
     /// Every subject (public access).
     Anyone,
@@ -51,7 +51,7 @@ impl SubjectSpec {
 }
 
 /// What an authorization applies to.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ObjectSpec {
     /// Every document in the store.
     AllDocuments,
@@ -128,7 +128,7 @@ pub enum Propagation {
 }
 
 /// A complete authorization rule.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Authorization {
     /// Identifier within the policy base.
     pub id: AuthzId,

@@ -16,7 +16,7 @@ use websec_xml::{Document, NodeBitset, NodeId, Selection};
 /// leave the others shared: a snapshot copy and the drop of a replaced one
 /// copy and free no rule. Rules are kept in policy-base order, which is
 /// ascending [`AuthzId`] order.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PolicyStore {
     authorizations: Vec<Arc<Authorization>>,
     /// Role seniority used for `SubjectSpec::InRole`.
@@ -74,6 +74,25 @@ impl PolicyStore {
         &self.authorizations
     }
 
+    /// True when `other` holds exactly this base: the very same rules in
+    /// the same order ([`Arc::ptr_eq`], not a copy), the same role
+    /// hierarchy and the same collection membership. The twin of
+    /// `DocumentStore::shares_documents`: while `self` is alive none of
+    /// its rules is freed, so a rule `other` holds at the same address is
+    /// that rule, and a rule added since is a new allocation. A base built
+    /// separately shares no rule, whatever it holds.
+    #[must_use]
+    pub fn shares_base(&self, other: &PolicyStore) -> bool {
+        self.authorizations.len() == other.authorizations.len()
+            && self
+                .authorizations
+                .iter()
+                .zip(&other.authorizations)
+                .all(|(a, b)| Arc::ptr_eq(a, b))
+            && self.hierarchy == other.hierarchy
+            && self.collections == other.collections
+    }
+
     /// The authorization with id `id`, if the base holds it.
     #[must_use]
     pub fn get(&self, id: AuthzId) -> Option<&Authorization> {
@@ -112,12 +131,6 @@ impl PolicyStore {
             .is_some_and(|m| m.contains(document))
     }
 
-    /// Names of all registered collections, sorted.
-    #[must_use]
-    pub fn collection_names(&self) -> Vec<&str> {
-        self.collections.keys().map(String::as_str).collect()
-    }
-
     /// The members of `collection`, or `None` when it was never registered.
     #[must_use]
     pub fn collection_members(&self, collection: &str) -> Option<&BTreeSet<String>> {
@@ -137,7 +150,7 @@ impl PolicyStore {
 /// one merge walk by id finds every shared rule. Equal ids alone prove
 /// nothing: a store built separately numbers its rules from 0 too, and a
 /// re-granted rule is a new allocation.
-pub fn shared_rule_positions<'a>(
+pub(crate) fn shared_rule_positions<'a>(
     before: &'a [Arc<Authorization>],
     after: &'a [Arc<Authorization>],
 ) -> impl Iterator<Item = Option<usize>> + 'a {
@@ -234,7 +247,7 @@ pub type CoveredNodes = (Vec<NodeId>, Vec<(NodeId, String)>);
 
 /// The evaluation engine: a conflict-resolution strategy applied to a policy
 /// base.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PolicyEngine {
     /// Conflict resolution strategy.
     pub strategy: ConflictStrategy,
@@ -573,6 +586,23 @@ mod tests {
         }
         assert_eq!(twin.authorizations().map(|a| a.id).collect::<Vec<_>>(), ids);
         assert_eq!(positions(&store, &twin), [None; 4]);
+
+        // `shares_base` asks the same of the whole base: every rule, the
+        // hierarchy and collection membership.
+        assert!(store.shares_base(&copy) && copy.shares_base(&store));
+        assert!(!store.shares_base(&edited) && !store.shares_base(&regranted));
+        assert!(
+            store == twin && !store.shares_base(&twin),
+            "equal, not shared"
+        );
+        let mut ranked = store.clone();
+        ranked
+            .hierarchy
+            .add_seniority(Role::new("chief"), Role::new("intern"));
+        assert!(!store.shares_base(&ranked));
+        let mut grouped = store.clone();
+        grouped.add_collection_member("wards", "h.xml");
+        assert!(!store.shares_base(&grouped));
     }
 
     #[test]

@@ -45,7 +45,7 @@ impl std::fmt::Display for Level {
 
 /// Evaluation context: a logical clock plus named condition flags
 /// ("wartime", "emergency", ...).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SecurityContext {
     /// Monotonic epoch (e.g. days since deployment).
     pub epoch: u64,
@@ -82,14 +82,14 @@ impl SecurityContext {
 }
 
 /// A context-dependent label: a base level plus downgrade/upgrade rules.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ContextLabel {
     /// Level when no rule fires.
     pub base: Level,
     rules: Vec<LabelRule>,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 enum LabelRule {
     /// After `epoch`, the label becomes `level` (automatic declassification).
     AfterEpoch(u64, Level),

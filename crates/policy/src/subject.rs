@@ -46,7 +46,7 @@ impl std::fmt::Display for AttrValue {
 
 /// An issuer-signed credential: a named type (e.g. `physician`) plus typed
 /// attributes, bound to a holder identity.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Credential {
     /// Credential type, e.g. `"physician"` or `"insurance_agent"`.
     pub ctype: String,
@@ -303,7 +303,7 @@ impl RoleHierarchy {
     }
 
     /// The direct `(senior, junior)` edges, sorted (read-only view for
-    /// static analysis and fingerprinting).
+    /// static analysis).
     #[must_use]
     pub fn seniority_pairs(&self) -> Vec<(&Role, &Role)> {
         let mut out = Vec::new();
@@ -333,7 +333,7 @@ impl RoleHierarchy {
 }
 
 /// Everything known about a requesting subject at evaluation time.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SubjectProfile {
     /// Authenticated identity.
     pub identity: String,

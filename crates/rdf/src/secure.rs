@@ -43,7 +43,7 @@ pub mod vocab {
 }
 
 /// A pattern-scoped authorization.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RdfAuthorization {
     /// Who the rule applies to.
     pub subject: SubjectSpec,
@@ -64,7 +64,7 @@ pub enum EnforcementMode {
 
 /// A triple store with authorizations, optional schema closure, and
 /// context-dependent multilevel labels.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default, Clone, PartialEq)]
 pub struct SecureStore {
     /// The underlying triples.
     pub store: TripleStore,
@@ -267,7 +267,7 @@ impl SecureStore {
     }
 
     /// The `(pattern, label)` pairs, in match-priority order (read-only
-    /// view for static analysis and fingerprinting).
+    /// view for static analysis).
     #[must_use]
     pub fn labels(&self) -> &[(TriplePattern, ContextLabel)] {
         &self.labels

@@ -128,7 +128,7 @@ impl ContainerKind {
 }
 
 /// An indexed, dictionary-encoded triple store.
-#[derive(Default, Clone)]
+#[derive(Default, Clone, PartialEq)]
 pub struct TripleStore {
     dict: Dictionary,
     spo: BTreeSet<(TermId, TermId, TermId)>,

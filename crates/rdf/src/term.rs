@@ -47,7 +47,7 @@ impl std::fmt::Display for Term {
 pub(crate) type TermId = u32;
 
 /// Bidirectional term dictionary.
-#[derive(Default, Clone)]
+#[derive(Default, Clone, PartialEq)]
 pub(crate) struct Dictionary {
     by_term: HashMap<Term, TermId>,
     by_id: Vec<Term>,

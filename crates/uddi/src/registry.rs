@@ -296,7 +296,7 @@ pub enum InquiryResponse {
 }
 
 /// An in-memory UDDI registry.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default, Clone, PartialEq)]
 pub struct UddiRegistry {
     businesses: BTreeMap<String, BusinessEntity>,
     tmodels: BTreeMap<String, TModel>,
@@ -369,7 +369,7 @@ impl UddiRegistry {
     }
 
     /// All registered tModel keys, ascending (read-only view for static
-    /// analysis and fingerprinting).
+    /// analysis).
     pub fn tmodel_keys(&self) -> impl Iterator<Item = &str> {
         self.tmodels.keys().map(String::as_str)
     }

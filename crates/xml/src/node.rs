@@ -385,16 +385,6 @@ impl Document {
         out
     }
 
-    /// Writes the live tree's XML, exactly [`Document::to_xml_string`], to
-    /// `out` without building the string: a digest written to needs no
-    /// copy of the document.
-    ///
-    /// # Errors
-    /// Whatever `out` returns.
-    pub fn write_xml(&self, out: &mut impl Write) -> fmt::Result {
-        self.write_node(self.root, out)
-    }
-
     /// Canonical byte serialization of the subtree under `node`, used as
     /// Merkle leaf material: attributes sorted by name, text escaped, no
     /// insignificant whitespace.

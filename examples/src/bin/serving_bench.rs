@@ -605,10 +605,10 @@ fn main() -> ExitCode {
 
     // Policy-verifier timings on the same stack: the cold run executes
     // all six WS013–WS018 passes; a Privacy-only update then moves the
-    // token but neither the policy base nor the documents, so the second
-    // call must land on the fingerprint-reuse path (the snapshot is
-    // fingerprinted, no pass runs). Gated:
-    // `policy_verify_incremental_us <= policy_verify_full_us`.
+    // generation but neither the policy base nor the documents, so the
+    // second call must reuse the memoized report (the snapshot is
+    // compared with the memo's, section by section, and no pass runs).
+    // Gated: `policy_verify_incremental_us <= policy_verify_full_us`.
     let t = Instant::now();
     let policy_report = analysis.verify_policies();
     let policy_verify_full_us = t.elapsed().as_micros();

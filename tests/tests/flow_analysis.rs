@@ -13,6 +13,7 @@ use websec_core::policy::mls::ContextLabel;
 use websec_core::prelude::*;
 use websec_core::rdf::schema::rdfs;
 use websec_core::rdf::store::rdf as rdf_vocab;
+use websec_core::stack::vocab;
 use websec_core::uddi::{BindingTemplate, TModel};
 
 fn hospital() -> Document {
@@ -597,6 +598,92 @@ fn collection_membership_reruns_ws005_and_the_verifier() {
         "stale verifier report {:?}",
         codes(&verified)
     );
+}
+
+/// A catalog entry for `name` on the blank node `_:b5`.
+fn catalog_entry(name: &str) -> Triple {
+    Triple::new(Term::Blank(5), Term::iri(vocab::DOC_NAME), Term::lit(name))
+}
+
+/// The one stale catalog entry `p" .⏎_:b5 <…#documentName> "q`, which
+/// prints one line per triple just like the two entries `p` and `q`.
+fn joined_entry() -> Triple {
+    catalog_entry(&format!("p\" .\n_:b5 <{}> \"q", vocab::DOC_NAME))
+}
+
+fn split_joined_entry(s: &mut SecureWebStack) {
+    assert!(s.catalog.remove(&joined_entry()));
+    s.catalog.insert(&catalog_entry("p"));
+    s.catalog.insert(&catalog_entry("q"));
+}
+
+/// Replacing a catalog entry with two that print alike moves the Catalog
+/// section: the memo compares the catalog itself, so WS005 re-runs and
+/// reports both new dangling entries, and the Deny gate refuses them.
+#[test]
+fn a_catalog_edit_that_prints_alike_reruns_ws005() {
+    let mut stack = base_stack();
+    stack.catalog.insert(&joined_entry());
+
+    let server = StackServer::new(stack.clone());
+    let _ = server.analyze();
+    server.update(split_joined_entry);
+    let report = server.analyze();
+    assert_eq!(report.to_json(), server.snapshot().analyze().to_json());
+    assert_eq!(server.last_passes_run(), vec!["WS005"]);
+
+    let server = StackServer::new(stack);
+    server.set_analysis_gate(AnalysisGate::Deny);
+    let refused = server
+        .try_update(split_joined_entry)
+        .expect_err("new dangling catalog entries must be refused");
+    assert_eq!(refused.code(), "WS109");
+    assert!(refused.to_string().contains("catalog entry 'p'"), "{refused}");
+}
+
+/// Documents `a` (`<x/>`) and `b` (`<y/>`) replaced by the one document
+/// `a\u{1f}<x/>\u{1e}b` holding `<y/>`: a name-and-XML record per document
+/// prints both stores alike. The memo compares the documents themselves,
+/// so WS005 re-runs and reports the rule naming `a`, and the Deny gate
+/// refuses the change.
+#[test]
+fn a_document_swap_that_prints_alike_reruns_ws005() {
+    let mut stack = SecureWebStack::new([7u8; 32]);
+    stack.documents.insert("a", Document::parse("<x/>").unwrap());
+    stack.documents.insert("b", Document::parse("<y/>").unwrap());
+    stack.policies.add(
+        Authorization::for_subject(SubjectSpec::Anyone)
+            .on(ObjectSpec::Document("a".into()))
+            .privilege(Privilege::Read)
+            .grant(),
+    );
+    let merge = |s: &mut SecureWebStack| {
+        s.documents.remove("a");
+        s.documents.remove("b");
+        s.documents
+            .insert("a\u{1f}<x/>\u{1e}b", Document::parse("<y/>").unwrap());
+    };
+
+    let server = StackServer::new(stack.clone());
+    assert!(server.analyze().is_clean());
+    server.update(merge);
+    let report = server.analyze();
+    assert_eq!(report.to_json(), server.snapshot().analyze().to_json());
+    let dangling = report.with_code("WS005");
+    assert_eq!(dangling.len(), 1, "{}", report.human());
+    assert!(
+        dangling[0].message.contains("references document 'a'"),
+        "{}",
+        dangling[0].message
+    );
+
+    let server = StackServer::new(stack);
+    server.set_analysis_gate(AnalysisGate::Deny);
+    let refused = server
+        .try_update(merge)
+        .expect_err("a rule naming a removed document must be refused");
+    assert_eq!(refused.code(), "WS109");
+    assert!(refused.to_string().contains("WS005"), "{refused}");
 }
 
 #[test]

@@ -6,24 +6,32 @@
 //! match analyses the current configuration and the mutated copy in full,
 //! compiles the copy afresh, verifies both decision planes, and admits the
 //! copy only when it adds no error-severity finding. Seeded walks of gated
-//! steps — revocations and re-grants, subject-specific denials, the planted
-//! WS014 tie, strategy switches, and privacy, RDF and label pushes — check
-//! after every step that the two agree on the verdict and on the `WS109`
-//! lines, and that the memo the gate leaves behind answers `analyze()` and
-//! `verify_policies()` exactly as a full run over the snapshot does.
+//! steps reach every input section — revocations and re-grants,
+//! subject-specific denials, the planted WS014 tie, strategy switches,
+//! collection members, privacy, RDF and label pushes, dissemination
+//! audits (some holding keys past entitlement), UDDI registries,
+//! registered profiles, catalog-only entries, context-condition toggles
+//! and in-place document writes — and check after every step that the two
+//! agree on the verdict and on the `WS109` lines, and that the memo the
+//! gate leaves behind answers `analyze()` and `verify_policies()` exactly
+//! as a full run over the snapshot does.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashSet};
 
 use websec_core::analyzer::policy_verify::{verify_policies, PolicyVerifyInput};
 use websec_core::policy::mls::ContextLabel;
 use websec_core::prelude::*;
 use websec_core::rdf::schema::rdfs;
 use websec_core::rdf::store::rdf as rdf_vocab;
+use websec_core::stack::vocab;
+use websec_core::uddi::{BindingTemplate, TModel};
 use websec_scenarios::{hospital_stack, HospitalSpec};
 
 /// Seeds of the walks, and gated steps per walk.
 const SEEDS: [u64; 3] = [1, 2, 3];
-const STEPS: usize = 40;
+const STEPS: usize = 60;
+/// Kinds of [`Step`]; the walks draw every one.
+const KINDS: usize = 14;
 
 /// With `WEBSEC_LOCKDEP=1` the walk must finish with zero `WS110`/`WS111`
 /// findings (with detection off the list is empty by construction).
@@ -78,6 +86,23 @@ enum Step {
     Rdf(String, bool),
     /// Push a document under a condition-dependent label.
     Label(String),
+    /// Audit a key holder on records.xml: the holder (first) holds the
+    /// keys the second subject is entitled to now, so a holder other than
+    /// that subject keeps keys past its entitlement (a WS008 error).
+    Audit(String, String),
+    /// Install a UDDI registry with one binding, its tModel signed or not.
+    Uddi(bool),
+    /// Register a subject profile.
+    Profile(String),
+    /// Add a catalog-only entry naming this document, which the store may
+    /// not hold (a WS005 error).
+    Catalog(String),
+    /// Raise the context condition `drill`, or lower it.
+    Condition,
+    /// Rename this patient of records.xml in place (`p{i}` ↔ `q{i}`).
+    Write(usize),
+    /// Add this document to the `wards` collection.
+    Member(&'static str),
 }
 
 fn records(path: &str) -> ObjectSpec {
@@ -93,6 +118,23 @@ fn is_identity(auth: &Authorization, subject: &str, sign: Sign) -> bool {
 
 fn iri_triple(s: &str, p: &str, o: &str) -> Triple {
     Triple::new(Term::iri(s), Term::iri(p), Term::iri(o))
+}
+
+/// A registry exposing one binding that implements the `tm:pay` tModel.
+fn registry_with_binding() -> UddiRegistry {
+    let mut registry = UddiRegistry::new();
+    registry.save_tmodel(TModel::new("tm:pay", "payment interface"));
+    let mut service = BusinessService::new("s1", "payments");
+    service.binding_templates.push(BindingTemplate {
+        binding_key: "bind1".into(),
+        access_point: "https://acme.example/pay".into(),
+        description: String::new(),
+        tmodel_keys: vec!["tm:pay".into()],
+    });
+    let mut business = BusinessEntity::new("b1", "Acme");
+    business.services.push(service);
+    registry.save_business(business);
+    registry
 }
 
 /// A store whose schema closure derives a Secret premise's consequence
@@ -125,7 +167,7 @@ fn semantic_store(sealed: bool) -> SecureStore {
 
 impl Step {
     fn draw(rng: &mut Lcg, spec: &HospitalSpec, k: usize) -> Step {
-        match rng.below(7) {
+        match rng.below(KINDS) {
             0 => Step::ToggleGrant(spec.granted_subject(rng.below(spec.granted))),
             1 => Step::ToggleDeny(
                 spec.granted_subject(rng.below(spec.granted)),
@@ -141,7 +183,26 @@ impl Step {
                 )
             }
             5 => Step::Rdf(format!("store-{k}"), rng.below(3) == 0),
-            _ => Step::Label(format!("note-{k}.xml")),
+            6 => Step::Label(format!("note-{k}.xml")),
+            7 => {
+                let entitled = spec.granted_subject(rng.below(spec.granted));
+                let holder = if rng.below(2) == 0 {
+                    entitled.clone()
+                } else {
+                    spec.clerk_subject(rng.below(spec.clerks))
+                };
+                Step::Audit(holder, entitled)
+            }
+            8 => Step::Uddi(rng.below(2) == 0),
+            9 => Step::Profile(spec.clerk_subject(rng.below(spec.clerks))),
+            10 => Step::Catalog(if rng.below(3) == 0 {
+                "secret.xml".into()
+            } else {
+                format!("ghost-{k}.xml")
+            }),
+            11 => Step::Condition,
+            12 => Step::Write(rng.below(spec.patients)),
+            _ => Step::Member(["records.xml", "secret.xml", "missing.xml"][rng.below(3)]),
         }
     }
 
@@ -205,13 +266,59 @@ impl Step {
                 Document::parse("<note><body>memo</body></note>").expect("well-formed"),
                 ContextLabel::fixed(Level::Secret).unless_condition("drill", Level::Unclassified),
             ),
+            Step::Audit(holder, entitled) => {
+                let doc = s.documents.get("records.xml").expect("registered");
+                let map = RegionMap::build(&s.policies, "records.xml", doc);
+                let keys = KeyAuthority::new("records.xml", [5u8; 32]).keys_for(
+                    &s.policies,
+                    &map,
+                    &SubjectProfile::new(entitled),
+                );
+                s.dissemination_audits
+                    .push((map, vec![(SubjectProfile::new(holder), keys)]));
+            }
+            Step::Uddi(signed) => {
+                let signed = if *signed {
+                    std::iter::once("tm:pay".to_string()).collect()
+                } else {
+                    BTreeSet::new()
+                };
+                s.uddi = Some((registry_with_binding(), signed));
+            }
+            Step::Profile(identity) => s.registered_profiles.push(SubjectProfile::new(identity)),
+            Step::Catalog(name) => {
+                let entry = s.catalog.fresh_blank();
+                s.catalog.insert(&Triple::new(
+                    entry,
+                    Term::iri(vocab::DOC_NAME),
+                    Term::lit(name),
+                ));
+            }
+            Step::Condition => {
+                if !s.context.conditions.remove("drill") {
+                    s.context.conditions.insert("drill".into());
+                }
+            }
+            Step::Write(patient) => {
+                let doc = s.documents.get_mut("records.xml").expect("registered");
+                let node = doc.children(doc.root()).nth(*patient).expect("a patient");
+                let original = format!("p{patient}");
+                let id = if doc.attribute(node, "id") == Some(original.as_str()) {
+                    format!("q{patient}")
+                } else {
+                    original
+                };
+                doc.set_attribute(node, "id", &id);
+            }
+            Step::Member(document) => s.policies.add_collection_member("wards", document),
         }
     }
 }
 
-/// The walk's starting configuration. It already carries an error (a
-/// leaky store, grandfathered by the gate) and an equal-priority pair on
-/// one patient that a switch to ExplicitPriority turns into an error tie.
+/// The walk's starting configuration. It already carries errors (a leaky
+/// store, and a grant on the `wards` collection before it has a member,
+/// both grandfathered by the gate) and an equal-priority pair on one
+/// patient that a switch to ExplicitPriority turns into an error tie.
 fn initial_stack(spec: &HospitalSpec) -> SecureWebStack {
     let mut stack = hospital_stack(spec);
     stack
@@ -235,6 +342,12 @@ fn initial_stack(spec: &HospitalSpec) -> SecureWebStack {
                 .sign(sign),
         );
     }
+    stack.policies.add(
+        Authorization::for_subject(SubjectSpec::InRole(Role::new("ward-nurse")))
+            .on(ObjectSpec::Collection("wards".into()))
+            .privilege(Privilege::Read)
+            .grant(),
+    );
     stack
 }
 
@@ -282,6 +395,7 @@ fn reference_gate(current: &SecureWebStack, step: &Step) -> Result<(), BTreeSet<
 #[test]
 fn deny_gate_matches_its_full_recomputation() {
     let spec = HospitalSpec::small();
+    let mut kinds = HashSet::new();
     for seed in SEEDS {
         let server = StackServer::new(initial_stack(&spec));
         server.set_analysis_gate(AnalysisGate::Deny);
@@ -289,6 +403,7 @@ fn deny_gate_matches_its_full_recomputation() {
         let (mut accepted, mut rejected) = (0, 0);
         for k in 0..STEPS {
             let step = Step::draw(&mut rng, &spec, k);
+            kinds.insert(std::mem::discriminant(&step));
             // Now and then the generation moves first — a republication, or an
             // ungated update — so the gate finds the memo a snapshot behind
             // and brings its baseline up to date.
@@ -331,5 +446,6 @@ fn deny_gate_matches_its_full_recomputation() {
             "seed {seed}: {accepted} accepted, {rejected} rejected"
         );
     }
+    assert_eq!(kinds.len(), KINDS, "every kind of step is drawn");
     assert_no_sync_findings();
 }
