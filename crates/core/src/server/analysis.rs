@@ -597,31 +597,23 @@ mod tests {
         stack
     }
 
+    /// Matches the identity grant to `who`.
+    fn identity(who: &str) -> impl Fn(&Authorization) -> bool + '_ {
+        move |a| matches!(&a.subject, SubjectSpec::Identity(id) if id == who)
+    }
+
     /// Which sections each kind of change moves: a clone none, a
-    /// revocation or an add Policy alone, a stack built separately with
-    /// the same content Policy and Documents (its rules and documents are
-    /// not the memo's), and a catalog edit that keeps the catalog's text
-    /// rendering Catalog alone.
+    /// revocation or an add Policy alone (see
+    /// `the_policy_fingerprint_renders_only_new_rules`), a stack built
+    /// separately with the same content Policy and Documents (see
+    /// `identically_built_stacks_fingerprint_alike`), and a catalog edit
+    /// that keeps the catalog's text rendering Catalog alone.
     #[test]
     fn each_change_moves_exactly_its_sections() {
         let before = Arc::new(configured_stack());
         let moved = |after: SecureWebStack| moved_sections(&before, &Arc::new(after));
         assert!(moved_sections(&before, &before).is_empty());
         assert_eq!(moved((*before).clone()), []);
-
-        let mut revoked = (*before).clone();
-        revoked
-            .policies
-            .revoke_matching(|a| matches!(&a.subject, SubjectSpec::Identity(id) if id == "bob"));
-        assert_eq!(moved(revoked), [Section::Policy]);
-        let mut added = (*before).clone();
-        added.policies.add(grant("dee"));
-        assert_eq!(moved(added), [Section::Policy]);
-
-        assert_eq!(
-            moved(configured_stack()),
-            [Section::Policy, Section::Documents]
-        );
 
         // One entry naming `p" .⏎_:b5 <…#documentName> "q`, then the two
         // entries `p` and `q`: one line per triple prints both alike.
@@ -636,6 +628,67 @@ mod tests {
         split.catalog.insert(&entry("p"));
         split.catalog.insert(&entry("q"));
         assert_eq!(moved_sections(&odd, &Arc::new(split)), [Section::Catalog]);
+    }
+
+    /// Two stacks built alike compare equal in every section compared by
+    /// value. They still move Policy and Documents, which compare by
+    /// identity: neither holds the other's rules or documents, so the
+    /// passes reading those two re-run and every other result carries
+    /// over, and the rebased report equals the full one.
+    #[test]
+    fn identically_built_stacks_fingerprint_alike() {
+        let first = Arc::new(configured_stack());
+        let twin = Arc::new(configured_stack());
+        assert_eq!(
+            moved_sections(&first, &twin),
+            [Section::Policy, Section::Documents]
+        );
+
+        let mut memo = SnapshotAnalysis::rebase(None, &first, 0);
+        let (_, ran) = memo.complete_report();
+        assert_eq!(ran.len(), PASS_COUNT);
+        let mut rebased = SnapshotAnalysis::rebase(Some(&memo), &twin, 1);
+        let (report, ran) = rebased.complete_report();
+        let report = report.clone();
+        let expected: Vec<&str> = PassId::ALL
+            .iter()
+            .filter(|pass| {
+                pass.sections()
+                    .iter()
+                    .any(|s| matches!(s, Section::Policy | Section::Documents))
+            })
+            .map(|pass| pass.code())
+            .collect();
+        assert_eq!(ran, expected);
+        assert!(ran.len() < PASS_COUNT, "some pass reads neither section");
+        let mut full = SnapshotAnalysis::rebase(None, &twin, 1);
+        assert_eq!(report, *full.complete_report().0);
+    }
+
+    /// A revocation or an add moves Policy alone, and the copy keeps
+    /// sharing every rule it did not add: revoking the added rule again
+    /// leaves the base the memo's, so nothing moves. A base built
+    /// separately shares none of its rules, even with equal ids and
+    /// content.
+    #[test]
+    fn the_policy_fingerprint_renders_only_new_rules() {
+        let before = Arc::new(ward_stack(&["ann", "bob", "cy"]));
+        let moved = |after: &SecureWebStack| moved_sections(&before, &Arc::new(after.clone()));
+
+        let mut revoked = (*before).clone();
+        revoked.policies.revoke_matching(identity("bob"));
+        assert_eq!(moved(&revoked), [Section::Policy]);
+
+        let mut added = (*before).clone();
+        added.policies.add(grant("dee"));
+        assert_eq!(moved(&added), [Section::Policy]);
+        added.policies.revoke_matching(identity("dee"));
+        assert_eq!(moved(&added), []);
+
+        let twin = ward_stack(&["ann", "bob", "cy"]);
+        assert_eq!(twin.policies.len(), before.policies.len());
+        assert!(!before.policies.shares_base(&twin.policies));
+        assert!(before.policies.shares_base(&(*before).clone().policies));
     }
 
     /// A thousand gated revoke-and-grant cycles over fresh identities
