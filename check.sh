@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Repository gate: rustfmt over the analyzer, websec-xml, websec-policy,
-# websec-core, websec-dissem, websec-rdf and websec-uddi libraries and the
-# websec-lint binary, offline build, clippy
+# websec-core, websec-dissem, websec-rdf, websec-uddi, websec-publish,
+# websec-crypto and websec-privacy libraries and the websec-lint binary,
+# offline build, clippy
 # with warnings denied, full test suite, the wsbench build, tests and
 # short runs, the websec-lint static checks, the WS003-WS012 analyzer over
 # every example stack (byte-diffed for determinism, failing on error
@@ -45,10 +46,11 @@ if [ "${1:-}" = "--verify-policies" ]; then
 fi
 
 # The analyzer, websec-xml, websec-policy, websec-core, websec-dissem,
-# websec-rdf and websec-uddi libraries (each lib.rs and every module it
-# declares) and the websec-lint binary are in rustfmt's default style; the
-# rest of the tree is not yet.
-echo "==> rustfmt --check (analyzer, websec-xml, websec-policy, websec-core, websec-dissem, websec-rdf and websec-uddi libraries, websec-lint)"
+# websec-rdf, websec-uddi, websec-publish, websec-crypto and
+# websec-privacy libraries (each lib.rs and every module it declares) and
+# the websec-lint binary are in rustfmt's default style; the rest of the
+# tree is not yet.
+echo "==> rustfmt --check (analyzer, websec-xml, websec-policy, websec-core, websec-dissem, websec-rdf, websec-uddi, websec-publish, websec-crypto and websec-privacy libraries, websec-lint)"
 rustfmt --edition 2021 --check crates/analyzer/src/lib.rs
 rustfmt --edition 2021 --check crates/analyzer/src/bin/websec_lint.rs
 rustfmt --edition 2021 --check crates/xml/src/lib.rs
@@ -57,6 +59,9 @@ rustfmt --edition 2021 --check crates/core/src/lib.rs
 rustfmt --edition 2021 --check crates/dissem/src/lib.rs
 rustfmt --edition 2021 --check crates/rdf/src/lib.rs
 rustfmt --edition 2021 --check crates/uddi/src/lib.rs
+rustfmt --edition 2021 --check crates/publish/src/lib.rs
+rustfmt --edition 2021 --check crates/crypto/src/lib.rs
+rustfmt --edition 2021 --check crates/privacy/src/lib.rs
 
 echo "==> cargo build --release --offline"
 cargo build --release --offline

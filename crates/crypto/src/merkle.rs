@@ -241,9 +241,7 @@ impl MultiProof {
         let computed = self.recompute(height, 0, leaves, &mut hash_pos, &mut leaf_pos);
         match computed {
             Some(h) => {
-                hash_pos == self.hashes.len()
-                    && leaf_pos == leaves.len()
-                    && crate::ct_eq(&h, root)
+                hash_pos == self.hashes.len() && leaf_pos == leaves.len() && crate::ct_eq(&h, root)
             }
             None => false,
         }
@@ -376,8 +374,7 @@ mod tests {
             ];
             for subset in subsets {
                 let mp = t.prove_multi(&subset);
-                let leaves: Vec<Digest> =
-                    subset.iter().map(|&i| leaf_hash(&data[i])).collect();
+                let leaves: Vec<Digest> = subset.iter().map(|&i| leaf_hash(&data[i])).collect();
                 assert!(mp.verify(&t.root(), &leaves), "n={n} subset={subset:?}");
             }
         }

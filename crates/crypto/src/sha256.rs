@@ -255,9 +255,7 @@ mod tests {
     #[test]
     fn padding_boundaries() {
         // Lengths around the 55/56/64-byte padding boundaries must all differ.
-        let digests: Vec<Digest> = (50..70)
-            .map(|n| sha256(&vec![0xabu8; n]))
-            .collect();
+        let digests: Vec<Digest> = (50..70).map(|n| sha256(&vec![0xabu8; n])).collect();
         for i in 0..digests.len() {
             for j in i + 1..digests.len() {
                 assert_ne!(digests[i], digests[j]);

@@ -202,7 +202,11 @@ mod tests {
         // digits must vary with the message.
         let a = digits(&sha256(b"m1"));
         let b = digits(&sha256(b"m2"));
-        assert_ne!(a[L1..], b[L1..], "checksums should differ for these messages");
+        assert_ne!(
+            a[L1..],
+            b[L1..],
+            "checksums should differ for these messages"
+        );
     }
 
     #[test]

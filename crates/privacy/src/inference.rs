@@ -387,17 +387,14 @@ mod tests {
         let mut c = controller();
         let d1 = c.execute("analyst", &Query::select(&["name"]).filter("id", 1i64));
         assert!(matches!(d1, QueryDecision::Allowed { .. }));
-        let d2 = c.execute(
-            "analyst",
-            &Query::select(&["diagnosis"]).filter("id", 2i64),
-        );
+        let d2 = c.execute("analyst", &Query::select(&["diagnosis"]).filter("id", 2i64));
         assert!(matches!(d2, QueryDecision::Allowed { .. }));
         // But now Alice's diagnosis must be blocked.
-        let d3 = c.execute(
-            "analyst",
-            &Query::select(&["diagnosis"]).filter("id", 1i64),
+        let d3 = c.execute("analyst", &Query::select(&["diagnosis"]).filter("id", 1i64));
+        assert!(
+            matches!(d3, QueryDecision::Denied | QueryDecision::Sanitized { .. }),
+            "{d3:?}"
         );
-        assert!(matches!(d3, QueryDecision::Denied | QueryDecision::Sanitized { .. }), "{d3:?}");
         assert_eq!(c.breaches(), 0);
     }
 

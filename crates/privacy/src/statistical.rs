@@ -236,10 +236,16 @@ mod tests {
     fn small_count_suppressed() {
         let mut gate = StatisticalGate::new(salaries(), 3);
         // hr has one row.
-        let d = gate.execute("analyst", &AggregateQuery::sum("salary").filter("dept", "hr"));
+        let d = gate.execute(
+            "analyst",
+            &AggregateQuery::sum("salary").filter("dept", "hr"),
+        );
         assert_eq!(d, AggregateDecision::SuppressedSmallCount { k: 3 });
         // eng has four rows: answered.
-        let d = gate.execute("analyst", &AggregateQuery::sum("salary").filter("dept", "eng"));
+        let d = gate.execute(
+            "analyst",
+            &AggregateQuery::sum("salary").filter("dept", "eng"),
+        );
         assert_eq!(d, AggregateDecision::Answer(460));
     }
 
@@ -289,7 +295,10 @@ mod tests {
         let mut gate = StatisticalGate::new(t, 3);
         // Q1: all of eng (rows 0..4).
         let q1 = AggregateQuery::sum("salary").filter("dept", "eng");
-        assert!(matches!(gate.execute("snoop", &q1), AggregateDecision::Answer(_)));
+        assert!(matches!(
+            gate.execute("snoop", &q1),
+            AggregateDecision::Answer(_)
+        ));
         // Q2: eng ∩ team=beta (rows 1..4) — differs from Q1 by exactly the
         // victim (row 0): blocked.
         let q2 = AggregateQuery::sum("salary")

@@ -182,7 +182,12 @@ mod tests {
     fn patients() -> Table {
         let mut t = Table::new("patients", &["id", "name", "ward", "diagnosis"]);
         t.insert(vec![1i64.into(), "Alice".into(), "w1".into(), "flu".into()]);
-        t.insert(vec![2i64.into(), "Bob".into(), "w1".into(), "injury".into()]);
+        t.insert(vec![
+            2i64.into(),
+            "Bob".into(),
+            "w1".into(),
+            "injury".into(),
+        ]);
         t.insert(vec![3i64.into(), "Carol".into(), "w2".into(), "flu".into()]);
         t
     }

@@ -258,9 +258,10 @@ mod tests {
             Document::parse("<privacyConstraints><constraint level=\"ultra\"><attribute>x</attribute></constraint></privacyConstraints>")
                 .unwrap();
         assert!(constraints_from_xml(&bad_level).is_err());
-        let no_attrs =
-            Document::parse("<privacyConstraints><constraint level=\"private\"/></privacyConstraints>")
-                .unwrap();
+        let no_attrs = Document::parse(
+            "<privacyConstraints><constraint level=\"private\"/></privacyConstraints>",
+        )
+        .unwrap();
         assert!(constraints_from_xml(&no_attrs).is_err());
     }
 

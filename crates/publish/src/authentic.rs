@@ -277,7 +277,10 @@ mod tests {
         let attrs = decode_attrs(&bytes).unwrap();
         assert_eq!(
             attrs,
-            vec![("a".to_string(), "héllo".to_string()), ("z".to_string(), "1".to_string())]
+            vec![
+                ("a".to_string(), "héllo".to_string()),
+                ("z".to_string(), "1".to_string())
+            ]
         );
     }
 

@@ -192,8 +192,7 @@ fn rebuild(
     let mut id_map: HashMap<NodeId, u32> = HashMap::new();
     id_map.insert(doc.root(), root_entry.0.index);
     if let Some(content) = root_entry.1 {
-        let attrs =
-            decode_attrs(content).map_err(VerifyError::MalformedStructure)?;
+        let attrs = decode_attrs(content).map_err(VerifyError::MalformedStructure)?;
         for (k, v) in attrs {
             doc.set_attribute(doc.root(), &k, &v);
         }
@@ -218,8 +217,7 @@ fn rebuild(
                     SummaryKind::Element(name) => {
                         let e = doc.add_element(new, name);
                         if let Some(c) = content {
-                            let attrs = decode_attrs(c)
-                                .map_err(VerifyError::MalformedStructure)?;
+                            let attrs = decode_attrs(c).map_err(VerifyError::MalformedStructure)?;
                             for (k, v) in attrs {
                                 doc.set_attribute(e, &k, &v);
                             }
@@ -322,7 +320,10 @@ mod tests {
         let view = verify_answer(&ans, &pk, "shop.xml", &path).unwrap();
         assert_eq!(view.matched.len(), 3);
         let s = view.view.to_xml_string();
-        assert!(s.contains("10") && s.contains("20") && s.contains("30"), "{s}");
+        assert!(
+            s.contains("10") && s.contains("20") && s.contains("30"),
+            "{s}"
+        );
     }
 
     #[test]
@@ -393,7 +394,10 @@ mod tests {
         // Either the proof no longer matches the substituted root, or the
         // signature fails under the real owner's key.
         assert!(
-            matches!(err, VerifyError::ProofInvalid | VerifyError::SignatureInvalid),
+            matches!(
+                err,
+                VerifyError::ProofInvalid | VerifyError::SignatureInvalid
+            ),
             "{err:?}"
         );
     }

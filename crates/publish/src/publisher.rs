@@ -67,11 +67,10 @@ impl Publisher {
 
     /// Accepts a document from an owner.
     pub fn host(&mut self, doc: Document, auth: AuthenticDocument, summary: SummarySignature) {
-        self.docs.insert(summary.document.clone(), PublishedDoc {
-            doc,
-            auth,
-            summary,
-        });
+        self.docs.insert(
+            summary.document.clone(),
+            PublishedDoc { doc, auth, summary },
+        );
     }
 
     /// Hosted document names.
@@ -134,7 +133,12 @@ impl Publisher {
 
         let revealed: Vec<(NodeSummary, Vec<u8>)> = revealed_set
             .iter()
-            .map(|&i| (hosted.auth.summary(i).clone(), hosted.auth.content(i).to_vec()))
+            .map(|&i| {
+                (
+                    hosted.auth.summary(i).clone(),
+                    hosted.auth.content(i).to_vec(),
+                )
+            })
             .collect();
         let structure: Vec<NodeSummary> = structure_set
             .iter()
