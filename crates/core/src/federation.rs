@@ -10,8 +10,11 @@
 //! every site; each site enforces *its own* policies before returning
 //! anything (autonomy — the federation never sees more than any single site
 //! would release), and results are merged with site provenance attached.
+//! A site answers the way the stack does ([`crate::query::hits`]), so a
+//! federated hit carries the same bytes a stack serving that site's
+//! documents and policies would.
 
-use crate::query::{SecureHit, SecureQueryProcessor};
+use crate::query::hits;
 use websec_policy::{PolicyEngine, PolicyStore, SubjectProfile};
 use websec_xml::{DocumentStore, Path};
 
@@ -40,21 +43,21 @@ impl Site {
         }
     }
 
-    /// Answers a federated query locally: every document is queried under
-    /// this site's own policies.
+    /// Answers a federated query locally: every document is queried over
+    /// the subject's view under this site's own policies.
     #[must_use]
     pub fn answer(&self, profile: &SubjectProfile, path: &Path) -> Vec<FederatedHit> {
-        let processor = SecureQueryProcessor::new(&self.policies, self.engine);
         let mut out = Vec::new();
         for doc_name in self.documents.names() {
             let doc = self.documents.get(doc_name).expect("listed name exists");
-            for hit in processor.query(profile, doc_name, doc, path) {
-                out.push(FederatedHit {
-                    site: self.name.clone(),
-                    document: doc_name.to_string(),
-                    hit,
-                });
-            }
+            let view = self
+                .engine
+                .compute_view(&self.policies, profile, doc_name, doc);
+            out.extend(hits(&view, path).map(|xml| FederatedHit {
+                site: self.name.clone(),
+                document: doc_name.to_string(),
+                xml,
+            }));
         }
         out
     }
@@ -67,8 +70,9 @@ pub struct FederatedHit {
     pub site: String,
     /// Originating document.
     pub document: String,
-    /// The (authorized portion of the) matched subtree.
-    pub hit: SecureHit,
+    /// The authorized portion of the matched subtree, wrapped in its
+    /// ancestor chain.
+    pub xml: String,
 }
 
 /// A federation of autonomous sites.
@@ -159,12 +163,12 @@ mod tests {
         let hits = fed.query(&SubjectProfile::new("researcher"), &path);
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0].site, "hospital-a");
-        assert!(hits[0].hit.xml.contains("Alice"));
+        assert!(hits[0].xml.contains("Alice"));
         // Site B's admin sees only site B's patient.
         let hits = fed.query(&SubjectProfile::new("b-admin"), &path);
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0].site, "hospital-b");
-        assert!(hits[0].hit.xml.contains("Bob"));
+        assert!(hits[0].xml.contains("Bob"));
     }
 
     #[test]
@@ -208,5 +212,9 @@ mod tests {
         );
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0].document, "ward.xml");
+        assert_eq!(
+            hits[0].xml,
+            "<ward><patient><name>Alice</name></patient></ward>"
+        );
     }
 }

@@ -11,7 +11,7 @@
 //!   the next step is securing RDF"), with per-layer instrumentation (E12),
 //!   split into mutable configuration and read-only evaluation;
 //! * [`server`] — the **sharded concurrent serving layer**: per-subject
-//!   channel sessions and a token-checked policy-view cache, both sharded
+//!   channel sessions and a per-snapshot policy-view cache, both sharded
 //!   by identity hash; lock-free batch execution
 //!   ([`server::StackServer::serve_batch`] over a [`BatchRequest`]) with
 //!   one shared claim cursor and precomputed request coalescing;
@@ -27,8 +27,9 @@
 //!   admission-control load shedding (`WS108`);
 //! * [`query`] — security-aware query processing (§3.1: "query processing
 //!   algorithms may need to take into consideration the access control
-//!   policies"): a query selects over the subject's authorized view and
-//!   returns the readable nodes it matches;
+//!   policies"): [`query::hits`], the one answer of the stack, the server
+//!   and the federation, selects over the subject's authorized view and
+//!   returns the readable nodes it matches, never a shell;
 //! * [`federation`] — secure interoperability of autonomous sites (§5),
 //!   each enforcing its own policy base;
 //! * [`metadata`] — the §2.1 metadata-placement question (centralized vs
@@ -109,7 +110,6 @@ pub use faults::{
 pub use federation::{FederatedHit, Federation, Site};
 pub use hash::{fnv1a, FNV1A_START};
 pub use metadata::{DocumentMeta, MetadataRepository, Placement};
-pub use query::{SecureHit, SecureQueryProcessor};
 pub use request::{BatchRequest, CacheStatus, Decision, QueryRequest, QueryResponse};
 pub use server::{
     AnalysisGate, BatchResponse, BatchStats, LatencyHistogram, MetricsSnapshot, ServerConfig,
@@ -129,7 +129,6 @@ pub mod prelude {
         FaultInjector, FaultKind, FaultLayer, FaultPlan, FaultRule, FaultSchedule, RetryPolicy,
     };
     pub use crate::federation::{FederatedHit, Federation, Site};
-    pub use crate::query::SecureQueryProcessor;
     pub use crate::request::{BatchRequest, CacheStatus, Decision, QueryRequest, QueryResponse};
     pub use crate::server::{
         AnalysisGate, BatchResponse, BatchStats, LatencyHistogram, MetricsSnapshot, ServerConfig,

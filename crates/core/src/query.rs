@@ -5,68 +5,34 @@
 //! consideration the access control policies."
 //!
 //! A query runs over the subject's authorized view, the one Author-X view
-//! that [`websec_policy::DocumentDecision::view`] defines: the document is
-//! evaluated once, the path is selected over the view, and each hit is a
-//! node the subject may read, serialized from the view (so partially
-//! readable subtrees appear pruned). The denied ancestors the view keeps as
-//! name-only shells are structure, not results.
+//! that [`websec_policy::DocumentDecision::view`] defines: the path is
+//! selected over the view, and each hit is a node the subject may read,
+//! serialized from the view (so partially readable subtrees appear pruned).
+//! The denied ancestors the view keeps as name-only shells are structure,
+//! not results. [`hits`] is the one routine that answers a query: the
+//! stack, the server and the federation's sites all call it.
 
-use websec_policy::{PolicyEngine, PolicyStore, Privilege, SubjectProfile};
 use websec_xml::{Document, Path};
 
-/// A secure query processor bound to one policy base.
-pub struct SecureQueryProcessor<'a> {
-    /// The policy base.
-    pub store: &'a PolicyStore,
-    /// The evaluation engine.
-    pub engine: PolicyEngine,
-}
-
-/// One query result: the matched subtree serialized from the authorized
-/// view (so partially-readable subtrees appear pruned).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SecureHit {
-    /// XML of the authorized portion of the matched subtree.
-    pub xml: String,
-}
-
-impl<'a> SecureQueryProcessor<'a> {
-    /// Creates a processor.
-    #[must_use]
-    pub fn new(store: &'a PolicyStore, engine: PolicyEngine) -> Self {
-        SecureQueryProcessor { store, engine }
-    }
-
-    /// Runs `path` over `profile`'s view of `doc` (named `doc_name`): one
-    /// hit per readable node the path selects in the view.
-    #[must_use]
-    pub fn query(
-        &self,
-        profile: &SubjectProfile,
-        doc_name: &str,
-        doc: &Document,
-        path: &Path,
-    ) -> Vec<SecureHit> {
-        let decision =
-            self.engine
-                .evaluate_document(self.store, profile, doc_name, doc, Privilege::Read);
-        let view = decision.view(doc);
-        // Node ids are stable across pruning, so the decision tells the
-        // view's shells from its readable nodes.
-        path.select_nodes(&view)
-            .into_iter()
-            .filter(|&n| decision.is_allowed(n))
-            .map(|n| SecureHit {
-                xml: view.node_xml(n),
-            })
-            .collect()
-    }
+/// The hits of `path` over `view`: each node the path selects that is not
+/// a shell ([`Document::is_shell`]), serialized with its ancestor chain
+/// ([`Document::subtree_xml`]), in document order.
+pub fn hits<'a>(view: &'a Document, path: &Path) -> impl Iterator<Item = String> + 'a {
+    path.select_nodes(view)
+        .into_iter()
+        .filter(move |&n| !view.is_shell(n))
+        .map(move |n| view.subtree_xml(n))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use websec_policy::{Authorization, ObjectSpec, Propagation, SubjectSpec};
+    use crate::{QueryRequest, SecureWebStack, Site, StackServer};
+    use websec_policy::mls::{Clearance, ContextLabel, Level};
+    use websec_policy::{
+        Authorization, ObjectSpec, PolicyEngine, PolicyStore, Privilege, Propagation,
+        SubjectProfile, SubjectSpec,
+    };
 
     fn portion(path: &str) -> ObjectSpec {
         ObjectSpec::Portion {
@@ -100,45 +66,45 @@ mod tests {
         (store, doc)
     }
 
-    fn xml_of(hits: &[SecureHit]) -> Vec<&str> {
-        hits.iter().map(|h| h.xml.as_str()).collect()
+    /// The hits of `query` over subject `u`'s view of `doc`.
+    fn query(store: &PolicyStore, doc: &Document, query: &str) -> Vec<String> {
+        let view =
+            PolicyEngine::default().compute_view(store, &SubjectProfile::new("u"), "h.xml", doc);
+        hits(&view, &Path::parse(query).unwrap()).collect()
     }
 
     #[test]
     fn hits_are_readable_subtrees_of_the_view() {
         let (store, doc) = setup();
-        let processor = SecureQueryProcessor::new(&store, PolicyEngine::default());
-        let profile = SubjectProfile::new("u");
-        let query = |q: &str| processor.query(&profile, "h.xml", &doc, &Path::parse(q).unwrap());
         assert_eq!(
-            xml_of(&query("//patient")),
+            query(&store, &doc, "//patient"),
             [
-                "<patient id=\"p1\"><name>Alice</name></patient>",
-                "<patient id=\"p2\"><name>Bob</name></patient>",
+                "<hospital><patient id=\"p1\"><name>Alice</name></patient></hospital>",
+                "<hospital><patient id=\"p2\"><name>Bob</name></patient></hospital>",
             ]
         );
         assert_eq!(
-            xml_of(&query("//name")),
-            ["<name>Alice</name>", "<name>Bob</name>"]
+            query(&store, &doc, "//name"),
+            [
+                "<hospital><patient id=\"p1\"><name>Alice</name></patient></hospital>",
+                "<hospital><patient id=\"p2\"><name>Bob</name></patient></hospital>",
+            ]
         );
         assert_eq!(
-            xml_of(&query("//patient[@id='p2']")),
-            ["<patient id=\"p2\"><name>Bob</name></patient>"]
+            query(&store, &doc, "//patient[@id='p2']"),
+            ["<hospital><patient id=\"p2\"><name>Bob</name></patient></hospital>"]
         );
         // The root is a shell of the view, not a result.
-        assert!(query("/hospital").is_empty());
+        assert!(query(&store, &doc, "/hospital").is_empty());
     }
 
     #[test]
     fn hits_prune_denied_attributes() {
         let (store, doc) = setup();
-        let processor = SecureQueryProcessor::new(&store, PolicyEngine::default());
-        let profile = SubjectProfile::new("u");
-        let path = Path::parse("//patient[@id='p1']").unwrap();
-        let hits = processor.query(&profile, "h.xml", &doc, &path);
+        let hits = query(&store, &doc, "//patient[@id='p1']");
         assert_eq!(hits.len(), 1);
-        assert!(hits[0].xml.contains("Alice"), "{}", hits[0].xml);
-        assert!(!hits[0].xml.contains("ssn"), "{}", hits[0].xml);
+        assert!(hits[0].contains("Alice"), "{}", hits[0]);
+        assert!(!hits[0].contains("ssn"), "{}", hits[0]);
     }
 
     #[test]
@@ -163,23 +129,67 @@ mod tests {
             "<hospital><patient id=\"p1\"><name>Alice</name><record>flu</record></patient></hospital>",
         )
         .unwrap();
-        let processor = SecureQueryProcessor::new(&store, PolicyEngine::default());
-        let profile = SubjectProfile::new("u");
-        let hits = processor.query(&profile, "h.xml", &doc, &Path::parse("//patient").unwrap());
         assert_eq!(
-            xml_of(&hits),
-            ["<patient id=\"p1\"><name>Alice</name><record>flu</record></patient>"]
+            query(&store, &doc, "//patient"),
+            ["<hospital><patient id=\"p1\"><name>Alice</name><record>flu</record></patient></hospital>"]
         );
-        let names = processor.query(&profile, "h.xml", &doc, &Path::parse("//name").unwrap());
+        let names = query(&store, &doc, "//name");
         assert!(names.is_empty(), "{names:?}");
     }
 
     #[test]
     fn unauthorized_region_yields_no_hits() {
         let (store, doc) = setup();
-        let processor = SecureQueryProcessor::new(&store, PolicyEngine::default());
-        let profile = SubjectProfile::new("u");
-        let path = Path::parse("//budget").unwrap();
-        assert!(processor.query(&profile, "h.xml", &doc, &path).is_empty());
+        assert!(query(&store, &doc, "//budget").is_empty());
+    }
+
+    /// A clerk granted only `//name` asks every entry point for a patient,
+    /// which the clerk's view keeps only as a shell, and for a name.
+    #[test]
+    fn no_entry_point_serves_a_shell() {
+        let doc = Document::parse(
+            "<hospital><patient id=\"p1\" ssn=\"1\"><name>Alice</name><record>flu</record></patient></hospital>",
+        )
+        .unwrap();
+        let grant = Authorization::for_subject(SubjectSpec::Identity("clerk".into()))
+            .on(portion("//name"))
+            .privilege(Privilege::Read)
+            .grant();
+        let mut stack = SecureWebStack::new([5u8; 32]);
+        stack.policies.add(grant.clone());
+        stack.add_document(
+            "h.xml",
+            doc.clone(),
+            ContextLabel::fixed(Level::Unclassified),
+        );
+        let server = StackServer::new(stack.clone());
+        let mut site = Site::new("s");
+        site.policies.add(grant);
+        site.documents.insert("h.xml", doc);
+        let clerk = SubjectProfile::new("clerk");
+        let name = "<hospital><patient><name>Alice</name></patient></hospital>";
+        for (query, want) in [("//patient", &[][..]), ("//name", &[name][..])] {
+            let path = Path::parse(query).unwrap();
+            let request = QueryRequest::for_doc("h.xml")
+                .path(path.clone())
+                .subject(&clerk)
+                .clearance(Clearance(Level::Unclassified));
+            assert_eq!(
+                stack.execute(&request).unwrap().xml,
+                want.concat(),
+                "{query}"
+            );
+            assert_eq!(
+                server.serve(&request).unwrap().xml,
+                want.concat(),
+                "{query}"
+            );
+            let answered: Vec<String> = site
+                .answer(&clerk, &path)
+                .into_iter()
+                .map(|hit| hit.xml)
+                .collect();
+            assert_eq!(answered, want, "{query}");
+        }
     }
 }

@@ -11,6 +11,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use crate::error::Error;
+use crate::query::hits;
 use crate::request::{CacheStatus, Decision, QueryRequest, QueryResponse};
 use crate::stack::SecureWebStack;
 use websec_policy::SubjectProfile;
@@ -56,7 +57,7 @@ pub(crate) struct ResolvedView {
 }
 
 /// Resolves the subject's view of a document, reporting whether a cache
-/// served it. The serving layer plugs its token-checked L2 cache in
+/// served it. The serving layer plugs its snapshot's L2 view cache in
 /// here; the direct [`SecureWebStack::execute`] path uses [`FreshViews`],
 /// which always computes.
 pub(crate) trait ViewResolver {
@@ -92,19 +93,10 @@ impl ViewResolver for FreshViews {
     }
 }
 
-/// The request key fed to the flexible-enforcement gate (stable across the
-/// legacy shim and the new API so gating decisions agree).
+/// The request key fed to the flexible-enforcement gate: the subject's
+/// identity, the document and the path's source text.
 pub(crate) fn gate_key(identity: &str, doc_name: &str, path: &Path) -> String {
     format!("{identity}|{doc_name}|{}", path.source())
-}
-
-/// The response body: every node `path` selects in `doc`, each wrapped in
-/// its ancestor chain ([`Document::subtree_xml`]), in document order.
-fn matches_xml(doc: &Document, path: &Path) -> String {
-    path.select_nodes(doc)
-        .into_iter()
-        .map(|n| doc.subtree_xml(n))
-        .collect()
 }
 
 impl SecureWebStack {
@@ -170,14 +162,14 @@ impl SecureWebStack {
             .documents
             .get(doc_name)
             .ok_or_else(|| Error::UnknownDocument(doc_name.to_string()))?;
-        let (result_xml, cache) = if enforce {
+        let (result_xml, cache): (String, _) = if enforce {
             let resolved = resolver.resolve(self, profile, doc_name, doc);
             timings.compile_ns += resolved.compile_ns;
-            (matches_xml(&resolved.view, path), resolved.cache)
+            (hits(&resolved.view, path).collect(), resolved.cache)
         } else {
-            // Unchecked fast path: raw query on the stored document,
-            // answered in the same format.
-            (matches_xml(doc, path), CacheStatus::Bypass)
+            // Unchecked fast path: raw query on the stored document, which
+            // has no shell, answered in the same format.
+            (hits(doc, path).collect(), CacheStatus::Bypass)
         };
         timings.xml_ns += t.elapsed().as_nanos();
 

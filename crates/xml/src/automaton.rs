@@ -283,9 +283,12 @@ impl PathAutomaton {
         let mut out = Vec::with_capacity(8);
         // DFS over (node, parent-state-mask). State 0 is the virtual
         // node above the root, so `/a` matches a root named `a` and a
-        // leading `//a` matches every `a` including the root.
+        // leading `//a` matches every `a` including the root, unless
+        // pruning removed the root (a view that keeps nothing).
         let mut stack = Vec::with_capacity(16);
-        stack.push((doc.root(), 1u64));
+        if !doc.is_removed(doc.root()) {
+            stack.push((doc.root(), 1u64));
+        }
         while let Some((node, parent_mask)) = stack.pop() {
             let mut mask = 0u64;
             let mut remaining = parent_mask;
@@ -329,6 +332,7 @@ impl PathAutomaton {
 mod tests {
     use super::*;
     use crate::path::Selection;
+    use std::collections::HashMap;
 
     fn doc() -> Document {
         Document::parse(
@@ -348,6 +352,7 @@ mod tests {
             .unwrap_or_else(|| panic!("{src} should compile"));
         let syms = interner.document_symbols(d);
         let got = auto.select_nodes(d, &syms);
+        assert!(got.iter().all(|&n| !d.is_removed(n)), "{src}: {got:?}");
         match path.select(d) {
             Selection::Nodes(want) => assert_eq!(got, want, "{src}"),
             Selection::Attributes(_) => panic!("{src} selected attributes"),
@@ -357,6 +362,8 @@ mod tests {
     #[test]
     fn automaton_matches_interpreter_on_element_paths() {
         let d = doc();
+        // A view that keeps nothing: pruning removes even the root.
+        let empty = d.prune_to_view(&NodeBitset::default(), &HashMap::new());
         for src in [
             "/hospital",
             "/hospital/patient",
@@ -377,6 +384,7 @@ mod tests {
             "/*/staff/doctor",
         ] {
             assert_equiv(src, &d);
+            assert_equiv(src, &empty);
         }
     }
 

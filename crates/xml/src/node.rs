@@ -44,6 +44,20 @@ pub(crate) struct Node {
     pub(crate) children: Vec<NodeId>,
     /// Tombstone flag used by view pruning.
     pub(crate) removed: bool,
+    /// Set by view pruning on a denied ancestor it keeps as structure.
+    pub(crate) shell: bool,
+}
+
+impl Node {
+    fn new(parent: Option<NodeId>, kind: NodeKind) -> Self {
+        Node {
+            parent,
+            kind,
+            children: Vec::new(),
+            removed: false,
+            shell: false,
+        }
+    }
 }
 
 /// An XML document: a tree of elements and text nodes rooted at
@@ -58,15 +72,13 @@ impl Document {
     /// Creates a document with a single root element named `root_name`.
     #[must_use]
     pub fn new(root_name: &str) -> Self {
-        let root = Node {
-            parent: None,
-            kind: NodeKind::Element {
+        let root = Node::new(
+            None,
+            NodeKind::Element {
                 name: root_name.to_string(),
                 attributes: Vec::new(),
             },
-            children: Vec::new(),
-            removed: false,
-        };
+        );
         Document {
             nodes: vec![root],
             root: NodeId(0),
@@ -105,15 +117,13 @@ impl Document {
     /// Panics if `parent` is a text node or was pruned.
     pub fn add_element(&mut self, parent: NodeId, name: &str) -> NodeId {
         self.assert_live_element(parent);
-        let id = self.push_node(Node {
-            parent: Some(parent),
-            kind: NodeKind::Element {
+        let id = self.push_node(Node::new(
+            Some(parent),
+            NodeKind::Element {
                 name: name.to_string(),
                 attributes: Vec::new(),
             },
-            children: Vec::new(),
-            removed: false,
-        });
+        ));
         self.nodes[parent.index()].children.push(id);
         id
     }
@@ -121,12 +131,7 @@ impl Document {
     /// Appends a text child to `parent` and returns its id.
     pub fn add_text(&mut self, parent: NodeId, text: &str) -> NodeId {
         self.assert_live_element(parent);
-        let id = self.push_node(Node {
-            parent: Some(parent),
-            kind: NodeKind::Text(text.to_string()),
-            children: Vec::new(),
-            removed: false,
-        });
+        let id = self.push_node(Node::new(Some(parent), NodeKind::Text(text.to_string())));
         self.nodes[parent.index()].children.push(id);
         id
     }
@@ -220,6 +225,14 @@ impl Document {
         self.nodes[node.index()].removed
     }
 
+    /// Whether `node` is a shell of this view: a denied ancestor of a
+    /// readable node, which [`Document::prune_to_view`] keeps as structure
+    /// with its name and no attribute. A shell is never a query hit.
+    #[must_use]
+    pub fn is_shell(&self, node: NodeId) -> bool {
+        self.nodes[node.index()].shell
+    }
+
     /// Pre-order traversal of the live subtree rooted at `node` (inclusive).
     #[must_use]
     pub fn descendants(&self, node: NodeId) -> Vec<NodeId> {
@@ -293,8 +306,9 @@ impl Document {
     /// Produces a copy of the document containing only the nodes in `keep`
     /// (plus their ancestors, so the result stays a tree, and minus
     /// attributes not listed in `keep_attrs` for nodes that appear there).
-    /// An ancestor kept only as structure is a shell: it keeps its name and
-    /// loses every attribute.
+    /// An ancestor kept only as structure is a shell: it keeps its name,
+    /// loses every attribute and is marked ([`Document::is_shell`]). When
+    /// `keep` is empty, even the root is removed.
     ///
     /// This is the Author-X "view" operation: the subject sees exactly the
     /// authorized portion. Keeping a node does not keep its descendants;
@@ -320,7 +334,9 @@ impl Document {
             if !keep_full.contains(id) {
                 view.nodes[id.index()].removed = true;
             } else if !keep.contains(id) {
-                if let NodeKind::Element { attributes, .. } = &mut view.nodes[id.index()].kind {
+                let node = &mut view.nodes[id.index()];
+                node.shell = true;
+                if let NodeKind::Element { attributes, .. } = &mut node.kind {
                     attributes.clear();
                 }
             }
@@ -563,7 +579,7 @@ mod tests {
 
     #[test]
     fn view_keeps_ancestors() {
-        let (d, _, name, _) = sample();
+        let (d, patient, name, _) = sample();
         let keep: NodeBitset = [name].into_iter().collect();
         let view = d.prune_to_view(&keep, &HashMap::new());
         // name kept, record dropped, text under name dropped (not in keep),
@@ -572,6 +588,12 @@ mod tests {
             view.to_xml_string(),
             "<hospital><patient><name/></patient></hospital>"
         );
+        let shells: Vec<NodeId> = view
+            .all_nodes()
+            .into_iter()
+            .filter(|&n| view.is_shell(n))
+            .collect();
+        assert_eq!(shells, vec![d.root(), patient]);
     }
 
     #[test]

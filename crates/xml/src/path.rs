@@ -224,7 +224,7 @@ impl Path {
                 // or to every element for a leading/descendant step.
                 let owners: Vec<NodeId> = if at_virtual_root || step.descendant {
                     let bases = if at_virtual_root {
-                        vec![doc.root()]
+                        live_root(doc)
                     } else {
                         context.clone()
                     };
@@ -264,7 +264,7 @@ impl Path {
                 if step.descendant {
                     vec![doc.descendants(doc.root())]
                 } else {
-                    vec![vec![doc.root()]]
+                    vec![live_root(doc)]
                 }
             } else {
                 context
@@ -358,6 +358,16 @@ impl Path {
     }
 }
 
+/// The root as the one child of the virtual node above it, unless pruning
+/// removed it (a view that keeps nothing).
+fn live_root(doc: &Document) -> Vec<NodeId> {
+    if doc.is_removed(doc.root()) {
+        Vec::new()
+    } else {
+        vec![doc.root()]
+    }
+}
+
 fn take_name(src: &str, pos: &mut usize) -> Result<String, PathError> {
     let bytes = src.as_bytes();
     let start = *pos;
@@ -418,6 +428,8 @@ fn eval_pred(doc: &Document, node: NodeId, pred: &Pred, position: usize) -> bool
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::automaton::NodeBitset;
+    use std::collections::HashMap;
 
     fn doc() -> Document {
         Document::parse(
@@ -547,6 +559,17 @@ mod tests {
             .unwrap()
             .select_nodes(&d)
             .is_empty());
+    }
+
+    #[test]
+    fn an_empty_view_selects_nothing() {
+        let mut d = doc();
+        d.set_attribute(d.root(), "site", "north");
+        let empty = d.prune_to_view(&NodeBitset::default(), &HashMap::new());
+        assert!(empty.is_removed(empty.root()));
+        for p in ["/hospital", "/*", "//hospital", "//*", "/@site", "//@site"] {
+            assert!(Path::parse(p).unwrap().select(&empty).is_empty(), "{p}");
+        }
     }
 
     #[test]

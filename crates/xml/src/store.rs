@@ -1,12 +1,13 @@
-//! In-memory document store with name lookup and cross-document queries.
+//! In-memory document store with name lookup.
 //!
 //! The paper's web database is "multiple data sources scattered across
-//! several sites"; the store models one site's XML database: named documents,
-//! collection membership, and path queries evaluated over one document, a
-//! collection, or the whole store.
+//! several sites"; the store models one site's XML database: named
+//! documents, each shared between clones of the store until written.
+//! Queries never run over the store itself, only over a subject's view of
+//! one document, and the collections that policies name are kept by the
+//! policy store.
 
-use crate::node::{Document, NodeId};
-use crate::path::Path;
+use crate::node::Document;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -21,16 +22,6 @@ use std::sync::Arc;
 #[derive(Debug, Clone, Default)]
 pub struct DocumentStore {
     docs: BTreeMap<String, Arc<Document>>,
-    collections: BTreeMap<String, Vec<String>>,
-}
-
-/// A query hit: document name plus selected node.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Hit {
-    /// Name of the document containing the node.
-    pub document: String,
-    /// The matched node.
-    pub node: NodeId,
 }
 
 impl DocumentStore {
@@ -47,9 +38,6 @@ impl DocumentStore {
 
     /// Removes a document; returns it if present.
     pub fn remove(&mut self, name: &str) -> Option<Document> {
-        for members in self.collections.values_mut() {
-            members.retain(|m| m != name);
-        }
         self.docs.remove(name).map(Arc::unwrap_or_clone)
     }
 
@@ -76,9 +64,8 @@ impl DocumentStore {
 
     /// True when `other` holds exactly this store's documents: the same
     /// names, each bound to the very document this store holds, not a
-    /// copy. Collections are not compared. While `self` is alive, no write
-    /// through `other` leaves this true, since a write copies a shared
-    /// document first.
+    /// copy. While `self` is alive, no write through `other` leaves this
+    /// true, since a write copies a shared document first.
     #[must_use]
     pub fn shares_documents(&self, other: &DocumentStore) -> bool {
         self.docs.len() == other.docs.len()
@@ -105,67 +92,6 @@ impl DocumentStore {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.docs.is_empty()
-    }
-
-    /// Adds `doc_name` to collection `collection` (created on demand).
-    ///
-    /// # Panics
-    /// Panics if the document does not exist.
-    pub fn add_to_collection(&mut self, collection: &str, doc_name: &str) {
-        assert!(
-            self.docs.contains_key(doc_name),
-            "unknown document '{doc_name}'"
-        );
-        let members = self.collections.entry(collection.to_string()).or_default();
-        if !members.iter().any(|m| m == doc_name) {
-            members.push(doc_name.to_string());
-        }
-    }
-
-    /// Members of a collection (empty if unknown).
-    #[must_use]
-    pub fn collection(&self, name: &str) -> Vec<&str> {
-        self.collections
-            .get(name)
-            .map(|v| v.iter().map(String::as_str).collect())
-            .unwrap_or_default()
-    }
-
-    /// Evaluates `path` over a single document.
-    #[must_use]
-    pub fn query_document(&self, doc_name: &str, path: &Path) -> Vec<Hit> {
-        match self.docs.get(doc_name) {
-            Some(doc) => path
-                .select_nodes(doc)
-                .into_iter()
-                .map(|node| Hit {
-                    document: doc_name.to_string(),
-                    node,
-                })
-                .collect(),
-            None => Vec::new(),
-        }
-    }
-
-    /// Evaluates `path` over every document in the store.
-    #[must_use]
-    pub fn query_all(&self, path: &Path) -> Vec<Hit> {
-        self.docs
-            .keys()
-            .flat_map(|name| self.query_document(name, path))
-            .collect()
-    }
-
-    /// Evaluates `path` over the members of a collection.
-    #[must_use]
-    pub fn query_collection(&self, collection: &str, path: &Path) -> Vec<Hit> {
-        self.collection(collection)
-            .into_iter()
-            .map(str::to_string)
-            .collect::<Vec<_>>()
-            .into_iter()
-            .flat_map(|name| self.query_document(&name, path))
-            .collect()
     }
 }
 
@@ -198,52 +124,6 @@ mod tests {
         assert!(s.remove("ward1.xml").is_some());
         assert!(s.get("ward1.xml").is_none());
         assert_eq!(s.len(), 2);
-    }
-
-    #[test]
-    fn query_single_document() {
-        let s = store();
-        let p = Path::parse("//patient").unwrap();
-        assert_eq!(s.query_document("ward1.xml", &p).len(), 2);
-        assert_eq!(s.query_document("missing.xml", &p).len(), 0);
-    }
-
-    #[test]
-    fn query_all_documents() {
-        let s = store();
-        let p = Path::parse("//patient").unwrap();
-        assert_eq!(s.query_all(&p).len(), 3);
-        let hits = s.query_all(&p);
-        let docs: std::collections::HashSet<&str> =
-            hits.iter().map(|h| h.document.as_str()).collect();
-        assert_eq!(docs.len(), 2);
-    }
-
-    #[test]
-    fn collections() {
-        let mut s = store();
-        s.add_to_collection("wards", "ward1.xml");
-        s.add_to_collection("wards", "ward2.xml");
-        s.add_to_collection("wards", "ward1.xml"); // duplicate ignored
-        assert_eq!(s.collection("wards").len(), 2);
-        let p = Path::parse("//patient").unwrap();
-        assert_eq!(s.query_collection("wards", &p).len(), 3);
-        assert_eq!(s.query_collection("unknown", &p).len(), 0);
-    }
-
-    #[test]
-    fn remove_cleans_collections() {
-        let mut s = store();
-        s.add_to_collection("wards", "ward1.xml");
-        s.remove("ward1.xml");
-        assert!(s.collection("wards").is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown document")]
-    fn collection_requires_existing_doc() {
-        let mut s = store();
-        s.add_to_collection("wards", "nope.xml");
     }
 
     /// Every document's name and serialized bytes.

@@ -73,7 +73,7 @@ fn main() {
         &Path::parse("//patient").unwrap(),
     );
     for h in &hits {
-        println!("  [{}] {}", h.site, h.hit.xml);
+        println!("  [{}] {}", h.site, h.xml);
     }
     println!(
         "  ({} hits; east redacts names, every site redacts diagnoses)\n",

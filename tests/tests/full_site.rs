@@ -76,7 +76,7 @@ fn lifecycle_ingest_to_federated_query() {
     );
     assert_eq!(hits.len(), 1);
     assert_eq!(hits[0].site, "hospital-a");
-    assert!(hits[0].hit.xml.contains("Alice"));
+    assert!(hits[0].xml.contains("Alice"));
 
     // --- blob fetch inherits the document policy ------------------------------
     let mut policies = PolicyStore::new();

@@ -3,6 +3,7 @@
 //! offline, so no external property-testing framework is used).
 
 use std::collections::HashSet;
+use websec_core::policy::mls::ContextLabel;
 use websec_core::prelude::*;
 
 /// A random document over a small name alphabet.
@@ -245,19 +246,25 @@ fn shaped_policies(rng: &mut SecureRng) -> PolicyStore {
 /// The view's shape, interpreted and compiled, under every strategy: each
 /// element of the view is either an allowed element with exactly the
 /// attributes `attr_allowed` accepts, or a name-only shell with an allowed
-/// descendant; every text node of the view is allowed; and every query hit
-/// is `node_xml` of an allowed node of the view.
+/// descendant, marked `is_shell`; every text node of the view is allowed;
+/// and the stack (interpreter), the server (compiled tables) and a
+/// federation site each answer a query with `subtree_xml` of the allowed
+/// nodes it selects in the view, never a shell.
 #[test]
 fn views_are_allowed_nodes_plus_name_only_shells() {
     let mut rng = SecureRng::seeded(0x71e6);
     let profile = SubjectProfile::new("alice").with_role(Role::new("staff"));
-    let (mut shells, mut hidden_attrs, mut hits) = (0, 0, 0);
+    let (mut shells, mut hidden_attrs, mut hits, mut shells_selected) = (0, 0, 0, 0);
     for case in 0..96 {
         let doc = attributed_document(&mut rng);
         let store = shaped_policies(&mut rng);
         let mut documents = DocumentStore::new();
         documents.insert("d.xml", doc.clone());
         let query = Path::parse(&format!("//n{}", rng.gen_range(4))).unwrap();
+        let request = QueryRequest::for_doc("d.xml")
+            .path(query.clone())
+            .subject(&profile)
+            .clearance(Clearance(Level::Unclassified));
         for strategy in STRATEGIES {
             let engine = PolicyEngine::new(strategy);
             let decision = engine.evaluate_document(&store, &profile, "d.xml", &doc, Privilege::Read);
@@ -266,11 +273,18 @@ fn views_are_allowed_nodes_plus_name_only_shells() {
                 .compute_view(&profile, "d.xml", &doc)
                 .unwrap();
             let interpreted = engine.compute_view(&store, &profile, "d.xml", &doc);
+            let mut answers = Vec::new();
             for (label, view) in [("interpreted", &interpreted), ("compiled", &compiled)] {
                 let at = |node| format!("case {case}, {strategy:?}, {label}, node {node:?}");
                 for node in doc.all_nodes() {
                     let shown = !view.is_removed(node);
                     let attrs = view.attributes(node);
+                    assert_eq!(
+                        view.is_shell(node),
+                        shown && !decision.is_allowed(node),
+                        "{}",
+                        at(node)
+                    );
                     if decision.is_allowed(node) {
                         assert!(shown, "{}", at(node));
                         let visible: Vec<(String, String)> = doc
@@ -292,23 +306,43 @@ fn views_are_allowed_nodes_plus_name_only_shells() {
                         }
                     }
                 }
+                let selected = query.select_nodes(view);
+                shells_selected += selected.iter().filter(|&&n| !decision.is_allowed(n)).count();
+                answers.push(
+                    selected
+                        .into_iter()
+                        .filter(|&n| decision.is_allowed(n))
+                        .map(|n| view.subtree_xml(n))
+                        .collect::<Vec<String>>(),
+                );
             }
-            let processor = SecureQueryProcessor::new(&store, engine);
-            let served: Vec<String> = processor
-                .query(&profile, "d.xml", &doc, &query)
-                .into_iter()
-                .map(|hit| hit.xml)
-                .collect();
-            let expected: Vec<String> = query
-                .select_nodes(&compiled)
-                .into_iter()
-                .filter(|&n| decision.is_allowed(n))
-                .map(|n| compiled.node_xml(n))
-                .collect();
-            hits += served.len();
-            assert_eq!(served, expected, "case {case}, {strategy:?}, query {}", query.source());
+            let (expected, expected_compiled) = (&answers[0], &answers[1]);
+            let at = format!("case {case}, {strategy:?}, query {}", query.source());
+            hits += expected.len();
+
+            let mut stack = SecureWebStack::new([6u8; 32]);
+            stack.engine = engine;
+            stack.policies = store.clone();
+            stack.add_document("d.xml", doc.clone(), ContextLabel::fixed(Level::Unclassified));
+            let executed = stack.execute(&request).unwrap();
+            assert_eq!(executed.decision, Decision::Enforced, "{at}");
+            assert_eq!(executed.xml, expected.concat(), "execute, {at}");
+            let served = StackServer::new(stack).serve(&request).unwrap();
+            assert_eq!(served.xml, expected_compiled.concat(), "serve, {at}");
+
+            let mut site = Site::new("s");
+            site.engine = engine;
+            site.policies = store.clone();
+            site.documents = documents.clone();
+            let answered: Vec<String> =
+                site.answer(&profile, &query).into_iter().map(|hit| hit.xml).collect();
+            assert_eq!(&answered, expected, "Site::answer, {at}");
         }
     }
-    // The generator reaches every case the property names.
-    assert!(shells > 0 && hidden_attrs > 0 && hits > 0, "{shells} {hidden_attrs} {hits}");
+    // The generator reaches every case the property names, shells the
+    // query selects among them.
+    assert!(
+        shells > 0 && hidden_attrs > 0 && hits > 0 && shells_selected > 0,
+        "{shells} {hidden_attrs} {hits} {shells_selected}"
+    );
 }
