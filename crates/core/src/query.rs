@@ -66,11 +66,11 @@ mod tests {
         (store, doc)
     }
 
-    /// The hits of `query` over subject `u`'s view of `doc`.
-    fn query(store: &PolicyStore, doc: &Document, query: &str) -> Vec<String> {
+    /// The hits of `path` over subject `u`'s view of `doc`.
+    fn query(store: &PolicyStore, doc: &Document, path: &str) -> Vec<String> {
         let view =
             PolicyEngine::default().compute_view(store, &SubjectProfile::new("u"), "h.xml", doc);
-        hits(&view, &Path::parse(query).unwrap()).collect()
+        hits(&view, &Path::parse(path).unwrap()).collect()
     }
 
     #[test]
